@@ -112,14 +112,25 @@ class TuningReport:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any], from_cache: bool = False) -> "TuningReport":
+        stored = payload.get("results", [])
+        results = [EvaluationResult.from_dict(r) for r in stored]
+
+        def member(entry: Mapping[str, Any]) -> EvaluationResult:
+            # autotune() picks best and baseline *from* results; alias the equal
+            # member like it does instead of holding two more deserialised copies
+            for raw, result in zip(stored, results):
+                if raw == entry:
+                    return result
+            return EvaluationResult.from_dict(entry)
+
         return cls(
             kernel_name=payload["kernel_name"],
             fingerprint=payload["fingerprint"],
             strategy=payload["strategy"],
             spec_name=payload["spec_name"],
-            best=EvaluationResult.from_dict(payload["best"]),
-            baseline=EvaluationResult.from_dict(payload["baseline"]),
-            results=[EvaluationResult.from_dict(r) for r in payload.get("results", [])],
+            best=member(payload["best"]),
+            baseline=member(payload["baseline"]),
+            results=results,
             from_cache=from_cache,
             seed=payload.get("seed", 0),
             backend=payload.get("backend", "model:"),

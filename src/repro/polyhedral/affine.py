@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, ItemsView, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.utils.frac import as_fraction
 from repro.polyhedral import linalg
@@ -69,11 +69,28 @@ class AffineExpr:
             raise ValueError("names and coefficients must have equal length")
         return cls(dict(zip(names, coefficients)), constant)
 
+    @classmethod
+    def from_terms(cls, coeffs: Dict[str, Fraction], constant: Fraction) -> "AffineExpr":
+        """Adopt *coeffs* as is: it must hold only non-zero ``Fraction`` values.
+
+        The validating constructor converts and filters every entry; callers
+        that already hold exact non-zero terms (the Fourier–Motzkin kernel
+        turning integer rows back into expressions) skip that work here.
+        """
+        expr = object.__new__(cls)
+        expr._coeffs = coeffs
+        expr._constant = constant
+        return expr
+
     # -- inspection --------------------------------------------------------
     @property
     def coefficients(self) -> Dict[str, Fraction]:
         """Copy of the variable→coefficient mapping (zero coefficients omitted)."""
         return dict(self._coeffs)
+
+    def terms(self) -> ItemsView[str, Fraction]:
+        """Read-only ``(variable, coefficient)`` view of the non-zero terms (no copy)."""
+        return self._coeffs.items()
 
     @property
     def constant(self) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.polyhedral.affine import AffineExpr, ExprLike
 from repro.utils.frac import as_fraction, gcd_many, lcm_many
@@ -58,6 +58,27 @@ class Constraint:
         return AffineExpr(coeffs, constant)
 
     # -- constructors ---------------------------------------------------------
+    @classmethod
+    def from_normal_row(
+        cls, names: Sequence[str], coeffs: Sequence[int], constant: int, is_equality: bool
+    ) -> "Constraint":
+        """``sum coeffs[i]*names[i] + constant`` (``>=`` or ``==``) ``0``, taken as is.
+
+        The row must already be in this class's normal form — integers with
+        gcd 1 and, for an equality, a positive first non-zero coefficient in
+        sorted-name order (*names* must be sorted) — which is what the
+        Fourier–Motzkin kernel maintains, so normalising it again would be
+        pure overhead.
+        """
+        expr = AffineExpr.from_terms(
+            {name: Fraction(value) for name, value in zip(names, coeffs) if value},
+            Fraction(constant),
+        )
+        constraint = object.__new__(cls)
+        object.__setattr__(constraint, "expr", expr)
+        object.__setattr__(constraint, "is_equality", is_equality)
+        return constraint
+
     @classmethod
     def greater_equal(cls, lhs: ExprLike, rhs: ExprLike = 0) -> "Constraint":
         """Constraint ``lhs >= rhs``."""

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.codegen.union_scan import scan_union
 from repro.ir.ast import COPY_IN, COPY_OUT, BlockNode, StatementNode
 from repro.ir.expressions import Load
@@ -30,6 +28,7 @@ from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.hull import rectangular_hull
 from repro.polyhedral.polyhedron import Polyhedron
 from repro.scratchpad.allocation import LocalBufferSpec
+from repro.utils.components import connected_components
 
 
 @dataclass
@@ -80,16 +79,16 @@ def _volume_upper_bound(
     """Sum of hull footprints of the maximal non-overlapping subsets of *spaces*."""
     if not spaces:
         return 0
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(spaces)))
-    for i in range(len(spaces)):
-        for j in range(i + 1, len(spaces)):
-            if spaces[i].intersects(spaces[j]):
-                graph.add_edge(i, j)
+    overlapping = (
+        (i, j)
+        for i in range(len(spaces))
+        for j in range(i + 1, len(spaces))
+        if spaces[i].intersects(spaces[j])
+    )
     total = 0
     context = spec.hull._context  # same parameter context as the allocation
-    for component in nx.connected_components(graph):
-        members = [spaces[index] for index in sorted(component)]
+    for component in connected_components(len(spaces), overlapping):
+        members = [spaces[index] for index in component]
         hull = rectangular_hull(members, context=context)
         volume = _static_footprint(hull, param_binding)
         total += volume

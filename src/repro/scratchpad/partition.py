@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import networkx as nx
-
 from repro.scratchpad.data_space import ReferenceDataSpace
+from repro.utils.components import connected_components
 
 
 def partition_overlapping(
@@ -32,14 +31,14 @@ def partition_overlapping(
     spaces = list(spaces)
     if not spaces:
         return []
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(spaces)))
-    for i in range(len(spaces)):
-        for j in range(i + 1, len(spaces)):
-            if spaces[i].array.name != spaces[j].array.name:
-                continue
-            if spaces[i].data_space.intersects(spaces[j].data_space):
-                graph.add_edge(i, j)
-    components = [sorted(component) for component in nx.connected_components(graph)]
-    components.sort(key=lambda component: component[0])
-    return [[spaces[index] for index in component] for component in components]
+    overlapping = (
+        (i, j)
+        for i in range(len(spaces))
+        for j in range(i + 1, len(spaces))
+        if spaces[i].array.name == spaces[j].array.name
+        and spaces[i].data_space.intersects(spaces[j].data_space)
+    )
+    return [
+        [spaces[index] for index in component]
+        for component in connected_components(len(spaces), overlapping)
+    ]

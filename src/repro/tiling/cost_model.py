@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.ir.program import Program
@@ -199,27 +200,34 @@ class DataMovementCostModel:
         raise ValueError(f"loop {loop!r} does not appear in any statement domain")
 
     # -- evaluation ------------------------------------------------------------------
-    def _binding(self, tile_sizes: Mapping[str, float]) -> Dict[str, float]:
-        binding: Dict[str, float] = dict(self.problem_params)
-        binding.update(self._representative_origins)
+    def _binding(self, tile_sizes: Mapping[str, float]) -> Dict[str, Fraction]:
+        """Exact values for every name the hull bounds mention.
+
+        Built once per evaluated tile vector: the search calls the objective
+        thousands of times and each call prices every bound expression of
+        every buffer against this one binding.
+        """
+        binding: Dict[str, Fraction] = {
+            name: _to_fraction(value) for name, value in self.problem_params.items()
+        }
+        for name, value in self._representative_origins.items():
+            binding[name] = _to_fraction(value)
         for loop in self.tile_loops:
-            size = float(tile_sizes[loop])
-            binding[f"{loop}{SIZE_SUFFIX}"] = size
+            binding[f"{loop}{SIZE_SUFFIX}"] = _to_fraction(float(tile_sizes[loop]))
         return binding
 
     @staticmethod
-    def _hull_volume(hull: Optional[RectangularHull], binding: Mapping[str, float]) -> float:
+    def _hull_volume(hull: Optional[RectangularHull], binding: Mapping[str, Fraction]) -> float:
         if hull is None:
             return 0.0
         volume = 1.0
+        member_bounds = hull.member_bounds
         for dim in hull.dims:
             lows: List[float] = []
             highs: List[float] = []
-            for bounds in hull.member_bounds:
-                low = max(float(e.evaluate({k: _to_fraction(v) for k, v in binding.items()}))
-                          for e in bounds[dim].lower.exprs)
-                high = min(float(e.evaluate({k: _to_fraction(v) for k, v in binding.items()}))
-                           for e in bounds[dim].upper.exprs)
+            for bounds in member_bounds:
+                low = max(float(e.evaluate(binding)) for e in bounds[dim].lower.exprs)
+                high = min(float(e.evaluate(binding)) for e in bounds[dim].upper.exprs)
                 if high >= low:
                     lows.append(low)
                     highs.append(high)
@@ -293,9 +301,7 @@ class DataMovementCostModel:
         return product
 
 
-def _to_fraction(value):
-    from fractions import Fraction
-
+def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

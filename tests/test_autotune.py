@@ -27,7 +27,7 @@ from repro.autotune import (
     resolve_strategy,
 )
 from repro.autotune.cli import main as cli_main
-from repro.kernels import build_matmul_program, get_kernel
+from repro.kernels import available_kernels, build_matmul_program, get_kernel
 from repro.machine import GEFORCE_8800_GTX
 
 SMALL_SPACE = SpaceOptions(
@@ -234,6 +234,26 @@ class TestAutotuneSession:
         clone = TuningReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert clone.best.to_dict() == report.best.to_dict()
         assert clone.fingerprint == report.fingerprint
+
+    @pytest.mark.parametrize("name", available_kernels())
+    def test_deserialised_report_mirrors_the_cold_object_graph(self, name):
+        kernel = get_kernel(name)
+        cold = autotune(kernel.build_check(), space_options=SMALL_SPACE, grid=kernel.grid)
+        assert any(cold.best is r for r in cold.results)
+        stored = json.loads(json.dumps(cold.to_dict()))
+        warm = TuningReport.from_dict(stored)
+        # best and baseline alias results members, as autotune() builds them,
+        # instead of costing two more deserialised copies per held report
+        assert any(warm.best is r for r in warm.results)
+        assert any(warm.baseline is r for r in warm.results)
+        assert warm.to_dict() == stored == cold.to_dict()
+
+    def test_report_without_its_winner_in_results_still_loads(self, matmul):
+        stored = autotune(matmul, space_options=SMALL_SPACE).to_dict()
+        stored["results"] = []
+        clone = TuningReport.from_dict(stored)
+        assert clone.best.to_dict() == stored["best"]
+        assert clone.baseline.to_dict() == stored["baseline"]
 
     def test_invalid_inputs_rejected(self, matmul):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Unit tests for repro.utils (fractions, naming, validation)."""
+"""Unit tests for repro.utils (fractions, naming, validation, components)."""
 
 from fractions import Fraction
 
@@ -7,6 +7,7 @@ import pytest
 from repro.utils import (
     NameGenerator,
     as_fraction,
+    connected_components,
     fraction_ceil,
     fraction_floor,
     fresh_name,
@@ -125,3 +126,19 @@ class TestValidation:
         require_positive(1, "n")
         with pytest.raises(ValueError):
             require_positive(0, "n")
+
+
+class TestConnectedComponents:
+    def test_isolated_nodes_are_their_own_components(self):
+        assert connected_components(3, []) == [[0], [1], [2]]
+        assert connected_components(0, []) == []
+
+    def test_components_are_sorted_and_ordered_by_first_member(self):
+        # the edge order (and direction) must not matter, only the edge set
+        edges = [(5, 1), (4, 2), (3, 5), (2, 0)]
+        expected = [[0, 2, 4], [1, 3, 5]]
+        assert connected_components(6, edges) == expected
+        assert connected_components(6, [(b, a) for a, b in reversed(edges)]) == expected
+
+    def test_chain_collapses_to_one_component(self):
+        assert connected_components(5, [(3, 4), (1, 2), (2, 3), (0, 1)]) == [[0, 1, 2, 3, 4]]
