@@ -31,6 +31,7 @@ from repro.core.options import MappingOptions
 from repro.ir.program import Program
 from repro.machine.memory import MemoryModel
 from repro.machine.spec import GEFORCE_8800_GTX, GPUSpec
+from repro.polyhedral.parametric import shared_resolutions
 
 from repro.compiler.artifacts import AnalysisArtifact, MappedKernel, StageArtifact
 from repro.compiler.manager import PassManager, PassTiming
@@ -58,6 +59,9 @@ class CompilationSession:
         self.manager = manager or PassManager(passes)
         self.memory = MemoryModel(spec)
         self._artifacts: Dict[str, StageArtifact] = {}
+        #: exact bound resolutions shared by every replay of this session (and
+        #: of sessions derived from it); gone with the session, so with the request
+        self._resolutions: Dict[tuple, object] = {}
         self._base_fingerprint: Optional[str] = None
         self._lock = threading.Lock()
 
@@ -86,6 +90,11 @@ class CompilationSession:
     def stage_names(self) -> List[str]:
         return self.manager.stage_names
 
+    def _run(self, ctx: PassContext, **selection: Any) -> None:
+        """Run passes over ``ctx``, resolving each exact bound question once per session."""
+        with shared_resolutions(self._resolutions):
+            self.manager.run(ctx, **selection)
+
     def _context(
         self, options: MappingOptions, artifacts: Dict[str, StageArtifact]
     ) -> PassContext:
@@ -109,7 +118,7 @@ class CompilationSession:
         """
         with self._lock:
             ctx = self._context(self.options, self._artifacts)
-            self.manager.run(ctx)
+            self._run(ctx)
         return self.artifact("mapping").value
 
     def replay(
@@ -166,14 +175,14 @@ class CompilationSession:
         with self._lock:
             base_ctx = self._context(self.options, self._artifacts)
             if index > 0:
-                self.manager.run(base_ctx, upto=self.manager.passes[index - 1].name)
+                self._run(base_ctx, upto=self.manager.passes[index - 1].name)
             reused = {
                 item.name: self._artifacts[item.name]
                 for item in self.manager.passes[:index]
             }
         self._validate_reuse(target, from_stage, reused)
         ctx = self._context(target, dict(reused))
-        self.manager.run(ctx, start_index=index, upto=upto)
+        self._run(ctx, start_index=index, upto=upto)
         return ctx.artifacts
 
     def with_passes(self, passes: Sequence[Any]) -> "CompilationSession":
@@ -195,6 +204,7 @@ class CompilationSession:
             passes=passes,
         )
         derived._base_fingerprint = self._base_fingerprint
+        derived._resolutions = self._resolutions
         stages = set(derived.manager.stage_names)
         with self._lock:
             for name, artifact in self._artifacts.items():
@@ -291,7 +301,7 @@ class CompilationSession:
         with self._lock:
             if stage not in self._artifacts:
                 ctx = self._context(self.options, self._artifacts)
-                self.manager.run(ctx, upto=stage)
+                self._run(ctx, upto=stage)
             return self._artifacts[stage]
 
     def analysis(self) -> AnalysisArtifact:

@@ -18,7 +18,6 @@ from repro.ir.statements import Statement
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.constraints import Constraint
 from repro.polyhedral.parametric import QuasiAffineBound
-from repro.utils.frac import fraction_ceil, fraction_floor
 
 BoundValue = Union[int, AffineExpr, QuasiAffineBound]
 
@@ -42,13 +41,9 @@ def evaluate_bound(value: BoundValue, binding: Mapping[str, int], *, is_lower: b
     """
     if isinstance(value, int):
         return value
-    if isinstance(value, QuasiAffineBound):
-        result = value.evaluate(binding)
-    elif isinstance(value, AffineExpr):
-        result = value.evaluate(binding)
-    else:
+    if not isinstance(value, (QuasiAffineBound, AffineExpr)):
         raise TypeError(f"unsupported bound type {type(value).__name__}")
-    return fraction_ceil(result) if is_lower else fraction_floor(result)
+    return value.ceil_at(binding) if is_lower else value.floor_at(binding)
 
 
 def bound_to_str(value: BoundValue) -> str:

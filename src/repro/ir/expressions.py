@@ -147,7 +147,8 @@ class AffineValue(Expr):
         return AffineValue(self.expr.rename(mapping))
 
     def evaluate(self, env, binding) -> float:
-        return float(self.expr.evaluate(binding))
+        numerator, denominator = self.expr.evaluate_ratio(binding)
+        return numerator / denominator
 
     def __str__(self) -> str:
         return f"({self.expr})"
@@ -185,12 +186,11 @@ class Load(Expr):
         return Load(self.array, tuple(i.rename(mapping) for i in self.indices))
 
     def evaluate(self, env, binding) -> float:
-        point = tuple(int(index.evaluate(binding)) for index in self.indices)
-        return env.read(self.array, point)
+        return env.read(self.array, self.index_point(binding))
 
     def index_point(self, binding: Mapping[str, int]) -> Tuple[int, ...]:
         """Concrete integer index tuple at a bound iteration point."""
-        return tuple(int(index.evaluate(binding)) for index in self.indices)
+        return tuple(index.truncate_at(binding) for index in self.indices)
 
     def __str__(self) -> str:
         idx = "][".join(str(i) for i in self.indices)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, ItemsView, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.utils.frac import as_fraction
+from repro.utils.frac import as_fraction, lcm_many
 from repro.polyhedral import linalg
 
 Number = Union[int, Fraction]
@@ -27,7 +27,7 @@ class AffineExpr:
     Instances are immutable; all arithmetic returns new expressions.
     """
 
-    __slots__ = ("_coeffs", "_constant")
+    __slots__ = ("_coeffs", "_constant", "_int_form")
 
     def __init__(
         self,
@@ -41,6 +41,7 @@ class AffineExpr:
                 clean[name] = frac
         self._coeffs = clean
         self._constant = as_fraction(constant)
+        self._int_form = None
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -80,6 +81,7 @@ class AffineExpr:
         expr = object.__new__(cls)
         expr._coeffs = coeffs
         expr._constant = constant
+        expr._int_form = None
         return expr
 
     # -- inspection --------------------------------------------------------
@@ -151,12 +153,64 @@ class AffineExpr:
         return self * (Fraction(1) / factor)
 
     # -- evaluation and substitution -----------------------------------------
+    def int_form(self) -> Tuple[int, Tuple[Tuple[str, int], ...], int]:
+        """``(d, ((name, c), ...), c0)``, all ints, ``d > 0``: the expression is
+        ``(sum c * name + c0) / d``.  Built on first use and kept (instances
+        are immutable); point evaluation runs on it instead of on ``Fraction``s.
+        """
+        form = self._int_form
+        if form is None:
+            scale = lcm_many(
+                [c.denominator for c in self._coeffs.values()] + [self._constant.denominator]
+            )
+            form = self._int_form = (
+                scale,
+                tuple((name, int(c * scale)) for name, c in self._coeffs.items()),
+                int(self._constant * scale),
+            )
+        return form
+
+    def evaluate_ratio(self, binding: Mapping[str, Number], scale: int = 1) -> Tuple[int, int]:
+        """Exact value as ``(numerator, denominator)``, denominator positive, not reduced.
+
+        Every variable ``x`` takes the value ``binding[x] / scale``.  With int
+        values this is a pure-int dot product — callers that only need the
+        sign, floor or ceiling read it off the pair and never build a
+        ``Fraction``.  Other exact values (``Fraction``s, exact floats) are
+        first scaled to ints over their common denominator; a caller pricing
+        many expressions at one rational point does that scaling once itself
+        (:func:`scaled_binding`) and passes the ints with their *scale*.
+        """
+        denominator, terms, constant = self._int_form or self.int_form()
+        total = constant * scale
+        for name, coeff in terms:
+            value = binding[name]
+            if type(value) is not int:  # Fraction, float, bool, int subclass
+                values, common = scaled_binding({n: binding[n] for n, _ in terms})
+                return self.evaluate_ratio(values, scale * common)
+            total += coeff * value
+        return total, denominator * scale
+
     def evaluate(self, binding: Mapping[str, Number]) -> Fraction:
         """Evaluate with every variable bound; raises ``KeyError`` otherwise."""
-        total = self._constant
-        for name, coeff in self._coeffs.items():
-            total += coeff * as_fraction(binding[name])
-        return total
+        return Fraction(*self.evaluate_ratio(binding))
+
+    def floor_at(self, binding: Mapping[str, Number]) -> int:
+        """Exact floor of the value at *binding*."""
+        numerator, denominator = self.evaluate_ratio(binding)
+        return numerator // denominator
+
+    def ceil_at(self, binding: Mapping[str, Number]) -> int:
+        """Exact ceiling of the value at *binding*."""
+        numerator, denominator = self.evaluate_ratio(binding)
+        return -(-numerator // denominator)
+
+    def truncate_at(self, binding: Mapping[str, Number]) -> int:
+        """The value at *binding* rounded toward zero: ``int(self.evaluate(binding))``."""
+        numerator, denominator = self.evaluate_ratio(binding)
+        if numerator >= 0:
+            return numerator // denominator
+        return -(-numerator // denominator)
 
     def substitute(self, binding: Mapping[str, ExprLike]) -> "AffineExpr":
         """Replace variables by expressions/values; unbound variables survive."""
@@ -213,6 +267,22 @@ class AffineExpr:
         if text.startswith("+ "):
             text = text[2:]
         return text
+
+
+def scaled_binding(binding: Mapping[str, Number]) -> Tuple[Dict[str, int], int]:
+    """``(ints, scale)`` with ``binding[name] == ints[name] / scale`` exactly.
+
+    Values go through :func:`~repro.utils.frac.as_fraction` (bools and inexact
+    floats are rejected) and are put over their common denominator, so one
+    rational point prices any number of expressions in integer arithmetic
+    (:meth:`AffineExpr.evaluate_ratio`).
+    """
+    exact = {name: as_fraction(value) for name, value in binding.items()}
+    scale = lcm_many(value.denominator for value in exact.values())
+    return (
+        {name: value.numerator * (scale // value.denominator) for name, value in exact.items()},
+        scale,
+    )
 
 
 @dataclass(frozen=True)

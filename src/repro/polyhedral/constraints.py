@@ -130,7 +130,7 @@ class Constraint:
     # -- evaluation / substitution ------------------------------------------------
     def satisfied_by(self, binding: Mapping[str, Number]) -> bool:
         """Check the constraint at a fully bound point."""
-        value = self.expr.evaluate(binding)
+        value, _ = self.expr.evaluate_ratio(binding)  # the sign is the numerator's
         return value == 0 if self.is_equality else value >= 0
 
     def substitute(self, binding: Mapping[str, ExprLike]) -> "Constraint":

@@ -22,6 +22,7 @@ offset ``g``.  Two constructions are provided:
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -61,9 +62,19 @@ class RectangularHull:
         self._params = tuple(
             dict.fromkeys(name for poly in members for name in poly.params)
         )
-        self._member_bounds: List[Dict[str, ParametricBound]] = [
-            parametric_bounds(poly) for poly in members
-        ]
+        self._member_bounds: Tuple[Mapping[str, ParametricBound], ...] = tuple(
+            MappingProxyType(parametric_bounds(poly)) for poly in members
+        )
+
+    # mappingproxy does not pickle; hulls travel to pool workers inside sessions
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state["_member_bounds"] = tuple(dict(bounds) for bounds in self._member_bounds)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._member_bounds = tuple(MappingProxyType(b) for b in state["_member_bounds"])
 
     # -- accessors --------------------------------------------------------------
     @property
@@ -94,9 +105,9 @@ class RectangularHull:
         return QuasiAffineBound("max", tuple(exprs))
 
     @property
-    def member_bounds(self) -> List[Dict[str, ParametricBound]]:
-        """Per-member parametric bounds (one dict per member polyhedron)."""
-        return [dict(bounds) for bounds in self._member_bounds]
+    def member_bounds(self) -> Tuple[Mapping[str, ParametricBound], ...]:
+        """Per-member parametric bounds (one read-only mapping per member polyhedron)."""
+        return self._member_bounds
 
     def resolved_lower_bound(self, dim: str):
         """Lower bound of the union along *dim*, resolved as far as possible.

@@ -12,16 +12,62 @@ represent with :class:`QuasiAffineBound`.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.polyhedral import fourier_motzkin as fm
 from repro.polyhedral.affine import AffineExpr
+from repro.polyhedral.constraints import Constraint
 from repro.polyhedral.polyhedron import Polyhedron
-from repro.utils.frac import fraction_ceil, fraction_floor
+from repro.utils.frac import fraction_floor
 
 Number = Union[int, Fraction]
+
+#: the memo :func:`shared_resolutions` installed on this thread, if any
+_SCOPE = threading.local()
+#: entries one memo may hold; it is emptied when it gets there
+RESOLUTIONS_LIMIT = 4096
+
+
+@contextmanager
+def shared_resolutions(memo: Dict[tuple, object]) -> Iterator[None]:
+    """Answer each exact bound question once per *memo* inside the block (this thread).
+
+    :func:`resolve_quasi_affine` and :func:`_max_over_context` are pure in
+    their (immutable, hashable) arguments and cost Fourier–Motzkin runs; one
+    tuning request asks the same Algorithm-2 question for every candidate
+    sharing a tile shape.  The owner of *memo* — a compilation session —
+    decides how long answers live; outside any block nothing is remembered.
+    """
+    previous = getattr(_SCOPE, "memo", None)
+    _SCOPE.memo = memo
+    try:
+        yield
+    finally:
+        _SCOPE.memo = previous
+
+
+def _resolved(compute, subject, context: Polyhedron):
+    """``compute(subject, context)``, or its remembered answer.
+
+    Racing threads may both compute; they compute the same answer.
+    """
+    memo = getattr(_SCOPE, "memo", None)
+    if memo is None:
+        return compute(subject, context)
+    key = (subject, context)
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    answer = compute(subject, context)
+    if len(memo) >= RESOLUTIONS_LIMIT:
+        memo.clear()
+    memo[key] = answer
+    return answer
 
 
 @dataclass(frozen=True)
@@ -57,10 +103,19 @@ class QuasiAffineBound:
         values = [expr.evaluate(binding) for expr in self.exprs]
         return min(values) if self.kind == "min" else max(values)
 
+    def floor_at(self, binding: Mapping[str, Number]) -> int:
+        """Exact floor of the bound (rounding is monotone, so it commutes with min/max)."""
+        values = [expr.floor_at(binding) for expr in self.exprs]
+        return min(values) if self.kind == "min" else max(values)
+
+    def ceil_at(self, binding: Mapping[str, Number]) -> int:
+        """Exact ceiling of the bound."""
+        values = [expr.ceil_at(binding) for expr in self.exprs]
+        return min(values) if self.kind == "min" else max(values)
+
     def evaluate_int(self, binding: Mapping[str, Number]) -> int:
         """Integer bound: lower (max) bounds round up, upper (min) bounds round down."""
-        value = self.evaluate(binding)
-        return fraction_ceil(value) if self.kind == "max" else fraction_floor(value)
+        return self.ceil_at(binding) if self.kind == "max" else self.floor_at(binding)
 
     def is_constant(self) -> bool:
         return all(expr.is_constant() for expr in self.exprs)
@@ -160,8 +215,13 @@ def resolve_quasi_affine(
     # Strategy 2: domination over the context.
     if context is None:
         return bound
-    from repro.polyhedral.constraints import Constraint
+    return _resolved(_dominant_candidate, bound, context)
 
+
+def _dominant_candidate(
+    bound: QuasiAffineBound, context: Polyhedron
+) -> Union[AffineExpr, QuasiAffineBound]:
+    """The candidate that dominates every other over *context*, else *bound*."""
     known = set(context.dims) | set(context.params)
     for candidate in bound.exprs:
         dominates = True
@@ -220,10 +280,10 @@ def static_extent_bound(
 
 def _max_over_context(expr: AffineExpr, context: Polyhedron) -> Optional[int]:
     """Maximum value of an affine expression over a bounded context, if bounded."""
-    from repro.polyhedral.constraints import Constraint
-    from repro.polyhedral.image import image_of_polyhedron
-    from repro.polyhedral.affine import AffineFunction
+    return _resolved(_projected_maximum, expr, context)
 
+
+def _projected_maximum(expr: AffineExpr, context: Polyhedron) -> Optional[int]:
     known = set(context.dims) | set(context.params)
     if not set(expr.variables) <= known:
         return None

@@ -24,7 +24,7 @@ Number = Union[int, Fraction]
 class Polyhedron:
     """An intersection of affine constraints over dims and parameters."""
 
-    __slots__ = ("_dims", "_params", "_constraints")
+    __slots__ = ("_dims", "_params", "_constraints", "_hash")
 
     def __init__(
         self,
@@ -54,6 +54,7 @@ class Polyhedron:
         self._dims = dims
         self._params = params
         self._constraints = tuple(fm.remove_redundant(clean))
+        self._hash: Optional[int] = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -328,4 +329,14 @@ class Polyhedron:
         )
 
     def __hash__(self) -> int:
-        return hash((self._dims, self._params, frozenset(self._constraints)))
+        if self._hash is None:  # immutable, so hashed once
+            self._hash = hash((self._dims, self._params, frozenset(self._constraints)))
+        return self._hash
+
+    # str hashes differ between processes, so the kept hash must not travel
+    def __getstate__(self) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[Constraint, ...]]:
+        return self._dims, self._params, self._constraints
+
+    def __setstate__(self, state) -> None:
+        self._dims, self._params, self._constraints = state
+        self._hash = None

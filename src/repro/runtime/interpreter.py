@@ -110,12 +110,11 @@ class Interpreter(EvaluationEnv):
             counters.copy_out_elements += 1
 
     def _in_domain(self, statement: Statement, binding: Mapping[str, int]) -> bool:
-        relevant = {}
-        for name in statement.domain.dims + statement.domain.params:
+        domain = statement.domain
+        for name in domain.dims + domain.params:
             if name not in binding:
                 return False
-            relevant[name] = binding[name]
-        return statement.domain.contains(relevant)
+        return domain.contains(binding)
 
     def _refresh_symbols(self, binding: Dict[str, int]) -> None:
         """Recompute derived symbols (scratchpad offsets) from the current binding.
@@ -134,8 +133,7 @@ class Interpreter(EvaluationEnv):
                 if isinstance(definition, QuasiAffineBound):
                     binding[name] = definition.evaluate_int(binding)
                 elif isinstance(definition, AffineExpr):
-                    value = definition.evaluate(binding)
-                    binding[name] = int(value)
+                    binding[name] = definition.truncate_at(binding)
                 else:
                     raise TypeError(
                         f"unsupported symbol definition type {type(definition).__name__}"

@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.ir.program import Program
 from repro.ir.statements import Statement
-from repro.polyhedral.affine import AffineExpr
+from repro.polyhedral.affine import AffineExpr, scaled_binding
 from repro.polyhedral.constraints import Constraint
 from repro.polyhedral.hull import RectangularHull, rectangular_hull
 from repro.polyhedral.polyhedron import Polyhedron
@@ -40,6 +40,8 @@ from repro.scratchpad.reuse import DEFAULT_DELTA, evaluate_reuse
 
 ORIGIN_SUFFIX = "__org"
 SIZE_SUFFIX = "__sz"
+#: tile vectors whose buffer details one model keeps (a search revisits recent ones)
+_DETAILS_MEMO_LIMIT = 32
 
 
 @dataclass
@@ -112,6 +114,7 @@ class DataMovementCostModel:
         self.hoisting = hoisting
         self.descriptors: List[MovementDescriptor] = []
         self._representative_origins: Dict[str, int] = {}
+        self._details_memo: Dict[Tuple[float, ...], List[Dict[str, float]]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------------
@@ -200,12 +203,13 @@ class DataMovementCostModel:
         raise ValueError(f"loop {loop!r} does not appear in any statement domain")
 
     # -- evaluation ------------------------------------------------------------------
-    def _binding(self, tile_sizes: Mapping[str, float]) -> Dict[str, Fraction]:
-        """Exact values for every name the hull bounds mention.
+    def _binding(self, tile_sizes: Mapping[str, float]) -> Tuple[Dict[str, int], int]:
+        """``(ints, scale)``: every name the hull bounds mention, as ``ints[name] / scale``.
 
         Built once per evaluated tile vector: the search calls the objective
         thousands of times and each call prices every bound expression of
-        every buffer against this one binding.
+        every buffer at this one point, so the (rational) tile sizes are put
+        over a common denominator here and the pricing runs on ints.
         """
         binding: Dict[str, Fraction] = {
             name: _to_fraction(value) for name, value in self.problem_params.items()
@@ -214,20 +218,27 @@ class DataMovementCostModel:
             binding[name] = _to_fraction(value)
         for loop in self.tile_loops:
             binding[f"{loop}{SIZE_SUFFIX}"] = _to_fraction(float(tile_sizes[loop]))
-        return binding
+        return scaled_binding(binding)
 
     @staticmethod
-    def _hull_volume(hull: Optional[RectangularHull], binding: Mapping[str, Fraction]) -> float:
+    def _hull_volume(
+        hull: Optional[RectangularHull], values: Mapping[str, int], scale: int
+    ) -> float:
         if hull is None:
             return 0.0
+
+        def value(expr: AffineExpr) -> float:
+            # int / int is correctly rounded: the float the exact rational rounds to
+            numerator, denominator = expr.evaluate_ratio(values, scale)
+            return numerator / denominator
+
         volume = 1.0
-        member_bounds = hull.member_bounds
         for dim in hull.dims:
             lows: List[float] = []
             highs: List[float] = []
-            for bounds in member_bounds:
-                low = max(float(e.evaluate(binding)) for e in bounds[dim].lower.exprs)
-                high = min(float(e.evaluate(binding)) for e in bounds[dim].upper.exprs)
+            for bounds in hull.member_bounds:
+                low = max([value(e) for e in bounds[dim].lower.exprs])
+                high = min([value(e) for e in bounds[dim].upper.exprs])
                 if high >= low:
                     lows.append(low)
                     highs.append(high)
@@ -236,27 +247,39 @@ class DataMovementCostModel:
             volume *= max(max(highs) - min(lows) + 1.0, 0.0)
         return volume
 
+    def _details(self, tile_sizes: Mapping[str, float]) -> List[Dict[str, float]]:
+        """:meth:`buffer_details`, computed once per tile vector (read-only result).
+
+        SLSQP asks for the objective and the memory constraint at the same
+        points (the iterate and each finite-difference probe), and the integer
+        rounding prices every candidate twice; both read this one evaluation.
+        """
+        key = tuple(float(tile_sizes[loop]) for loop in self.tile_loops)
+        details = self._details_memo.get(key)
+        if details is None:
+            if len(self._details_memo) >= _DETAILS_MEMO_LIMIT:
+                self._details_memo.clear()
+            values, scale = self._binding(tile_sizes)
+            details = []
+            for descriptor in self.descriptors:
+                footprint = self._hull_volume(descriptor.hull, values, scale)
+                details.append(
+                    {
+                        "buffer": descriptor.buffer_name,
+                        "array": descriptor.array_name,
+                        "footprint_elements": footprint,
+                        "footprint_bytes": footprint * descriptor.element_size,
+                        "volume_in": self._hull_volume(descriptor.read_hull, values, scale),
+                        "volume_out": self._hull_volume(descriptor.write_hull, values, scale),
+                        "occurrences": self._occurrences(descriptor, tile_sizes),
+                    }
+                )
+            self._details_memo[key] = details
+        return details
+
     def buffer_details(self, tile_sizes: Mapping[str, float]) -> List[Dict[str, float]]:
         """Per-buffer footprint, volumes and occurrence count for given tile sizes."""
-        binding = self._binding(tile_sizes)
-        details: List[Dict[str, float]] = []
-        for descriptor in self.descriptors:
-            footprint = self._hull_volume(descriptor.hull, binding)
-            volume_in = self._hull_volume(descriptor.read_hull, binding)
-            volume_out = self._hull_volume(descriptor.write_hull, binding)
-            occurrences = self._occurrences(descriptor, tile_sizes)
-            details.append(
-                {
-                    "buffer": descriptor.buffer_name,
-                    "array": descriptor.array_name,
-                    "footprint_elements": footprint,
-                    "footprint_bytes": footprint * descriptor.element_size,
-                    "volume_in": volume_in,
-                    "volume_out": volume_out,
-                    "occurrences": occurrences,
-                }
-            )
-        return details
+        return [dict(entry) for entry in self._details(tile_sizes)]
 
     def _occurrences(self, descriptor: MovementDescriptor, tile_sizes: Mapping[str, float]) -> float:
         loops = self.tile_loops
@@ -270,15 +293,12 @@ class DataMovementCostModel:
 
     def footprint_bytes(self, tile_sizes: Mapping[str, float]) -> float:
         """Scratchpad bytes needed by one tile (the ``Σ M_i <= M_up`` constraint)."""
-        binding = self._binding(tile_sizes)
-        return sum(
-            self._hull_volume(d.hull, binding) * d.element_size for d in self.descriptors
-        )
+        return sum(entry["footprint_bytes"] for entry in self._details(tile_sizes))
 
     def movement_cost(self, tile_sizes: Mapping[str, float]) -> float:
         """The paper's objective ``Σ_k N_k (P·S + V_k·L/P)`` for copy-in and copy-out."""
         total = 0.0
-        for entry in self.buffer_details(tile_sizes):
+        for entry in self._details(tile_sizes):
             per_occurrence = 0.0
             if entry["volume_in"] > 0:
                 per_occurrence += (

@@ -110,6 +110,60 @@ class TestEvaluator:
         assert result.feasible
         assert result.correct is True
 
+    def test_shared_reference_still_fails_a_corrupted_candidate(self, monkeypatch):
+        """One reference interpretation per evaluator; every candidate compared in full."""
+        import dataclasses
+        import pickle
+
+        from repro.autotune import evaluate as evaluate_module
+        from repro.compiler import CompilationSession
+        from repro.ir.ast import COMPUTE, StatementNode
+
+        good = Configuration.make(4, 16, {"i": 4, "j": 4, "k": 8})
+        bad = Configuration.make(4, 16, {"i": 8, "j": 4, "k": 8})
+        replay = CompilationSession.replay
+
+        def corrupting_replay(self, from_stage="tiling", config=None, options=None):
+            mapped = replay(self, from_stage=from_stage, config=config, options=options)
+            if config == bad:  # perturb one compute statement's right-hand side
+                node = next(
+                    n for n in mapped.program.body.walk()
+                    if isinstance(n, StatementNode) and n.kind == COMPUTE
+                )
+                node.statement = dataclasses.replace(
+                    node.statement, rhs=node.statement.rhs + 1.0
+                )
+            return mapped
+
+        interpreted = []
+        run_program = evaluate_module.run_program
+
+        def counting_run_program(program, **kwargs):
+            interpreted.append(program.name)
+            return run_program(program, **kwargs)
+
+        monkeypatch.setattr(CompilationSession, "replay", corrupting_replay)
+        monkeypatch.setattr(evaluate_module, "run_program", counting_run_program)
+
+        program = get_kernel("matmul").build_check()
+        evaluator = ConfigurationEvaluator(program, check_correctness=True, seed=3)
+        assert evaluator.evaluate(good).correct is True
+        assert evaluator.evaluate(bad).correct is False
+        assert evaluator.evaluate(good).correct is True  # the reference was not disturbed
+        # the reference once, each candidate's mapped program every time
+        assert interpreted.count(program.name) == 1 and len(interpreted) == 4
+        inputs, expected = evaluator._reference
+        assert set(expected) == {a.name for a in program.arrays.values() if not a.is_local}
+        assert not any(a.flags.writeable for a in (*inputs.values(), *expected.values()))
+
+        # a pool worker's copy re-interprets the reference and reaches both verdicts
+        restored = pickle.loads(pickle.dumps(evaluator))
+        assert restored._reference is None
+        del interpreted[:]
+        assert restored.evaluate(bad).correct is False
+        assert restored.evaluate(good).correct is True
+        assert interpreted.count(program.name) == 1 and len(interpreted) == 3
+
     def test_best_result_breaks_ties_on_key(self):
         tie = lambda tiles: EvaluationResult(
             configuration=Configuration.make(16, 64, tiles),
