@@ -28,7 +28,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 import pytest
 
-from repro import COMPILE_COUNTER, TuningCache, autotune
+from repro import TuningCache, autotune, counting_compiles
 from repro.autotune import SpaceOptions, TuningJob, autotune_batch
 from repro.kernels import build_matmul_program
 
@@ -67,21 +67,21 @@ def cache_rows(tmp_path_factory):
     ]
     rows = []
 
-    COMPILE_COUNTER.reset()
     start = time.perf_counter()
-    cold_reports = autotune_batch(
-        jobs, cache=TuningCache(cache_path), seed=DEFAULT_SEED, space_options=SPACE
-    )
+    with counting_compiles() as cold_compiled:
+        cold_reports = autotune_batch(
+            jobs, cache=TuningCache(cache_path), seed=DEFAULT_SEED, space_options=SPACE
+        )
     cold_seconds = time.perf_counter() - start
-    cold_compiles = COMPILE_COUNTER.count
+    cold_compiles = cold_compiled.count
 
-    COMPILE_COUNTER.reset()
     start = time.perf_counter()
-    warm_reports = autotune_batch(
-        jobs, cache=TuningCache(cache_path), seed=DEFAULT_SEED, space_options=SPACE
-    )
+    with counting_compiles() as warm_compiled:
+        warm_reports = autotune_batch(
+            jobs, cache=TuningCache(cache_path), seed=DEFAULT_SEED, space_options=SPACE
+        )
     warm_seconds = time.perf_counter() - start
-    warm_compiles = COMPILE_COUNTER.count
+    warm_compiles = warm_compiled.count
 
     for cold, warm in zip(cold_reports, warm_reports):
         rows.append(

@@ -1,9 +1,9 @@
 """Staged compiler — session-replay speedup over the monolithic compile path.
 
-The autotuner evaluates hundreds of configurations per tuning request.  The
-old monolithic ``MappingPipeline.compile_with_config`` re-ran the
-config-invariant affine analysis (dependence polyhedra, bands, loop extents)
-for **every** candidate; the staged :class:`repro.compiler.CompilationSession`
+The autotuner evaluates hundreds of configurations per tuning request.  A
+monolithic compile per candidate re-runs the config-invariant affine
+analysis (dependence polyhedra, bands, loop extents) for **every**
+candidate; the staged :class:`repro.compiler.CompilationSession`
 freezes the analysis artifact once per request and replays only the
 config-dependent stages (``tiling → scratchpad → mapping``).
 

@@ -11,7 +11,7 @@ Run with:  python examples/autotune_matmul.py
 import tempfile
 from pathlib import Path
 
-from repro import COMPILE_COUNTER, TuningCache, autotune
+from repro import TuningCache, autotune, counting_compiles
 from repro.autotune import SpaceOptions
 from repro.kernels import get_kernel
 
@@ -31,23 +31,23 @@ def main() -> None:
     cache_path = Path(tempfile.gettempdir()) / "repro_autotune_matmul.json"
     cache_path.unlink(missing_ok=True)
     cache = TuningCache(cache_path)
-    COMPILE_COUNTER.reset()
-    report = autotune(
-        program, strategy="pruned", max_workers=4, cache=cache, seed=SEED,
-        space_options=space,
-    )
+    with counting_compiles() as compiles:
+        report = autotune(
+            program, strategy="pruned", max_workers=4, cache=cache, seed=SEED,
+            space_options=space,
+        )
     print(report.summary())
-    print(f"pipeline compiles: {COMPILE_COUNTER.count}\n")
+    print(f"pipeline compiles: {compiles.count}\n")
 
     print("== identical request, warm cache ==")
-    COMPILE_COUNTER.reset()
-    warm = autotune(
-        program, strategy="pruned", max_workers=4, cache=TuningCache(cache_path),
-        seed=SEED, space_options=space,
-    )
+    with counting_compiles() as compiles:
+        warm = autotune(
+            program, strategy="pruned", max_workers=4, cache=TuningCache(cache_path),
+            seed=SEED, space_options=space,
+        )
     print(warm.summary())
-    print(f"pipeline compiles: {COMPILE_COUNTER.count} (served from {cache_path})\n")
-    assert COMPILE_COUNTER.count == 0
+    print(f"pipeline compiles: {compiles.count} (served from {cache_path})\n")
+    assert compiles.count == 0
     assert warm.best.to_dict() == report.best.to_dict()
 
     print("== serial evaluation reproduces the parallel report ==")

@@ -9,12 +9,12 @@ is what makes the autotuner's evaluate-hundreds-of-candidates loop cheap.
 Run with:  PYTHONPATH=src python examples/compiler_stages.py
 """
 
-from repro import STAGE_COUNTER, CompilationSession, counting_stage_runs
+from repro import CompilationSession, counting_stage_runs
 from repro.autotune.space import Configuration
 from repro.kernels import build_matmul_program
 
 
-def main() -> None:
+def demo() -> None:
     program = build_matmul_program(128, 128, 128)
     session = CompilationSession(program)
 
@@ -53,7 +53,11 @@ def main() -> None:
     print("\n== emitted kernel (head) ==")
     print("\n".join(session.render_c().splitlines()[:12]))
 
-    print(f"\nprocess-wide stage counts so far: {STAGE_COUNTER.snapshot()}")
+
+def main() -> None:
+    with counting_stage_runs() as total:
+        demo()
+    print(f"\nstage executions of the whole demo: {total.counts}")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,7 @@ Public API highlights
   :func:`repro.tiling.search_tile_sizes` — multi-level tiling and the
   tile-size search (Section 4).
 * :class:`repro.compiler.CompilationSession` — the end-to-end compiler as a
-  staged pass pipeline with inspectable artifacts and replay-from-stage
-  (:class:`repro.core.MappingPipeline` remains as a deprecated shim).
+  staged pass pipeline with inspectable artifacts and replay-from-stage.
 * :func:`repro.autotune.autotune` — empirical autotuning with parallel
   (thread or process) evaluation, URI-selected evaluation backends
   (``model:`` / ``measure-py:`` / ``measure-c:`` /
@@ -43,19 +42,14 @@ from repro.autotune import (
 )
 from repro.compiler import (
     CompilationSession,
+    MappedKernel,
     Pass,
     PassManager,
-    STAGE_COUNTER,
     StageArtifact,
+    counting_compiles,
     counting_stage_runs,
 )
-from repro.core import (
-    COMPILE_COUNTER,
-    MappedKernel,
-    MappingOptions,
-    MappingPipeline,
-    counting_compiles,
-)
+from repro.core import MappingOptions
 from repro.ir import Program, ProgramBuilder
 from repro.machine import (
     CPUPerformanceModel,
@@ -73,13 +67,11 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BackendUnavailable",
-    "COMPILE_COUNTER",
     "CompilationSession",
     "EvaluationBackend",
     "Measurement",
     "Pass",
     "PassManager",
-    "STAGE_COUNTER",
     "StageArtifact",
     "TuningCache",
     "TuningReport",
@@ -91,7 +83,6 @@ __all__ = [
     "tuning_fingerprint",
     "MappedKernel",
     "MappingOptions",
-    "MappingPipeline",
     "Program",
     "ProgramBuilder",
     "CPUPerformanceModel",

@@ -4,7 +4,7 @@ The paper's tuning loop *runs* every shortlisted mapping and keeps the
 fastest measured one.  This backend reproduces that method: each candidate
 replays through a derived session whose pass list ends in a lowering
 terminal pass (so the executable-Python source is a real, fingerprinted,
-``STAGE_COUNTER``-visible stage artifact), the source is compiled with
+``counting_stage_runs``-visible stage artifact), the source is compiled with
 ``exec``, and the kernel is run on seeded inputs with ``warmup`` unrecorded
 executions followed by ``repeat`` timed ones.  The reported time is the
 outlier-trimmed median of the timed runs — wall-clock measurement on a

@@ -8,7 +8,7 @@ request, not once per candidate), and return a :class:`TuningReport` whose
 best configuration can be replayed directly via
 :meth:`CompilationSession.replay`.  With a :class:`TuningCache`,
 repeated requests are answered from disk with **zero** pipeline compiles
-(verifiable through :data:`repro.core.pipeline.COMPILE_COUNTER`).
+(verifiable with :func:`repro.compiler.counting_compiles`).
 """
 
 from __future__ import annotations
@@ -374,10 +374,6 @@ def autotune(
     elif artifact_cache is False:
         artifact_cache = None
     history = open_history(history)
-    # Family parameters that are part of the kernel identity (history
-    # grouping): a distributed request tuned against a 16x16 fabric must not
-    # share a regression baseline with one tuned against an 8x8 fabric.
-    variant = f"{grid.grid_p}x{grid.grid_p}:{grid.name}" if grid is not None else ""
     started = time.perf_counter()
     # fallback=True: candidate spans opened on evaluator pool threads adopt
     # this span as their parent (see repro.telemetry.trace).
@@ -409,21 +405,13 @@ def autotune(
                 TUNING_REQUESTS_TOTAL.inc(source="cache")
                 REQUEST_SECONDS.observe(time.perf_counter() - started)
                 report = TuningReport.from_dict(stored, from_cache=True)
-                record = HistoryRecord(
-                    kernel=report.kernel_name,
-                    fingerprint=key,
-                    spec_name=report.spec_name,
-                    strategy=report.strategy,
-                    backend=report.backend,
+                record = HistoryRecord.from_report(
+                    stored,
+                    key,
+                    grid=grid,
                     cache_hit=True,
-                    winner_ms=report.best.time_ms,
-                    winner_kind=report.best.measurement_kind,
-                    baseline_ms=report.baseline.time_ms,
-                    evaluations=0,
                     wall_s=time.perf_counter() - started,
                     trace_id=trace_id,
-                    seed=report.seed,
-                    variant=variant,
                 )
                 report.history_record = record
                 if history is not None:
@@ -507,8 +495,9 @@ def autotune(
             seed=seed,
             backend=backend.uri(),
         )
+        stored = report.to_dict()  # what the cache keeps is what history reads
         if cache is not None:
-            cache.put(key, report.to_dict())
+            cache.put(key, stored)
             EVENTS.emit(
                 "cache.put", level="debug", kernel=program.name, fingerprint=key[:16]
             )
@@ -524,16 +513,10 @@ def autotune(
             if len(pairs) >= 2
             else None
         )
-        record = HistoryRecord(
-            kernel=report.kernel_name,
-            fingerprint=key,
-            spec_name=report.spec_name,
-            strategy=report.strategy,
-            backend=report.backend,
-            cache_hit=False,
-            winner_ms=report.best.time_ms,
-            winner_kind=report.best.measurement_kind,
-            baseline_ms=report.baseline.time_ms,
+        record = HistoryRecord.from_report(
+            stored,
+            key,
+            grid=grid,
             evaluations=len(results),
             stage_seconds={
                 row["stage"]: row["total_ms"] / 1e3
@@ -542,8 +525,6 @@ def autotune(
             rho=rho,
             wall_s=wall_s,
             trace_id=trace_id,
-            seed=seed,
-            variant=variant,
         )
         report.history_record = record
         if history is not None:

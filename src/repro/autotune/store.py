@@ -38,21 +38,21 @@ is provided one level up by the :class:`TuningCache` facade's mutex.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 import re
-import tempfile
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
+from repro.utils.durable import (
+    append_jsonl,
+    atomic_write_text,
+    dump_jsonl,
+    file_lock,
+    scan_jsonl,
+)
 
 #: version 2: entry file order is insertion order (prune's "oldest"); files
 #: written by version 1 (key-sorted) are discarded as a cold cache rather
@@ -61,9 +61,6 @@ CACHE_VERSION = 2
 
 #: format version of the sharded directory layout (``store.json`` marker)
 SHARDED_STORE_VERSION = 1
-
-#: whether the missing-fcntl warning has been emitted (once per process)
-_warned_unlocked = False
 
 StorePath = Union[str, os.PathLike]
 
@@ -88,138 +85,24 @@ def ordered_cache_stats(stats: Mapping[str, Any]) -> Iterator[Tuple[str, Any]]:
             yield name, stats[name]
 
 
-def _warn_unlocked_writes() -> None:
-    global _warned_unlocked
-    if _warned_unlocked:
-        return
-    _warned_unlocked = True
-    warnings.warn(
-        "fcntl is unavailable on this platform: TuningCache writes proceed "
-        "without inter-process file locking, so concurrent writers may race",
-        RuntimeWarning,
-        stacklevel=5,
-    )
-
-
-@contextlib.contextmanager
-def _locked(lock_path: Path):
-    """Exclusive advisory lock on a sidecar file (warns, once, without fcntl).
-
-    A *sidecar* rather than the data file itself: backends replace their data
-    files atomically (``os.replace``), which would orphan a lock held on the
-    replaced inode.
-    """
-    if fcntl is None:
-        _warn_unlocked_writes()
-        yield
-        return
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(lock_path, "w") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
+def _bytes_of(*paths: Path) -> int:
+    """Total size of the files among ``paths`` that exist."""
+    total = 0
+    for path in paths:
         try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-
-
-@contextlib.contextmanager
-def _locked_stale(
-    lock_path: Path,
-    stale_after: Optional[float] = None,
-    poll_interval: float = 0.05,
-    on_takeover=None,
-):
-    """Like :func:`_locked`, but with age-based stale-lock takeover.
-
-    ``flock`` held by a *dead process on the same host* releases itself, but
-    on a multi-server NFS mount a peer that died (or lost its mount) can
-    leave the advisory lock wedged — every other server then waits forever.
-    With ``stale_after`` set, a contender that cannot acquire the lock and
-    finds the sidecar file untouched for longer than ``stale_after`` seconds
-    *takes it over*: the sidecar is unlinked and a fresh one created, so the
-    dead peer's lock keeps only its orphaned inode.  Holders freshen the
-    sidecar's mtime at acquisition, and critical sections are sub-second
-    writes, so a live-but-slow peer is only at risk if it holds the lock
-    longer than ``stale_after`` — pick it orders of magnitude above the
-    section length (the :class:`ShardedStore` default is 30s for
-    millisecond-scale sections).
-
-    ``stale_after=None`` degrades to exactly :func:`_locked`.
-    """
-    if stale_after is None:
-        with _locked(lock_path):
-            yield
-        return
-    if fcntl is None:
-        _warn_unlocked_writes()
-        yield
-        return
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
-    while True:
-        handle = open(lock_path, "a")
-        try:
-            try:
-                fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                handle.close()
-                # Contended: a live holder refreshed the sidecar's mtime when
-                # it acquired; one older than stale_after marks a dead peer.
-                try:
-                    age = time.time() - lock_path.stat().st_mtime
-                except OSError:
-                    continue  # holder released and removed it — retry now
-                if age > stale_after:
-                    try:
-                        lock_path.unlink()
-                    except OSError:
-                        pass
-                    if on_takeover is not None:
-                        on_takeover()
-                else:
-                    time.sleep(poll_interval)
-                continue
-            # Acquired — but only the *current* sidecar counts: another
-            # contender may have taken the file over between our open and
-            # flock, leaving us locked on an orphaned inode.
-            try:
-                current_ino = lock_path.stat().st_ino
-            except OSError:
-                current_ino = None
-            if current_ino != os.fstat(handle.fileno()).st_ino:
-                fcntl.flock(handle, fcntl.LOCK_UN)
-                handle.close()
-                continue
-            os.utime(handle.fileno())  # freshen: we are a live holder
-            try:
-                yield
-            finally:
-                fcntl.flock(handle, fcntl.LOCK_UN)
-                handle.close()
-            return
-        except BaseException:
-            try:
-                handle.close()
-            except OSError:
-                pass
-            raise
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp file + rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
+            total += path.stat().st_size
         except OSError:
             pass
-        raise
+    return total
+
+
+def _unlink_quietly(path: Path) -> bool:
+    """Remove ``path``; ``False`` when it could not be (already gone, not ours)."""
+    try:
+        path.unlink()
+        return True
+    except OSError:
+        return False
 
 
 class CacheStore:
@@ -392,7 +275,7 @@ class JsonFileStore(CacheStore):
             payload["tombstones"] = tombstones
         # No sort_keys: entry insertion order must survive the round-trip —
         # prune() defines "oldest" by it.
-        _atomic_write_text(self.path, json.dumps(payload, indent=1))
+        atomic_write_text(self.path, json.dumps(payload, indent=1))
         self._tombstone_count = len(tombstones)
 
     def _lock_path(self) -> Path:
@@ -406,6 +289,14 @@ class JsonFileStore(CacheStore):
         self._dirty.add(key)
         self._sync()
 
+    def _overlaid(self, disk_entries: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
+        """``disk_entries`` under the keys this instance wrote since its last sync."""
+        merged = dict(disk_entries)
+        for key in self._entries:
+            if key in self._dirty:
+                merged[key] = self._entries[key]
+        return merged
+
     def _sync(self) -> None:
         """Persist this instance's dirty keys, under the exclusive file lock.
 
@@ -416,15 +307,12 @@ class JsonFileStore(CacheStore):
         re-put are applied to our mirror, converging it with concurrent
         prunes instead of resurrecting their victims.
         """
-        with _locked(self._lock_path()):
+        with file_lock(self._lock_path()):
             disk_entries, tombstones = self._read()
             for key in tombstones:
                 if key not in self._dirty:
                     self._entries.pop(key, None)
-            merged = dict(disk_entries)
-            for key in self._entries:
-                if key in self._dirty:
-                    merged[key] = self._entries[key]
+            merged = self._overlaid(disk_entries)
             tombstones = {k: v for k, v in tombstones.items() if k not in self._dirty}
             self._write(merged, tombstones)
             # Adopt other processes' entries (and drop anything that vanished
@@ -433,50 +321,34 @@ class JsonFileStore(CacheStore):
             self._dirty.clear()
 
     def scan(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        entries, _tombstones = self._read()
-        for key in self._entries:
-            if key in self._dirty:
-                entries[key] = self._entries[key]
-        yield from entries.items()
+        yield from self._overlaid(self._read()[0]).items()
 
     def prune(self, max_entries: int) -> int:
         now = time.time_ns()
-        with _locked(self._lock_path()):
+        with file_lock(self._lock_path()):
             disk_entries, tombstones = self._read()
-            merged = dict(disk_entries)
-            for key in self._entries:
-                if key in self._dirty:
-                    merged[key] = self._entries[key]
-            drop = len(merged) - max_entries
-            if drop <= 0:
-                self._entries = merged
-                self._dirty.clear()
-                return 0
-            dropped = list(merged)[:drop]
-            for key in dropped:
-                del merged[key]
-                tombstones[key] = now
-            self._write(merged, tombstones)
+            merged = self._overlaid(disk_entries)
+            drop = max(0, len(merged) - max_entries)
+            if drop:
+                for key in list(merged)[:drop]:
+                    del merged[key]
+                    tombstones[key] = now
+                self._write(merged, tombstones)
             self._entries = merged
             self._dirty.clear()
             return drop
 
     def stats(self) -> Dict[str, Any]:
-        size = 0
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            size = 0
         return {
             "backend": self.backend,
             "entries": len(self._entries),
-            "bytes": size,
+            "bytes": _bytes_of(self.path),
             "tombstones": self._tombstone_count,
         }
 
     def compact(self) -> Dict[str, Any]:
         """Drop every persisted tombstone (entries are already compact)."""
-        with _locked(self._lock_path()):
+        with file_lock(self._lock_path()):
             entries, tombstones = self._read()
             removed = len(tombstones)
             if removed:
@@ -484,7 +356,7 @@ class JsonFileStore(CacheStore):
             return {"tombstones_removed": removed}
 
     def clear(self) -> None:
-        with _locked(self._lock_path()):
+        with file_lock(self._lock_path()):
             self._write({}, {})
             self._entries.clear()
             self._dirty.clear()
@@ -508,8 +380,8 @@ class ShardedStore(CacheStore):
     increasing within a process), which ``scan``/``prune`` sort by.
 
     Liveness on multi-server NFS mounts: every sidecar lock is taken with
-    age-based stale takeover (see :func:`_locked_stale`) — a peer server
-    that died mid-write cannot wedge a shard forever.  ``stale_after``
+    age-based stale takeover (see :func:`repro.utils.durable.file_lock`) — a
+    peer server that died mid-write cannot wedge a shard forever.  ``stale_after``
     tunes the takeover age (seconds; ``None`` restores wait-forever);
     takeovers are counted in ``stats()["lock_takeovers"]``.
     """
@@ -551,7 +423,7 @@ class ShardedStore(CacheStore):
     def _ensure_meta(self) -> None:
         meta_path = self.path / self.META_NAME
         if not meta_path.exists():
-            _atomic_write_text(
+            atomic_write_text(
                 meta_path,
                 json.dumps(
                     {"format": "repro-sharded-store", "version": SHARDED_STORE_VERSION}
@@ -570,10 +442,8 @@ class ShardedStore(CacheStore):
         self._lock_takeovers += 1
 
     def _shard_lock(self, lock_path: Path):
-        return _locked_stale(
-            lock_path,
-            stale_after=self.stale_after,
-            on_takeover=self._note_takeover,
+        return file_lock(
+            lock_path, stale_after=self.stale_after, on_takeover=self._note_takeover
         )
 
     def _shard_dirs(self) -> Iterator[Path]:
@@ -620,7 +490,7 @@ class ShardedStore(CacheStore):
             else:
                 seq = self._next_seq()
             record = {"key": key, "seq": seq, "value": dict(value)}
-            _atomic_write_text(entry_path, json.dumps(record))
+            atomic_write_text(entry_path, json.dumps(record))
 
     def _sorted_records(self) -> list:
         records = []
@@ -643,10 +513,7 @@ class ShardedStore(CacheStore):
                 return 0
             for _seq, _key, record, entry_path in records[:drop]:
                 with self._shard_lock(entry_path.parent / ".lock"):
-                    try:
-                        entry_path.unlink()
-                    except OSError:
-                        pass
+                    _unlink_quietly(entry_path)
             return drop
 
     def stats(self) -> Dict[str, Any]:
@@ -654,16 +521,11 @@ class ShardedStore(CacheStore):
         size = 0
         shards = 0
         for shard in self._shard_dirs():
-            in_shard = 0
-            for entry_path in shard.glob("*.json"):
-                in_shard += 1
-                try:
-                    size += entry_path.stat().st_size
-                except OSError:
-                    pass
+            in_shard = list(shard.glob("*.json"))
+            size += _bytes_of(*in_shard)
             if in_shard:
                 shards += 1
-            entries += in_shard
+            entries += len(in_shard)
         return {
             "backend": self.backend,
             "entries": entries,
@@ -679,18 +541,10 @@ class ShardedStore(CacheStore):
         with self._shard_lock(self.path / ".lock"):
             for shard in list(self._shard_dirs()):
                 for stray in shard.glob("*.tmp"):
-                    try:
-                        stray.unlink()
-                        removed_tmp += 1
-                    except OSError:
-                        pass
+                    removed_tmp += _unlink_quietly(stray)
                 remaining = [p for p in shard.iterdir() if p.suffix == ".json"]
                 if not remaining:
-                    for lock_file in shard.glob(".lock"):
-                        try:
-                            lock_file.unlink()
-                        except OSError:
-                            pass
+                    _unlink_quietly(shard / ".lock")
                     try:
                         shard.rmdir()
                         removed_dirs += 1
@@ -701,16 +555,44 @@ class ShardedStore(CacheStore):
     def clear(self) -> None:
         with self._shard_lock(self.path / ".lock"):
             for entry_path in list(self._entry_files()):
-                try:
-                    entry_path.unlink()
-                except OSError:
-                    pass
+                _unlink_quietly(entry_path)
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_files())
 
     def __contains__(self, key: str) -> bool:
         return self._entry_path(key).exists()
+
+
+def _fold_record(
+    entries: Dict[str, Dict[str, Any]], record: Mapping[str, Any]
+) -> Optional[int]:
+    """Apply one append-log record onto ``entries``.
+
+    Returns the dead records it created (lines a compaction would drop), or
+    ``None`` when it is not a put/del/clear the format defines.
+    """
+    op = record.get("op")
+    if op == "put" and "key" in record and isinstance(record.get("value"), dict):
+        key = str(record["key"])
+        dead = 1 if key in entries else 0
+        entries[key] = dict(record["value"])
+        return dead
+    if op == "del" and "key" in record:
+        # the del line and the put it killed
+        return 2 if entries.pop(str(record["key"]), None) is not None else 0
+    if op == "clear":
+        dead = len(entries) + 1
+        entries.clear()
+        return dead
+    return None
+
+
+def _put_lines(entries: Mapping[str, Dict[str, Any]]) -> str:
+    """``entries`` as the put lines whose replay yields exactly them."""
+    return dump_jsonl(
+        {"op": "put", "key": key, "value": value} for key, value in entries.items()
+    )
 
 
 class AppendLogStore(CacheStore):
@@ -793,41 +675,18 @@ class AppendLogStore(CacheStore):
         self._corrupt_lines = 0
 
     def _apply(self, record: Mapping[str, Any]) -> None:
-        op = record.get("op")
-        if op == "put" and "key" in record and isinstance(record.get("value"), dict):
-            key = str(record["key"])
-            if key in self._entries:
-                self._dead_records += 1
-            self._entries[key] = dict(record["value"])
-        elif op == "del" and "key" in record:
-            if self._entries.pop(str(record["key"]), None) is not None:
-                self._dead_records += 2  # the del line and the put it killed
-        elif op == "clear":
-            self._dead_records += len(self._entries) + 1
-            self._entries = {}
-        else:
+        dead = _fold_record(self._entries, record)
+        if dead is None:
             self._corrupt_lines += 1
+        else:
+            self._dead_records += dead
 
     def _consume_lines(self, chunk: bytes) -> int:
         """Apply every complete line in ``chunk``; returns bytes consumed."""
-        consumed = 0
-        while True:
-            newline = chunk.find(b"\n", consumed)
-            if newline < 0:
-                break  # incomplete tail line: leave pending for the next replay
-            line = chunk[consumed:newline].strip()
-            consumed = newline + 1
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self._corrupt_lines += 1
-                continue
-            if isinstance(record, dict):
-                self._apply(record)
-            else:
-                self._corrupt_lines += 1
+        records, corrupt, consumed = scan_jsonl(chunk)
+        self._corrupt_lines += corrupt
+        for record in records:
+            self._apply(record)
         return consumed
 
     def _replay(self) -> None:
@@ -857,9 +716,7 @@ class AppendLogStore(CacheStore):
                     data = segment.read_bytes()
                 except OSError:
                     continue
-                if data and not data.endswith(b"\n"):
-                    data += b"\n"  # sealed mid-crash: last line still counts
-                self._consume_lines(data)
+                self._consume_lines(data + b"\n")  # sealed mid-crash: last line counts
             self._ino = stat.st_ino if stat is not None else None
         if stat is None or stat.st_size == self._offset:
             return
@@ -869,29 +726,11 @@ class AppendLogStore(CacheStore):
         self._offset += self._consume_lines(chunk)
 
     def _write_locked(self, records: Sequence[Dict[str, Any]]) -> int:
-        """Append records to the active file; caller holds the append lock.
+        """Append records to the active file and apply them to the index.
 
-        Tail-terminating: a crash-torn partial final line is closed with a
-        newline first, so it stays one skippable corrupt line instead of
-        fusing with our record.  Returns the active file size afterwards.
+        Caller holds the append lock.  Returns the active file size afterwards.
         """
-        payload = b"".join(
-            json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
-            for record in records
-        )
-        needs_newline = False
-        try:
-            with open(self.path, "rb") as peek:
-                peek.seek(-1, os.SEEK_END)
-                needs_newline = peek.read(1) != b"\n"
-        except (OSError, ValueError):
-            needs_newline = False  # missing or empty file
-        with open(self.path, "ab") as handle:
-            if needs_newline:
-                handle.write(b"\n")
-            handle.write(payload)
-            handle.flush()
-            size = handle.tell()
+        size = append_jsonl(self.path, records)
         for record in records:
             self._apply(record)
         # Our records are the last consumed lines; the whole file is now
@@ -905,7 +744,7 @@ class AppendLogStore(CacheStore):
         """One record line under the append lock; rotation when oversized."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         merge_due = False
-        with _locked(self._lock_path()):
+        with file_lock(self._lock_path()):
             self._replay()
             size = self._write_locked([record])
             if (
@@ -949,30 +788,15 @@ class AppendLogStore(CacheStore):
         cost — no data is rewritten, so writers are blocked only for the
         duration of one directory operation.
         """
-        with _locked(self._lock_path()):
+        with file_lock(self._lock_path()):
             self._replay()
             return self._rotate_locked()
 
     @staticmethod
-    def _fold_segment_lines(data: bytes, folded: Dict[str, Dict[str, Any]]) -> None:
-        """Apply one segment's records onto ``folded`` (put/del/clear only)."""
-        for raw in data.splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue
-            if not isinstance(record, dict):
-                continue
-            op = record.get("op")
-            if op == "put" and "key" in record and isinstance(record.get("value"), dict):
-                folded[str(record["key"])] = dict(record["value"])
-            elif op == "del" and "key" in record:
-                folded.pop(str(record["key"]), None)
-            elif op == "clear":
-                folded.clear()
+    def _fold_segment(segment: Path, folded: Dict[str, Dict[str, Any]]) -> None:
+        """Apply one segment file's records onto ``folded``, last line included."""
+        for record in scan_jsonl(segment.read_bytes() + b"\n")[0]:
+            _fold_record(folded, record)
 
     def compact_sealed(self) -> Dict[str, Any]:
         """Fold every sealed segment into one; never touches the active file.
@@ -985,14 +809,9 @@ class AppendLogStore(CacheStore):
         reader observes either the old set, the new set, or a stale mix that
         its next replay converges away.
         """
-        with _locked(self._seg_lock_path()):
+        with file_lock(self._seg_lock_path()):
             segments = self._sealed_paths()
-            before = 0
-            for segment in segments:
-                try:
-                    before += segment.stat().st_size
-                except OSError:
-                    pass
+            before = _bytes_of(*segments)
             if len(segments) < 2:
                 return {
                     "segments_merged": 0,
@@ -1002,28 +821,14 @@ class AppendLogStore(CacheStore):
             folded: Dict[str, Dict[str, Any]] = {}
             for segment in segments:
                 try:
-                    self._fold_segment_lines(segment.read_bytes(), folded)
+                    self._fold_segment(segment, folded)
                 except OSError:
                     continue
-            text = "".join(
-                json.dumps(
-                    {"op": "put", "key": key, "value": value},
-                    separators=(",", ":"),
-                )
-                + "\n"
-                for key, value in folded.items()
-            )
-            _atomic_write_text(segments[0], text)
+            atomic_write_text(segments[0], _put_lines(folded))
             for segment in segments[1:]:
-                try:
-                    segment.unlink()
-                except OSError:
-                    pass
+                _unlink_quietly(segment)
             self._compactions += 1
-            try:
-                after = segments[0].stat().st_size
-            except OSError:
-                after = 0
+            after = _bytes_of(segments[0])
         # _sealed_seen is now stale on purpose: the next _replay notices the
         # changed sealed set and re-replays, refreshing dead-record counts.
         return {
@@ -1041,16 +846,15 @@ class AppendLogStore(CacheStore):
         authoritative, a shipped segment only fills gaps.
         """
         segment = Path(segment)
+        incoming: Dict[str, Dict[str, Any]] = {}
         try:
-            data = segment.read_bytes()
+            self._fold_segment(segment, incoming)
         except OSError as error:
             raise ValueError(f"cannot read segment {segment}: {error}") from None
-        incoming: Dict[str, Dict[str, Any]] = {}
-        self._fold_segment_lines(data, incoming)
         if not incoming:
             return 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with _locked(self._lock_path()):
+        with file_lock(self._lock_path()):
             self._replay()
             records = [
                 {"op": "put", "key": key, "value": value}
@@ -1078,7 +882,7 @@ class AppendLogStore(CacheStore):
             yield key, dict(value)
 
     def prune(self, max_entries: int) -> int:
-        with _locked(self._lock_path()):
+        with file_lock(self._lock_path()):
             self._replay()
             drop = len(self._entries) - max_entries
             if drop <= 0:
@@ -1097,21 +901,11 @@ class AppendLogStore(CacheStore):
         ``prune`` and ``clear``; routine growth control goes through
         rotation plus :meth:`compact_sealed` instead.
         """
-        with _locked(self._seg_lock_path()):
-            lines = [
-                json.dumps(
-                    {"op": "put", "key": key, "value": value},
-                    separators=(",", ":"),
-                )
-                for key, value in self._entries.items()
-            ]
-            text = "".join(line + "\n" for line in lines)
-            _atomic_write_text(self.path, text)
+        with file_lock(self._seg_lock_path()):
+            text = _put_lines(self._entries)
+            atomic_write_text(self.path, text)
             for segment in self._sealed_paths():
-                try:
-                    segment.unlink()
-                except OSError:
-                    pass
+                _unlink_quietly(segment)
             self._sealed_seen = ()
             self._offset = len(text.encode("utf-8"))
             self._ino = self.path.stat().st_ino
@@ -1120,35 +914,20 @@ class AppendLogStore(CacheStore):
             self._compactions += 1
 
     def compact(self) -> Dict[str, Any]:
-        with _locked(self._lock_path()):
+        with file_lock(self._lock_path()):
             self._replay()
-            before = 0
-            for target in [self.path, *self._sealed_paths()]:
-                try:
-                    before += target.stat().st_size
-                except OSError:
-                    pass
+            before = _bytes_of(self.path, *self._sealed_paths())
             self._compact_locked()
             after = self.path.stat().st_size
         return {"bytes_before": before, "bytes_after": after}
 
     def stats(self) -> Dict[str, Any]:
         self._replay()  # count appends by other processes, not a stale index
-        size = 0
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            size = 0
-        sealed_bytes = 0
-        for segment in self._sealed_paths():
-            try:
-                sealed_bytes += segment.stat().st_size
-            except OSError:
-                pass
+        sealed_bytes = _bytes_of(*self._sealed_paths())
         return {
             "backend": self.backend,
             "entries": len(self._entries),
-            "bytes": size + sealed_bytes,
+            "bytes": _bytes_of(self.path) + sealed_bytes,
             "segments": 1 + len(self._sealed_seen),
             "sealed_bytes": sealed_bytes,
             "rotations": self._rotations,
@@ -1158,7 +937,7 @@ class AppendLogStore(CacheStore):
         }
 
     def clear(self) -> None:
-        with _locked(self._lock_path()):
+        with file_lock(self._lock_path()):
             self._replay()
             self._entries = {}
             self._compact_locked()

@@ -15,9 +15,6 @@ from repro.codegen.emit_c_exec import emit_c_harness
 from repro.codegen.emit_py import compile_to_python, emit_python_source
 from repro.codegen.emit_py_vec import emit_python_source_vectorized
 from repro.codegen.toolchain import c_toolchain_skip_reason, find_c_compiler
-
-# last: pulls in repro.autotune.store (the _locked idiom), which transitively
-# imports this package's submodules — everything it needs is defined above
 from repro.codegen.compile_cache import CompileCache, open_compile_cache
 
 __all__ = [

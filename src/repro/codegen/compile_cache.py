@@ -9,8 +9,8 @@ pure function of ``(source text, compiler, cflags)`` — exactly the cache key
 here.
 
 Layout mirrors the sharded tuning store: ``root/<key[:2]>/<key>`` holds the
-executable, with a ``.lock`` sidecar per entry (the ``_locked``/atomic
-``os.replace`` idiom from :mod:`repro.autotune.store`), so
+executable, with a ``.lock`` sidecar per entry (:func:`~repro.utils.durable.
+file_lock` and :func:`~repro.utils.durable.atomic_install`), so
 
 * a warm hit is one ``os.stat`` plus an ``os.utime`` touch (the LRU clock),
 * concurrent *processes* racing on a cold key serialize on the sidecar and
@@ -26,13 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from pathlib import Path
 from typing import Callable, List, Optional, Union
 
 from repro.telemetry.metrics import METRICS
-
-from repro.autotune.store import _locked
+from repro.utils.durable import atomic_install, file_lock
 
 COMPILE_CACHE_TOTAL = METRICS.counter(
     "repro_compile_cache_total",
@@ -96,27 +94,14 @@ class CompileCache:
             self._touch(binary)
             COMPILE_CACHE_TOTAL.inc(outcome="hit")
             return binary, "hit"
-        with _locked(lock):
+        with file_lock(lock):
             # double-check: another process may have installed it while we
             # waited on the sidecar
             if binary.exists():
                 self._touch(binary)
                 COMPILE_CACHE_TOTAL.inc(outcome="hit")
                 return binary, "hit"
-            binary.parent.mkdir(parents=True, exist_ok=True)
-            descriptor, temp_name = tempfile.mkstemp(
-                dir=str(binary.parent), prefix=binary.name, suffix=".tmp"
-            )
-            os.close(descriptor)
-            try:
-                compile_fn(Path(temp_name))
-                os.replace(temp_name, binary)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_install(binary, compile_fn)
         COMPILE_CACHE_TOTAL.inc(outcome="miss")
         self._evict()
         return binary, "miss"

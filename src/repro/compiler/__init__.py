@@ -17,9 +17,6 @@ stages as first-class, cacheable artifacts instead of one monolithic
   autotuner's hot path (affine analysis once per request, not once per
   candidate).
 
-The legacy ``repro.core.MappingPipeline`` entry points are deprecation shims
-over this package.
-
 Quickstart::
 
     from repro.compiler import CompilationSession
@@ -43,11 +40,7 @@ from repro.compiler.artifacts import (
     TilingArtifact,
 )
 from repro.compiler.instrument import (
-    COMPILE_COUNTER,
-    STAGE_COUNTER,
     CompileCount,
-    CompileCounter,
-    StageCounter,
     StageRunCount,
     counting_compiles,
     counting_stage_runs,
@@ -78,10 +71,8 @@ __all__ = [
     "AnalysisArtifact",
     "AnalysisPass",
     "ArtifactCache",
-    "COMPILE_COUNTER",
     "CompilationSession",
     "CompileCount",
-    "CompileCounter",
     "DEFAULT_PASSES",
     "EmitCPass",
     "GLOBAL_ARTIFACT_CACHE",
@@ -95,11 +86,9 @@ __all__ = [
     "PassContext",
     "PassManager",
     "PassTiming",
-    "STAGE_COUNTER",
     "ScratchpadArtifact",
     "ScratchpadPass",
     "StageArtifact",
-    "StageCounter",
     "StageRunCount",
     "TilingArtifact",
     "TilingPass",

@@ -1,41 +1,34 @@
-"""Process-wide compilation instrumentation.
+"""Compilation tallies, kept in the process-wide metrics registry.
 
-Two layers of counters, both lock-protected because parallel evaluation
-compiles on thread-pool workers:
+The compiler counts its work in exactly one place —
+:data:`repro.telemetry.metrics.METRICS` — so what a test asserts, what a
+worker's completion payload reports and what the tuning server's
+``/metrics`` endpoint exposes are the same numbers:
 
-* :data:`COMPILE_COUNTER` counts *end-to-end* compilations (one per
-  :class:`~repro.compiler.session.CompilationSession` run that executes the
-  mapping stage).  The autotuner's persistent cache promises that a warm
-  request performs zero compiles; this counter is how tests, benchmarks and
-  the tuning service verify that promise.
-* :data:`STAGE_COUNTER` counts *per-stage* pass executions.  Session replay
-  promises that config-invariant stages (affine analysis) run once per
-  request rather than once per candidate; the per-stage counts are how that
-  promise is verified.
+* ``repro_compiles_total`` counts *end-to-end* compilations (one per
+  :class:`~repro.compiler.passes.MappingPass` execution).  The autotuner's
+  persistent cache promises that a warm request performs zero compiles;
+  :func:`counting_compiles` is how tests, benchmarks and the tuning service
+  verify that promise.
+* ``repro_stage_runs_total{stage=...}`` / ``repro_pass_seconds{stage=...}``
+  count and time *per-stage* pass executions.  Session replay promises that
+  config-invariant stages (affine analysis) run once per request rather
+  than once per candidate; :func:`counting_stage_runs` is how that promise
+  is verified.
 
-Both live here (not in :mod:`repro.core.pipeline`) so the compiler package
-never imports the deprecated pipeline shims; the old import paths keep
-working through re-exports.
-
-Both counters double as **shims over the process-wide metrics registry**
-(:data:`repro.telemetry.metrics.METRICS`): every increment also publishes
-``repro_compiles_total`` / ``repro_stage_runs_total{stage=...}``, so the
-tuning server's ``/metrics`` endpoint sees compiler activity without the
-compiler knowing about the server.  The local counts stay independently
-resettable — :func:`counting_compiles` / :func:`counting_stage_runs` deltas
-are unchanged — while the registry counters only ever grow.
+Registry counters only ever grow, so both helpers report the *delta* over a
+``with`` block.  The registry is process-global: work done by other threads
+of this process during the block is included.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.telemetry.metrics import METRICS
 
-#: registry-backed twins of the legacy counters (labels render in /metrics)
 COMPILES_TOTAL = METRICS.counter(
     "repro_compiles_total", "end-to-end pipeline compilations"
 )
@@ -47,37 +40,15 @@ PASS_SECONDS = METRICS.histogram(
 )
 
 
-@dataclass
-class CompileCounter:
-    """Counts end-to-end pipeline compilations.
+def record_pass_execution(stage: str, elapsed_s: float) -> None:
+    """One executed pass: count it and observe its wall time.
 
-    The autotuner's persistent cache promises that a warm request performs
-    *zero* pipeline compiles; this process-wide counter is how tests and
-    benchmarks verify that promise.  Increments are lock-protected because
-    parallel evaluation compiles on thread-pool workers.
-
-    Also a shim over the metrics registry: every :meth:`increment` publishes
-    ``repro_compiles_total``.  Prefer the :func:`counting_compiles` delta (or
-    the registry) over reading :data:`COMPILE_COUNTER` directly — the raw
-    process-global count is a legacy surface kept for the pipeline-era
-    callers and includes every other thread's compiles.
+    The single instrumentation point :meth:`PassManager.run` calls, so the
+    per-stage counts and the ``repro_pass_seconds`` histogram can never
+    drift apart.
     """
-
-    count: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def increment(self) -> None:
-        with self._lock:
-            self.count += 1
-        COMPILES_TOTAL.inc()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.count = 0
-
-
-#: process-wide counter bumped by every end-to-end compile (session or shim)
-COMPILE_COUNTER = CompileCounter()
+    STAGE_RUNS_TOTAL.inc(stage=stage)
+    PASS_SECONDS.observe(elapsed_s, stage=stage)
 
 
 @dataclass
@@ -92,65 +63,17 @@ def counting_compiles():
     """Count the pipeline compiles performed inside the ``with`` block.
 
     Yields a :class:`CompileCount` whose ``count`` is final once the block
-    exits.  The delta is taken from the process-wide :data:`COMPILE_COUNTER`,
-    so compiles on *other* threads of this process during the block are
+    exits.  Compiles on *other* threads of this process during the block are
     included — callers wanting an exact per-task figure (the tuning service's
     per-job accounting, the CLI) should not run compiles concurrently in the
     same process, or should treat the figure as an upper bound.
     """
-    start = COMPILE_COUNTER.count
+    start = COMPILES_TOTAL.value()
     box = CompileCount()
     try:
         yield box
     finally:
-        box.count = COMPILE_COUNTER.count - start
-
-
-@dataclass
-class StageCounter:
-    """Per-stage pass-execution counts, process-wide and thread-safe.
-
-    Shim over the metrics registry like :class:`CompileCounter`: every
-    :meth:`record` also publishes ``repro_stage_runs_total{stage=...}``.
-    Prefer the :func:`counting_stage_runs` delta (or the registry) over
-    reading :data:`STAGE_COUNTER` directly; the raw global is kept for
-    legacy callers.
-    """
-
-    counts: Dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def record(self, stage: str) -> None:
-        with self._lock:
-            self.counts[stage] = self.counts.get(stage, 0) + 1
-        STAGE_RUNS_TOTAL.inc(stage=stage)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self.counts)
-
-    def total(self) -> int:
-        with self._lock:
-            return sum(self.counts.values())
-
-    def reset(self) -> None:
-        with self._lock:
-            self.counts.clear()
-
-
-#: process-wide counter bumped once per executed compiler pass, keyed by stage
-STAGE_COUNTER = StageCounter()
-
-
-def record_pass_execution(stage: str, elapsed_s: float) -> None:
-    """One executed pass: bump :data:`STAGE_COUNTER` and observe its wall time.
-
-    The single instrumentation point :meth:`PassManager.run` calls, so the
-    legacy per-stage counts and the ``repro_pass_seconds`` histogram can
-    never drift apart.
-    """
-    STAGE_COUNTER.record(stage)
-    PASS_SECONDS.observe(elapsed_s, stage=stage)
+        box.count = int(COMPILES_TOTAL.value() - start)
 
 
 @dataclass
@@ -173,15 +96,12 @@ def counting_stage_runs():
     :func:`counting_compiles`, the delta is process-global: stages run by
     other threads during the block are included.
     """
-    start = STAGE_COUNTER.snapshot()
+    start = STAGE_RUNS_TOTAL.samples()
     box = StageRunCount()
     try:
         yield box
     finally:
-        end = STAGE_COUNTER.snapshot()
-        deltas = {
-            stage: end[stage] - start.get(stage, 0)
-            for stage in end
-            if end[stage] - start.get(stage, 0)
-        }
-        box.counts.update(deltas)
+        for key, runs in STAGE_RUNS_TOTAL.samples().items():
+            delta = int(runs - start.get(key, 0.0))
+            if delta:
+                box.counts[key[0]] = delta

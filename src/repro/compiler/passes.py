@@ -63,7 +63,7 @@ from repro.compiler.artifacts import (
     StageArtifact,
     TilingArtifact,
 )
-from repro.compiler.instrument import COMPILE_COUNTER
+from repro.compiler.instrument import COMPILES_TOTAL
 
 
 # -- shared helpers (used by the passes and by repro.autotune.space) -------------------
@@ -405,9 +405,9 @@ class MappingPass(Pass):
     """Launch geometry + per-block workload extraction for the machine models.
 
     Producing a :class:`MappedKernel` is what "one compile" means, so the
-    process-wide :data:`~repro.compiler.instrument.COMPILE_COUNTER` is bumped
-    here — every path that runs this pass (session compile, replay, artifact
-    access) counts exactly once, and cached results count zero.
+    registry's ``repro_compiles_total`` is bumped here — every path that
+    runs this pass (session compile, replay, artifact access) counts exactly
+    once, and cached results count zero.
     """
 
     name = "mapping"
@@ -415,7 +415,7 @@ class MappingPass(Pass):
     option_fields = ("num_blocks", "threads_per_block", "hoisting", "use_scratchpad")
 
     def run(self, ctx: PassContext) -> MappedKernel:
-        COMPILE_COUNTER.increment()
+        COMPILES_TOTAL.inc()
         art: AnalysisArtifact = ctx.value("analysis")
         tiling: TilingArtifact = ctx.value("tiling")
         staged: ScratchpadArtifact = ctx.value("scratchpad")

@@ -3,9 +3,8 @@
 A :class:`CompilationSession` pins one (program, machine spec, base options,
 parameter binding) tuple and runs the pass pipeline over it:
 
-* :meth:`compile` — the full pipeline under the base options (the one-shot
-  compile the old ``MappingPipeline.compile`` performed), with every stage
-  artifact cached on the session;
+* :meth:`compile` — the full pipeline under the base options, with every
+  stage artifact cached on the session;
 * :meth:`replay` — re-run only the config-dependent stages for an explicit
   mapping configuration, *reusing* the frozen upstream artifacts.
   ``session.replay(from_stage="tiling", config=...)`` is the autotuner's hot

@@ -1,41 +1,12 @@
-"""End-to-end compilation pipeline (the paper's system, assembled).
+"""Options of the end-to-end compilation pipeline.
 
-The implementation lives in :mod:`repro.compiler` as a staged pass pipeline
+The pipeline itself lives in :mod:`repro.compiler` as a staged pass pipeline
 (affine analysis → multi-level tiling → scratchpad data management →
-mapping/workload extraction) with first-class, fingerprintable stage
-artifacts and replay-from-stage.  This package keeps the historical entry
-points: :class:`MappingOptions` (the pipeline's knobs — still the canonical
-home) and :class:`MappingPipeline`, whose ``compile``/``compile_with_config``
-are deprecation shims over :class:`repro.compiler.CompilationSession`.
+mapping/workload extraction); this package is the canonical home of its
+knobs, :class:`MappingOptions`, which sits below the compiler so every layer
+can import it without importing the passes.
 """
 
 from repro.core.options import MappingOptions
 
-__all__ = [
-    "COMPILE_COUNTER",
-    "CompilationSession",
-    "CompileCount",
-    "CompileCounter",
-    "MappingOptions",
-    "MappedKernel",
-    "MappingPipeline",
-    "counting_compiles",
-]
-
-#: names re-exported from the (deprecated-shim) pipeline module, resolved
-#: lazily so that importing ``repro.core.options`` from inside
-#: ``repro.compiler`` does not drag the shim — and with it the whole
-#: compiler package — into a circular import
-_PIPELINE_EXPORTS = frozenset(name for name in __all__ if name != "MappingOptions")
-
-
-def __getattr__(name: str):
-    if name in _PIPELINE_EXPORTS:
-        from repro.core import pipeline
-
-        return getattr(pipeline, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__ = ["MappingOptions"]

@@ -13,7 +13,7 @@ _TARGETS = ("gpu", "cell")
 
 @dataclass
 class MappingOptions:
-    """Knobs of :class:`~repro.core.pipeline.MappingPipeline`.
+    """Knobs of the :mod:`repro.compiler` passes (one session's base options).
 
     Attributes
     ----------

@@ -232,30 +232,15 @@ class TuningService:
                 job.mark_finished()  # duration_s ~ 0: answered at submission
                 JOBS_TOTAL.inc(outcome="cached")
                 self._jobs[job.id] = job
-                best = stored.get("best") or {}
-                baseline = stored.get("baseline") or {}
                 self.history.append(
-                    HistoryRecord(
-                        kernel=stored.get("kernel_name", request.kernel),
-                        fingerprint=key,
-                        spec_name=stored.get("spec_name", self.spec.name),
-                        strategy=stored.get("strategy", request.strategy),
-                        backend=stored.get("backend", request.backend),
+                    HistoryRecord.from_report(
+                        stored,
+                        key,
+                        grid=resolved.grid,
                         cache_hit=True,
-                        winner_ms=float(best.get("time_ms", 0.0)),
-                        winner_kind=(best.get("measurement") or {}).get("kind", "model"),
-                        baseline_ms=baseline.get("time_ms"),
-                        evaluations=0,
                         wall_s=job.duration_s or 0.0,
-                        seed=int(stored.get("seed", 0)),
                         source="server",
                         job_id=job.id,
-                        variant=(
-                            f"{resolved.grid.grid_p}x{resolved.grid.grid_p}"
-                            f":{resolved.grid.name}"
-                            if resolved.grid is not None
-                            else ""
-                        ),
                     )
                 )
                 emit(

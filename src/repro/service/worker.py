@@ -2,8 +2,8 @@
 
 Module-level and fully picklable, so the server can submit it to a
 ``ProcessPoolExecutor`` (cold tuning escapes the GIL) or a thread pool (used
-by in-process tests, where the shared :data:`COMPILE_COUNTER` stays
-observable).  A worker process reopens the shared cache by its store URI
+by in-process tests, where the server's own metrics registry sees every
+compile).  A worker process reopens the shared cache by its store URI
 (plain ``.json`` path, ``dir:`` sharded store, or ``log:`` append log); the
 backend's file locks make its persistence safe against the other workers.
 

@@ -5,9 +5,9 @@ Metrics (:mod:`repro.telemetry.metrics`) answer "what is the fleet doing
 request — tuned or answered from cache, run inline by :func:`repro.autotune.
 autotune` or shipped back from a service worker — appends one
 :class:`HistoryRecord` to a :class:`HistoryStore`: an append-only JSONL file
-using the same crash-safety idiom as the autotune cache's append-log backend
-(exclusive sidecar lock, tail-newline termination before append, corrupt
-lines skipped and counted, a truncated final line left pending).
+written and read through :mod:`repro.utils.durable`, like the autotune
+cache's append-log backend (exclusive sidecar lock, tail-newline termination
+before append, corrupt lines skipped and counted, never fatal).
 
 On top of the raw records sit the analysis helpers the ``python -m
 repro.autotune history`` subcommands and the server's ``/dashboard`` render:
@@ -25,7 +25,6 @@ repro.autotune history`` subcommands and the server's ``/dashboard`` render:
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.metrics import METRICS
+from repro.utils.durable import append_jsonl, file_lock, scan_jsonl
 
 __all__ = [
     "HistoryRecord",
@@ -112,27 +112,10 @@ class HistoryRecord:
     ts: float = field(default_factory=time.time)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "ts": self.ts,
-            "kernel": self.kernel,
-            "fingerprint": self.fingerprint,
-            "spec_name": self.spec_name,
-            "strategy": self.strategy,
-            "backend": self.backend,
-            "cache_hit": self.cache_hit,
-            "winner_ms": self.winner_ms,
-            "winner_kind": self.winner_kind,
-            "baseline_ms": self.baseline_ms,
-            "evaluations": self.evaluations,
-            "stage_seconds": dict(self.stage_seconds),
-            "rho": self.rho,
-            "wall_s": self.wall_s,
-            "trace_id": self.trace_id,
-            "seed": self.seed,
-            "source": self.source,
-            "job_id": self.job_id,
-            "variant": self.variant,
-        }
+        # ``ts`` leads every line; the rest follows in field declaration order
+        payload = {"ts": self.ts, **vars(self)}
+        payload["stage_seconds"] = dict(self.stage_seconds)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "HistoryRecord":
@@ -158,6 +141,35 @@ class HistoryRecord:
             ts=float(payload.get("ts", 0.0)),
         )
 
+    @classmethod
+    def from_report(
+        cls, report: Mapping[str, Any], fingerprint: str, grid: Any = None, **facts: Any
+    ) -> "HistoryRecord":
+        """The record of one request that was answered with ``report``.
+
+        ``report`` is the stored (``TuningReport.to_dict``) form, so a server
+        answering from its cache and the library tuning from scratch read
+        the same fields the same way.  ``grid`` is the request's
+        distributed-kernel grid target (``grid_p``, ``name``), if any — this
+        is the one place ``variant`` is derived from it.  ``facts`` are the
+        fields only the request knows (``cache_hit``, ``evaluations``,
+        ``wall_s``, ``trace_id``, ``source``, ``job_id``, ...).
+        """
+        best = report.get("best") or {}
+        return cls(
+            kernel=str(report.get("kernel_name", "")),
+            fingerprint=fingerprint,
+            spec_name=str(report.get("spec_name", "")),
+            strategy=str(report.get("strategy", "")),
+            backend=str(report.get("backend", "model:")),
+            winner_ms=float(best.get("time_ms", 0.0)),
+            winner_kind=(best.get("measurement") or {}).get("kind", "model"),
+            baseline_ms=(report.get("baseline") or {}).get("time_ms"),
+            seed=int(report.get("seed", 0)),
+            variant=f"{grid.grid_p}x{grid.grid_p}:{grid.name}" if grid is not None else "",
+            **facts,
+        )
+
     def group_key(self) -> Tuple[str, str, str, str]:
         """The rollup/windowing identity: kernel, variant, machine, backend.
 
@@ -174,11 +186,10 @@ class HistoryRecord:
 class HistoryStore:
     """Append-only JSONL history (``path=None`` keeps records in memory).
 
-    Same durability idiom as the autotune cache's append-log backend: every
-    append happens under an exclusive sidecar lock and terminates a
-    crash-truncated tail before writing, reads skip (and count) corrupt
-    lines, and an incomplete final line is left pending rather than
-    treated as fatal.
+    Durability comes from :mod:`repro.utils.durable`: every append happens
+    under an exclusive sidecar lock and terminates a crash-truncated tail
+    before writing; reads skip (and count) corrupt lines, a torn final line
+    included, rather than treating them as fatal.
     """
 
     def __init__(self, path: Union[str, Path, None] = None) -> None:
@@ -196,31 +207,13 @@ class HistoryStore:
         return self.path.with_name(self.path.name + ".lock")
 
     def append(self, record: HistoryRecord) -> None:
-        HISTORY_RECORDS_TOTAL.inc(source=record.source)
         if self.path is None:
             self._memory.append(record)
-            return
-        # Lazy import: repro.autotune.store imports repro.telemetry at module
-        # scope, so a top-level import here would be circular.
-        from repro.autotune.store import _locked
-
-        line = json.dumps(record.to_dict(), separators=(",", ":")) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with _locked(self._lock_path()):
-            needs_newline = False
-            try:
-                with open(self.path, "rb") as peek:
-                    peek.seek(-1, 2)  # os.SEEK_END
-                    needs_newline = peek.read(1) != b"\n"
-            except (OSError, ValueError):
-                needs_newline = False  # missing or empty file
-            with open(self.path, "ab") as handle:
-                if needs_newline:
-                    # terminate a crash-truncated tail so this record starts
-                    # on its own line (the partial line stays skippable)
-                    handle.write(b"\n")
-                handle.write(line.encode("utf-8"))
-                handle.flush()
+        else:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with file_lock(self._lock_path()):
+                append_jsonl(self.path, [record.to_dict()])
+        HISTORY_RECORDS_TOTAL.inc(source=record.source)
 
     def records(self) -> List[HistoryRecord]:
         """Every parseable record, oldest first (corrupt lines skipped)."""
@@ -230,17 +223,14 @@ class HistoryStore:
             raw = self.path.read_bytes()
         except OSError:
             return []
+        # a whole-file read: the last line counts even if its writer crashed
+        payloads, self._corrupt_lines, _ = scan_jsonl(raw + b"\n")
         records: List[HistoryRecord] = []
-        self._corrupt_lines = 0
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        for payload in payloads:
             try:
-                payload = json.loads(line.decode("utf-8"))
                 records.append(HistoryRecord.from_dict(payload))
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                self._corrupt_lines += 1
+            except (ValueError, KeyError, TypeError):
+                self._corrupt_lines += 1  # an object, but not a history record
         return records
 
     def __len__(self) -> int:

@@ -2,8 +2,8 @@
 
 One :class:`MetricsRegistry` per process (:data:`METRICS`) absorbs the
 instrumentation that used to live as scattered one-off counters: compiler
-stage runs and end-to-end compiles (:mod:`repro.compiler.instrument`
-publishes into it while keeping its old API), tuning-cache hits/misses/
+stage runs and end-to-end compiles (:mod:`repro.compiler.instrument` keeps
+no tally of its own), tuning-cache hits/misses/
 absorbs, per-``measurement.kind`` evaluation counts, and the tuning
 service's HTTP and job counters.
 
@@ -146,12 +146,15 @@ class Counter(_Metric):
         with self._lock:
             return float(self._samples.get(key, 0.0))
 
-    def _render(self) -> List[str]:
+    def samples(self) -> Dict[Tuple[str, ...], float]:
+        """Every labelset's total, keyed by label values in declaration order."""
         with self._lock:
-            items = sorted(self._samples.items())
+            return dict(self._samples)
+
+    def _render(self) -> List[str]:
         return [
             f"{self.name}{_label_pairs(self.label_names, key)} {_render_number(value)}"
-            for key, value in items
+            for key, value in sorted(self.samples().items())
         ]
 
 

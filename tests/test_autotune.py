@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import COMPILE_COUNTER, MappingOptions, MappingPipeline, autotune
+from repro import CompilationSession, MappingOptions, autotune, counting_compiles
 from repro.autotune import (
     Configuration,
     ConfigurationEvaluator,
@@ -67,7 +67,7 @@ class TestConfigurationSpace:
     def test_seed_configuration_matches_pipeline_choice(self, matmul):
         space = ConfigurationSpace(matmul, space_options=SMALL_SPACE)
         seed = space.seed_configuration()
-        mapped = MappingPipeline().compile(matmul)
+        mapped = CompilationSession(matmul).compile()
         assert seed.tile_dict == mapped.tile_sizes
         assert seed.num_blocks == 32 and seed.threads_per_block == 256
 
@@ -218,9 +218,9 @@ class TestAutotuneSession:
         cold = autotune(matmul, space_options=SMALL_SPACE, cache=TuningCache(path))
         assert not cold.from_cache
 
-        COMPILE_COUNTER.reset()
-        warm = autotune(matmul, space_options=SMALL_SPACE, cache=TuningCache(path))
-        assert COMPILE_COUNTER.count == 0
+        with counting_compiles() as compiles:
+            warm = autotune(matmul, space_options=SMALL_SPACE, cache=TuningCache(path))
+        assert compiles.count == 0
         assert warm.from_cache
         assert warm.to_dict() == cold.to_dict()
 
@@ -266,7 +266,9 @@ class TestAutotuneSession:
 
     def test_best_configuration_replays_through_pipeline(self, matmul):
         report = autotune(matmul, space_options=SMALL_SPACE)
-        mapped = MappingPipeline().compile_with_config(matmul, report.best.configuration)
+        mapped = CompilationSession(matmul).replay(
+            from_stage="tiling", config=report.best.configuration
+        )
         assert mapped.tile_sizes == report.best.configuration.tile_dict
         assert mapped.tile_search is None  # the search never ran on replay
 
@@ -469,10 +471,10 @@ class TestTuningCache:
             TuningCache(tmp_path / "cache.json", absorb_limit=-1)
 
     def test_missing_fcntl_warns_once_per_process(self, tmp_path, monkeypatch):
-        from repro.autotune import store as store_module
+        from repro.utils import durable
 
-        monkeypatch.setattr(store_module, "fcntl", None)
-        monkeypatch.setattr(store_module, "_warned_unlocked", False)
+        monkeypatch.setattr(durable, "fcntl", None)
+        monkeypatch.setattr(durable, "_warned_unlocked", False)
         cache = TuningCache(tmp_path / "cache.json")
         with pytest.warns(RuntimeWarning, match="without inter-process file locking"):
             cache.put("a", {"v": 1})

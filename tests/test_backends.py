@@ -5,7 +5,7 @@ hybrid), the backend↔cache interaction (distinct fingerprints per backend,
 ``measurement.kind`` provenance in cached entries and ``cache-stats``), the
 ``lower-py`` terminal pass, toolchain detection, and the ISSUE-5 acceptance
 criterion: a hybrid tune's best entry records ``measured-py`` provenance
-while ``STAGE_COUNTER`` proves analysis ran once and ``lower-py`` ran
+while ``counting_stage_runs`` proves analysis ran once and ``lower-py`` ran
 O(top-K) times.
 
 ``measure-c`` tests skip cleanly on toolchain-less machines via the

@@ -72,7 +72,7 @@ def _log_churn(spec: str, writer: int, count: int, barrier) -> None:
 
 
 def _tune_against_cache(spec: str, queue) -> None:
-    from repro.core.pipeline import counting_compiles
+    from repro.compiler import counting_compiles
     from repro.service import TuneRequest
     from repro.autotune import autotune
 

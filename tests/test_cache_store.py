@@ -152,7 +152,7 @@ class TestEveryBackend:
 
     def test_autotune_warm_hit_through_backend(self, backend, tmp_path):
         """Every backend serves the second identical request with zero compiles."""
-        from repro.core.pipeline import counting_compiles
+        from repro.compiler import counting_compiles
 
         spec = store_spec(backend, tmp_path)
         program = build_matmul_program(24, 24, 24)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import COMPILE_COUNTER, MappingOptions, MappingPipeline, autotune
+from repro import MappingOptions, autotune
 from repro.compiler import (
     CompilationSession,
     DEFAULT_PASSES,
     PASS_REGISTRY,
     PassManager,
+    counting_compiles,
     counting_stage_runs,
 )
 from repro.autotune import SpaceOptions, TuningCache
@@ -41,26 +42,24 @@ class TestCompilationSession:
     def test_compile_caches_artifacts_and_counts_once(self):
         program = build_matmul_program(32, 32, 32)
         session = CompilationSession(program)
-        COMPILE_COUNTER.reset()
-        with counting_stage_runs() as first:
+        with counting_compiles() as compiles, counting_stage_runs() as first:
             mapped = session.compile()
-        assert COMPILE_COUNTER.count == 1
+        assert compiles.count == 1
         assert first.counts == {stage: 1 for stage in DEFAULT_PASSES}
         # a second compile is fully cached: no stage runs, no compile counted
-        with counting_stage_runs() as second:
+        with counting_compiles() as compiles, counting_stage_runs() as second:
             again = session.compile()
         assert second.counts == {}
-        assert COMPILE_COUNTER.count == 1
+        assert compiles.count == 0
         assert again is mapped
 
     def test_artifact_access_counts_the_compile(self):
         """Reaching the mapping artifact any way counts as one compile."""
         session = CompilationSession(build_matmul_program(16, 16, 16))
-        COMPILE_COUNTER.reset()
-        session.artifact("mapping")
-        assert COMPILE_COUNTER.count == 1
-        session.compile()  # fully cached — still one compile
-        assert COMPILE_COUNTER.count == 1
+        with counting_compiles() as compiles:
+            session.artifact("mapping")
+            session.compile()  # fully cached — still one compile
+        assert compiles.count == 1
 
     def test_replay_runs_only_config_dependent_stages(self):
         program = build_matmul_program(32, 32, 32)
@@ -199,7 +198,7 @@ class TestPassManager:
 
     def test_pipeline_validates_pass_names_at_construction(self):
         with pytest.raises(ValueError, match="unknown pass 'bogus'"):
-            MappingPipeline(passes=["bogus"])
+            CompilationSession(build_matmul_program(16, 16, 16), passes=["bogus"])
         assert sorted(PASS_REGISTRY) == sorted(
             ["analysis", "tiling", "scratchpad", "mapping", "emit",
              "lower-py", "lower-py-vec"]
@@ -229,31 +228,6 @@ class TestPassManager:
             )
 
 
-# -- deprecation shims -------------------------------------------------------------
-class TestDeprecatedShims:
-    def test_compile_shim_warns_and_matches_session(self):
-        program = build_matmul_program(32, 32, 32)
-        with pytest.warns(DeprecationWarning, match="CompilationSession"):
-            shimmed = MappingPipeline().compile(program)
-        direct = CompilationSession(build_matmul_program(32, 32, 32)).compile()
-        assert mapped_equal(shimmed, direct)
-
-    def test_compile_with_config_shim_warns_and_matches_replay(self):
-        program = build_matmul_program(32, 32, 32)
-        config = Configuration.make(16, 64, {"i": 8, "j": 8, "k": 16})
-        with pytest.warns(DeprecationWarning, match="replay"):
-            shimmed = MappingPipeline().compile_with_config(program, config)
-        session = CompilationSession(build_matmul_program(32, 32, 32))
-        direct = session.replay(from_stage="tiling", config=config)
-        assert mapped_equal(shimmed, direct)
-
-    def test_pipeline_session_bridge_is_warning_free(self, recwarn):
-        pipeline = MappingPipeline(options=MappingOptions(threads_per_block=64))
-        session = pipeline.session(build_matmul_program(16, 16, 16))
-        session.compile()
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-
 # -- autotune integration ----------------------------------------------------------
 class TestAutotuneSessionReuse:
     def test_tuning_request_analyses_once(self):
@@ -272,10 +246,9 @@ class TestAutotuneSessionReuse:
         program = build_matmul_program(32, 32, 32)
         cache = TuningCache(tmp_path / "cache.json")
         autotune(program, space_options=SMALL_SPACE, cache=cache)
-        COMPILE_COUNTER.reset()
-        with counting_stage_runs() as runs:
+        with counting_compiles() as compiles, counting_stage_runs() as runs:
             warm = autotune(program, space_options=SMALL_SPACE, cache=cache)
         assert warm.from_cache
-        assert COMPILE_COUNTER.count == 0
+        assert compiles.count == 0
         # fingerprinting the request needs the analysis stage, nothing more
         assert set(runs.counts) <= {"analysis"}

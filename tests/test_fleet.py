@@ -16,11 +16,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.pipeline import COMPILE_COUNTER
 from repro.fleet import FLEET_MODES, FleetRegistry, HashRing
 from repro.fleet.queue import PriorityExecutor, space_cost_estimate
 from repro.fleet.registry import normalize_url
-from repro.telemetry import parse_prometheus_text
+from repro.telemetry import METRICS, parse_prometheus_text
 from repro.service import ServiceError, TuneRequest, TuningClient, TuningServer
 from repro.service.worker import execute_request
 
@@ -331,7 +330,7 @@ class TestFleetHTTP:
         home, away = _home_and_away(redirect_pair, request)
         clients = [TuningClient(home.url), TuningClient(away.url)]
 
-        start = COMPILE_COUNTER.count
+        start = METRICS.get("repro_compiles_total").value()
         with ThreadPoolExecutor(max_workers=8) as pool:
             handles = list(
                 pool.map(lambda i: clients[i % 2].submit(request), range(8))
@@ -339,7 +338,7 @@ class TestFleetHTTP:
         reports = [handle.result(timeout=300) for handle in handles]
 
         # one tuning run's worth of compiles fleet-wide, not eight
-        assert COMPILE_COUNTER.count - start == expected_compiles
+        assert METRICS.get("repro_compiles_total").value() - start == expected_compiles
         assert all(r.to_dict() == reports[0].to_dict() for r in reports)
         home_stats = home.service.stats()["server"]
         away_stats = away.service.stats()["server"]

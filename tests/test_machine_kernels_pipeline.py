@@ -6,8 +6,8 @@ import pytest
 
 from repro import (
     GEFORCE_8800_GTX,
+    CompilationSession,
     MappingOptions,
-    MappingPipeline,
     run_program,
     simulate_cpu,
     simulate_gpu,
@@ -176,7 +176,7 @@ class TestPipelineIntegration:
         options = MappingOptions(
             num_blocks=4, threads_per_block=16, tile_sizes={"i": 8, "j": 8, "k": 4, "l": 4}
         )
-        return program, MappingPipeline(options=options).compile(program)
+        return program, CompilationSession(program, options=options).compile()
 
     def test_mapped_program_preserves_semantics(self, mapped_me):
         program, mapped = mapped_me
@@ -206,7 +206,7 @@ class TestPipelineIntegration:
             num_blocks=2, threads_per_block=8, use_scratchpad=False,
             tile_sizes={"i": 4, "j": 4, "k": 2, "l": 2},
         )
-        mapped = MappingPipeline(options=options).compile(program)
+        mapped = CompilationSession(program, options=options).compile()
         assert not mapped.uses_scratchpad
         assert mapped.workload.global_accesses_per_instance == 4
 
