@@ -8,8 +8,8 @@ freezes the analysis artifact once per request and replays only the
 config-dependent stages (``tiling → scratchpad → mapping``).
 
 This harness runs the same ≥50-candidate hill-climb twice — once through
-session replay, once through the legacy cold-compile-per-candidate path
-(``ConfigurationEvaluator(reuse_analysis=False)``, which performs exactly the
+session replay, once through a cold compile per candidate
+(:class:`MonolithicModelBackend`, bench-side code performing exactly the
 monolithic path's work) — and reports the measured per-request speedup.  The
 stage counters are the hard evidence: the session path executes the
 ``analysis`` stage once while the monolith executes it once per candidate.
@@ -30,6 +30,7 @@ import pytest
 from repro.autotune import (
     ConfigurationEvaluator,
     ConfigurationSpace,
+    ModelBackend,
     RandomHillClimbSearch,
     SpaceOptions,
     make_batch_evaluator,
@@ -49,12 +50,26 @@ STRATEGY_KNOBS = {"seed": DEFAULT_SEED, "restarts": 6, "max_steps": 8}
 MIN_CANDIDATES = 50
 
 
+class MonolithicModelBackend(ModelBackend):
+    """The ``model:`` backend pricing every candidate from a cold session —
+    stage-for-stage the work of the legacy monolithic ``compile_with_config``
+    path, which the library no longer offers."""
+
+    def _compile(self, configuration):
+        session, _spec = self._require_prepared()
+        cold = CompilationSession(
+            session.program,
+            spec=session.spec,
+            options=session.options,
+            param_values=session.param_values,
+        )
+        return cold.replay(from_stage="analysis", config=configuration)
+
+
 def run_hillclimb(size: int, reuse_analysis: bool) -> Dict[str, object]:
     """One seeded hill-climb tuning request; returns timing + stage counts.
 
-    ``reuse_analysis=False`` compiles every candidate from a cold session —
-    stage-for-stage the work of the legacy monolithic
-    ``compile_with_config`` path.
+    ``reuse_analysis=False`` prices through :class:`MonolithicModelBackend`.
     """
     program = build_matmul_program(size, size, size)
     strategy = RandomHillClimbSearch(**STRATEGY_KNOBS)
@@ -66,7 +81,9 @@ def run_hillclimb(size: int, reuse_analysis: bool) -> Dict[str, object]:
         session = CompilationSession(program)
         space = ConfigurationSpace(program, space_options=SPACE, session=session)
         evaluator = ConfigurationEvaluator(
-            program, session=session, reuse_analysis=reuse_analysis
+            program,
+            session=session,
+            backend=None if reuse_analysis else MonolithicModelBackend(),
         )
         results = strategy.run(space, make_batch_evaluator(evaluator))
         seconds = time.perf_counter() - start

@@ -25,7 +25,8 @@ machine.  This package supplies that empirical layer as a reusable service:
   :class:`CacheStore` interface (legacy single JSON file, sharded
   per-fingerprint directory, append-only JSONL log) selected by store URI;
 * :mod:`repro.autotune.session` — the public :func:`autotune` /
-  :func:`autotune_batch` API returning :class:`TuningReport`;
+  :func:`autotune_batch` API returning :class:`TuningReport`, over
+  :func:`tune` of one :class:`TuningProblem` (the fingerprinted bundle);
 * :mod:`repro.autotune.cli` — ``python -m repro.autotune``.
 """
 
@@ -68,10 +69,13 @@ from repro.autotune.search import (
     resolve_strategy,
 )
 from repro.autotune.session import (
+    PreparedTuning,
     TuningJob,
+    TuningProblem,
     TuningReport,
     autotune,
     autotune_batch,
+    tune,
     tuning_fingerprint,
 )
 from repro.autotune.space import Configuration, ConfigurationSpace, SpaceOptions
@@ -108,7 +112,9 @@ __all__ = [
     "STRATEGIES",
     "SpaceOptions",
     "TuningCache",
+    "PreparedTuning",
     "TuningJob",
+    "TuningProblem",
     "TuningReport",
     "autotune",
     "autotune_batch",
@@ -119,5 +125,6 @@ __all__ = [
     "open_store",
     "parse_store_uri",
     "resolve_strategy",
+    "tune",
     "tuning_fingerprint",
 ]

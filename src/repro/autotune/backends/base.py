@@ -133,7 +133,6 @@ class EvaluationBackend:
         self._spec: Optional[GPUSpec] = None
         self._grid: Optional[GridSpec] = None
         self._seed: int = 0
-        self._reuse_analysis: bool = True
         self._memo: Optional[Dict[Any, Measurement]] = None
         self._memo_lock = threading.Lock()
 
@@ -147,13 +146,7 @@ class EvaluationBackend:
         self._grid = grid
 
     # -- lifecycle ---------------------------------------------------------------
-    def prepare(
-        self,
-        session: CompilationSession,
-        spec: GPUSpec,
-        seed: int = 0,
-        reuse_analysis: bool = True,
-    ) -> None:
+    def prepare(self, session: CompilationSession, spec: GPUSpec, seed: int = 0) -> None:
         """Freeze per-request state.  Idempotent; called once per request.
 
         Raises :class:`BackendUnavailable` when the host cannot run this
@@ -162,7 +155,6 @@ class EvaluationBackend:
         self._session = session
         self._spec = spec
         self._seed = seed
-        self._reuse_analysis = reuse_analysis
         # fresh memo per request: identical configs within one request (e.g.
         # the hybrid's finalize re-measuring a top-K member it already timed)
         # reuse the first measurement instead of paying another run

@@ -118,16 +118,10 @@ class HybridBackend(EvaluationBackend):
     def availability(self) -> Optional[str]:
         return self.primary.availability() or self.secondary.availability()
 
-    def prepare(
-        self,
-        session: CompilationSession,
-        spec: GPUSpec,
-        seed: int = 0,
-        reuse_analysis: bool = True,
-    ) -> None:
-        super().prepare(session, spec, seed=seed, reuse_analysis=reuse_analysis)
-        self.primary.prepare(session, spec, seed=seed, reuse_analysis=reuse_analysis)
-        self.secondary.prepare(session, spec, seed=seed, reuse_analysis=reuse_analysis)
+    def prepare(self, session: CompilationSession, spec: GPUSpec, seed: int = 0) -> None:
+        super().prepare(session, spec, seed=seed)
+        self.primary.prepare(session, spec, seed=seed)
+        self.secondary.prepare(session, spec, seed=seed)
 
     # -- measurement -------------------------------------------------------------
     def _measure(self, configuration: Any) -> Measurement:

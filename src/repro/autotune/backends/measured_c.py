@@ -130,17 +130,11 @@ class MeasuredCBackend(EvaluationBackend):
             return f"no C toolchain found (looked for: {wanted})"
         return None
 
-    def prepare(
-        self,
-        session: CompilationSession,
-        spec: GPUSpec,
-        seed: int = 0,
-        reuse_analysis: bool = True,
-    ) -> None:
+    def prepare(self, session: CompilationSession, spec: GPUSpec, seed: int = 0) -> None:
         reason = self.availability()
         if reason is not None:
             raise BackendUnavailable(f"backend {self.uri()!r} is unavailable: {reason}")
-        super().prepare(session, spec, seed=seed, reuse_analysis=reuse_analysis)
+        super().prepare(session, spec, seed=seed)
         self._compiler = find_c_compiler(self.cc)
 
     # -- measurement -------------------------------------------------------------

@@ -124,14 +124,8 @@ class MeasuredPythonBackend(EvaluationBackend):
         return self.workers
 
     # -- lifecycle ---------------------------------------------------------------
-    def prepare(
-        self,
-        session: CompilationSession,
-        spec: GPUSpec,
-        seed: int = 0,
-        reuse_analysis: bool = True,
-    ) -> None:
-        super().prepare(session, spec, seed=seed, reuse_analysis=reuse_analysis)
+    def prepare(self, session: CompilationSession, spec: GPUSpec, seed: int = 0) -> None:
+        super().prepare(session, spec, seed=seed)
         # A derived session appends the lowering terminal pass while adopting
         # the shared session's frozen artifacts — affine analysis still runs
         # once per request, however many candidates get measured.

@@ -48,29 +48,13 @@ class ModelBackend(EvaluationBackend):
         super().__init__()
         self._model: Optional[GPUPerformanceModel] = None
 
-    def prepare(
-        self,
-        session: CompilationSession,
-        spec: GPUSpec,
-        seed: int = 0,
-        reuse_analysis: bool = True,
-    ) -> None:
-        super().prepare(session, spec, seed=seed, reuse_analysis=reuse_analysis)
+    def prepare(self, session: CompilationSession, spec: GPUSpec, seed: int = 0) -> None:
+        super().prepare(session, spec, seed=seed)
         self._model = GPUPerformanceModel(spec)
 
     def _compile(self, configuration: Any):
         session, _spec = self._require_prepared()
-        if self._reuse_analysis:
-            return session.replay(from_stage="tiling", config=configuration)
-        # Legacy cost model: a cold session per candidate re-runs every
-        # stage, exactly like the old monolithic compile_with_config.
-        cold = CompilationSession(
-            session.program,
-            spec=session.spec,
-            options=session.options,
-            param_values=session.param_values,
-        )
-        return cold.replay(from_stage="analysis", config=configuration)
+        return session.replay(from_stage="tiling", config=configuration)
 
     def _measure_distributed(self, configuration: Any) -> Measurement:
         """Price a PE-grid mapping on the communication-aware distmodel."""

@@ -9,9 +9,7 @@ the mapped program (``measure-py:`` / ``measure-c:`` / ``hybrid:...`` — see
 :mod:`repro.autotune.backends`).  Because the session freezes the
 config-invariant affine-analysis artifacts, a tuning request analyses the
 program **once** and every candidate replays only the tiling/scratchpad/
-mapping stages (set ``reuse_analysis=False`` to recover the legacy
-one-monolithic-compile-per-candidate behaviour, e.g. for benchmarking the
-difference).  Configurations the machine cannot execute (e.g. a block's
+mapping stages.  Configurations the machine cannot execute (e.g. a block's
 buffers exceed the scratchpad) come back infeasible rather than raising, so
 search strategies can treat the evaluator as total.
 
@@ -129,7 +127,6 @@ class ConfigurationEvaluator:
         check_program: Optional[Program] = None,
         seed: int = 0,
         session: Optional[CompilationSession] = None,
-        reuse_analysis: bool = True,
         backend: Union[str, EvaluationBackend, None] = None,
         grid: Optional[GridSpec] = None,
     ) -> None:
@@ -139,9 +136,7 @@ class ConfigurationEvaluator:
 
         ``session``: an existing :class:`CompilationSession` whose frozen
         analysis artifacts the evaluations should reuse (one is created
-        lazily otherwise).  ``reuse_analysis=False`` compiles every
-        configuration from a cold session — the legacy monolithic
-        ``compile_with_config`` cost model, kept for benchmarking.
+        lazily otherwise).
 
         ``backend``: raises :class:`~repro.autotune.backends.
         BackendUnavailable` eagerly when the host cannot run it (e.g.
@@ -160,7 +155,6 @@ class ConfigurationEvaluator:
         self.check_correctness = check_correctness
         self.check_program = check_program or program
         self.seed = seed
-        self.reuse_analysis = reuse_analysis
         self.backend = resolve_backend(backend)
         if grid is not None:
             self.backend.set_grid(grid)
@@ -217,12 +211,7 @@ class ConfigurationEvaluator:
         """Prepare the backend once (idempotent; re-runs after unpickling)."""
         if self._prepared and self.backend.prepared:
             return
-        self.backend.prepare(
-            self.session,
-            self.spec,
-            seed=self.seed,
-            reuse_analysis=self.reuse_analysis,
-        )
+        self.backend.prepare(self.session, self.spec, seed=self.seed)
         self._prepared = True
 
     def evaluate(self, config: Configuration) -> EvaluationResult:

@@ -17,7 +17,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Union
 
 from repro.compiler import GLOBAL_ARTIFACT_CACHE, ArtifactCache, CompilationSession
 from repro.telemetry import trace
@@ -150,127 +150,128 @@ class TuningJob:
         return self.label or self.program.name
 
 
-def _prepare_request(
-    program: Program,
-    spec: GPUSpec,
-    param_values: Optional[Mapping[str, int]],
-    options: Optional[MappingOptions],
-    strategy: Union[str, SearchStrategy],
-    seed: int,
-    space_options: Optional[SpaceOptions],
-    check_correctness: bool,
-    check_program: Optional[Program],
-    backend: Union[str, EvaluationBackend, None] = None,
-    artifact_cache: Optional[ArtifactCache] = None,
-    grid: Optional[GridSpec] = None,
-):
-    """Resolve one tuning request into (options, strategy, space, fingerprint).
+@dataclass(frozen=True)
+class TuningProblem:
+    """*What* to tune: exactly the eleven ingredients of the request fingerprint.
 
-    Shared by :func:`autotune` and :func:`tuning_fingerprint` so the key the
-    tuning service deduplicates on is byte-identical to the key the cache
-    stores under.  Building the space is cheap (the session's analysis stage:
-    band analysis and loop extents — no pipeline compile happens here); the
-    same :class:`CompilationSession` later feeds the evaluator, so one
-    request runs affine analysis exactly once however many candidates it
-    evaluates.
-
-    The backend identity is a fingerprint ingredient: the same kernel tuned
+    Everything that can change a request's answer is a field here and enters
+    the cache key; the resources a request runs with (workers, executor,
+    cache, history, artifact cache — the other keywords of :func:`tune`)
+    never do.  The backend identity is an ingredient: the same kernel tuned
     under ``model:`` and under ``measure-py:`` occupies two distinct cache
     keys (modelled and measured milliseconds are not comparable, so one must
     never answer for the other).  Wall-clock backends additionally
-    fingerprint the input ``seed``.
+    fingerprint the input ``seed``.  :func:`autotune` documents each field.
     """
-    options = options or MappingOptions()
-    strategy = resolve_strategy(strategy, seed=seed)
-    backend = resolve_backend(backend)
-    if grid is not None and not getattr(backend, "supports_distributed", False):
-        raise ValueError(
-            f"backend {backend.uri()!r} cannot price distributed (PE-grid) "
-            "mappings; tune distributed kernels under the model: backend"
+
+    program: Program
+    spec: GPUSpec = GEFORCE_8800_GTX
+    param_values: Optional[Mapping[str, int]] = None
+    options: Optional[MappingOptions] = None
+    strategy: Union[str, SearchStrategy] = "pruned"
+    seed: int = 0
+    space_options: Optional[SpaceOptions] = None
+    check_correctness: bool = False
+    check_program: Optional[Program] = None
+    backend: Union[str, EvaluationBackend, None] = None
+    grid: Optional[GridSpec] = None
+
+    def prepare(self, artifact_cache: Optional[ArtifactCache] = None) -> "PreparedTuning":
+        """Resolve the problem into its space, session and cache fingerprint.
+
+        The one place a key is computed, so the key the tuning service
+        deduplicates on is byte-identical to the key the cache stores under.
+        Building the space is cheap (the session's analysis stage: band
+        analysis and loop extents — no pipeline compile happens here); the
+        same :class:`CompilationSession` later feeds the evaluator, so one
+        request runs affine analysis exactly once however many candidates it
+        evaluates.
+        """
+        options = self.options or MappingOptions()
+        strategy = resolve_strategy(self.strategy, seed=self.seed)
+        backend = resolve_backend(self.backend)
+        if self.grid is not None and not getattr(backend, "supports_distributed", False):
+            raise ValueError(
+                f"backend {backend.uri()!r} cannot price distributed (PE-grid) "
+                "mappings; tune distributed kernels under the model: backend"
+            )
+        session = CompilationSession(
+            self.program, spec=self.spec, options=options, param_values=self.param_values
         )
-    compile_session = CompilationSession(
-        program, spec=spec, options=options, param_values=param_values
-    )
-    if trace.active_trace() is not None:
-        # Attach before the space construction below triggers the analysis
-        # pass, so a traced request shows analysis as its first pass span.
-        compile_session.manager.add_hook(trace.trace_pass_hook)
-    if EVENTS.enabled("debug"):
-        # debug-level log narration of every compiler stage (stage.complete)
-        compile_session.manager.add_hook(events_pass_hook)
-    if artifact_cache is not None:
-        # must precede the space construction below: it triggers the analysis
-        # pass, and adoption after the fact would install nothing.  The cache
-        # never enters the request fingerprint — where an artifact came from
-        # cannot change what the request computes.
-        artifact_cache.adopt(compile_session)
-    if grid is not None:
-        # Distributed request: the space enumerates SUMMA mappings onto the
-        # grid, and its describe() embeds the GridSpec — which is how the
-        # grid target enters the fingerprint below.
-        space: ConfigurationSpace = DistributedSpace(
-            program,
-            grid,
-            spec=spec,
-            param_values=param_values,
+        if trace.active_trace() is not None:
+            # Attach before the space construction below triggers the analysis
+            # pass, so a traced request shows analysis as its first pass span.
+            session.manager.add_hook(trace.trace_pass_hook)
+        if EVENTS.enabled("debug"):
+            # debug-level log narration of every compiler stage (stage.complete)
+            session.manager.add_hook(events_pass_hook)
+        if artifact_cache is not None:
+            # must precede the space construction below: it triggers the analysis
+            # pass, and adoption after the fact would install nothing.  The cache
+            # never enters the request fingerprint — where an artifact came from
+            # cannot change what the request computes.
+            artifact_cache.adopt(session)
+        space_kwargs = dict(
+            spec=self.spec,
+            param_values=self.param_values,
             base_options=options,
-            space_options=space_options or SpaceOptions(),
-            session=compile_session,
+            space_options=self.space_options or SpaceOptions(),
+            session=session,
         )
-    else:
-        space = ConfigurationSpace(
-            program,
-            spec=spec,
-            param_values=param_values,
-            base_options=options,
-            space_options=space_options or SpaceOptions(),
-            session=compile_session,
+        if self.grid is not None:
+            # Distributed request: the space enumerates SUMMA mappings onto the
+            # grid, and its describe() embeds the GridSpec — which is how the
+            # grid target enters the fingerprint below.
+            space: ConfigurationSpace = DistributedSpace(self.program, self.grid, **space_kwargs)
+        else:
+            space = ConfigurationSpace(self.program, **space_kwargs)
+        if artifact_cache is not None:
+            # the space construction just froze (or adopted) the analysis
+            # artifact — publish it so the *next* request with this identity
+            # runs analysis zero times (warm tuning-cache hits included)
+            artifact_cache.publish(session)
+        check_signature: Dict[str, Any] = {"enabled": self.check_correctness}
+        if self.check_correctness:
+            # The spot-check program and input seed change every `correct` verdict.
+            check_signature["seed"] = self.seed
+            check_signature["program"] = program_to_c(self.check_program or self.program)
+        backend_signature = dict(backend.signature())
+        if not backend.deterministic:
+            backend_signature["seed"] = self.seed
+        key = fingerprint(
+            self.program,
+            self.spec,
+            self.param_values,
+            options,
+            strategy.signature(),
+            space.describe(),
+            check_signature,
+            backend_signature,
         )
-    check_signature: Dict[str, Any] = {"enabled": check_correctness}
-    if check_correctness:
-        # The spot-check program and input seed change every `correct` verdict.
-        check_signature["seed"] = seed
-        check_signature["program"] = program_to_c(check_program or program)
-    backend_signature = dict(backend.signature())
-    if not backend.deterministic:
-        backend_signature["seed"] = seed
-    key = fingerprint(
-        program,
-        spec,
-        param_values,
-        options,
-        strategy.signature(),
-        space.describe(),
-        check_signature,
-        backend_signature,
-    )
-    return options, strategy, space, key, compile_session, backend
+        return PreparedTuning(self, options, strategy, backend, space, session, key)
 
 
-def tuning_fingerprint(
-    program: Program,
-    spec: GPUSpec = GEFORCE_8800_GTX,
-    param_values: Optional[Mapping[str, int]] = None,
-    options: Optional[MappingOptions] = None,
-    strategy: Union[str, SearchStrategy] = "pruned",
-    seed: int = 0,
-    space_options: Optional[SpaceOptions] = None,
-    check_correctness: bool = False,
-    check_program: Optional[Program] = None,
-    backend: Union[str, EvaluationBackend, None] = None,
-    grid: Optional[GridSpec] = None,
-) -> str:
+class PreparedTuning(NamedTuple):
+    """A :class:`TuningProblem` resolved by :meth:`TuningProblem.prepare`."""
+
+    problem: TuningProblem
+    options: MappingOptions
+    strategy: SearchStrategy
+    backend: EvaluationBackend
+    space: ConfigurationSpace
+    session: CompilationSession
+    #: the request's cache fingerprint
+    key: str
+
+
+def tuning_fingerprint(program: Program, **problem_fields: Any) -> str:
     """The cache fingerprint :func:`autotune` would use for this request.
 
-    Lets callers (notably :mod:`repro.service`) deduplicate identical
-    in-flight requests and probe the cache without starting a tuning run.
+    ``problem_fields`` are the other :class:`TuningProblem` fields.  Lets
+    callers (notably :mod:`repro.service`) deduplicate identical in-flight
+    requests and probe the cache without starting a tuning run.
     """
-    _options, _strategy, _space, key, _session, _backend = _prepare_request(
-        program, spec, param_values, options, strategy, seed,
-        space_options, check_correctness, check_program, backend,
-        grid=grid,
-    )
-    return key
+    return TuningProblem(program, **problem_fields).prepare().key
 
 
 def _model_measured_pairs(
@@ -363,6 +364,42 @@ def autotune(
         space description — the same kernel tuned against two grids never
         shares a cache entry or a history regression group.
     """
+    return tune(
+        TuningProblem(
+            program=program,
+            spec=spec,
+            param_values=param_values,
+            options=options,
+            strategy=strategy,
+            seed=seed,
+            space_options=space_options,
+            check_correctness=check_correctness,
+            check_program=check_program,
+            backend=backend,
+            grid=grid,
+        ),
+        max_workers=max_workers,
+        executor=executor,
+        cache=cache,
+        history=history,
+        artifact_cache=artifact_cache,
+    )
+
+
+def tune(
+    problem: TuningProblem,
+    max_workers: int = 1,
+    executor: str = "thread",
+    cache: Union[TuningCache, str, Path, None] = None,
+    history: Union[HistoryStore, str, Path, None] = None,
+    artifact_cache: Union[ArtifactCache, bool, None] = None,
+) -> TuningReport:
+    """Tune one :class:`TuningProblem` with the given resources.
+
+    What :func:`autotune` (its keyword adapter, which documents every
+    parameter) and the service worker both run.  None of the five resource
+    keywords can change the report, so none enters the fingerprint.
+    """
     if max_workers <= 0:
         raise ValueError("max_workers must be positive")
     if executor not in EXECUTORS:
@@ -374,23 +411,17 @@ def autotune(
     elif artifact_cache is False:
         artifact_cache = None
     history = open_history(history)
+    program, spec, seed, grid = problem.program, problem.spec, problem.seed, problem.grid
     started = time.perf_counter()
     # fallback=True: candidate spans opened on evaluator pool threads adopt
     # this span as their parent (see repro.telemetry.trace).
     with trace.span(
         "request", kind="request", kernel=program.name, fallback=True
     ) as request_span:
-        options, strategy, space, key, compile_session, backend = _prepare_request(
-            program, spec, param_values, options, strategy, seed,
-            space_options, check_correctness, check_program, backend,
-            artifact_cache=artifact_cache,
-            grid=grid,
+        # inside the span, so analysis is the first pass span of a trace
+        _, options, strategy, backend, space, compile_session, key = problem.prepare(
+            artifact_cache
         )
-        if artifact_cache is not None:
-            # the space construction just froze (or adopted) the analysis
-            # artifact — publish it so the *next* request with this identity
-            # runs analysis zero times (warm tuning-cache hits included)
-            artifact_cache.publish(compile_session)
         request_span.annotate(
             strategy=strategy.name, backend=backend.uri(), fingerprint=key[:16]
         )
@@ -448,10 +479,10 @@ def autotune(
         evaluator = ConfigurationEvaluator(
             program,
             spec=spec,
-            param_values=param_values,
+            param_values=problem.param_values,
             base_options=options,
-            check_correctness=check_correctness,
-            check_program=check_program,
+            check_correctness=problem.check_correctness,
+            check_program=problem.check_program,
             seed=seed,
             session=compile_session,
             backend=backend,

@@ -10,9 +10,8 @@ package restores the exactly-once contract *fleet-wide*:
   in-flight dedup map is authoritative for it; adding or removing a node
   moves only ~1/N of the keyspace.
 * :mod:`repro.fleet.registry` — fleet membership (node id → base URL) plus
-  the routing policy: a non-home server either answers ``307`` with the
-  home's ``/tune`` URL (*redirect*) or forwards the request itself and
-  relays the home's answer (*proxy*).
+  the routing policy: a non-home server answers ``307`` with the home's
+  ``/tune`` URL.
 * :mod:`repro.fleet.queue` — a priority-aware front to the worker pool:
   small warm probes are scheduled ahead of giant cold sweeps instead of
   queueing FIFO behind them.
@@ -23,11 +22,10 @@ be shipped between servers and ingested on the other side.
 """
 
 from repro.fleet.queue import PriorityExecutor, PriorityItem, space_cost_estimate
-from repro.fleet.registry import FLEET_MODES, FleetRegistry
+from repro.fleet.registry import FleetRegistry
 from repro.fleet.ring import HashRing
 
 __all__ = [
-    "FLEET_MODES",
     "FleetRegistry",
     "HashRing",
     "PriorityExecutor",

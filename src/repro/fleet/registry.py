@@ -1,20 +1,13 @@
 """Fleet membership and the ``/tune`` routing policy.
 
 A :class:`FleetRegistry` is what a server knows about its fleet: the member
-node ids (their normalised base URLs), which of them is *this* server, and
-what to do with a request whose fingerprint is homed elsewhere:
-
-``redirect``
-    Answer ``307 Temporary Redirect`` with the home server's ``/tune`` URL.
-    Cheapest for the non-home server; the client re-POSTs the identical body
-    (307 preserves method and body by definition — the stdlib client in
-    :mod:`repro.service.client` handles this, since ``urllib`` refuses to
-    follow redirected POSTs on its own).
-
-``proxy``
-    Forward the request to the home server over HTTP and relay its response
-    verbatim.  One extra hop, but clients never need to know the fleet
-    exists — a load balancer can spray ``/tune`` at any member.
+node ids (their normalised base URLs) and which of them is *this* server.
+A request whose fingerprint is homed elsewhere is answered ``307 Temporary
+Redirect`` with the home server's ``/tune`` URL.  The client re-POSTs the
+identical body (307 preserves method and body by definition — the stdlib
+client in :mod:`repro.service.client` handles this, since ``urllib`` refuses
+to follow redirected POSTs on its own) and then polls the home for its job,
+so every member must be reachable by clients.
 
 Membership is static configuration (the ``serve --peers`` list).  Every
 member derives the identical ring from the identical list, so no agreement
@@ -27,14 +20,11 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.fleet.ring import HashRing
 
-__all__ = ["FLEET_MODES", "FleetRegistry", "normalize_url"]
-
-#: what a non-home server does with a /tune whose fingerprint lives elsewhere
-FLEET_MODES = ("redirect", "proxy")
+__all__ = ["FleetRegistry", "normalize_url"]
 
 
 def normalize_url(url: str) -> str:
@@ -53,22 +43,13 @@ def normalize_url(url: str) -> str:
 
 
 class FleetRegistry:
-    """This server's view of the fleet: members, self, and routing mode."""
+    """This server's view of the fleet: members and self."""
 
-    def __init__(
-        self,
-        self_url: str,
-        peers: Iterable[str],
-        mode: str = "redirect",
-        replicas: int = 128,
-    ) -> None:
-        if mode not in FLEET_MODES:
-            raise ValueError(f"fleet mode must be one of {FLEET_MODES}, got {mode!r}")
+    def __init__(self, self_url: str, peers: Iterable[str], replicas: int = 128) -> None:
         self.node_id = normalize_url(self_url)
         members = {self.node_id}
         for peer in peers:
             members.add(normalize_url(peer))
-        self.mode = mode
         self.ring = HashRing(sorted(members), replicas=replicas)
 
     @property
@@ -90,45 +71,10 @@ class FleetRegistry:
         """The ``fleet`` section of ``/healthz``."""
         return {
             "node": self.node_id,
-            "mode": self.mode,
+            "mode": "redirect",  # the only routing; kept on the wire
             "members": self.members,
             "size": len(self.ring),
         }
-
-    # -- proxying ----------------------------------------------------------------------
-    def forward_tune(
-        self,
-        home: str,
-        payload: Mapping[str, Any],
-        path: str = "/tune",
-        timeout: float = 600.0,
-    ) -> Tuple[int, Dict[str, Any]]:
-        """POST ``payload`` to the home member; ``(status, parsed body)``.
-
-        Used by proxy mode.  The home's HTTP errors relay as-is (its 400 is
-        our 400); only an unreachable peer becomes a 502 so the client can
-        tell "your request is bad" from "the fleet is degraded".
-        """
-        body = json.dumps(dict(payload)).encode("utf-8")
-        request = urllib.request.Request(
-            home + path,
-            data=body,
-            method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raw = error.read().decode("utf-8", errors="replace")
-            try:
-                parsed = json.loads(raw)
-            except json.JSONDecodeError:
-                parsed = {"error": raw or f"peer returned {error.code}"}
-            return error.code, parsed
-        except (urllib.error.URLError, OSError, ValueError) as error:
-            reason = getattr(error, "reason", error)
-            return 502, {"error": f"fleet peer {home} unreachable: {reason}"}
 
     def poll_members(
         self, timeout: float = 5.0

@@ -2,7 +2,7 @@
 
 The paper's empirical loop only pays off when results are shared — the same
 (kernel, machine, options) request should be compiled once, ever, across all
-clients.  This package wraps :func:`repro.autotune.autotune` in exactly that
+clients.  This package wraps :func:`repro.autotune.tune` in exactly that
 contract:
 
 * :mod:`repro.service.protocol` — the JSON wire format (:class:`TuneRequest`

@@ -21,7 +21,7 @@ Run several servers as a fleet (a consistent-hash ring homes every tuning
 fingerprint on exactly one member) and inspect the ring::
 
     python -m repro.service serve --port 8037 \\
-        --peers http://127.0.0.1:8038 --fleet-mode redirect
+        --peers http://127.0.0.1:8038
     python -m repro.service fleet --url http://127.0.0.1:8037
 """
 
@@ -39,7 +39,6 @@ from repro.telemetry.events import LEVELS, configure as configure_events, emit
 from repro.autotune.cli import parse_sizes
 from repro.autotune.search import EXECUTORS, STRATEGIES
 from repro.autotune.session import TuningReport
-from repro.fleet import FLEET_MODES
 from repro.fleet.queue import PRIORITY_CLASSES
 from repro.service.client import ServiceError, TuningClient
 from repro.service.protocol import TuneRequest, format_stage_counts, ordered_cache_stats
@@ -105,21 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="URL",
         help="other fleet members' base URLs; with at least one peer the "
-        "server joins a consistent-hash ring and routes each tuning "
-        "fingerprint to its home member",
-    )
-    serve.add_argument(
-        "--fleet-mode",
-        default="redirect",
-        choices=sorted(FLEET_MODES),
-        help="how a non-home server answers /tune: redirect (307 to the "
-        "home; default) or proxy (forward and relay the home's answer)",
+        "server joins a consistent-hash ring and 307-redirects each tuning "
+        "fingerprint to its home member (clients must reach every member)",
     )
     serve.add_argument(
         "--advertise-url",
         default=None,
         metavar="URL",
-        help="the base URL peers should use to reach this server "
+        help="the base URL peers and clients should use to reach this server "
         "(default: http://HOST:PORT from --host/--port)",
     )
     serve.add_argument(
@@ -237,7 +229,6 @@ def _serve(args: argparse.Namespace) -> int:
         history=args.history,
         reuse_artifacts=args.reuse_artifacts,
         peers=args.peers,
-        fleet_mode=args.fleet_mode,
         advertise_url=args.advertise_url,
     )
 

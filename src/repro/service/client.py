@@ -176,7 +176,7 @@ class TuningClient:
     the job (the ``node`` field of the ``/tune`` response).
 
     ``retries`` (off by default) bounds re-attempts after *transient*
-    failures — connection errors, 502 from a degraded proxy, 503 while
+    failures — connection errors, 502 from a gateway in front, 503 while
     draining — with exponential backoff from ``backoff`` seconds plus
     jitter.  Tuning submissions are idempotent server-side (dedup + cache),
     so a retried POST never duplicates work.
@@ -352,8 +352,8 @@ class TuningClient:
     def submit(self, request: Union[TuneRequest, Mapping[str, Any]]) -> PendingTuning:
         """Fire one tuning request; returns immediately with a handle.
 
-        In a fleet the job may live on another member (we were redirected or
-        proxied there); the handle binds to the owning server's URL — the
+        In a fleet the job may live on another member (we were redirected
+        there); the handle binds to the owning server's URL — the
         ``node`` field of the response — so its polls go straight home.
         """
         payload = request.to_dict() if isinstance(request, TuneRequest) else dict(request)
@@ -373,8 +373,8 @@ class TuningClient:
     ) -> List[PendingTuning]:
         """Fire many requests in one ``POST /tune/batch``; handles in order.
 
-        Items the server answered ``redirected`` (redirect-mode fleet, other
-        home) are resubmitted individually to their home server, so the
+        Items the server answered ``redirected`` (a fleet member that is not
+        their home) are resubmitted individually to their home server, so the
         caller always gets one live handle per request.  A malformed item
         raises — a batch is one unit of intent, not a best-effort spray.
         """

@@ -3,11 +3,12 @@
 A :class:`TuneRequest` is the JSON body of ``POST /tune``: a *named* kernel
 (resolved through :mod:`repro.kernels.registry` — programs never travel over
 the wire), its problem sizes, and the tuning knobs of
-:func:`repro.autotune.autotune`.  :meth:`TuneRequest.resolve` materialises the
-program, options and configuration space and computes the request's cache
-fingerprint — the same key :func:`~repro.autotune.session.autotune` stores
-reports under, so the server can deduplicate in-flight requests and probe the
-shared cache without starting a tuning run.
+:func:`repro.autotune.autotune`.  :meth:`TuneRequest.problem` materialises the
+:class:`~repro.autotune.session.TuningProblem` a worker tunes;
+:meth:`TuneRequest.resolve` additionally computes its cache fingerprint — the
+same key :func:`~repro.autotune.session.tune` stores reports under, so the
+server can deduplicate in-flight requests and probe the shared cache without
+starting a tuning run.
 
 :class:`JobRecord` is the server-side state of one accepted request, returned
 by ``GET /status/<job>``.
@@ -55,12 +56,11 @@ def format_stage_counts(stages: Mapping[str, int]) -> str:
     return " ".join(f"{name}={stages[name]}" for name in ordered)
 
 from repro.core.options import MappingOptions
-from repro.ir.program import Program
-from repro.kernels.registry import TunableKernel, get_kernel
-from repro.machine.spec import GEFORCE_8800_GTX, GPUSpec, GridSpec
+from repro.kernels.registry import get_kernel
+from repro.machine.spec import GEFORCE_8800_GTX, GPUSpec
 from repro.autotune.backends import parse_backend_uri
 from repro.autotune.search import STRATEGIES
-from repro.autotune.session import tuning_fingerprint
+from repro.autotune.session import TuningProblem
 from repro.autotune.space import SpaceOptions
 
 #: keys accepted in a request's ``space`` payload
@@ -212,45 +212,38 @@ class TuneRequest:
     def mapping_options(self) -> MappingOptions:
         return MappingOptions.from_dict(self.options) if self.options else MappingOptions()
 
-    def resolve(self, spec: GPUSpec = GEFORCE_8800_GTX) -> "ResolvedRequest":
-        """Build the program and compute the request's cache fingerprint.
+    def problem(self, spec: GPUSpec = GEFORCE_8800_GTX) -> TuningProblem:
+        """Look the kernel up and build the :class:`TuningProblem` — no analysis.
 
-        Cheap — band analysis and loop extents only, never a pipeline
-        compile — so the server can fingerprint every incoming request
-        synchronously.  Raises ``ValueError`` for unknown kernels, sizes,
-        options or space fields.
+        Raises ``ValueError`` for unknown kernels, sizes, options or space
+        fields.
         """
         try:
             kernel = get_kernel(self.kernel)
         except KeyError as error:
             raise ValueError(error.args[0]) from None
-        program = kernel.build(**self.sizes)
-        options = self.mapping_options()
-        space_options = self.space_options()
-        check_program = kernel.build_check() if self.check_correctness else None
-        key = tuning_fingerprint(
-            program,
+        return TuningProblem(
+            program=kernel.build(**self.sizes),
             spec=spec,
-            options=options,
+            options=self.mapping_options(),
             strategy=self.strategy,
             seed=self.seed,
-            space_options=space_options,
+            space_options=self.space_options(),
             check_correctness=self.check_correctness,
-            check_program=check_program,
+            check_program=kernel.build_check() if self.check_correctness else None,
             backend=self.backend,
             grid=kernel.grid,
         )
-        return ResolvedRequest(
-            request=self,
-            kernel=kernel,
-            program=program,
-            options=options,
-            space_options=space_options,
-            check_program=check_program,
-            spec=spec,
-            fingerprint=key,
-            grid=kernel.grid,
-        )
+
+    def resolve(self, spec: GPUSpec = GEFORCE_8800_GTX) -> "ResolvedRequest":
+        """Build the problem and compute the request's cache fingerprint.
+
+        Cheap — band analysis and loop extents only, never a pipeline
+        compile — so the server can fingerprint every incoming request
+        synchronously.  Raises what :meth:`problem` raises.
+        """
+        problem = self.problem(spec)
+        return ResolvedRequest(self, problem, problem.prepare().key)
 
 
 @dataclass
@@ -258,15 +251,8 @@ class ResolvedRequest:
     """A :class:`TuneRequest` materialised against the kernel registry."""
 
     request: TuneRequest
-    kernel: TunableKernel
-    program: Program
-    options: MappingOptions
-    space_options: SpaceOptions
-    check_program: Optional[Program]
-    spec: GPUSpec
+    problem: TuningProblem
     fingerprint: str
-    #: PE-grid target of a distributed kernel family (``None`` otherwise)
-    grid: Optional["GridSpec"] = None
 
 
 @dataclass

@@ -16,9 +16,10 @@ Two layers:
 
 Several servers form a *fleet* (see :mod:`repro.fleet`): a consistent-hash
 ring assigns every tuning fingerprint one home server, and a non-home
-server either 307-redirects ``/tune`` to the home or proxies it there —
-so in-flight dedup (exactly one tuning run for N identical concurrent
-submissions) holds across the whole fleet, not just per process.  Worker
+server 307-redirects ``/tune`` to the home — so in-flight dedup (exactly
+one tuning run for N identical concurrent submissions) holds across the
+whole fleet, not just per process.  Clients poll the node that owns their
+job, so every member must be reachable by clients.  Worker
 scheduling goes through a priority queue: small warm probes overtake giant
 cold sweeps instead of queueing FIFO behind them.
 
@@ -39,14 +40,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import threading
-import time
 import uuid
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import wait as wait_futures
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro.kernels.registry import available_kernels, get_kernel
@@ -79,9 +79,12 @@ HTTP_REQUESTS_TOTAL = METRICS.counter(
 )
 FLEET_REDIRECTS_TOTAL = METRICS.counter(
     "repro_fleet_redirects_total",
-    "Requests routed to their home server, by routing mode.",
-    labels=("mode",),  # redirect | proxy | batch-redirect
+    "Requests routed to their home server, by how the client was told.",
+    labels=("mode",),  # redirect (a 307) | batch-redirect (a /tune/batch slot)
 )
+
+#: which ``TuningService.counters`` entry a ``repro_jobs_total`` outcome bumps
+_COUNTER_OF_OUTCOME = {"cached": "cache_hits", "tuned": "tuning_runs", "error": "failed"}
 
 #: ceiling on one long-poll /status wait — clients loop for longer waits, so
 #: a handler thread is never parked longer than this
@@ -218,7 +221,6 @@ class TuningService:
 
             stored = self.cache.get(key)
             if stored is not None:
-                self.counters["cache_hits"] += 1
                 job = JobRecord(
                     id=self._new_job_id(),
                     fingerprint=key,
@@ -229,14 +231,15 @@ class TuningService:
                     stages={},
                     report=dict(stored),
                 )
-                job.mark_finished()  # duration_s ~ 0: answered at submission
-                JOBS_TOTAL.inc(outcome="cached")
                 self._jobs[job.id] = job
+                # duration_s ~ 0: answered at submission, so not a worker-
+                # executed job and kept out of the latency histogram
+                self._settle_locked(job, "cached", observe=False)
                 self.history.append(
                     HistoryRecord.from_report(
                         stored,
                         key,
-                        grid=resolved.grid,
+                        grid=resolved.problem.grid,
                         cache_hit=True,
                         wall_s=job.duration_s or 0.0,
                         source="server",
@@ -249,7 +252,6 @@ class TuningService:
                     kernel=request.kernel,
                     fingerprint=key[:16],
                 )
-                self._evict_finished_locked()
                 return job, "cached"
 
             job = JobRecord(id=self._new_job_id(), fingerprint=key, request=request.to_dict())
@@ -275,27 +277,13 @@ class TuningService:
                 future = self._queue.submit(
                     task,
                     priority=request.priority,
-                    cost=space_cost_estimate(resolved.space_options),
+                    cost=space_cost_estimate(resolved.problem.space_options),
                 )
             except Exception as error:  # e.g. BrokenProcessPool after a worker died
                 # Roll back the in-flight registration: the fingerprint must
                 # not stay wedged on a job that will never get a future.
                 self._inflight.pop(key, None)
-                job.error = f"{type(error).__name__}: {error}"
-                job.status = "error"
-                job.mark_finished()
-                JOBS_TOTAL.inc(outcome="error")
-                if job.duration_s is not None:
-                    JOB_SECONDS.observe(job.duration_s)
-                self.counters["failed"] += 1
-                emit(
-                    "job.error",
-                    level="error",
-                    job_id=job.id,
-                    kernel=request.kernel,
-                    error=job.error,
-                )
-                self._evict_finished_locked()
+                self._fail_locked(job, error, kernel=request.kernel)
                 return job, "error"
             self._futures[job.id] = future
             future.add_done_callback(partial(self._finish, job.id))
@@ -306,27 +294,6 @@ class TuningService:
                 fingerprint=key[:16],
             )
             return job, "created"
-
-    def submit_batch(
-        self, payloads: Iterable[Mapping[str, Any]]
-    ) -> List[Tuple[Optional[JobRecord], str, Optional[str]]]:
-        """Accept many requests; per item ``(job, outcome, error)``.
-
-        Items are independent — one malformed request yields an ``invalid``
-        outcome for that slot (``job`` ``None``, ``error`` the message) and
-        never poisons its neighbours.  Everything lands on the priority
-        queue, so within the batch small probes still run before big sweeps.
-        """
-        results: List[Tuple[Optional[JobRecord], str, Optional[str]]] = []
-        for payload in payloads:
-            try:
-                job, outcome = self.submit(payload)
-                results.append((job, outcome, None))
-            except ServiceUnavailable:
-                raise  # draining rejects the whole batch: nothing partial
-            except (ValueError, TypeError) as error:
-                results.append((None, "invalid", str(error)))
-        return results
 
     def fingerprint_of(self, payload: Mapping[str, Any]) -> str:
         """The fingerprint a payload would tune under — no submission.
@@ -347,18 +314,11 @@ class TuningService:
         signals — zero polling; an evicted-while-waiting job returns
         ``None`` and the client falls back to its recovery path.
         """
-        deadline = time.monotonic() + max(0.0, timeout)
         with self._finished_cond:
-            while True:
-                job = self._jobs.get(job_id)
-                if job is None:
-                    return None
-                if job.finished:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._finished_cond.wait(remaining)
+            self._finished_cond.wait_for(
+                lambda: job_id not in self._jobs or self._jobs[job_id].finished,
+                timeout=max(0.0, timeout),
+            )
             return self.job_payload(job_id)
 
     def _new_job_id(self) -> str:
@@ -375,28 +335,39 @@ class TuningService:
         for job_id in finished[:max(excess, 0)]:
             del self._jobs[job_id]
 
+    def _settle_locked(self, job: JobRecord, outcome: str, observe: bool = True) -> None:
+        """The terminal-state bookkeeping of every job (caller holds the lock).
+
+        ``outcome`` is the ``repro_jobs_total`` label: cached | tuned | error.
+        """
+        job.mark_finished()
+        JOBS_TOTAL.inc(outcome=outcome)
+        # Failed jobs burn queue+run wall time too; leaving them out of the
+        # latency histogram would make a flapping fleet look *faster* the
+        # more its jobs die.
+        if observe and job.duration_s is not None:
+            JOB_SECONDS.observe(job.duration_s)
+        self.counters[_COUNTER_OF_OUTCOME[outcome]] += 1
+        self._evict_finished_locked()
+        self._finished_cond.notify_all()
+
+    def _fail_locked(self, job: JobRecord, error: BaseException, **context: Any) -> None:
+        job.error = f"{type(error).__name__}: {error}"
+        job.status = "error"
+        self._settle_locked(job, "error")
+        emit("job.error", level="error", job_id=job.id, error=job.error, **context)
+
     def _finish(self, job_id: str, future: Future) -> None:
         with self._lock:
             job = self._jobs[job_id]
             self._inflight.pop(job.fingerprint, None)
             self._futures.pop(job_id, None)
-            job.mark_finished()
+            job.mark_finished()  # queue+run time, not the bookkeeping below
             try:
                 outcome = future.result()
             except (Exception, CancelledError) as error:
                 # worker died, unpicklable state, or drained with a hard timeout
-                job.error = f"{type(error).__name__}: {error}"
-                job.status = "error"
-                JOBS_TOTAL.inc(outcome="error")
-                # Failed jobs burn queue+run wall time too; leaving them out
-                # of the latency histogram would make a flapping fleet look
-                # *faster* the more its jobs die.
-                if job.duration_s is not None:
-                    JOB_SECONDS.observe(job.duration_s)
-                self.counters["failed"] += 1
-                emit("job.error", level="error", job_id=job.id, error=job.error)
-                self._evict_finished_locked()
-                self._finished_cond.notify_all()
+                self._fail_locked(job, error)
                 return
             # Populate the result fields before flipping status: "done" is the
             # publication point status readers key off.
@@ -408,19 +379,12 @@ class TuningService:
             if job.trace:
                 job.span_summary = summarize_spans(job.trace)
             job.status = "done"
-            JOBS_TOTAL.inc(outcome="cached" if outcome["from_cache"] else "tuned")
-            if job.duration_s is not None:
-                JOB_SECONDS.observe(job.duration_s)
             # A process worker's registry bumps happened in its own process;
             # absorb its shipped delta so /metrics reflects the whole fleet.
             # Thread workers share *this* registry — absorbing their delta
             # would double-count every sample.
             if self.executor == "process" and outcome.get("metrics"):
                 METRICS.absorb(outcome["metrics"])
-            if outcome["from_cache"]:
-                self.counters["cache_hits"] += 1
-            else:
-                self.counters["tuning_runs"] += 1
             # A process worker persisted through its own TuningCache instance;
             # absorb keeps this instance's warm-hit path and stats() current
             # without a redundant read-merge-write.
@@ -440,6 +404,7 @@ class TuningService:
                 record.job_id = job.id
                 job.trace_id = record.trace_id
                 self.history.append(record)
+            self._settle_locked(job, "cached" if outcome["from_cache"] else "tuned")
             emit(
                 "job.done",
                 job_id=job.id,
@@ -447,8 +412,6 @@ class TuningService:
                 duration_s=round(job.duration_s, 3) if job.duration_s else 0.0,
                 trace_id=job.trace_id,
             )
-            self._evict_finished_locked()
-            self._finished_cond.notify_all()
 
     # -- inspection --------------------------------------------------------------------
     def job(self, job_id: str) -> Optional[JobRecord]:
@@ -472,16 +435,9 @@ class TuningService:
     def job_counts(self) -> Dict[str, int]:
         counts = {"queued": 0, "running": 0, "done": 0, "error": 0}
         with self._lock:
-            running = {
-                job_id for job_id, future in self._futures.items() if future.running()
-            }
             for job in self._jobs.values():
-                if job.finished:
-                    counts[job.status] += 1
-                elif job.id in running:
-                    counts["running"] += 1
-                else:
-                    counts["queued"] += 1
+                # only an in-flight job's status needs refreshing from its future
+                counts[job.status if job.finished else self.job(job.id).status] += 1
         return counts
 
     @property
@@ -504,8 +460,12 @@ class TuningService:
             "cache": self.cache.stats(),
             "server": counters,
             "jobs": self.job_counts(),
-            "queue": self._queue.queue_depths(),
+            "queue": self.queue_depths(),
         }
+
+    def queue_depths(self) -> Dict[str, int]:
+        """Waiting (undispatched) jobs per priority class."""
+        return self._queue.queue_depths()
 
     def health(self) -> Dict[str, Any]:
         payload = {
@@ -562,7 +522,12 @@ class TuningService:
 
 
 class TuningRequestHandler(BaseHTTPRequestHandler):
-    """Routes the JSON-over-HTTP API onto a :class:`TuningService`."""
+    """Routes the JSON-over-HTTP API onto a :class:`TuningService`.
+
+    Both methods share :meth:`_dispatch`, which looks the path up in
+    ``GET_ROUTES``/``POST_ROUTES`` and answers what a route raises:
+    ``ValueError``/``TypeError`` 400, :class:`ServiceUnavailable` 503.
+    """
 
     server_version = "repro-tuning-server/1.0"
     protocol_version = "HTTP/1.1"
@@ -571,128 +536,117 @@ class TuningRequestHandler(BaseHTTPRequestHandler):
     def service(self) -> TuningService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def _send_json(self, code: int, payload: Mapping[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(self, code: int, payload: Any, content_type: str = "", **headers: str) -> None:
+        """Answer with ``payload`` as JSON, or verbatim as text of ``content_type``."""
+        body = (payload if content_type else json.dumps(payload)).encode("utf-8")
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", content_type or "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(self, code: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _count_request(self, method: str, path: str) -> None:
-        # fold path parameters so the label space stays bounded: every
-        # /status/<job> is one endpoint, and unknown paths are one bucket
-        known = (
-            "/tune",
-            "/tune/batch",
-            "/shutdown",
-            "/metrics",
-            "/healthz",
-            "/cache/stats",
-            "/kernels",
-            "/dashboard",
-            "/history",
-            "/fleet",
-        )
-        if path.startswith("/status/"):
-            endpoint = "/status"
-        elif path in known:
-            endpoint = path
-        else:
-            endpoint = "other"
-        HTTP_REQUESTS_TOTAL.inc(method=method, endpoint=endpoint)
-
-    def _drain_body(self) -> bytes:
+    def _read_body(self) -> Optional[bytes]:
         """Read the request body unconditionally.
 
         Under HTTP/1.1 keep-alive an unread body would be parsed as the next
         request line on the same connection, so every POST path must drain it
-        — including 404s and /shutdown, which ignore the content.
+        — including 404s and /shutdown, which ignore the content.  A length
+        that is not a non-negative integer leaves the body boundary unknown:
+        that is answered 400 here (``None`` returned) and the connection
+        closed, since the rest of the stream cannot be trusted.
         """
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not raw.isdecimal():
+            self._send(400, {"error": f"invalid Content-Length {raw!r}"}, Connection="close")
+            return None
+        return self.rfile.read(int(raw))
+
+    @staticmethod
+    def _json_object(body: bytes) -> Dict[str, Any]:
+        """The request body as a JSON object (``ValueError`` → 400 otherwise)."""
+        try:
+            payload = json.loads(body.decode("utf-8")) if body else {}
+        except (ValueError, UnicodeDecodeError) as error:
+            raise ValueError(f"invalid JSON body: {error}") from None
+        if not isinstance(payload, dict):
+            raise ValueError("request body must be a JSON object")
+        return payload
+
+    def _dispatch(self, method: str, routes: Mapping[str, Any]) -> None:
+        path = urlparse(self.path).path
+        # fold path parameters so the label space stays bounded: every
+        # /status/<job> is one endpoint, and unknown paths are one bucket
+        key = "/status/" if path.startswith("/status/") else path
+        known = key in self.GET_ROUTES or key in self.POST_ROUTES
+        HTTP_REQUESTS_TOTAL.inc(
+            method=method, endpoint=key.rstrip("/") if known else "other"
+        )
+        args = ()
+        if method == "POST":
+            body = self._read_body()
+            if body is None:
+                return
+            args = (body,)
+        route = routes.get(key)
+        if route is None:
+            self._send(404, {"error": f"unknown endpoint {path!r}"})
+            return
+        try:
+            route(self, *args)
+        except ServiceUnavailable as error:
+            self._send(503, {"error": str(error)})
+        except (ValueError, TypeError) as error:
+            self._send(400, {"error": str(error)})
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = urlparse(self.path).path
-        self._count_request("GET", path)
-        if path == "/metrics":
-            # Prometheus text exposition format 0.0.4 — `curl`-able and
-            # scrapeable; everything else on this server speaks JSON.
-            self._send_text(
-                200, METRICS.render(), "text/plain; version=0.0.4; charset=utf-8"
-            )
-        elif path == "/healthz":
-            self._send_json(200, self.service.health())
-        elif path == "/cache/stats":
-            self._send_json(200, self.service.stats())
-        elif path == "/kernels":
-            kernels = [get_kernel(name).describe() for name in available_kernels()]
-            self._send_json(200, {"kernels": kernels})
-        elif path == "/dashboard":
-            self._send_text(
-                200, self.service.dashboard_html(), "text/html; charset=utf-8"
-            )
-        elif path == "/history":
-            self._send_json(200, self.service.history_rollup())
-        elif path == "/fleet":
-            fleet = self.service.fleet
-            if fleet is None:
-                self._send_json(200, {"fleet": None, "queue": self.service._queue.queue_depths()})
-            else:
-                self._send_json(
-                    200,
-                    {
-                        "fleet": fleet.describe(),
-                        "queue": self.service._queue.queue_depths(),
-                    },
-                )
-        elif path.startswith("/status/"):
-            job_id = path[len("/status/"):]
-            wait_s = self._wait_seconds()
-            if wait_s is None:
-                self._send_json(400, {"error": "wait must be a non-negative number"})
-                return
-            if wait_s > 0:
-                payload = self.service.wait_for_job(
-                    job_id, min(wait_s, MAX_STATUS_WAIT_S)
-                )
-            else:
-                payload = self.service.job_payload(job_id)
-            if payload is None:
-                self._send_json(404, {"error": "unknown job"})
-            else:
-                self._send_json(200, payload)
-        else:
-            self._send_json(404, {"error": f"unknown endpoint {path!r}"})
+        self._dispatch("GET", self.GET_ROUTES)
 
-    def _wait_seconds(self) -> Optional[float]:
-        """The ``?wait=SECONDS`` long-poll parameter (0 when absent).
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch("POST", self.POST_ROUTES)
 
-        ``None`` signals a malformed value — the caller answers 400.
-        """
-        query = parse_qs(urlparse(self.path).query)
-        raw = query.get("wait", ["0"])[-1]
+    # -- GET routes --------------------------------------------------------------------
+    def _get_metrics(self) -> None:
+        # Prometheus text exposition format 0.0.4 — `curl`-able and
+        # scrapeable; everything else on this server speaks JSON.
+        self._send(200, METRICS.render(), "text/plain; version=0.0.4; charset=utf-8")
+
+    def _get_kernels(self) -> None:
+        kernels = [get_kernel(name).describe() for name in available_kernels()]
+        self._send(200, {"kernels": kernels})
+
+    def _get_fleet(self) -> None:
+        fleet = self.service.fleet
+        described = None if fleet is None else fleet.describe()
+        self._send(200, {"fleet": described, "queue": self.service.queue_depths()})
+
+    def _get_status(self) -> None:
+        url = urlparse(self.path)
+        job_id = url.path[len("/status/"):]
+        # the ?wait=SECONDS long-poll parameter (0 when absent)
         try:
-            wait_s = float(raw)
+            wait_s = float(parse_qs(url.query).get("wait", ["0"])[-1])
         except ValueError:
-            return None
-        return wait_s if wait_s >= 0 else None
+            wait_s = -1.0
+        if not wait_s >= 0:  # also rejects NaN
+            raise ValueError("wait must be a non-negative number")
+        if wait_s > 0:
+            payload = self.service.wait_for_job(job_id, min(wait_s, MAX_STATUS_WAIT_S))
+        else:
+            payload = self.service.job_payload(job_id)
+        if payload is None:
+            self._send(404, {"error": "unknown job"})
+        else:
+            self._send(200, payload)
 
-    def _route_home(self, payload: Mapping[str, Any]) -> Optional[str]:
+    # -- POST routes -------------------------------------------------------------------
+    def _redirect(self, payload: Mapping[str, Any], mode: str) -> Optional[Dict[str, Any]]:
         """Fleet routing for one /tune payload.
 
         ``None``: handle locally (standalone server, or this node is the
-        fingerprint's home).  Otherwise the response has been sent — a 307
-        pointing at the home (redirect mode) or the home's relayed answer
-        (proxy mode) — and the caller must stop.
+        fingerprint's home).  Otherwise the body that points the client at
+        the home member, counted under ``mode``.
         """
         fleet = self.service.fleet
         if fleet is None:
@@ -701,26 +655,8 @@ class TuningRequestHandler(BaseHTTPRequestHandler):
         home = fleet.home(fingerprint)
         if home == fleet.node_id:
             return None
-        if fleet.mode == "redirect":
-            FLEET_REDIRECTS_TOTAL.inc(mode="redirect")
-            location = home + "/tune"
-            body = json.dumps(
-                {"redirect": location, "node": home, "fingerprint": fingerprint}
-            ).encode("utf-8")
-            # 307 preserves method+body, so the client re-POSTs verbatim.
-            self.send_response(307)
-            self.send_header("Location", location)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:  # proxy
-            FLEET_REDIRECTS_TOTAL.inc(mode="proxy")
-            status, relayed = fleet.forward_tune(home, payload)
-            if isinstance(relayed, dict):
-                relayed.setdefault("node", home)
-            self._send_json(status, relayed)
-        return home
+        FLEET_REDIRECTS_TOTAL.inc(mode=mode)
+        return {"redirect": home + "/tune", "node": home, "fingerprint": fingerprint}
 
     def _tune_response(self, job: JobRecord, outcome: str) -> Dict[str, Any]:
         response: Dict[str, Any] = {
@@ -738,102 +674,74 @@ class TuningRequestHandler(BaseHTTPRequestHandler):
             response["job_state"] = self.service.job_payload(job.id)
         return response
 
+    def _post_tune(self, body: bytes) -> None:
+        payload = self._json_object(body)
+        redirect = self._redirect(payload, "redirect")
+        if redirect is not None:
+            # 307 preserves method+body, so the client re-POSTs verbatim.
+            self._send(307, redirect, Location=redirect["redirect"])
+            return
+        job, outcome = self.service.submit(payload)
+        self._send(200, self._tune_response(job, outcome))
+
     def _batch_item(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One /tune/batch slot: routed, submitted, or per-item error.
 
         Batch items are never answered with 307 — a multi-status redirect
-        cannot be expressed in one response — so in redirect mode a non-home
-        item comes back as outcome ``redirected`` with the home's URL for the
-        client to resubmit; in proxy mode it is forwarded transparently.
+        cannot be expressed in one response — so a non-home item comes back
+        as outcome ``redirected`` with the home's URL for the client to
+        resubmit.  Items are independent: a malformed one is ``invalid`` in
+        its slot and never poisons its neighbours; only draining
+        (:class:`ServiceUnavailable`, not caught here) 503s the whole batch.
         """
-        fleet = self.service.fleet
         try:
-            if fleet is not None:
-                fingerprint = self.service.fingerprint_of(payload)
-                home = fleet.home(fingerprint)
-                if home != fleet.node_id:
-                    if fleet.mode == "redirect":
-                        FLEET_REDIRECTS_TOTAL.inc(mode="batch-redirect")
-                        return {
-                            "outcome": "redirected",
-                            "node": home,
-                            "redirect": home + "/tune",
-                            "fingerprint": fingerprint,
-                        }
-                    FLEET_REDIRECTS_TOTAL.inc(mode="proxy")
-                    status, relayed = fleet.forward_tune(home, payload)
-                    if isinstance(relayed, dict):
-                        relayed.setdefault("node", home)
-                        if status >= 400:
-                            relayed.setdefault("outcome", "error")
-                        return relayed
-                    return {"outcome": "error", "error": f"peer returned {status}"}
+            redirect = self._redirect(payload, "batch-redirect")
+            if redirect is not None:
+                return {"outcome": "redirected", **redirect}
             job, outcome = self.service.submit(payload)
-        except ServiceUnavailable:
-            raise  # 503s the whole batch
         except (ValueError, TypeError) as error:
             return {"outcome": "invalid", "error": str(error)}
         return self._tune_response(job, outcome)
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        path = urlparse(self.path).path
-        self._count_request("POST", path)
-        raw = self._drain_body()
-        if path == "/tune":
-            try:
-                payload = json.loads(raw.decode("utf-8")) if raw else {}
-            except (ValueError, UnicodeDecodeError) as error:
-                self._send_json(400, {"error": f"invalid JSON body: {error}"})
-                return
-            if not isinstance(payload, dict):
-                self._send_json(400, {"error": "request body must be a JSON object"})
-                return
-            try:
-                if self._route_home(payload) is not None:
-                    return  # routed to its home server; response already sent
-                job, outcome = self.service.submit(payload)
-            except ServiceUnavailable as error:
-                self._send_json(503, {"error": str(error)})
-                return
-            except (ValueError, TypeError) as error:
-                self._send_json(400, {"error": str(error)})
-                return
-            response = self._tune_response(job, outcome)
-            self._send_json(200, response)
-        elif path == "/tune/batch":
-            try:
-                payload = json.loads(raw.decode("utf-8")) if raw else {}
-            except (ValueError, UnicodeDecodeError) as error:
-                self._send_json(400, {"error": f"invalid JSON body: {error}"})
-                return
-            requests = payload.get("requests") if isinstance(payload, dict) else None
-            if not isinstance(requests, list) or not all(
-                isinstance(item, dict) for item in requests
-            ):
-                self._send_json(
-                    400,
-                    {"error": "body must be {\"requests\": [<TuneRequest>, ...]}"},
-                )
-                return
-            try:
-                jobs = [self._batch_item(item) for item in requests]
-            except ServiceUnavailable as error:
-                self._send_json(503, {"error": str(error)})
-                return
-            self._send_json(200, {"jobs": jobs})
-        elif path == "/shutdown":
-            # Only loopback peers may stop the server: anyone who can reach a
-            # --host 0.0.0.0 deployment must not be able to deny service.
-            if self.client_address[0] not in ("127.0.0.1", "::1"):
-                self._send_json(403, {"error": "shutdown is restricted to loopback clients"})
-                return
-            self._send_json(200, {"status": "draining"})
-            threading.Thread(
-                target=self.server.tuning_server.stop,  # type: ignore[attr-defined]
-                daemon=True,
-            ).start()
-        else:
-            self._send_json(404, {"error": f"unknown endpoint {path!r}"})
+    def _post_batch(self, body: bytes) -> None:
+        requests = self._json_object(body).get("requests")
+        if not isinstance(requests, list) or not all(
+            isinstance(item, dict) for item in requests
+        ):
+            raise ValueError("body must be {\"requests\": [<TuneRequest>, ...]}")
+        self._send(200, {"jobs": [self._batch_item(item) for item in requests]})
+
+    def _post_shutdown(self, _body: bytes) -> None:
+        # Only loopback peers may stop the server: anyone who can reach a
+        # --host 0.0.0.0 deployment must not be able to deny service.
+        if self.client_address[0] not in ("127.0.0.1", "::1"):
+            self._send(403, {"error": "shutdown is restricted to loopback clients"})
+            return
+        self._send(200, {"status": "draining"})
+        threading.Thread(
+            target=self.server.tuning_server.stop,  # type: ignore[attr-defined]
+            daemon=True,
+        ).start()
+
+    #: path → route; ``/status/`` stands for every ``/status/<job>``.  Also the
+    #: endpoint label set of ``repro_http_requests_total``.
+    GET_ROUTES = {
+        "/metrics": _get_metrics,
+        "/healthz": lambda self: self._send(200, self.service.health()),
+        "/cache/stats": lambda self: self._send(200, self.service.stats()),
+        "/kernels": _get_kernels,
+        "/dashboard": lambda self: self._send(
+            200, self.service.dashboard_html(), "text/html; charset=utf-8"
+        ),
+        "/history": lambda self: self._send(200, self.service.history_rollup()),
+        "/fleet": _get_fleet,
+        "/status/": _get_status,
+    }
+    POST_ROUTES = {
+        "/tune": _post_tune,
+        "/tune/batch": _post_batch,
+        "/shutdown": _post_shutdown,
+    }
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # keep the server quiet; the CLI prints lifecycle events
@@ -860,7 +768,6 @@ class TuningServer:
         history: Union[HistoryStore, str, Path, None] = None,
         reuse_artifacts: bool = False,
         peers: Iterable[str] = (),
-        fleet_mode: str = "redirect",
         advertise_url: Optional[str] = None,
     ) -> None:
         self.service = TuningService(
@@ -878,10 +785,12 @@ class TuningServer:
         self._httpd.tuning_server = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
         self._stopped = threading.Event()
+        #: serve_forever() is, was, or is about to be running
+        self._serving = False
         # Fleet membership needs the *bound* address (port may have been 0),
         # so the registry is built after the socket exists.
         if list(peers):
-            self.configure_fleet(peers, mode=fleet_mode, advertise_url=advertise_url)
+            self.configure_fleet(peers, advertise_url=advertise_url)
 
     def configure_fleet(
         self,
@@ -891,12 +800,17 @@ class TuningServer:
     ) -> FleetRegistry:
         """Join (or re-form) a fleet; returns the new registry.
 
-        ``advertise_url`` is the URL *peers* reach this server under —
-        required when binding 0.0.0.0 or behind a proxy; defaults to the
+        ``advertise_url`` is the URL peers *and clients* reach this server
+        under — required when binding 0.0.0.0 or behind NAT; defaults to the
         bound address.  Callable after ``start()`` too: tests boot two
         ephemeral-port servers first and introduce them to each other next.
+        ``mode`` is kept for callers that name the one routing there is.
         """
-        registry = FleetRegistry(advertise_url or self.url, peers, mode=mode)
+        if mode != "redirect":
+            raise ValueError(
+                f"fleet mode {mode!r} was removed; 'redirect' is the only routing"
+            )
+        registry = FleetRegistry(advertise_url or self.url, peers)
         self.service.fleet = registry
         return registry
 
@@ -911,10 +825,12 @@ class TuningServer:
         return f"http://{host}:{port}"
 
     def serve_forever(self) -> None:
+        self._serving = True
         self._httpd.serve_forever()
 
     def start(self) -> "TuningServer":
         """Serve on a daemon thread; returns self for chaining."""
+        self._serving = True  # before the thread exists: stop() may race its start
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
@@ -925,7 +841,10 @@ class TuningServer:
             return
         self._stopped.set()
         self.service.drain(timeout=drain_timeout)
-        self._httpd.shutdown()
+        # shutdown() waits on an event only serve_forever() ever sets: on a
+        # server that was constructed but never started it would block forever
+        if self._serving:
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)

@@ -22,7 +22,7 @@ from repro.compiler import counting_compiles, counting_stage_runs
 from repro.machine.spec import GEFORCE_8800_GTX, GPUSpec
 from repro.telemetry import METRICS, trace
 from repro.autotune.cache import TuningCache
-from repro.autotune.session import autotune
+from repro.autotune.session import tune
 from repro.service.protocol import TuneRequest
 
 
@@ -55,10 +55,11 @@ def execute_request(
     processes warm up once each).
     """
     request = TuneRequest.from_dict(payload)
-    # Resolve against the server's machine spec (GPUSpec is a frozen dataclass
+    # Built against the server's machine spec (GPUSpec is a frozen dataclass
     # and pickles to process workers) so the report and its fingerprint match
-    # the key the server deduplicated and will absorb under.
-    resolved = request.resolve(spec or GEFORCE_8800_GTX)
+    # the key the server deduplicated and will absorb under.  No analysis
+    # yet: tune() prepares the problem once, inside the counted block below.
+    problem = request.problem(spec or GEFORCE_8800_GTX)
     cache = TuningCache(cache_path) if cache_path is not None else None
     # Worker-process metrics are invisible to the server's /metrics endpoint,
     # so every completion ships the registry *delta* attributable to this job.
@@ -68,25 +69,14 @@ def execute_request(
     metrics_baseline = METRICS.snapshot()
     collector = trace.start_trace() if request.trace else None
     try:
-        # PassManager hooks were dropped when the evaluator's session pickled
-        # over (the __getstate__ contract); autotune's _prepare_request
-        # re-attaches trace_pass_hook because the collector installed above
-        # is active *before* the session is built.
+        # TuningProblem.prepare attaches trace_pass_hook to the session it
+        # builds because the collector installed above is already active.
         with counting_compiles() as compiles, counting_stage_runs() as stage_runs:
-            report = autotune(
-                resolved.program,
-                spec=resolved.spec,
-                options=resolved.options,
-                strategy=request.strategy,
+            report = tune(
+                problem,
                 max_workers=request.eval_workers,
                 cache=cache,
-                seed=request.seed,
-                space_options=resolved.space_options,
-                check_correctness=request.check_correctness,
-                check_program=resolved.check_program,
-                backend=request.backend,
-                artifact_cache=True if reuse_artifacts else None,
-                grid=resolved.grid,
+                artifact_cache=reuse_artifacts,
             )
     finally:
         if collector is not None:

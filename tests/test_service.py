@@ -12,15 +12,18 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from repro.autotune import TuningCache, autotune
+from repro.autotune import TuningCache, autotune, tune
+from repro.compiler import counting_stage_runs
 from repro.telemetry import METRICS
 from repro.service import (
     PendingTuning,
@@ -101,8 +104,26 @@ class TestTuneRequest:
         """The service's dedup key must be the exact key autotune caches under."""
         request = matmul_request()
         resolved = request.resolve()
-        report = autotune(resolved.program, space_options=resolved.space_options)
+        report = autotune(resolved.problem.program, space_options=resolved.problem.space_options)
         assert report.fingerprint == resolved.fingerprint
+
+    @pytest.mark.parametrize(
+        "request_fields",
+        [
+            {"kernel": "matmul", "sizes": {"m": 16, "n": 16, "k": 16}},
+            {"kernel": "distributed-gemm", "sizes": {"m": 32, "n": 32, "k": 32}},
+        ],
+    )
+    def test_problem_builds_without_analysis_and_keys_like_resolve(self, request_fields):
+        """problem() is what a worker tunes: no compiler stage runs building
+        it, and tuning it lands on the key resolve() told the server."""
+        request = TuneRequest(space=SMALL_SPACE, **request_fields)
+        with counting_stage_runs() as stage_runs:
+            problem = request.problem()
+        assert dict(stage_runs.counts) == {}
+        resolved = request.resolve()
+        assert set(vars(resolved)) == {"request", "problem", "fingerprint"}
+        assert tune(problem).fingerprint == resolved.fingerprint
 
     def test_backend_travels_and_splits_the_fingerprint(self):
         base = matmul_request()
@@ -126,6 +147,15 @@ class TestWorker:
         assert outcome["compiles"] > 0
         assert not outcome["from_cache"]
         assert outcome["report"]["best"]["feasible"]
+
+    def test_reported_stages_are_every_stage_the_job_ran(self):
+        """One analysis per worker job, and ``stages`` is the whole truth:
+        nothing the job runs falls outside the counted block."""
+        payload = matmul_request(m=16).to_dict()
+        with counting_stage_runs() as observed:
+            outcome = execute_request(payload)
+        assert outcome["stages"] == dict(observed.counts)
+        assert outcome["stages"]["analysis"] == 1
 
     def test_warm_run_from_shared_cache_file_is_free(self, tmp_path):
         path = str(tmp_path / "cache.json")
@@ -230,7 +260,7 @@ class TestHTTPServer:
         client = TuningClient(thread_server.url)
         served = client.tune(request, timeout=300)
         resolved = request.resolve()
-        direct = autotune(resolved.program, space_options=resolved.space_options)
+        direct = autotune(resolved.problem.program, space_options=resolved.problem.space_options)
         assert served.to_dict() == direct.to_dict()
 
     def test_hybrid_backend_round_trip(self, thread_server):
@@ -387,6 +417,35 @@ class TestHTTPServer:
             assert json.loads(response.read())["status"] == "ok"
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_invalid_content_length_is_400_and_closes(self, thread_server, length):
+        """The body boundary is unknown: answer 400, drop the connection, and
+        keep serving — no traceback, no handler thread parked on the socket."""
+        with socket.create_connection(thread_server.address, timeout=10) as raw:
+            raw.sendall(
+                f"POST /tune HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode()
+            )
+            response = b""
+            while chunk := raw.recv(4096):  # until the server closes
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"connection: close" in head.lower()
+        assert "Content-Length" in json.loads(body)["error"]
+        assert TuningClient(thread_server.url).healthz()["status"] == "ok"
+
+    def test_stop_returns_on_a_server_that_never_started(self):
+        """A fixture failing between construction and start() must not
+        deadlock its teardown (httpd.shutdown() waits on serve_forever)."""
+        server = TuningServer(port=0, executor="thread")
+        address = server.address
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10)
+        assert not stopper.is_alive()
+        with socket.socket() as probe:  # the port was released
+            probe.bind(address)
 
     def test_shutdown_endpoint_drains_and_stops(self):
         server = TuningServer(port=0, executor="thread", max_workers=2).start()
