@@ -17,7 +17,9 @@ Two fast-path knobs (URI options):
   terminal pass — eligible innermost loops lowered to numpy expressions, the
   same results several times faster — falling back to scalar ``lower-py``
   only on ``off``.  ``vectorize`` fingerprints: scalar and vectorised wall
-  times are different distributions and must never share a cache entry.
+  times are different distributions and must never share a cache entry.  For
+  the same reason the fingerprint carries the code generator's
+  :data:`~repro.codegen.emit_py.LOWERING_REVISION` (not a URI option).
 * ``workers=N`` (default 1) advertises that ``N`` candidates may be measured
   concurrently: warmup runs overlap freely across threads while every
   *timed* section serializes under :data:`~repro.autotune.backends.base.
@@ -40,6 +42,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.codegen.emit_py import LOWERING_REVISION
 from repro.compiler import CompilationSession
 from repro.machine.spec import GPUSpec
 
@@ -206,13 +209,16 @@ class MeasuredPythonBackend(EvaluationBackend):
     def signature(self) -> Dict[str, Any]:
         # workers is absent by design: timed sections serialize, so the
         # numbers do not depend on it.  vectorize is present: scalar and
-        # vectorised artifacts time differently.
+        # vectorised artifacts time differently — and so do artifacts of
+        # different lowering revisions, which is not the user's choice and
+        # therefore here but not in uri().
         return {
             "scheme": self.scheme,
             "warmup": self.warmup,
             "repeat": self.repeat,
             "trim": self.trim,
             "vectorize": self.vectorize,
+            "lowering": LOWERING_REVISION,
         }
 
     def uri(self) -> str:

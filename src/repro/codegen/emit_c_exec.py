@@ -24,11 +24,10 @@ candidates that differ only in timing knobs or input seed share one binary.
   kernel as dead code.
 
 Loop bounds, guards and array indices mirror :mod:`repro.codegen.emit_py`
-semantics **exactly**: the Python emitter evaluates them in ``Fraction``
-arithmetic, so this emitter scales each affine form to a common integer
-denominator and uses exact integer ``floord``/``ceild``/``truncd`` helpers —
-never floating point, whose rounding could disagree with the reference on
-fractional bounds like ``i/3``.
+semantics **exactly**: like the Python emitter, this one scales each affine
+form to a common integer denominator and rounds with exact integer
+``floord``/``ceild``/``truncd`` helpers — never floating point, whose rounding
+could disagree with the reference on fractional bounds like ``i/3``.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def _bound_to_c(value, *, is_lower: bool) -> str:
 
     Rounding distributes over min/max (both are monotone), so a quasi-affine
     bound rounds each branch and combines with ``lmin``/``lmax`` — identical
-    to the Python emitter's ``_ceil(min(...))``.
+    to the Python emitter's ``min(...)`` over rounded branches.
     """
     fn = "ceild" if is_lower else "floord"
     if isinstance(value, int):

@@ -5,16 +5,26 @@ scalar nested loops — semantically exact, but every innermost iteration pays
 Python interpreter dispatch per array access, which dominates the wall time
 the ``measure-py:`` backend exists to measure.  This emitter keeps the scalar
 structure for the outer nest and rewrites each eligible **innermost** loop as
-one numpy expression:
+one numpy expression over the loop's whole range ``lo .. hi``:
 
-* the iterator becomes ``i = _np.arange(lo, hi + 1, step)``,
-* guard/domain constraints that mention the iterator become a boolean mask
-  (``i = i[(...) >= 0]``), the rest stay a scalar ``if``,
+* guard/domain conjuncts the enclosing loops *and the loop's own bounds*
+  imply are dropped (the scalar emitter's exact Fourier–Motzkin test); what
+  is left is a scalar ``if`` (conjuncts not mentioning the iterator) and a
+  boolean mask (those that do);
 * an elementwise statement (some lhs index mentions the iterator — affine
-  with a nonzero integer coefficient, hence injective) becomes one
-  fancy-indexed assignment,
-* a reduction whose lhs does *not* mention the iterator becomes
-  ``lhs += _np.sum(vectorised rhs)`` (``prod``/``min``/``max`` likewise).
+  with a nonzero integer coefficient, hence injective) becomes one array
+  assignment, a reduction whose lhs does *not* mention the iterator becomes
+  ``lhs += float(_np.sum(vectorised rhs))`` (``prod``/``min``/``max``
+  likewise);
+* the iterator itself becomes **basic slices** ``c*lo + r : c*hi + r + 1 :
+  c*step``, one per index ``c*it + r``, under ``if _hi >= _lo:`` — when no
+  mask is left, every such index has ``c > 0`` and sits alone in its load,
+  the rhs does not use the iterator as a value, and ``0 <= index <= extent -
+  1`` is *proven* for each of them by the same implication test.  A numpy
+  slice silently clips (and a negative start counts from the end) where an
+  integer index array raises or wraps, so the proof replaces the run-time
+  check instead of dropping it.  Otherwise the iterator is materialised as
+  ``it = _np.arange(lo, hi + 1, step)``, masked, and used as an index array.
 
 Eligibility is conservative — a loop is vectorised only when the rewrite is
 provably equivalent to the sequential loop:
@@ -22,9 +32,8 @@ provably equivalent to the sequential loop:
 * the loop body (unwrapping blocks and guards, ignoring sync points) is
   exactly one statement, and no derived symbol definition depends on the
   iterator;
-* every affine form that mentions the iterator (array indices, constraints,
-  affine values) has integer coefficients, so integer numpy arithmetic
-  matches the scalar path's exact ``Fraction``-then-truncate semantics;
+* every array index and affine value that mentions the iterator has integer
+  coefficients, so integer numpy arithmetic is exact;
 * the rhs contains no calls, and never reads the lhs array except at the
   lhs's own indices (elementwise case) — anything resembling a loop-carried
   dependence falls back to the scalar loop.
@@ -36,8 +45,7 @@ working on minimal hosts (just slower).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.ir.ast import (
     BlockNode,
@@ -47,18 +55,24 @@ from repro.ir.ast import (
     StatementNode,
     SyncNode,
 )
-from repro.ir.expressions import AffineValue, BinOp, Call, Const, Expr, Iter, Load
+from repro.ir.expressions import AffineValue, BinOp, Call, Expr, Iter
 from repro.ir.program import Program
+from repro.ir.statements import Statement
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.constraints import Constraint
-from repro.polyhedral.parametric import QuasiAffineBound
 
 from repro.codegen.emit_py import (
-    _affine_to_py,
+    IndexRenderer,
     _bound_to_py,
+    _constraint_to_py,
     _Emitter,
+    _expr_to_py,
+    _free_variables,
+    _index_to_py,
+    _int_to_py,
     _load_to_py,
     emit_python_source,
+    loop_facts,
     render_module,
 )
 
@@ -68,14 +82,13 @@ _REDUCERS = {"+": "sum", "*": "prod", "min": "min", "max": "max"}
 #: numpy elementwise combine per min/max reduction (Case A: vector lhs)
 _ELEMENTWISE = {"min": "_np.minimum", "max": "_np.maximum"}
 
+#: the sliced loop's integer range, as the variables the slices are written in
+_LOW, _HIGH = AffineExpr.var("_lo"), AffineExpr.var("_hi")
+
 
 def _is_integral(expr: AffineExpr) -> bool:
     """Whether every coefficient and the constant are whole numbers."""
-    if Fraction(expr.constant).denominator != 1:
-        return False
-    return all(
-        Fraction(coeff).denominator == 1 for coeff in expr.coefficients.values()
-    )
+    return expr.int_form()[0] == 1
 
 
 def _subexprs(expr: Expr) -> Iterator[Expr]:
@@ -88,17 +101,19 @@ def _subexprs(expr: Expr) -> Iterator[Expr]:
             yield from _subexprs(arg)
 
 
+def _uses_value(expr: Expr, iterator: str) -> bool:
+    """Whether the iterator's *value* (not just an index built from it) is read."""
+    return any(
+        (isinstance(item, Iter) and item.name == iterator)
+        or (isinstance(item, AffineValue) and iterator in item.expr.variables)
+        for item in _subexprs(expr)
+    )
+
+
 def _mentions(expr: Expr, iterator: str) -> bool:
-    for item in _subexprs(expr):
-        if isinstance(item, Iter) and item.name == iterator:
-            return True
-        if isinstance(item, AffineValue) and iterator in item.expr.variables:
-            return True
-        if isinstance(item, Load) and any(
-            iterator in index.variables for index in item.indices
-        ):
-            return True
-    return False
+    return _uses_value(expr, iterator) or any(
+        iterator in index.variables for load in expr.loads() for index in load.indices
+    )
 
 
 def _unwrap_single_statement(
@@ -122,20 +137,27 @@ def _unwrap_single_statement(
             return None
 
 
-class _VectorPlan:
+class _VectorPlan(NamedTuple):
     """One proven-safe innermost-loop rewrite, ready to emit."""
 
-    def __init__(
-        self,
-        statement_node: StatementNode,
-        scalar_constraints: List[Constraint],
-        vector_constraints: List[Constraint],
-        elementwise: bool,
-    ) -> None:
-        self.statement_node = statement_node
-        self.scalar_constraints = scalar_constraints
-        self.vector_constraints = vector_constraints
-        self.elementwise = elementwise
+    statement: Statement
+    #: every guard and domain conjunct between the loop and the statement
+    constraints: List[Constraint]
+    elementwise: bool
+
+
+def _slice_renderer(iterator: str, step: int) -> IndexRenderer:
+    """Indices ``c*iterator + r`` as basic slices over the range ``_lo .. _hi``."""
+
+    def render(expr: AffineExpr) -> str:
+        if iterator not in expr.variables:
+            return _index_to_py(expr)
+        start = _int_to_py(expr.substitute({iterator: _LOW}))
+        stop = _int_to_py(expr.substitute({iterator: _HIGH}), 1)
+        stride = int(expr.coefficient(iterator)) * step
+        return f"{start}:{stop}" + (f":{stride}" if stride != 1 else "")
+
+    return render
 
 
 class _VecEmitter(_Emitter):
@@ -155,36 +177,18 @@ class _VecEmitter(_Emitter):
         unwrapped = _unwrap_single_statement(node.body)
         if unwrapped is None:
             return None
-        statement_node, guards = unwrapped
+        statement_node, constraints = unwrapped
         statement = statement_node.statement
 
         # a derived symbol depending on the iterator would need per-element
         # values — the scalar loop defines it per iteration, so bail
         emitted = set().union(*self._emitted_symbols)
         for name, definition in self.symbol_definitions.items():
-            if name in emitted:
-                continue
-            if isinstance(definition, QuasiAffineBound):
-                free = {v for e in definition.exprs for v in e.variables}
-            elif isinstance(definition, AffineExpr):
-                free = set(definition.variables)
-            else:
-                return None
-            if iterator in free:
+            if name not in emitted and iterator in _free_variables(definition):
                 return None
 
-        constraints = list(guards)
         if self.check_domains:
             constraints.extend(statement.domain.constraints)
-        scalar_constraints: List[Constraint] = []
-        vector_constraints: List[Constraint] = []
-        for constraint in constraints:
-            if iterator in constraint.expr.variables:
-                if not _is_integral(constraint.expr):
-                    return None
-                vector_constraints.append(constraint)
-            else:
-                scalar_constraints.append(constraint)
 
         # every iterator-involving affine must be exact in int arithmetic
         loads = [statement.lhs, *statement.rhs.loads()]
@@ -201,15 +205,13 @@ class _VecEmitter(_Emitter):
 
         lhs = statement.lhs
         elementwise = any(iterator in index.variables for index in lhs.indices)
-        lhs_rendered = tuple(_affine_to_py(index) for index in lhs.indices)
         if elementwise:
             # injective in the iterator (affine, nonzero integer coefficient),
             # so duplicate-index accumulation loss cannot occur; reading the
             # lhs array is only safe at exactly the written elements
             for load in statement.rhs.loads():
-                if load.array.name == lhs.array.name:
-                    if tuple(_affine_to_py(i) for i in load.indices) != lhs_rendered:
-                        return None
+                if load.array.name == lhs.array.name and load.indices != lhs.indices:
+                    return None
         else:
             if statement.reduction not in _REDUCERS:
                 return None  # plain overwrite in a reduced dim: order-dependent
@@ -219,76 +221,67 @@ class _VecEmitter(_Emitter):
                 load.array.name == lhs.array.name for load in statement.rhs.loads()
             ):
                 return None
-        return _VectorPlan(statement_node, scalar_constraints, vector_constraints, elementwise)
+        return _VectorPlan(statement, constraints, elementwise)
+
+    def _slices_proven(self, statement: Statement, iterator: str) -> bool:
+        """Whether basic slices may stand in for the iterator.
+
+        Asked with the loop's own facts in force.  Each index ``c*it + r``
+        must rise with the iterator, be the only one of its load to mention
+        it (``A[i, i]`` is a diagonal, not a slice) and be proven inside
+        ``[0, extent)``; the rhs must not need the iterator's values.
+        """
+        if _uses_value(statement.rhs, iterator):
+            return False
+        for load in (statement.lhs, *statement.rhs.loads()):
+            moving = [
+                (index, extent)
+                for index, extent in zip(load.indices, load.array.shape)
+                if iterator in index.variables
+            ]
+            if len(moving) > 1:
+                return False
+            for index, extent in moving:
+                if index.coefficient(iterator) < 0:
+                    return False
+                in_bounds = (Constraint(index), Constraint(extent - 1 - index))
+                if not all(self.implied(c) for c in in_bounds):
+                    return False
+        return True
 
     # -- emission ------------------------------------------------------------------
-    def _vec_load(self, load: Load, iterator: str) -> str:
-        parts = []
-        for index in load.indices:
-            if iterator in index.variables:
-                # integral (validated), so no _idx truncation is needed and
-                # the expression broadcasts over the iterator array
-                parts.append(f"({_affine_to_py(index)})")
-            else:
-                parts.append(f"_idx({_affine_to_py(index)})")
-        return f"{load.array.name}[{', '.join(parts)}]"
-
-    def _vec_expr(self, expr: Expr, iterator: str) -> str:
-        if isinstance(expr, Const):
-            return repr(float(expr.value))
-        if isinstance(expr, Iter):
-            return expr.name
-        if isinstance(expr, AffineValue):
-            return f"({_affine_to_py(expr.expr)})"
-        if isinstance(expr, Load):
-            return self._vec_load(expr, iterator)
-        if isinstance(expr, BinOp):
-            lhs = self._vec_expr(expr.lhs, iterator)
-            rhs = self._vec_expr(expr.rhs, iterator)
-            return f"({lhs} {expr.op} {rhs})"
-        raise TypeError(f"cannot vectorise expression of type {type(expr).__name__}")
-
     def _emit_vector_loop(self, node: LoopNode, plan: _VectorPlan, depth: int) -> None:
         iterator = node.iterator
-        low = _bound_to_py(node.lower, is_lower=True)
-        high = _bound_to_py(node.upper, is_lower=False)
-        self.emit(f"{iterator} = _np.arange({low}, ({high}) + 1, {node.step})", depth)
-        if plan.scalar_constraints:
-            conditions = [
-                f"({_affine_to_py(c.expr)}) {'==' if c.is_equality else '>='} 0"
-                for c in plan.scalar_constraints
-            ]
-            self.emit(f"if {' and '.join(conditions)}:", depth)
-            depth += 1
-        if plan.vector_constraints:
-            mask = " & ".join(
-                f"(({_affine_to_py(c.expr)}) {'==' if c.is_equality else '>='} 0)"
-                for c in plan.vector_constraints
-            )
-            self.emit(f"{iterator} = {iterator}[{mask}]", depth)
-        self.emit(f"if {iterator}.size:", depth)
-        depth += 1
+        statement = plan.statement
+        with self._assuming(loop_facts(node)):
+            residual = self._residual(plan.constraints)
+            mask = [c for c in residual if iterator in c.variables]
+            sliced = not mask and self._slices_proven(statement, iterator)
+        depth = self._emit_if([c for c in residual if c not in mask], depth)
 
-        statement = plan.statement_node.statement
-        rhs = self._vec_expr(statement.rhs, iterator)
-        if plan.elementwise:
-            lhs = self._vec_load(statement.lhs, iterator)
-            if statement.reduction in ("+", "*"):
-                self.emit(f"{lhs} {statement.reduction}= {rhs}", depth)
-            elif statement.reduction in _ELEMENTWISE:
-                combine = _ELEMENTWISE[statement.reduction]
-                self.emit(f"{lhs} = {combine}({lhs}, {rhs})", depth)
-            else:
-                self.emit(f"{lhs} = {rhs}", depth)
+        low = _bound_to_py(node.lower, is_lower=True)
+        if sliced:
+            self.emit(f"_lo = {low}", depth)
+            self.emit(f"_hi = {_bound_to_py(node.upper, is_lower=False)}", depth)
+            self.emit("if _hi >= _lo:", depth)
+            index = _slice_renderer(iterator, node.step)
         else:
-            lhs = _load_to_py(statement.lhs)
-            reducer = _REDUCERS[statement.reduction]
-            reduced = f"float(_np.{reducer}({rhs}))"
-            if statement.reduction in ("+", "*"):
-                operator = "+" if statement.reduction == "+" else "*"
-                self.emit(f"{lhs} {operator}= {reduced}", depth)
-            else:
-                self.emit(f"{lhs} = {statement.reduction}({lhs}, {reduced})", depth)
+            stop = _bound_to_py(node.upper, is_lower=False, offset=1)
+            self.emit(f"{iterator} = _np.arange({low}, {stop}, {node.step})", depth)
+            if mask:
+                conjuncts = " & ".join(f"({_constraint_to_py(c)})" for c in mask)
+                self.emit(f"{iterator} = {iterator}[{conjuncts}]", depth)
+            self.emit(f"if {iterator}.size:", depth)
+            # validated integral, so the index expression broadcasts as is
+            index = _index_to_py
+
+        lhs = _load_to_py(statement.lhs, index)
+        rhs = _expr_to_py(statement.rhs, index)
+        if plan.elementwise:
+            self._emit_assignment(statement.reduction, lhs, rhs, depth + 1, _ELEMENTWISE)
+        else:
+            reduced = f"float(_np.{_REDUCERS[statement.reduction]}({rhs}))"
+            self._emit_assignment(statement.reduction, lhs, reduced, depth + 1)
 
 
 def emit_python_source_vectorized(

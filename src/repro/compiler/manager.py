@@ -22,6 +22,9 @@ from repro.compiler.passes import DEFAULT_PASSES, Pass, PassContext, resolve_pas
 #: observer signature: (pass name, produced artifact, elapsed seconds)
 PassHook = Callable[[str, StageArtifact, float], None]
 
+#: artifacts one fingerprint-keyed memo may hold; it is emptied when it gets there
+ARTIFACT_MEMO_LIMIT = 256
+
 
 @dataclass
 class PassTiming:
@@ -115,6 +118,7 @@ class PassManager:
         ctx: PassContext,
         upto: Optional[str] = None,
         start_index: int = 0,
+        memo: Optional[Dict[str, StageArtifact]] = None,
     ) -> List[str]:
         """Execute the passes the context is missing; returns the names run.
 
@@ -123,6 +127,14 @@ class PassManager:
         the frozen upstream artifacts and only the rest runs.  ``upto``
         (inclusive) bounds the run; ``start_index`` skips leading passes
         outright (used by replay to avoid even looking at reused stages).
+
+        ``memo`` maps fingerprints to artifacts some earlier run produced.  A
+        fingerprint is computable before its pass runs and covers everything
+        the pass reads, so a remembered artifact is adopted instead of
+        recomputed — hooks, timings and the stage counters see only passes
+        that really ran.  The caller owns the memo (and its lifetime); it is
+        emptied when it reaches :data:`ARTIFACT_MEMO_LIMIT` entries.  Racing
+        threads may both run a pass; they produce the same artifact.
         """
         end_index = len(self.passes) - 1 if upto is None else self.stage_index(upto)
         executed: List[str] = []
@@ -136,15 +148,20 @@ class PassManager:
                     "available; run the earlier stages first"
                 )
             upstream = [ctx.artifacts[stage].fingerprint for stage in item.inputs]
+            fingerprint = item.fingerprint(ctx, upstream)
+            remembered = memo.get(fingerprint) if memo is not None else None
+            if remembered is not None:
+                ctx.artifacts[item.name] = remembered
+                continue
             started = time.perf_counter()
             value = item.run(ctx)
             elapsed = time.perf_counter() - started
-            artifact = StageArtifact(
-                stage=item.name,
-                fingerprint=item.fingerprint(ctx, upstream),
-                value=value,
-            )
+            artifact = StageArtifact(stage=item.name, fingerprint=fingerprint, value=value)
             ctx.artifacts[item.name] = artifact
+            if memo is not None:
+                if len(memo) >= ARTIFACT_MEMO_LIMIT:
+                    memo.clear()
+                memo[fingerprint] = artifact
             record_pass_execution(item.name, elapsed)
             self._record(item.name, elapsed)
             executed.append(item.name)

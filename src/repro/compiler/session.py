@@ -14,7 +14,12 @@ parameter binding) tuple and runs the pass pipeline over it:
 Replay is validated, not trusted: each stage artifact carries a fingerprint
 derived from the option fields the stage reads, and replay refuses to reuse
 an artifact whose fingerprint would change under the requested configuration
-(with an error naming the earliest stage to replay from instead).
+(with an error naming the earliest stage to replay from instead).  The same
+fingerprints key a per-session artifact memo, shared with the sessions derived
+from it: a configuration one backend already mapped (the model pricing it) is
+not mapped again when another replays it (``measure-py`` lowering it) — only
+the passes not yet run for that fingerprint execute, and only those are
+counted, timed and shown to hooks.
 
 Sessions are thread-safe — the autotuner's parallel evaluators share one
 session, and the first thread to need the analysis artifact computes it while
@@ -61,6 +66,10 @@ class CompilationSession:
         #: exact bound resolutions shared by every replay of this session (and
         #: of sessions derived from it); gone with the session, so with the request
         self._resolutions: Dict[tuple, object] = {}
+        #: fingerprint -> artifact of every pass run for this session identity,
+        #: shared like the resolutions: a backend replaying a configuration
+        #: another backend already mapped re-runs only its own terminal pass
+        self._artifact_memo: Dict[str, StageArtifact] = {}
         self._base_fingerprint: Optional[str] = None
         self._lock = threading.Lock()
 
@@ -69,6 +78,7 @@ class CompilationSession:
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["_lock"] = None
+        state["_artifact_memo"] = {}  # cheaper to replay in the worker than to ship
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -92,7 +102,7 @@ class CompilationSession:
     def _run(self, ctx: PassContext, **selection: Any) -> None:
         """Run passes over ``ctx``, resolving each exact bound question once per session."""
         with shared_resolutions(self._resolutions):
-            self.manager.run(ctx, **selection)
+            self.manager.run(ctx, memo=self._artifact_memo, **selection)
 
     def _context(
         self, options: MappingOptions, artifacts: Dict[str, StageArtifact]
@@ -204,6 +214,7 @@ class CompilationSession:
         )
         derived._base_fingerprint = self._base_fingerprint
         derived._resolutions = self._resolutions
+        derived._artifact_memo = self._artifact_memo
         stages = set(derived.manager.stage_names)
         with self._lock:
             for name, artifact in self._artifacts.items():

@@ -322,6 +322,30 @@ class TestHybridBackend:
         kinds = {r.measurement_kind for r in report.results}
         assert kinds == {"model", "measured-py"}
 
+    def test_hybrid_maps_each_candidate_once_per_program(self):
+        """The benchmark's cold-hybrid matmul request: tiling → scratchpad →
+        mapping run for the seed compile, once per evaluation to price it and
+        once per evaluation on the *check* program to spot-check it — the
+        measuring backend replays what the model already mapped from the
+        session's artifact memo and runs only its lowering pass."""
+        kernel = get_kernel("matmul")
+        with counting_stage_runs() as runs:
+            report = autotune(
+                kernel.build(m=32, n=32, k=32),
+                space_options=TINY_SPACE,
+                backend="hybrid:model>measure-py?top=4",
+                strategy="pruned",
+                check_correctness=True,
+                check_program=kernel.build_check(),
+            )
+        evaluations = report.num_evaluations
+        measured = sum(r.measurement_kind == "measured-py" for r in report.results)
+        assert evaluations == 3 and 1 <= measured <= evaluations
+        for stage in ("tiling", "scratchpad", "mapping"):
+            assert runs.counts[stage] == 1 + evaluations + evaluations  # 7; 10 without the memo
+        assert runs.counts["lower-py-vec"] == measured
+        assert runs.counts["analysis"] == 2  # the program and its check twin
+
     def test_hybrid_baseline_is_remeasured_for_comparable_speedups(self):
         report = autotune(
             matmul(16),
@@ -382,6 +406,60 @@ class TestBackendCacheInteraction:
         assert tuning_fingerprint(program, space_options=TINY_SPACE) == (
             tuning_fingerprint(program, space_options=TINY_SPACE, seed=1)
         )
+
+    #: jacobi1d-64 / TINY_SPACE / seed 3 at the last commit whose ``measure-py``
+    #: signature carried no lowering revision
+    BEFORE_THE_REVISION = {
+        None: "fb236c255c11b0bc13b57d7323b66e630ab6ec06a450a45e6d97f3108375da2f",
+        FAST_PY: "039ff3cfc01d8a104aab6e7a9ec8989842c4d1811b869e7f9a3e87678ebce5f3",
+        "hybrid:model>measure-py?top=4": (
+            "ef256fa7bf4923fb073b8eeef8be11ec17217b3b7014bb28dec408bf9db0d7ee"
+        ),
+        "measure-py:vectorize=off": (
+            "5b578ab60949b54e2016886256dd35764a0883f45c1e094f18aff5e48a476486"
+        ),
+    }
+
+    def test_the_lowering_revision_moves_exactly_the_measured_fingerprints(self, monkeypatch):
+        program = get_kernel("jacobi1d").build(size=64)
+
+        def keys():
+            return {
+                backend: tuning_fingerprint(
+                    program, space_options=TINY_SPACE, backend=backend, seed=3
+                )
+                for backend in self.BEFORE_THE_REVISION
+            }
+
+        now = keys()
+        assert now[None] == self.BEFORE_THE_REVISION[None]  # model: entries stay warm
+        for backend in list(self.BEFORE_THE_REVISION)[1:]:
+            assert now[backend] != self.BEFORE_THE_REVISION[backend]
+        # ... and by nothing but the revision: without it the old keys come back
+        signature = MeasuredPythonBackend.signature
+        monkeypatch.setattr(
+            MeasuredPythonBackend,
+            "signature",
+            lambda self: {k: v for k, v in signature(self).items() if k != "lowering"},
+        )
+        assert keys() == self.BEFORE_THE_REVISION
+        assert "lowering" not in parse_backend_uri(FAST_PY).uri()  # not a user option
+
+    def test_a_report_measured_under_another_lowering_revision_is_not_served(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.autotune.backends import measured_py
+
+        program = matmul()
+        cache = TuningCache(tmp_path / "cache.json")
+        request = dict(space_options=TINY_SPACE, cache=cache, backend=FAST_PY)
+        with monkeypatch.context() as earlier:
+            earlier.setattr(measured_py, "LOWERING_REVISION", measured_py.LOWERING_REVISION - 1)
+            stored = autotune(program, **request)
+        fresh = autotune(program, **request)
+        assert not stored.from_cache and not fresh.from_cache
+        assert fresh.fingerprint != stored.fingerprint and len(cache) == 2
+        assert autotune(program, **request).from_cache
 
     def test_warm_hit_restores_backend_and_provenance(self, tmp_path):
         program = matmul()

@@ -108,6 +108,38 @@ class TestCompilationSession:
         assert mapped_equal(first, cold)
         assert mapped_equal(second, cold)
 
+    def test_the_artifact_memo_skips_repeated_work_and_never_serves_a_stale_artifact(self):
+        """Replaying A, B, A: the second A runs no pass and fires no hook, a
+        derived session re-runs only its own terminal pass, and every text
+        equals what a fresh session produces for that configuration."""
+        passes = (*DEFAULT_PASSES, "emit", "lower-py")
+        a = Configuration.make(16, 64, {"i": 8, "j": 8, "k": 16})
+        b = Configuration.make(16, 64, {"i": 4, "j": 16, "k": 32}, use_scratchpad=False)
+        session = CompilationSession(build_matmul_program(32, 32, 32), passes=passes)
+        session.analysis()
+        observed = []
+        session.manager.add_hook(lambda name, artifact, elapsed: observed.append(name))
+        texts, counts = [], []
+        for config in (a, b, a):
+            with counting_stage_runs() as runs:
+                artifacts = session.replay_artifacts(config=config)
+            texts.append((artifacts["emit"].value, artifacts["lower-py"].value))
+            counts.append(runs.counts)
+        every_stage_once = {stage: 1 for stage in passes[1:]}
+        assert counts == [every_stage_once, every_stage_once, {}]
+        assert observed == [*passes[1:], *passes[1:]]
+        assert texts[0] == texts[2] != texts[1]
+        for config, text in zip((a, b), texts):
+            fresh = CompilationSession(
+                build_matmul_program(32, 32, 32), passes=passes
+            ).replay_artifacts(config=config)
+            assert text == (fresh["emit"].value, fresh["lower-py"].value)
+
+        derived = session.with_passes((*DEFAULT_PASSES, "lower-py-vec"))
+        with counting_stage_runs() as runs:
+            derived.replay_artifacts(config=b, upto="lower-py-vec")
+        assert runs.counts == {"lower-py-vec": 1}
+
     def test_replay_unknown_stage_lists_valid_stages(self):
         session = CompilationSession(build_matmul_program(16, 16, 16))
         with pytest.raises(ValueError, match="valid stages: analysis, tiling"):

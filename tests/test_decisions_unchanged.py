@@ -9,6 +9,11 @@ time, cycles and breakdown included) and of the winner's ``emit`` (C) and
 the search that changes a bound order, a tile ranking, a fingerprint or one
 emitted character fails here first.  When a change is *meant* to move a
 decision, re-record the affected rows and say why in the commit.
+
+The third column (``lower-py`` text) was re-recorded once since: the lowering
+now emits integer bounds and drops the guards its loops imply, so the text
+moved — under report and ``emit`` digests that stayed byte-identical, i.e. no
+decision did.
 """
 
 import hashlib
@@ -37,62 +42,62 @@ RECORDED = {
     "conv2d/hillclimb": (
         "f7e4f28c1c9558b56acffcef01dbae1ff708cb508222c7837d5f2e0b619f119c",
         "6fa499214e95fbc3eab6bcad1542e44e8010679eeff76d591ae9133935f3d4df",
-        "f068b1aa8829b1ca035abf48559d03aa63eb114744c45dec8cd8c0f800da2854",
+        "7e2bb313221a5bb30ee120720982ce6e6fb6fc2a8f643731de58024c1db88674",
     ),
     "conv2d/pruned": (
         "67cf60703dbd9eee8eff8c5670cada45782fb6b8f96c263226d74c8243d2a7a7",
         "48b433eb95a6f96458e482f642f23f9586ba5ec0c24d731941ccc0444ee7a597",
-        "f068b1aa8829b1ca035abf48559d03aa63eb114744c45dec8cd8c0f800da2854",
+        "7e2bb313221a5bb30ee120720982ce6e6fb6fc2a8f643731de58024c1db88674",
     ),
     "distributed-gemm/hillclimb": (
         "0f7c6a8581a975198250d209ea57e29afd48c528a3f6b8aeb71296d2d9a02633",
         "48ac6ea2870eb388a65b50a9808bf44dc2c733df57d308bf551fedf2fc95d77c",
-        "062baa2abc29a61c47cc834bebf6a6821a1d0f7807a876e0f02693ce01de779a",
+        "f39997c056e6a74224182297cd17e559bd5d13a026caaf305114ff8c45598108",
     ),
     "distributed-gemm/pruned": (
         "2b1ea89b941ac9ec84c35a2e0431348ee6a057db42be30c3429213780581fd5b",
         "48ac6ea2870eb388a65b50a9808bf44dc2c733df57d308bf551fedf2fc95d77c",
-        "062baa2abc29a61c47cc834bebf6a6821a1d0f7807a876e0f02693ce01de779a",
+        "f39997c056e6a74224182297cd17e559bd5d13a026caaf305114ff8c45598108",
     ),
     "jacobi1d/hillclimb": (
         "5f3715a783fc79ed5a3fc20df0f9b180a70f12f7840450ef763f444ceef46243",
         "679bbe883a37c9613cf3caa222dddac19d75ab55d8843a6b080c2ecc5f412412",
-        "50889d039ef4873b0afd3adee2eca68f48087ad5528e2f8d60803ae03490e701",
+        "95ba759e5d6473215014825068da533b0f4cf19534589674199ad4efe0c9a86c",
     ),
     "jacobi1d/pruned": (
         "27e21be1aca985e270af6bf7b95a106b37580abb26eb30c301286f9b7810e5f7",
         "da470704633046fedf3a432fc1ab87018e0db1fb7ab9784013e6dae5d408f515",
-        "660d9d21b60a88daebc96f5bef5d992d22bd77eaeaeb967aafae57512c6511ed",
+        "23c401c79f3afc59eed6c5129b2577dd5a6e04f86aeb2c85fac9838ca0da2deb",
     ),
     "jacobi2d/hillclimb": (
         "802473ef7a9edae8afb94b7f2cb9921c1dbfd97cec795b904cc04a28d38fd531",
         "c760a0da7ab8b38c3e1fff2321c13d55b858b92c5caa46427c1c3ce23a413933",
-        "2fbbadce34a630e4d3714fb41f7db5f685d9776fee5289e7ac35d694a9f463c6",
+        "716519909e62f30750b7ba7880fe313dde9ca9eca2ade092d43db8bac91ba756",
     ),
     "jacobi2d/pruned": (
         "02aeb329c07560bbfb90c5e99cd0afd6d4bff1b7c709f6f2b679142e46f5c16f",
         "c760a0da7ab8b38c3e1fff2321c13d55b858b92c5caa46427c1c3ce23a413933",
-        "2fbbadce34a630e4d3714fb41f7db5f685d9776fee5289e7ac35d694a9f463c6",
+        "716519909e62f30750b7ba7880fe313dde9ca9eca2ade092d43db8bac91ba756",
     ),
     "matmul/hillclimb": (
         "53a4f3ec95083b335fc98909ea59da6b34b451782f5850f67f660a4af0c3141a",
         "9ba084aaabc80c31e942915ddb6aff721d12630a00baeb65db50fecc692fdf50",
-        "1b3a917026b09b31f1ea6f57b44952051fb9fe08dbce5e14ec192ad4cbf42a67",
+        "08f48410490ce3653646f332acc652ee11eae36c6c787701ee011cea0b6d03eb",
     ),
     "matmul/pruned": (
         "d37c128fc107d3820dba3e733ceae09bb71dfd9cfe56731f9d1cd0ea8cad519b",
         "6fbde9dea3491f3abae4244adb354b48a85990111651f18375a27a1cd8fab80b",
-        "6ad01074edc3ec4567e3caeee4351478768a68f1102add25e351ced56f910685",
+        "1b3fc2030836677c46b0d09e6fd5985aa6f818ac98c3e940637af18cacc21870",
     ),
     "mpeg4_me/hillclimb": (
         "58b7f89bc6d208eb1a3fd97a9185343614e4c485c67d8058ccc5eef66628f932",
         "050e25198374068b782709baf462b8941ae339d137da9df0d417c8bdfd776a65",
-        "3caccdf7ba36252c123ad778249f3135f45397e33000746b166e7b6b8ae76763",
+        "a6f0350bf36b2c8e0d80e82885e00042d775bc67f5dffcdd453ac72fdd4fd747",
     ),
     "mpeg4_me/pruned": (
         "bb714b50c9426d3ec8ffed5aac1669546f8b11b6a3f12cea0efeb8c1238d5a76",
         "6874c46fe5994454b4742700e15232ea85ef38db68950059d18a9b9c4555e437",
-        "3caccdf7ba36252c123ad778249f3135f45397e33000746b166e7b6b8ae76763",
+        "a6f0350bf36b2c8e0d80e82885e00042d775bc67f5dffcdd453ac72fdd4fd747",
     ),
 }
 

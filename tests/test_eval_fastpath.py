@@ -332,7 +332,12 @@ class TestVectorisedLowering:
         session = CompilationSession(program, passes=(*DEFAULT_PASSES, "lower-py-vec"))
         session.compile()
         source = session.artifact("lower-py-vec").value
-        assert "_np.arange" in source  # at least one loop really vectorised
+        body = source[source.index("def kernel") :]
+        # the k loop really became one numpy reduction — over proven slices,
+        # with nothing left to round, test or gather at run time
+        assert "+= float(_np.sum((l_A[" in body and ":_hi - " in body
+        for needle in ("Fraction(", "_ceil(", "_floor(", "_np.arange", ">= 0", "== 0"):
+            assert needle not in body, needle
 
     def test_scalar_fallback_when_numpy_is_absent(self, monkeypatch):
         import builtins
