@@ -218,6 +218,7 @@ class ConfigurationSpace:
                 delta=self.base_options.delta,
                 stage_all=self.base_options.target == "cell",
                 hoisting=self.base_options.hoisting,
+                geometry=self.session.analysis().tile_box_geometry,
             )
         return self._models[key]
 

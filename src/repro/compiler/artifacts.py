@@ -16,13 +16,15 @@ machine spec) and the option fields the stage reads, so
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.ir.program import Program
 from repro.machine.gpu import BlockWorkload
 from repro.scratchpad.manager import ScratchpadPlan
 from repro.tiling.bands import BandAnalysis
+from repro.tiling.cost_model import TileBoxGeometry
 from repro.tiling.mapping import LaunchGeometry
 from repro.tiling.multilevel import TiledProgram, TilingLevelSpec, tile_program
 from repro.tiling.tile_search import TileSearchResult
@@ -56,6 +58,17 @@ class AnalysisArtifact:
     extents: Mapping[str, int]
     lowers: Mapping[str, int]
     space_loops: Tuple[str, ...]
+
+    @cached_property
+    def tile_box_geometry(self) -> TileBoxGeometry:
+        """The symbolic half of the §4.3 cost model, derived on first use: as
+        config-invariant as the fields above, so the seed compile's tile search
+        and every launch geometry's model share it; a warm hit never asks."""
+        return TileBoxGeometry(self.program, self.analysis.loop_order, self.binding)
+
+    # the derived geometry stays behind: a pool worker replays explicit tile sizes
+    def __getstate__(self) -> Dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

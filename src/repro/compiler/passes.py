@@ -308,6 +308,7 @@ class TilingPass(Pass):
             delta=options.delta,
             stage_all=options.target == "cell",
             hoisting=options.hoisting,
+            geometry=art.tile_box_geometry,
         )
         blocks_per_mp = 1
         if art.analysis.needs_global_synchronization:

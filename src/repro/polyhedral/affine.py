@@ -6,53 +6,97 @@ iterators and/or program parameters) plus a rational constant.  An
 :class:`AffineExpr` per output dimension — this is the paper's access-function
 matrix ``F`` in a coefficient-dictionary form that keeps the code independent
 of any particular variable ordering.
+
+What is stored: ``(sum c_i * x_i + c0) / d`` with ``d > 0`` and every ``c`` a
+Python ``int``, in lowest terms — the integer row PolyLib-style tools compute
+on.  Arithmetic, substitution, renaming, equality and the once-computed hash
+run on those ints.  ``Fraction`` begins at the typed accessors — ``constant``,
+``coefficient()``, ``coefficients``, ``terms()``, ``evaluate()`` — so whatever
+a caller computes from their results (``x.constant / y``) is exact, never a
+float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, ItemsView, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.utils.frac import as_fraction, lcm_many
+from repro.utils.frac import as_fraction
 from repro.polyhedral import linalg
 
 Number = Union[int, Fraction]
 ExprLike = Union["AffineExpr", int, Fraction]
 
 
+def _ratio(value: Number) -> Tuple[int, int]:
+    """``(numerator, denominator)`` of an exact value, denominator positive."""
+    if type(value) is int:
+        return value, 1
+    exact = as_fraction(value)  # rejects bools and inexact floats
+    return exact.numerator, exact.denominator
+
+
 class AffineExpr:
     """An affine expression ``sum_i c_i * x_i + c0`` with exact coefficients.
 
-    Instances are immutable; all arithmetic returns new expressions.
+    Instances are immutable; arithmetic returns new expressions (or the
+    operand when nothing changes).  ``_den``, ``_coeffs`` (non-zero entries
+    only) and ``_const`` hold the integer form; the sibling modules of
+    :mod:`repro.polyhedral` read them, nothing above this package does.
     """
 
-    __slots__ = ("_coeffs", "_constant", "_int_form")
+    __slots__ = ("_den", "_coeffs", "_const", "_hash")
 
     def __init__(
         self,
         coeffs: Optional[Mapping[str, Number]] = None,
         constant: Number = 0,
     ) -> None:
-        clean: Dict[str, Fraction] = {}
-        for name, value in (coeffs or {}).items():
-            frac = as_fraction(value)
-            if frac != 0:
-                clean[name] = frac
-        self._coeffs = clean
-        self._constant = as_fraction(constant)
-        self._int_form = None
+        constant, den = _ratio(constant)
+        terms = [(name, *_ratio(value)) for name, value in (coeffs or {}).items()]
+        # over the least common denominator the form is already in lowest terms
+        scale = lcm(den, *(d for _, _, d in terms))
+        self._den = scale
+        self._coeffs = {name: n * (scale // d) for name, n, d in terms if n}
+        self._const = constant * (scale // den)
+        self._hash = None
 
     # -- constructors -----------------------------------------------------
     @classmethod
+    def from_terms(
+        cls, coeffs: Dict[str, int], constant: int, denominator: int = 1
+    ) -> "AffineExpr":
+        """``(sum coeffs[x] * x + constant) / denominator``, adopted as is.
+
+        The arguments must already be the stored form — ints, no zero
+        coefficient, ``denominator > 0``, lowest terms — which is what the
+        arithmetic below and the Fourier–Motzkin kernel hold; they skip the
+        validating constructor's conversions here.
+        """
+        expr = object.__new__(cls)
+        expr._den, expr._coeffs, expr._const, expr._hash = denominator, coeffs, constant, None
+        return expr
+
+    @classmethod
+    def _lowest_terms(cls, coeffs: Dict[str, int], constant: int, den: int) -> "AffineExpr":
+        """:meth:`from_terms` once *den* and the numerators share no factor."""
+        common = gcd(den, constant, *coeffs.values()) if den != 1 else 1
+        if common != 1:
+            den, constant = den // common, constant // common
+            coeffs = {name: value // common for name, value in coeffs.items()}
+        return cls.from_terms(coeffs, constant, den)
+
+    @classmethod
     def var(cls, name: str) -> "AffineExpr":
         """The expression consisting of a single variable with coefficient 1."""
-        return cls({name: 1})
+        return cls.from_terms({name: 1}, 0)
 
     @classmethod
     def const(cls, value: Number) -> "AffineExpr":
         """A constant expression."""
-        return cls({}, value)
+        return cls.from_terms({}, *_ratio(value))
 
     @classmethod
     def coerce(cls, value: ExprLike) -> "AffineExpr":
@@ -70,33 +114,20 @@ class AffineExpr:
             raise ValueError("names and coefficients must have equal length")
         return cls(dict(zip(names, coefficients)), constant)
 
-    @classmethod
-    def from_terms(cls, coeffs: Dict[str, Fraction], constant: Fraction) -> "AffineExpr":
-        """Adopt *coeffs* as is: it must hold only non-zero ``Fraction`` values.
-
-        The validating constructor converts and filters every entry; callers
-        that already hold exact non-zero terms (the Fourier–Motzkin kernel
-        turning integer rows back into expressions) skip that work here.
-        """
-        expr = object.__new__(cls)
-        expr._coeffs = coeffs
-        expr._constant = constant
-        expr._int_form = None
-        return expr
-
-    # -- inspection --------------------------------------------------------
+    # -- inspection: where ``Fraction`` begins ---------------------------------
     @property
     def coefficients(self) -> Dict[str, Fraction]:
         """Copy of the variable→coefficient mapping (zero coefficients omitted)."""
-        return dict(self._coeffs)
+        den = self._den
+        return {name: Fraction(value, den) for name, value in self._coeffs.items()}
 
     def terms(self) -> ItemsView[str, Fraction]:
-        """Read-only ``(variable, coefficient)`` view of the non-zero terms (no copy)."""
-        return self._coeffs.items()
+        """``(variable, coefficient)`` view of the non-zero terms."""
+        return self.coefficients.items()
 
     @property
     def constant(self) -> Fraction:
-        return self._constant
+        return Fraction(self._const, self._den)
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -105,70 +136,80 @@ class AffineExpr:
 
     def coefficient(self, name: str) -> Fraction:
         """Coefficient of *name* (0 if absent)."""
-        return self._coeffs.get(name, Fraction(0))
+        return Fraction(self._coeffs.get(name, 0), self._den)
 
     def is_constant(self) -> bool:
         return not self._coeffs
 
     def is_zero(self) -> bool:
-        return not self._coeffs and self._constant == 0
+        return not self._coeffs and self._const == 0
 
     def depends_on(self, names: Iterable[str]) -> bool:
         """True if any of *names* appears with a non-zero coefficient."""
         return any(name in self._coeffs for name in names)
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other: ExprLike) -> "AffineExpr":
+    def _plus(self, other: ExprLike, sign: int) -> "AffineExpr":
+        """``self + sign * other`` (``sign`` is 1 or -1)."""
         other = AffineExpr.coerce(other)
-        coeffs = dict(self._coeffs)
+        den = lcm(self._den, other._den)
+        mine, theirs = den // self._den, sign * (den // other._den)
+        coeffs = {name: value * mine for name, value in self._coeffs.items()}
+        # a name keeps its place while its coefficient stays non-zero
         for name, value in other._coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + value
-        return AffineExpr(coeffs, self._constant + other._constant)
-
-    def __radd__(self, other: ExprLike) -> "AffineExpr":
-        return self.__add__(other)
-
-    def __neg__(self) -> "AffineExpr":
-        return AffineExpr({k: -v for k, v in self._coeffs.items()}, -self._constant)
-
-    def __sub__(self, other: ExprLike) -> "AffineExpr":
-        return self + (-AffineExpr.coerce(other))
-
-    def __rsub__(self, other: ExprLike) -> "AffineExpr":
-        return AffineExpr.coerce(other) + (-self)
-
-    def __mul__(self, scalar: Number) -> "AffineExpr":
-        factor = as_fraction(scalar)
-        return AffineExpr(
-            {k: v * factor for k, v in self._coeffs.items()}, self._constant * factor
+            total = coeffs.get(name, 0) + value * theirs
+            if total:
+                coeffs[name] = total
+            else:
+                del coeffs[name]
+        return AffineExpr._lowest_terms(
+            coeffs, self._const * mine + other._const * theirs, den
         )
 
-    def __rmul__(self, scalar: Number) -> "AffineExpr":
-        return self.__mul__(scalar)
+    def _times(self, numerator: int, denominator: int) -> "AffineExpr":
+        """``self * numerator / denominator`` (``denominator > 0``)."""
+        if numerator == denominator:
+            return self
+        if not numerator:
+            return AffineExpr.from_terms({}, 0)
+        return AffineExpr._lowest_terms(
+            {name: value * numerator for name, value in self._coeffs.items()},
+            self._const * numerator,
+            self._den * denominator,
+        )
+
+    def __add__(self, other: ExprLike) -> "AffineExpr":
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "AffineExpr":
+        return self._times(-1, 1)
+
+    def __sub__(self, other: ExprLike) -> "AffineExpr":
+        return self._plus(other, -1)
+
+    def __rsub__(self, other: ExprLike) -> "AffineExpr":
+        return (-self)._plus(other, 1)
+
+    def __mul__(self, scalar: Number) -> "AffineExpr":
+        return self._times(*_ratio(scalar))
+
+    __rmul__ = __mul__
 
     def __truediv__(self, scalar: Number) -> "AffineExpr":
-        factor = as_fraction(scalar)
-        if factor == 0:
+        numerator, denominator = _ratio(scalar)
+        if not numerator:
             raise ZeroDivisionError("division of an affine expression by zero")
-        return self * (Fraction(1) / factor)
+        sign = 1 if numerator > 0 else -1
+        return self._times(sign * denominator, sign * numerator)
 
     # -- evaluation and substitution -----------------------------------------
     def int_form(self) -> Tuple[int, Tuple[Tuple[str, int], ...], int]:
         """``(d, ((name, c), ...), c0)``, all ints, ``d > 0``: the expression is
-        ``(sum c * name + c0) / d``.  Built on first use and kept (instances
-        are immutable); point evaluation runs on it instead of on ``Fraction``s.
+        ``(sum c * name + c0) / d`` in lowest terms — the stored form, as a tuple.
         """
-        form = self._int_form
-        if form is None:
-            scale = lcm_many(
-                [c.denominator for c in self._coeffs.values()] + [self._constant.denominator]
-            )
-            form = self._int_form = (
-                scale,
-                tuple((name, int(c * scale)) for name, c in self._coeffs.items()),
-                int(self._constant * scale),
-            )
-        return form
+        return self._den, tuple(self._coeffs.items()), self._const
 
     def evaluate_ratio(self, binding: Mapping[str, Number], scale: int = 1) -> Tuple[int, int]:
         """Exact value as ``(numerator, denominator)``, denominator positive, not reduced.
@@ -181,15 +222,14 @@ class AffineExpr:
         many expressions at one rational point does that scaling once itself
         (:func:`scaled_binding`) and passes the ints with their *scale*.
         """
-        denominator, terms, constant = self._int_form or self.int_form()
-        total = constant * scale
-        for name, coeff in terms:
+        total = self._const * scale
+        for name, coeff in self._coeffs.items():
             value = binding[name]
             if type(value) is not int:  # Fraction, float, bool, int subclass
-                values, common = scaled_binding({n: binding[n] for n, _ in terms})
+                values, common = scaled_binding({n: binding[n] for n in self._coeffs})
                 return self.evaluate_ratio(values, scale * common)
             total += coeff * value
-        return total, denominator * scale
+        return total, self._den * scale
 
     def evaluate(self, binding: Mapping[str, Number]) -> Fraction:
         """Evaluate with every variable bound; raises ``KeyError`` otherwise."""
@@ -214,21 +254,25 @@ class AffineExpr:
 
     def substitute(self, binding: Mapping[str, ExprLike]) -> "AffineExpr":
         """Replace variables by expressions/values; unbound variables survive."""
-        result = AffineExpr.const(self._constant)
+        if not any(name in binding for name in self._coeffs):
+            return self
+        result = AffineExpr._lowest_terms({}, self._const, self._den)
         for name, coeff in self._coeffs.items():
-            if name in binding:
-                result = result + AffineExpr.coerce(binding[name]) * coeff
-            else:
-                result = result + AffineExpr({name: coeff})
+            term = AffineExpr.coerce(binding[name]) if name in binding else AffineExpr.var(name)
+            result = result + term._times(coeff, self._den)
         return result
 
     def rename(self, mapping: Mapping[str, str]) -> "AffineExpr":
         """Rename variables according to *mapping* (missing names unchanged)."""
-        coeffs: Dict[str, Fraction] = {}
+        if not any(name in mapping for name in self._coeffs):
+            return self
+        coeffs: Dict[str, int] = {}
         for name, coeff in self._coeffs.items():
             new = mapping.get(name, name)
-            coeffs[new] = coeffs.get(new, Fraction(0)) + coeff
-        return AffineExpr(coeffs, self._constant)
+            coeffs[new] = coeffs.get(new, 0) + coeff
+        return AffineExpr._lowest_terms(
+            {name: value for name, value in coeffs.items() if value}, self._const, self._den
+        )
 
     def coefficients_vector(self, order: Sequence[str]) -> List[Fraction]:
         """Coefficient vector in the given variable *order* (constant excluded)."""
@@ -238,31 +282,40 @@ class AffineExpr:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineExpr):
             return NotImplemented
-        return self._coeffs == other._coeffs and self._constant == other._constant
+        return (self._den, self._const, self._coeffs) == (other._den, other._const, other._coeffs)
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._coeffs.items()), self._constant))
+        if self._hash is None:  # immutable, so hashed once
+            self._hash = hash((self._den, self._const, frozenset(self._coeffs.items())))
+        return self._hash
+
+    # str hashes differ between processes, so the kept hash must not travel
+    def __getstate__(self) -> Tuple[int, Dict[str, int], int]:
+        return self._den, self._coeffs, self._const
+
+    def __setstate__(self, state: Tuple[int, Dict[str, int], int]) -> None:
+        (self._den, self._coeffs, self._const), self._hash = state, None
 
     def __repr__(self) -> str:
         return f"AffineExpr({self})"
 
     def __str__(self) -> str:
+        def show(value: int) -> str:
+            common = gcd(value, self._den)
+            if common == self._den:
+                return str(value // common)
+            return f"{value // common}/{self._den // common}"
+
         parts: List[str] = []
         for name in sorted(self._coeffs):
             coeff = self._coeffs[name]
-            if coeff == 1:
-                parts.append(f"+ {name}")
-            elif coeff == -1:
-                parts.append(f"- {name}")
-            elif coeff > 0:
-                parts.append(f"+ {coeff}*{name}")
+            sign = "+" if coeff > 0 else "-"
+            if abs(coeff) == self._den:
+                parts.append(f"{sign} {name}")
             else:
-                parts.append(f"- {-coeff}*{name}")
-        if self._constant != 0 or not parts:
-            if self._constant >= 0:
-                parts.append(f"+ {self._constant}")
-            else:
-                parts.append(f"- {-self._constant}")
+                parts.append(f"{sign} {show(abs(coeff))}*{name}")
+        if self._const != 0 or not parts:
+            parts.append(f"{'+' if self._const >= 0 else '-'} {show(abs(self._const))}")
         text = " ".join(parts)
         if text.startswith("+ "):
             text = text[2:]
@@ -277,12 +330,9 @@ def scaled_binding(binding: Mapping[str, Number]) -> Tuple[Dict[str, int], int]:
     rational point prices any number of expressions in integer arithmetic
     (:meth:`AffineExpr.evaluate_ratio`).
     """
-    exact = {name: as_fraction(value) for name, value in binding.items()}
-    scale = lcm_many(value.denominator for value in exact.values())
-    return (
-        {name: value.numerator * (scale // value.denominator) for name, value in exact.items()},
-        scale,
-    )
+    exact = {name: _ratio(value) for name, value in binding.items()}
+    scale = lcm(*(den for _, den in exact.values()))
+    return {name: num * (scale // den) for name, (num, den) in exact.items()}, scale
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,22 @@
 
 A :class:`Constraint` wraps an :class:`~repro.polyhedral.affine.AffineExpr`
 ``e`` and means either ``e >= 0`` (inequality) or ``e == 0`` (equality).
-Constraints are normalised to integer coefficients divided by their gcd so
-that syntactically equal constraints compare and hash equal — this is what
-keeps Fourier–Motzkin elimination from drowning in duplicates.
+A constraint *is* its normal integer row: ``e`` is stored with denominator 1
+and coprime integer coefficients (an equality also with a positive first
+non-zero coefficient in sorted-name order), so that syntactically equal
+constraints compare and hash equal — this is what keeps Fourier–Motzkin
+elimination from drowning in duplicates — and so that the kernel reads its
+rows off constraints, and builds constraints from rows, without arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from math import gcd
+from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from repro.polyhedral.affine import AffineExpr, ExprLike
-from repro.utils.frac import as_fraction, gcd_many, lcm_many
 
 Number = Union[int, Fraction]
 
@@ -31,31 +34,20 @@ class Constraint:
 
     @staticmethod
     def _normalise(expr: AffineExpr, is_equality: bool) -> AffineExpr:
-        coeffs = expr.coefficients
-        constant = expr.constant
-        denominators = [c.denominator for c in coeffs.values()] + [constant.denominator]
-        scale = Fraction(lcm_many(denominators))
-        coeffs = {k: v * scale for k, v in coeffs.items()}
-        constant = constant * scale
-        numerators = [abs(int(c)) for c in coeffs.values()] + [abs(int(constant))]
-        divisor = gcd_many(numerators)
-        if divisor > 1:
-            coeffs = {k: v / divisor for k, v in coeffs.items()}
-            constant = constant / divisor
-        # Canonical sign for equalities: first non-zero coefficient positive.
+        """The positive multiple of *expr* with coprime integer entries."""
+        coeffs, constant = expr._coeffs, expr._const
+        divisor = gcd(constant, *coeffs.values())
         if is_equality:
-            ordered = sorted(coeffs)
-            flip = False
-            for name in ordered:
-                if coeffs[name] != 0:
-                    flip = coeffs[name] < 0
-                    break
-            else:
-                flip = constant < 0
-            if flip:
-                coeffs = {k: -v for k, v in coeffs.items()}
-                constant = -constant
-        return AffineExpr(coeffs, constant)
+            # canonical sign for equalities: first non-zero coefficient positive
+            leading = coeffs[min(coeffs)] if coeffs else constant
+            if leading < 0:
+                divisor = -divisor
+        if divisor in (0, 1):
+            # nothing to divide: dropping the (positive) denominator is all
+            return expr if expr._den == 1 else AffineExpr.from_terms(coeffs, constant)
+        return AffineExpr.from_terms(
+            {name: value // divisor for name, value in coeffs.items()}, constant // divisor
+        )
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -71,8 +63,7 @@ class Constraint:
         pure overhead.
         """
         expr = AffineExpr.from_terms(
-            {name: Fraction(value) for name, value in zip(names, coeffs) if value},
-            Fraction(constant),
+            {name: value for name, value in zip(names, coeffs) if value}, constant
         )
         constraint = object.__new__(cls)
         object.__setattr__(constraint, "expr", expr)
@@ -116,16 +107,16 @@ class Constraint:
         if not self.expr.is_constant():
             return False
         if self.is_equality:
-            return self.expr.constant == 0
-        return self.expr.constant >= 0
+            return self.expr._const == 0
+        return self.expr._const >= 0
 
     def is_trivially_false(self) -> bool:
         """Constant constraint that can never hold (e.g. ``-1 >= 0``)."""
         if not self.expr.is_constant():
             return False
         if self.is_equality:
-            return self.expr.constant != 0
-        return self.expr.constant < 0
+            return self.expr._const != 0
+        return self.expr._const < 0
 
     # -- evaluation / substitution ------------------------------------------------
     def satisfied_by(self, binding: Mapping[str, Number]) -> bool:

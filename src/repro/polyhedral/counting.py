@@ -13,9 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.polyhedral import fourier_motzkin as fm
 from repro.polyhedral.polyhedron import Polyhedron
-from repro.utils.frac import fraction_ceil, fraction_floor
 
 Number = Union[int, Fraction]
 
@@ -40,34 +38,22 @@ def enumerate_integer_points(
         raise ValueError("dim_order must be a permutation of the polyhedron dims")
     if any(c.is_trivially_false() for c in poly.constraints):
         return
-    yield from _enumerate(list(poly.constraints), order, {})
+    yield from _enumerate(poly, order, {})
 
 
 def _enumerate(
-    constraints: List, order: List[str], partial: Dict[str, int]
+    poly: Polyhedron, order: List[str], partial: Dict[str, int]
 ) -> Iterator[Dict[str, int]]:
     if not order:
         yield dict(partial)
         return
     name = order[0]
-    current = [c.substitute(partial) for c in constraints]
-    if any(c.is_trivially_false() for c in current):
+    span = poly.integer_range_at(name, partial)
+    if span is None:
         return
-    lowers, uppers = fm.bounds_for_variable(current, name, [])
-    lower_values = [expr.constant / coeff for expr, coeff in lowers if expr.is_constant()]
-    upper_values = [expr.constant / coeff for expr, coeff in uppers if expr.is_constant()]
-    if not lower_values or not upper_values:
-        # Either genuinely unbounded, or the remaining system is infeasible
-        # (projection collapsed to a contradiction) — the latter simply has no
-        # points to enumerate.
-        if fm.is_rationally_infeasible(current):
-            return
-        raise ValueError(f"dimension '{name}' is unbounded; cannot enumerate")
-    low = fraction_ceil(max(lower_values))
-    high = fraction_floor(min(upper_values))
-    for value in range(low, high + 1):
+    for value in range(span[0], span[1] + 1):
         partial[name] = value
-        yield from _enumerate(constraints, order[1:], partial)
+        yield from _enumerate(poly, order[1:], partial)
     partial.pop(name, None)
 
 

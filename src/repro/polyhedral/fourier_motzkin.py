@@ -7,52 +7,68 @@ double-description blowup is not a concern, but we still normalise and
 deduplicate aggressively after each elimination step to keep intermediate
 systems small.
 
-Exact arithmetic: a :class:`Constraint` is already normalised to coprime
-integers, so every public function converts its system once into *integer
-rows* ``(is_equality, coefficients, constant)`` over the sorted variable
-names, does all elimination work on Python ints (cross-multiplication instead
-of division, ``math.gcd`` to re-normalise), and builds ``Constraint`` /
-``AffineExpr`` objects — ``Fraction`` at the API boundary — only for the rows
-it returns.  Rows are kept in the same normal form ``Constraint`` uses, and in
-the same order the constraint-level rules would produce (equalities in
-encounter order, then inequalities in first-insertion order of their
-coefficient vector), because loop bounds, hulls and emitted code are read off
-that order.
+Exact arithmetic on *integer rows*: a system is a sorted tuple of variable
+names plus rows ``(is_equality, coefficients, constant)`` over them, each row
+in the normal form a :class:`Constraint` already has (coprime integers, an
+equality with a positive first non-zero coefficient).  That is what a
+:class:`~repro.polyhedral.polyhedron.Polyhedron` stores, so the row-level
+functions (:func:`reduce_rows`, :func:`eliminate_rows`, :func:`rows_infeasible`,
+:func:`row_bounds`, …) take and return rows, nothing is converted on the way,
+and all elimination work is on Python ints (cross-multiplication instead of
+division, ``math.gcd`` to re-normalise).  The constraint-level public API
+reads the rows off its constraints (:func:`rows_of`), asks the same question
+and wraps the answer; ``Fraction`` appears only there.  Rows keep the order
+the constraint-level rules would produce (equalities in encounter order, then
+inequalities in first-insertion order of their coefficient vector), because
+loop bounds, hulls and emitted code are read off that order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.constraints import Constraint
 
 #: ``(is_equality, coefficient per sorted variable name, constant)``
 Row = Tuple[bool, Tuple[int, ...], int]
+#: ``(lowers, uppers)`` of a variable: pairs ``(expr, coeff)`` for ``expr / coeff``, ``coeff > 0``
+IntBounds = Tuple[List[Tuple[AffineExpr, int]], List[Tuple[AffineExpr, int]]]
 
 
 # -- the API boundary: constraints <-> rows ----------------------------------------
-def _to_rows(constraints: Sequence[Constraint]) -> Tuple[List[str], List[Row]]:
+def rows_of(constraints: Sequence[Constraint]) -> Tuple[List[str], List[Row]]:
     """The system as integer rows over its sorted variable names (lossless)."""
-    names = sorted({name for c in constraints for name, _ in c.expr.terms()})
+    names = sorted({name for c in constraints for name in c.expr._coeffs})
     column = {name: idx for idx, name in enumerate(names)}
     width = len(names)
     rows: List[Row] = []
     for constraint in constraints:
         coeffs = [0] * width
-        for name, value in constraint.expr.terms():
-            coeffs[column[name]] = value.numerator
-        rows.append(
-            (constraint.is_equality, tuple(coeffs), constraint.expr.constant.numerator)
-        )
+        for name, value in constraint.expr._coeffs.items():
+            coeffs[column[name]] = value
+        rows.append((constraint.is_equality, tuple(coeffs), constraint.expr._const))
     return names, rows
 
 
-def _to_constraints(names: Sequence[str], rows: Iterable[Row]) -> List[Constraint]:
+def constraints_of(names: Sequence[str], rows: Iterable[Row]) -> List[Constraint]:
     return [
         Constraint.from_normal_row(names, coeffs, constant, is_equality)
+        for is_equality, coeffs, constant in rows
+    ]
+
+
+def reindex_rows(names: Sequence[str], rows: Iterable[Row], onto: Sequence[str]) -> List[Row]:
+    """*rows* over *names*, re-indexed over *onto*: the same sorted names plus
+    new ones (zero columns) or minus ones no row uses — normal form either way."""
+    if len(names) == len(onto):
+        return list(rows)
+    source = {name: idx for idx, name in enumerate(names)}
+    picks = [source.get(name) for name in onto]
+    return [
+        (is_equality, tuple(0 if idx is None else coeffs[idx] for idx in picks), constant)
         for is_equality, coeffs, constant in rows
     ]
 
@@ -77,7 +93,7 @@ def _normal_row(is_equality: bool, coeffs: List[int], constant: int) -> Row:
     return is_equality, tuple(coeffs), constant
 
 
-def _is_false(row: Row) -> bool:
+def is_false_row(row: Row) -> bool:
     """A constant row that can never hold (``-1 >= 0`` or ``1 == 0``)."""
     is_equality, coeffs, constant = row
     if any(coeffs):
@@ -85,7 +101,7 @@ def _is_false(row: Row) -> bool:
     return constant != 0 if is_equality else constant < 0
 
 
-def _reduce(rows: Iterable[Row]) -> List[Row]:
+def reduce_rows(rows: Iterable[Row]) -> List[Row]:
     """The syntactic redundancy rules of :func:`remove_redundant` on rows."""
     equalities: List[Row] = []
     seen = set()
@@ -94,7 +110,7 @@ def _reduce(rows: Iterable[Row]) -> List[Row]:
     for row in rows:
         is_equality, coeffs, constant = row
         if not any(coeffs):
-            if _is_false(row):
+            if is_false_row(row):
                 falsum = row
             continue
         if is_equality:
@@ -132,7 +148,7 @@ def _eliminate_column(rows: Sequence[Row], col: int) -> List[Row]:
                         scale * row[2] - factor * pivot_constant,
                     )
                 substituted.append(row)
-            return _reduce(substituted)
+            return reduce_rows(substituted)
 
     lower: List[Row] = []   # positive coefficient on the column
     upper: List[Row] = []   # negative coefficient on the column
@@ -157,15 +173,15 @@ def _eliminate_column(rows: Sequence[Row], col: int) -> List[Row]:
                     b * low_constant + a * up_constant,
                 )
             )
-    return _reduce(combined)
+    return reduce_rows(combined)
 
 
-def _eliminate_rows(names: Sequence[str], rows: Iterable[Row], eliminate: Iterable[str]) -> List[Row]:
-    """Eliminate the named columns cheapest-first (fewest lower×upper pairs)."""
+def eliminate_rows(names: Sequence[str], rows: Sequence[Row], eliminate: Iterable[str]) -> List[Row]:
+    """Eliminate the named columns of a reduced system, cheapest (fewest lower×upper pairs) first."""
     column = {name: idx for idx, name in enumerate(names)}
     # names that do not occur in the system cost nothing and change nothing
     remaining = [column[name] for name in dict.fromkeys(eliminate) if name in column]
-    system = _reduce(rows)
+    system = list(rows)
     while remaining:
         cost = {}
         for col in remaining:
@@ -179,24 +195,88 @@ def _eliminate_rows(names: Sequence[str], rows: Iterable[Row], eliminate: Iterab
         remaining.sort(key=cost.__getitem__)
         system = _eliminate_column(system, remaining.pop(0))
         # Early exit once the system is plainly infeasible.
-        if len(system) == 1 and _is_false(system[0]):
+        if len(system) == 1 and is_false_row(system[0]):
             return system
     return system
 
 
-def _first_appearance(constraints: Sequence[Constraint], skip: Iterable[str] = ()) -> List[str]:
-    """Variables in order of first use (sorted within a constraint), minus *skip*."""
-    seen = dict.fromkeys(skip)
+def bind_rows(
+    names: Sequence[str], rows: Iterable[Row], values: Mapping[str, int], scale: int = 1
+) -> List[Row]:
+    """Every row with each variable ``x`` of *values* replaced by ``values[x] / scale``."""
+    bound = [(idx, values[name]) for idx, name in enumerate(names) if name in values]
+    if not bound:
+        return list(rows)
+    result: List[Row] = []
+    for is_equality, coeffs, constant in rows:
+        entries = [value * scale for value in coeffs] if scale != 1 else list(coeffs)
+        constant *= scale
+        for idx, value in bound:
+            constant += coeffs[idx] * value
+            entries[idx] = 0
+        result.append(_normal_row(is_equality, entries, constant))
+    return result
+
+
+def _first_appearance(
+    names: Sequence[str], rows: Iterable[Row], skip: Iterable[str] = ()
+) -> List[str]:
+    """Variables in order of first use (sorted within a row), minus *skip*."""
+    seen = set(skip)
     ordered: List[str] = []
-    for constraint in constraints:
-        for name in constraint.variables:
-            if name not in seen:
-                seen[name] = None
+    for _, coeffs, _ in rows:
+        for name, value in zip(names, coeffs):
+            if value and name not in seen:
+                seen.add(name)
                 ordered.append(name)
     return ordered
 
 
-# -- public API ---------------------------------------------------------------------
+def rows_infeasible(names: Sequence[str], rows: Sequence[Row]) -> bool:
+    """True if the reduced system has no rational solution: with every variable
+    eliminated, exactly when a trivially false constant row remains."""
+    residual = eliminate_rows(names, rows, _first_appearance(names, rows))
+    return any(is_false_row(row) for row in residual)
+
+
+def _read_bounds(names: Sequence[str], rows: Iterable[Row], col: int) -> IntBounds:
+    """The bounds the rows put on column *col*."""
+    lowers, uppers = [], []
+    for is_equality, coeffs, constant in rows:
+        coeff = coeffs[col]
+        if coeff == 0:
+            continue
+        # coeff*name + rest >= 0 reads name >= -rest/coeff when coeff > 0 and
+        # name <= rest/(-coeff) otherwise: either way -sign(coeff)*rest / |coeff|
+        scale = -1 if coeff > 0 else 1
+        bound = AffineExpr.from_terms(
+            {
+                var: scale * value
+                for idx, (var, value) in enumerate(zip(names, coeffs))
+                if value and idx != col
+            },
+            scale * constant,
+        )
+        entry = (bound, abs(coeff))
+        # an equality is both inequalities, e >= 0 and -e >= 0: it bounds both sides
+        if is_equality or coeff > 0:
+            lowers.append(entry)
+        if is_equality or coeff < 0:
+            uppers.append(entry)
+    return lowers, uppers
+
+
+def row_bounds(
+    names: Sequence[str], rows: Sequence[Row], name: str, keep: Iterable[str]
+) -> IntBounds:
+    """:func:`bounds_for_variable` of a reduced row system, the coefficients as ints."""
+    if name not in names:
+        return [], []
+    drop = _first_appearance(names, rows, skip=(*keep, name))
+    return _read_bounds(names, eliminate_rows(names, rows, drop), names.index(name))
+
+
+# -- public API: the same questions asked of constraints ------------------------------
 def remove_redundant(constraints: Iterable[Constraint]) -> List[Constraint]:
     """Cheap syntactic redundancy removal.
 
@@ -208,20 +288,20 @@ def remove_redundant(constraints: Iterable[Constraint]) -> List[Constraint]:
       remains detectable).
     """
     constraints = list(constraints)
-    _, rows = _to_rows(constraints)
+    _, rows = rows_of(constraints)
     # every surviving row is an input row, so hand back the caller's objects
     original: Dict[Row, Constraint] = {}
     for row, constraint in zip(rows, constraints):
         original.setdefault(row, constraint)
-    return [original[row] for row in _reduce(rows)]
+    return [original[row] for row in reduce_rows(rows)]
 
 
 def eliminate_variable(constraints: Sequence[Constraint], name: str) -> List[Constraint]:
     """Project the constraint system onto the variables other than *name*."""
-    names, rows = _to_rows(constraints)
+    names, rows = rows_of(constraints)
     if name not in names:
-        return _to_constraints(names, _reduce(rows))
-    return _to_constraints(names, _eliminate_column(rows, names.index(name)))
+        return constraints_of(names, reduce_rows(rows))
+    return constraints_of(names, _eliminate_column(rows, names.index(name)))
 
 
 def eliminate(constraints: Sequence[Constraint], names: Iterable[str]) -> List[Constraint]:
@@ -230,19 +310,14 @@ def eliminate(constraints: Sequence[Constraint], names: Iterable[str]) -> List[C
     Variables are eliminated cheapest-first (fewest lower×upper combinations)
     which in practice keeps intermediate systems near-minimal.
     """
-    order, rows = _to_rows(constraints)
-    return _to_constraints(order, _eliminate_rows(order, rows, names))
+    order, rows = rows_of(constraints)
+    return constraints_of(order, eliminate_rows(order, reduce_rows(rows), names))
 
 
 def is_rationally_infeasible(constraints: Sequence[Constraint]) -> bool:
-    """True if the system has no rational solution.
-
-    All variables are eliminated; the system is infeasible exactly when a
-    trivially false constant constraint remains.
-    """
-    order, rows = _to_rows(constraints)
-    residual = _eliminate_rows(order, rows, _first_appearance(constraints))
-    return any(_is_false(row) for row in residual)
+    """True if the system has no rational solution."""
+    order, rows = rows_of(constraints)
+    return rows_infeasible(order, reduce_rows(rows))
 
 
 def bounds_for_variable(
@@ -253,34 +328,17 @@ def bounds_for_variable(
     All variables other than *name* and those in *keep* are eliminated first.
     Each returned entry is a pair ``(expr, coeff)`` meaning
     ``name >= expr / coeff`` (lower bounds) or ``name <= expr / coeff`` (upper
-    bounds) with ``coeff > 0``.
+    bounds) with ``coeff > 0`` — a ``Fraction``, so ``expr.constant / coeff``
+    is exact.
     """
-    order, rows = _to_rows(constraints)
-    drop = _first_appearance(constraints, skip=(*keep, name))
-    lowers: List[Tuple[AffineExpr, Fraction]] = []
-    uppers: List[Tuple[AffineExpr, Fraction]] = []
+    order, rows = rows_of(constraints)
     if name not in order:
-        return lowers, uppers
-    col = order.index(name)
-    for is_equality, coeffs, constant in _eliminate_rows(order, rows, drop):
-        coeff = coeffs[col]
-        if coeff == 0:
-            continue
-        # coeff*name + rest >= 0 reads name >= -rest/coeff when coeff > 0 and
-        # name <= rest/(-coeff) otherwise: either way -sign(coeff)*rest / |coeff|
-        scale = -1 if coeff > 0 else 1
-        bound = AffineExpr.from_terms(
-            {
-                var: Fraction(scale * value)
-                for idx, (var, value) in enumerate(zip(order, coeffs))
-                if value and idx != col
-            },
-            Fraction(scale * constant),
-        )
-        entry = (bound, Fraction(abs(coeff)))
-        # an equality is both inequalities, e >= 0 and -e >= 0: it bounds both sides
-        if is_equality or coeff > 0:
-            lowers.append(entry)
-        if is_equality or coeff < 0:
-            uppers.append(entry)
-    return lowers, uppers
+        return [], []
+    drop = _first_appearance(order, rows, skip=(*keep, name))
+    lowers, uppers = _read_bounds(
+        order, eliminate_rows(order, reduce_rows(rows), drop), order.index(name)
+    )
+    return (
+        [(expr, Fraction(coeff)) for expr, coeff in lowers],
+        [(expr, Fraction(coeff)) for expr, coeff in uppers],
+    )

@@ -28,7 +28,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.polyhedral.counting import enumerate_integer_points
-from repro.utils.frac import fraction_floor
 from repro.polyhedral.parametric import ParametricBound, QuasiAffineBound, parametric_bounds
 from repro.polyhedral.polyhedron import Polyhedron
 
@@ -45,7 +44,10 @@ class RectangularHull:
     """
 
     def __init__(
-        self, members: Sequence[Polyhedron], context: Optional[Polyhedron] = None
+        self,
+        members: Sequence[Polyhedron],
+        context: Optional[Polyhedron] = None,
+        _bounds: Optional[Sequence[Mapping[str, ParametricBound]]] = None,
     ) -> None:
         self._context = context
         if not members:
@@ -63,7 +65,16 @@ class RectangularHull:
             dict.fromkeys(name for poly in members for name in poly.params)
         )
         self._member_bounds: Tuple[Mapping[str, ParametricBound], ...] = tuple(
-            MappingProxyType(parametric_bounds(poly)) for poly in members
+            _bounds or (MappingProxyType(parametric_bounds(poly)) for poly in members)
+        )
+
+    def restricted_to(self, positions: Sequence[int]) -> "RectangularHull":
+        """The hull of the members at *positions*, in the same context, with the
+        parametric bounds this hull already derived for them (no elimination runs)."""
+        return RectangularHull(
+            [self._members[index] for index in positions],
+            self._context,
+            [self._member_bounds[index] for index in positions],
         )
 
     # mappingproxy does not pickle; hulls travel to pool workers inside sessions
@@ -182,7 +193,7 @@ class RectangularHull:
                 for candidate in offset_candidates:
                     difference = upper_expr - candidate
                     if difference.is_constant():
-                        value = fraction_floor(difference.constant)
+                        value = difference.floor_at({})
                     elif self._context is not None:
                         value = _max_over_context(difference, self._context)
                     else:

@@ -22,7 +22,6 @@ from repro.polyhedral import fourier_motzkin as fm
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.constraints import Constraint
 from repro.polyhedral.polyhedron import Polyhedron
-from repro.utils.frac import fraction_floor
 
 Number = Union[int, Fraction]
 
@@ -206,9 +205,9 @@ def resolve_quasi_affine(
         if not difference.is_constant():
             resolved = False
             break
-        if bound.kind == "min" and difference.constant < 0:
+        if bound.kind == "min" and difference._const < 0:
             best = expr
-        elif bound.kind == "max" and difference.constant > 0:
+        elif bound.kind == "max" and difference._const > 0:
             best = expr
     if resolved:
         return best
@@ -266,7 +265,7 @@ def static_extent_bound(
             difference = up - low
             extent: Optional[int] = None
             if difference.is_constant():
-                extent = fraction_floor(difference.constant) + 1
+                extent = difference.floor_at({}) + 1
             elif context is not None:
                 extent = _max_over_context(difference, context)
                 if extent is not None:
@@ -289,11 +288,8 @@ def _projected_maximum(expr: AffineExpr, context: Polyhedron) -> Optional[int]:
         return None
     # Introduce a fresh dimension equal to the expression and bound it.
     value_dim = "__value"
-    combined = Polyhedron(
-        tuple(context.dims) + (value_dim,),
-        list(context.constraints)
-        + [Constraint.equals(AffineExpr.var(value_dim), expr)],
-        context.params,
+    combined = context.with_dims(tuple(context.dims) + (value_dim,)).add_constraints(
+        [Constraint.equals(AffineExpr.var(value_dim), expr)]
     )
     projected = combined.project_onto([value_dim])
     try:
@@ -302,15 +298,14 @@ def _projected_maximum(expr: AffineExpr, context: Polyhedron) -> Optional[int]:
         return None
     if not bound.upper.is_constant():
         return None
-    values = [e.constant for e in bound.upper.exprs]
-    return fraction_floor(min(values))
+    return bound.upper.floor_at({})
 
 
 def _bounds_for(polyhedron: Polyhedron, dim: str) -> ParametricBound:
     if dim not in polyhedron.dims:
         raise ValueError(f"'{dim}' is not a dimension of {polyhedron!r}")
-    lowers, uppers = fm.bounds_for_variable(
-        polyhedron.constraints, dim, polyhedron.params
+    lowers, uppers = fm.row_bounds(
+        polyhedron._names, polyhedron._rows, dim, polyhedron.params
     )
     if not lowers:
         raise ValueError(f"dimension '{dim}' has no lower bound in {polyhedron!r}")

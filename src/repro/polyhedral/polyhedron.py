@@ -5,18 +5,22 @@ over two kinds of variables: *set dimensions* (loop iterators or data-space
 indices) and *parameters* (problem sizes, tile sizes).  This mirrors the
 paper's use of PolyLib: iteration-space polytopes, data spaces (images under
 access functions) and dependence polyhedra are all instances of this class.
+
+What is stored is the constraint matrix: the sorted names the system mentions
+and its reduced normal integer rows (:mod:`repro.polyhedral.fourier_motzkin`).
+Every operation starts from those rows and hands rows to the polyhedra it
+builds; :class:`Constraint` objects — and with them ``Fraction`` — appear only
+when :attr:`Polyhedron.constraints` is read.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.polyhedral import fourier_motzkin as fm
-from repro.polyhedral.affine import AffineExpr, ExprLike
+from repro.polyhedral.affine import AffineExpr, ExprLike, scaled_binding
 from repro.polyhedral.constraints import Constraint
-from repro.utils.frac import as_fraction, fraction_ceil, fraction_floor
 
 Number = Union[int, Fraction]
 
@@ -24,7 +28,7 @@ Number = Union[int, Fraction]
 class Polyhedron:
     """An intersection of affine constraints over dims and parameters."""
 
-    __slots__ = ("_dims", "_params", "_constraints", "_hash")
+    __slots__ = ("_dims", "_params", "_names", "_rows", "_constraints", "_hash")
 
     def __init__(
         self,
@@ -32,8 +36,27 @@ class Polyhedron:
         constraints: Iterable[Constraint] = (),
         params: Sequence[str] = (),
     ) -> None:
-        dims = tuple(dims)
-        params = tuple(params)
+        constraints = list(constraints)
+        names, rows = fm.rows_of(constraints)
+        self._adopt(dims, params, names, fm.reduce_rows(rows), constraints)
+
+    @classmethod
+    def _from_rows(cls, *system) -> "Polyhedron":
+        """A polyhedron over a reduced row system (:meth:`_adopt`); builds no constraint object."""
+        polyhedron = object.__new__(cls)
+        polyhedron._adopt(*system)
+        return polyhedron
+
+    def _adopt(
+        self,
+        dims: Sequence[str],
+        params: Sequence[str],
+        names: Sequence[str],
+        rows: Sequence[fm.Row],
+        given: Sequence[Constraint] = (),
+    ) -> None:
+        """Become *rows* (reduced, over *names*); *given*: the constraints from outside among them."""
+        dims, params = tuple(dims), tuple(params)
         if len(set(dims)) != len(dims):
             raise ValueError(f"duplicate dimension names in {dims}")
         if len(set(params)) != len(params):
@@ -41,19 +64,20 @@ class Polyhedron:
         overlap = set(dims) & set(params)
         if overlap:
             raise ValueError(f"names used both as dim and parameter: {sorted(overlap)}")
-        known = set(dims) | set(params)
-        clean: List[Constraint] = []
-        for constraint in constraints:
-            unknown = [v for v in constraint.variables if v not in known]
-            if unknown:
-                raise ValueError(
-                    f"constraint '{constraint}' mentions unknown names {unknown}; "
-                    f"dims={dims}, params={params}"
-                )
-            clean.append(constraint)
+        if set(names).difference(dims, params):
+            for constraint in given:
+                unknown = [v for v in constraint.variables if v not in dims + params]
+                if unknown:
+                    raise ValueError(
+                        f"constraint '{constraint}' mentions unknown names {unknown}; "
+                        f"dims={dims}, params={params}"
+                    )
         self._dims = dims
         self._params = params
-        self._constraints = tuple(fm.remove_redundant(clean))
+        # one spelling per system: no column that no row uses
+        used = tuple(name for idx, name in enumerate(names) if any(row[1][idx] for row in rows))
+        self._names, self._rows = used, tuple(fm.reindex_rows(names, rows, used))
+        self._constraints: Optional[Tuple[Constraint, ...]] = None  # until read
         self._hash: Optional[int] = None
 
     # -- constructors ------------------------------------------------------
@@ -93,6 +117,8 @@ class Polyhedron:
 
     @property
     def constraints(self) -> Tuple[Constraint, ...]:
+        if self._constraints is None:  # immutable, so materialised once
+            self._constraints = tuple(fm.constraints_of(self._names, self._rows))
         return self._constraints
 
     @property
@@ -102,16 +128,22 @@ class Polyhedron:
     def __repr__(self) -> str:
         dims = ", ".join(self._dims)
         params = ", ".join(self._params)
-        body = " and ".join(str(c) for c in self._constraints) or "true"
+        body = " and ".join(str(c) for c in self.constraints) or "true"
         prefix = f"[{params}] -> " if params else ""
         return f"{prefix}{{ [{dims}] : {body} }}"
 
     # -- structural operations ---------------------------------------------------
+    def _merged(self, params, names, rows, given=()) -> "Polyhedron":
+        """This polyhedron with the rows of another system (over *names*) added."""
+        union = sorted(set(self._names).union(names))
+        combined = fm.reindex_rows(self._names, self._rows, union)
+        combined += fm.reindex_rows(names, rows, union)
+        return Polyhedron._from_rows(self._dims, params, union, fm.reduce_rows(combined), given)
+
     def add_constraints(self, constraints: Iterable[Constraint]) -> "Polyhedron":
         """Return a new polyhedron with extra constraints added."""
-        return Polyhedron(
-            self._dims, list(self._constraints) + list(constraints), self._params
-        )
+        constraints = list(constraints)
+        return self._merged(self._params, *fm.rows_of(constraints), constraints)
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         """Intersection; both operands must use the same dimension tuple."""
@@ -121,14 +153,12 @@ class Polyhedron:
                 f"{self._dims} vs {other._dims}"
             )
         params = tuple(dict.fromkeys(self._params + other._params))
-        return Polyhedron(
-            self._dims, list(self._constraints) + list(other._constraints), params
-        )
+        return self._merged(params, other._names, other._rows)
 
     def rename_dims(self, mapping: Mapping[str, str]) -> "Polyhedron":
         """Rename dimensions (and their occurrences in constraints)."""
         new_dims = tuple(mapping.get(d, d) for d in self._dims)
-        constraints = [c.rename(mapping) for c in self._constraints]
+        constraints = [c.rename(mapping) for c in self.constraints]
         return Polyhedron(new_dims, constraints, self._params)
 
     def with_dims(self, dims: Sequence[str]) -> "Polyhedron":
@@ -136,16 +166,16 @@ class Polyhedron:
         missing = [d for d in self._dims if d not in dims]
         if missing:
             raise ValueError(f"target dims {dims} must include existing dims; missing {missing}")
-        return Polyhedron(dims, self._constraints, self._params)
+        return Polyhedron._from_rows(dims, self._params, self._names, self._rows)
 
     def specialize(self, param_binding: Mapping[str, Number]) -> "Polyhedron":
         """Substitute numeric values for (some) parameters."""
-        constraints = [
-            c.substitute({k: as_fraction(v) for k, v in param_binding.items()})
-            for c in self._constraints
-        ]
+        if not param_binding:
+            return self
+        values, scale = scaled_binding(param_binding)
+        rows = fm.bind_rows(self._names, self._rows, values, scale)
         params = tuple(p for p in self._params if p not in param_binding)
-        return Polyhedron(self._dims, constraints, params)
+        return Polyhedron._from_rows(self._dims, params, self._names, fm.reduce_rows(rows))
 
     def project_out(self, names: Iterable[str]) -> "Polyhedron":
         """Existentially project away the given dims (Fourier–Motzkin)."""
@@ -153,16 +183,16 @@ class Polyhedron:
         unknown = [n for n in names if n not in self._dims]
         if unknown:
             raise ValueError(f"cannot project out non-dimensions {unknown}")
-        constraints = fm.eliminate(self._constraints, names)
+        rows = fm.eliminate_rows(self._names, self._rows, names)
         remaining = tuple(d for d in self._dims if d not in names)
-        return Polyhedron(remaining, constraints, self._params)
+        return Polyhedron._from_rows(remaining, self._params, self._names, rows)
 
     def project_onto(self, names: Sequence[str]) -> "Polyhedron":
         """Project onto the given dims, dropping all others."""
         drop = [d for d in self._dims if d not in names]
-        projected = self.project_out(drop)
-        order = tuple(n for n in names if n in projected.dims)
-        return Polyhedron(order, projected.constraints, self._params)
+        rows = fm.eliminate_rows(self._names, self._rows, drop)
+        order = tuple(n for n in names if n in self._dims)
+        return Polyhedron._from_rows(order, self._params, self._names, rows)
 
     # -- predicates ------------------------------------------------------------
     def is_empty(self) -> bool:
@@ -173,7 +203,7 @@ class Polyhedron:
         coincides with integer emptiness; where the distinction matters use
         :meth:`has_integer_point`.
         """
-        return fm.is_rationally_infeasible(self._constraints)
+        return fm.rows_infeasible(self._names, self._rows)
 
     def has_integer_point(self, param_binding: Optional[Mapping[str, Number]] = None) -> bool:
         """True if the (specialised) polyhedron contains at least one integer point."""
@@ -188,7 +218,7 @@ class Polyhedron:
 
     def contains(self, binding: Mapping[str, Number]) -> bool:
         """Membership test for a fully bound point (dims and parameters)."""
-        return all(c.satisfied_by(binding) for c in self._constraints)
+        return all(c.satisfied_by(binding) for c in self.constraints)
 
     def intersects(self, other: "Polyhedron") -> bool:
         """True when the intersection is (rationally) non-empty."""
@@ -200,7 +230,7 @@ class Polyhedron:
             raise ValueError("subset test requires identical dimension tuples")
         if self.is_empty():
             return True
-        for constraint in other._constraints:
+        for constraint in other.constraints:
             for ineq in constraint.as_pair_of_inequalities():
                 violated = self.add_constraints([ineq.negate()])
                 if not violated.is_empty():
@@ -239,27 +269,15 @@ class Polyhedron:
         poly = self.specialize(param_binding or {})
         box: Dict[str, Tuple[int, int]] = {}
         for name in poly._dims:
-            lowers, uppers = fm.bounds_for_variable(poly._constraints, name, poly._params)
+            lowers, uppers = fm.row_bounds(poly._names, poly._rows, name, poly._params)
             if not lowers or not uppers:
                 raise ValueError(f"dimension '{name}' is unbounded in {poly!r}")
-            lower_values: List[Fraction] = []
-            upper_values: List[Fraction] = []
-            for expr, coeff in lowers:
+            for expr, _ in lowers + uppers:
                 if not expr.is_constant():
                     raise ValueError(
                         f"bound of '{name}' depends on unbound parameters: {expr}"
                     )
-                lower_values.append(expr.constant / coeff)
-            for expr, coeff in uppers:
-                if not expr.is_constant():
-                    raise ValueError(
-                        f"bound of '{name}' depends on unbound parameters: {expr}"
-                    )
-                upper_values.append(expr.constant / coeff)
-            box[name] = (
-                fraction_ceil(max(lower_values)),
-                fraction_floor(min(upper_values)),
-            )
+            box[name] = _integer_range(lowers, uppers)
         return box
 
     def sample_integer_point(
@@ -267,41 +285,29 @@ class Polyhedron:
     ) -> Optional[Dict[str, int]]:
         """Return one integer point of the polyhedron, or ``None`` if there is none.
 
-        Uses a straightforward recursive search over per-dimension bounds; the
-        sets handled by the framework are small enough for this to be instant.
+        The first point of the lexicographic enumeration; the sets handled by
+        the framework are small enough for this to be instant.
         """
+        from repro.polyhedral.counting import enumerate_integer_points
+
         poly = self.specialize(param_binding or {})
         if poly.params:
             raise ValueError(f"parameters must be bound for sampling: {poly.params}")
-        if poly.is_empty():
-            return None
-        return poly._search_point({}, list(poly._dims))
+        return next(enumerate_integer_points(poly), None)
 
-    def _search_point(
-        self, partial: Dict[str, int], remaining: List[str]
-    ) -> Optional[Dict[str, int]]:
-        if not remaining:
-            return dict(partial) if self.contains(partial) else None
-        name = remaining[0]
-        constraints = [c.substitute(partial) for c in self._constraints]
-        if any(c.is_trivially_false() for c in constraints):
+    def integer_range_at(self, name: str, partial: Mapping[str, int]) -> Optional[Tuple[int, int]]:
+        """Integer range of dim *name* with the dims of *partial* fixed (``None``: no point left)."""
+        rows = fm.reduce_rows(fm.bind_rows(self._names, self._rows, partial))
+        if any(fm.is_false_row(row) for row in rows):
             return None
-        lowers, uppers = fm.bounds_for_variable(constraints, name, [])
-        lower_values = [expr.constant / coeff for expr, coeff in lowers if expr.is_constant()]
-        upper_values = [expr.constant / coeff for expr, coeff in uppers if expr.is_constant()]
-        if not lower_values or not upper_values:
-            if fm.is_rationally_infeasible(constraints):
+        lowers, uppers = fm.row_bounds(self._names, rows, name, ())
+        if not lowers or not uppers:
+            # Either genuinely unbounded, or the remaining system is infeasible
+            # (projection collapsed to a contradiction) and simply has no points.
+            if fm.rows_infeasible(self._names, rows):
                 return None
-            raise ValueError(f"dimension '{name}' is unbounded; cannot sample")
-        low = fraction_ceil(max(lower_values))
-        high = fraction_floor(min(upper_values))
-        for value in range(low, high + 1):
-            partial[name] = value
-            found = self._search_point(partial, remaining[1:])
-            if found is not None:
-                return found
-            del partial[name]
-        return None
+            raise ValueError(f"dimension '{name}' is unbounded; cannot enumerate")
+        return _integer_range(lowers, uppers)
 
     # -- enumeration (delegates to counting, kept here for convenience) ----------
     def integer_points(
@@ -325,18 +331,32 @@ class Polyhedron:
         return (
             self._dims == other._dims
             and self._params == other._params
-            and set(self._constraints) == set(other._constraints)
+            and self._names == other._names
+            and set(self._rows) == set(other._rows)
         )
 
     def __hash__(self) -> int:
         if self._hash is None:  # immutable, so hashed once
-            self._hash = hash((self._dims, self._params, frozenset(self._constraints)))
+            self._hash = hash(
+                (self._dims, self._params, self._names, frozenset(self._rows))
+            )
         return self._hash
 
-    # str hashes differ between processes, so the kept hash must not travel
-    def __getstate__(self) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[Constraint, ...]]:
-        return self._dims, self._params, self._constraints
+    # str hashes differ between processes, so the kept hash must not travel;
+    # the materialised constraints are rebuilt from the rows where they are read
+    def __getstate__(self) -> tuple:
+        return self._dims, self._params, self._names, self._rows
 
     def __setstate__(self, state) -> None:
-        self._dims, self._params, self._constraints = state
-        self._hash = None
+        self._dims, self._params, self._names, self._rows = state
+        self._constraints = self._hash = None
+
+
+def _integer_range(
+    lowers: Sequence[Tuple[AffineExpr, int]], uppers: Sequence[Tuple[AffineExpr, int]]
+) -> Tuple[int, int]:
+    """``(ceil(max lower), floor(min upper))`` of constant ``expr / coeff`` bounds."""
+    return (
+        max(-(-expr._const // coeff) for expr, coeff in lowers),
+        min(expr._const // coeff for expr, coeff in uppers),
+    )

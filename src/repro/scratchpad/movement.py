@@ -17,15 +17,14 @@ exactly the estimate described in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional
 
 from repro.codegen.union_scan import scan_union
 from repro.ir.ast import COPY_IN, COPY_OUT, BlockNode, StatementNode
 from repro.ir.expressions import Load
 from repro.ir.statements import Statement
 from repro.polyhedral.affine import AffineExpr
-from repro.polyhedral.hull import rectangular_hull
 from repro.polyhedral.polyhedron import Polyhedron
 from repro.scratchpad.allocation import LocalBufferSpec
 from repro.utils.components import connected_components
@@ -40,6 +39,11 @@ class DataMovementCode:
     copy_out: BlockNode
     copy_in_statements: List[Statement]
     copy_out_statements: List[Statement]
+    #: (direction, binding) -> volume: derived once, and again wherever a pickle lands
+    _volumes: Dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "_volumes": {}}
 
     def has_copy_in(self) -> bool:
         return bool(self.copy_in.body)
@@ -53,46 +57,45 @@ class DataMovementCode:
         Zero when no copy-in code was generated (e.g. suppressed by the
         liveness analysis of Section 3.1.4).
         """
-        if not self.has_copy_in():
-            return 0
-        return _volume_upper_bound(
-            self.spec, self.spec.read_spaces(), param_binding
-        )
+        return self._volume(False, param_binding) if self.has_copy_in() else 0
 
     def volume_out(self, param_binding: Optional[Mapping[str, int]] = None) -> int:
         """Upper bound on elements moved out of the buffer per block execution.
 
         Zero when no copy-out code was generated.
         """
-        if not self.has_copy_out():
-            return 0
-        return _volume_upper_bound(
-            self.spec, self.spec.write_spaces(), param_binding
-        )
+        return self._volume(True, param_binding) if self.has_copy_out() else 0
+
+    def _volume(self, writes: bool, param_binding: Optional[Mapping[str, int]]) -> int:
+        key = (writes, None if param_binding is None else tuple(sorted(param_binding.items())))
+        if key not in self._volumes:
+            self._volumes[key] = _volume_upper_bound(self.spec, writes, param_binding)
+        return self._volumes[key]
 
 
 def _volume_upper_bound(
-    spec: LocalBufferSpec,
-    spaces: Sequence[Polyhedron],
-    param_binding: Optional[Mapping[str, int]],
+    spec: LocalBufferSpec, writes: bool, param_binding: Optional[Mapping[str, int]]
 ) -> int:
-    """Sum of hull footprints of the maximal non-overlapping subsets of *spaces*."""
-    if not spaces:
-        return 0
+    """Sum of hull footprints of the maximal non-overlapping subsets of the read (or written) spaces.
+
+    Each subset's hull is cut from the allocation's hull — same members, same
+    parameter context — so the per-member bounds Algorithm 2 derived for the
+    buffer are not derived a second time for its copies.
+    """
+    positions = [index for index, space in enumerate(spec.partition) if space.is_write == writes]
+    spaces = [spec.partition[index].data_space for index in positions]
     overlapping = (
         (i, j)
         for i in range(len(spaces))
         for j in range(i + 1, len(spaces))
         if spaces[i].intersects(spaces[j])
     )
-    total = 0
-    context = spec.hull._context  # same parameter context as the allocation
-    for component in connected_components(len(spaces), overlapping):
-        members = [spaces[index] for index in component]
-        hull = rectangular_hull(members, context=context)
-        volume = _static_footprint(hull, param_binding)
-        total += volume
-    return total
+    return sum(
+        _static_footprint(
+            spec.hull.restricted_to([positions[index] for index in component]), param_binding
+        )
+        for component in connected_components(len(spaces), overlapping)
+    )
 
 
 def _static_footprint(hull, param_binding: Optional[Mapping[str, int]]) -> int:

@@ -15,10 +15,12 @@ where, for each staged buffer ``k``:
 * ``L``  — transfer cost per element.
 
 The model is evaluated on the *actual* buffers the scratchpad framework would
-allocate for a tile: the constructor builds symbolic tile-shaped iteration
-domains (tile origins and tile sizes as parameters), computes the per-buffer
-hulls once, and each evaluation simply substitutes concrete tile sizes — so
-the same machinery that generates code also prices it.
+allocate for a tile: :class:`TileBoxGeometry` builds symbolic tile-shaped
+iteration domains (tile origins and tile sizes as parameters) and the
+per-buffer hulls once per program and binding, each launch geometry's model
+decides which of those buffers it stages, and each evaluation simply
+substitutes concrete tile sizes — so the same machinery that generates code
+also prices it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.ir.program import Program
 from repro.ir.statements import Statement
@@ -34,7 +37,7 @@ from repro.polyhedral.affine import AffineExpr, scaled_binding
 from repro.polyhedral.constraints import Constraint
 from repro.polyhedral.hull import RectangularHull, rectangular_hull
 from repro.polyhedral.polyhedron import Polyhedron
-from repro.scratchpad.data_space import compute_reference_data_spaces
+from repro.scratchpad.data_space import ReferenceDataSpace, compute_reference_data_spaces
 from repro.scratchpad.partition import partition_overlapping
 from repro.scratchpad.reuse import DEFAULT_DELTA, evaluate_reuse
 
@@ -58,102 +61,58 @@ class MovementDescriptor:
     dependent_loops: Set[str] = field(default_factory=set)
 
 
-class DataMovementCostModel:
-    """Evaluates the Section-4.3 cost model for candidate tile sizes."""
+class TileBoxGeometry:
+    """The half of the model no launch geometry changes.
+
+    Symbolic tile-shaped iteration domains (tile origins and sizes as
+    parameters), the data spaces accessed from them, their partitions and —
+    built when a model first stages a partition — its hulls.  It depends on the
+    program, its tile loops and its bound parameters only, so a tuning request
+    derives it once (the analysis artifact keeps it) for every launch
+    geometry's model; nothing in it is mutated once built.
+    """
 
     def __init__(
-        self,
-        program: Program,
-        tile_loops: Sequence[str],
-        loop_extents: Mapping[str, int],
-        threads: int,
-        sync_cost: float,
-        transfer_cost: float,
-        problem_params: Optional[Mapping[str, int]] = None,
-        delta: float = DEFAULT_DELTA,
-        stage_all: bool = False,
-        hoisting: bool = True,
+        self, program: Program, tile_loops: Sequence[str], problem_params: Mapping[str, int]
     ) -> None:
-        """Build the model.
-
-        Parameters
-        ----------
-        program:
-            The (untiled) program block; its statements define the accesses.
-        tile_loops:
-            Original loop iterators that the intra-tile (memory-level) tiling
-            splits; tile sizes are searched for exactly these loops.
-        loop_extents:
-            Iteration extent of each tile loop within one outer-level tile
-            (the ``N_i`` of the paper's formula).
-        threads:
-            ``P`` — the number of inner-level processes.
-        sync_cost / transfer_cost:
-            ``S`` and ``L`` of the cost model (machine-dependent).
-        problem_params:
-            Values for the program's symbolic parameters.
-        stage_all:
-            Treat every partition as staged (Cell-like target).
-        hoisting:
-            Account for Section-4.2 hoisting when counting copy occurrences.
-        """
-        if threads <= 0:
-            raise ValueError("threads (P) must be positive")
         self.program = program
         self.tile_loops = list(tile_loops)
-        self.loop_extents = {k: int(v) for k, v in loop_extents.items()}
-        for loop in self.tile_loops:
-            if loop not in self.loop_extents:
-                raise ValueError(f"missing extent for tile loop {loop!r}")
-        self.threads = threads
-        self.sync_cost = float(sync_cost)
-        self.transfer_cost = float(transfer_cost)
-        self.problem_params = dict(problem_params or program.default_params)
-        self.delta = delta
-        self.stage_all = stage_all
-        self.hoisting = hoisting
-        self.descriptors: List[MovementDescriptor] = []
-        self._representative_origins: Dict[str, int] = {}
-        self._details_memo: Dict[Tuple[float, ...], List[Dict[str, float]]] = {}
-        self._build()
+        self.problem_params = dict(problem_params)
+        self.representative_origins: Dict[str, int] = {}
+        self.context = self._context()
+        data_spaces = compute_reference_data_spaces(
+            [self._tile_domain_statement(s) for s in program.statement_list]
+        )
+        #: ``(array name, index among the array's partitions, partition)``, in buffer order
+        self.partitions: List[Tuple[str, int, List[ReferenceDataSpace]]] = [
+            (array_name, index, partition)
+            for array_name in sorted(data_spaces)
+            for index, partition in enumerate(partition_overlapping(data_spaces[array_name]))
+        ]
+        self._descriptors: Dict[int, MovementDescriptor] = {}
 
-    # -- construction -------------------------------------------------------------
-    def _build(self) -> None:
-        statements = [self._tile_domain_statement(s) for s in self.program.statement_list]
-        context = self._context()
-        data_spaces = compute_reference_data_spaces(statements)
-        reuse_binding = dict(self.problem_params)
-        reuse_binding.update(self._representative_origins)
-        for loop in self.tile_loops:
-            reuse_binding.setdefault(f"{loop}{SIZE_SUFFIX}", self.loop_extents[loop])
-
-        for array_name in sorted(data_spaces):
-            spaces = data_spaces[array_name]
-            for index, partition in enumerate(partition_overlapping(spaces)):
-                decision = evaluate_reuse(partition, self.delta, reuse_binding)
-                if not (decision.beneficial or self.stage_all):
-                    continue
-                element_size = partition[0].array.element_size
-                hull = rectangular_hull([s.data_space for s in partition], context)
-                reads = [s.data_space for s in partition if not s.is_write]
-                writes = [s.data_space for s in partition if s.is_write]
-                dependent: Set[str] = set()
-                for space in partition:
-                    for expr in space.function.outputs:
-                        for loop in self.tile_loops:
-                            if expr.coefficient(loop) != 0:
-                                dependent.add(loop)
-                self.descriptors.append(
-                    MovementDescriptor(
-                        array_name=array_name,
-                        buffer_name=f"l_{array_name}_{index}",
-                        element_size=element_size,
-                        hull=hull,
-                        read_hull=rectangular_hull(reads, context) if reads else None,
-                        write_hull=rectangular_hull(writes, context) if writes else None,
-                        dependent_loops=dependent,
-                    )
-                )
+    def descriptor(self, position: int) -> MovementDescriptor:
+        """The buffer ``partitions[position]`` would get (hulls built on first demand)."""
+        descriptor = self._descriptors.get(position)
+        if descriptor is None:
+            array_name, index, partition = self.partitions[position]
+            hull = rectangular_hull([s.data_space for s in partition], self.context)
+            reads = [at for at, space in enumerate(partition) if not space.is_write]
+            writes = [at for at, space in enumerate(partition) if space.is_write]
+            dependent: Set[str] = set()
+            for space in partition:
+                for expr in space.function.outputs:
+                    dependent.update(loop for loop in self.tile_loops if expr.depends_on((loop,)))
+            descriptor = self._descriptors[position] = MovementDescriptor(
+                array_name=array_name,
+                buffer_name=f"l_{array_name}_{index}",
+                element_size=partition[0].array.element_size,
+                hull=hull,
+                read_hull=hull.restricted_to(reads) if reads else None,
+                write_hull=hull.restricted_to(writes) if writes else None,
+                dependent_loops=dependent,
+            )
+        return descriptor
 
     def _tile_domain_statement(self, statement: Statement) -> Statement:
         """Intersect the statement domain with a symbolic tile box."""
@@ -183,7 +142,7 @@ class DataMovementCostModel:
             size = f"{loop}{SIZE_SUFFIX}"
             dims.extend((origin, size))
             lower, upper = self._original_bounds(loop)
-            self._representative_origins[origin] = lower
+            self.representative_origins[origin] = lower
             constraints.append(Constraint.greater_equal(AffineExpr.var(origin), lower))
             constraints.append(Constraint.less_equal(AffineExpr.var(origin), upper))
             constraints.append(Constraint.greater_equal(AffineExpr.var(size), 1))
@@ -202,6 +161,81 @@ class DataMovementCostModel:
                 return low, high
         raise ValueError(f"loop {loop!r} does not appear in any statement domain")
 
+
+class DataMovementCostModel:
+    """Evaluates the Section-4.3 cost model for candidate tile sizes."""
+
+    def __init__(
+        self,
+        program: Program,
+        tile_loops: Sequence[str],
+        loop_extents: Mapping[str, int],
+        threads: int,
+        sync_cost: float,
+        transfer_cost: float,
+        problem_params: Optional[Mapping[str, int]] = None,
+        delta: float = DEFAULT_DELTA,
+        stage_all: bool = False,
+        hoisting: bool = True,
+        geometry: Optional[TileBoxGeometry] = None,
+    ) -> None:
+        """Build the model.
+
+        Parameters
+        ----------
+        program:
+            The (untiled) program block; its statements define the accesses.
+        tile_loops:
+            Original loop iterators that the intra-tile (memory-level) tiling
+            splits; tile sizes are searched for exactly these loops.
+        loop_extents:
+            Iteration extent of each tile loop within one outer-level tile
+            (the ``N_i`` of the paper's formula).
+        threads:
+            ``P`` — the number of inner-level processes.
+        sync_cost / transfer_cost:
+            ``S`` and ``L`` of the cost model (machine-dependent).
+        problem_params:
+            Values for the program's symbolic parameters.
+        stage_all:
+            Treat every partition as staged (Cell-like target).
+        hoisting:
+            Account for Section-4.2 hoisting when counting copy occurrences.
+        geometry:
+            The :class:`TileBoxGeometry` of exactly this program, tile loops and
+            parameters when the caller holds one already; else derived here.
+        """
+        if threads <= 0:
+            raise ValueError("threads (P) must be positive")
+        self.program = program
+        self.tile_loops = list(tile_loops)
+        self.loop_extents = {k: int(v) for k, v in loop_extents.items()}
+        for loop in self.tile_loops:
+            if loop not in self.loop_extents:
+                raise ValueError(f"missing extent for tile loop {loop!r}")
+        self.threads = threads
+        self.sync_cost = float(sync_cost)
+        self.transfer_cost = float(transfer_cost)
+        self.problem_params = dict(problem_params or program.default_params)
+        self.delta = delta
+        self.stage_all = stage_all
+        self.hoisting = hoisting
+        if geometry is None:
+            geometry = TileBoxGeometry(program, self.tile_loops, self.problem_params)
+        self._representative_origins = geometry.representative_origins
+        self._details_memo: Dict[Tuple[float, ...], List[Dict[str, float]]] = {}
+        # what this launch geometry changes: the extents the reuse test sees,
+        # hence which partitions are staged
+        reuse_binding = dict(self.problem_params)
+        reuse_binding.update(self._representative_origins)
+        for loop in self.tile_loops:
+            reuse_binding.setdefault(f"{loop}{SIZE_SUFFIX}", self.loop_extents[loop])
+        self.descriptors: List[MovementDescriptor] = [
+            geometry.descriptor(position)
+            for position, (_, _, partition) in enumerate(geometry.partitions)
+            if self.stage_all or evaluate_reuse(partition, self.delta, reuse_binding).beneficial
+        ]
+
     # -- evaluation ------------------------------------------------------------------
     def _binding(self, tile_sizes: Mapping[str, float]) -> Tuple[Dict[str, int], int]:
         """``(ints, scale)``: every name the hull bounds mention, as ``ints[name] / scale``.
@@ -211,7 +245,7 @@ class DataMovementCostModel:
         every buffer at this one point, so the (rational) tile sizes are put
         over a common denominator here and the pricing runs on ints.
         """
-        binding: Dict[str, Fraction] = {
+        binding: Dict[str, Union[int, Fraction]] = {
             name: _to_fraction(value) for name, value in self.problem_params.items()
         }
         for name, value in self._representative_origins.items():
@@ -222,8 +256,10 @@ class DataMovementCostModel:
 
     @staticmethod
     def _hull_volume(
-        hull: Optional[RectangularHull], values: Mapping[str, int], scale: int
+        hull: Optional[RectangularHull], values: Mapping[str, int], scale: int, boxes: dict
     ) -> float:
+        """Volume of the hull's box at one point; *boxes* keeps each member's
+        extreme values, which a buffer's hull and its read/write hulls share."""
         if hull is None:
             return 0.0
 
@@ -237,8 +273,11 @@ class DataMovementCostModel:
             lows: List[float] = []
             highs: List[float] = []
             for bounds in hull.member_bounds:
-                low = max([value(e) for e in bounds[dim].lower.exprs])
-                high = min([value(e) for e in bounds[dim].upper.exprs])
+                bound = bounds[dim]
+                if id(bound) not in boxes:
+                    lower, upper = bound.lower.exprs, bound.upper.exprs
+                    boxes[id(bound)] = max(map(value, lower)), min(map(value, upper))
+                low, high = boxes[id(bound)]
                 if high >= low:
                     lows.append(low)
                     highs.append(high)
@@ -260,17 +299,17 @@ class DataMovementCostModel:
             if len(self._details_memo) >= _DETAILS_MEMO_LIMIT:
                 self._details_memo.clear()
             values, scale = self._binding(tile_sizes)
-            details = []
+            details, boxes = [], {}
             for descriptor in self.descriptors:
-                footprint = self._hull_volume(descriptor.hull, values, scale)
+                footprint = self._hull_volume(descriptor.hull, values, scale, boxes)
                 details.append(
                     {
                         "buffer": descriptor.buffer_name,
                         "array": descriptor.array_name,
                         "footprint_elements": footprint,
                         "footprint_bytes": footprint * descriptor.element_size,
-                        "volume_in": self._hull_volume(descriptor.read_hull, values, scale),
-                        "volume_out": self._hull_volume(descriptor.write_hull, values, scale),
+                        "volume_in": self._hull_volume(descriptor.read_hull, values, scale, boxes),
+                        "volume_out": self._hull_volume(descriptor.write_hull, values, scale, boxes),
                         "occurrences": self._occurrences(descriptor, tile_sizes),
                     }
                 )
@@ -321,9 +360,11 @@ class DataMovementCostModel:
         return product
 
 
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+@lru_cache(maxsize=1024)  # a finite-difference probe moves one coordinate: the others repeat
+def _to_fraction(value) -> Union[int, Fraction]:
+    """*value* as the exact number the pricing uses (an int stays an int)."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if value.is_integer():
+        return int(value)
     return Fraction(value).limit_denominator(10**6)

@@ -1,7 +1,7 @@
 """Small shared utilities used across the ``repro`` package."""
 
 from repro.utils.components import connected_components
-from repro.utils.frac import as_fraction, fraction_ceil, fraction_floor, lcm_many, gcd_many
+from repro.utils.frac import as_fraction, fraction_ceil, fraction_floor
 from repro.utils.naming import NameGenerator, fresh_name
 from repro.utils.validation import require, require_type, require_positive
 
@@ -10,8 +10,6 @@ __all__ = [
     "as_fraction",
     "fraction_ceil",
     "fraction_floor",
-    "lcm_many",
-    "gcd_many",
     "NameGenerator",
     "fresh_name",
     "require",

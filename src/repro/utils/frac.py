@@ -1,16 +1,17 @@
-"""Exact rational-arithmetic helpers.
+"""Exact rational-arithmetic helpers for the API boundary.
 
-The polyhedral layer works over the rationals so that projections, images and
-emptiness tests are exact.  Everything funnels through :class:`fractions.Fraction`;
-these helpers centralise the conversions and the handful of integer-rounding
-operations (ceil/floor division) that quasi-affine bounds need.
+The polyhedral layer computes on Python ints (expressions over a common
+denominator, constraints as coprime rows); :class:`fractions.Fraction` is what
+its typed accessors hand out and what callers may hand in.  These helpers
+centralise that conversion — rejecting inexact data — and the ceil/floor
+division code above the layer applies to the fractions it reads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
 
@@ -54,22 +55,3 @@ def fraction_ceil(value: Rational) -> int:
     """Exact ceiling of a rational value, returned as ``int``."""
     frac = as_fraction(value)
     return -((-frac.numerator) // frac.denominator)
-
-
-def gcd_many(values: Iterable[int]) -> int:
-    """Greatest common divisor of an iterable of integers (0 for empty)."""
-    result = 0
-    for v in values:
-        result = math.gcd(result, int(v))
-    return result
-
-
-def lcm_many(values: Iterable[int]) -> int:
-    """Least common multiple of an iterable of integers (1 for empty)."""
-    result = 1
-    for v in values:
-        v = abs(int(v))
-        if v == 0:
-            continue
-        result = result * v // math.gcd(result, v)
-    return result

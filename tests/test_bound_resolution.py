@@ -105,9 +105,12 @@ class TestResolutionAgainstEnumeration:
 # -- the once-per-request memo ---------------------------------------------------------------
 @pytest.fixture
 def fm_calls(monkeypatch):
-    """Counts every entry into the Fourier–Motzkin module made from outside it."""
+    """Counts every elimination the Fourier–Motzkin module is asked for, rows or constraints."""
     calls = []
     for name in (
+        "eliminate_rows",
+        "rows_infeasible",
+        "row_bounds",
         "eliminate",
         "eliminate_variable",
         "is_rationally_infeasible",
@@ -152,9 +155,9 @@ class TestResolutionMemo:
             assert resolved == origin + size - 1
             assert highest == 22
             if attempt == 0:
-                assert "eliminate" in fm_calls and spent > 0
+                assert "eliminate_rows" in fm_calls and spent > 0
             else:
-                # Polyhedron() itself only calls remove_redundant (not counted)
+                # Polyhedron() itself only reduces its rows (not counted)
                 assert spent == 0
         assert len(memo) == 2
 

@@ -134,12 +134,12 @@ class TestRejectedInputs:
     def test_names_the_expression_does_not_mention_are_not_read(self):
         assert self.EXPR.evaluate({"a": 2, "b": 1, "zz": True}) == -1
 
-    def test_the_integer_form_is_built_once_and_survives_pickling(self):
+    def test_the_integer_form_is_what_is_stored_and_survives_pickling(self):
         import pickle
 
-        form = self.EXPR.int_form()
-        assert form == (2, (("a", 1), ("b", -6)), 2)
-        assert self.EXPR.int_form() is form
+        assert self.EXPR.int_form() == (2, (("a", 1), ("b", -6)), 2)
+        # lowest terms whatever it was built from: (2a - 12b + 4) / 4 is the same expression
+        assert (AffineExpr({"a": 2, "b": -12}, 4) / 4).int_form() == self.EXPR.int_form()
         clone = pickle.loads(pickle.dumps(self.EXPR))
         assert clone == self.EXPR and clone.evaluate({"a": 3, "b": 1}) == Fraction(-1, 2)
 

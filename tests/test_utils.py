@@ -11,8 +11,6 @@ from repro.utils import (
     fraction_ceil,
     fraction_floor,
     fresh_name,
-    gcd_many,
-    lcm_many,
     require,
     require_positive,
     require_type,
@@ -64,23 +62,6 @@ class TestRounding:
     )
     def test_ceil(self, value, expected):
         assert fraction_ceil(value) == expected
-
-
-class TestGcdLcm:
-    def test_gcd(self):
-        assert gcd_many([12, 18, 24]) == 6
-
-    def test_gcd_empty(self):
-        assert gcd_many([]) == 0
-
-    def test_lcm(self):
-        assert lcm_many([4, 6]) == 12
-
-    def test_lcm_with_zero(self):
-        assert lcm_many([0, 5]) == 5
-
-    def test_lcm_empty(self):
-        assert lcm_many([]) == 1
 
 
 class TestNameGenerator:
