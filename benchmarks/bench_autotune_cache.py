@@ -1,4 +1,4 @@
-"""Autotuning service — cold-vs-warm cache speedup and per-backend timings.
+"""Autotuning service — cold-vs-warm cache speedup and cache store timings.
 
 The persistent compilation cache is the infrastructure piece that turns the
 one-shot pipeline into a service: the first tuning request pays the full
@@ -7,18 +7,20 @@ disk with zero pipeline compiles.  This harness measures both paths over a
 seeded batch of matmul problem sizes and asserts the warm path is at least an
 order of magnitude faster.
 
-It also times the pluggable persistence backends (legacy single JSON file,
-``dir:`` sharded store, ``log:`` append log) at put/get/warm-open, and runs
-standalone for CI smoke checks::
+It also times the one persistent store (the append log) at put/get/warm-open,
+and the one-shot import of a cache written in the older formats (a version-2
+``.json`` document, a ``dir:`` of per-entry files) on first open against the
+plain re-open after it, and runs standalone for CI smoke checks::
 
-    PYTHONPATH=src python benchmarks/bench_autotune_cache.py --quick --backend sharded
+    PYTHONPATH=src python benchmarks/bench_autotune_cache.py --quick
 
-Backend-selection errors (unknown scheme, bad layout) exit non-zero.
+Store failures exit non-zero.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import tempfile
 import time
@@ -29,17 +31,11 @@ import numpy as np
 import pytest
 
 from repro import TuningCache, autotune, counting_compiles
-from repro.autotune import SpaceOptions, TuningJob, autotune_batch
+from repro.autotune import SpaceOptions, TuningJob, autotune_batch, open_store
+from repro.autotune.store import CACHE_VERSION
 from repro.kernels import build_matmul_program
 
 from conftest import DEFAULT_SEED, print_series
-
-#: backend name → store URI template, rooted at a scratch directory
-BACKEND_SPECS = {
-    "json": "{root}/cache.json",
-    "sharded": "dir:{root}/cache-dir",
-    "log": "log:{root}/cache.log",
-}
 
 SPACE = SpaceOptions(
     thread_counts=(64, 128),
@@ -161,20 +157,18 @@ def test_cold_tuning_benchmark(benchmark):
     benchmark(lambda: autotune(program, space_options=small, seed=DEFAULT_SEED))
 
 
-# -- per-backend store microbenchmarks ---------------------------------------------
+# -- store microbenchmarks ---------------------------------------------------------
 def _payload(index: int, size: int) -> Dict[str, object]:
     """A report-shaped value of roughly ``size`` JSON bytes."""
     return {"index": index, "blob": "x" * size, "best": {"time_ms": float(index)}}
 
 
-def run_backend_microbench(
-    backend: str, root: Path, entries: int = 64, payload_bytes: int = 512
+def run_store_microbench(
+    root: Path, entries: int = 64, payload_bytes: int = 512
 ) -> Dict[str, object]:
-    """Put/get/warm-open timings of one backend; raises on selection errors."""
-    spec = BACKEND_SPECS[backend].format(root=root)
+    """Put/get/warm-open timings of the append log."""
+    spec = f"log:{root}/cache.log"
     cache = TuningCache(spec)
-    if cache.backend not in ("json", "sharded", "log"):
-        raise RuntimeError(f"{spec!r} selected unexpected backend {cache.backend!r}")
 
     start = time.perf_counter()
     for i in range(entries):
@@ -194,7 +188,7 @@ def run_backend_microbench(
 
     stats = warm.stats()
     return {
-        "backend": cache.backend,
+        "store": "log",
         "entries": entries,
         "put_ms_per_entry": 1e3 * put_seconds / entries,
         "get_ms_per_entry": 1e3 * get_seconds / entries,
@@ -203,26 +197,64 @@ def run_backend_microbench(
     }
 
 
-@pytest.mark.parametrize("backend", sorted(BACKEND_SPECS))
-def test_backend_microbench_smoke(backend, tmp_path):
-    """Every backend completes the put/get/warm-hit loop and stays consistent."""
-    row = run_backend_microbench(backend, tmp_path, entries=16, payload_bytes=128)
+def _write_older_format(layout: str, root: Path, entries: int, payload_bytes: int) -> str:
+    """A cache as earlier versions wrote it at ``root``; returns its spec."""
+    values = {f"{i:064x}": _payload(i, payload_bytes) for i in range(entries)}
+    if layout == "json":
+        path = root / "cache.json"
+        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": values}))
+        return str(path)
+    for seq, (key, value) in enumerate(values.items()):
+        shard = root / "cache-dir" / key[:2]
+        shard.mkdir(parents=True, exist_ok=True)
+        (shard / f"{key}.json").write_text(json.dumps({"key": key, "seq": seq, "value": value}))
+    return f"dir:{root}/cache-dir"
+
+
+def run_import_microbench(
+    layout: str, root: Path, entries: int = 64, payload_bytes: int = 512
+) -> Dict[str, object]:
+    """First open of an older-format cache (the import) against the re-open after it."""
+    spec = _write_older_format(layout, root, entries, payload_bytes)
+    start = time.perf_counter()
+    imported = open_store(spec)
+    import_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    reopened = open_store(spec)
+    reopen_seconds = time.perf_counter() - start
+    if len(imported) != entries or len(reopened) != entries:
+        raise RuntimeError(f"{spec!r} imported {len(imported)} of {entries} entries")
+    return {
+        "store": f"{layout}-import",
+        "entries": entries,
+        "import_ms": 1e3 * import_seconds,
+        "reopen_ms": 1e3 * reopen_seconds,
+        "store_bytes": reopened.stats()["bytes"],
+    }
+
+
+def test_store_microbench_smoke(tmp_path):
+    """The log completes the put/get/warm-hit loop and stays consistent."""
+    row = run_store_microbench(tmp_path, entries=16, payload_bytes=128)
     assert row["store_bytes"] > 0
-    print_series(f"Cache store microbench ({backend})", [row])
+    print_series("Cache store microbench (log)", [row])
+
+
+@pytest.mark.parametrize("layout", ["json", "dir"])
+def test_import_microbench_smoke(layout, tmp_path):
+    """An older-format cache imports every entry once; the re-open reads the log."""
+    row = run_import_microbench(layout, tmp_path, entries=16, payload_bytes=128)
+    assert row["store_bytes"] > 0
+    print_series(f"Cache import microbench ({layout})", [row])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time the tuning-cache persistence backends at put/get/warm-hit."
+        description="Time the tuning-cache store at put/get/warm-hit and the "
+        "one-shot import of older-format caches."
     )
     parser.add_argument(
-        "--backend",
-        default="all",
-        choices=["all", *sorted(BACKEND_SPECS)],
-        help="which store backend to exercise (default: all)",
-    )
-    parser.add_argument(
-        "--entries", type=int, default=256, help="entries to put/get per backend"
+        "--entries", type=int, default=256, help="entries to put/get or import"
     )
     parser.add_argument(
         "--payload-bytes", type=int, default=2048, help="approx JSON bytes per entry"
@@ -241,16 +273,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     entries = 64 if args.quick else args.entries
     payload = 256 if args.quick else args.payload_bytes
-    backends = sorted(BACKEND_SPECS) if args.backend == "all" else [args.backend]
+    runs = [
+        ("log", lambda root: run_store_microbench(root, entries, payload)),
+        ("json-import", lambda root: run_import_microbench("json", root, entries, payload)),
+        ("dir-import", lambda root: run_import_microbench("dir", root, entries, payload)),
+    ]
     rows = []
-    for backend in backends:
-        with tempfile.TemporaryDirectory(prefix=f"bench-cache-{backend}-") as root:
+    for name, run in runs:
+        with tempfile.TemporaryDirectory(prefix=f"bench-cache-{name}-") as root:
             try:
-                rows.append(run_backend_microbench(backend, Path(root), entries, payload))
-            except Exception as error:  # backend selection/IO failure fails the job
-                print(f"error: backend {backend!r} failed: {error}", file=sys.stderr)
+                rows.append(run(Path(root)))
+            except Exception as error:  # an IO or import failure fails the job
+                print(f"error: {name} failed: {error}", file=sys.stderr)
                 return 1
-    print_series("Cache store microbench (per-backend put/get/warm-hit)", rows)
+    print_series("Cache store microbench (log put/get/warm-hit)", rows[:1])
+    print_series("Cache import microbench (older format, first open vs re-open)", rows[1:])
     if args.json:
         from conftest import write_bench_history, write_bench_json
 

@@ -1,7 +1,7 @@
 """Fleet acceptance bench: exactly-once tuning and warm-hit latency percentiles.
 
 Boots N thread-executor tuning servers *in this process*, joins them into a
-consistent-hash ring over one shared sharded cache, then drives them the way
+consistent-hash ring over one shared ``dir:`` cache, then drives them the way
 a build farm would:
 
 * a **cold** round tunes each problem size once through whichever server the
@@ -50,7 +50,7 @@ def _requests(sizes: Sequence[int]) -> List[TuneRequest]:
 def start_fleet(
     count: int, cache_root: str, history: Optional[str], mode: str = "redirect"
 ) -> List[TuningServer]:
-    """``count`` ringed servers sharing one sharded cache store."""
+    """``count`` ringed servers sharing one ``dir:`` cache."""
     servers = [
         TuningServer(
             port=0,

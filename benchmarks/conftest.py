@@ -2,8 +2,9 @@
 
 Each ``bench_fig*`` module regenerates one figure of the paper's evaluation
 (Section 6): it sweeps the same configurations, prints the series the figure
-plots (modelled milliseconds instead of measured milliseconds — see DESIGN.md
-for the testbed substitution) and asserts the qualitative shape the paper
+plots (modelled milliseconds instead of measured milliseconds — the
+``repro.machine`` models stand in for the paper's testbed, see the README
+introduction) and asserts the qualitative shape the paper
 reports.  ``pytest-benchmark`` times the pricing function itself, which keeps
 the harness honest about its own cost while the printed table carries the
 reproduced result.

@@ -1,8 +1,8 @@
 """End-to-end demo of the tuning server: dedup, shared cache, warm hits.
 
-Starts a :class:`TuningServer` in-process on an ephemeral port backed by the
-*sharded* cache store (one file per fingerprint — worker puts are O(1) and
-never rewrite the rest of the cache), submits the same matmul request twice
+Starts a :class:`TuningServer` in-process on an ephemeral port backed by a
+``dir:`` cache (the append log ``DIR/cache.log`` — a worker put is one
+locked append the server sees on its next lookup), submits the same matmul request twice
 (cold run, then a warm cache hit with zero compiles), fires four
 *concurrent* identical requests to show in-flight deduplication (one tuning
 run serves all four), and drains gracefully.

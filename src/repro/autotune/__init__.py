@@ -21,9 +21,9 @@ machine.  This package supplies that empirical layer as a reusable service:
   hill-climb strategies with order-preserving parallel evaluation;
 * :mod:`repro.autotune.cache` — persistent fingerprint-keyed cache facade, so
   repeated tuning requests are O(1) with zero pipeline compiles;
-* :mod:`repro.autotune.store` — pluggable persistence backends behind the
-  :class:`CacheStore` interface (legacy single JSON file, sharded
-  per-fingerprint directory, append-only JSONL log) selected by store URI;
+* :mod:`repro.autotune.store` — the :class:`CacheStore` persistence behind
+  it: in memory, or the append-only JSONL log at the location a store URI
+  names (importing caches written in older formats once);
 * :mod:`repro.autotune.session` — the public :func:`autotune` /
   :func:`autotune_batch` API returning :class:`TuningReport`, over
   :func:`tune` of one :class:`TuningProblem` (the fingerprinted bundle);
@@ -48,10 +48,7 @@ from repro.autotune.cache import TuningCache, fingerprint
 from repro.autotune.store import (
     AppendLogStore,
     CacheStore,
-    JsonFileStore,
     MemoryStore,
-    ShardedStore,
-    migrate_store,
     open_store,
     parse_store_uri,
 )
@@ -90,13 +87,11 @@ __all__ = [
     "ConfigurationEvaluator",
     "EvaluationBackend",
     "HybridBackend",
-    "JsonFileStore",
     "Measurement",
     "MeasuredCBackend",
     "MeasuredPythonBackend",
     "MemoryStore",
     "ModelBackend",
-    "ShardedStore",
     "EvaluationResult",
     "available_backends",
     "parse_backend_uri",
@@ -121,7 +116,6 @@ __all__ = [
     "best_result",
     "fingerprint",
     "make_batch_evaluator",
-    "migrate_store",
     "open_store",
     "parse_store_uri",
     "resolve_strategy",

@@ -9,17 +9,13 @@ spec fields, the bound parameters, the base mapping options and the
 strategy/space signatures — anything that can change the answer changes the
 key.
 
-:class:`TuningCache` itself is a thin facade: hit/miss accounting, thread
-safety, and the absorb-without-persisting overlay live here, while actual
-persistence is delegated to a pluggable :class:`repro.autotune.store.CacheStore`
-backend selected by the ``path`` spec — a plain ``.json`` path keeps the
-legacy single-file format, ``dir:PATH`` selects the sharded per-fingerprint
-layout (O(1) puts), and ``log:PATH`` the append-only JSONL log.  See
-:mod:`repro.autotune.store` for the backends and
-``python -m repro.autotune cache-migrate`` for converting between them.
-
-All backends write durably (atomic replace or locked append) so a crash
-mid-save never corrupts a warm cache.
+:class:`TuningCache` itself is a thin facade: hit/miss accounting and thread
+safety live here, while persistence is delegated to a
+:class:`repro.autotune.store.CacheStore` — in memory for ``path=None``,
+otherwise the append log at the location the ``path`` spec names (a plain
+``.json`` path, ``dir:DIR`` or ``log:FILE``; see :mod:`repro.autotune.store`,
+which also imports caches written in the older formats).  Every put is one
+locked append, so a crash mid-save never corrupts a warm cache.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
@@ -49,9 +44,6 @@ CACHE_MISSES_TOTAL = METRICS.counter(
 )
 CACHE_PUTS_TOTAL = METRICS.counter(
     "repro_cache_puts_total", "tuning reports persisted"
-)
-CACHE_ABSORBS_TOTAL = METRICS.counter(
-    "repro_cache_absorbs_total", "worker reports absorbed without persisting"
 )
 
 __all__ = [
@@ -106,7 +98,7 @@ def fingerprint(
 
 
 class TuningCache:
-    """Fingerprint → report-dict store over a pluggable persistence backend.
+    """Fingerprint → report-dict store over a :class:`CacheStore`.
 
     ``path=None`` keeps the cache in memory only (useful for tests and
     one-shot sessions); any other spec — a ``.json`` path, ``dir:DIR``,
@@ -116,38 +108,22 @@ class TuningCache:
 
     Thread-safe: an internal lock serialises the threads of one process
     sharing an instance (the tuning service's thread-executor mode), while
-    the backends' ``fcntl`` file locks serialise *processes* sharing the
-    backing files.
-
-    ``absorb_limit`` bounds the in-memory absorb overlay (least-recently-used
-    entries are evicted first), so a long-lived server absorbing every
-    finished job keeps flat resident memory; evicted entries remain served
-    from the backing store their producer persisted them to.
+    the log's ``fcntl`` file locks serialise *processes* sharing the
+    backing files.  An entry another process appended is visible here
+    without a re-open: a lookup that misses the in-memory index replays the
+    log's tail first.
     """
 
-    def __init__(
-        self,
-        path: Union[CacheStore, str, Path, None] = None,
-        absorb_limit: int = 256,
-    ) -> None:
-        if absorb_limit < 0:
-            raise ValueError(
-                f"absorb_limit cannot be negative, got {absorb_limit!r}"
-            )
+    def __init__(self, path: Union[CacheStore, str, Path, None] = None) -> None:
         self.store = open_store(path)
         self.hits = 0
         self.misses = 0
-        self.absorb_limit = absorb_limit
-        #: results absorbed from other processes: visible to get(), never
-        #: persisted by this instance (the producer already persisted them);
-        #: ordered oldest-use-first so the LRU bound evicts from the front
-        self._absorbed: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._mutex = threading.Lock()
 
     # -- identity ------------------------------------------------------------------
     @property
     def backend(self) -> str:
-        """The persistence backend's short name (``memory``/``json``/...)."""
+        """The persistence backend's short name (``memory`` or ``log``)."""
         return self.store.backend
 
     @property
@@ -168,7 +144,7 @@ class TuningCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored report for ``key``, counting the hit or miss."""
         with self._mutex:
-            entry = self._lookup(key)
+            entry = self.store.get(key)
             if entry is None:
                 self.misses += 1
                 CACHE_MISSES_TOTAL.inc()
@@ -184,86 +160,38 @@ class TuningCache:
         tests) so hit-rate statistics only count real lookups.
         """
         with self._mutex:
-            return self._lookup(key)
-
-    def _lookup(self, key: str) -> Optional[Dict[str, Any]]:
-        entry = self._absorbed.get(key)
-        if entry is not None:
-            self._absorbed.move_to_end(key)  # LRU touch
-            return entry
-        return self.store.get(key)
+            return self.store.get(key)
 
     def put(self, key: str, value: Mapping[str, Any]) -> None:
         """Store a report and (when backed by a store) persist durably."""
         with self._mutex:
-            self._absorbed.pop(key, None)
             self.store.put(key, dict(value))
         CACHE_PUTS_TOTAL.inc()
 
-    def set_absorb_limit(self, absorb_limit: int) -> None:
-        """Re-bound the absorb overlay, evicting LRU entries beyond it."""
-        if absorb_limit < 0:
-            raise ValueError(
-                f"absorb_limit cannot be negative, got {absorb_limit!r}"
-            )
-        with self._mutex:
-            self.absorb_limit = absorb_limit
-            while len(self._absorbed) > self.absorb_limit:
-                self._absorbed.popitem(last=False)
-
-    def absorb(self, key: str, value: Mapping[str, Any]) -> None:
-        """Store a report in memory *without* persisting.
-
-        For results another process already wrote to the backing store (the
-        tuning service's worker processes): the entry becomes visible to this
-        instance's :meth:`get` without a redundant persistence cycle.  The
-        overlay is LRU-bounded by ``absorb_limit``: evicting an entry only
-        means the next lookup re-reads it from the backing store.
-        """
-        with self._mutex:
-            if self.store.path is None:
-                self.store.put(key, dict(value))
-            else:
-                self._absorbed[key] = dict(value)
-                self._absorbed.move_to_end(key)
-                while len(self._absorbed) > self.absorb_limit:
-                    self._absorbed.popitem(last=False)
-        CACHE_ABSORBS_TOTAL.inc()
-
     def __contains__(self, key: str) -> bool:
         with self._mutex:
-            return key in self._absorbed or key in self.store
+            return key in self.store
 
     def __len__(self) -> int:
         with self._mutex:
-            extra = sum(1 for key in self._absorbed if key not in self.store)
-            return len(self.store) + extra
+            return len(self.store)
 
     def clear(self) -> None:
         """Drop every entry (and the backing store's contents)."""
         with self._mutex:
-            self._absorbed.clear()
             self.store.clear()
 
     def prune(self, max_entries: int) -> int:
         """Drop the oldest entries beyond ``max_entries``; returns the count dropped.
 
-        "Oldest" is insertion order, whichever backend persists it.  Pruned
-        entries stay pruned under concurrent writers: the sharded and log
-        backends delete per-entry state no saver ever rewrites, and the JSON
-        backend records tombstones that later saves honour.
+        "Oldest" is insertion order.  Pruned entries stay pruned under
+        concurrent writers: a writer only ever appends its own puts, never a
+        copy of what it loaded.
         """
         if max_entries < 0:
             raise ValueError(f"max_entries cannot be negative, got {max_entries}")
         with self._mutex:
-            dropped = self.store.prune(max_entries)
-            if dropped and self._absorbed:
-                # absorbed entries were persisted by other processes; any the
-                # prune deleted must stop being served from the overlay too
-                self._absorbed = OrderedDict(
-                    (k, v) for k, v in self._absorbed.items() if k in self.store
-                )
-            return dropped
+            return self.store.prune(max_entries)
 
     def scan(self):
         """Every persisted (key, value) pair, oldest insertion first."""
@@ -287,26 +215,21 @@ class TuningCache:
         return counts
 
     def compact(self) -> Dict[str, Any]:
-        """Reclaim backend dead space (tombstones, dead log records, ...)."""
+        """Reclaim the log's dead space (overwritten and deleted records)."""
         with self._mutex:
             return self.store.compact()
 
     def stats(self) -> Dict[str, Any]:
         """Backend identity and gauges, plus this instance's hit/miss counters.
 
-        ``entries`` counts absorbed-but-not-yet-visible results too, so a
-        server's ``/cache/stats`` reflects every report it can serve — even
-        ones a worker persisted through its own store instance moments ago.
+        The log replays its tail first, so ``entries`` counts every report
+        this instance can serve — even ones a worker persisted through its
+        own store instance moments ago.
         """
         with self._mutex:
             # under the mutex: AppendLogStore.stats() resyncs its index, and
             # every other store access in this class is mutex-serialised too
             base = self.store.stats()
-            base["entries"] += sum(
-                1 for key in self._absorbed if key not in self.store
-            )
-            base["absorbed"] = len(self._absorbed)
-            base["absorb_limit"] = self.absorb_limit
             base["hits"] = self.hits
             base["misses"] = self.misses
         return base

@@ -12,14 +12,12 @@ Tune a 256³ matmul with 4 parallel evaluators and a persistent cache::
         --strategy pruned --workers 4 --cache .autotune-cache.json
 
 A second identical invocation is served entirely from the cache.  ``--cache``
-accepts any store URI — a plain ``.json`` path (legacy single file),
-``dir:DIR`` (sharded per-fingerprint store, O(1) puts), or ``log:FILE``
-(append-only JSONL log).  Inspect, bound, or convert that cache with the
-maintenance subcommands::
+accepts any store URI — a plain ``.json`` path, ``dir:DIR`` or ``log:FILE``,
+each naming where the cache's append log lives.  Inspect or bound that cache
+with the maintenance subcommands::
 
     python -m repro.autotune cache-stats --cache .autotune-cache.json
     python -m repro.autotune cache-prune --cache dir:.autotune-cache --max-entries 64
-    python -m repro.autotune cache-migrate .autotune-cache.json dir:.autotune-cache
 
 Tune by *measuring* the emitted program instead of pricing the model — the
 paper's empirical loop (see ``python -m repro.autotune backends``)::
@@ -50,7 +48,7 @@ from repro.autotune.backends import (
     parse_backend_uri,
 )
 from repro.autotune.cache import TuningCache
-from repro.autotune.store import migrate_store, ordered_cache_stats
+from repro.autotune.store import ordered_cache_stats
 from repro.autotune.search import EXECUTORS, STRATEGIES, ExecutorFallbackWarning
 from repro.autotune.session import autotune
 from repro.autotune.space import Configuration, SpaceOptions
@@ -81,9 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         "'inspect-stages KERNEL' shows the staged compiler's per-stage "
         "timings and artifact fingerprints; "
         "'cache-stats --cache STORE' prints cache statistics; "
-        "'cache-prune --cache STORE --max-entries N' drops the oldest entries; "
-        "'cache-migrate SRC DST' converts between backends "
-        "(PATH.json | dir:DIR | log:FILE); "
+        "'cache-prune --cache STORE --max-entries N' drops the oldest entries "
+        "(STORE: PATH.json | dir:DIR | log:FILE); "
         "'trace FILE' renders a --trace capture; "
         "'history {list,show,compare,check} FILE' inspects a --history "
         "store and gates CI on perf regressions.",
@@ -118,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=None,
         metavar="STORE",
-        help="persistent cache store: PATH.json, dir:DIR (sharded), or log:FILE",
+        help="persistent cache store: PATH.json, dir:DIR, or log:FILE",
     )
     parser.add_argument(
         "--backend",
@@ -388,7 +385,7 @@ def _cache_tools_parser(command: str) -> argparse.ArgumentParser:
         "--cache",
         required=True,
         metavar="STORE",
-        help="cache store: PATH.json, dir:DIR (sharded), or log:FILE",
+        help="cache store: PATH.json, dir:DIR, or log:FILE",
     )
     if command == "cache-prune":
         parser.add_argument(
@@ -475,38 +472,6 @@ def cache_prune_main(argv: Sequence[str]) -> int:
     return 0
 
 
-def cache_migrate_main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.autotune cache-migrate",
-        description="Convert a tuning cache between persistence backends, "
-        "preserving entry content and insertion order (prune's notion of "
-        "'oldest' survives the move).",
-    )
-    parser.add_argument(
-        "src", metavar="SRC", help="source store: PATH.json, dir:DIR, or log:FILE"
-    )
-    parser.add_argument(
-        "dst", metavar="DST", help="destination store: PATH.json, dir:DIR, or log:FILE"
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="overwrite a non-empty destination store",
-    )
-    args = parser.parse_args(argv)
-    try:
-        outcome = migrate_store(args.src, args.dst, force=args.force)
-    except (ValueError, RuntimeError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(
-        f"migrated {outcome['entries']} entries: "
-        f"{outcome['src']} ({outcome['src_backend']}) -> "
-        f"{outcome['dst']} ({outcome['dst_backend']})"
-    )
-    return 0
-
-
 def inspect_stages_main(argv: Sequence[str]) -> int:
     """``inspect-stages KERNEL``: per-stage timings and artifact fingerprints.
 
@@ -581,8 +546,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cache_stats_main(argv[1:])
     if argv and argv[0] == "cache-prune":
         return cache_prune_main(argv[1:])
-    if argv and argv[0] == "cache-migrate":
-        return cache_migrate_main(argv[1:])
     if argv and argv[0] == "trace":
         return trace_main(argv[1:])
     if argv and argv[0] == "history":

@@ -321,8 +321,8 @@ def autotune(
         the program is not picklable).
     cache:
         A :class:`TuningCache`, or a store spec it accepts (a ``.json``
-        path, ``dir:DIR`` for the sharded store, ``log:FILE`` for the
-        append log); a warm entry is returned without a single pipeline
+        path, ``dir:DIR`` or ``log:FILE``, each naming where the append log
+        lives); a warm entry is returned without a single pipeline
         compile.
     seed:
         Drives every randomised search path (and the correctness spot-check

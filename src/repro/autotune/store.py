@@ -1,35 +1,29 @@
-"""Pluggable persistence backends for the tuning cache.
+"""Persistence for the tuning cache: one append log, whatever the spelling.
 
-:class:`repro.autotune.cache.TuningCache` used to *be* its persistence: one
-JSON file, re-parsed and rewritten whole under a coarse ``flock`` on every
-cold put (O(entries) on the hot path), whose read-merge-write save could
-resurrect entries a concurrent ``prune()`` had just deleted.  This module
-extracts persistence behind the :class:`CacheStore` interface so the hot
-path, the locking granularity, and the prune semantics are properties of a
-*backend*, selected by URI:
+:class:`repro.autotune.cache.TuningCache` delegates persistence to a
+:class:`CacheStore`.  There are two: :class:`MemoryStore` for ``cache=None``
+sessions, and :class:`AppendLogStore` — append-only JSONL with an in-memory
+offset index, crash-truncated-tail recovery, and size-triggered *rotation*
+into immutable sealed segments that a background merge folds without ever
+blocking appends.
 
-``PATH.json`` (or ``json:PATH``)
-    :class:`JsonFileStore` — the legacy version-2 single-file format, kept
-    for compatibility.  Saves now overlay only the keys *this* instance
-    wrote (never its whole in-memory mirror) and honour on-disk tombstones,
-    so a concurrent prune can no longer be undone by a racing writer.
-``dir:PATH`` (or an existing directory)
-    :class:`ShardedStore` — one file per fingerprint under a two-hex-char
-    fanout directory.  ``put`` writes exactly one entry file (O(1), never
-    reading or rewriting other entries) under a per-shard lock; ``prune``
-    unlinks individual files, so it is prune-safe by construction.
-``log:PATH`` (or ``PATH.jsonl`` / ``PATH.log``)
-    :class:`AppendLogStore` — append-only JSONL with an in-memory offset
-    index, crash-truncated-tail recovery, and size-triggered *rotation* into
-    immutable sealed segments that a background merge folds without ever
-    blocking appends, for high-churn server workloads.  Sealed segments can
-    be shipped between servers and ingested on the other side (the fleet
-    replication primitive).
+Every cache spec names a *location* of that log (see :func:`parse_store_uri`):
 
-``open_store`` maps a URI/path to a backend, ``migrate_store`` converts any
-backend into any other preserving insertion order (``prune``'s notion of
-"oldest" survives migration), and every backend reports its identity and
-backend-specific gauges through ``stats()["backend"]`` et al.
+``log:FILE``, ``FILE.jsonl``, ``FILE.log``
+    the log is ``FILE``;
+``dir:DIR``, an existing directory, ``DIR/``
+    the log is ``DIR/cache.log``;
+``json:FILE`` or any other plain path (``FILE.json``)
+    the log is ``FILE`` itself.
+
+Earlier versions wrote two other formats at those locations: a version-2
+JSON document (``{"version", "entries", "tombstones"}``) at a plain path, and
+one ``{"key", "seq", "value"}`` file per entry under ``DIR/XX/``.
+:func:`open_store` imports either once, under the log's append lock and in
+insertion order: a JSON document is rewritten in place as put lines, and
+entry files are folded into ``DIR/cache.log`` while that log does not exist
+yet (the entry files stay untouched).  Version-1 documents read cold.
+Writers of those older versions and of this one must not share a location.
 
 Stores are safe against concurrent *processes* via ``fcntl`` advisory locks
 (with a warn-once degradation where ``fcntl`` is missing); *thread* safety
@@ -38,13 +32,11 @@ is provided one level up by the :class:`TuningCache` facade's mutex.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
-import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.utils.durable import (
     append_jsonl,
@@ -59,8 +51,11 @@ from repro.utils.durable import (
 #: than mis-pruned
 CACHE_VERSION = 2
 
-#: format version of the sharded directory layout (``store.json`` marker)
-SHARDED_STORE_VERSION = 1
+#: name of the log inside a ``dir:`` location
+_DIR_LOG_NAME = "cache.log"
+
+#: how every log line starts (a legacy JSON document never does)
+_LOG_HEAD = b'{"op":'
 
 StorePath = Union[str, os.PathLike]
 
@@ -73,9 +68,9 @@ def ordered_cache_stats(stats: Mapping[str, Any]) -> Iterator[Tuple[str, Any]]:
     """A cache-stats payload as (field, value) pairs in render order.
 
     Common fields first (in their documented order), then the backend's own
-    gauges sorted by name — so a ``dir:`` store shows its ``shards`` and a
-    ``log:`` store its ``segments``/``compactions`` without the consumer
-    hard-coding either.  Shared by both CLIs and the service wire docs.
+    gauges sorted by name — so the log's ``segments``/``compactions`` show
+    without the consumer hard-coding them.  Shared by both CLIs and the
+    service wire docs.
     """
     for name in CACHE_STATS_COMMON_FIELDS:
         if name in stats:
@@ -110,8 +105,8 @@ class CacheStore:
 
     Keys are opaque strings (in practice SHA-256 fingerprints), values are
     JSON-serialisable dicts.  ``scan`` yields entries in *insertion order* —
-    the order ``prune`` treats as oldest-first and ``migrate_store``
-    preserves across backends.  Implementations must keep ``put`` durable
+    the order ``prune`` treats as oldest-first and the legacy import
+    preserves.  Implementations must keep ``put`` durable
     against a crash mid-write (atomic replace or append) and safe against
     concurrent processes sharing the same location.
     """
@@ -204,366 +199,6 @@ class MemoryStore(CacheStore):
         return key in self._entries
 
 
-class JsonFileStore(CacheStore):
-    """The legacy single-JSON-file format (version 2), made prune-safe.
-
-    The whole store is one ``{"version", "entries", "tombstones"}`` document;
-    a warm open is one parse, and ``get`` serves from the in-memory mirror.
-    The historical race: an instance's save used to read-merge-write its
-    *entire* mirror over the file, so a writer that loaded before a
-    concurrent ``prune()`` resurrected every pruned entry on its next put.
-    Two changes make that structurally impossible:
-
-    * a save only overlays the keys this instance actually wrote since its
-      last sync (the *dirty* set) — never the whole mirror;
-    * ``prune`` records the dropped keys as tombstones inside the same
-      locked write, and every later save drops tombstoned keys from its own
-      mirror (unless it deliberately re-put them, which also clears the
-      tombstone).
-
-    Tombstones are capped at :data:`MAX_TOMBSTONES` (newest kept) so the
-    file cannot grow without bound; the field is ignored by version-2
-    readers that predate it.
-    """
-
-    backend = "json"
-
-    #: upper bound on persisted tombstones (newest survive the cap)
-    MAX_TOMBSTONES = 4096
-
-    def __init__(self, path: StorePath) -> None:
-        self.path = Path(path)
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._dirty: set = set()
-        self._tombstone_count = 0
-        if self.path.exists():
-            self._entries, tombstones = self._read()
-            self._tombstone_count = len(tombstones)
-
-    @property
-    def uri(self) -> Optional[str]:
-        return str(self.path)
-
-    def _read(self) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, int]]:
-        """The on-disk (entries, tombstones); a bad file reads as cold."""
-        try:
-            payload = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            # A missing or corrupt file means a cold cache, not a crash.
-            return {}, {}
-        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-            return {}, {}
-        entries = payload.get("entries", {})
-        tombstones = payload.get("tombstones", {})
-        if not isinstance(entries, dict):
-            entries = {}
-        if not isinstance(tombstones, dict):
-            tombstones = {}
-        return (
-            {str(k): dict(v) for k, v in entries.items()},
-            {str(k): int(v) for k, v in tombstones.items()},
-        )
-
-    def _write(
-        self, entries: Dict[str, Dict[str, Any]], tombstones: Dict[str, int]
-    ) -> None:
-        if len(tombstones) > self.MAX_TOMBSTONES:
-            newest = sorted(tombstones, key=tombstones.__getitem__)[-self.MAX_TOMBSTONES:]
-            tombstones = {k: tombstones[k] for k in newest}
-        payload: Dict[str, Any] = {"version": CACHE_VERSION, "entries": entries}
-        if tombstones:
-            payload["tombstones"] = tombstones
-        # No sort_keys: entry insertion order must survive the round-trip —
-        # prune() defines "oldest" by it.
-        atomic_write_text(self.path, json.dumps(payload, indent=1))
-        self._tombstone_count = len(tombstones)
-
-    def _lock_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".lock")
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        return self._entries.get(key)
-
-    def put(self, key: str, value: Mapping[str, Any]) -> None:
-        self._entries[key] = dict(value)
-        self._dirty.add(key)
-        self._sync()
-
-    def _overlaid(self, disk_entries: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
-        """``disk_entries`` under the keys this instance wrote since its last sync."""
-        merged = dict(disk_entries)
-        for key in self._entries:
-            if key in self._dirty:
-                merged[key] = self._entries[key]
-        return merged
-
-    def _sync(self) -> None:
-        """Persist this instance's dirty keys, under the exclusive file lock.
-
-        The merge base is the *current* on-disk state, so entries other
-        processes persisted since our load are kept; only our dirty keys are
-        overlaid on top (our writes win for those keys, nothing else of our
-        mirror touches the file).  On-disk tombstones for keys we did not
-        re-put are applied to our mirror, converging it with concurrent
-        prunes instead of resurrecting their victims.
-        """
-        with file_lock(self._lock_path()):
-            disk_entries, tombstones = self._read()
-            for key in tombstones:
-                if key not in self._dirty:
-                    self._entries.pop(key, None)
-            merged = self._overlaid(disk_entries)
-            tombstones = {k: v for k, v in tombstones.items() if k not in self._dirty}
-            self._write(merged, tombstones)
-            # Adopt other processes' entries (and drop anything that vanished
-            # from disk) so this mirror serves warm hits for the whole file.
-            self._entries = merged
-            self._dirty.clear()
-
-    def scan(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        yield from self._overlaid(self._read()[0]).items()
-
-    def prune(self, max_entries: int) -> int:
-        now = time.time_ns()
-        with file_lock(self._lock_path()):
-            disk_entries, tombstones = self._read()
-            merged = self._overlaid(disk_entries)
-            drop = max(0, len(merged) - max_entries)
-            if drop:
-                for key in list(merged)[:drop]:
-                    del merged[key]
-                    tombstones[key] = now
-                self._write(merged, tombstones)
-            self._entries = merged
-            self._dirty.clear()
-            return drop
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "entries": len(self._entries),
-            "bytes": _bytes_of(self.path),
-            "tombstones": self._tombstone_count,
-        }
-
-    def compact(self) -> Dict[str, Any]:
-        """Drop every persisted tombstone (entries are already compact)."""
-        with file_lock(self._lock_path()):
-            entries, tombstones = self._read()
-            removed = len(tombstones)
-            if removed:
-                self._write(entries, {})
-            return {"tombstones_removed": removed}
-
-    def clear(self) -> None:
-        with file_lock(self._lock_path()):
-            self._write({}, {})
-            self._entries.clear()
-            self._dirty.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-
-class ShardedStore(CacheStore):
-    """One file per fingerprint under a two-hex-char fanout directory.
-
-    ``put`` creates exactly one entry file (atomic temp + rename under that
-    shard's lock) and never reads or rewrites any other entry — O(1)
-    whatever the store holds.  ``prune`` unlinks individual entry files, so
-    a concurrent writer cannot resurrect a pruned entry: its save touches
-    only its own file.  Insertion order is a monotonic per-entry ``seq``
-    stamped into each file (wall-clock nanoseconds, forced strictly
-    increasing within a process), which ``scan``/``prune`` sort by.
-
-    Liveness on multi-server NFS mounts: every sidecar lock is taken with
-    age-based stale takeover (see :func:`repro.utils.durable.file_lock`) — a
-    peer server that died mid-write cannot wedge a shard forever.  ``stale_after``
-    tunes the takeover age (seconds; ``None`` restores wait-forever);
-    takeovers are counted in ``stats()["lock_takeovers"]``.
-    """
-
-    backend = "sharded"
-
-    #: root marker file naming the layout version
-    META_NAME = "store.json"
-
-    #: seconds of sidecar-lock silence before a contender takes it over —
-    #: several orders of magnitude above the millisecond-scale critical
-    #: sections, so only a dead peer's lock is ever stolen
-    DEFAULT_STALE_AFTER = 30.0
-
-    def __init__(
-        self, root: StorePath, stale_after: Optional[float] = DEFAULT_STALE_AFTER
-    ) -> None:
-        self.path = Path(root)
-        self.stale_after = stale_after
-        self._lock_takeovers = 0
-        self._last_seq = 0
-        meta_path = self.path / self.META_NAME
-        if meta_path.exists():
-            try:
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                meta = {}
-            if meta.get("version") != SHARDED_STORE_VERSION:
-                raise ValueError(
-                    f"{self.path} holds an unsupported sharded-store layout "
-                    f"(version {meta.get('version')!r}); migrate it with "
-                    "'python -m repro.autotune cache-migrate'"
-                )
-
-    @property
-    def uri(self) -> Optional[str]:
-        return f"dir:{self.path}"
-
-    def _ensure_meta(self) -> None:
-        meta_path = self.path / self.META_NAME
-        if not meta_path.exists():
-            atomic_write_text(
-                meta_path,
-                json.dumps(
-                    {"format": "repro-sharded-store", "version": SHARDED_STORE_VERSION}
-                ),
-            )
-
-    def _entry_path(self, key: str) -> Path:
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.path / digest[:2] / f"{digest}.json"
-
-    def _next_seq(self) -> int:
-        self._last_seq = max(time.time_ns(), self._last_seq + 1)
-        return self._last_seq
-
-    def _note_takeover(self) -> None:
-        self._lock_takeovers += 1
-
-    def _shard_lock(self, lock_path: Path):
-        return file_lock(
-            lock_path, stale_after=self.stale_after, on_takeover=self._note_takeover
-        )
-
-    def _shard_dirs(self) -> Iterator[Path]:
-        if not self.path.is_dir():
-            return
-        for child in sorted(self.path.iterdir()):
-            if child.is_dir() and len(child.name) == 2:
-                yield child
-
-    def _entry_files(self) -> Iterator[Path]:
-        for shard in self._shard_dirs():
-            for entry in sorted(shard.glob("*.json")):
-                yield entry
-
-    @staticmethod
-    def _read_entry(entry_path: Path) -> Optional[Dict[str, Any]]:
-        try:
-            record = json.loads(entry_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(record, dict) or "key" not in record or "value" not in record:
-            return None
-        return record
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        record = self._read_entry(self._entry_path(key))
-        if record is None:
-            return None
-        return dict(record["value"])
-
-    def put(self, key: str, value: Mapping[str, Any]) -> None:
-        entry_path = self._entry_path(key)
-        entry_path.parent.mkdir(parents=True, exist_ok=True)
-        self._ensure_meta()
-        # The rename is already atomic; the shard lock additionally orders a
-        # put against a concurrent prune unlinking the same entry.
-        with self._shard_lock(entry_path.parent / ".lock"):
-            # A re-put keeps its original seq: like the dict-backed formats,
-            # updating an entry must not refresh its insertion position (the
-            # only file read is this entry's own — puts stay O(1)).
-            existing = self._read_entry(entry_path)
-            if existing is not None and isinstance(existing.get("seq"), int):
-                seq = existing["seq"]
-            else:
-                seq = self._next_seq()
-            record = {"key": key, "seq": seq, "value": dict(value)}
-            atomic_write_text(entry_path, json.dumps(record))
-
-    def _sorted_records(self) -> list:
-        records = []
-        for entry_path in self._entry_files():
-            record = self._read_entry(entry_path)
-            if record is not None:
-                records.append((record.get("seq", 0), record["key"], record, entry_path))
-        records.sort(key=lambda item: (item[0], item[1]))
-        return records
-
-    def scan(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        for _seq, key, record, _path in self._sorted_records():
-            yield key, dict(record["value"])
-
-    def prune(self, max_entries: int) -> int:
-        with self._shard_lock(self.path / ".lock"):
-            records = self._sorted_records()
-            drop = len(records) - max_entries
-            if drop <= 0:
-                return 0
-            for _seq, _key, record, entry_path in records[:drop]:
-                with self._shard_lock(entry_path.parent / ".lock"):
-                    _unlink_quietly(entry_path)
-            return drop
-
-    def stats(self) -> Dict[str, Any]:
-        entries = 0
-        size = 0
-        shards = 0
-        for shard in self._shard_dirs():
-            in_shard = list(shard.glob("*.json"))
-            size += _bytes_of(*in_shard)
-            if in_shard:
-                shards += 1
-            entries += len(in_shard)
-        return {
-            "backend": self.backend,
-            "entries": entries,
-            "bytes": size,
-            "shards": shards,
-            "lock_takeovers": self._lock_takeovers,
-        }
-
-    def compact(self) -> Dict[str, Any]:
-        """Sweep stray temp files and now-empty shard directories."""
-        removed_tmp = 0
-        removed_dirs = 0
-        with self._shard_lock(self.path / ".lock"):
-            for shard in list(self._shard_dirs()):
-                for stray in shard.glob("*.tmp"):
-                    removed_tmp += _unlink_quietly(stray)
-                remaining = [p for p in shard.iterdir() if p.suffix == ".json"]
-                if not remaining:
-                    _unlink_quietly(shard / ".lock")
-                    try:
-                        shard.rmdir()
-                        removed_dirs += 1
-                    except OSError:
-                        pass
-        return {"tmp_files_removed": removed_tmp, "empty_shards_removed": removed_dirs}
-
-    def clear(self) -> None:
-        with self._shard_lock(self.path / ".lock"):
-            for entry_path in list(self._entry_files()):
-                _unlink_quietly(entry_path)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._entry_files())
-
-    def __contains__(self, key: str) -> bool:
-        return self._entry_path(key).exists()
-
-
 def _fold_record(
     entries: Dict[str, Dict[str, Any]], record: Mapping[str, Any]
 ) -> Optional[int]:
@@ -618,10 +253,6 @@ class AppendLogStore(CacheStore):
       reader holding a stale segment list simply re-replays and converges.
       Appends keep flowing while the merge runs — :meth:`compact_sealed`
       never touches the active file.  Lock order is append → segment.
-
-    Sealed segments double as the fleet replication primitive: being
-    immutable, a ``.seg`` file can be shipped to a peer server verbatim and
-    applied there with :meth:`ingest_segment` (local entries always win).
 
     Recovery rules make a crash-truncated tail harmless: a final chunk
     without a newline is left pending (re-examined on the next replay, and
@@ -837,34 +468,6 @@ class AppendLogStore(CacheStore):
             "bytes_after": after,
         }
 
-    def ingest_segment(self, segment: StorePath) -> int:
-        """Apply a peer's sealed segment; returns the entries adopted.
-
-        The replication receive side: every entry the segment's fold holds
-        for a key absent locally is appended as a local put.  Local entries
-        always win — the home server's result for a fingerprint is
-        authoritative, a shipped segment only fills gaps.
-        """
-        segment = Path(segment)
-        incoming: Dict[str, Dict[str, Any]] = {}
-        try:
-            self._fold_segment(segment, incoming)
-        except OSError as error:
-            raise ValueError(f"cannot read segment {segment}: {error}") from None
-        if not incoming:
-            return 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with file_lock(self._lock_path()):
-            self._replay()
-            records = [
-                {"op": "put", "key": key, "value": value}
-                for key, value in incoming.items()
-                if key not in self._entries
-            ]
-            if records:
-                self._write_locked(records)
-        return len(records)
-
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         value = self._entries.get(key)
         if value is not None:
@@ -950,24 +553,19 @@ class AppendLogStore(CacheStore):
 
 
 #: URI schemes understood by :func:`parse_store_uri`
-_SCHEMES = {
-    "json": "json",
-    "dir": "sharded",
-    "log": "log",
-    "mem": "memory",
-    "memory": "memory",
-}
+_SCHEMES = ("json", "dir", "log", "mem", "memory")
 
 
 def parse_store_uri(spec: Optional[StorePath]) -> Tuple[str, Optional[str]]:
-    """Resolve a cache spec to ``(backend, location)``.
+    """Resolve a cache spec to ``(spelling, location)``.
 
-    Explicit schemes win: ``json:PATH``, ``dir:PATH``, ``log:PATH``,
-    ``mem:``.  Without one, an existing directory (or a trailing separator)
-    selects the sharded store, a ``.jsonl``/``.log`` suffix the append log,
-    and anything else the legacy single JSON file.  An unrecognised scheme
-    is an error rather than a silently-misparsed filename (single letters
-    are exempt — Windows drive prefixes).
+    ``spelling`` is ``memory``, ``log``, ``dir`` or ``json``; ``location`` is
+    the path the spec names (``None`` in memory).  Explicit schemes win:
+    ``log:PATH``, ``dir:PATH``, ``json:PATH``, ``mem:``.  Without one, an
+    existing directory (or a trailing separator) is ``dir``, a
+    ``.jsonl``/``.log`` suffix is ``log``, and anything else ``json``.  An
+    unrecognised scheme is an error rather than a silently-misparsed
+    filename (single letters are exempt — Windows drive prefixes).
     """
     if spec is None:
         return "memory", None
@@ -977,87 +575,104 @@ def parse_store_uri(spec: Optional[StorePath]) -> Tuple[str, Optional[str]]:
     if sep:
         lowered = scheme.lower()
         if lowered in _SCHEMES:
-            backend = _SCHEMES[lowered]
-            if backend == "memory":
+            if lowered.startswith("mem"):
                 return "memory", None
             if not rest:
                 raise ValueError(f"cache store URI {text!r} is missing a path")
-            return backend, rest
+            return lowered, rest
         # Anything shaped like a URI scheme (RFC 3986: letter, then
         # letters/digits/+/-/.) but unknown is an error, not a filename;
         # single letters stay exempt — Windows drive prefixes.
         if len(scheme) > 1 and re.fullmatch(r"[A-Za-z][A-Za-z0-9+.-]*", scheme):
             raise ValueError(
                 f"unknown cache store scheme {scheme!r} in {text!r}; "
-                f"expected one of {sorted(set(_SCHEMES))} or a plain path"
+                f"expected one of {sorted(_SCHEMES)} or a plain path"
             )
     if text.endswith(("/", os.sep)):
-        return "sharded", text.rstrip("/" + os.sep) or "/"
+        return "dir", text.rstrip("/" + os.sep) or "/"
     if Path(text).is_dir():
-        return "sharded", text
+        return "dir", text
     if text.endswith((".jsonl", ".log")):
         return "log", text
     return "json", text
 
 
+def _document_entries(path: Path) -> Optional[Dict[str, Dict[str, Any]]]:
+    """The entries of a legacy JSON document at ``path``, in insertion order.
+
+    ``None`` when ``path`` holds no such document: it is missing, already a
+    log, or does not parse as one JSON object (a log whose first line is
+    torn; the log's replay skips what it cannot read).  A version-2
+    document's ``entries`` never hold its tombstoned keys; any other
+    document (version 1) yields no entries, so it reads cold.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read(len(_LOG_HEAD))
+            if not data or data == _LOG_HEAD:
+                return None
+            data += handle.read()
+        payload = json.loads(data)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict) or "op" in payload:
+        return None
+    entries = payload.get("entries")
+    if payload.get("version") != CACHE_VERSION or not isinstance(entries, dict):
+        return {}
+    return {str(k): dict(v) for k, v in entries.items() if isinstance(v, dict)}
+
+
+def _shard_entries(root: Path) -> Optional[Dict[str, Dict[str, Any]]]:
+    """The entries of legacy ``ROOT/XX/*.json`` entry files, in ``seq`` order.
+
+    ``None`` when ``ROOT``'s log already exists (active or sealed) or there
+    are no entry files to fold into it.
+    """
+    log = root / _DIR_LOG_NAME
+    if log.exists() or any(root.glob(f"{_DIR_LOG_NAME}.*.seg")):
+        return None
+    records = []
+    for entry_path in root.glob("[0-9a-f][0-9a-f]/*.json"):
+        try:
+            record = json.loads(entry_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            record = None
+        if isinstance(record, dict) and "key" in record and isinstance(record.get("value"), dict):
+            records.append((record.get("seq", 0), str(record["key"]), record["value"]))
+    if not records:
+        return None
+    return {key: dict(value) for _seq, key, value in sorted(records, key=lambda r: r[:2])}
+
+
+def _import_legacy(
+    log: Path, legacy: Callable[[], Optional[Dict[str, Dict[str, Any]]]]
+) -> None:
+    """Write the entries ``legacy()`` finds as ``log``'s put lines, once.
+
+    ``legacy`` is asked again under the append lock: of several processes
+    opening one legacy location, the first converts it and the rest find
+    the log in place and import nothing.
+    """
+    if legacy() is None:
+        return
+    with file_lock(log.with_name(log.name + ".lock")):
+        entries = legacy()
+        if entries is not None:
+            atomic_write_text(log, _put_lines(entries))
+
+
 def open_store(spec: Optional[StorePath]) -> CacheStore:
-    """Open the backend a cache spec names (see :func:`parse_store_uri`)."""
+    """Open the store a cache spec names (see :func:`parse_store_uri`)."""
     if isinstance(spec, CacheStore):
         return spec
-    backend, location = parse_store_uri(spec)
-    if backend == "memory":
+    spelling, location = parse_store_uri(spec)
+    if spelling == "memory":
         return MemoryStore()
-    if backend == "sharded":
-        return ShardedStore(location)
-    if backend == "log":
-        return AppendLogStore(location)
-    return JsonFileStore(location)
-
-
-def migrate_store(
-    src: Union[CacheStore, StorePath],
-    dst: Union[CacheStore, StorePath],
-    force: bool = False,
-) -> Dict[str, Any]:
-    """Copy every entry of ``src`` into ``dst``, preserving insertion order.
-
-    Works between any two backends (v2 JSON ↔ sharded ↔ append-log).  The
-    destination must be empty unless ``force`` clears it first; entry counts
-    are verified after the copy so a partial migration cannot masquerade as
-    a complete one.  Returns ``{"entries", "src", "dst", ...}``.
-    """
-    src_store = open_store(src)
-    dst_store = open_store(dst)
-    if src_store.path is not None and dst_store.path is not None:
-        # resolve() so aliases (relative vs absolute, ./x, symlinks) cannot
-        # slip past the guard and let --force clear the source
-        if src_store.path.resolve() == dst_store.path.resolve():
-            raise ValueError(
-                f"source and destination are the same store: {src_store.uri}"
-            )
-    existing = len(dst_store)
-    if existing:
-        if not force:
-            raise ValueError(
-                f"destination {dst_store.uri or 'memory'} already holds "
-                f"{existing} entries; pass force to overwrite"
-            )
-        dst_store.clear()
-    copied = 0
-    for key, value in src_store.scan():
-        dst_store.put(key, value)
-        copied += 1
-    src_count = sum(1 for _ in src_store.scan())
-    dst_count = len(dst_store)
-    if dst_count != copied or src_count != copied:
-        raise RuntimeError(
-            f"migration verification failed: copied {copied} entries but the "
-            f"source now scans {src_count} and the destination holds {dst_count}"
-        )
-    return {
-        "entries": copied,
-        "src": src_store.uri,
-        "dst": dst_store.uri,
-        "src_backend": src_store.backend,
-        "dst_backend": dst_store.backend,
-    }
+    path = Path(location)
+    if spelling == "dir":
+        root, path = path, path / _DIR_LOG_NAME
+        _import_legacy(path, lambda: _shard_entries(root))
+    elif spelling == "json":
+        _import_legacy(path, lambda: _document_entries(path))
+    return AppendLogStore(path)

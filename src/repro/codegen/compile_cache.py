@@ -8,7 +8,7 @@ harness reads every timing knob (warmup/repeat/seed) from ``argv`` (see
 pure function of ``(source text, compiler, cflags)`` — exactly the cache key
 here.
 
-Layout mirrors the sharded tuning store: ``root/<key[:2]>/<key>`` holds the
+Layout is sharded by key prefix: ``root/<key[:2]>/<key>`` holds the
 executable, with a ``.lock`` sidecar per entry (:func:`~repro.utils.durable.
 file_lock` and :func:`~repro.utils.durable.atomic_install`), so
 

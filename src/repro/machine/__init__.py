@@ -10,8 +10,7 @@ statement instance after remapping, copy volumes and occurrence counts from
 the scratchpad plan, launch geometry from the mapping), so relative effects —
 scratchpad vs. DRAM-only, tile-size trends, thread-block count trends — emerge
 from the same quantities that drive them on real hardware.  Absolute times are
-calibrated only loosely; DESIGN.md and EXPERIMENTS.md document the
-substitution.
+calibrated only loosely.
 """
 
 from repro.machine.spec import (

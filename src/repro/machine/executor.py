@@ -1,7 +1,7 @@
 """Simulation entry points and reports.
 
 ``simulate_gpu`` / ``simulate_cpu`` wrap the performance models with a common
-report structure used by the benchmark harnesses and EXPERIMENTS.md.
+report structure used by the benchmark harnesses.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ host: an Intel Core2 Duo at 2.13 GHz with a 2 MB L2 cache (a single core is
 modelled, as the paper's CPU baseline is sequential).
 
 Per-access cost parameters are calibrated so that the *ratios* the paper
-reports (scratchpad vs. DRAM-only, GPU vs. CPU) fall in the observed ranges;
-see EXPERIMENTS.md for the calibration notes.
+reports (scratchpad vs. DRAM-only, GPU vs. CPU) fall in the observed ranges.
 """
 
 from __future__ import annotations

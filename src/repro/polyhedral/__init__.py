@@ -8,7 +8,7 @@ the polyhedral operations the paper's framework relies on:
   (:mod:`repro.polyhedral.polyhedron`),
 * Fourier--Motzkin projection (:mod:`repro.polyhedral.fourier_motzkin`),
 * images of polyhedra under affine functions (:mod:`repro.polyhedral.image`),
-* convex/rectangular unions of data spaces (:mod:`repro.polyhedral.hull`),
+* rectangular unions of data spaces (:mod:`repro.polyhedral.hull`),
 * integer-point enumeration and counting (:mod:`repro.polyhedral.counting`),
 * parametric per-dimension bounds, the PIP substitute
   (:mod:`repro.polyhedral.parametric`), and
@@ -19,7 +19,7 @@ from repro.polyhedral.affine import AffineExpr, AffineFunction
 from repro.polyhedral.constraints import Constraint
 from repro.polyhedral.polyhedron import Polyhedron
 from repro.polyhedral.image import image_of_polyhedron, preimage_of_polyhedron
-from repro.polyhedral.hull import rectangular_hull, convex_union_vertices
+from repro.polyhedral.hull import rectangular_hull
 from repro.polyhedral.counting import count_integer_points, enumerate_integer_points
 from repro.polyhedral.parametric import parametric_bounds, ParametricBound, QuasiAffineBound
 from repro.polyhedral.dependence import Dependence, DependenceAnalyzer
@@ -32,7 +32,6 @@ __all__ = [
     "image_of_polyhedron",
     "preimage_of_polyhedron",
     "rectangular_hull",
-    "convex_union_vertices",
     "count_integer_points",
     "enumerate_integer_points",
     "parametric_bounds",

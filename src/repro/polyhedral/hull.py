@@ -1,22 +1,16 @@
-"""Convex and rectangular unions of data spaces.
+"""Rectangular unions of data spaces.
 
 Algorithm 2 of the paper encloses each partition of accessed data spaces in
 its *convex union* and then only ever uses the per-dimension lower/upper
 bounds of that hull to size the local buffer and to compute the remapping
-offset ``g``.  Two constructions are provided:
-
-* :func:`rectangular_hull` — the bounding box of the union with parametric
-  per-dimension bounds.  Because the buffer size and offsets depend only on
-  per-dimension bounds, the rectangular hull allocates exactly the same buffer
-  the paper's convex union would, while remaining well-defined for parametric
-  data spaces (tile-origin parameters).  When the lower bounds of different
-  member spaces are incomparable symbolically, the hull is conservative
-  (never smaller than the true union box), which preserves correctness of the
-  allocation and of the remapped accesses.
-
-* :func:`convex_union_vertices` — the true convex hull of the union for fully
-  specialised (non-parametric) spaces, used by tests and by the worked
-  example of Fig. 1.
+offset ``g``.  :func:`rectangular_hull` builds the bounding box of the union
+with parametric per-dimension bounds.  Because the buffer size and offsets
+depend only on per-dimension bounds, the rectangular hull allocates exactly
+the same buffer the paper's convex union would, while remaining well-defined
+for parametric data spaces (tile-origin parameters).  When the lower bounds of
+different member spaces are incomparable symbolically, the hull is
+conservative (never smaller than the true union box), which preserves
+correctness of the allocation and of the remapped accesses.
 """
 
 from __future__ import annotations
@@ -25,9 +19,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.polyhedral.counting import enumerate_integer_points
 from repro.polyhedral.parametric import ParametricBound, QuasiAffineBound, parametric_bounds
 from repro.polyhedral.polyhedron import Polyhedron
 
@@ -145,25 +136,6 @@ class RectangularHull:
             QuasiAffineBound("min", tuple(per_member)), self._context
         )
 
-    def resolved_upper_bound(self, dim: str):
-        """Upper bound of the union along *dim* (see :meth:`resolved_lower_bound`).
-
-        Unresolvable member bounds flatten their candidates into the ``max``,
-        which is conservative (never smaller than the true upper bound).
-        """
-        from repro.polyhedral.parametric import resolve_quasi_affine
-
-        per_member = []
-        for bounds in self._member_bounds:
-            resolved = resolve_quasi_affine(bounds[dim].upper, self._context)
-            if isinstance(resolved, QuasiAffineBound):
-                per_member.extend(resolved.exprs)
-            else:
-                per_member.append(resolved)
-        return resolve_quasi_affine(
-            QuasiAffineBound("max", tuple(per_member)), self._context
-        )
-
     def allocation_extent(self, dim: str, offset) -> Optional[int]:
         """Static buffer extent along *dim* for a chosen remap offset.
 
@@ -214,44 +186,6 @@ class RectangularHull:
             return None
         return max(worst + 1, 0)
 
-    def static_extent(self, dim: str) -> Optional[int]:
-        """A static (parameter-independent) upper bound on the extent along *dim*.
-
-        The union's extent is ``max_m(ub_m) - min_m(lb_m) + 1`` over members
-        ``m``; it is bounded by maximising, over ordered member pairs
-        ``(m1, m2)``, a static bound on ``ub_{m1} - lb_{m2} + 1`` (each of
-        which :func:`static_extent_bound` delivers from the per-candidate
-        differences).  Returns ``None`` when any pair is unbounded without
-        parameter values.
-        """
-        from repro.polyhedral.parametric import static_extent_bound
-
-        worst: Optional[int] = None
-        for upper_member in self._member_bounds:
-            for lower_member in self._member_bounds:
-                pair_extent = static_extent_bound(
-                    lower_member[dim].lower, upper_member[dim].upper, self._context
-                )
-                if pair_extent is None:
-                    return None
-                if worst is None or pair_extent > worst:
-                    worst = pair_extent
-        return worst
-
-    def extent_exprs(self) -> Optional[List]:
-        """Per-dimension symbolic extents ``ub - lb + 1`` when bounds are single affine.
-
-        Returns ``None`` when any dimension requires a genuine min/max.
-        """
-        extents = []
-        for dim in self._dims:
-            low = self.lower_bound(dim)
-            high = self.upper_bound(dim)
-            if not (low.is_single and high.is_single):
-                return None
-            extents.append(high.as_single_expr() - low.as_single_expr() + 1)
-        return extents
-
     # -- numeric evaluation ---------------------------------------------------------
     def evaluate_box(
         self, param_binding: Optional[Mapping[str, Number]] = None
@@ -291,16 +225,6 @@ class RectangularHull:
             total *= extent
         return total
 
-    def box_polyhedron(
-        self, param_binding: Optional[Mapping[str, Number]] = None
-    ) -> Polyhedron:
-        """The bounding box as a (non-parametric) polyhedron."""
-        box = self.evaluate_box(param_binding)
-        return Polyhedron.from_bounds(
-            {dim: (low, high) for dim, (low, high) in box.items()},
-            dim_order=self._dims,
-        )
-
     def __repr__(self) -> str:
         bounds = ", ".join(
             f"{self.lower_bound(d)} <= {d} <= {self.upper_bound(d)}" for d in self._dims
@@ -314,45 +238,3 @@ def rectangular_hull(
     """Bounding-box hull of a union of polyhedra (see module docstring)."""
     return RectangularHull(members, context)
 
-
-def convex_union_vertices(
-    members: Sequence[Polyhedron],
-    param_binding: Optional[Mapping[str, Number]] = None,
-) -> np.ndarray:
-    """Vertices of the convex hull of the union of fully specialised polyhedra.
-
-    Returns an array of shape ``(n_vertices, n_dims)`` in the dimension order
-    of the first member.  For one-dimensional spaces the two extreme points
-    are returned.  Intended for analysis and tests rather than for the hot
-    compilation path.
-    """
-    if not members:
-        raise ValueError("need at least one polyhedron")
-    dims = members[0].dims
-    points: List[Tuple[int, ...]] = []
-    for poly in members:
-        if poly.dims != dims:
-            raise ValueError("all members must share the same dimensions")
-        for point in enumerate_integer_points(poly, param_binding):
-            points.append(tuple(point[d] for d in dims))
-    if not points:
-        return np.empty((0, len(dims)), dtype=np.int64)
-    unique = np.unique(np.array(points, dtype=np.int64), axis=0)
-    if len(dims) == 1 or unique.shape[0] <= 2:
-        low = unique.min(axis=0)
-        high = unique.max(axis=0)
-        if np.array_equal(low, high):
-            return low.reshape(1, -1)
-        return np.stack([low, high])
-    try:
-        from scipy.spatial import ConvexHull, QhullError
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        return unique
-    try:
-        hull = ConvexHull(unique)
-    except QhullError:
-        # Degenerate (e.g. collinear) point sets: fall back to the box corners.
-        low = unique.min(axis=0)
-        high = unique.max(axis=0)
-        return np.unique(np.stack([low, high]), axis=0)
-    return unique[hull.vertices]

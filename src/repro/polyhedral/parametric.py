@@ -244,39 +244,6 @@ def _dominant_candidate(
     return bound
 
 
-def static_extent_bound(
-    lower: QuasiAffineBound,
-    upper: QuasiAffineBound,
-    context: Optional[Polyhedron] = None,
-) -> Optional[int]:
-    """A static upper bound on ``upper - lower + 1`` over all parameter values.
-
-    ``min(uppers) - max(lowers) <= u - l`` for every pair, so any pair whose
-    difference is a constant (or is bounded over the context) yields a valid
-    extent; the smallest such value is returned.  Returns ``None`` when no
-    pair is bounded — callers should then fall back to explicit parameter
-    values.
-    """
-    if lower.kind != "max" or upper.kind != "min":
-        raise ValueError("expected a lower (max) and an upper (min) bound")
-    best: Optional[int] = None
-    for up in upper.exprs:
-        for low in lower.exprs:
-            difference = up - low
-            extent: Optional[int] = None
-            if difference.is_constant():
-                extent = difference.floor_at({}) + 1
-            elif context is not None:
-                extent = _max_over_context(difference, context)
-                if extent is not None:
-                    extent += 1
-            if extent is not None and (best is None or extent < best):
-                best = extent
-    if best is not None:
-        best = max(best, 0)
-    return best
-
-
 def _max_over_context(expr: AffineExpr, context: Polyhedron) -> Optional[int]:
     """Maximum value of an affine expression over a bounded context, if bounded."""
     return _resolved(_projected_maximum, expr, context)

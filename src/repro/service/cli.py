@@ -71,17 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=".repro-service-cache.json",
         metavar="STORE",
-        help="shared persistent cache store: PATH.json (legacy single file), "
-        "dir:DIR (sharded, O(1) puts), or log:FILE (append-only log) "
+        help="shared persistent cache: the append log at PATH.json, "
+        "dir:DIR (DIR/cache.log) or log:FILE "
         "(default: .repro-service-cache.json)",
-    )
-    serve.add_argument(
-        "--absorb-limit",
-        type=int,
-        default=None,
-        help="LRU bound on the in-memory overlay of worker results the "
-        "server keeps on top of the store (default: the cache's own bound; "
-        "evicted entries are re-read from the store)",
     )
     serve.add_argument(
         "--history",
@@ -225,7 +217,6 @@ def _serve(args: argparse.Namespace) -> int:
         cache=args.cache,
         executor=args.executor,
         max_workers=args.workers,
-        absorb_limit=args.absorb_limit,
         history=args.history,
         reuse_artifacts=args.reuse_artifacts,
         peers=args.peers,
@@ -335,8 +326,8 @@ def _status(args: argparse.Namespace) -> int:
 def _stats(args: argparse.Namespace) -> int:
     stats = TuningClient(args.url).cache_stats()
     print("cache:")
-    # common fields first, then the backend's own gauges (shards, segments,
-    # compactions, tombstones, ...) in a stable order
+    # common fields first, then the backend's own gauges (segments,
+    # compactions, dead_records, ...) in a stable order
     for key, value in ordered_cache_stats(stats["cache"]):
         print(f"  {key}: {value}")
     for section in ("server", "jobs"):

@@ -277,7 +277,7 @@ class TuningClient:
         """The server's ``/cache/stats`` payload.
 
         The ``cache`` section identifies the persistence backend
-        (``backend``: ``json`` | ``sharded`` | ``log`` | ``memory``) and its
+        (``backend``: ``log`` | ``memory``) and its
         gauges next to the common entry/byte/hit/miss counters — render it
         with :func:`repro.service.protocol.ordered_cache_stats`.
         """

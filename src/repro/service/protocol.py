@@ -15,10 +15,9 @@ by ``GET /status/<job>``.
 
 The ``cache`` section of ``GET /cache/stats`` always carries
 :data:`CACHE_STATS_COMMON_FIELDS`; everything else is a backend-specific
-gauge (``shards`` for the sharded store, ``segments``/``compactions``/
-``dead_records`` for the append log, ``tombstones`` for the legacy JSON
-file).  :func:`ordered_cache_stats` gives clients and CLIs a stable render
-order without having to know every backend.
+gauge (``segments``/``compactions``/``dead_records`` for the append log).
+:func:`ordered_cache_stats` gives clients and CLIs a stable render order
+without having to know every gauge.
 """
 
 from __future__ import annotations

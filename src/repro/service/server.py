@@ -114,7 +114,6 @@ class TuningService:
         max_workers: int = 2,
         spec: GPUSpec = GEFORCE_8800_GTX,
         max_finished_jobs: int = 1024,
-        absorb_limit: Optional[int] = None,
         history: Union[HistoryStore, str, Path, None] = None,
         reuse_artifacts: bool = False,
         fleet: Optional[FleetRegistry] = None,
@@ -125,13 +124,7 @@ class TuningService:
             raise ValueError(f"max_workers must be positive, got {max_workers!r}")
         if max_finished_jobs < 1:
             raise ValueError(f"max_finished_jobs must be positive, got {max_finished_jobs!r}")
-        # absorb_limit bounds the cache facade's in-memory overlay of results
-        # absorbed from worker processes, keeping a long-lived server's
-        # resident memory flat (evicted entries are re-read from the store).
-        # None keeps the cache's own bound (the TuningCache default).
         self.cache = cache if isinstance(cache, TuningCache) else TuningCache(cache)
-        if absorb_limit is not None:
-            self.cache.set_absorb_limit(absorb_limit)
         # Always have a history store so /dashboard and the history rollup
         # work out of the box; without a path it simply stays in memory.
         # (`or` would be wrong here: an empty store is falsy via __len__.)
@@ -261,9 +254,8 @@ class TuningService:
             # the store URI: a fresh open can pick up entries a *different*
             # server sharing the store persisted since our pre-check, their
             # counters stay off this instance's books (one counted lookup per
-            # request — the submit-time get above), and _finish absorbs the
-            # result back into memory either way.  The URI round-trips every
-            # backend (plain .json path, dir: sharded store, log: append log).
+            # request — the submit-time get above).  The URI re-opens the
+            # same log; an in-memory cache has none, so _finish puts instead.
             cache_path = self.cache.uri
             task = partial(
                 execute_request,
@@ -385,10 +377,11 @@ class TuningService:
             # would double-count every sample.
             if self.executor == "process" and outcome.get("metrics"):
                 METRICS.absorb(outcome["metrics"])
-            # A process worker persisted through its own TuningCache instance;
-            # absorb keeps this instance's warm-hit path and stats() current
-            # without a redundant read-merge-write.
-            self.cache.absorb(job.fingerprint, outcome["report"])
+            # A worker persisted through its own instance of a persistent
+            # cache, and this instance's next lookup replays the log's tail;
+            # an in-memory cache is private to this instance, so put it here.
+            if self.cache.path is None:
+                self.cache.put(job.fingerprint, outcome["report"])
             emit(
                 "cache.put",
                 level="debug",
@@ -449,10 +442,9 @@ class TuningService:
         """The ``/cache/stats`` payload: cache, server counters, job counts.
 
         The ``cache`` section carries the persistence backend's identity and
-        gauges (``backend``, ``entries``, ``bytes``, plus e.g. ``shards`` for
-        the sharded store or ``segments``/``compactions`` for the append
-        log) alongside this instance's hit/miss counters — see
-        :data:`repro.service.protocol.CACHE_STATS_COMMON_FIELDS`.
+        gauges (``backend``, ``entries``, ``bytes``, plus e.g.
+        ``segments``/``compactions`` for the append log) alongside this
+        instance's hit/miss counters — see :data:`repro.service.protocol.CACHE_STATS_COMMON_FIELDS`.
         """
         with self._lock:
             counters = dict(self.counters)
@@ -764,7 +756,6 @@ class TuningServer:
         executor: str = "process",
         max_workers: int = 2,
         spec: GPUSpec = GEFORCE_8800_GTX,
-        absorb_limit: Optional[int] = None,
         history: Union[HistoryStore, str, Path, None] = None,
         reuse_artifacts: bool = False,
         peers: Iterable[str] = (),
@@ -775,7 +766,6 @@ class TuningServer:
             executor=executor,
             max_workers=max_workers,
             spec=spec,
-            absorb_limit=absorb_limit,
             history=history,
             reuse_artifacts=reuse_artifacts,
         )

@@ -3,9 +3,9 @@
 Module-level and fully picklable, so the server can submit it to a
 ``ProcessPoolExecutor`` (cold tuning escapes the GIL) or a thread pool (used
 by in-process tests, where the server's own metrics registry sees every
-compile).  A worker process reopens the shared cache by its store URI
-(plain ``.json`` path, ``dir:`` sharded store, or ``log:`` append log); the
-backend's file locks make its persistence safe against the other workers.
+compile).  A worker reopens the shared cache by its store URI (the append
+log the server's ``.json``, ``dir:`` or ``log:`` spec names); the log's file
+locks make its persistence safe against the other workers.
 
 Beyond the end-to-end ``compiles`` count, the completion payload carries the
 staged compiler's per-stage execution counts (``stages``): a healthy
@@ -57,7 +57,7 @@ def execute_request(
     request = TuneRequest.from_dict(payload)
     # Built against the server's machine spec (GPUSpec is a frozen dataclass
     # and pickles to process workers) so the report and its fingerprint match
-    # the key the server deduplicated and will absorb under.  No analysis
+    # the key the server deduplicated and will answer under.  No analysis
     # yet: tune() prepares the problem once, inside the counted block below.
     problem = request.problem(spec or GEFORCE_8800_GTX)
     cache = TuningCache(cache_path) if cache_path is not None else None

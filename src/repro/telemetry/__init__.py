@@ -27,7 +27,6 @@ Metric reference (name → labels → meaning):
 ``repro_cache_hits_total``          —                   tuning-cache lookup hits
 ``repro_cache_misses_total``        —                   tuning-cache lookup misses
 ``repro_cache_puts_total``          —                   reports persisted by this process
-``repro_cache_absorbs_total``       —                   worker reports absorbed without persisting
 ``repro_measurements_total``        ``kind``            candidate costings per measurement kind
 ``repro_tuning_requests_total``     ``source``          ``autotune()`` calls (``cache`` | ``tuned``)
 ``repro_request_seconds``           —                   end-to-end ``autotune()`` wall time

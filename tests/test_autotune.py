@@ -395,7 +395,7 @@ class TestTuningCache:
     def test_stats_reports_entries_bytes_and_counters(self, tmp_path):
         cache = TuningCache(tmp_path / "cache.json")
         fresh = cache.stats()
-        assert fresh["backend"] == "json"
+        assert fresh["backend"] == "log"
         assert fresh["entries"] == 0 and fresh["bytes"] == 0
         assert fresh["hits"] == 0 and fresh["misses"] == 0
         cache.put("k", {"v": 1})
@@ -439,49 +439,6 @@ class TestTuningCache:
         assert cache.peek("k") == {"v": 1}
         assert cache.peek("missing") is None
         assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 0
-
-    def test_absorb_stores_in_memory_without_persisting(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = TuningCache(path)
-        cache.absorb("k", {"v": 1})
-        assert cache.get("k") == {"v": 1}
-        assert not path.exists()
-
-    def test_absorb_overlay_is_lru_bounded(self, tmp_path):
-        """A long-lived server's overlay must not grow without bound.
-
-        Uses the sharded store (the documented busy-server backend): its
-        per-fingerprint files are re-read on demand, so an entry evicted from
-        the overlay remains served from disk.
-        """
-        spec = f"dir:{tmp_path / 'cache-dir'}"
-        cache = TuningCache(spec, absorb_limit=2)
-        producer = TuningCache(spec)
-        for i in range(4):
-            producer.put(f"k{i}", {"v": i})  # "another process" persists...
-            cache.absorb(f"k{i}", {"v": i})  # ...and this instance absorbs
-        stats = cache.stats()
-        assert stats["absorbed"] == 2
-        assert stats["absorb_limit"] == 2
-        assert stats["entries"] == 4
-        # evicted entries are still served — from the backing store
-        assert cache.get("k0") == {"v": 0}
-        assert cache.get("k3") == {"v": 3}
-
-    def test_absorb_overlay_evicts_least_recently_used(self, tmp_path):
-        cache = TuningCache(tmp_path / "cache.json", absorb_limit=2)
-        cache.absorb("a", {"v": "a"})
-        cache.absorb("b", {"v": "b"})
-        cache.get("a")  # refresh "a": "b" becomes the eviction candidate
-        cache.absorb("c", {"v": "c"})
-        assert set(cache._absorbed) == {"a", "c"}
-        # "b" was never persisted locally and the producer is gone: evicting
-        # it means a miss, which is why eviction picks the LRU entry
-        assert cache.get("b") is None
-
-    def test_absorb_limit_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="absorb_limit"):
-            TuningCache(tmp_path / "cache.json", absorb_limit=-1)
 
     def test_missing_fcntl_warns_once_per_process(self, tmp_path, monkeypatch):
         from repro.utils import durable

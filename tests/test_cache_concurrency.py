@@ -1,8 +1,8 @@
 """Concurrent multi-process access to one shared ``TuningCache`` store.
 
-Every scenario runs parametrized over the three persistence backends (legacy
-single JSON file, sharded per-fingerprint directory, append-only log) — the
-store URI, not the test, decides how the bytes hit disk.  The helpers are
+Every scenario runs parametrized over the three spellings of a cache location
+(``.json`` path, ``dir:`` directory, ``log:`` file) — each names where the
+one append log lives.  The helpers are
 module-level so they pickle for ``multiprocessing``; the fork start method
 is used explicitly (the stores' advisory locking is POSIX/``fcntl``-based,
 mirroring the platform the service targets).
@@ -22,7 +22,7 @@ pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="fork start method and fcntl are POSIX-only"
 )
 
-BACKENDS = ("json", "sharded", "log")
+BACKENDS = ("json", "dir", "log")
 
 SMALL_SPACE = {"thread_counts": [64], "block_counts": [16], "tile_candidates_per_geometry": 2}
 
@@ -30,7 +30,7 @@ SMALL_SPACE = {"thread_counts": [64], "block_counts": [16], "tile_candidates_per
 def store_spec(backend: str, tmp_path) -> str:
     return {
         "json": str(tmp_path / "cache.json"),
-        "sharded": f"dir:{tmp_path / 'cache-dir'}",
+        "dir": f"dir:{tmp_path / 'cache-dir'}",
         "log": f"log:{tmp_path / 'cache.log'}",
     }[backend]
 
@@ -92,8 +92,8 @@ def _tune_against_cache(spec: str, queue) -> None:
 def test_concurrent_writers_lose_no_entries(backend, tmp_path):
     """8 processes write 8 distinct keys through one store simultaneously.
 
-    Whatever the backend's granularity (whole-file lock, per-shard files,
-    locked log appends), no last-writer-wins clobbering may drop an entry.
+    Each put is one locked append: no last-writer-wins clobbering may drop
+    an entry.
     """
     ctx = multiprocessing.get_context("fork")
     spec = store_spec(backend, tmp_path)
@@ -147,11 +147,9 @@ def test_pruned_entries_cannot_be_resurrected_by_live_writer(backend, tmp_path):
     """Regression (fork-based): a writer that loaded before a prune must not
     resurrect the pruned entries with its next save.
 
-    The legacy JSON format's read-merge-write wrote the writer's whole
-    in-memory mirror back over the file, undoing any concurrent prune; saves
-    now overlay only the keys the writer actually wrote, and honour the
-    prune's tombstones.  The sharded and log backends are prune-safe by
-    construction — the same scenario runs against all three.
+    A writer only ever appends its own puts, never a copy of the index it
+    loaded, so the log is prune-safe by construction — under every
+    spelling.
     """
     ctx = multiprocessing.get_context("fork")
     spec = store_spec(backend, tmp_path)
@@ -206,8 +204,9 @@ def test_second_process_tuning_same_fingerprint_is_free(tmp_path):
 
     The first process tunes cold and persists; the second answers entirely
     from the shared store with zero pipeline compiles and a bit-identical
-    report.  Runs against the sharded backend — the JSON path is covered by
-    the service suite — and proves a store URI round-trips to a worker.
+    report.  Runs against a ``dir:`` location — the ``.json`` spelling is
+    covered by the service suite — and proves a store URI round-trips to a
+    worker.
     """
     ctx = multiprocessing.get_context("fork")
     spec = f"dir:{tmp_path / 'cache-dir'}"

@@ -1,31 +1,31 @@
-"""Unit tests of the pluggable tuning-cache store layer.
+"""Unit tests of the tuning-cache store layer.
 
-Backend-generic behaviour (round-trip, insertion-order scan, prune, stats
-identity) runs parametrized over every backend; the backend-specific
-guarantees — the JSON store's tombstones, the sharded store's O(1) puts, the
-append log's compaction and crash recovery — and the cross-backend migration
-tool each get their own sections.
+Store behaviour (round-trip, insertion-order scan, prune, stats identity)
+runs parametrized over every spelling of a location (``.json`` path,
+``dir:``, ``log:``) — all of them the one append log; the log's compaction,
+crash recovery and sealed segments, and the one-shot import of caches
+written in the older formats each get their own sections.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import multiprocessing
+import sys
 
 import pytest
 
-from repro.autotune import TuningCache, autotune, migrate_store, open_store
+from repro.autotune import TuningCache, autotune, open_store
 from repro.autotune.space import SpaceOptions
 from repro.autotune.store import (
+    CACHE_VERSION,
     AppendLogStore,
-    JsonFileStore,
     MemoryStore,
-    ShardedStore,
     parse_store_uri,
 )
 from repro.kernels import build_matmul_program
 
-BACKENDS = ("json", "sharded", "log")
+BACKENDS = ("json", "dir", "log")
 
 SMALL_SPACE = SpaceOptions(
     thread_counts=(64,), block_counts=(16,), tile_candidates_per_geometry=2
@@ -33,10 +33,10 @@ SMALL_SPACE = SpaceOptions(
 
 
 def store_spec(backend: str, tmp_path) -> str:
-    """A store URI of the requested backend rooted under ``tmp_path``."""
+    """A store URI of the requested spelling rooted under ``tmp_path``."""
     return {
         "json": str(tmp_path / "cache.json"),
-        "sharded": f"dir:{tmp_path / 'cache-dir'}",
+        "dir": f"dir:{tmp_path / 'cache-dir'}",
         "log": f"log:{tmp_path / 'cache.log'}",
     }[backend]
 
@@ -45,7 +45,7 @@ def store_spec(backend: str, tmp_path) -> str:
 class TestStoreUris:
     def test_explicit_schemes(self, tmp_path):
         assert parse_store_uri("json:x.bin") == ("json", "x.bin")
-        assert parse_store_uri("dir:/var/cache") == ("sharded", "/var/cache")
+        assert parse_store_uri("dir:/var/cache") == ("dir", "/var/cache")
         assert parse_store_uri("log:/var/cache.jsonl") == ("log", "/var/cache.jsonl")
         assert parse_store_uri("mem:") == ("memory", None)
         assert parse_store_uri(None) == ("memory", None)
@@ -54,10 +54,10 @@ class TestStoreUris:
         assert parse_store_uri("cache.json") == ("json", "cache.json")
         assert parse_store_uri("cache.jsonl") == ("log", "cache.jsonl")
         assert parse_store_uri("cache.log") == ("log", "cache.log")
-        assert parse_store_uri("cache-dir/") == ("sharded", "cache-dir")
+        assert parse_store_uri("cache-dir/") == ("dir", "cache-dir")
         existing = tmp_path / "already-there"
         existing.mkdir()
-        assert parse_store_uri(str(existing)) == ("sharded", str(existing))
+        assert parse_store_uri(str(existing)) == ("dir", str(existing))
 
     def test_unknown_scheme_is_an_error_not_a_filename(self):
         with pytest.raises(ValueError, match="unknown cache store scheme"):
@@ -69,21 +69,29 @@ class TestStoreUris:
         # single-letter prefixes stay paths (Windows drive letters)
         assert parse_store_uri("C:\\cache.json")[0] == "json"
 
-    def test_open_store_dispatches(self, tmp_path):
+    def test_every_spelling_opens_the_log_at_its_location(self, tmp_path):
         assert isinstance(open_store(None), MemoryStore)
-        assert isinstance(open_store(str(tmp_path / "c.json")), JsonFileStore)
-        assert isinstance(open_store(f"dir:{tmp_path / 'd'}"), ShardedStore)
-        assert isinstance(open_store(f"log:{tmp_path / 'c.log'}"), AppendLogStore)
+        assert isinstance(open_store("mem:"), MemoryStore)
+        for spec, location in [
+            (str(tmp_path / "c.json"), tmp_path / "c.json"),
+            (f"json:{tmp_path / 'c.bin'}", tmp_path / "c.bin"),
+            (f"dir:{tmp_path / 'd'}", tmp_path / "d" / "cache.log"),
+            (f"{tmp_path / 'e'}/", tmp_path / "e" / "cache.log"),
+            (f"log:{tmp_path / 'c.log'}", tmp_path / "c.log"),
+            (str(tmp_path / "c.jsonl"), tmp_path / "c.jsonl"),
+        ]:
+            store = open_store(spec)
+            assert isinstance(store, AppendLogStore)
+            assert store.path == location
+            assert store.uri == f"log:{location}"
 
-    def test_uri_round_trips_every_backend(self, tmp_path):
+    def test_uri_round_trips_every_spelling(self, tmp_path):
         for backend in BACKENDS:
             spec = store_spec(backend, tmp_path)
             cache = TuningCache(spec)
             cache.put("k", {"v": 1})
             reopened = TuningCache(cache.uri)
-            assert reopened.backend == cache.backend == (
-                "sharded" if backend == "sharded" else backend
-            )
+            assert reopened.backend == cache.backend == "log"
             assert reopened.peek("k") == {"v": 1}
 
 
@@ -139,19 +147,15 @@ class TestEveryBackend:
         cache = TuningCache(store_spec(backend, tmp_path))
         cache.put("k", {"v": 1})
         stats = cache.stats()
-        expected = "sharded" if backend == "sharded" else backend
-        assert stats["backend"] == expected
+        assert stats["backend"] == "log"
         assert stats["entries"] == 1
         assert stats["bytes"] > 0
         assert stats["hits"] == 0 and stats["misses"] == 0
-        if backend == "sharded":
-            assert stats["shards"] == 1
-        if backend == "log":
-            assert stats["segments"] == 1
-            assert stats["compactions"] == 0
+        assert stats["segments"] == 1
+        assert stats["compactions"] == 0
 
     def test_autotune_warm_hit_through_backend(self, backend, tmp_path):
-        """Every backend serves the second identical request with zero compiles."""
+        """Every spelling serves the second identical request with zero compiles."""
         from repro.compiler import counting_compiles
 
         spec = store_spec(backend, tmp_path)
@@ -164,112 +168,19 @@ class TestEveryBackend:
         assert compiles.count == 0
         assert warm.best.to_dict() == cold.best.to_dict()
 
-
-# -- JSON store: tombstones --------------------------------------------------------
-class TestJsonTombstones:
-    def test_concurrent_saver_cannot_resurrect_pruned_entries(self, tmp_path):
-        """The ISSUE's race, in-process: load → prune elsewhere → save."""
-        path = str(tmp_path / "cache.json")
+    def test_late_writer_cannot_resurrect_pruned_entries(self, backend, tmp_path):
+        """In-process: load → prune through another instance → put."""
+        path = store_spec(backend, tmp_path)
         seed = TuningCache(path)
         for i in range(5):
             seed.put(f"k{i}", {"v": i})
         late_writer = TuningCache(path)  # mirror holds k0..k4
         assert TuningCache(path).prune(2) == 3
-        late_writer.put("k5", {"v": 5})  # old code resurrected k0-k2 here
+        late_writer.put("k5", {"v": 5})  # a rewrite of its mirror would resurrect k0-k2
         final = TuningCache(path)
         assert [k for k, _ in final.scan()] == ["k3", "k4", "k5"]
         # the writer's own mirror converged with the prune
         assert late_writer.peek("k0") is None
-
-    def test_re_put_after_prune_clears_the_tombstone(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = TuningCache(path)
-        for i in range(3):
-            cache.put(f"k{i}", {"v": i})
-        cache.prune(1)
-        assert cache.stats()["tombstones"] == 2
-        cache.put("k0", {"v": "again"})  # deliberate re-insert wins
-        assert cache.stats()["tombstones"] == 1
-        assert TuningCache(path).peek("k0") == {"v": "again"}
-
-    def test_compact_drops_tombstones(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = TuningCache(path)
-        for i in range(4):
-            cache.put(f"k{i}", {"v": i})
-        cache.prune(2)
-        before = cache.stats()
-        assert before["tombstones"] == 2
-        outcome = cache.compact()
-        assert outcome["tombstones_removed"] == 2
-        assert cache.stats()["tombstones"] == 0
-        assert len(TuningCache(path)) == 2
-
-    def test_tombstones_invisible_to_version2_readers(self, tmp_path):
-        """The extra field keeps the file a valid version-2 document."""
-        path = tmp_path / "cache.json"
-        cache = TuningCache(str(path))
-        for i in range(3):
-            cache.put(f"k{i}", {"v": i})
-        cache.prune(2)
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        assert list(payload["entries"]) == ["k1", "k2"]
-        assert list(payload["tombstones"]) == ["k0"]
-
-
-# -- sharded store: O(1) puts ------------------------------------------------------
-class TestShardedStore:
-    def test_put_touches_no_other_entry_file(self, tmp_path):
-        """Acceptance: a put never reads or rewrites other entries."""
-        store = ShardedStore(tmp_path / "store")
-        for i in range(16):
-            store.put(f"key-{i}", {"v": i})
-        snapshot = {
-            path: (path.stat().st_mtime_ns, path.stat().st_size)
-            for path in store._entry_files()
-        }
-        assert len(snapshot) == 16
-        store.put("fresh-key", {"v": "new"})
-        for path, (mtime, size) in snapshot.items():
-            stat = path.stat()
-            assert (stat.st_mtime_ns, stat.st_size) == (mtime, size), (
-                f"put rewrote unrelated entry {path.name}"
-            )
-
-    def test_fanout_layout_and_meta(self, tmp_path):
-        root = tmp_path / "store"
-        store = ShardedStore(root)
-        store.put("some-key", {"v": 1})
-        assert (root / "store.json").exists()
-        shards = [d for d in root.iterdir() if d.is_dir() and len(d.name) == 2]
-        assert len(shards) == 1
-        assert len(list(shards[0].glob("*.json"))) == 1
-
-    def test_meta_version_mismatch_is_an_error(self, tmp_path):
-        root = tmp_path / "store"
-        root.mkdir()
-        (root / "store.json").write_text(json.dumps({"version": 999}))
-        with pytest.raises(ValueError, match="unsupported sharded-store layout"):
-            ShardedStore(root)
-
-    def test_compact_sweeps_empty_shards(self, tmp_path):
-        store = ShardedStore(tmp_path / "store")
-        for i in range(8):
-            store.put(f"key-{i}", {"v": i})
-        shards_before = sum(1 for _ in store._shard_dirs())
-        store.prune(0)
-        outcome = store.compact()
-        assert outcome["empty_shards_removed"] == shards_before
-        assert len(store) == 0
-
-    def test_corrupt_entry_file_reads_as_miss(self, tmp_path):
-        store = ShardedStore(tmp_path / "store")
-        store.put("key", {"v": 1})
-        entry_path = store._entry_path("key")
-        entry_path.write_text("{ not json")
-        assert store.get("key") is None
-        assert list(store.scan()) == []
 
 
 # -- append log: compaction + recovery ---------------------------------------------
@@ -419,23 +330,6 @@ class TestAppendLogSegments:
             seg_lock.close()
         assert store.get("during-merge") == {"v": 1}
 
-    def test_ingest_segment_fills_gaps_and_local_entries_win(self, tmp_path):
-        source = AppendLogStore(tmp_path / "source.log")
-        source.put("shared", {"v": "theirs"})
-        source.put("only-remote", {"v": "shipped"})
-        segment = source.rotate()
-        target = AppendLogStore(tmp_path / "target.log")
-        target.put("shared", {"v": "ours"})
-        adopted = target.ingest_segment(segment)
-        assert adopted == 1
-        assert target.get("only-remote") == {"v": "shipped"}
-        assert target.get("shared") == {"v": "ours"}  # local wins
-        # durable: a cold reader of the target sees the ingested entry
-        assert dict(AppendLogStore(tmp_path / "target.log").scan()) == {
-            "shared": {"v": "ours"},
-            "only-remote": {"v": "shipped"},
-        }
-
     def test_full_compact_folds_sealed_segments_away(self, tmp_path):
         path = tmp_path / "full.log"
         store = AppendLogStore(path)
@@ -451,148 +345,133 @@ class TestAppendLogSegments:
         }
 
 
-# -- sharded store: stale sidecar-lock takeover ------------------------------------
-class TestShardedStaleLockTakeover:
-    def test_put_takes_over_a_stale_peer_lock(self, tmp_path):
-        """A dead NFS peer's wedged sidecar lock is aged out, not waited on."""
-        import os
-        import threading
-
-        fcntl = pytest.importorskip("fcntl")
-        root = tmp_path / "store"
-        seed = ShardedStore(root)
-        seed.put("victim", {"v": 0})
-        lock_path = seed._entry_path("victim").parent / ".lock"
-        # a "dead peer": holds the flock forever, sidecar mtime long stale
-        peer = open(lock_path, "a")
-        fcntl.flock(peer, fcntl.LOCK_EX)
-        old = 1.0  # 1970: anything older than any takeover threshold
-        os.utime(lock_path, (old, old))
-        try:
-            store = ShardedStore(root, stale_after=0.2)
-            done = threading.Event()
-
-            def writer():
-                store.put("victim", {"v": 1})
-                done.set()
-
-            thread = threading.Thread(target=writer, daemon=True)
-            thread.start()
-            assert done.wait(timeout=10), "put wedged behind a dead peer's lock"
-            thread.join(timeout=10)
-            assert store.get("victim") == {"v": 1}
-            assert store.stats()["lock_takeovers"] >= 1
-        finally:
-            fcntl.flock(peer, fcntl.LOCK_UN)
-            peer.close()
-
-    def test_fresh_contention_is_waited_out_not_stolen(self, tmp_path):
-        """A *live* holder (fresh mtime) is never taken over; the contender
-        waits and proceeds only after the holder releases."""
-        import threading
-        import time
-
-        fcntl = pytest.importorskip("fcntl")
-        root = tmp_path / "store"
-        seed = ShardedStore(root)
-        seed.put("victim", {"v": 0})
-        lock_path = seed._entry_path("victim").parent / ".lock"
-        holder = open(lock_path, "a")
-        fcntl.flock(holder, fcntl.LOCK_EX)  # mtime stays fresh: a live holder
-        store = ShardedStore(root, stale_after=30.0)
-        done = threading.Event()
-
-        def writer():
-            store.put("victim", {"v": 1})
-            done.set()
-
-        thread = threading.Thread(target=writer, daemon=True)
-        thread.start()
-        time.sleep(0.3)
-        assert not done.is_set(), "live holder's lock was stolen"
-        fcntl.flock(holder, fcntl.LOCK_UN)
-        holder.close()
-        assert done.wait(timeout=10)
-        thread.join(timeout=10)
-        assert store.stats()["lock_takeovers"] == 0
+# -- legacy import -----------------------------------------------------------------
+LEGACY = [
+    ("zz-first", {"report": {"best": 1.5}, "seed": 0}),
+    ("aa-second", {"report": {"best": 0.5}, "seed": 7}),
+    ("mm-third", {"nested": {"deep": [1, 2, 3]}}),
+]
 
 
-# -- migration ---------------------------------------------------------------------
-class TestMigration:
-    @pytest.fixture()
-    def v2_fixture(self, tmp_path):
-        """A legacy version-2 JSON cache with order-sensitive entries."""
-        path = tmp_path / "legacy.json"
-        cache = TuningCache(str(path))
-        entries = [
-            ("zz-first", {"report": {"best": 1.5}, "seed": 0}),
-            ("aa-second", {"report": {"best": 0.5}, "seed": 7}),
-            ("mm-third", {"nested": {"deep": [1, 2, 3]}}),
+def write_document(path, entries, tombstones=(), version=CACHE_VERSION):
+    """A cache document as the single-file format of earlier versions wrote it."""
+    payload = {"version": version, "entries": dict(entries)}
+    if tombstones:
+        payload["tombstones"] = {key: 1 for key in tombstones}
+    path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+
+
+def write_entry_files(root, entries):
+    """``(key, seq, value)`` triples as the per-entry files of earlier versions."""
+    import hashlib
+
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "store.json").write_text('{"format": "repro-sharded-store", "version": 1}')
+    for key, seq, value in entries:
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+        (root / digest[:2]).mkdir(exist_ok=True)
+        (root / digest[:2] / f"{digest}.json").write_text(
+            json.dumps({"key": key, "seq": seq, "value": value})
+        )
+
+
+def log_keys(path):
+    """The key of every put line in the log at ``path``, duplicates included."""
+    return [json.loads(line)["key"] for line in path.read_text().splitlines()]
+
+
+def _open_and_put(spec: str, index: int, barrier) -> None:
+    barrier.wait(timeout=30)  # every process opens the unconverted document at once
+    TuningCache(spec).put(f"proc-{index}", {"v": index})
+
+
+class TestLegacyImport:
+    @pytest.mark.parametrize("name, spec", [
+        ("cache.json", "{}"), ("cache.bin", "json:{}"), ("cache.db", "{}"),
+    ])
+    def test_document_is_rewritten_in_place_as_put_lines(self, tmp_path, name, spec):
+        path = tmp_path / name
+        write_document(path, LEGACY, tombstones=["gone"])
+        store = open_store(spec.format(path))
+        assert list(store.scan()) == LEGACY
+        assert "gone" not in store
+        assert log_keys(path) == [key for key, _ in LEGACY]
+        assert store.stats()["dead_records"] == 0
+
+    def test_reopening_an_imported_document_imports_nothing(self, tmp_path):
+        path = tmp_path / "cache.json"
+        write_document(path, LEGACY)
+        TuningCache(str(path)).put("after", {"v": 1})
+        imported = path.read_bytes()
+        for _ in range(2):
+            reopened = TuningCache(f"json:{path}")
+            assert [k for k, _ in reopened.scan()] == [k for k, _ in LEGACY] + ["after"]
+        assert path.read_bytes() == imported
+
+    def test_version1_and_corrupt_documents_read_cold(self, tmp_path):
+        old = tmp_path / "v1.json"
+        write_document(old, LEGACY, version=1)
+        assert len(open_store(str(old))) == 0
+        torn = tmp_path / "torn.json"
+        torn.write_text('{"version": 2, "entries": {"k"')
+        cache = TuningCache(str(torn))
+        assert len(cache) == 0
+        cache.put("fresh", {"v": 1})  # the torn bytes become one skipped line
+        assert dict(TuningCache(str(torn)).scan()) == {"fresh": {"v": 1}}
+
+    def test_entry_files_fold_into_the_dir_log_in_seq_order(self, tmp_path):
+        root = tmp_path / "cache-dir"
+        write_entry_files(
+            root, [("b-key", 30, {"v": "b"}), ("c-key", 10, {"v": "c"}), ("a-key", 20, {"v": "a"})]
+        )
+        shard_bytes = {p: p.read_bytes() for p in root.rglob("*.json")}
+        store = open_store(f"dir:{root}")
+        assert [k for k, _ in store.scan()] == ["c-key", "a-key", "b-key"]
+        assert store.get("a-key") == {"v": "a"}
+        assert log_keys(root / "cache.log") == ["c-key", "a-key", "b-key"]
+        assert {p: p.read_bytes() for p in root.rglob("*.json")} == shard_bytes
+
+    def test_unreadable_entry_files_are_skipped(self, tmp_path):
+        root = tmp_path / "cache-dir"
+        write_entry_files(root, [("a-key", 1, {"v": "a"}), ("b-key", 2, {"v": "b"})])
+        (root / "ff").mkdir()
+        (root / "ff" / "torn.json").write_text('{"key": "torn", "seq": 3, "val')
+        (root / "ff" / "keyless.json").write_text('{"seq": 4, "value": {"v": 4}}')
+        assert dict(open_store(f"dir:{root}").scan()) == {"a-key": {"v": "a"}, "b-key": {"v": "b"}}
+
+    def test_reopening_an_imported_dir_imports_nothing(self, tmp_path):
+        root = tmp_path / "cache-dir"
+        write_entry_files(root, [("a-key", 1, {"v": "a"}), ("b-key", 2, {"v": "b"})])
+        TuningCache(f"dir:{root}").prune(1)
+        for spec in (f"dir:{root}", f"{root}/", str(root)):
+            assert [k for k, _ in TuningCache(spec).scan()] == ["b-key"]
+        TuningCache(f"dir:{root}").clear()
+        assert len(TuningCache(f"dir:{root}")) == 0  # the entry files stay history
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="fork start method is POSIX-only")
+    def test_processes_racing_to_open_a_document_convert_it_once(self, tmp_path):
+        path = tmp_path / "cache.json"
+        write_document(path, LEGACY)
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(4)
+        procs = [
+            ctx.Process(target=_open_and_put, args=(str(path), i, barrier)) for i in range(4)
         ]
-        for key, value in entries:
-            cache.put(key, value)
-        return str(path), entries
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        keys = log_keys(path)
+        assert keys[:3] == [key for key, _ in LEGACY]  # converted once, first
+        assert sorted(keys[3:]) == [f"proc-{i}" for i in range(4)]  # no put lost
+        assert dict(TuningCache(str(path)).scan()) == {
+            **dict(LEGACY), **{f"proc-{i}": {"v": i} for i in range(4)}
+        }
 
-    @pytest.mark.parametrize("backend", ("sharded", "log"))
-    def test_round_trip_preserves_content_and_order(self, backend, tmp_path, v2_fixture):
-        src, entries = v2_fixture
-        middle = store_spec(backend, tmp_path / "mid")
-        back = str(tmp_path / "back.json")
-        out = migrate_store(src, middle)
-        assert out["entries"] == len(entries)
-        assert migrate_store(middle, back)["entries"] == len(entries)
-        # entry content round-trips exactly, insertion order included
-        assert list(TuningCache(back).scan()) == entries
-        assert list(TuningCache(src).scan()) == entries  # source untouched
 
-    def test_sharded_to_log_direct(self, tmp_path):
-        src = store_spec("sharded", tmp_path)
-        dst = store_spec("log", tmp_path)
-        cache = TuningCache(src)
-        for i in range(5):
-            cache.put(f"k{i}", {"v": i})
-        assert migrate_store(src, dst)["entries"] == 5
-        assert [k for k, _ in TuningCache(dst).scan()] == [f"k{i}" for i in range(5)]
-
-    def test_refuses_nonempty_destination_without_force(self, tmp_path, v2_fixture):
-        src, entries = v2_fixture
-        dst = store_spec("sharded", tmp_path)
-        TuningCache(dst).put("pre-existing", {"v": 0})
-        with pytest.raises(ValueError, match="already holds"):
-            migrate_store(src, dst)
-        out = migrate_store(src, dst, force=True)
-        assert out["entries"] == len(entries)
-        assert "pre-existing" not in TuningCache(dst)
-
-    def test_refuses_same_store(self, tmp_path, v2_fixture):
-        src, _entries = v2_fixture
-        with pytest.raises(ValueError, match="same store"):
-            migrate_store(src, src)
-
-    def test_refuses_same_store_behind_a_path_alias(self, tmp_path, v2_fixture, monkeypatch):
-        """An aliased spelling of the source must not slip past the guard —
-        with --force it would clear the source before 'migrating' nothing."""
-        src, entries = v2_fixture
-        monkeypatch.chdir(Path(src).parent)
-        relative = Path(src).name
-        aliased = f"json:./{relative}"
-        with pytest.raises(ValueError, match="same store"):
-            migrate_store(relative, aliased, force=True)
-        assert len(TuningCache(src)) == len(entries)  # source untouched
-
-    def test_cli_cache_migrate(self, tmp_path, v2_fixture, capsys):
-        from repro.autotune.cli import main as cli_main
-
-        src, entries = v2_fixture
-        dst = f"dir:{tmp_path / 'migrated'}"
-        assert cli_main(["cache-migrate", src, dst]) == 0
-        out = capsys.readouterr().out
-        assert f"migrated {len(entries)} entries" in out
-        assert list(TuningCache(dst).scan()) == entries
-        # a second run without --force refuses
-        assert cli_main(["cache-migrate", src, dst]) == 2
-        assert "already holds" in capsys.readouterr().err
-
+# -- CLI -------------------------------------------------------------------------
+class TestCacheTools:
     def test_cli_cache_tools_accept_uris(self, tmp_path, capsys):
         from repro.autotune.cli import main as cli_main
 
@@ -602,25 +481,26 @@ class TestMigration:
             cache.put(f"k{i}", {"v": i})
         assert cli_main(["cache-stats", "--cache", spec]) == 0
         out = capsys.readouterr().out
-        assert "backend: sharded" in out
+        assert "backend: log" in out
         assert "entries: 3" in out
-        assert "shards:" in out
+        assert "segments:" in out
         assert cli_main(["cache-prune", "--cache", spec, "--max-entries", "1"]) == 0
         assert "pruned 2 entries" in capsys.readouterr().out
         assert cli_main(["cache-stats", "--cache", "bogus:x"]) == 2
         assert "unknown cache store scheme" in capsys.readouterr().err
 
+    def test_cli_prunes_an_older_format_document(self, tmp_path, capsys):
+        from repro.autotune.cli import main as cli_main
+
+        path = tmp_path / "cache.json"
+        write_document(path, LEGACY)
+        assert cli_main(["cache-prune", "--cache", str(path), "--max-entries", "1"]) == 0
+        assert "pruned 2 entries" in capsys.readouterr().out
+        assert log_keys(path) == ["mm-third"]
+
 
 # -- facade ------------------------------------------------------------------------
 class TestFacadeOverBackends:
-    def test_absorb_never_persists_on_any_backend(self, tmp_path):
-        for backend in BACKENDS:
-            spec = store_spec(backend, tmp_path / backend)
-            cache = TuningCache(spec)
-            cache.absorb("ghost", {"v": 1})
-            assert cache.get("ghost") == {"v": 1}
-            assert "ghost" not in TuningCache(spec)
-
     def test_memory_cache_has_memory_backend(self):
         cache = TuningCache()
         assert cache.backend == "memory"

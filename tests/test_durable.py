@@ -2,10 +2,11 @@
 
 Only what no client-level suite already covers (``test_cache_store.py``,
 ``test_cache_concurrency.py`` and ``test_history.py`` exercise locking,
-takeover, rotation and recovery *through* the stores): the scanner's and
-appender's own contracts, temp-file cleanup, the on-disk compatibility of
-every client with files written before the primitive existed, and the
-layering that keeps the primitive at the bottom of the package.
+rotation and recovery *through* the stores): the scanner's and appender's
+own contracts, temp-file cleanup, stale-lock takeover, the on-disk
+compatibility of every client with files written before the primitive
+existed, and the layering that keeps the primitive at the bottom of the
+package.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ import ast
 import json
 import shutil
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.autotune.store import AppendLogStore, JsonFileStore, ShardedStore
+from repro.autotune import autotune
+from repro.autotune.space import SpaceOptions
+from repro.autotune.store import AppendLogStore, open_store
 from repro.telemetry.history import HistoryRecord, HistoryStore
-from repro.utils.durable import append_jsonl, atomic_install, scan_jsonl
+from repro.utils.durable import append_jsonl, atomic_install, file_lock, scan_jsonl
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "durable_parent"
@@ -88,19 +92,31 @@ class TestFilesWrittenBeforeThePrimitive:
         stats = store.stats()
         return [list(item) for item in store.scan()], stats
 
+    def test_log_reads_to_the_same_entries_and_stats(self, frozen):
+        root, expected = frozen
+        scan, stats = self.observed(AppendLogStore(root / "cache.log"))
+        assert scan == expected["log"]["scan"]
+        assert {k: stats[k] for k in expected["log"]["stats"]} == expected["log"]["stats"]
+
     @pytest.mark.parametrize(
-        "name, opener",
+        "name, spec",
         [
-            ("log", lambda root: AppendLogStore(root / "cache.log")),
-            ("json", lambda root: JsonFileStore(root / "cache.json")),
-            ("dir", lambda root: ShardedStore(root / "cache.dir")),
+            ("json", "{root}/cache.json"),
+            ("json", "json:{root}/cache.json"),
+            ("dir", "dir:{root}/cache.dir"),
+            ("dir", "{root}/cache.dir/"),
         ],
     )
-    def test_caches_read_to_the_same_entries_and_stats(self, frozen, name, opener):
+    def test_older_formats_import_to_the_same_entries(self, frozen, name, spec):
+        """Every spelling that reaches a ``.json`` or ``dir:`` cache of the
+        older formats imports it into the log: same keys, values and order,
+        the tombstoned ``k0``/``k1`` absent — and again on a re-open."""
         root, expected = frozen
-        scan, stats = self.observed(opener(root))
-        assert scan == expected[name]["scan"]
-        assert {k: stats[k] for k in expected[name]["stats"]} == expected[name]["stats"]
+        for _ in range(2):
+            scan, stats = self.observed(open_store(spec.format(root=root)))
+            assert scan == expected[name]["scan"]
+            assert stats["entries"] == expected[name]["stats"]["entries"]
+            assert stats["dead_records"] == stats["corrupt_lines"] == 0
 
     def test_history_reads_to_the_same_records_and_stats(self, frozen):
         root, expected = frozen
@@ -126,6 +142,92 @@ class TestFilesWrittenBeforeThePrimitive:
         assert history.path.read_bytes()[before:].decode("utf-8") == (
             expected["history"]["appended"]
         )
+
+
+class TestOlderTuningCachesStayWarm:
+    SPACE = SpaceOptions(thread_counts=(64,), block_counts=(16,), tile_candidates_per_geometry=2)
+
+    @pytest.mark.parametrize("name", ["json", "dir"])
+    def test_a_repeat_autotune_compiles_nothing(self, tmp_path, name):
+        """A tuning cache written in an older format answers a repeat request
+        from the imported log with zero compiles."""
+        from repro.compiler import counting_compiles
+        from repro.kernels import build_matmul_program
+
+        program = build_matmul_program(24, 24, 24)
+        written = AppendLogStore(tmp_path / "cold.log")
+        cold = autotune(program, space_options=self.SPACE, cache=f"log:{written.path}")
+        entries = dict(written.scan())
+        if name == "json":
+            spec = str(tmp_path / "cache.json")
+            (tmp_path / "cache.json").write_text(json.dumps({"version": 2, "entries": entries}))
+        else:
+            spec = f"dir:{tmp_path / 'cache.dir'}"
+            for seq, (key, value) in enumerate(entries.items()):
+                shard = tmp_path / "cache.dir" / key[:2]
+                shard.mkdir(parents=True, exist_ok=True)
+                (shard / f"{key}.json").write_text(
+                    json.dumps({"key": key, "seq": seq, "value": value})
+                )
+        with counting_compiles() as compiles:
+            warm = autotune(program, space_options=self.SPACE, cache=spec)
+        assert warm.from_cache and compiles.count == 0
+        assert warm.best.to_dict() == cold.best.to_dict()
+
+
+class TestStaleLockTakeover:
+    def test_a_dead_peers_lock_is_taken_over_not_waited_on(self, tmp_path):
+        """A dead NFS peer's wedged sidecar lock is aged out."""
+        import os
+
+        fcntl = pytest.importorskip("fcntl")
+        lock_path = tmp_path / "entry.lock"
+        # a "dead peer": holds the flock forever, sidecar mtime long stale
+        peer = open(lock_path, "a")
+        fcntl.flock(peer, fcntl.LOCK_EX)
+        os.utime(lock_path, (1.0, 1.0))  # 1970: older than any threshold
+        takeovers = []
+        try:
+            done = threading.Event()
+
+            def contender():
+                with file_lock(lock_path, stale_after=0.2, on_takeover=lambda: takeovers.append(1)):
+                    done.set()
+
+            thread = threading.Thread(target=contender, daemon=True)
+            thread.start()
+            assert done.wait(timeout=10), "wedged behind a dead peer's lock"
+            thread.join(timeout=10)
+            assert takeovers
+        finally:
+            fcntl.flock(peer, fcntl.LOCK_UN)
+            peer.close()
+
+    def test_fresh_contention_is_waited_out_not_stolen(self, tmp_path):
+        """A *live* holder (fresh mtime) is never taken over; the contender
+        waits and proceeds only after the holder releases."""
+        import time
+
+        fcntl = pytest.importorskip("fcntl")
+        lock_path = tmp_path / "entry.lock"
+        holder = open(lock_path, "a")
+        fcntl.flock(holder, fcntl.LOCK_EX)  # mtime stays fresh: a live holder
+        takeovers = []
+        done = threading.Event()
+
+        def contender():
+            with file_lock(lock_path, stale_after=30.0, on_takeover=lambda: takeovers.append(1)):
+                done.set()
+
+        thread = threading.Thread(target=contender, daemon=True)
+        thread.start()
+        time.sleep(0.3)
+        assert not done.is_set(), "live holder's lock was stolen"
+        fcntl.flock(holder, fcntl.LOCK_UN)
+        holder.close()
+        assert done.wait(timeout=10)
+        thread.join(timeout=10)
+        assert takeovers == []
 
 
 class TestLayering:

@@ -1,7 +1,7 @@
 """Tests of the ``repro.fleet`` subsystem and the fleet-aware service.
 
 The integration suites boot two real HTTP servers in this process (thread
-executor, one shared sharded cache directory), introduce them to each other
+executor, one shared ``dir:`` cache directory), introduce them to each other
 via :meth:`TuningServer.configure_fleet`, and verify the property the ring
 exists for: a tuning fingerprint has exactly one home server, so in-flight
 deduplication — and therefore exactly-once tuning — holds *fleet-wide*.

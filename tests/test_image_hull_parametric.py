@@ -12,13 +12,12 @@ from repro.polyhedral.counting import (
     union_point_count,
 )
 from repro.polyhedral.dependence import AccessDescriptor, DependenceAnalyzer
-from repro.polyhedral.hull import convex_union_vertices, rectangular_hull
+from repro.polyhedral.hull import rectangular_hull
 from repro.polyhedral.image import image_of_polyhedron, preimage_of_polyhedron
 from repro.polyhedral.parametric import (
     QuasiAffineBound,
     parametric_bounds,
     resolve_quasi_affine,
-    static_extent_bound,
 )
 from repro.polyhedral.polyhedron import Polyhedron
 
@@ -122,11 +121,6 @@ class TestParametricBounds:
         result = resolve_quasi_affine(bound)
         assert isinstance(result, QuasiAffineBound)
 
-    def test_static_extent_bound(self):
-        lower = QuasiAffineBound("max", (iT,))
-        upper = QuasiAffineBound("min", (iT + 31, N - 1))
-        assert static_extent_bound(lower, upper) == 32
-
 
 class TestHull:
     def test_union_box_fig1(self):
@@ -167,13 +161,6 @@ class TestHull:
             rectangular_hull(
                 [Polyhedron.from_bounds({"a": (0, 1)}), Polyhedron.from_bounds({"b": (0, 1)})]
             )
-
-    def test_convex_union_vertices(self):
-        a = Polyhedron.from_bounds({"x": (0, 2), "y": (0, 2)})
-        b = Polyhedron.from_bounds({"x": (2, 4), "y": (0, 2)})
-        vertices = convex_union_vertices([a, b])
-        xs = {tuple(v) for v in vertices}
-        assert (0, 0) in xs and (4, 2) in xs
 
 
 class TestDependence:

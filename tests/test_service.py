@@ -212,6 +212,71 @@ class TestTuningService:
         # the worker's fingerprint agrees with the server's dedup key
         assert job.report["fingerprint"] == job.fingerprint
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("spelling", ["json", "dir", "log"])
+    def test_worker_persisted_entry_is_a_submit_time_hit(self, executor, spelling, tmp_path):
+        """The worker's put reaches the server through the log alone: the
+        repeat is answered at submission, whatever spelling named the log."""
+        spec = {
+            "json": str(tmp_path / "cache.json"),
+            "dir": f"dir:{tmp_path / 'cache-dir'}",
+            "log": f"log:{tmp_path / 'cache.log'}",
+        }[spelling]
+        service = TuningService(cache=spec, executor=executor, max_workers=1)
+        try:
+            payload = matmul_request(m=16).to_dict()
+            job, outcome = service.submit(payload)
+            assert outcome == "created"
+            assert service.wait_for_job(job.id, timeout=300)["status"] == "done"
+            again, outcome = service.submit(payload)
+            assert outcome == "cached" and again.from_cache
+            assert again.report == service.job(job.id).report
+            assert service.stats()["server"]["tuning_runs"] == 1
+        finally:
+            service.drain()
+
+    def test_entry_another_writer_persisted_later_is_a_submit_time_hit(self, tmp_path):
+        """No per-instance overlay to fall out of: an entry appended after the
+        server opened the log is still found at submission."""
+        spec = str(tmp_path / "cache.json")
+        service = TuningService(cache=spec, executor="thread", max_workers=1)
+        try:
+            payload = matmul_request(m=16).to_dict()
+            fingerprint = TuneRequest.from_dict(payload).resolve().fingerprint
+            TuningCache(spec).put(fingerprint, {"fingerprint": fingerprint})
+            job, outcome = service.submit(payload)
+            assert outcome == "cached"
+            assert job.report == {"fingerprint": fingerprint}
+        finally:
+            service.drain()
+
+    def test_server_does_not_re_append_a_worker_report(self, tmp_path):
+        """The worker's put is the job's only log line: the server does not
+        write the same report back on completion."""
+        path = tmp_path / "cache.log"
+        service = TuningService(cache=f"log:{path}", executor="thread", max_workers=1)
+        try:
+            job, _ = service.submit(matmul_request(m=16).to_dict())
+            service.wait_for_job(job.id, timeout=300)
+        finally:
+            service.drain()
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(line["op"], line["key"]) for line in lines] == [("put", job.fingerprint)]
+
+    def test_services_sharing_a_json_cache_answer_each_others_jobs(self, tmp_path):
+        spec = str(tmp_path / "cache.json")
+        first = TuningService(cache=spec, executor="thread", max_workers=1)
+        second = TuningService(cache=spec, executor="thread", max_workers=1)
+        try:
+            payload = matmul_request(m=16).to_dict()
+            job, _ = first.submit(payload)
+            first.wait_for_job(job.id, timeout=300)
+            _job, outcome = second.submit(payload)
+            assert outcome == "cached"
+        finally:
+            first.drain()
+            second.drain()
+
     def test_finished_jobs_are_evicted_to_bound_memory(self):
         service = TuningService(executor="thread", max_workers=1, max_finished_jobs=2)
         payload = matmul_request(m=16).to_dict()
@@ -332,7 +397,7 @@ class TestHTTPServer:
             assert field in stats
         assert TuningClient(thread_server.url).cache_backend() == "memory"
 
-    def test_server_runs_on_a_sharded_store(self, tmp_path):
+    def test_server_runs_on_a_dir_store(self, tmp_path):
         """A dir: store URI threads through server, worker, and /cache/stats."""
         from repro.service.protocol import ordered_cache_stats
 
@@ -343,20 +408,20 @@ class TestHTTPServer:
         try:
             client = TuningClient(server.url)
             health = client.healthz()
-            assert health["cache_backend"] == "sharded"
-            assert health["cache_path"] == spec
+            assert health["cache_backend"] == "log"
+            assert health["cache_path"] == f"log:{tmp_path / 'cache-dir' / 'cache.log'}"
             request = matmul_request(m=24)
             client.tune(request, timeout=300)
             cache_stats = client.cache_stats()["cache"]
-            assert cache_stats["backend"] == "sharded"
+            assert cache_stats["backend"] == "log"
             assert cache_stats["entries"] == 1
-            assert cache_stats["shards"] == 1
+            assert cache_stats["segments"] == 1
             # the render helper puts common fields first, gauges after
             rendered = [name for name, _ in ordered_cache_stats(cache_stats)]
             assert rendered[:3] == ["backend", "entries", "bytes"]
-            assert "shards" in rendered[3:]
-            # the worker persisted through the sharded store: a fresh cache
-            # instance (different process in production) starts warm
+            assert "segments" in rendered[3:]
+            # the worker persisted through the log: a fresh cache instance
+            # (different process in production) starts warm
             assert request.resolve().fingerprint in TuningCache(spec)
         finally:
             server.stop()
@@ -365,8 +430,7 @@ class TestHTTPServer:
         """Regression: /cache/stats must see entries workers appended to the log.
 
         The worker persists through its *own* store instance; the server's
-        index is stale until it resyncs, and the absorbed overlay must count
-        toward ``entries`` either way.
+        index is stale until ``stats()`` replays the log's tail.
         """
         spec = f"log:{tmp_path / 'cache.log'}"
         server = TuningServer(
@@ -700,8 +764,7 @@ class TestSigtermDrain:
             assert "draining in-flight jobs" in output
             assert "server drained and stopped" in output
             # the in-flight job ran to completion and persisted before exit
-            stored = json.loads(cache_path.read_text())
-            assert pending.fingerprint in stored["entries"]
+            assert pending.fingerprint in TuningCache(cache_path)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -728,30 +791,3 @@ class TestStagedCompilerThroughService:
             assert warm["compiles"] == 0
         finally:
             server.stop()
-
-    def test_cache_stats_expose_the_absorb_bound(self, tmp_path):
-        """/cache/stats carries the overlay gauge and its configured bound."""
-        service = TuningService(
-            cache=str(tmp_path / "cache.json"),
-            executor="thread",
-            max_workers=1,
-            absorb_limit=8,
-        )
-        try:
-            stats = service.stats()["cache"]
-            assert stats["absorb_limit"] == 8
-            assert stats["absorbed"] == 0
-        finally:
-            service.drain()
-
-    def test_absorb_limit_applies_to_a_prebuilt_cache(self, tmp_path):
-        """Passing an already-open TuningCache must not silently drop the bound."""
-        cache = TuningCache(str(tmp_path / "cache.json"))
-        service = TuningService(
-            cache=cache, executor="thread", max_workers=1, absorb_limit=8
-        )
-        try:
-            assert cache.absorb_limit == 8
-            assert service.stats()["cache"]["absorb_limit"] == 8
-        finally:
-            service.drain()
