@@ -5,7 +5,7 @@ the mapping space and picks the final configuration empirically on the
 machine.  This package supplies that empirical layer as a reusable service:
 
 * :mod:`repro.autotune.space` — declarative configuration space (tile sizes,
-  launch geometry, scratchpad staging) seeded by the SLSQP relaxed optimum
+  launch geometry, scratchpad staging) seeded by the relaxed §4.3 optimum
   and pruned by the cost model and scratchpad capacity;
 * :mod:`repro.autotune.backends` — pluggable, URI-selected evaluation
   backends (``model:`` analytical pricing, ``measure-py:`` /

@@ -3,7 +3,7 @@
 Three strategies, in increasing reliance on the analytical model:
 
 * :class:`ExhaustiveSearch` — every feasible configuration of the space;
-* :class:`PrunedGridSearch` — the model-ranked grid around the SLSQP relaxed
+* :class:`PrunedGridSearch` — the model-ranked grid around the relaxed §4.3
   optimum (the paper's "model as pruning device" reading, default);
 * :class:`RandomHillClimbSearch` — seeded random restarts refined by one-knob
   hill climbing (for spaces too big to grid).

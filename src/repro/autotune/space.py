@@ -9,8 +9,9 @@ module builds that shortlist as an explicit, enumerable space over
 * threads per block,
 * scratchpad staging on/off,
 
-seeded by the SLSQP relaxed optimum of :func:`repro.tiling.tile_search.
-solve_relaxed` and pruned by the :class:`DataMovementCostModel` footprint
+seeded by the relaxed optimum (sequential quadratic programming on the cost
+model's exact gradient) of :func:`repro.tiling.tile_search.solve_relaxed` and
+pruned by the :class:`DataMovementCostModel` footprint
 (scratchpad capacity) and minimum-parallelism constraints, so the empirical
 search never wastes an evaluation on a configuration the model can already
 reject.

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.telemetry.metrics import METRICS
 from repro.utils.durable import append_jsonl, file_lock, scan_jsonl
 
@@ -56,19 +58,21 @@ HISTORY_RECORDS_TOTAL = METRICS.counter(
 
 
 def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman rank correlation (scipy, average ranks on ties).
+    """Spearman rank correlation (average ranks on ties).
 
-    A degenerate (constant) sample has no ranking to correlate; scipy says
-    nan, we report 1.0 when the inputs agree trivially and 0.0 otherwise.
+    A degenerate (constant) sample has no ranking to correlate; we report 1.0
+    when the inputs agree trivially and 0.0 otherwise.
     """
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need two equal-length samples of at least 2 points")
-    from scipy import stats  # already a hard dependency (SLSQP tile search)
-
-    rho = stats.spearmanr(list(xs), list(ys)).statistic
-    if rho != rho:  # nan: at least one sample is constant
+    ranks = []
+    for sample in (np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)):
+        _, inverse, counts = np.unique(sample, return_inverse=True, return_counts=True)
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2.0)[inverse])  # ties share a mean rank
+    x, y = (rank - rank.mean() for rank in ranks)
+    if not x.any() or not y.any():
         return 1.0 if list(xs) == list(ys) else 0.0
-    return float(rho)
+    return float(np.clip((x @ y) / math.sqrt((x @ x) * (y @ y)), -1.0, 1.0))
 
 
 @dataclass

@@ -13,7 +13,7 @@
 * :mod:`repro.tiling.cost_model` — the data-movement cost model
   ``C = N · (P·S + V·L/P)``.
 * :mod:`repro.tiling.tile_search` — the constrained tile-size optimisation of
-  Section 4.3 (SLSQP over relaxed real tile sizes, then rounding).
+  Section 4.3 (SQP over relaxed real tile sizes, then rounding).
 * :mod:`repro.tiling.mapping` — launch geometry: thread blocks, threads,
   occupancy limits imposed by scratchpad usage.
 """

@@ -26,14 +26,16 @@ also prices it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.ir.program import Program
 from repro.ir.statements import Statement
-from repro.polyhedral.affine import AffineExpr, scaled_binding
+from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.constraints import Constraint
 from repro.polyhedral.hull import RectangularHull, rectangular_hull
 from repro.polyhedral.polyhedron import Polyhedron
@@ -45,6 +47,8 @@ ORIGIN_SUFFIX = "__org"
 SIZE_SUFFIX = "__sz"
 #: tile vectors whose buffer details one model keeps (a search revisits recent ones)
 _DETAILS_MEMO_LIMIT = 32
+#: hull boxes one model keeps, by hull and the tile sizes it depends on
+_BOXES_MEMO_LIMIT = 4096
 
 
 @dataclass
@@ -224,6 +228,12 @@ class DataMovementCostModel:
             geometry = TileBoxGeometry(program, self.tile_loops, self.problem_params)
         self._representative_origins = geometry.representative_origins
         self._details_memo: Dict[Tuple[float, ...], List[Dict[str, float]]] = {}
+        self._fixed = {**self.problem_params, **self._representative_origins}
+        self._size_names = [f"{loop}{SIZE_SUFFIX}" for loop in self.tile_loops]
+        #: hull -> positions of the tile sizes its bounds mention; its boxes by those sizes
+        self._hull_sizes: Dict[RectangularHull, List[int]] = {}
+        self._boxes: dict = {}
+        self._affines: Dict[AffineExpr, Tuple[float, List[float], np.ndarray]] = {}
         # what this launch geometry changes: the extents the reuse test sees,
         # hence which partitions are staged
         reuse_binding = dict(self.problem_params)
@@ -237,80 +247,79 @@ class DataMovementCostModel:
         ]
 
     # -- evaluation ------------------------------------------------------------------
-    def _binding(self, tile_sizes: Mapping[str, float]) -> Tuple[Dict[str, int], int]:
-        """``(ints, scale)``: every name the hull bounds mention, as ``ints[name] / scale``.
-
-        Built once per evaluated tile vector: the search calls the objective
-        thousands of times and each call prices every bound expression of
-        every buffer at this one point, so the (rational) tile sizes are put
-        over a common denominator here and the pricing runs on ints.
-        """
-        binding: Dict[str, Union[int, Fraction]] = {
-            name: _to_fraction(value) for name, value in self.problem_params.items()
-        }
-        for name, value in self._representative_origins.items():
-            binding[name] = _to_fraction(value)
-        for loop in self.tile_loops:
-            binding[f"{loop}{SIZE_SUFFIX}"] = _to_fraction(float(tile_sizes[loop]))
-        return scaled_binding(binding)
-
-    @staticmethod
-    def _hull_volume(
-        hull: Optional[RectangularHull], values: Mapping[str, int], scale: int, boxes: dict
-    ) -> float:
-        """Volume of the hull's box at one point; *boxes* keeps each member's
-        extreme values, which a buffer's hull and its read/write hulls share."""
+    def _box(
+        self, hull: Optional[RectangularHull], value: Callable, sizes: Sequence, boxes: dict
+    ) -> Optional[List[Tuple[float, AffineExpr, AffineExpr]]]:
+        """``(extent, lower bound, upper bound)`` per dimension of the hull's box
+        at tile *sizes*, ``None`` when there is none: *value* prices a bound
+        expression there, *boxes* keeps each hull's result by the sizes it uses."""
         if hull is None:
-            return 0.0
-
-        def value(expr: AffineExpr) -> float:
-            # int / int is correctly rounded: the float the exact rational rounds to
-            numerator, denominator = expr.evaluate_ratio(values, scale)
-            return numerator / denominator
-
-        volume = 1.0
-        for dim in hull.dims:
-            lows: List[float] = []
-            highs: List[float] = []
-            for bounds in hull.member_bounds:
-                bound = bounds[dim]
-                if id(bound) not in boxes:
-                    lower, upper = bound.lower.exprs, bound.upper.exprs
-                    boxes[id(bound)] = max(map(value, lower)), min(map(value, upper))
-                low, high = boxes[id(bound)]
-                if high >= low:
-                    lows.append(low)
-                    highs.append(high)
-            if not lows:
-                return 0.0
-            volume *= max(max(highs) - min(lows) + 1.0, 0.0)
-        return volume
+            return None
+        if hull not in self._hull_sizes:
+            exprs = [e for bounds in hull.member_bounds for bound in bounds.values()
+                     for e in (*bound.lower.exprs, *bound.upper.exprs)]
+            self._hull_sizes[hull] = [i for i, name in enumerate(self._size_names)
+                                      if any(e.depends_on((name,)) for e in exprs)]
+        key = (hull, *[sizes[i] for i in self._hull_sizes[hull]])
+        if key not in boxes:
+            boxes[key] = extents = []
+            for dim in hull.dims:
+                low = high = None
+                for bounds in hull.member_bounds:
+                    member_low = max(((value(e), e) for e in bounds[dim].lower.exprs), key=_first)
+                    member_high = min(((value(e), e) for e in bounds[dim].upper.exprs), key=_first)
+                    if member_high[0] >= member_low[0]:
+                        if low is None or member_low[0] < low[0]:
+                            low = member_low
+                        if high is None or member_high[0] > high[0]:
+                            high = member_high
+                extent = high[0] - low[0] + 1.0 if low is not None else 0.0
+                if extent <= 0.0:
+                    boxes[key] = None
+                    break
+                extents.append((extent, low[1], high[1]))
+        return boxes[key]
 
     def _details(self, tile_sizes: Mapping[str, float]) -> List[Dict[str, float]]:
         """:meth:`buffer_details`, computed once per tile vector (read-only result).
 
-        SLSQP asks for the objective and the memory constraint at the same
-        points (the iterate and each finite-difference probe), and the integer
-        rounding prices every candidate twice; both read this one evaluation.
+        The integer rounding prices every candidate twice (capacity, then
+        cost); both read this one evaluation.  Every bound is priced exactly,
+        as ``int / int``, which rounds the exact value correctly.
         """
         key = tuple(float(tile_sizes[loop]) for loop in self.tile_loops)
         details = self._details_memo.get(key)
         if details is None:
             if len(self._details_memo) >= _DETAILS_MEMO_LIMIT:
                 self._details_memo.clear()
-            values, scale = self._binding(tile_sizes)
-            details, boxes = [], {}
+            if len(self._boxes) >= _BOXES_MEMO_LIMIT:
+                self._boxes.clear()
+            values = {**self._fixed, **dict(zip(self._size_names, map(_to_fraction, key)))}
+
+            def value(expr: AffineExpr) -> float:
+                # int / int is correctly rounded: the float the exact rational rounds to
+                return operator.truediv(*expr.evaluate_ratio(values))
+
+            def volume(hull: Optional[RectangularHull]) -> float:
+                box = self._box(hull, value, key, self._boxes)
+                return 0.0 if box is None else math.prod((e for e, _, _ in box), start=1.0)
+
+            details = []
             for descriptor in self.descriptors:
-                footprint = self._hull_volume(descriptor.hull, values, scale, boxes)
+                footprint = volume(descriptor.hull)
                 details.append(
                     {
                         "buffer": descriptor.buffer_name,
                         "array": descriptor.array_name,
                         "footprint_elements": footprint,
                         "footprint_bytes": footprint * descriptor.element_size,
-                        "volume_in": self._hull_volume(descriptor.read_hull, values, scale, boxes),
-                        "volume_out": self._hull_volume(descriptor.write_hull, values, scale, boxes),
-                        "occurrences": self._occurrences(descriptor, tile_sizes),
+                        "volume_in": volume(descriptor.read_hull),
+                        "volume_out": volume(descriptor.write_hull),
+                        "occurrences": math.prod(
+                            (math.ceil(extent / max(size, 1.0))
+                             for extent, size in self._copied(descriptor, key)),
+                            start=1.0,
+                        ),
                     }
                 )
             self._details_memo[key] = details
@@ -320,15 +329,29 @@ class DataMovementCostModel:
         """Per-buffer footprint, volumes and occurrence count for given tile sizes."""
         return [dict(entry) for entry in self._details(tile_sizes)]
 
-    def _occurrences(self, descriptor: MovementDescriptor, tile_sizes: Mapping[str, float]) -> float:
-        loops = self.tile_loops
-        if self.hoisting:
-            loops = [l for l in loops if l in descriptor.dependent_loops]
-        count = 1.0
-        for loop in loops:
-            size = max(float(tile_sizes[loop]), 1.0)
-            count *= math.ceil(self.loop_extents[loop] / size)
-        return count
+    def _copied(self, descriptor: MovementDescriptor, sizes: Sequence[float]):
+        """``(N_i, t_i)`` of the loops whose iterations repeat the buffer's copies."""
+        return [
+            (self.loop_extents[loop], size)
+            for loop, size in zip(self.tile_loops, sizes)
+            if not self.hoisting or loop in descriptor.dependent_loops
+        ]
+
+    def _affine(self, expr: AffineExpr) -> Tuple[float, List[float], np.ndarray]:
+        """A bound as ``c + g·t`` in the tile sizes ``t``: ``(c, g, g as an array)``."""
+        if expr not in self._affines:
+            denominator, coefficients, constant = expr.int_form()
+            coefficients = dict(coefficients)
+            fixed = sum(c * self._fixed[n] for n, c in coefficients.items() if n in self._fixed)
+            slope = [coefficients.get(name, 0) / denominator for name in self._size_names]
+            self._affines[expr] = ((constant + fixed) / denominator, slope, np.array(slope))
+        return self._affines[expr]
+
+    def _copy_cost(self, volume: float) -> float:
+        """``P·S + V·L/P`` for one copy of *volume* elements (none when empty)."""
+        if volume <= 0:
+            return 0.0
+        return self.threads * self.sync_cost + volume * self.transfer_cost / self.threads
 
     def footprint_bytes(self, tile_sizes: Mapping[str, float]) -> float:
         """Scratchpad bytes needed by one tile (the ``Σ M_i <= M_up`` constraint)."""
@@ -336,21 +359,51 @@ class DataMovementCostModel:
 
     def movement_cost(self, tile_sizes: Mapping[str, float]) -> float:
         """The paper's objective ``Σ_k N_k (P·S + V_k·L/P)`` for copy-in and copy-out."""
-        total = 0.0
-        for entry in self._details(tile_sizes):
-            per_occurrence = 0.0
-            if entry["volume_in"] > 0:
-                per_occurrence += (
-                    self.threads * self.sync_cost
-                    + entry["volume_in"] * self.transfer_cost / self.threads
-                )
-            if entry["volume_out"] > 0:
-                per_occurrence += (
-                    self.threads * self.sync_cost
-                    + entry["volume_out"] * self.transfer_cost / self.threads
-                )
-            total += entry["occurrences"] * per_occurrence
-        return total
+        return sum(
+            entry["occurrences"]
+            * (self._copy_cost(entry["volume_in"]) + self._copy_cost(entry["volume_out"]))
+            for entry in self._details(tile_sizes)
+        )
+
+    def relaxation(self, sizes: Sequence[float]) -> Tuple[float, np.ndarray, float, np.ndarray]:
+        """``(cost, ∇cost, footprint bytes, ∇footprint)`` at real tile sizes (in
+        ``tile_loops`` order): the smooth problem the tile search solves.  The
+        boxes are :meth:`_details`' in floats; every bound is affine in the tile
+        sizes, so an extent differentiates through the bound attaining its
+        ``max`` / ``min``.  A copy count ``⌈N_i/t_i⌉``, a step function no
+        gradient sees, is priced as ``N_i/t_i``.
+        """
+        sizes, boxes = [float(size) for size in sizes], {}
+
+        def value(expr: AffineExpr) -> float:
+            constant, slope, _ = self._affine(expr)
+            return constant + sum(map(operator.mul, slope, sizes))
+
+        def volume(hull: Optional[RectangularHull]) -> Tuple[float, np.ndarray]:
+            box = self._box(hull, value, sizes, boxes)
+            total, gradient = (0.0 if box is None else 1.0), np.zeros(len(sizes))
+            for extent, low, high in box or ():
+                slope = self._affine(high)[2] - self._affine(low)[2]
+                gradient = gradient * extent + total * slope
+                total *= extent
+            return total, gradient
+
+        cost, footprint = 0.0, 0.0
+        cost_gradient, footprint_gradient = np.zeros(len(sizes)), np.zeros(len(sizes))
+        for descriptor in self.descriptors:
+            elements, gradient = volume(descriptor.hull)
+            footprint += elements * descriptor.element_size
+            footprint_gradient += gradient * descriptor.element_size
+            copy, copy_gradient = 0.0, np.zeros(len(sizes))
+            for elements, gradient in map(volume, (descriptor.read_hull, descriptor.write_hull)):
+                copy += self._copy_cost(elements)
+                copy_gradient += gradient * (self.transfer_cost / self.threads)
+            copied = [(not self.hoisting or loop in descriptor.dependent_loops) / t
+                      for loop, t in zip(self.tile_loops, sizes)]
+            occurrences = math.prod(n / t for n, t in self._copied(descriptor, sizes))
+            cost += occurrences * copy
+            cost_gradient += occurrences * (copy_gradient - copy * np.array(copied))
+        return cost, cost_gradient, footprint, footprint_gradient
 
     def work_per_tile(self, tile_sizes: Mapping[str, float]) -> float:
         """Product of tile sizes (the ``t_1·...·t_m >= P`` occupancy constraint)."""
@@ -360,7 +413,9 @@ class DataMovementCostModel:
         return product
 
 
-@lru_cache(maxsize=1024)  # a finite-difference probe moves one coordinate: the others repeat
+_first = operator.itemgetter(0)
+
+
 def _to_fraction(value) -> Union[int, Fraction]:
     """*value* as the exact number the pricing uses (an int stays an int)."""
     if isinstance(value, (int, Fraction)):

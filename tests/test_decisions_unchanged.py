@@ -14,6 +14,12 @@ The third column (``lower-py`` text) was re-recorded once since: the lowering
 now emits integer bounds and drops the guards its loops imply, so the text
 moved — under report and ``emit`` digests that stayed byte-identical, i.e. no
 decision did.
+
+The §4.3 relaxation was then moved from scipy's SLSQP to the in-repo SQP
+(``tiling/tile_search.py``), a change allowed to move decisions under the rule
+that no row's winner gets a worse exact model cost.  Re-run, no row moved: at
+these sizes and this one-geometry space both solvers reach the same relaxed
+point, so nothing was re-recorded.
 """
 
 import hashlib

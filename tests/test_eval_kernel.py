@@ -2,8 +2,8 @@
 
 ``eval_oracle`` holds the previous bodies of ``AffineExpr.evaluate`` and of
 everything built on it.  Exact results must be *equal*; the §4.3 cost model's
-floats must have identical ``float.hex()`` — SLSQP's trajectory, the tile
-ranking and every fingerprint downstream depend on the last bit.
+floats must have identical ``float.hex()`` — the tile ranking and every
+fingerprint downstream depend on the last bit.
 """
 
 from fractions import Fraction
@@ -157,7 +157,7 @@ def model(request):
 
 
 def _probes(model):
-    """Tile vectors shaped like SLSQP's: iterates, forward differences, clipped ends."""
+    """Tile vectors a solver visits: iterates, forward differences, clipped ends."""
     loops = model.tile_loops
     extents = [float(model.loop_extents[loop]) for loop in loops]
     iterates = [

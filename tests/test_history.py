@@ -15,6 +15,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autotune import SpaceOptions, TuningCache, autotune
 from repro.autotune.cli import history_main, main as autotune_main
@@ -215,6 +216,27 @@ class TestAnalysis:
         assert spearman_rho([1, 1, 2], [1, 1, 2]) == pytest.approx(1.0)
         with pytest.raises(ValueError, match="at least 2"):
             spearman_rho([1.0], [2.0])
+
+    def test_spearman_constant_samples(self):
+        assert spearman_rho([2.0, 2.0, 2.0], [2.0, 2.0, 2.0]) == 1.0
+        assert spearman_rho([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]) == 0.0
+        assert spearman_rho([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(
+            lambda n: st.tuples(
+                *[st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, 7.25, -3.0]), min_size=n, max_size=n)] * 2
+            )
+        )
+    )
+    def test_spearman_matches_scipy(self, samples):
+        """Average ranks on ties, as ``scipy.stats.spearmanr`` (a test-only dependency)."""
+        from scipy import stats
+
+        xs, ys = samples
+        if len(set(xs)) > 1 and len(set(ys)) > 1:
+            assert spearman_rho(xs, ys) == pytest.approx(stats.spearmanr(xs, ys).statistic, abs=1e-12)
 
 
 # -- autotune integration ----------------------------------------------------------

@@ -1,6 +1,6 @@
 """Property-style tests of the Section-4.3 integer rounding.
 
-Whenever the relaxed SLSQP problem admits a feasible point, the rounded
+Whenever the relaxed problem's solver finds a feasible point, the rounded
 integer tile vector returned by ``search_tile_sizes`` must itself satisfy
 both hard constraints — the scratchpad-capacity bound and the
 minimum-parallelism bound — and stay within the loop extents.
