@@ -20,19 +20,19 @@ reject.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.compiler import CompilationSession, split_across
+from repro.compiler import CompilationSession
+from repro.compiler.passes import block_memory_limit, memory_tiles, outer_tiles, tile_search_problem
 from repro.core.options import MappingOptions
 from repro.ir.program import Program
-from repro.machine.memory import MemoryModel
 from repro.machine.spec import GEFORCE_8800_GTX, GPUSpec
 from repro.tiling.cost_model import DataMovementCostModel
 from repro.tiling.tile_search import (
     TileSearchProblem,
     candidate_neighbourhood,
+    search_tile_sizes,
     solve_relaxed,
 )
 
@@ -173,8 +173,8 @@ class ConfigurationSpace:
         self.spec = spec
         self.base_options = base_options or MappingOptions()
         self.space = space_options or SpaceOptions()
-        #: the staged-compiler session whose frozen analysis artifacts this
-        #: space shares (and whose `compile()` freezes the seed mapping)
+        #: the staged-compiler session whose frozen analysis artifact this
+        #: space shares
         self.session = session or CompilationSession(
             program, spec=spec, options=self.base_options, param_values=param_values
         )
@@ -183,63 +183,57 @@ class ConfigurationSpace:
         self.analysis = analysis_artifact.analysis
         self.extents = dict(analysis_artifact.extents)
         self.lowers = dict(analysis_artifact.lowers)
-        self.memory = MemoryModel(spec)
-        self._models: Dict[Tuple[int, int], DataMovementCostModel] = {}
+        self._problems: Dict[Tuple[int, int], TileSearchProblem] = {}
+        self._relaxations: Dict[Tuple[int, int], Dict[str, float]] = {}
         self._seed: Optional[Configuration] = None
 
     # -- model plumbing ----------------------------------------------------------------
-    def _space_loops(self) -> List[str]:
-        return list(self.analysis.space_loops) or [self.analysis.loop_order[0]]
-
-    def _outer_tiles(self, num_blocks: int) -> Dict[str, int]:
-        space_loops = self._space_loops()
-        block_counts = split_across(num_blocks, space_loops, self.extents)
-        return {
-            loop: max(1, math.ceil(self.extents[loop] / block_counts[loop]))
-            for loop in space_loops
-        }
+    def _problem(self, num_blocks: int, threads: int) -> TileSearchProblem:
+        """The Section-4.3 problem of one launch geometry (memoised)."""
+        key = (num_blocks, threads)
+        if key not in self._problems:
+            self._problems[key] = tile_search_problem(
+                self.program, self.spec, self.base_options, self.session.analysis(),
+                num_blocks, threads,
+            )
+        return self._problems[key]
 
     def cost_model(self, num_blocks: int, threads: int) -> DataMovementCostModel:
         """The Section-4.3 model for one launch geometry (memoised)."""
-        key = (num_blocks, threads)
-        if key not in self._models:
-            outer = self._outer_tiles(num_blocks)
-            extents = {
-                loop: outer.get(loop, self.extents[loop])
-                for loop in self.analysis.loop_order
-            }
-            self._models[key] = DataMovementCostModel(
-                program=self.program,
-                tile_loops=list(self.analysis.loop_order),
-                loop_extents=extents,
-                threads=threads,
-                sync_cost=self.spec.block_sync_cycles,
-                transfer_cost=self.spec.dma_cycles_per_element,
-                problem_params=dict(self.binding),
-                delta=self.base_options.delta,
-                stage_all=self.base_options.target == "cell",
-                hoisting=self.base_options.hoisting,
-                geometry=self.session.analysis().tile_box_geometry,
-            )
-        return self._models[key]
+        return self._problem(num_blocks, threads).cost_model
 
     def memory_limit(self, num_blocks: int) -> int:
-        blocks_per_mp = 1
-        if self.analysis.needs_global_synchronization:
-            blocks_per_mp = max(1, math.ceil(num_blocks / self.spec.multiprocessors))
-        return self.memory.memory_limit_per_block(blocks_per_mp)
+        return block_memory_limit(self.session.analysis(), self.spec, num_blocks)
+
+    def _relaxed(self, num_blocks: int, threads: int) -> Dict[str, float]:
+        """The relaxed optimum of one geometry's problem (memoised: the seed's
+        search and :meth:`tile_vectors` share it)."""
+        key = (num_blocks, threads)
+        if key not in self._relaxations:
+            self._relaxations[key] = solve_relaxed(self._problem(num_blocks, threads))
+        return self._relaxations[key]
 
     # -- enumeration ------------------------------------------------------------------
     def seed_configuration(self) -> Configuration:
         """The configuration the one-shot seed pipeline would pick (memoised).
 
-        Runs one full compile (including the Section-4.3 search) with the base
-        options, then freezes the resulting mapping — the empirical baseline
-        every tuning report compares against.
+        The tiling pass's rule under the base options — their explicit memory
+        tiles, else the Section-4.3 search's — decided on this space's
+        memoised model, so no compiler pass runs: the seed is mapped once,
+        when it is evaluated, as the empirical baseline every tuning report
+        compares against.
         """
         if self._seed is None:
-            mapped = self.session.compile()
-            self._seed = Configuration.from_options(self.base_options, mapped.tile_sizes)
+            options = self.base_options
+            art = self.session.analysis()
+            geometry = (options.num_blocks, options.threads_per_block)
+            tiles, _ = memory_tiles(
+                options.tile_sizes,
+                art,
+                outer_tiles(art, options.num_blocks),
+                lambda: search_tile_sizes(self._problem(*geometry), self._relaxed(*geometry)),
+            )
+            self._seed = Configuration.from_options(options, tiles)
         return self._seed
 
     def tile_vectors(
@@ -255,15 +249,9 @@ class ConfigurationSpace:
         vectors violating the scratchpad capacity or minimum-parallelism
         constraint are dropped, the rest ranked by modelled movement cost.
         """
-        model = self.cost_model(num_blocks, threads)
-        limit_bytes = float(self.memory_limit(num_blocks))
-        problem = TileSearchProblem(
-            cost_model=model,
-            memory_limit_bytes=limit_bytes,
-            min_parallelism=threads,
-        )
-        relaxed = solve_relaxed(problem)
-        neighbourhood = candidate_neighbourhood(problem, relaxed)
+        problem = self._problem(num_blocks, threads)
+        model, limit_bytes = problem.cost_model, problem.memory_limit_bytes
+        neighbourhood = candidate_neighbourhood(problem, self._relaxed(num_blocks, threads))
         loops = model.tile_loops
         ranked: List[Tuple[float, Dict[str, int]]] = []
         for combination in itertools.product(*[neighbourhood[loop] for loop in loops]):

@@ -20,9 +20,12 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.ir.ast import BlockNode, StatementNode, SyncNode
 from repro.ir.program import Program
 from repro.machine.gpu import BlockWorkload
+from repro.polyhedral.parametric import shared_resolutions
 from repro.scratchpad.manager import ScratchpadPlan
+from repro.scratchpad.remap import build_remap_table, remap_statement
 from repro.tiling.bands import BandAnalysis
 from repro.tiling.cost_model import TileBoxGeometry
 from repro.tiling.mapping import LaunchGeometry
@@ -62,8 +65,8 @@ class AnalysisArtifact:
     @cached_property
     def tile_box_geometry(self) -> TileBoxGeometry:
         """The symbolic half of the §4.3 cost model, derived on first use: as
-        config-invariant as the fields above, so the seed compile's tile search
-        and every launch geometry's model share it; a warm hit never asks."""
+        config-invariant as the fields above, so the seed's tile search and
+        every launch geometry's model share it; a warm hit never asks."""
         return TileBoxGeometry(self.program, self.analysis.loop_order, self.binding)
 
     # the derived geometry stays behind: a pool worker replays explicit tile sizes
@@ -71,12 +74,24 @@ class AnalysisArtifact:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+class _ProcessLocalLock:
+    """Pickles (as part of a session shipped to process-pool workers) without
+    its ``_lock``, which is process-local state, and gets a fresh one on load."""
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "_lock": None}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+
 @dataclass
-class TilingArtifact:
+class TilingArtifact(_ProcessLocalLock):
     """The multi-level tiling decision and its materialised loop structure.
 
-    The scratchpad stage splices copy code into ``tiled.program`` *in place*,
-    so a tiled program can only feed one downstream consumer.
+    The scratchpad artifact splices copy code into ``tiled.program`` *in
+    place*, so a tiled program can only feed one downstream consumer.
     :meth:`take_tiled` hands out the pristine program exactly once and
     re-materialises (cheap, deterministic — no polyhedral analysis) for every
     later consumer, which is what makes ``replay(from_stage="scratchpad")``
@@ -101,28 +116,58 @@ class TilingArtifact:
                 return tiled
         return tile_program(self.program, self.levels, block_level=self.block_level)
 
-    # Pickles as part of a session shipped to process-pool workers; the lock
-    # is process-local state.
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_lock"] = None
-        return state
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+@dataclass
+class ScratchpadArtifact(_ProcessLocalLock):
+    """The scratchpad plan for one tiled program — all the mapping stage prices.
 
-
-@dataclass(frozen=True)
-class ScratchpadArtifact:
-    """The scratchpad data-movement plan applied to one tiled program."""
+    The first read of :attr:`program` (lowering, interpreter, ``emit``) scans
+    the copy loops and splices them into ``tiled.program`` in place: once,
+    under the owning session's exact-bound memo ``resolutions``.
+    """
 
     tiled: TiledProgram
     plan: Optional[ScratchpadPlan]
+    resolutions: Dict[tuple, object] = field(default_factory=dict, repr=False)
+    _spliced: bool = False
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def program(self) -> Program:
+        with self._lock:
+            if not self._spliced and self.plan is not None and self.plan.buffers:
+                with shared_resolutions(self.resolutions):
+                    _splice(self.tiled, self.plan)
+            self._spliced = True
         return self.tiled.program
+
+
+def _splice(tiled: TiledProgram, plan: ScratchpadPlan) -> None:
+    """Redirect the tile body to the plan's buffers and wrap the block in copy code."""
+    # scanned before the program is touched: a scan that raises leaves it as it was
+    copy_in = BlockNode([node for entry in plan.buffers for node in entry.movement.copy_in.body])
+    copy_out = BlockNode([node for entry in plan.buffers for node in entry.movement.copy_out.body])
+    program = tiled.program
+    table = build_remap_table(plan.specs())
+    remapped = {s.name: remap_statement(s, table) for s in program.statements.values()}
+    for node in program.body.walk():
+        if isinstance(node, StatementNode) and node.statement.name in remapped:
+            node.statement = remapped[node.statement.name]
+    program.statements.update(remapped)
+    for statement in copy_in.statements() + copy_out.statements():
+        program.add_statement(statement)
+
+    body = list(tiled.block_body.body)
+    if copy_in.body:
+        body = copy_in.body + [SyncNode(scope="threads")] + body
+    if copy_out.body:
+        body += [SyncNode(scope="threads")] + copy_out.body
+    tiled.block_body.body = body
+    for spec in plan.specs():
+        program.add_array(spec.local)
+        program.symbol_definitions.update(spec.offset_definitions)
+    program.name = f"{program.name}_spm"
+    program.validate()
 
 
 @dataclass
@@ -133,8 +178,7 @@ class MappedKernel:
     analysis: BandAnalysis
     tiled: Optional[TiledProgram]
     plan: Optional[ScratchpadPlan]
-    #: final executable program (tiled structure, remapped accesses, copy code)
-    program: Program
+    staged: ScratchpadArtifact
     geometry: LaunchGeometry
     workload: BlockWorkload
     global_sync_rounds: int
@@ -142,6 +186,12 @@ class MappedKernel:
     outer_tile_sizes: Dict[str, int]
     tile_search: Optional[TileSearchResult] = None
     param_binding: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def program(self) -> Program:
+        """The final executable program: tiled structure, remapped accesses and
+        copy code, scanned and spliced on first access."""
+        return self.staged.program
 
     @property
     def uses_scratchpad(self) -> bool:

@@ -8,9 +8,10 @@ The paper's toolchain is explicitly staged, and the pass list mirrors it:
 2. ``tiling`` — outer-level tiling across thread blocks, memory-constrained
    intra-tile tiling (tile sizes either given or found by the Section-4.3
    search), and inner-level tiling across threads — Figs. 2–3.
-3. ``scratchpad`` — scratchpad data management for the tile body — Section 3
-   — with copy code placed at the block boundary and synchronisation points
-   inserted.
+3. ``scratchpad`` — the scratchpad plan for the tile body — Section 3:
+   buffers, offsets, footprint and which copies move data.  The copy loops
+   (placed at the block boundary, with synchronisation points) are scanned
+   and spliced in when the mapped program is first read, not by the pass.
 4. ``mapping`` — launch geometry and the per-block workload descriptor for
    the analytical machine models (the stand-in for running CUDA on the
    8800 GTX).
@@ -36,10 +37,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.core.options import MappingOptions
-from repro.ir.ast import StatementNode, SyncNode
 from repro.ir.printer import program_to_c
 from repro.ir.program import Program
 from repro.ir.statements import Statement
@@ -52,7 +52,7 @@ from repro.scratchpad.remap import build_remap_table, remap_statement
 from repro.tiling.bands import analyze_bands
 from repro.tiling.cost_model import DataMovementCostModel
 from repro.tiling.mapping import LaunchGeometry, blocks_for_extent
-from repro.tiling.multilevel import TiledProgram, TilingLevelSpec, tile_program
+from repro.tiling.multilevel import TilingLevelSpec, tile_program
 from repro.tiling.placement import placement_depths
 from repro.tiling.tile_search import TileSearchProblem, TileSearchResult, search_tile_sizes
 
@@ -113,6 +113,82 @@ def split_across(
     return counts
 
 
+def outer_tiles(art: AnalysisArtifact, num_blocks: int) -> Dict[str, int]:
+    """Block-level tile of every space loop: its extent split across ``num_blocks``."""
+    block_counts = split_across(num_blocks, art.space_loops, art.extents)
+    return {
+        loop: max(1, math.ceil(art.extents[loop] / block_counts[loop]))
+        for loop in art.space_loops
+    }
+
+
+def block_memory_limit(art: AnalysisArtifact, spec: GPUSpec, num_blocks: int) -> int:
+    """Scratchpad bytes one block may use (a share when blocks must co-reside)."""
+    blocks_per_mp = 1
+    if art.analysis.needs_global_synchronization:
+        blocks_per_mp = max(1, math.ceil(num_blocks / spec.multiprocessors))
+    return MemoryModel(spec).memory_limit_per_block(blocks_per_mp)
+
+
+def tile_search_problem(
+    program: Program,
+    spec: GPUSpec,
+    options: MappingOptions,
+    art: AnalysisArtifact,
+    num_blocks: int,
+    threads: int,
+) -> TileSearchProblem:
+    """The Section-4.3 problem of one launch geometry: movement cost over one
+    block's tile, within the block's scratchpad, at least ``threads`` of work."""
+    outer = outer_tiles(art, num_blocks)
+    model = DataMovementCostModel(
+        program=program,
+        tile_loops=list(art.analysis.loop_order),
+        loop_extents={
+            loop: outer.get(loop, art.extents[loop]) for loop in art.analysis.loop_order
+        },
+        threads=threads,
+        sync_cost=spec.block_sync_cycles,
+        transfer_cost=spec.dma_cycles_per_element,
+        problem_params=dict(art.binding),
+        delta=options.delta,
+        stage_all=options.target == "cell",
+        hoisting=options.hoisting,
+        geometry=art.tile_box_geometry,
+    )
+    return TileSearchProblem(
+        cost_model=model,
+        memory_limit_bytes=float(block_memory_limit(art, spec, num_blocks)),
+        min_parallelism=threads,
+    )
+
+
+def memory_tiles(
+    requested: Optional[Mapping[str, int]],
+    art: AnalysisArtifact,
+    outer: Mapping[str, int],
+    search: Callable[[], TileSearchResult],
+) -> Tuple[Dict[str, int], Optional[TileSearchResult]]:
+    """Memory-level tile sizes: the ``requested`` ones clamped to the loop
+    extents, or ``search()``'s when none are; any loop left out gets its outer
+    tile (the whole extent outside the space loops).  The tiling pass and the
+    autotuner's seed both decide by this one rule."""
+    extents = art.extents
+    result: Optional[TileSearchResult] = None
+    if requested is not None:
+        tiles = {
+            loop: min(int(size), extents[loop])
+            for loop, size in requested.items()
+            if loop in extents
+        }
+    else:
+        result = search()
+        tiles = dict(result.tile_sizes)
+    for loop in art.analysis.loop_order:
+        tiles.setdefault(loop, min(outer.get(loop, extents[loop]), extents[loop]))
+    return tiles, result
+
+
 def _access_counts(statement: Statement) -> Tuple[float, float]:
     """(global, shared) accesses per dynamic instance of a statement."""
     global_count = 0.0
@@ -135,10 +211,11 @@ class PassContext:
     spec: GPUSpec
     options: MappingOptions
     param_values: Optional[Mapping[str, int]]
-    memory: MemoryModel
     #: session-identity hash (program text + binding + machine spec)
     base_fingerprint: str
     artifacts: Dict[str, StageArtifact] = field(default_factory=dict)
+    #: the session's exact-bound memo, for work a pass defers to a later read
+    resolutions: Dict[tuple, object] = field(default_factory=dict)
 
     def value(self, stage: str) -> Any:
         """The upstream artifact value a pass declared in its ``inputs``."""
@@ -241,26 +318,15 @@ class TilingPass(Pass):
     def run(self, ctx: PassContext) -> TilingArtifact:
         art: AnalysisArtifact = ctx.value("analysis")
         options = ctx.options
-        extents = art.extents
         space_loops = list(art.space_loops)
+        outer = outer_tiles(art, options.num_blocks)
 
-        block_counts = split_across(options.num_blocks, space_loops, extents)
-        outer_tiles = {
-            loop: max(1, math.ceil(extents[loop] / block_counts[loop]))
-            for loop in space_loops
-        }
+        def search() -> TileSearchResult:
+            return search_tile_sizes(tile_search_problem(
+                ctx.program, ctx.spec, options, art, options.num_blocks, options.threads_per_block
+            ))
 
-        search_result: Optional[TileSearchResult] = None
-        if options.tile_sizes is not None:
-            mem_tiles = {
-                loop: min(int(size), extents[loop])
-                for loop, size in options.tile_sizes.items()
-                if loop in extents
-            }
-        else:
-            mem_tiles, search_result = self._search_tiles(ctx, art, outer_tiles)
-        for loop in art.analysis.loop_order:
-            mem_tiles.setdefault(loop, min(outer_tiles.get(loop, extents[loop]), extents[loop]))
+        mem_tiles, search_result = memory_tiles(options.tile_sizes, art, outer, search)
 
         thread_counts = split_across(options.threads_per_block, space_loops, mem_tiles)
         thread_tiles = {
@@ -269,7 +335,7 @@ class TilingPass(Pass):
         }
 
         levels = [
-            TilingLevelSpec(sizes=dict(outer_tiles), parallel="blocks", suffix="T"),
+            TilingLevelSpec(sizes=dict(outer), parallel="blocks", suffix="T"),
             TilingLevelSpec(sizes=dict(mem_tiles), parallel=None, suffix="p"),
             TilingLevelSpec(sizes=dict(thread_tiles), parallel="threads", suffix="t"),
         ]
@@ -278,55 +344,16 @@ class TilingPass(Pass):
             program=ctx.program,
             levels=levels,
             block_level=1,
-            outer_tiles=outer_tiles,
+            outer_tiles=outer,
             mem_tiles=mem_tiles,
             thread_tiles=thread_tiles,
             search=search_result,
             _tiled=tiled,
         )
 
-    @staticmethod
-    def _search_tiles(
-        ctx: PassContext,
-        art: AnalysisArtifact,
-        outer_tiles: Mapping[str, int],
-    ) -> Tuple[Dict[str, int], TileSearchResult]:
-        """Run the Section-4.3 search for the memory-level tile sizes."""
-        options = ctx.options
-        extents = {
-            loop: outer_tiles.get(loop, art.extents[loop])
-            for loop in art.analysis.loop_order
-        }
-        model = DataMovementCostModel(
-            program=ctx.program,
-            tile_loops=list(art.analysis.loop_order),
-            loop_extents=extents,
-            threads=options.threads_per_block,
-            sync_cost=ctx.spec.block_sync_cycles,
-            transfer_cost=ctx.spec.dma_cycles_per_element,
-            problem_params=dict(art.binding),
-            delta=options.delta,
-            stage_all=options.target == "cell",
-            hoisting=options.hoisting,
-            geometry=art.tile_box_geometry,
-        )
-        blocks_per_mp = 1
-        if art.analysis.needs_global_synchronization:
-            blocks_per_mp = max(
-                1, math.ceil(options.num_blocks / ctx.spec.multiprocessors)
-            )
-        memory_limit = ctx.memory.memory_limit_per_block(blocks_per_mp)
-        problem = TileSearchProblem(
-            cost_model=model,
-            memory_limit_bytes=float(memory_limit),
-            min_parallelism=options.threads_per_block,
-        )
-        result = search_tile_sizes(problem)
-        return dict(result.tile_sizes), result
-
 
 class ScratchpadPass(Pass):
-    """Scratchpad data management spliced into the tile body (Section 3)."""
+    """Scratchpad data management planned for the tile body (Section 3)."""
 
     name = "scratchpad"
     inputs = ("analysis", "tiling")
@@ -337,69 +364,22 @@ class ScratchpadPass(Pass):
         tiling: TilingArtifact = ctx.value("tiling")
         tiled = tiling.take_tiled()
         plan: Optional[ScratchpadPlan] = None
-        if ctx.options.use_scratchpad:
-            plan = self._apply(ctx, art, tiled)
-        return ScratchpadArtifact(tiled=tiled, plan=plan)
-
-    @staticmethod
-    def _apply(
-        ctx: PassContext, art: AnalysisArtifact, tiled: TiledProgram
-    ) -> ScratchpadPlan:
-        """Plan buffers for the tile body and splice copy code into the block."""
-        options = ctx.options
-        representative = dict(art.binding)
-        for level in tiled.levels:
-            for original, (iterator, _size) in level.iterators.items():
-                representative[iterator] = art.lowers.get(original, 0)
-        manager = ScratchpadManager(
-            ScratchpadOptions(
-                delta=options.delta,
-                target=options.target,
-                context=tiled.context,
-                param_binding=representative,
-                liveness=options.liveness,
+        if ctx.options.use_scratchpad:  # Algorithms 1 and 2 over the tile body
+            representative = dict(art.binding)
+            for level in tiled.levels:
+                for original, (iterator, _size) in level.iterators.items():
+                    representative[iterator] = art.lowers.get(original, 0)
+            manager = ScratchpadManager(
+                ScratchpadOptions(
+                    delta=ctx.options.delta,
+                    target=ctx.options.target,
+                    context=tiled.context,
+                    param_binding=representative,
+                    liveness=ctx.options.liveness,
+                )
             )
-        )
-        program = tiled.program
-        plan = manager.plan(program)
-        if not plan.buffers:
-            return plan
-
-        table = build_remap_table(plan.specs())
-        remapped: Dict[str, Statement] = {}
-        for statement in list(program.statements.values()):
-            remapped[statement.name] = remap_statement(statement, table)
-        for node in program.body.walk():
-            if isinstance(node, StatementNode) and node.statement.name in remapped:
-                node.statement = remapped[node.statement.name]
-        program.statements.update(remapped)
-
-        new_block: List = []
-        for entry in plan.buffers:
-            if entry.movement.has_copy_in():
-                new_block.extend(entry.movement.copy_in.body)
-                for statement in entry.movement.copy_in_statements:
-                    program.add_statement(statement)
-        if new_block:
-            new_block.append(SyncNode(scope="threads"))
-        new_block.extend(tiled.block_body.body)
-        copy_out_nodes: List = []
-        for entry in plan.buffers:
-            if entry.movement.has_copy_out():
-                copy_out_nodes.extend(entry.movement.copy_out.body)
-                for statement in entry.movement.copy_out_statements:
-                    program.add_statement(statement)
-        if copy_out_nodes:
-            new_block.append(SyncNode(scope="threads"))
-            new_block.extend(copy_out_nodes)
-        tiled.block_body.body = new_block
-
-        for spec in plan.specs():
-            program.add_array(spec.local)
-            program.symbol_definitions.update(spec.offset_definitions)
-        program.name = f"{program.name}_spm"
-        program.validate()
-        return plan
+            plan = manager.plan(tiled.program)
+        return ScratchpadArtifact(tiled=tiled, plan=plan, resolutions=ctx.resolutions)
 
 
 class MappingPass(Pass):
@@ -434,7 +414,7 @@ class MappingPass(Pass):
             analysis=art.analysis,
             tiled=staged.tiled,
             plan=plan,
-            program=staged.program,
+            staged=staged,
             geometry=geometry,
             workload=workload,
             global_sync_rounds=rounds,

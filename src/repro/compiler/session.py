@@ -33,7 +33,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.options import MappingOptions
 from repro.ir.program import Program
-from repro.machine.memory import MemoryModel
 from repro.machine.spec import GEFORCE_8800_GTX, GPUSpec
 from repro.polyhedral.parametric import shared_resolutions
 
@@ -61,7 +60,6 @@ class CompilationSession:
         self.options = options or MappingOptions()
         self.param_values = dict(param_values) if param_values is not None else None
         self.manager = manager or PassManager(passes)
-        self.memory = MemoryModel(spec)
         self._artifacts: Dict[str, StageArtifact] = {}
         #: exact bound resolutions shared by every replay of this session (and
         #: of sessions derived from it); gone with the session, so with the request
@@ -112,9 +110,9 @@ class CompilationSession:
             spec=self.spec,
             options=options,
             param_values=self.param_values,
-            memory=self.memory,
             base_fingerprint=self.base_fingerprint,
             artifacts=artifacts,
+            resolutions=self._resolutions,
         )
 
     # -- compilation -------------------------------------------------------------------

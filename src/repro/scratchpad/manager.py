@@ -139,7 +139,8 @@ class ScratchpadManager:
 
     # -- planning ------------------------------------------------------------------
     def plan(self, program: Program) -> ScratchpadPlan:
-        """Run Algorithms 1 and 2 plus movement generation for every array."""
+        """Run Algorithms 1 and 2 for every array: buffers, offsets and the
+        directions each one moves (its copy loops are scanned on first use)."""
         statements = program.statement_list
         data_spaces = compute_reference_data_spaces(statements)
         param_binding = self.options.param_binding
@@ -227,18 +228,16 @@ class ScratchpadManager:
 
         body = BlockNode()
         for plan_entry in plan.buffers:
-            if plan_entry.movement.has_copy_in():
-                body.extend(_copy_block(plan_entry.movement.copy_in).body)
-                for statement in plan_entry.movement.copy_in_statements:
-                    transformed.add_statement(statement)
+            body.extend(_copy_block(plan_entry.movement.copy_in).body)
+            for statement in plan_entry.movement.copy_in.statements():
+                transformed.add_statement(statement)
         body.append(_clone_with_statements(program.body, remapped))
         for statement in remapped.values():
             transformed.add_statement(statement)
         for plan_entry in plan.buffers:
-            if plan_entry.movement.has_copy_out():
-                body.extend(_copy_block(plan_entry.movement.copy_out).body)
-                for statement in plan_entry.movement.copy_out_statements:
-                    transformed.add_statement(statement)
+            body.extend(_copy_block(plan_entry.movement.copy_out).body)
+            for statement in plan_entry.movement.copy_out.statements():
+                transformed.add_statement(statement)
         transformed.body = body
         transformed.validate()
         return transformed

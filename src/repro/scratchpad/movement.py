@@ -12,7 +12,9 @@ The union scanner guarantees each element is loaded/stored exactly once even
 when the per-reference data spaces overlap.  The upper bound on the moved
 volume — used by the tile-size search — is the sum of the rectangular-hull
 footprints of the maximal non-overlapping subsets of the scanned spaces,
-exactly the estimate described in the paper.
+exactly the estimate described in the paper.  Neither that bound nor whether a
+direction moves anything needs the loops, so they are scanned only for a
+program that is lowered or run.
 """
 
 from __future__ import annotations
@@ -32,24 +34,44 @@ from repro.utils.components import connected_components
 
 @dataclass
 class DataMovementCode:
-    """Copy code and volume estimates for one local buffer."""
+    """Which directions of one local buffer move data, their volume estimates,
+    and — scanned on first access, for a program that is lowered or run — the
+    copy loop nests that move it."""
 
     spec: LocalBufferSpec
-    copy_in: BlockNode
-    copy_out: BlockNode
-    copy_in_statements: List[Statement]
-    copy_out_statements: List[Statement]
+    #: whether copy-in / copy-out moves any element: the direction is wanted
+    #: and one of its data spaces is non-empty (what :func:`make_disjoint` tests)
+    moves_in: bool
+    moves_out: bool
     #: (direction, binding) -> volume: derived once, and again wherever a pickle lands
     _volumes: Dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
+    #: direction -> scanned loop nests; the first scan stored wins a race
+    _nests: Dict[bool, BlockNode] = field(default_factory=dict, repr=False, compare=False)
 
     def __getstate__(self) -> Dict[str, object]:
         return {**self.__dict__, "_volumes": {}}
 
     def has_copy_in(self) -> bool:
-        return bool(self.copy_in.body)
+        return self.moves_in
 
     def has_copy_out(self) -> bool:
-        return bool(self.copy_out.body)
+        return self.moves_out
+
+    @property
+    def copy_in(self) -> BlockNode:
+        return self._nest(False)
+
+    @property
+    def copy_out(self) -> BlockNode:
+        return self._nest(True)
+
+    def _nest(self, writes: bool) -> BlockNode:
+        nest = self._nests.get(writes)
+        if nest is None:
+            moves = self.moves_out if writes else self.moves_in
+            nest = _scan_copies(self.spec, writes) if moves else BlockNode()
+            nest = self._nests.setdefault(writes, nest)
+        return nest
 
     def volume_in(self, param_binding: Optional[Mapping[str, int]] = None) -> int:
         """Upper bound on elements moved into the buffer per block execution.
@@ -120,28 +142,20 @@ def generate_data_movement(
     generate_copy_in: bool = True,
     generate_copy_out: bool = True,
 ) -> DataMovementCode:
-    """Generate copy-in / copy-out loop nests for one local buffer."""
-    copy_in_statements: List[Statement] = []
-    copy_out_statements: List[Statement] = []
-
-    copy_in = BlockNode()
-    if generate_copy_in and spec.read_spaces():
-        copy_in = scan_union(
-            spec.read_spaces(),
-            lambda piece: _copy_node(spec, piece, into_local=True, statements=copy_in_statements),
-        )
-    copy_out = BlockNode()
-    if generate_copy_out and spec.write_spaces():
-        copy_out = scan_union(
-            spec.write_spaces(),
-            lambda piece: _copy_node(spec, piece, into_local=False, statements=copy_out_statements),
-        )
+    """Copy-in / copy-out of one local buffer; the loop nests are scanned on demand."""
     return DataMovementCode(
         spec=spec,
-        copy_in=copy_in,
-        copy_out=copy_out,
-        copy_in_statements=copy_in_statements,
-        copy_out_statements=copy_out_statements,
+        moves_in=generate_copy_in and any(not s.is_empty() for s in spec.read_spaces()),
+        moves_out=generate_copy_out and any(not s.is_empty() for s in spec.write_spaces()),
+    )
+
+
+def _scan_copies(spec: LocalBufferSpec, writes: bool) -> BlockNode:
+    """Loop nests copying the buffer's read spaces in (or its written ones out)."""
+    statements: List[Statement] = []
+    return scan_union(
+        spec.write_spaces() if writes else spec.read_spaces(),
+        lambda piece: _copy_node(spec, piece, into_local=not writes, statements=statements),
     )
 
 

@@ -222,12 +222,12 @@ def _solve_qp(
 
 def search_tile_sizes(
     problem: TileSearchProblem,
-    initial: Optional[Mapping[str, float]] = None,
+    relaxed: Optional[Mapping[str, float]] = None,
 ) -> TileSearchResult:
-    """Run the relaxed optimisation followed by integer rounding."""
+    """Integer rounding of the relaxed optimum (``relaxed``, or solved here)."""
     model = problem.cost_model
     loops = model.tile_loops
-    relaxed = solve_relaxed(problem, initial)
+    relaxed = dict(relaxed) if relaxed is not None else solve_relaxed(problem)
     candidate_sets = candidate_neighbourhood(problem, relaxed)
     best: Optional[Tuple[Dict[str, int], float, float]] = None
     evaluated = 0

@@ -240,6 +240,34 @@ class TestAutotuneSession:
         )
         assert processes.to_dict() == serial.to_dict()
 
+    def test_process_pool_hybrid_report_matches_threads(self):
+        """Pool workers receive pickled sessions whose copy loops are not yet
+        scanned; the spot-checks they run and the lowerings the re-rank
+        measures splice them on demand, so the report is the thread
+        executor's in everything but wall-clock times."""
+        kernel = get_kernel("matmul")
+
+        def tuned(executor):
+            report = autotune(
+                kernel.build(m=16, n=16, k=16),
+                space_options=SMALL_SPACE,
+                backend="hybrid:model>measure-py:warmup=0,repeat=1?top=2",
+                check_correctness=True,
+                check_program=kernel.build_check(),
+                max_workers=2,
+                executor=executor,
+            )
+            assert not report.from_cache
+            return [
+                (
+                    r.configuration, r.feasible, r.correct, r.shared_bytes_per_block,
+                    r.measurement.kind, r.measurement.metadata.get("model_time_ms", r.time_ms),
+                )
+                for r in (report.baseline, *report.results)
+            ]
+
+        assert tuned("process") == tuned("thread")
+
     def test_unpicklable_evaluator_falls_back_to_threads(self, matmul):
         from repro.autotune import make_batch_evaluator
         from repro.autotune.space import ConfigurationSpace

@@ -270,8 +270,8 @@ class TestAutotuneSessionReuse:
             report = autotune(program, space_options=SMALL_SPACE)
         assert report.num_evaluations > 1
         assert runs.counts["analysis"] == 1
-        # config-dependent stages ran for the seed compile + every candidate
-        assert runs.counts["tiling"] >= report.num_evaluations
+        # config-dependent stages ran once per evaluated candidate, the seed's included
+        assert runs.counts["tiling"] == report.num_evaluations
         assert runs.counts["tiling"] > runs.counts["analysis"]
 
     def test_warm_cache_hit_runs_zero_compiles_and_stages(self, tmp_path):

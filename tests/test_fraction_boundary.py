@@ -61,7 +61,7 @@ def test_a_replay_constructs_fractions_at_the_boundary_only(name, constructions)
     config = ConfigurationSpace(program, space_options=SPACE).seed_configuration()
     session = CompilationSession(program)  # fresh: nothing memoised, analysis included
     constructions[0] = 0
-    session.replay(config=config)
+    session.replay(config=config).program  # the copy loops are scanned on this read
     assert constructions[0] == BOUNDARY_CONSTRUCTIONS[name]
 
 
