@@ -12,23 +12,18 @@ package restores the exactly-once contract *fleet-wide*:
 * :mod:`repro.fleet.registry` — fleet membership (node id → base URL) plus
   the routing policy: a non-home server answers ``307`` with the home's
   ``/tune`` URL.
-* :mod:`repro.fleet.queue` — a priority-aware front to the worker pool:
-  small warm probes are scheduled ahead of giant cold sweeps instead of
-  queueing FIFO behind them.
 
-The store-level replication primitive lives with the stores themselves:
-:class:`repro.autotune.store.AppendLogStore` seals rotated segments that can
-be shipped between servers and ingested on the other side.
+Members share one store rather than shipping copies of it: each server
+opens the same append log (:class:`repro.autotune.store.AppendLogStore`),
+whose file locks make concurrent appends safe, and a lookup that misses the
+in-memory index replays the log's tail.  Scheduling inside one server — the priority queue
+in front of its worker pool — is :class:`repro.service.jobs.JobTable`.
 """
 
-from repro.fleet.queue import PriorityExecutor, PriorityItem, space_cost_estimate
 from repro.fleet.registry import FleetRegistry
 from repro.fleet.ring import HashRing
 
 __all__ = [
     "FleetRegistry",
     "HashRing",
-    "PriorityExecutor",
-    "PriorityItem",
-    "space_cost_estimate",
 ]

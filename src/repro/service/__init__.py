@@ -9,13 +9,19 @@ contract:
   resolved against the kernel registry, :class:`JobRecord` job state);
 * :mod:`repro.service.worker` — the picklable per-job entry point run on the
   worker pool;
-* :mod:`repro.service.server` — :class:`TuningService` (priority queue over
-  a ``ProcessPoolExecutor``, one shared file-locked :class:`TuningCache`,
-  fingerprint-keyed in-flight deduplication: N concurrent identical requests
-  trigger exactly one tuning run) and :class:`TuningServer` (the JSON-over-
-  HTTP surface: ``/tune``, ``/tune/batch``, ``/status/<job>`` with
-  ``?wait=`` long-polling, ``/cache/stats``, ``/healthz``, ``/kernels``,
-  ``/fleet``, ``/shutdown``), with graceful drain on SIGTERM;
+* :mod:`repro.service.jobs` — :class:`~repro.service.jobs.JobTable`, the
+  job lifecycle as a thread-free state machine: job records,
+  fingerprint-keyed in-flight deduplication (N concurrent identical
+  requests trigger exactly one tuning run), finished-job eviction, the
+  service counters and the priority run queue, driven by submit / finish /
+  fail / cancel-queued events;
+* :mod:`repro.service.server` — :class:`TuningService` (the table's adapter:
+  one lock, a ``ProcessPoolExecutor`` or thread pool, one shared
+  file-locked :class:`TuningCache`, the history store) and
+  :class:`TuningServer` (the JSON-over-HTTP surface: ``/tune``,
+  ``/tune/batch``, ``/status/<job>`` with ``?wait=`` long-polling,
+  ``/cache/stats``, ``/healthz``, ``/kernels``, ``/fleet``, ``/shutdown``),
+  with graceful drain on SIGTERM;
 * :mod:`repro.service.client` — blocking (:meth:`TuningClient.tune`) and
   asynchronous (:meth:`TuningClient.submit` → :class:`PendingTuning`) client
   that follows fleet redirects and optionally retries transient failures;

@@ -39,9 +39,13 @@ from repro.telemetry.events import LEVELS, configure as configure_events, emit
 from repro.autotune.cli import parse_sizes
 from repro.autotune.search import EXECUTORS, STRATEGIES
 from repro.autotune.session import TuningReport
-from repro.fleet.queue import PRIORITY_CLASSES
 from repro.service.client import ServiceError, TuningClient
-from repro.service.protocol import TuneRequest, format_stage_counts, ordered_cache_stats
+from repro.service.protocol import (
+    PRIORITY_CLASSES,
+    TuneRequest,
+    format_stage_counts,
+    ordered_cache_stats,
+)
 from repro.service.server import TuningServer
 
 DEFAULT_URL = "http://127.0.0.1:8037"

@@ -100,7 +100,7 @@ def render_dashboard(
             else html.escape(m)
             for m in members
         ]
-        queue = stats.get("server", {}).get("queue", {}) or {}
+        queue = stats.get("queue") or {}
         depth_text = "  ".join(
             f"{html.escape(str(label))}={int(depth)}"
             for label, depth in queue.items()

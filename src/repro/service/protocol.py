@@ -34,6 +34,7 @@ __all__ = [
     "CACHE_STATS_COMMON_FIELDS",
     "FINISHED_STATES",
     "JobRecord",
+    "PRIORITY_CLASSES",
     "ResolvedRequest",
     "TuneRequest",
     "format_stage_counts",
@@ -72,6 +73,10 @@ _SPACE_KEYS = (
 
 #: terminal job states
 FINISHED_STATES = ("done", "error")
+
+#: request priority classes, most urgent first (the wire values of
+#: ``TuneRequest.priority``)
+PRIORITY_CLASSES = ("high", "normal", "low")
 
 
 @dataclass
@@ -130,8 +135,6 @@ class TuneRequest:
         if not isinstance(self.trace, bool):
             # a truthy string like "false" must not silently enable tracing
             raise ValueError(f"trace must be a boolean, got {self.trace!r}")
-        from repro.fleet.queue import PRIORITY_CLASSES
-
         if self.priority not in PRIORITY_CLASSES:
             raise ValueError(
                 f"priority must be one of {PRIORITY_CLASSES}, got {self.priority!r}"

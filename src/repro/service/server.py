@@ -6,7 +6,9 @@ Two layers:
   are fingerprinted synchronously; a warm cache entry answers instantly with
   zero compiles, an identical *in-flight* request attaches to the existing
   job (N concurrent submitters, exactly one tuning run), and everything else
-  is queued onto a ``ProcessPoolExecutor`` (or thread pool) worker.
+  is queued onto a ``ProcessPoolExecutor`` (or thread pool) worker.  The job
+  lifecycle itself is :class:`~repro.service.jobs.JobTable`, a thread-free
+  state machine; this class is its adapter to the lock, the pool and I/O.
 * :class:`TuningServer` — a stdlib ``ThreadingHTTPServer`` exposing the
   engine as JSON over HTTP: ``POST /tune``, ``POST /tune/batch``,
   ``GET /status/<job>`` (``?wait=SECONDS`` long-polls until the job
@@ -20,8 +22,8 @@ server 307-redirects ``/tune`` to the home — so in-flight dedup (exactly
 one tuning run for N identical concurrent submissions) holds across the
 whole fleet, not just per process.  Clients poll the node that owns their
 job, so every member must be reachable by clients.  Worker
-scheduling goes through a priority queue: small warm probes overtake giant
-cold sweeps instead of queueing FIFO behind them.
+scheduling goes through the job table's priority queue: small warm probes
+overtake giant cold sweeps instead of queueing FIFO behind them.
 
 Every lifecycle edge (submit, dedup-join, start, cache put, done, error)
 emits a structured event through :mod:`repro.telemetry.events`; each
@@ -41,37 +43,28 @@ import json
 import multiprocessing
 import threading
 import uuid
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import wait as wait_futures
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro.kernels.registry import available_kernels, get_kernel
 from repro.machine.spec import GEFORCE_8800_GTX, GPUSpec
-from repro.telemetry import METRICS, summarize_spans
+from repro.telemetry import METRICS
 from repro.telemetry.events import emit
 from repro.telemetry.history import HistoryRecord, HistoryStore, open_history, rollup
 from repro.autotune.cache import TuningCache
 from repro.autotune.search import EXECUTORS
-from repro.fleet.queue import PriorityExecutor, space_cost_estimate
 from repro.fleet.registry import FleetRegistry
 from repro.service.dashboard import render_dashboard
+from repro.service.jobs import JobTable, space_cost_estimate
 from repro.service.protocol import JobRecord, TuneRequest
 from repro.service.worker import execute_request
 
-#: service-level metrics (the autotune/compiler layers register their own)
-JOBS_TOTAL = METRICS.counter(
-    "repro_jobs_total",
-    "Tuning jobs reaching a terminal state, by outcome.",
-    labels=("outcome",),  # cached | tuned | error
-)
-JOB_SECONDS = METRICS.histogram(
-    "repro_job_seconds",
-    "Queue+run wall time of worker-executed jobs (monotonic clock).",
-)
+#: service-level metrics (the job table and the autotune/compiler layers
+#: register their own)
 HTTP_REQUESTS_TOTAL = METRICS.counter(
     "repro_http_requests_total",
     "HTTP requests served, by method and endpoint (path parameters folded).",
@@ -82,9 +75,6 @@ FLEET_REDIRECTS_TOTAL = METRICS.counter(
     "Requests routed to their home server, by how the client was told.",
     labels=("mode",),  # redirect (a 307) | batch-redirect (a /tune/batch slot)
 )
-
-#: which ``TuningService.counters`` entry a ``repro_jobs_total`` outcome bumps
-_COUNTER_OF_OUTCOME = {"cached": "cache_hits", "tuned": "tuning_runs", "error": "failed"}
 
 #: ceiling on one long-poll /status wait — clients loop for longer waits, so
 #: a handler thread is never parked longer than this
@@ -97,6 +87,11 @@ class ServiceUnavailable(RuntimeError):
 
 class TuningService:
     """Transport-agnostic tuning engine: dedup, shared cache, worker pool.
+
+    The adapter around a :class:`~repro.service.jobs.JobTable`: every job
+    event runs under one lock, the jobs an event releases are handed to the
+    pool outside it (a future that is already done runs its callback right
+    there), and the cache, history and metrics-delta I/O happens here.
 
     ``executor="process"`` uses spawn-started workers (fork from a process
     already running HTTP handler threads can clone a mid-acquire lock and
@@ -120,10 +115,7 @@ class TuningService:
     ) -> None:
         if executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be positive, got {max_workers!r}")
-        if max_finished_jobs < 1:
-            raise ValueError(f"max_finished_jobs must be positive, got {max_finished_jobs!r}")
+        self.jobs = JobTable(max_workers, max_finished_jobs)
         self.cache = cache if isinstance(cache, TuningCache) else TuningCache(cache)
         # Always have a history store so /dashboard and the history rollup
         # work out of the box; without a path it simply stays in memory.
@@ -131,10 +123,7 @@ class TuningService:
         opened = open_history(history)
         self.history = opened if opened is not None else HistoryStore()
         self.executor = executor
-        self.max_workers = max_workers
         self.spec = spec
-        #: finished job records kept for /status before the oldest are evicted
-        self.max_finished_jobs = max_finished_jobs
         #: opt-in cross-request analysis-artifact reuse in the workers
         self.reuse_artifacts = reuse_artifacts
         if executor == "process":
@@ -148,30 +137,14 @@ class TuningService:
             )
         else:
             self._pool = ThreadPoolExecutor(max_workers=max_workers)
-        # The priority front: at most max_workers tasks sit in the pool; the
-        # rest queue by (priority class, sweep cost, arrival) so small warm
-        # probes overtake giant cold sweeps instead of waiting behind them.
-        self._queue = PriorityExecutor(self._pool, max_workers)
         #: this server's fleet view (None: a standalone server, no routing)
         self.fleet = fleet
-        # Reentrant: a future that completes before submit() releases the lock
-        # runs its done-callback (_finish) synchronously on this thread.
-        self._lock = threading.RLock()
-        #: signalled (notify_all) every time a job reaches a terminal state —
-        #: what long-poll /status waits block on
-        self._finished_cond = threading.Condition(self._lock)
-        self._jobs: Dict[str, JobRecord] = {}
-        self._futures: Dict[str, Future] = {}
-        #: fingerprint → job id of the one in-flight job covering it
-        self._inflight: Dict[str, str] = {}
-        self._draining = False
-        self.counters = {
-            "submitted": 0,
-            "deduplicated": 0,
-            "cache_hits": 0,
-            "tuning_runs": 0,
-            "failed": 0,
-        }
+        self._lock = threading.Lock()
+        #: signalled (notify_all) after every job event — what long-poll
+        #: /status and drain wait on
+        self._changed = threading.Condition(self._lock)
+        #: set (under the lock) once drain() began: submissions are refused
+        self.draining = False
 
     # -- submission --------------------------------------------------------------------
     def submit(self, payload: Mapping[str, Any]) -> Tuple[JobRecord, str]:
@@ -186,52 +159,18 @@ class TuningService:
         """
         request = TuneRequest.from_dict(dict(payload))
         resolved = request.resolve(self.spec)  # fingerprint only — no compile
-        key = resolved.fingerprint
+        cost = space_cost_estimate(resolved.problem.space_options)
         with self._lock:
-            if self._draining:
+            if self.draining:
                 raise ServiceUnavailable("server is draining; not accepting new requests")
-            self.counters["submitted"] += 1
-            emit(
-                "job.submit",
-                kernel=request.kernel,
-                fingerprint=key[:16],
-                backend=request.backend,
+            job, outcome, started = self.jobs.submit(
+                uuid.uuid4().hex[:12], resolved.fingerprint, request, self.cache.get, cost
             )
-
-            inflight_id = self._inflight.get(key)
-            if inflight_id is not None:
-                job = self._jobs[inflight_id]
-                job.waiters += 1
-                self.counters["deduplicated"] += 1
-                emit(
-                    "job.dedup",
-                    job_id=job.id,
-                    kernel=request.kernel,
-                    fingerprint=key[:16],
-                    waiters=job.waiters,
-                )
-                return job, "deduplicated"
-
-            stored = self.cache.get(key)
-            if stored is not None:
-                job = JobRecord(
-                    id=self._new_job_id(),
-                    fingerprint=key,
-                    request=request.to_dict(),
-                    status="done",
-                    from_cache=True,
-                    compiles=0,
-                    stages={},
-                    report=dict(stored),
-                )
-                self._jobs[job.id] = job
-                # duration_s ~ 0: answered at submission, so not a worker-
-                # executed job and kept out of the latency histogram
-                self._settle_locked(job, "cached", observe=False)
+            if outcome == "cached":
                 self.history.append(
                     HistoryRecord.from_report(
-                        stored,
-                        key,
+                        job.report,
+                        job.fingerprint,
                         grid=resolved.problem.grid,
                         cache_hit=True,
                         wall_s=job.duration_s or 0.0,
@@ -239,53 +178,77 @@ class TuningService:
                         job_id=job.id,
                     )
                 )
-                emit(
-                    "job.cached",
-                    job_id=job.id,
-                    kernel=request.kernel,
-                    fingerprint=key[:16],
-                )
-                return job, "cached"
+        if job.id in self._start(started):
+            return job, "error"
+        return job, outcome
 
-            job = JobRecord(id=self._new_job_id(), fingerprint=key, request=request.to_dict())
-            self._jobs[job.id] = job
-            self._inflight[key] = job.id
+    def _start(self, jobs: List[JobRecord]) -> List[str]:
+        """Hand started jobs to the pool (caller does *not* hold the lock).
+
+        Returns the ids the pool refused: each refusal fails its job, which
+        frees the slot for the next queued one — so a broken pool fails
+        every queued job in turn instead of wedging their fingerprints.
+        """
+        refused = []
+        while jobs:
+            job = jobs.pop(0)
             # Workers (thread or process) open their own cache instance from
             # the store URI: a fresh open can pick up entries a *different*
-            # server sharing the store persisted since our pre-check, their
-            # counters stay off this instance's books (one counted lookup per
-            # request — the submit-time get above).  The URI re-opens the
-            # same log; an in-memory cache has none, so _finish puts instead.
-            cache_path = self.cache.uri
+            # server sharing the store persisted since our pre-check, and
+            # their counters stay off this instance's books (one counted
+            # lookup per request — the submit-time get).  An in-memory cache
+            # has no URI, so _finish puts the report instead.
             task = partial(
                 execute_request,
                 job.request,
-                cache_path=cache_path,
+                cache_path=self.cache.uri,
                 spec=self.spec,
                 job_id=job.id,
                 reuse_artifacts=self.reuse_artifacts,
             )
             try:
-                future = self._queue.submit(
-                    task,
-                    priority=request.priority,
-                    cost=space_cost_estimate(resolved.problem.space_options),
-                )
-            except Exception as error:  # e.g. BrokenProcessPool after a worker died
-                # Roll back the in-flight registration: the fingerprint must
-                # not stay wedged on a job that will never get a future.
-                self._inflight.pop(key, None)
-                self._fail_locked(job, error, kernel=request.kernel)
-                return job, "error"
-            self._futures[job.id] = future
+                future = self._pool.submit(task)
+            except RuntimeError as error:  # BrokenExecutor, or a pool already shut down
+                refused.append(job.id)
+                with self._lock:
+                    jobs += self.jobs.fail(job.id, error)
+                    self._changed.notify_all()
+                continue
             future.add_done_callback(partial(self._finish, job.id))
-            emit(
-                "job.start",
-                job_id=job.id,
-                kernel=request.kernel,
-                fingerprint=key[:16],
-            )
-            return job, "created"
+        return refused
+
+    def _finish(self, job_id: str, future: Future) -> None:
+        error = future.exception()  # the worker raised, or its process died
+        with self._lock:
+            if error is not None:
+                started = self.jobs.fail(job_id, error)
+            else:
+                outcome = future.result()
+                started = self.jobs.finish(job_id, outcome)
+                fingerprint = self.jobs.records[job_id].fingerprint
+                # A process worker's registry bumps happened in its own
+                # process; absorb its shipped delta so /metrics reflects the
+                # whole fleet.  Thread workers share *this* registry —
+                # absorbing their delta would double-count every sample.
+                if self.executor == "process" and outcome.get("metrics"):
+                    METRICS.absorb(outcome["metrics"])
+                # A worker persisted through its own instance of a persistent
+                # cache, and this instance's next lookup replays the log's
+                # tail; an in-memory cache is private to this instance, so
+                # put it here — under the same lock hold that took the
+                # fingerprint out of flight, so no submission misses both.
+                if self.cache.path is None:
+                    self.cache.put(fingerprint, outcome["report"])
+                emit("cache.put", level="debug", job_id=job_id, fingerprint=fingerprint[:16])
+                # The worker shipped its history record like the metrics
+                # delta; the server owns the store, so this is the single
+                # append per job whichever executor ran it.
+                if outcome.get("history") is not None:
+                    record = HistoryRecord.from_dict(outcome["history"])
+                    record.job_id = job_id
+                    self.history.append(record)
+            self._changed.notify_all()
+        self._start(started)
 
     def fingerprint_of(self, payload: Mapping[str, Any]) -> str:
         """The fingerprint a payload would tune under — no submission.
@@ -297,146 +260,28 @@ class TuningService:
         request = TuneRequest.from_dict(dict(payload))
         return request.resolve(self.spec).fingerprint
 
-    def wait_for_job(
-        self, job_id: str, timeout: float
-    ) -> Optional[Dict[str, Any]]:
-        """Long-poll: the job's snapshot once finished, or at ``timeout``.
+    def wait_for_job(self, job_id: str, timeout: float = 0.0) -> Optional[Dict[str, Any]]:
+        """The job's ``/status`` snapshot, once finished or at ``timeout``.
 
-        ``None`` for an unknown job.  Parked on a condition the finish path
-        signals — zero polling; an evicted-while-waiting job returns
-        ``None`` and the client falls back to its recovery path.
+        ``None`` for an unknown job.  A positive ``timeout`` long-polls,
+        parked on the condition every job event signals — zero polling; an
+        evicted-while-waiting job returns ``None`` and the client falls back
+        to its recovery path.  The snapshot is built under the lock: a job
+        finishing concurrently could otherwise be observed half-updated.
         """
-        with self._finished_cond:
-            self._finished_cond.wait_for(
-                lambda: job_id not in self._jobs or self._jobs[job_id].finished,
-                timeout=max(0.0, timeout),
-            )
-            return self.job_payload(job_id)
-
-    def _new_job_id(self) -> str:
-        return uuid.uuid4().hex[:12]
-
-    def _evict_finished_locked(self) -> None:
-        """Bound memory on a long-lived server: drop the oldest finished jobs.
-
-        Caller holds the lock.  In-flight jobs are never evicted; dict order
-        is insertion order, so the survivors are the newest records.
-        """
-        finished = [job_id for job_id, job in self._jobs.items() if job.finished]
-        excess = len(finished) - self.max_finished_jobs
-        for job_id in finished[:max(excess, 0)]:
-            del self._jobs[job_id]
-
-    def _settle_locked(self, job: JobRecord, outcome: str, observe: bool = True) -> None:
-        """The terminal-state bookkeeping of every job (caller holds the lock).
-
-        ``outcome`` is the ``repro_jobs_total`` label: cached | tuned | error.
-        """
-        job.mark_finished()
-        JOBS_TOTAL.inc(outcome=outcome)
-        # Failed jobs burn queue+run wall time too; leaving them out of the
-        # latency histogram would make a flapping fleet look *faster* the
-        # more its jobs die.
-        if observe and job.duration_s is not None:
-            JOB_SECONDS.observe(job.duration_s)
-        self.counters[_COUNTER_OF_OUTCOME[outcome]] += 1
-        self._evict_finished_locked()
-        self._finished_cond.notify_all()
-
-    def _fail_locked(self, job: JobRecord, error: BaseException, **context: Any) -> None:
-        job.error = f"{type(error).__name__}: {error}"
-        job.status = "error"
-        self._settle_locked(job, "error")
-        emit("job.error", level="error", job_id=job.id, error=job.error, **context)
-
-    def _finish(self, job_id: str, future: Future) -> None:
-        with self._lock:
-            job = self._jobs[job_id]
-            self._inflight.pop(job.fingerprint, None)
-            self._futures.pop(job_id, None)
-            job.mark_finished()  # queue+run time, not the bookkeeping below
-            try:
-                outcome = future.result()
-            except (Exception, CancelledError) as error:
-                # worker died, unpicklable state, or drained with a hard timeout
-                self._fail_locked(job, error)
-                return
-            # Populate the result fields before flipping status: "done" is the
-            # publication point status readers key off.
-            job.report = outcome["report"]
-            job.compiles = outcome["compiles"]
-            job.stages = outcome.get("stages")
-            job.from_cache = outcome["from_cache"]
-            job.trace = outcome.get("trace")
-            if job.trace:
-                job.span_summary = summarize_spans(job.trace)
-            job.status = "done"
-            # A process worker's registry bumps happened in its own process;
-            # absorb its shipped delta so /metrics reflects the whole fleet.
-            # Thread workers share *this* registry — absorbing their delta
-            # would double-count every sample.
-            if self.executor == "process" and outcome.get("metrics"):
-                METRICS.absorb(outcome["metrics"])
-            # A worker persisted through its own instance of a persistent
-            # cache, and this instance's next lookup replays the log's tail;
-            # an in-memory cache is private to this instance, so put it here.
-            if self.cache.path is None:
-                self.cache.put(job.fingerprint, outcome["report"])
-            emit(
-                "cache.put",
-                level="debug",
-                job_id=job.id,
-                fingerprint=job.fingerprint[:16],
-            )
-            # The worker shipped its history record like the metrics delta;
-            # the server owns the store, so this is the single append per job
-            # whichever executor ran it.
-            history_payload = outcome.get("history")
-            if history_payload is not None:
-                record = HistoryRecord.from_dict(history_payload)
-                record.job_id = job.id
-                job.trace_id = record.trace_id
-                self.history.append(record)
-            self._settle_locked(job, "cached" if outcome["from_cache"] else "tuned")
-            emit(
-                "job.done",
-                job_id=job.id,
-                from_cache=outcome["from_cache"],
-                duration_s=round(job.duration_s, 3) if job.duration_s else 0.0,
-                trace_id=job.trace_id,
-            )
+        with self._changed:
+            if timeout > 0:
+                self._changed.wait_for(
+                    lambda: job_id not in self.jobs.records or self.jobs.records[job_id].finished,
+                    timeout=timeout,
+                )
+            job = self.jobs.records.get(job_id)
+            return None if job is None else job.to_dict()
 
     # -- inspection --------------------------------------------------------------------
     def job(self, job_id: str) -> Optional[JobRecord]:
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None and not job.finished:
-                future = self._futures.get(job_id)
-                job.status = "running" if future is not None and future.running() else "queued"
-            return job
-
-    def job_payload(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """A consistent ``/status`` snapshot, built while holding the lock.
-
-        Handler threads must not serialise a live :class:`JobRecord` outside
-        the lock — a job finishing concurrently could be observed half-updated.
-        """
-        with self._lock:
-            job = self.job(job_id)
-            return None if job is None else job.to_dict()
-
-    def job_counts(self) -> Dict[str, int]:
-        counts = {"queued": 0, "running": 0, "done": 0, "error": 0}
-        with self._lock:
-            for job in self._jobs.values():
-                # only an in-flight job's status needs refreshing from its future
-                counts[job.status if job.finished else self.job(job.id).status] += 1
-        return counts
-
-    @property
-    def draining(self) -> bool:
-        with self._lock:
-            return self._draining
+            return self.jobs.records.get(job_id)
 
     def stats(self) -> Dict[str, Any]:
         """The ``/cache/stats`` payload: cache, server counters, job counts.
@@ -445,29 +290,33 @@ class TuningService:
         gauges (``backend``, ``entries``, ``bytes``, plus e.g.
         ``segments``/``compactions`` for the append log) alongside this
         instance's hit/miss counters — see :data:`repro.service.protocol.CACHE_STATS_COMMON_FIELDS`.
+        The job sections are one consistent snapshot of the table.
         """
+        cache = self.cache.stats()
         with self._lock:
-            counters = dict(self.counters)
-        return {
-            "cache": self.cache.stats(),
-            "server": counters,
-            "jobs": self.job_counts(),
-            "queue": self.queue_depths(),
-        }
+            return {
+                "cache": cache,
+                "server": dict(self.jobs.counters),
+                "jobs": self.jobs.job_counts(),
+                "queue": self.jobs.queue_depths(),
+            }
 
     def queue_depths(self) -> Dict[str, int]:
         """Waiting (undispatched) jobs per priority class."""
-        return self._queue.queue_depths()
+        with self._lock:
+            return self.jobs.queue_depths()
 
     def health(self) -> Dict[str, Any]:
+        with self._lock:
+            jobs = self.jobs.job_counts()
         payload = {
             "status": "draining" if self.draining else "ok",
             "executor": self.executor,
-            "workers": self.max_workers,
+            "workers": self.jobs.max_workers,
             "cache_path": self.cache.uri,
             "cache_backend": self.cache.backend,
             "history_path": self.history.uri,
-            "jobs": self.job_counts(),
+            "jobs": jobs,
         }
         if self.fleet is not None:
             payload["fleet"] = self.fleet.describe()
@@ -476,7 +325,7 @@ class TuningService:
     def jobs_snapshot(self) -> list:
         """Lightweight (report-free) snapshots of every retained job."""
         with self._lock:
-            return [job.to_dict(include_report=False) for job in self._jobs.values()]
+            return [job.to_dict(include_report=False) for job in self.jobs.records.values()]
 
     def history_rollup(self) -> Dict[str, Any]:
         """The ``GET /history`` payload: store stats + per-group rollup."""
@@ -493,24 +342,19 @@ class TuningService:
     def drain(self, timeout: Optional[float] = None) -> None:
         """Stop accepting work and wait until every accepted job finished.
 
-        Queued-but-unstarted jobs still run: the pool keeps consuming its
-        queue until :meth:`Executor.shutdown` completes, so every job a client
-        was promised a report for produces one (and, with a file-backed cache,
-        persists it) before this method returns.  With a ``timeout``, jobs
-        still unfinished when it expires are cancelled (their records flip to
-        ``error``) so shutdown time stays bounded; already-running work on a
-        process pool finishes its current task regardless.
+        Queued jobs still run, so every job a client was promised a report
+        for produces one (and, with a file-backed cache, persists it) before
+        this method returns.  With a ``timeout``, jobs still queued when it
+        expires fail (their fingerprints are freed) so shutdown time stays
+        bounded; already-running work finishes regardless.
         """
-        with self._lock:
-            self._draining = True
-            pending = list(self._futures.values())
-        unfinished = wait_futures(pending, timeout=timeout).not_done if pending else set()
-        # Shut down through the priority front so still-queued (undispatched)
-        # tasks are cancelled or flushed consistently with the pool.
-        if unfinished:
-            self._queue.shutdown(wait=False, cancel_futures=True)
-        else:
-            self._queue.shutdown(wait=True)
+        with self._changed:
+            self.draining = True
+            idle = self._changed.wait_for(lambda: self.jobs.idle, timeout=timeout)
+            if not idle:
+                self.jobs.cancel_queued(ServiceUnavailable("drained before a worker was free"))
+                self._changed.notify_all()
+        self._pool.shutdown(wait=idle)
 
 
 class TuningRequestHandler(BaseHTTPRequestHandler):
@@ -623,10 +467,7 @@ class TuningRequestHandler(BaseHTTPRequestHandler):
             wait_s = -1.0
         if not wait_s >= 0:  # also rejects NaN
             raise ValueError("wait must be a non-negative number")
-        if wait_s > 0:
-            payload = self.service.wait_for_job(job_id, min(wait_s, MAX_STATUS_WAIT_S))
-        else:
-            payload = self.service.job_payload(job_id)
+        payload = self.service.wait_for_job(job_id, min(wait_s, MAX_STATUS_WAIT_S))
         if payload is None:
             self._send(404, {"error": "unknown job"})
         else:
@@ -663,7 +504,7 @@ class TuningRequestHandler(BaseHTTPRequestHandler):
         # inline, so the client needs no /status round trip — and cannot
         # lose the answer to finished-job eviction in between.
         if job.finished:
-            response["job_state"] = self.service.job_payload(job.id)
+            response["job_state"] = self.service.wait_for_job(job.id)
         return response
 
     def _post_tune(self, body: bytes) -> None:

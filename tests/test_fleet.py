@@ -11,16 +11,24 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
 
 from repro.fleet import FleetRegistry, HashRing
-from repro.fleet.queue import PriorityExecutor, space_cost_estimate
 from repro.fleet.registry import normalize_url
 from repro.telemetry import METRICS, parse_prometheus_text
-from repro.service import ServiceError, TuneRequest, TuningClient, TuningServer
+from repro.service import (
+    ServiceError,
+    ServiceUnavailable,
+    TuneRequest,
+    TuningClient,
+    TuningServer,
+    TuningService,
+)
+from repro.service import server as server_module
+from repro.service.jobs import JobTable, space_cost_estimate
 from repro.service.worker import execute_request
 
 SMALL_SPACE = {"thread_counts": [64], "block_counts": [16], "tile_candidates_per_geometry": 2}
@@ -121,10 +129,7 @@ class _InstantPool:
 
     def submit(self, fn):
         future = Future()
-        try:
-            future.set_result(fn())
-        except Exception as error:  # pragma: no cover - not hit in these tests
-            future.set_exception(error)
+        future.set_result(fn())
         return future
 
     def shutdown(self, wait=True, cancel_futures=False):
@@ -147,73 +152,141 @@ class TestSpaceCostEstimate:
         assert space_cost_estimate(exhaustive) > space_cost_estimate(bounded)
 
 
-class TestPriorityExecutor:
+OUTCOME = {"report": {}, "compiles": 1, "stages": {}, "from_cache": False}
+
+
+def _no_cache(_key):
+    return None
+
+
+def _gate_worker(monkeypatch, *gated_sizes):
+    """Hold worker jobs for the given ``m`` sizes until the returned event is set."""
+    gate = threading.Event()
+    execute = server_module.execute_request
+
+    def gated(payload, **keywords):
+        if payload["sizes"]["m"] in gated_sizes:
+            assert gate.wait(60)
+        return execute(payload, **keywords)
+
+    monkeypatch.setattr(server_module, "execute_request", gated)
+    return gate
+
+
+class _RefusingPool:
+    """The pool after a worker process died: every submit is refused."""
+
+    def __init__(self, pool):
+        self.pool = pool
+
+    def submit(self, fn):
+        raise BrokenExecutor("a worker process terminated abruptly")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+
+
+class TestPriorityQueue:
     def test_queued_work_runs_high_then_cheap_then_low(self):
-        order = []
-        gate = threading.Event()
-        started = threading.Event()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            executor = PriorityExecutor(pool, 1)
-            blocker = executor.submit(lambda: (started.set(), gate.wait(10)))
-            assert started.wait(5)
-            futures = [
-                executor.submit(lambda: order.append("low"), priority="low", cost=1),
-                executor.submit(
-                    lambda: order.append("normal-giant"), priority="normal", cost=500
-                ),
-                executor.submit(
-                    lambda: order.append("normal-probe"), priority="normal", cost=1
-                ),
-                executor.submit(lambda: order.append("high"), priority="high", cost=900),
-            ]
-            depths = executor.queue_depths()
-            assert depths == {"high": 1, "normal": 2, "low": 1}
-            gate.set()
-            blocker.result(timeout=10)
-            for future in futures:
-                future.result(timeout=10)
+        table = JobTable(max_workers=1)
+        _job, _outcome, started = table.submit(
+            "blocker", "key-blocker", TuneRequest(kernel="matmul"), _no_cache, 1
+        )
+        assert [job.id for job in started] == ["blocker"]
+        for job_id, priority, cost in [
+            ("low", "low", 1),
+            ("normal-giant", "normal", 500),
+            ("normal-probe", "normal", 1),
+            ("high", "high", 900),
+        ]:
+            request = TuneRequest(kernel="matmul", priority=priority)
+            job, outcome, started = table.submit(job_id, f"key-{job_id}", request, _no_cache, cost)
+            assert (outcome, job.status, started) == ("created", "queued", [])
+        assert table.queue_depths() == {"high": 1, "normal": 2, "low": 1}
+        order, running = [], "blocker"
+        while running is not None:
+            started = table.finish(running, OUTCOME)
+            assert len(started) <= 1
+            running = started[0].id if started else None
+            if running is not None:
+                order.append(running)
         # explicit class first; within a class the cheap probe overtakes the
         # giant sweep; low yields to everything
         assert order == ["high", "normal-probe", "normal-giant", "low"]
+        assert table.queue_depths() == {"high": 0, "normal": 0, "low": 0}
+        assert table.idle
 
     def test_rejects_unknown_priority_class(self):
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            executor = PriorityExecutor(pool, 1)
+        service = TuningService(executor="thread", max_workers=1)
+        try:
             with pytest.raises(ValueError, match="priority"):
-                executor.submit(lambda: None, priority="urgent")
+                service.submit(matmul_request(m=16).to_dict() | {"priority": "urgent"})
+            assert service.jobs_snapshot() == []
+        finally:
+            service.drain()
 
     def test_synchronously_completing_pool_does_not_deadlock(self):
-        """Regression: an inner future already done at add_done_callback time
-        runs _finish on the dispatching thread, inside the queue lock."""
-        executor = PriorityExecutor(_InstantPool(), 1)
+        """Regression: a pool future already done at add_done_callback time
+        runs the completion on the submitting thread."""
+        service = TuningService(executor="thread", max_workers=1)
+        service._pool.shutdown()
+        service._pool = _InstantPool()
         outcome = {}
 
         def run():
-            outcome["first"] = executor.submit(lambda: 7).result(timeout=5)
-            outcome["second"] = executor.submit(lambda: 11).result(timeout=5)
+            for m in (16, 24):
+                job, created = service.submit(matmul_request(m=m).to_dict())
+                outcome[m] = (created, service.job(job.id).status)
 
         worker = threading.Thread(target=run, daemon=True)
         worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive(), "PriorityExecutor deadlocked on sync completion"
-        assert outcome == {"first": 7, "second": 11}
+        worker.join(timeout=60)
+        assert not worker.is_alive(), "the service deadlocked on sync completion"
+        assert outcome == {16: ("created", "done"), 24: ("created", "done")}
         # the running slot was released both times
-        assert executor.queue_depths() == {"high": 0, "normal": 0, "low": 0}
+        assert service.jobs.running == 0 and service.jobs.idle
+        assert service.queue_depths() == {"high": 0, "normal": 0, "low": 0}
 
-    def test_shutdown_cancels_queued_tasks(self):
-        gate = threading.Event()
-        started = threading.Event()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            executor = PriorityExecutor(pool, 1)
-            blocker = executor.submit(lambda: (started.set(), gate.wait(10)))
-            assert started.wait(5)
-            queued = executor.submit(lambda: None)
-            executor.shutdown(wait=False, cancel_futures=True)
-            assert queued.cancelled()
-            with pytest.raises(RuntimeError, match="shutdown"):
-                executor.submit(lambda: None)
-            gate.set()
-            blocker.result(timeout=10)
+    def test_timed_drain_fails_queued_jobs_and_lets_running_ones_finish(self, monkeypatch):
+        gate = _gate_worker(monkeypatch, 16)
+        service = TuningService(executor="thread", max_workers=1)
+        running, _ = service.submit(matmul_request(m=16).to_dict())
+        queued, _ = service.submit(matmul_request(m=24).to_dict())
+        assert (running.status, queued.status) == ("running", "queued")
+        service.drain(timeout=0.05)
+        assert queued.status == "error" and "drained" in queued.error
+        assert queued.fingerprint not in service.jobs.inflight
+        assert service.job(running.id).status == "running"
+        with pytest.raises(ServiceUnavailable):
+            service.submit(matmul_request(m=24).to_dict())
+        gate.set()
+        assert service.wait_for_job(running.id, timeout=60)["status"] == "done"
+        assert service.jobs.idle
+
+    def test_pool_breaking_fails_every_queued_job(self, monkeypatch):
+        gate = _gate_worker(monkeypatch, 16)
+        service = TuningService(executor="thread", max_workers=1)
+        running, _ = service.submit(matmul_request(m=16).to_dict())
+        queued = [service.submit(matmul_request(m=m).to_dict())[0] for m in (24, 32)]
+        service._pool = _RefusingPool(service._pool)
+        gate.set()
+        service.drain()  # returns once no job is in flight
+        assert running.status == "done"
+        for job in queued:
+            assert job.status == "error" and "BrokenExecutor" in job.error
+            assert job.fingerprint not in service.jobs.inflight
+        assert service.jobs.running == 0
+        assert service.stats()["server"]["failed"] == 2
+
+
+class TestDashboardQueue:
+    def test_fleet_section_shows_the_queue_depths_of_the_stats(self):
+        from repro.service.dashboard import render_dashboard
+
+        health = {"status": "ok", "fleet": FleetRegistry("http://a:1", ["http://b:1"]).describe()}
+        stats = {"server": {}, "queue": {"high": 0, "normal": 3, "low": 1}}
+        page = render_dashboard(health, stats, [], [])
+        assert "queued high=0  normal=3  low=1" in page
 
 
 # -- protocol ----------------------------------------------------------------------

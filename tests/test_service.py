@@ -192,7 +192,7 @@ class TestTuningService:
         assert outcome == "error" and job.status == "error"
         assert "cannot schedule new futures" in job.error
         # the fingerprint was rolled back: nothing is wedged in flight
-        assert job.fingerprint not in service._inflight
+        assert job.fingerprint not in service.jobs.inflight
 
     def test_server_spec_reaches_the_worker(self):
         """The worker must tune for the service's machine, not the default."""
@@ -283,13 +283,57 @@ class TestTuningService:
         first, _ = service.submit(payload)
         service.drain()  # first job done and its report cached
         # reopen acceptance for the cached-path submissions below
-        service._draining = False
+        service.draining = False
         jobs = [service.submit(payload)[0] for _ in range(3)]
         assert all(job.from_cache for job in jobs)
         # only the newest max_finished_jobs records survive
         assert service.job(first.id) is None
         assert service.job(jobs[0].id) is None
         assert service.job(jobs[-1].id) is not None
+
+    def test_racing_submitters_tune_each_key_exactly_once(self, monkeypatch):
+        """Eight threads submit one new key per round while its run finishes
+        among them, with a tiny switch interval: a lost update to the job
+        table shows as a second tuning run, an unbalanced counter or a job
+        that never ends."""
+
+        def worker(payload, **_):
+            time.sleep(0.001 * (payload["sizes"]["m"] % 3))  # finish amid the submitters
+            return {"report": {}, "compiles": 1, "stages": {}, "from_cache": False}
+
+        monkeypatch.setattr("repro.service.server.execute_request", worker)
+        payloads = [matmul_request(m=16 + 8 * round_).to_dict() for round_ in range(15)]
+        # resolve each key once up front, so the eight submitters of a round
+        # reach the job table together instead of staggered by the resolve
+        resolved = {p["sizes"]["m"]: TuneRequest.from_dict(p).resolve() for p in payloads}
+        monkeypatch.setattr(TuneRequest, "resolve", lambda self, spec: resolved[self.sizes["m"]])
+        service = TuningService(executor="thread", max_workers=4)
+        handed = []
+        barrier = threading.Barrier(8)
+
+        def submitter():
+            for payload in payloads:
+                barrier.wait(timeout=60)
+                handed.append(service.submit(payload)[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submitter) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            service.drain(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        counters = service.stats()["server"]
+        assert counters["submitted"] == len(handed) == 120
+        assert counters["tuning_runs"] == 15 and counters["failed"] == 0
+        assert counters["deduplicated"] + counters["cache_hits"] == 105
+        assert all(job.status == "done" for job in handed)
+        assert service.jobs.idle and service.jobs.running == 0
 
 
 # -- HTTP integration --------------------------------------------------------------
@@ -455,7 +499,7 @@ class TestHTTPServer:
         # simulate heavy-traffic eviction of the finished record
         service = thread_server.service
         with service._lock:
-            del service._jobs[pending.job_id]
+            del service.jobs.records[pending.job_id]
         late = PendingTuning(
             client, pending.job_id, pending.fingerprint, "created",
             request=request.to_dict(),
@@ -516,15 +560,9 @@ class TestHTTPServer:
         client = TuningClient(server.url)
         pending = client.submit(matmul_request(m=16))
         assert client.shutdown()["status"] == "draining"
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            try:
-                client.healthz()
-                time.sleep(0.05)
-            except ServiceError:
-                break
-        else:
-            pytest.fail("server did not stop after /shutdown")
+        # serve_forever returns only after the drain: the serving thread ends
+        server._thread.join(timeout=60)
+        assert not server._thread.is_alive(), "server did not stop after /shutdown"
         # the accepted job was drained, not abandoned
         assert server.service.job(pending.job_id).status == "done"
 
