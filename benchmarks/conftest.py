@@ -12,7 +12,7 @@ reproduced result.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 #: single source of truth for every randomised benchmark input (problem-size
 #: generation, array contents), so benchmark runs are reproducible
@@ -37,88 +37,3 @@ def _fmt(value: object) -> str:
         return f"{value:.2f}"
     return str(value)
 
-
-def telemetry_counters() -> Dict[str, float]:
-    """Flatten the process-wide metrics registry for a benchmark JSON payload.
-
-    Labelled samples render in Prometheus selector syntax
-    (``repro_stage_runs_total{stage="tiling"}``) so the JSON stays greppable.
-    """
-    from repro.telemetry import METRICS, parse_prometheus_text
-
-    flat: Dict[str, float] = {}
-    for name, samples in parse_prometheus_text(METRICS.render()).items():
-        for labels, value in samples.items():
-            rendered = ",".join(f'{key}="{val}"' for key, val in labels)
-            flat[f"{name}{{{rendered}}}" if rendered else name] = value
-    return flat
-
-
-def write_bench_json(path: str, section: str, payload: Dict[str, object]) -> None:
-    """Merge one benchmark's results (plus telemetry counters) into ``path``.
-
-    Each harness writes its own section, so several benches can share one
-    ``BENCH_telemetry.json`` artifact in CI.
-    """
-    import json
-    import os
-
-    document: Dict[str, object] = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                document = json.load(handle)
-            except ValueError:
-                document = {}
-    document[section] = {"results": payload, "telemetry": telemetry_counters()}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def write_bench_history(path: str, section: str, history_path: str) -> None:
-    """Summarise a tuning-history store into ``path`` (``BENCH_history.json``).
-
-    Reads the JSONL history the bench appended to and writes, per
-    (kernel, variant, spec, backend) group, the winner-time trend (oldest → newest)
-    plus the percentile rollup — the repo's machine-readable perf
-    trajectory.  Same one-section-per-bench merge discipline as
-    :func:`write_bench_json`.
-    """
-    import json
-    import os
-
-    from repro.telemetry.history import HistoryStore, group_records, rollup
-
-    store = HistoryStore(history_path)
-    records = store.records()
-    trends: Dict[str, object] = {}
-    for key, group in sorted(group_records(records).items()):
-        ordered = sorted(group, key=lambda r: r.ts)
-        label = "|".join(part for part in key if part)
-        trends[label] = {
-            "kernel": key[0],
-            "variant": key[1],
-            "spec": key[2],
-            "backend": key[3],
-            "winner_ms": [round(r.winner_ms, 6) for r in ordered],
-            "evaluations": [r.evaluations for r in ordered],
-            "rho": [r.rho for r in ordered],
-            "best_ms": round(min(r.winner_ms for r in ordered), 6),
-        }
-
-    document: Dict[str, object] = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                document = json.load(handle)
-            except ValueError:
-                document = {}
-    document[section] = {
-        "records": len(records),
-        "trends": trends,
-        "rollup": rollup(records),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -112,8 +112,13 @@ def solve_relaxed(
         sizes = np.exp(point.x)
         sizes = np.where(abs(sizes - np.round(sizes)) <= 1e-9 * sizes, np.round(sizes), sizes)
         named = dict(zip(loops, sizes.tolist()))
-        feasible = model.footprint_bytes(named) <= limit + 1e-6
-        if feasible and model.work_per_tile(named) >= work - 1e-6:
+        footprint = model.footprint_bytes(named)
+        if limit + 1e-6 < footprint <= limit * (1.0 + 1e-9):
+            # the SQP converges to a relative violation: step inside by a hair
+            sizes = sizes * (1.0 - 1e-9)
+            named = dict(zip(loops, sizes.tolist()))
+            footprint = model.footprint_bytes(named)
+        if footprint <= limit + 1e-6 and model.work_per_tile(named) >= work - 1e-6:
             best, relaxed = point.objective, sizes
     return {loop: float(max(value, 1.0)) for loop, value in zip(loops, relaxed)}
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import time
 import warnings
 
 import numpy as np
@@ -305,17 +306,29 @@ class TestAutotuneSession:
         assert mapped.tile_search is None  # the search never ran on replay
 
     def test_batch_tunes_many_problem_sizes_with_shared_cache(self, tmp_path):
+        """A warm batch re-opens the cache: no compile, the cold reports, and
+        at least 10x faster than tuning them."""
         cache = TuningCache(tmp_path / "batch.json")
         jobs = [
             TuningJob(build_matmul_program(32, 32, 32), label="small"),
             TuningJob(build_matmul_program(64, 64, 64), label="large"),
         ]
-        reports = autotune_batch(jobs, cache=cache, space_options=SMALL_SPACE)
+        start = time.perf_counter()
+        with counting_compiles() as cold_compiles:
+            reports = autotune_batch(jobs, cache=cache, space_options=GRID_SPACE)
+        cold_s = time.perf_counter() - start
         assert [r.kernel_name for r in reports] == ["small", "large"]
-        assert len(cache) == 2
-        warm = autotune_batch(jobs, cache=TuningCache(tmp_path / "batch.json"),
-                              space_options=SMALL_SPACE)
-        assert all(r.from_cache for r in warm)
+        assert len(cache) == 2 and cold_compiles.count > 0
+        start = time.perf_counter()
+        with counting_compiles() as warm_compiles:
+            warm = autotune_batch(jobs, cache=TuningCache(tmp_path / "batch.json"),
+                                  space_options=GRID_SPACE)
+        warm_s = time.perf_counter() - start
+        assert all(r.from_cache for r in warm) and warm_compiles.count == 0
+        for cold_report, warm_report in zip(reports, warm):
+            assert warm_report.best.to_dict() == cold_report.best.to_dict()
+            assert warm_report.fingerprint == cold_report.fingerprint
+        assert warm_s < cold_s / 10, (warm_s, cold_s)
 
     def test_report_dict_round_trip(self, matmul):
         report = autotune(matmul, space_options=SMALL_SPACE)
@@ -521,11 +534,18 @@ class TestCli:
         assert cli_main(["no_such_kernel"]) == 2
         assert "unknown kernel" in capsys.readouterr().err
 
-    def test_tune_and_warm_cache(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "kernel, sizes",
+        [("matmul", ["m=32", "n=32", "k=32"]), ("conv2d", ["height=32", "width=32", "kernel=3"])],
+    )
+    def test_tune_and_warm_cache(self, kernel, sizes, tmp_path, capsys):
         cache = str(tmp_path / "cli-cache.json")
-        args = ["matmul", "--size", "m=32", "n=32", "k=32", "--cache", cache,
+        args = [kernel, "--size", *sizes, "--cache", cache,
                 "--top", "2", "--threads", "64", "--blocks", "16"]
-        assert cli_main(args) == 0
+        with warnings.catch_warnings():
+            # the production path calls nothing deprecated
+            warnings.simplefilter("error", DeprecationWarning)
+            assert cli_main(args) == 0
         cold_out = capsys.readouterr().out
         assert "pipeline compiles this call: 0" not in cold_out
         assert cli_main(args) == 0

@@ -16,6 +16,7 @@ O(top-K) times.
 from __future__ import annotations
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.kernels.registry import get_kernel
 from repro.runtime.interpreter import run_program
 from repro.autotune import (
     ConfigurationEvaluator,
+    ConfigurationSpace,
     SpaceOptions,
     TuningCache,
     autotune,
@@ -49,8 +51,9 @@ from repro.autotune.backends import (
     resolve_backend,
     trimmed_median,
 )
-from repro.autotune.cli import cache_stats_main
+from repro.autotune.cli import cache_stats_main, main as cli_main
 from repro.autotune.evaluate import EvaluationResult
+from repro.telemetry.history import spearman_rho
 
 requires_c_toolchain = pytest.mark.skipif(
     c_toolchain_skip_reason() is not None,
@@ -76,6 +79,12 @@ def matmul(n: int = 8):
 class TestBackendUris:
     def test_registry_lists_all_four(self):
         assert available_backends() == ["hybrid", "measure-c", "measure-py", "model"]
+
+    def test_backends_subcommand_lists_the_registry(self, capsys):
+        assert cli_main(["backends"]) == 0
+        output = capsys.readouterr().out
+        assert re.search(r"^model +available$", output, re.M)
+        assert re.search(r"^hybrid +available$", output, re.M)
 
     def test_model_parses_with_and_without_colon(self):
         assert isinstance(parse_backend_uri("model"), ModelBackend)
@@ -300,6 +309,24 @@ class TestMeasuredPythonBackend:
 
 # -- the hybrid backend (ISSUE 5 acceptance) ---------------------------------------
 class TestHybridBackend:
+    def test_model_and_measured_prices_of_one_candidate_set_rank_correlate(self):
+        """The hybrid's premise, as a number: Spearman's rho between ``model:``
+        and ``measure-py:`` prices of one shared candidate set (its value at a
+        toy size is interpreter noise, so only its range is pinned)."""
+        program = matmul(16)
+        session = CompilationSession(program)
+        space = ConfigurationSpace(program, space_options=WIDE_SPACE, session=session)
+        model = ConfigurationEvaluator(program, session=session)
+        measured = ConfigurationEvaluator(program, session=session, backend=FAST_PY)
+        pairs = [
+            (priced.time_ms, timed.time_ms)
+            for config in space.enumerate()
+            for priced, timed in [(model.evaluate(config), measured.evaluate(config))]
+            if priced.feasible and timed.feasible
+        ]
+        assert len(pairs) >= 4
+        assert -1.0 <= spearman_rho(*zip(*pairs)) <= 1.0
+
     def test_hybrid_best_is_measured_and_cached_with_provenance(self):
         program = matmul(16)
         cache = TuningCache()
@@ -591,10 +618,9 @@ class TestLowerPyPass:
         assert "lower-py" in artifacts
         assert runs.counts.get("analysis", 0) == 0  # adopted, not re-run
 
-    def test_inspect_stages_shows_lower_py_timings(self, capsys):
-        from repro.autotune.cli import inspect_stages_main
-
-        assert inspect_stages_main(["matmul", "--size", "m=16", "n=16", "k=16"]) == 0
+    @pytest.mark.parametrize("argv", [["matmul", "--size", "m=64", "n=64", "k=64"], ["jacobi1d"]])
+    def test_inspect_stages_shows_lower_py_timings(self, argv, capsys):
+        assert cli_main(["inspect-stages", *argv]) == 0
         output = capsys.readouterr().out
         assert "lower-py" in output
         assert "analysis ran 1x" in output

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import runpy
+import time
+import warnings
+from pathlib import Path
+
 import pytest
 
 from repro import MappingOptions, autotune
@@ -13,7 +18,15 @@ from repro.compiler import (
     counting_compiles,
     counting_stage_runs,
 )
-from repro.autotune import SpaceOptions, TuningCache
+from repro.autotune import (
+    ConfigurationEvaluator,
+    ConfigurationSpace,
+    ModelBackend,
+    RandomHillClimbSearch,
+    SpaceOptions,
+    TuningCache,
+    make_batch_evaluator,
+)
 from repro.autotune.space import Configuration
 from repro.ir.printer import program_to_c
 from repro.kernels import build_matmul_program
@@ -284,3 +297,58 @@ class TestAutotuneSessionReuse:
         assert compiles.count == 0
         # fingerprinting the request needs the analysis stage, nothing more
         assert set(runs.counts) <= {"analysis"}
+
+
+class MonolithicModelBackend(ModelBackend):
+    """``model:`` pricing every candidate from a cold session: the work of a
+    monolithic compile per candidate, which the library no longer offers."""
+
+    def _compile(self, configuration):
+        session, _spec = self._require_prepared()
+        cold = CompilationSession(
+            session.program,
+            spec=session.spec,
+            options=session.options,
+            param_values=session.param_values,
+        )
+        return cold.replay(from_stage="analysis", config=configuration)
+
+
+def _hillclimb(reuse_analysis: bool):
+    """One seeded >= 50-candidate hill-climb: (results, stage counts, seconds)."""
+    program = build_matmul_program(64, 64, 64)
+    space_options = SpaceOptions(
+        thread_counts=(64, 128), block_counts=(16, 32), tile_candidates_per_geometry=3
+    )
+    with counting_stage_runs() as runs:
+        start = time.perf_counter()
+        session = CompilationSession(program)
+        space = ConfigurationSpace(program, space_options=space_options, session=session)
+        evaluator = ConfigurationEvaluator(
+            program, session=session, backend=None if reuse_analysis else MonolithicModelBackend()
+        )
+        strategy = RandomHillClimbSearch(seed=2008, restarts=6, max_steps=8)
+        results = strategy.run(space, make_batch_evaluator(evaluator))
+        seconds = time.perf_counter() - start
+    return results, dict(runs.counts), seconds
+
+
+def test_session_replay_analyses_once_where_a_monolith_analyses_per_candidate():
+    monolith, monolith_runs, monolith_s = _hillclimb(reuse_analysis=False)
+    session, session_runs, session_s = _hillclimb(reuse_analysis=True)
+    assert len(session) >= 50 and len(monolith) == len(session)
+    assert session_runs["analysis"] == 1
+    assert monolith_runs["analysis"] >= len(monolith)
+    # both paths run the config-dependent stages once per candidate
+    assert session_runs["tiling"] == monolith_runs["tiling"]
+    # reuse changes no result, and does not lose time
+    assert [r.to_dict() for r in session] == [r.to_dict() for r in monolith]
+    assert session_s < monolith_s * 1.02, (session_s, monolith_s)
+
+
+def test_example_runs_free_of_deprecation_warnings(capsys):
+    example = Path(__file__).resolve().parents[1] / "examples" / "compiler_stages.py"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        runpy.run_path(str(example), run_name="__main__")
+    assert "== stage report ==" in capsys.readouterr().out

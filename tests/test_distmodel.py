@@ -284,14 +284,38 @@ class TestDistributedAutotune:
         single = tuning_fingerprint(program)
         assert len({wide, narrow, single}) == 3
 
-    def test_tuner_prefers_pipelined_on_compute_bound_shape(self):
+    @pytest.mark.parametrize("size", [32, 64])
+    def test_tuner_prefers_pipelined_on_compute_bound_shape(self, size):
         report = autotune(
-            build_distributed_gemm_program(32, 32, 32),
+            build_distributed_gemm_program(size, size, size),
             grid=WSE2_GRID,
             space_options=DIST_SPACE,
         )
         assert report.best.configuration.extras_dict["schedule"] == "pipelined"
         assert report.best.measurement.metadata["hidden_fraction"] >= 0.5
+
+    def test_tuner_prefers_blocking_on_gather_bound_shape(self):
+        """A huge C and k=4: the contended D2H drain dominates, and the
+        pipeline's panel buffers price the overlap out of the tight mapping,
+        so a blocking mapping with a larger C tile wins."""
+        report = autotune(
+            build_distributed_gemm_program(212, 216, 4),
+            grid=GridSpec(name="4x4 host-port fabric (modelled)", grid_p=4),
+            space_options=DIST_SPACE,
+        )
+        assert report.best.configuration.extras_dict["schedule"] == "blocking"
+        pipelined = min(
+            (r for r in report.results
+             if r.feasible and r.configuration.extras_dict.get("schedule") == "pipelined"),
+            key=lambda r: (r.time_ms, r.configuration.key()),
+        )
+        assert pipelined.time_ms > report.best.time_ms
+
+        def c_tile(result):
+            tiles = dict(result.configuration.tile_sizes)
+            return tiles["i"] * tiles["j"]
+
+        assert c_tile(report.best) > c_tile(pipelined)
 
     def test_measured_backends_refuse_grid_requests(self):
         with pytest.raises(ValueError, match="cannot price distributed"):

@@ -27,6 +27,8 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import statistics
+import time
 import warnings
 
 import numpy as np
@@ -167,11 +169,13 @@ class TestMeasurementMemo:
         backend = MeasuredPythonBackend(warmup=0, repeat=2)
         _, config = prepared_backend(backend, matmul(8))
         hits = MEASURE_MEMO_TOTAL.value(outcome="hit")
+        misses = MEASURE_MEMO_TOTAL.value(outcome="miss")
         with counting_stage_runs() as runs:
             first = backend.measure(config)
             second = backend.measure(config)
         assert runs.counts.get("lower-py-vec", 0) == 1  # one replay, one run
         assert MEASURE_MEMO_TOTAL.value(outcome="hit") == hits + 1
+        assert MEASURE_MEMO_TOTAL.value(outcome="miss") == misses + 1
         assert second.time_ms == first.time_ms
         # hits are copies: callers stamping metadata never corrupt the memo
         second.metadata["model_time_ms"] = 123.0
@@ -339,6 +343,45 @@ class TestVectorisedLowering:
         for needle in ("Fraction(", "_ceil(", "_floor(", "_np.arange", ">= 0", "== 0"):
             assert needle not in body, needle
 
+    @pytest.mark.parametrize(
+        "name, sizes", [("matmul", {"m": 32, "n": 32, "k": 32}), ("jacobi1d", {"size": 1024})]
+    )
+    def test_tuned_configurations_lower_without_rounding_or_gathers(self, name, sizes):
+        program = get_kernel(name).build(**sizes)
+        session = CompilationSession(program, passes=(*DEFAULT_PASSES, "lower-py-vec"))
+        for result in autotune(program, cache=None, space_options=TINY_SPACE).results:
+            source = session.replay_artifacts(config=result.configuration)["lower-py-vec"].value
+            body = source[source.index("def kernel") :]
+            for needle in ("Fraction(", "_ceil(", "_floor(", "_np.arange("):
+                assert needle not in body, (result.configuration.key(), needle)
+
+    def test_vectorised_rank_order_keeps_the_winner_and_is_3x_faster(self):
+        """Long innermost k loops, where numpy pays.  The winner skips the
+        scratchpad copies and has the largest tiles; the others re-stage
+        k = 128 panels for 8x4 and 4x4 tiles, slower under either lowering.
+        Three interleaved rounds of one run per candidate, ranked by median,
+        so a burst of load on a shared machine cannot pick the winner."""
+        k = 128
+        program = get_kernel("matmul").build(m=32, n=32, k=k)
+        candidates = [
+            Configuration.make(4, 16, {"i": 32, "j": 32, "k": k}, False),
+            Configuration.make(8, 32, {"i": 8, "j": 4, "k": k}, True),
+            Configuration.make(8, 32, {"i": 4, "j": 4, "k": k}, True),
+        ]
+        winners, seconds = {}, {}
+        for mode in ("off", "on"):
+            session, times = CompilationSession(program), {config: [] for config in candidates}
+            start = time.perf_counter()
+            for _ in range(3):
+                backend = f"measure-py:warmup=0,repeat=1,vectorize={mode}"
+                evaluator = ConfigurationEvaluator(program, session=session, backend=backend)
+                for config in candidates:
+                    times[config].append(evaluator.evaluate(config).time_ms)
+            seconds[mode] = time.perf_counter() - start
+            winners[mode] = min(candidates, key=lambda config: statistics.median(times[config]))
+        assert winners["off"] == winners["on"] == candidates[0]
+        assert seconds["off"] >= 3 * seconds["on"], seconds
+
     def test_scalar_fallback_when_numpy_is_absent(self, monkeypatch):
         import builtins
 
@@ -401,12 +444,16 @@ class TestArtifactCache:
 
     def test_repeat_autotune_request_runs_analysis_zero_times(self):
         cache = ArtifactCache()
-        cold = autotune(matmul(16), space_options=TINY_SPACE, artifact_cache=cache)
+        hits = ARTIFACT_CACHE_TOTAL.value(outcome="hit")
+        with counting_stage_runs() as cold_runs:
+            cold = autotune(matmul(16), space_options=TINY_SPACE, artifact_cache=cache)
         with counting_stage_runs() as runs:
             warm = autotune(
                 matmul(16), space_options=TINY_SPACE, artifact_cache=cache
             )
+        assert cold_runs.counts["analysis"] == 1
         assert runs.counts.get("analysis", 0) == 0
+        assert ARTIFACT_CACHE_TOTAL.value(outcome="hit") >= hits + 1
         assert warm.fingerprint == cold.fingerprint
         assert warm.best.configuration == cold.best.configuration
 

@@ -28,6 +28,7 @@ from repro.service import (
     TuningService,
 )
 from repro.service import server as server_module
+from repro.service.cli import main as service_cli
 from repro.service.jobs import JobTable, space_cost_estimate
 from repro.service.worker import execute_request
 
@@ -340,7 +341,11 @@ def redirect_pair(tmp_path):
 
 
 class TestFleetHTTP:
-    def test_members_expose_the_same_ring(self, redirect_pair):
+    def test_members_expose_one_ring_and_answer_warm_hits_from_either(self, redirect_pair, capsys):
+        """The members agree on the ring (``/fleet`` and ``python -m repro.service
+        fleet``); through the ``submit`` CLI the cold request tunes once, and
+        each later one on either member is a zero-compile hit, faster than the
+        cold request."""
         views = [TuningClient(server.url).fleet() for server in redirect_pair]
         assert views[0]["fleet"]["members"] == views[1]["fleet"]["members"]
         assert views[0]["fleet"]["node"] != views[1]["fleet"]["node"]
@@ -348,6 +353,27 @@ class TestFleetHTTP:
         assert set(views[0]["queue"]) == {"high", "normal", "low"}
         health = TuningClient(redirect_pair[0].url).healthz()
         assert health["fleet"]["mode"] == "redirect"
+        urls = [server.url for server in redirect_pair]
+        assert service_cli(["fleet", "--url", urls[0]]) == 0
+        view = capsys.readouterr().out
+        assert "members: 2" in view and "queued:" in view
+        redirects = _metric_total(TuningClient(urls[0]), "repro_fleet_redirects_total")
+        submit = ["submit", "matmul", "--size", "m=44", "n=44", "k=44",
+                  "--threads", "64", "128", "--blocks", "16", "32", "--wait"]
+        start = time.perf_counter()
+        assert service_cli([*submit, "--priority", "high", "--url", urls[0]]) == 0
+        cold_ms = 1000 * (time.perf_counter() - start)
+        assert "from-cache: false" in capsys.readouterr().out
+        warm_ms = []
+        for i in range(6):
+            start = time.perf_counter()
+            assert service_cli([*submit, "--url", urls[(i + 1) % 2]]) == 0
+            warm_ms.append(1000 * (time.perf_counter() - start))
+            warm = capsys.readouterr().out
+            assert "from-cache: true" in warm and "compiles: 0" in warm
+        assert max(warm_ms) < min(cold_ms, 1000.0), (warm_ms, cold_ms)
+        assert sum(s.service.stats()["server"]["tuning_runs"] for s in redirect_pair) == 1
+        assert _metric_total(TuningClient(urls[0]), "repro_fleet_redirects_total") > redirects
 
     def test_redirected_submission_lands_and_polls_on_the_home(self, redirect_pair):
         request = matmul_request(m=40)

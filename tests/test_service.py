@@ -9,8 +9,10 @@ the SIGTERM test exercise the multi-process deployment shape.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -23,8 +25,10 @@ from pathlib import Path
 import pytest
 
 from repro.autotune import TuningCache, autotune, tune
+from repro.autotune.cli import main as autotune_cli
 from repro.compiler import counting_stage_runs
-from repro.telemetry import METRICS
+from repro.service.cli import main as service_cli
+from repro.telemetry import METRICS, events, parse_prometheus_text
 from repro.service import (
     PendingTuning,
     ServiceError,
@@ -555,11 +559,12 @@ class TestHTTPServer:
         with socket.socket() as probe:  # the port was released
             probe.bind(address)
 
-    def test_shutdown_endpoint_drains_and_stops(self):
+    def test_shutdown_endpoint_drains_and_stops(self, capsys):
         server = TuningServer(port=0, executor="thread", max_workers=2).start()
         client = TuningClient(server.url)
         pending = client.submit(matmul_request(m=16))
-        assert client.shutdown()["status"] == "draining"
+        assert service_cli(["shutdown", "--url", server.url]) == 0
+        assert "status: draining" in capsys.readouterr().out
         # serve_forever returns only after the drain: the serving thread ends
         server._thread.join(timeout=60)
         assert not server._thread.is_alive(), "server did not stop after /shutdown"
@@ -829,3 +834,118 @@ class TestStagedCompilerThroughService:
             assert warm["compiles"] == 0
         finally:
             server.stop()
+
+
+# -- the python -m repro.service subcommands ---------------------------------------
+MATMUL_16 = ["submit", "matmul", "--size", "m=16", "n=16", "k=16"]
+
+
+class TestServiceCli:
+    """``python -m repro.service`` run in-process against live thread servers:
+    the strings its output promises, and the counters ``/metrics`` scrapes."""
+
+    def test_subcommands_against_one_server(self, tmp_path, capsys, monkeypatch):
+        """``submit`` cold then warm, ``status``, ``stats``, ``fleet`` and ``top``,
+        then a distributed-gemm round trip whose grid variant reaches the
+        server's history; every job lifecycle edge is in the JSON event log."""
+        log = io.StringIO()
+        json_log = events.EventLog(json_mode=True, level="info", stream=log)
+        monkeypatch.setattr(events, "EVENTS", json_log)
+        tuned = METRICS.get("repro_jobs_total").value(outcome="tuned")
+        history = tmp_path / "history.jsonl"
+        server = TuningServer(port=0, executor="thread", max_workers=2, history=history).start()
+        url = server.url
+        try:
+            submit = [*MATMUL_16, "--threads", "64", "--blocks", "16", "--url", url, "--wait"]
+            assert service_cli(submit) == 0
+            cold = capsys.readouterr().out
+            assert "from-cache: false" in cold
+            job_id = re.search(r"^job: (\S+)$", cold, re.M).group(1)
+            # the identical request again: answered at submission, zero compiles
+            assert service_cli(submit) == 0
+            warm = capsys.readouterr().out
+            assert "outcome: cached" in warm
+            assert "from-cache: true" in warm
+            assert "compiles: 0" in warm
+            assert service_cli(["status", job_id, "--url", url]) == 0
+            status = capsys.readouterr().out
+            assert "status: done" in status and "duration: " in status
+            assert service_cli(["stats", "--url", url]) == 0
+            stats = capsys.readouterr().out
+            assert "backend: memory" in stats and "tuning_runs: 1" in stats
+            assert service_cli(["fleet", "--url", url]) == 0
+            assert "not configured" in capsys.readouterr().out
+            assert service_cli(["top", "--url", url, "--iterations", "1"]) == 0
+            frame = capsys.readouterr().out
+            assert "repro tuning fleet" in frame
+            # the registry is process-wide: this job is the one tuned since `tuned`
+            assert f"tuned={tuned + 1:.0f}" in frame and "tuning_runs=1" in frame
+
+            submit = ["submit", "distributed-gemm", "--size", "m=32", "n=32", "k=32",
+                      "--url", url, "--wait"]
+            assert service_cli(submit) == 0
+            cold = capsys.readouterr().out
+            assert "from-cache: false" in cold
+            assert "via model-dist" in cold and "schedule=" in cold
+            assert service_cli(submit) == 0
+            warm = capsys.readouterr().out
+            assert "from-cache: true" in warm and "compiles: 0" in warm
+        finally:
+            server.stop()
+        for event in ("job.submit", "job.start", "job.done"):
+            assert f'"event": "{event}"' in log.getvalue()
+        assert autotune_cli(["history", "list", str(history)]) == 0
+        assert "distributed-gemm 16x16:WSE-2 subgrid" in capsys.readouterr().out
+
+    def test_traced_hybrid_submit_scrape_and_render(self, thread_server, tmp_path, capsys):
+        trace_path, chrome = tmp_path / "t.json", tmp_path / "chrome.json"
+        submit = [
+            *MATMUL_16, "--threads", "16", "32", "--blocks", "4", "8",
+            "--backend", "hybrid:model>measure-py:warmup=0,repeat=2?top=4",
+            "--url", thread_server.url,
+        ]
+        assert service_cli([*submit, "--trace", str(trace_path)]) == 0
+        traced = capsys.readouterr().out
+        assert re.search(rf"trace: \d+ spans -> {re.escape(str(trace_path))}", traced)
+        assert "duration: " in traced
+        assert "best measured as: measured-py" in traced and "via measured-py" in traced
+        # the identical request warm: a cache hit in /metrics
+        assert service_cli([*submit, "--wait"]) == 0
+        assert "from-cache: true" in capsys.readouterr().out
+        parsed = parse_prometheus_text(TuningClient(thread_server.url).metrics())
+        stages = {dict(k).get("stage") for k in parsed["repro_stage_runs_total"]}
+        assert {"analysis", "tiling"} <= stages
+        assert parsed["repro_cache_hits_total"][()] >= 1
+        kinds = {dict(k).get("kind") for k in parsed["repro_measurements_total"]}
+        assert {"model", "measured-py"} <= kinds
+        # the trace CLI renders the capture
+        assert autotune_cli(["trace", str(trace_path), "--chrome", str(chrome)]) == 0
+        rendered = capsys.readouterr().out
+        for needle in ("request [request]", "analysis [pass]", "hotspots"):
+            assert needle in rendered
+        assert json.loads(chrome.read_text())["traceEvents"]
+
+    def test_reused_artifacts_show_in_metrics(self):
+        """Same program, different space: no tuning-cache hit, yet the second
+        request adopts the first's analysis (``--reuse-artifacts``)."""
+
+        def outcomes(client):
+            parsed = parse_prometheus_text(client.metrics())
+            totals = {"hit": 0.0, "miss": 0.0}
+            for labels, value in parsed.get("repro_artifact_cache_total", {}).items():
+                totals[dict(labels)["outcome"]] += value
+            return totals
+
+        server = TuningServer(
+            port=0, executor="thread", max_workers=1, reuse_artifacts=True
+        ).start()
+        try:
+            client = TuningClient(server.url)
+            before = outcomes(client)
+            client.tune(matmul_request(m=20), timeout=300)
+            client.tune(matmul_request(m=20, space={"thread_counts": [128]}), timeout=300)
+            after = outcomes(client)
+        finally:
+            server.stop()
+        assert after["hit"] - before["hit"] >= 1
+        assert after["miss"] - before["miss"] >= 1

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import slsqp_oracle
 from repro.autotune import SpaceOptions
 from repro.autotune.space import ConfigurationSpace
-from repro.kernels import available_kernels, build_matmul_program, get_kernel
+from repro.kernels import available_kernels, build_matmul_program, build_me_program, get_kernel
 from repro.machine import GEFORCE_8800_GTX
 from repro.tiling.cost_model import DataMovementCostModel
 from repro.tiling.tile_search import (
@@ -115,4 +115,24 @@ def test_matmul_capacity_sweep(n, limit_kb, threads):
         TileSearchProblem(
             cost_model=model, memory_limit_bytes=limit_kb * 1024, min_parallelism=threads
         )
+    )
+
+
+def test_me_fig6_problem_converges_inside_the_limit():
+    """Fig. 6's ME problem: every start converges within 2e-6 bytes over 16 KB.
+
+    Such a point is the SQP's relative tolerance, not an infeasible one; the
+    relaxation must not fall back to all-ones (which breaks the work bound).
+    Rounding the oracle's point reaches the paper's (32, 16, 16, 16).
+    """
+    model = DataMovementCostModel(
+        program=build_me_program(256, 256, window=16),
+        tile_loops=["i", "j", "k", "l"],
+        loop_extents={"i": 256, "j": 256, "k": 16, "l": 16},
+        threads=256,
+        sync_cost=8.0,
+        transfer_cost=4.0,
+    )
+    _check_against_oracle(
+        TileSearchProblem(cost_model=model, memory_limit_bytes=16 * 1024, min_parallelism=256)
     )
