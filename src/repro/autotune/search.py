@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.autotune.evaluate import ConfigurationEvaluator, EvaluationResult, best_result
 from repro.autotune.space import Configuration, ConfigurationSpace
+from repro.telemetry.events import emit
 
 #: evaluates a batch of configurations, preserving order
 BatchEvaluator = Callable[[Sequence[Configuration]], List[EvaluationResult]]
@@ -79,6 +80,7 @@ class PooledBatchEvaluator:
                     ExecutorFallbackWarning,
                     stacklevel=3,
                 )
+                emit("executor.fallback", level="warning", error=type(error).__name__)
                 executor = "thread"
         self.evaluator = evaluator
         self.max_workers = max_workers

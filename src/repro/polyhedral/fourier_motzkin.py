@@ -21,11 +21,19 @@ and wraps the answer; ``Fraction`` appears only there.  Rows keep the order
 the constraint-level rules would produce (equalities in encounter order, then
 inequalities in first-insertion order of their coefficient vector), because
 loop bounds, hulls and emitted code are read off that order.
+
+Eliminating a column only combines rows that use it, so rows that share no
+column — directly or through other rows — never meet.  :func:`rows_infeasible`
+therefore decides emptiness one such component (:func:`row_components`) at a
+time and stops at the first infeasible one; :func:`eliminate_rows` and the
+projections built on it keep eliminating the whole system, because their row
+order is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -232,11 +240,38 @@ def _first_appearance(
     return ordered
 
 
+def row_components(rows: Sequence[Row]) -> List[List[Row]]:
+    """*rows* split into components — maximal groups connected through shared
+    columns — each in input order, ordered by its first row; constant rows
+    come last, each a component of its own."""
+    # per column, the rows using it as an int with one byte per row (the first
+    # row most significant): two columns share a row iff their masks AND
+    merged: List[int] = []  # the row masks of the components, pairwise disjoint
+    for column in zip(*[coeffs for _, coeffs, _ in rows]):
+        mask = int.from_bytes(bytes(map(bool, column)), "big")
+        if mask:
+            apart = [other for other in merged if not other & mask]
+            # disjoint masks: their sum is their union
+            merged = [*apart, mask | (sum(merged) - sum(apart))]
+    # a larger mask has an earlier first row; what no mask covers is constant
+    width = len(rows)
+    parts = [list(compress(rows, m.to_bytes(width, "big"))) for m in sorted(merged, reverse=True)]
+    covered = sum(merged).to_bytes(width, "big")
+    if 0 in covered:
+        parts.extend([row] for row, used in zip(rows, covered) if not used)
+    return parts
+
+
 def rows_infeasible(names: Sequence[str], rows: Sequence[Row]) -> bool:
     """True if the reduced system has no rational solution: with every variable
-    eliminated, exactly when a trivially false constant row remains."""
-    residual = eliminate_rows(names, rows, _first_appearance(names, rows))
-    return any(is_false_row(row) for row in residual)
+    eliminated, exactly when a trivially false constant row remains.  Elimination
+    never combines rows that share no column, so each component is eliminated
+    on its own and the first infeasible one answers."""
+    for part in row_components(rows):
+        residual = eliminate_rows(names, part, _first_appearance(names, part))
+        if any(is_false_row(row) for row in residual):
+            return True
+    return False
 
 
 def _read_bounds(names: Sequence[str], rows: Iterable[Row], col: int) -> IntBounds:

@@ -16,7 +16,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.polyhedral import fourier_motzkin as fm
 from repro.polyhedral.affine import AffineExpr
@@ -115,9 +115,6 @@ class QuasiAffineBound:
     def evaluate_int(self, binding: Mapping[str, Number]) -> int:
         """Integer bound: lower (max) bounds round up, upper (min) bounds round down."""
         return self.ceil_at(binding) if self.kind == "max" else self.floor_at(binding)
-
-    def is_constant(self) -> bool:
-        return all(expr.is_constant() for expr in self.exprs)
 
     def substitute(self, binding: Mapping[str, Number]) -> "QuasiAffineBound":
         return QuasiAffineBound(
@@ -236,7 +233,7 @@ def _dominant_candidate(
                 violation = Constraint.less_equal(candidate - other, -1)
             else:
                 violation = Constraint.greater_equal(candidate - other, 1)
-            if not context.add_constraints([violation]).is_empty():
+            if not fm.rows_infeasible(*_touched(context, violation)):
                 dominates = False
                 break
         if dominates:
@@ -253,19 +250,34 @@ def _projected_maximum(expr: AffineExpr, context: Polyhedron) -> Optional[int]:
     known = set(context.dims) | set(context.params)
     if not set(expr.variables) <= known:
         return None
-    # Introduce a fresh dimension equal to the expression and bound it.
+    # Introduce a fresh dimension equal to the expression, project the
+    # context's dims away and bound it.
     value_dim = "__value"
-    combined = context.with_dims(tuple(context.dims) + (value_dim,)).add_constraints(
-        [Constraint.equals(AffineExpr.var(value_dim), expr)]
-    )
-    projected = combined.project_onto([value_dim])
-    try:
-        bound = _bounds_for(projected, value_dim)
-    except ValueError:
+    names, rows = _touched(context, Constraint.equals(AffineExpr.var(value_dim), expr))
+    rows = fm.eliminate_rows(names, rows, context.dims)
+    lowers, uppers = fm.row_bounds(names, rows, value_dim, context.params)
+    if not lowers or not uppers or not all(bound.is_constant() for bound, _ in uppers):
         return None
-    if not bound.upper.is_constant():
-        return None
-    return bound.upper.floor_at({})
+    return min(bound._const // coeff for bound, coeff in uppers)
+
+
+def _touched(context: Polyhedron, extra: Constraint) -> Tuple[List[str], List[fm.Row]]:
+    """*extra* with the components of *context* that share a name with it, as a
+    reduced row system: a question about *extra* has the same answer over it as
+    over all of *context* while every other component is feasible.  When one
+    is not, all of *context* is taken."""
+    extra_names, extra_rows = fm.rows_of([extra])
+    wanted = set(extra_names)
+    parts = context.components()
+    touched = [(names, rows) for names, rows, _ in parts if not wanted.isdisjoint(names)]
+    if len(touched) == len(parts) or any(
+        infeasible for names, _, infeasible in parts if wanted.isdisjoint(names)
+    ):
+        touched = [(context._names, context._rows)]
+    union = sorted(wanted.union(*(names for names, _ in touched)))
+    combined = [row for names, rows in touched for row in fm.reindex_rows(names, rows, union)]
+    combined += fm.reindex_rows(extra_names, extra_rows, union)
+    return union, fm.reduce_rows(combined)
 
 
 def _bounds_for(polyhedron: Polyhedron, dim: str) -> ParametricBound:

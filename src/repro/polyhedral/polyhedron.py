@@ -23,12 +23,14 @@ from repro.polyhedral.affine import AffineExpr, ExprLike, scaled_binding
 from repro.polyhedral.constraints import Constraint
 
 Number = Union[int, Fraction]
+#: a :meth:`Polyhedron.components` part: its names, its rows over them, whether it is infeasible
+Component = Tuple[Tuple[str, ...], Tuple[fm.Row, ...], bool]
 
 
 class Polyhedron:
     """An intersection of affine constraints over dims and parameters."""
 
-    __slots__ = ("_dims", "_params", "_names", "_rows", "_constraints", "_hash")
+    __slots__ = ("_dims", "_params", "_names", "_rows", "_constraints", "_hash", "_parts")
 
     def __init__(
         self,
@@ -79,6 +81,7 @@ class Polyhedron:
         self._names, self._rows = used, tuple(fm.reindex_rows(names, rows, used))
         self._constraints: Optional[Tuple[Constraint, ...]] = None  # until read
         self._hash: Optional[int] = None
+        self._parts: Optional[Tuple[Component, ...]] = None  # until split
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -121,6 +124,18 @@ class Polyhedron:
             self._constraints = tuple(fm.constraints_of(self._names, self._rows))
         return self._constraints
 
+    def components(self) -> Tuple[Component, ...]:
+        """The rows split into :func:`~fm.row_components`: per part, the sorted
+        names it uses, its rows over them and whether they alone are infeasible."""
+        if self._parts is None:  # immutable, so split once
+            parts = []
+            for rows in fm.row_components(self._rows):
+                names = [n for idx, n in enumerate(self._names) if any(r[1][idx] for r in rows)]
+                rows = fm.reindex_rows(self._names, rows, names)
+                parts.append((tuple(names), tuple(rows), fm.rows_infeasible(names, rows)))
+            self._parts = tuple(parts)
+        return self._parts
+
     @property
     def dim_count(self) -> int:
         return len(self._dims)
@@ -160,13 +175,6 @@ class Polyhedron:
         new_dims = tuple(mapping.get(d, d) for d in self._dims)
         constraints = [c.rename(mapping) for c in self.constraints]
         return Polyhedron(new_dims, constraints, self._params)
-
-    def with_dims(self, dims: Sequence[str]) -> "Polyhedron":
-        """Re-embed into a space with dimension tuple *dims* (a superset)."""
-        missing = [d for d in self._dims if d not in dims]
-        if missing:
-            raise ValueError(f"target dims {dims} must include existing dims; missing {missing}")
-        return Polyhedron._from_rows(dims, self._params, self._names, self._rows)
 
     def specialize(self, param_binding: Mapping[str, Number]) -> "Polyhedron":
         """Substitute numeric values for (some) parameters."""
@@ -349,7 +357,7 @@ class Polyhedron:
 
     def __setstate__(self, state) -> None:
         self._dims, self._params, self._names, self._rows = state
-        self._constraints = self._hash = None
+        self._constraints = self._hash = self._parts = None
 
 
 def _integer_range(

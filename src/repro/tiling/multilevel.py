@@ -84,8 +84,9 @@ class TiledProgram:
     block_body: BlockNode
     #: Index into ``levels`` after which the computational block begins.
     block_level: int
-    #: Parameter context: ranges of all tile iterators (used for hull
-    #: resolution by the scratchpad framework).
+    #: Parameter context: ranges of the tile iterators of levels up to
+    #: ``block_level`` — the block parameters Algorithm 2's bounds are over
+    #: (used for hull resolution by the scratchpad framework).
     context: Polyhedron
     original: Program
 
@@ -225,16 +226,18 @@ def tile_program(
             info.loops.append(loop)
             all_tile_loops.append(loop)
 
-            # Context: tile origin ranges within the original loop bounds and
-            # within the parent tile.
-            context_dims.append(tile_iter)
-            context_constraints.append(
-                Constraint.greater_equal(AffineExpr.var(tile_iter), lower)
-            )
-            for candidate in upper_candidates:
+            # Context: block-level tile origin ranges within the original loop
+            # bounds and within the parent tile.  A deeper origin lies in its
+            # parent's tile, so leaving it out loses no constraint on the others.
+            if index <= block_level:
+                context_dims.append(tile_iter)
                 context_constraints.append(
-                    Constraint.less_equal(AffineExpr.var(tile_iter), candidate)
+                    Constraint.greater_equal(AffineExpr.var(tile_iter), lower)
                 )
+                for candidate in upper_candidates:
+                    context_constraints.append(
+                        Constraint.less_equal(AffineExpr.var(tile_iter), candidate)
+                    )
             chains[name].append((tile_iter, size, index))
         if index == block_level:
             block_body = BlockNode()

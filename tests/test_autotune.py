@@ -269,15 +269,24 @@ class TestAutotuneSession:
 
         assert tuned("process") == tuned("thread")
 
-    def test_unpicklable_evaluator_falls_back_to_threads(self, matmul):
+    def test_unpicklable_evaluator_falls_back_to_threads(self, matmul, monkeypatch):
+        import io
+
         from repro.autotune import make_batch_evaluator
         from repro.autotune.space import ConfigurationSpace
+        from repro.telemetry import events
 
+        stream = io.StringIO()
+        monkeypatch.setattr(events, "EVENTS", events.EventLog(json_mode=True, stream=stream))
         evaluator = ConfigurationEvaluator(matmul)
         evaluator.poison = lambda: None  # lambdas cannot pickle
         with pytest.warns(RuntimeWarning, match="falling back to threads"):
             batch = make_batch_evaluator(evaluator, max_workers=2, executor="process")
         assert batch.executor == "thread"
+        # the fallback also speaks through the event log, at the default threshold
+        (record,) = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert record["event"] == "executor.fallback" and record["level"] == "warning"
+        assert record["error"] in ("PicklingError", "AttributeError", "TypeError")
         space = ConfigurationSpace(matmul, space_options=SMALL_SPACE)
         with batch:
             results = batch([space.seed_configuration()])

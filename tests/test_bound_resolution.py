@@ -5,6 +5,10 @@ integer point, so the rational answers Fourier–Motzkin gives must coincide
 with what enumerating the integer points gives.  The same file pins the
 once-per-request memo under ``resolve_quasi_affine`` / ``_max_over_context``:
 equal answers, no second elimination, nothing kept after the request.
+Questions are asked over the context components they touch: an independent
+component — feasible or not — changes no answer, and one request's
+elimination work is counted.  Last, the planner's block context plans exactly
+what a context with every level's tile origins plans, on every kernel.
 """
 
 import itertools
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.autotune import SpaceOptions, autotune
-from repro.kernels import get_kernel
+from repro.kernels import available_kernels, get_kernel
 from repro.polyhedral import fourier_motzkin as fm
 from repro.polyhedral import parametric
 from repro.polyhedral.affine import AffineExpr
@@ -71,6 +75,11 @@ def resolution_queries(draw):
     return QuasiAffineBound(kind, tuple(exprs)), context
 
 
+def _one_component(polyhedron):
+    """:meth:`Polyhedron.components` without the split: every question sees the whole context."""
+    return ((polyhedron._names, polyhedron._rows, polyhedron.is_empty()),)
+
+
 class TestResolutionAgainstEnumeration:
     @settings(max_examples=150, deadline=None)
     @given(resolution_queries())
@@ -93,6 +102,42 @@ class TestResolutionAgainstEnumeration:
         assume(points)
         expr = data.draw(expressions(context.dims))
         assert _max_over_context(expr, context) == max(expr.evaluate(p) for p in points)
+
+    def test_an_infeasible_component_the_question_does_not_touch(self, monkeypatch):
+        """Over an empty context every question has the whole context's answer,
+        though the component the subject touches (``p``) alone is feasible."""
+        p, q = AffineExpr.var("p"), AffineExpr.var("q")
+        context = Polyhedron(
+            ["p", "q"], [*Constraint.bounds("p", 0, 3), *Constraint.bounds("q", 2, 1)]
+        )
+        assert context.is_empty() and len(context.components()) == 2
+        bound = QuasiAffineBound("max", (p, 2 - p))
+        asked = resolve_quasi_affine(bound, context), _max_over_context(p, context)
+        # vacuously dominant: the first candidate; no upper bound survives the projection
+        assert asked == (p, None)
+        # and exactly what asking over the whole context gives
+        monkeypatch.setattr(Polyhedron, "components", _one_component)
+        assert (resolve_quasi_affine(bound, context), _max_over_context(p, context)) == asked
+        # whereas over {p} alone neither candidate dominates and p reaches 3
+        alone = Polyhedron(["p"], Constraint.bounds("p", 0, 3))
+        assert resolve_quasi_affine(bound, alone) == bound
+        assert _max_over_context(p, alone) == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(resolution_queries(), contexts(), st.data())
+    def test_an_independent_component_changes_no_answer(self, query, other, data):
+        """Next to a second box over other names (feasible or not), every answer
+        is the whole context's, and while that box is feasible it is the first one's."""
+        bound, context = query
+        other = other.rename_dims({"p": "u", "q": "v", "r": "w"})
+        widened = Polyhedron(context.dims + other.dims, [*context.constraints, *other.constraints])
+        expr = data.draw(expressions(context.dims))
+        asked = resolve_quasi_affine(bound, widened), _max_over_context(expr, widened)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Polyhedron, "components", _one_component)
+            assert (resolve_quasi_affine(bound, widened), _max_over_context(expr, widened)) == asked
+        if not other.is_empty():
+            assert asked == (resolve_quasi_affine(bound, context), _max_over_context(expr, context))
 
     def test_names_outside_the_context_do_not_resolve(self):
         context = Polyhedron(["p"], Constraint.bounds("p", 0, 3))
@@ -223,6 +268,31 @@ class TestResolutionMemo:
         assert 0 < len(computed["_dominant_candidate"]) <= 20
         assert 0 < len(computed["_projected_maximum"]) <= 30
 
+    def test_one_request_eliminates_few_rows(self, monkeypatch):
+        """The same request's Fourier–Motzkin work, counted instead of timed: the rows
+        every column elimination is handed.  15 330 when each question eliminated the
+        whole all-levels context, 5 432 over the whole block context, 3 730 over the
+        components a question touches."""
+        handed = []
+        original = fm._eliminate_column
+
+        def counted(rows, col):
+            handed.append(len(rows))
+            return original(rows, col)
+
+        monkeypatch.setattr(fm, "_eliminate_column", counted)
+        report = autotune(
+            get_kernel("mpeg4_me").build(height=16, width=16, window=2),
+            cache=None,
+            strategy="pruned",
+            space_options=SpaceOptions(
+                thread_counts=(64,), block_counts=(16,), tile_candidates_per_geometry=2
+            ),
+            seed=1,
+        )
+        assert len(report.results) >= 2
+        assert 0 < sum(handed) <= 4500
+
     def test_a_session_family_shares_one_memo_and_takes_it_along(self):
         from repro.compiler import CompilationSession
 
@@ -328,3 +398,101 @@ class TestHullAgainstEnumeration:
         # str hashes are per process: a pickled polyhedron re-hashes where it lands
         clone = pickle.loads(pickle.dumps(first))
         assert clone == first and clone._hash is None and hash(clone) == hash(first)
+
+
+# -- the block context ---------------------------------------------------------------------
+def all_levels_context(tiled):
+    """The planner context with the tile iterators of *every* level, thread level
+    included, built from ``tiled.levels`` with :func:`tile_program`'s constraints."""
+    from repro.tiling.multilevel import _extract_perfect_nest
+
+    def expr(bound):
+        return bound if isinstance(bound, AffineExpr) else AffineExpr.const(bound)
+
+    loops, _ = _extract_perfect_nest(tiled.original)
+    chains = {loop.iterator: (expr(loop.lower), [expr(loop.upper)]) for loop in loops}
+    dims, constraints = [], []
+    for level in tiled.levels:
+        for name, (origin, size) in level.iterators.items():
+            lower, uppers = chains[name]
+            dims.append(origin)
+            constraints.append(Constraint.greater_equal(AffineExpr.var(origin), lower))
+            constraints.extend(Constraint.less_equal(AffineExpr.var(origin), u) for u in uppers)
+            chains[name] = (AffineExpr.var(origin), [*uppers, AffineExpr.var(origin) + (size - 1)])
+    return Polyhedron(dims, constraints, tiled.original.params)
+
+
+#: per kernel, the benchmark's size (``test_decisions_unchanged.SIZES``) or its check size
+EQUIVALENCE_SIZES = {
+    "matmul": {"m": 32, "n": 32, "k": 32},
+    "conv2d": {"height": 16, "width": 16, "kernel": 3},
+    "jacobi1d": {"size": 1024},
+    "jacobi2d": {"height": 8, "width": 8},
+    "distributed-gemm": {"m": 8, "n": 8, "k": 8},
+    "mpeg4_me": {"height": 16, "width": 16, "window": 2},
+}
+#: launch geometry (blocks, threads) × memory tile size on every tiled loop × target
+EQUIVALENCE_GRID = [
+    (geometry, scale, target)
+    for geometry in ((4, 32), (16, 64))
+    for scale in (1, 16)
+    for target in ("gpu", "cell")
+]
+
+
+def _compiled(program, options, with_c):
+    """What a compile hands on: the plan, its offsets, the workload, geometry and C text."""
+    from repro.compiler import CompilationSession
+    from repro.ir.printer import program_to_c
+
+    mapped = CompilationSession(program, options=options).compile()
+    specs = mapped.plan.specs()
+    return (
+        mapped.plan.summary(),
+        [spec.offsets for spec in specs],
+        [spec.offset_definitions for spec in specs],
+        mapped.workload,
+        mapped.geometry,
+        program_to_c(mapped.program) if with_c else None,
+    )
+
+
+class TestBlockContext:
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SIZES))
+    def test_the_block_context_plans_what_the_all_levels_context_planned(self, name, monkeypatch):
+        from repro.compiler import passes
+        from repro.core.options import MappingOptions
+
+        assert set(EQUIVALENCE_SIZES) == set(available_kernels())
+        kernel = get_kernel(name)
+        program = kernel.build(**EQUIVALENCE_SIZES[name])
+        block_tile_program = passes.tile_program
+
+        def all_levels_tile_program(*args, **kwargs):
+            tiled = block_tile_program(*args, **kwargs)
+            tiled.context = all_levels_context(tiled)
+            return tiled
+
+        for (blocks, threads), scale, target in EQUIVALENCE_GRID:
+            options = MappingOptions(
+                num_blocks=blocks,
+                threads_per_block=threads,
+                tile_sizes={loop: scale for loop in kernel.tile_loops},
+                target=target,
+                hoisting=target == "gpu",
+            )
+            # jacobi2d's copy loops are slow to scan at any tile size: one C text there
+            with_c = name != "jacobi2d" or (blocks, scale, target) == (16, 16, "gpu")
+            block = _compiled(program, options, with_c)
+            monkeypatch.setattr(passes, "tile_program", all_levels_tile_program)
+            assert _compiled(program, options, with_c) == block, options
+            monkeypatch.setattr(passes, "tile_program", block_tile_program)
+
+    def test_the_block_context_is_the_projection_of_the_all_levels_one(self):
+        from repro.compiler import CompilationSession
+
+        session = CompilationSession(get_kernel("mpeg4_me").build(height=16, width=16, window=2))
+        tiled = session.compile().tiled
+        full = all_levels_context(tiled)
+        assert set(full.dims) - set(tiled.context.dims) == {"it", "jt"}
+        assert full.project_onto(tiled.context.dims).equals(tiled.context)

@@ -22,22 +22,36 @@ NAMES = ["a", "b", "c", "d", "e"]
 
 
 @st.composite
-def constraints(draw):
+def constraints(draw, names=NAMES):
     # an empty or all-zero coefficient dict gives the trivially true/false rows
     coeffs = draw(
-        st.dictionaries(st.sampled_from(NAMES), st.integers(-4, 4), max_size=len(NAMES))
+        st.dictionaries(st.sampled_from(names), st.integers(-4, 4), max_size=len(names))
     )
     expr = AffineExpr(coeffs, draw(st.integers(-6, 6)))
     return Constraint(expr, is_equality=draw(st.booleans()))
 
 
 @st.composite
-def systems(draw):
-    system = draw(st.lists(constraints(), max_size=7))
+def systems(draw, names=NAMES):
+    system = draw(st.lists(constraints(names), max_size=7))
     if system:
         for index in draw(st.lists(st.integers(0, len(system) - 1), max_size=2)):
             system.append(system[index])  # exact duplicates, the same object
     return system
+
+
+#: three disjoint name groups: a system over each shares no column with the others
+GROUPS = [[f"{name}{group}" for name in NAMES[:3]] for group in range(3)]
+GROUP_NAMES = [name for names in GROUPS for name in names]
+
+
+@st.composite
+def block_systems(draw):
+    """Two or three independent :func:`systems` over disjoint name groups, interleaved."""
+    system = []
+    for names in GROUPS[: draw(st.integers(2, 3))]:
+        system.extend(draw(systems(names)))
+    return draw(st.permutations(system))
 
 
 #: names to eliminate: repeats allowed, "zz" never occurs in a system
@@ -67,6 +81,40 @@ class TestEqualToTheFractionOracle:
     @given(systems())
     def test_is_rationally_infeasible(self, system):
         assert fm.is_rationally_infeasible(system) == oracle.is_rationally_infeasible(system)
+
+    @given(block_systems())
+    def test_is_rationally_infeasible_one_component_at_a_time(self, system):
+        assert fm.is_rationally_infeasible(system) == oracle.is_rationally_infeasible(system)
+
+    @settings(max_examples=50)
+    @given(
+        block_systems(),
+        st.sampled_from(GROUP_NAMES),
+        st.lists(st.sampled_from(GROUP_NAMES), max_size=4),
+    )
+    def test_bounds_for_variable_of_a_block_system(self, system, name, keep):
+        assert fm.bounds_for_variable(system, name, keep) == oracle.bounds_for_variable(
+            system, name, keep
+        )
+
+    @settings(max_examples=50)
+    @given(block_systems())
+    def test_row_components_partition_the_rows(self, system):
+        _, rows = fm.rows_of(system)
+        parts = fm.row_components(rows)
+        assert sorted(row for part in parts for row in part) == sorted(rows)
+        used = [{i for row in part for i, value in enumerate(row[1]) if value} for part in parts]
+        for part, columns in zip(parts, used):
+            if not columns:
+                assert len(part) == 1  # a constant row stands alone
+                continue
+            assert part == [row for row in rows if row in part]  # in input order
+            assert len(fm.row_components(part)) == 1  # and connected
+        for first, second in itertools.combinations(used, 2):
+            assert not first & second  # no column is shared across parts
+        polyhedron = Polyhedron(GROUP_NAMES, system)
+        flags = [infeasible for _, _, infeasible in polyhedron.components()]
+        assert any(flags) == polyhedron.is_empty()
 
     def test_returns_the_callers_objects_when_nothing_is_derived(self):
         low, high = Constraint.bounds("a", 0, 5)

@@ -83,8 +83,9 @@ def test_hashed_objects_and_a_frozen_session_survive_a_spawned_interpreter(monke
 
 def test_neither_the_hash_nor_the_constraints_are_in_the_pickle():
     expr, _, _, polyhedron = _subjects()
-    hash(expr), hash(polyhedron), polyhedron.constraints
+    hash(expr), hash(polyhedron), polyhedron.constraints, polyhedron.components()
     assert pickle.loads(pickle.dumps(expr))._hash is None
     clone = pickle.loads(pickle.dumps(polyhedron))
-    assert clone._hash is None and clone._constraints is None
+    assert clone._hash is None and clone._constraints is None and clone._parts is None
     assert clone == polyhedron and clone.constraints == polyhedron.constraints
+    assert clone.components() == polyhedron.components()
