@@ -3,11 +3,12 @@
 The closest this repo gets to the paper's actual loop (nvcc-compiled CUDA
 timed on the 8800 GTX): each candidate's mapped program is emitted as a
 self-contained C99 timing harness (:func:`repro.codegen.emit_c_harness` —
-the same loop structure, guards and scratchpad copy nests the ``emit`` pass
-renders, but compilable), built with the host toolchain at ``-O2``, and run;
-the binary itself performs the warmup + repeat loop and reports one
-nanosecond wall time per timed run, which this backend reduces to an
-outlier-trimmed median.
+the same loop structure and scratchpad copy nests the ``emit`` pass renders,
+printed from the lowering the Python emitters print, so compilable and with
+only the guards that lowering keeps), built with the host toolchain at
+``-O2``, and run; the binary itself performs the warmup + repeat loop and
+reports one nanosecond wall time per timed run, which this backend reduces
+to an outlier-trimmed median.
 
 The source is emitted with *canonical* defaults — warmup/repeat/seed travel
 as ``argv``, never baked into the text — so the compiled binary is a pure
@@ -41,6 +42,7 @@ from repro.codegen.compile_cache import (
     open_compile_cache,
 )
 from repro.codegen.emit_c_exec import emit_c_harness
+from repro.codegen.lower import LOWERING_REVISION
 from repro.codegen.toolchain import find_c_compiler
 from repro.compiler import CompilationSession
 from repro.machine.spec import GPUSpec
@@ -248,13 +250,15 @@ class MeasuredCBackend(EvaluationBackend):
         # the compiler *request* (cc=...) fingerprints; the resolved absolute
         # path does not — two hosts with gcc at different paths share entries.
         # Cache location/limit never fingerprint: where a binary came from
-        # cannot change what it measures.
+        # cannot change what it measures.  The lowering revision does: the
+        # harness prints the same lowering as measure-py's source.
         return {
             "scheme": self.scheme,
             "cc": self.cc,
             "warmup": self.warmup,
             "repeat": self.repeat,
             "trim": self.trim,
+            "lowering": LOWERING_REVISION,
         }
 
     def uri(self) -> str:

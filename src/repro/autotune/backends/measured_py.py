@@ -16,10 +16,12 @@ Two fast-path knobs (URI options):
 * ``vectorize=auto|on|off`` (default ``auto``) picks the ``lower-py-vec``
   terminal pass — eligible innermost loops lowered to numpy expressions, the
   same results several times faster — falling back to scalar ``lower-py``
-  only on ``off``.  ``vectorize`` fingerprints: scalar and vectorised wall
-  times are different distributions and must never share a cache entry.  For
-  the same reason the fingerprint carries the code generator's
-  :data:`~repro.codegen.emit_py.LOWERING_REVISION` (not a URI option).
+  only on ``off``; ``on`` is another spelling of ``auto`` and is stored as
+  ``auto``, so both share one cache key.  ``vectorize`` fingerprints: scalar
+  and vectorised wall times are different distributions and must never share
+  a cache entry.  For the same reason the fingerprint carries the code
+  generator's :data:`~repro.codegen.lower.LOWERING_REVISION` (not a URI
+  option).
 * ``workers=N`` (default 1) advertises that ``N`` candidates may be measured
   concurrently: warmup runs overlap freely across threads while every
   *timed* section serializes under :data:`~repro.autotune.backends.base.
@@ -42,7 +44,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.codegen.emit_py import LOWERING_REVISION
+from repro.codegen.lower import LOWERING_REVISION
 from repro.compiler import CompilationSession
 from repro.machine.spec import GPUSpec
 
@@ -101,7 +103,8 @@ class MeasuredPythonBackend(EvaluationBackend):
         self.repeat = repeat
         self.trim = trim
         self.workers = workers
-        self.vectorize = vectorize
+        # "on" selects the same stage as "auto": one spelling, one cache key
+        self.vectorize = "auto" if vectorize == "on" else vectorize
         self._lowering_session: Optional[CompilationSession] = None
 
     @classmethod

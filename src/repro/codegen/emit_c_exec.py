@@ -1,6 +1,6 @@
 """Emission of *compilable, runnable* C from loop-structure ASTs.
 
-:func:`repro.codegen.emit_c.emit_c` renders programs as C-like text for
+:func:`repro.ir.printer.program_to_c` renders programs as C-like text for
 inspection (``forall_blocks``, ``__syncthreads()`` — the paper's figures).
 This module instead emits a self-contained C99 translation unit that a host
 toolchain can compile and *time* — the ``measure-c:`` evaluation backend's
@@ -8,51 +8,33 @@ artifact.  The harness contains
 
 * the kernel body as plain sequential loops (parallel annotations drop to
   ordinary ``for`` — the transformations are only legal when sequential and
-  parallel execution agree, exactly the interpreter's convention),
+  parallel execution agree, exactly the interpreter's convention), printed by
+  :class:`CPrinter` from the same :class:`repro.codegen.lower.Lowering` as
+  the Python emitters: the same integer bounds, rounded by exact ``floord``/
+  ``ceild``/``truncd`` helpers, never floating point, and only the guards
+  the Python lowering keeps,
 * deterministic seeded array initialisation (an LCG, so two hosts fill the
   same values without sharing numpy),
 * a ``main`` that runs ``warmup`` unrecorded and ``repeat`` timed executions
   (``CLOCK_MONOTONIC``), re-initialising the arrays before each run, printing
   one wall-time-in-nanoseconds line per timed run, and
+* a stderr checksum over every array so the optimiser cannot discard the
+  kernel as dead code.
 
 Every timing knob is an ``argv`` override — ``argv[1]`` warmup, ``argv[2]``
 repeat, ``argv[3]`` the init seed — so the *source text* (and therefore the
 compiled binary) depends only on the mapped program and its parameter
 binding.  That is what makes the ``measure-c:`` compile cache effective:
 candidates that differ only in timing knobs or input seed share one binary.
-* a stderr checksum over every array so the optimiser cannot discard the
-  kernel as dead code.
-
-Loop bounds, guards and array indices mirror :mod:`repro.codegen.emit_py`
-semantics **exactly**: like the Python emitter, this one scales each affine
-form to a common integer denominator and rounds with exact integer
-``floord``/``ceild``/``truncd`` helpers — never floating point, whose rounding
-could disagree with the reference on fractional bounds like ``i/3``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Mapping, Optional, Sequence
 
-from repro.ir.ast import (
-    BlockNode,
-    GuardNode,
-    LoopNode,
-    Node,
-    StatementNode,
-    SyncNode,
-)
-from repro.ir.expressions import AffineValue, BinOp, Call, Const, Expr, Iter, Load
+from repro.codegen.lower import Bound, Conjunct, Form, Lowering, Printer
 from repro.ir.program import Program
-from repro.polyhedral.affine import AffineExpr
-from repro.polyhedral.parametric import QuasiAffineBound
-
-_INDENT = "    "
-
-#: data-expression calls mapped onto libm (everything else passes through)
-_CALL_MAP = {"min": "fmin", "max": "fmax", "abs": "fabs"}
 
 _PRELUDE = """\
 #include <stdio.h>
@@ -72,267 +54,55 @@ static long lmax(long a, long b) { return a > b ? a : b; }
 """
 
 
-def _scaled(expr: AffineExpr) -> Tuple[str, int]:
-    """Integer rendering of ``expr * D`` plus the common denominator ``D``."""
-    denominator = int(Fraction(expr.constant).denominator)
-    for name in expr.coefficients:
-        denominator = math.lcm(denominator, Fraction(expr.coefficient(name)).denominator)
-    terms: List[str] = []
-    for name in sorted(expr.coefficients):
-        coefficient = Fraction(expr.coefficient(name)) * denominator
-        assert coefficient.denominator == 1
-        terms.append(f"({int(coefficient)})*{name}")
-    constant = Fraction(expr.constant) * denominator
-    assert constant.denominator == 1
-    if int(constant) != 0 or not terms:
-        terms.append(f"({int(constant)})")
-    return " + ".join(terms), denominator
+class CPrinter(Printer):
+    """C99: ``for (long …)`` loops, braced ``if``s, ``floord``/``ceild`` rounding."""
 
+    EMPTY = ";"
+    SYNC = "/* sync({}) */;"
+    TRUNCATE = "truncd"
+    #: data-expression calls mapped onto libm (everything else passes through)
+    CALLS = {"min": "fmin", "max": "fmax", "abs": "fabs"}
 
-def _rounded(expr: AffineExpr, fn: str) -> str:
-    numerator, denominator = _scaled(expr)
-    if denominator == 1:
-        return f"({numerator})"
-    return f"{fn}({numerator}, {denominator})"
+    def close(self, depth: int) -> None:
+        self.emit("}", depth)
 
+    def bound(self, bound: Bound, is_lower: bool) -> str:
+        """Rounding distributes over min/max, so each branch rounds, then ``lmin``/``lmax``."""
+        kind, forms = bound
+        combined = ""
+        for denominator, terms, constant in forms:
+            text = self.linear(terms, constant)
+            if denominator != 1:
+                text = f"{'ceild' if is_lower else 'floord'}({text}, {denominator})"
+            combined = f"l{kind}({combined}, {text})" if combined else text
+        return combined
 
-def _combine(pieces: Sequence[str], combiner: str) -> str:
-    combined = pieces[0]
-    for piece in pieces[1:]:
-        combined = f"{combiner}({combined}, {piece})"
-    return combined
+    def value(self, form: Form) -> str:
+        denominator, terms, constant = form
+        text = f"((double)({self.linear(terms, constant)}))"
+        return text if denominator == 1 else f"({text} / {denominator}.0)"
 
+    def load(self, array: str, indices: Sequence[str]) -> str:
+        return array + "".join(f"[{index}]" for index in indices)
 
-def _bound_to_c(value, *, is_lower: bool) -> str:
-    """A loop bound as an exact ``long`` expression.
+    def loop(self, iterator: str, lower: Bound, upper: Bound, step: int, depth: int) -> None:
+        low, high = self.bound(lower, True), self.bound(upper, False)
+        advance = f"{iterator} += {step}" if step != 1 else f"{iterator}++"
+        self.emit(f"for (long {iterator} = {low}; {iterator} <= {high}; {advance}) {{", depth)
 
-    Rounding distributes over min/max (both are monotone), so a quasi-affine
-    bound rounds each branch and combines with ``lmin``/``lmax`` — identical
-    to the Python emitter's ``min(...)`` over rounded branches.
-    """
-    fn = "ceild" if is_lower else "floord"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, AffineExpr):
-        return _rounded(value, fn)
-    if isinstance(value, QuasiAffineBound):
-        combiner = "lmin" if value.kind == "min" else "lmax"
-        return _combine([_rounded(e, fn) for e in value.exprs], combiner)
-    raise TypeError(f"unsupported bound type {type(value).__name__}")
+    def guard(self, conjuncts: Sequence[Conjunct], depth: int) -> None:
+        self.emit(f"if ({' && '.join(self.conjunct(c) for c in conjuncts)}) {{", depth)
 
+    def define(self, name: str, code: str, depth: int) -> None:
+        self.emit(f"long {name} = {code};", depth)
 
-def _index_to_c(expr: AffineExpr) -> str:
-    """An array index: ``int(Fraction)`` truncates toward zero, so ``truncd``."""
-    numerator, denominator = _scaled(expr)
-    if denominator == 1:
-        return f"({numerator})"
-    return f"truncd({numerator}, {denominator})"
-
-
-def _affine_value_to_c(expr: AffineExpr) -> str:
-    numerator, denominator = _scaled(expr)
-    if denominator == 1:
-        return f"((double)({numerator}))"
-    return f"(((double)({numerator})) / {denominator}.0)"
-
-
-def _constraint_to_c(expr: AffineExpr, is_equality: bool) -> str:
-    # scaling by the (positive) common denominator preserves the sign
-    numerator, _denominator = _scaled(expr)
-    op = "==" if is_equality else ">="
-    return f"({numerator}) {op} 0"
-
-
-def _load_to_c(load: Load) -> str:
-    indices = "".join(f"[{_index_to_c(i)}]" for i in load.indices)
-    return f"{load.array.name}{indices}"
-
-
-def _expr_to_c(expr: Expr) -> str:
-    if isinstance(expr, Const):
-        return repr(float(expr.value))
-    if isinstance(expr, Iter):
-        return expr.name
-    if isinstance(expr, AffineValue):
-        return _affine_value_to_c(expr.expr)
-    if isinstance(expr, Load):
-        return _load_to_c(expr)
-    if isinstance(expr, BinOp):
-        return f"({_expr_to_c(expr.lhs)} {expr.op} {_expr_to_c(expr.rhs)})"
-    if isinstance(expr, Call):
-        args = ", ".join(_expr_to_c(a) for a in expr.args)
-        return f"{_CALL_MAP.get(expr.func, expr.func)}({args})"
-    raise TypeError(f"cannot emit expression of type {type(expr).__name__}")
-
-
-class _HarnessEmitter:
-    def __init__(self, program: Program, binding: Mapping[str, int], check_domains: bool) -> None:
-        self.program = program
-        self.binding = dict(binding)
-        self.check_domains = check_domains
-        self.lines: List[str] = []
-        self.symbol_definitions = dict(program.symbol_definitions or {})
-        self._emitted_symbols: List[Set[str]] = [set()]
-
-    def emit(self, line: str, depth: int) -> None:
-        self.lines.append(f"{_INDENT * depth}{line}" if line else "")
-
-    # -- derived symbols (same scoping rules as the Python emitter) ---------------
-    def _emit_symbols(self, bound: Set[str], depth: int) -> None:
-        already = set().union(*self._emitted_symbols)
-        for name, definition in self.symbol_definitions.items():
-            if name in already:
-                continue
-            if isinstance(definition, QuasiAffineBound):
-                free = {v for e in definition.exprs for v in e.variables}
-                code = _bound_to_c(definition, is_lower=(definition.kind == "max"))
-            elif isinstance(definition, AffineExpr):
-                free = set(definition.variables)
-                code = _index_to_c(definition)
-            else:
-                raise TypeError(
-                    f"unsupported symbol definition type {type(definition).__name__}"
-                )
-            if free <= bound:
-                self.emit(f"long {name} = {code};", depth)
-                self._emitted_symbols[-1].add(name)
-
-    # -- node emission ------------------------------------------------------------
-    def emit_node(self, node: Node, depth: int, bound: Set[str]) -> None:
-        if isinstance(node, BlockNode):
-            for child in node.body:
-                self.emit_node(child, depth, bound)
-        elif isinstance(node, LoopNode):
-            low = _bound_to_c(node.lower, is_lower=True)
-            high = _bound_to_c(node.upper, is_lower=False)
-            step = f"{node.iterator} += {node.step}" if node.step != 1 else f"{node.iterator}++"
-            self.emit(
-                f"for (long {node.iterator} = {low}; {node.iterator} <= {high}; {step}) {{",
-                depth,
-            )
-            inner_bound = bound | {node.iterator}
-            self._emitted_symbols.append(set())
-            self._emit_symbols(inner_bound, depth + 1)
-            new_bound = inner_bound | self._emitted_symbols[-1]
-            self.emit_node(node.body, depth + 1, new_bound)
-            self._emitted_symbols.pop()
-            self.emit("}", depth)
-        elif isinstance(node, GuardNode):
-            conditions = [
-                _constraint_to_c(c.expr, c.is_equality) for c in node.constraints
-            ]
-            self.emit(f"if ({' && '.join(conditions) or '1'}) {{", depth)
-            self.emit_node(node.body, depth + 1, bound)
-            self.emit("}", depth)
-        elif isinstance(node, StatementNode):
-            self._emit_statement(node, depth)
-        elif isinstance(node, SyncNode):
-            self.emit(f"/* sync({node.scope}) */;", depth)
-        else:
-            raise TypeError(f"cannot emit node of type {type(node).__name__}")
-
-    def _emit_statement(self, node: StatementNode, depth: int) -> None:
-        statement = node.statement
-        if self.check_domains and statement.domain.constraints:
-            conditions = [
-                _constraint_to_c(c.expr, c.is_equality)
-                for c in statement.domain.constraints
-            ]
-            self.emit(f"if ({' && '.join(conditions)}) {{", depth)
-            self._emit_assignment(statement, depth + 1)
-            self.emit("}", depth)
-        else:
-            self._emit_assignment(statement, depth)
-
-    def _emit_assignment(self, statement, depth: int) -> None:
-        lhs = _load_to_c(statement.lhs)
-        rhs = _expr_to_c(statement.rhs)
-        if statement.reduction in ("+", "*"):
-            self.emit(f"{lhs} {statement.reduction}= {rhs};", depth)
-        elif statement.reduction in ("min", "max"):
-            fn = _CALL_MAP[statement.reduction]
-            self.emit(f"{lhs} = {fn}({lhs}, {rhs});", depth)
+    def assign(self, reduction: Optional[str], lhs: str, rhs: str, depth: int) -> None:
+        if reduction in ("+", "*"):
+            self.emit(f"{lhs} {reduction}= {rhs};", depth)
+        elif reduction in ("min", "max"):
+            self.emit(f"{lhs} = {self.CALLS[reduction]}({lhs}, {rhs});", depth)
         else:
             self.emit(f"{lhs} = {rhs};", depth)
-
-    # -- file-scope sections ------------------------------------------------------
-    def emit_declarations(self) -> None:
-        for name in sorted(self.binding):
-            self.emit(f"static const long {name} = {int(self.binding[name])};", 0)
-        for array in self.program.arrays.values():
-            extents = "".join(f"[{int(extent)}]" for extent in array.shape)
-            self.emit(f"static double {array.name}{extents};", 0)
-        self.emit("", 0)
-
-    def emit_init(self) -> None:
-        # seed is a runtime parameter (argv[3]), never baked into the source:
-        # the compile cache keys binaries on the source text
-        self.emit("static void init_arrays(unsigned long long seed) {", 0)
-        self.emit("unsigned long long s = 0x9E3779B97F4A7C15ULL ^ seed;", 1)
-        for array in self.program.arrays.values():
-            total = 1
-            for extent in array.shape:
-                total *= int(extent)
-            self.emit("{", 1)
-            self.emit(f"double *p = (double *){array.name};", 2)
-            if array.is_local:
-                # scratchpad buffers start cleared, like fresh allocations
-                self.emit(f"for (long q = 0; q < {total}; ++q) p[q] = 0.0;", 2)
-            else:
-                self.emit(f"for (long q = 0; q < {total}; ++q) {{", 2)
-                self.emit("s = s * 6364136223846793005ULL + 1442695040888963407ULL;", 3)
-                self.emit("p[q] = (double)((s >> 11) & 0xFFFFFFULL) / 16777216.0;", 3)
-                self.emit("}", 2)
-            self.emit("}", 1)
-        self.emit("}", 0)
-        self.emit("", 0)
-
-    def emit_kernel(self) -> None:
-        self.emit("static void kernel(void) {", 0)
-        bound = set(self.binding)
-        self._emit_symbols(bound, 1)
-        bound = bound | self._emitted_symbols[-1]
-        if not self.program.body.body:
-            self.emit(";", 1)
-        else:
-            self.emit_node(self.program.body, 1, bound)
-        self.emit("}", 0)
-        self.emit("", 0)
-
-    def emit_main(self, warmup: int, repeat: int, seed: int) -> None:
-        self.emit("int main(int argc, char **argv) {", 0)
-        self.emit(f"long warmup = argc > 1 ? atol(argv[1]) : {warmup};", 1)
-        self.emit(f"long repeat = argc > 2 ? atol(argv[2]) : {repeat};", 1)
-        self.emit(
-            f"unsigned long long seed = argc > 3 ? strtoull(argv[3], 0, 10) : {seed}ULL;",
-            1,
-        )
-        self.emit("for (long r = 0; r < warmup + repeat; ++r) {", 1)
-        self.emit("init_arrays(seed);", 2)
-        self.emit("struct timespec t0, t1;", 2)
-        self.emit("clock_gettime(CLOCK_MONOTONIC, &t0);", 2)
-        self.emit("kernel();", 2)
-        self.emit("clock_gettime(CLOCK_MONOTONIC, &t1);", 2)
-        self.emit("if (r >= warmup) {", 2)
-        self.emit(
-            'printf("%lld\\n", (long long)(t1.tv_sec - t0.tv_sec) * 1000000000LL'
-            " + (long long)(t1.tv_nsec - t0.tv_nsec));",
-            3,
-        )
-        self.emit("}", 2)
-        self.emit("}", 1)
-        self.emit("double checksum = 0.0;  /* keep the kernel observable */", 1)
-        for array in self.program.arrays.values():
-            total = 1
-            for extent in array.shape:
-                total *= int(extent)
-            self.emit("{", 1)
-            self.emit(f"double *p = (double *){array.name};", 2)
-            self.emit(f"for (long q = 0; q < {total}; ++q) checksum += p[q];", 2)
-            self.emit("}", 1)
-        self.emit('fprintf(stderr, "checksum %.17g\\n", checksum);', 1)
-        self.emit("return 0;", 1)
-        self.emit("}", 0)
 
 
 def emit_c_harness(
@@ -357,12 +127,67 @@ def emit_c_harness(
     (overridden by ``param_values``), matching interpreter semantics.
     """
     binding = program.bound_params(param_values)
-    emitter = _HarnessEmitter(program, binding, check_domains)
-    emitter.emit(f"/* generated timing harness: {program.name} */", 0)
-    emitter.lines.extend(_PRELUDE.splitlines())
-    emitter.emit("", 0)
-    emitter.emit_declarations()
-    emitter.emit_init()
-    emitter.emit_kernel()
-    emitter.emit_main(warmup, repeat, seed)
-    return "\n".join(emitter.lines) + "\n"
+    printer = CPrinter()
+    emit = printer.emit
+    emit(f"/* generated timing harness: {program.name} */", 0)
+    printer.lines.extend(_PRELUDE.splitlines())
+    emit("", 0)
+    for name in sorted(binding):
+        emit(f"static const long {name} = {int(binding[name])};", 0)
+    for array in program.arrays.values():
+        emit(f"static double {array.name}{''.join(f'[{int(e)}]' for e in array.shape)};", 0)
+    emit("", 0)
+    sizes = {a.name: math.prod(int(e) for e in a.shape) for a in program.arrays.values()}
+
+    # seed is a runtime parameter (argv[3]), never baked into the source:
+    # the compile cache keys binaries on the source text
+    emit("static void init_arrays(unsigned long long seed) {", 0)
+    emit("unsigned long long s = 0x9E3779B97F4A7C15ULL ^ seed;", 1)
+    for array in program.arrays.values():
+        emit("{", 1)
+        emit(f"double *p = (double *){array.name};", 2)
+        if array.is_local:
+            # scratchpad buffers start cleared, like fresh allocations
+            emit(f"for (long q = 0; q < {sizes[array.name]}; ++q) p[q] = 0.0;", 2)
+        else:
+            emit(f"for (long q = 0; q < {sizes[array.name]}; ++q) {{", 2)
+            emit("s = s * 6364136223846793005ULL + 1442695040888963407ULL;", 3)
+            emit("p[q] = (double)((s >> 11) & 0xFFFFFFULL) / 16777216.0;", 3)
+            emit("}", 2)
+        emit("}", 1)
+    emit("}", 0)
+    emit("", 0)
+
+    emit("static void kernel(void) {", 0)
+    Lowering(program, printer, check_domains).lower(set(binding), 1)
+    emit("}", 0)
+    emit("", 0)
+
+    emit("int main(int argc, char **argv) {", 0)
+    emit(f"long warmup = argc > 1 ? atol(argv[1]) : {warmup};", 1)
+    emit(f"long repeat = argc > 2 ? atol(argv[2]) : {repeat};", 1)
+    emit(f"unsigned long long seed = argc > 3 ? strtoull(argv[3], 0, 10) : {seed}ULL;", 1)
+    emit("for (long r = 0; r < warmup + repeat; ++r) {", 1)
+    emit("init_arrays(seed);", 2)
+    emit("struct timespec t0, t1;", 2)
+    emit("clock_gettime(CLOCK_MONOTONIC, &t0);", 2)
+    emit("kernel();", 2)
+    emit("clock_gettime(CLOCK_MONOTONIC, &t1);", 2)
+    emit("if (r >= warmup) {", 2)
+    emit(
+        'printf("%lld\\n", (long long)(t1.tv_sec - t0.tv_sec) * 1000000000LL'
+        " + (long long)(t1.tv_nsec - t0.tv_nsec));",
+        3,
+    )
+    emit("}", 2)
+    emit("}", 1)
+    emit("double checksum = 0.0;  /* keep the kernel observable */", 1)
+    for array in program.arrays.values():
+        emit("{", 1)
+        emit(f"double *p = (double *){array.name};", 2)
+        emit(f"for (long q = 0; q < {sizes[array.name]}; ++q) checksum += p[q];", 2)
+        emit("}", 1)
+    emit('fprintf(stderr, "checksum %.17g\\n", checksum);', 1)
+    emit("return 0;", 1)
+    emit("}", 0)
+    return "\n".join(printer.lines) + "\n"

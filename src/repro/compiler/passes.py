@@ -16,7 +16,7 @@ The paper's toolchain is explicitly staged, and the pass list mirrors it:
    the analytical machine models (the stand-in for running CUDA on the
    8800 GTX).
 5. ``emit`` *(optional terminal pass, not in the default list)* — renders the
-   mapped program as C-like text via :func:`repro.codegen.emit_c`.
+   mapped program as C-like text via :func:`repro.ir.printer.program_to_c`.
 6. ``lower-py`` *(optional terminal pass)* — lowers the mapped program to
    executable Python source via :func:`repro.codegen.emit_py.
    emit_python_source`; the ``measure-py:`` evaluation backend executes and
@@ -507,24 +507,27 @@ class MappingPass(Pass):
 
 
 class EmitCPass(Pass):
-    """Optional terminal pass: render the mapped program as C-like text."""
+    """Optional terminal pass: the mapped program as C-like text.
+
+    :func:`~repro.ir.printer.program_to_c`'s rendering, headed by a comment
+    block naming the kernel and its launch geometry.
+    """
 
     name = "emit"
     inputs = ("mapping",)
     option_fields = ("num_blocks", "threads_per_block", "use_scratchpad")
 
     def run(self, ctx: PassContext) -> str:
-        from repro.codegen import emit_c
-
         mapped: MappedKernel = ctx.value("mapping")
         geometry = mapped.geometry
         header = (
-            f"kernel {mapped.program.name}\n"
+            f"kernel {mapped.program.name}",
             f"blocks={geometry.num_blocks} threads={geometry.threads_per_block} "
             f"shared={geometry.shared_memory_per_block_bytes}B "
-            f"sync_rounds={mapped.global_sync_rounds}"
+            f"sync_rounds={mapped.global_sync_rounds}",
         )
-        return emit_c(mapped.program, header=header)
+        comment = "".join(f"/* {line} */\n" for line in header)
+        return comment + program_to_c(mapped.program)
 
 
 class LowerPyPass(Pass):
@@ -556,8 +559,7 @@ class LowerPyVecPass(LowerPyPass):
     ``kernel(arrays, params)``), produced by :func:`repro.codegen.
     emit_py_vec.emit_python_source_vectorized` — behaviourally identical but
     several times faster to execute, which is what makes rank-ordering many
-    candidates with ``measure-py:`` affordable.  Falls back to the scalar
-    source when numpy is absent at lowering time.
+    candidates with ``measure-py:`` affordable.
     """
 
     name = "lower-py-vec"

@@ -14,9 +14,10 @@ and ``test_lowering_guards``:
   loop-carried read of the output — and over mapping configurations (tile
   sizes that do and do not divide the extents, scratchpad on/off) for the
   rectangular ones;
-* **an enumeration check of every pruning decision** — the production
-  emitters, subclassed only to *log* each conjunct they dropped and each slice
-  they proved together with the loops around it; :func:`verify_decisions`
+* **an enumeration check of every pruning decision** — the one production
+  lowering walker, subclassed only to *log* each conjunct it dropped and each
+  slice it proved together with the loops around it, once under each printer
+  (scalar Python, numpy, the C harness); :func:`verify_decisions`
   then walks the integer points of those loops (no Fourier–Motzkin, no
   polyhedra: it runs the loops) and evaluates the dropped conjunct / the
   sliced index at each.
@@ -37,8 +38,10 @@ from hypothesis import strategies as st
 
 from repro.autotune.space import Configuration
 from repro.codegen import emit_c_harness, emit_python_source, emit_python_source_vectorized
-from repro.codegen.emit_py import _Emitter, loop_facts, render_module
-from repro.codegen.emit_py_vec import _VecEmitter
+from repro.codegen.emit_c_exec import CPrinter
+from repro.codegen.emit_py import PythonPrinter, python_module
+from repro.codegen.emit_py_vec import NumpyPrinter
+from repro.codegen.lower import Lowering, loop_facts
 from repro.compiler import CompilationSession
 from repro.ir.ast import BlockNode, GuardNode, LoopNode, StatementNode
 from repro.ir.builder import ProgramBuilder
@@ -328,11 +331,11 @@ class Decision:
     in_range: List[Tuple[AffineExpr, object]] = field(default_factory=list)
 
 
-class _Recording:
-    """Mixin over a production emitter: same output, plus a log of decisions."""
+class RecordingLowering(Lowering):
+    """The production walker: same output, plus a log of decisions."""
 
-    def __init__(self, program: Program, check_domains: bool = True) -> None:
-        super().__init__(program, check_domains)
+    def __init__(self, program: Program, printer, check_domains: bool = True) -> None:
+        super().__init__(program, printer, check_domains)
         self.loops: List[LoopNode] = []
         self.decisions: List[Decision] = []
 
@@ -341,12 +344,12 @@ class _Recording:
             Decision(list(self.loops), [fact for fact, _names, _number in self._facts], **what)
         )
 
-    def emit_node(self, node, depth, bound) -> None:
+    def walk(self, node, depth, bound) -> None:
         if not isinstance(node, LoopNode):
-            return super().emit_node(node, depth, bound)
+            return super().walk(node, depth, bound)
         self.loops.append(node)
         try:
-            super().emit_node(node, depth, bound)
+            super().walk(node, depth, bound)
         finally:
             self.loops.pop()
 
@@ -356,12 +359,6 @@ class _Recording:
         self._decision(must_hold=[c for c in constraints if c not in residual])
         return residual
 
-
-class RecordingScalar(_Recording, _Emitter):
-    pass
-
-
-class RecordingVector(_Recording, _VecEmitter):
     def _slices_proven(self, statement, iterator) -> bool:
         proven = super()._slices_proven(statement, iterator)
         if proven:
@@ -377,12 +374,18 @@ class RecordingVector(_Recording, _VecEmitter):
 
 
 def recorded_decisions(program: Program) -> Tuple[str, List[Decision]]:
-    """The vectorised source and every decision either emitter made on the way."""
-    scalar = RecordingScalar(program)
-    render_module(scalar, program, "kernel")
-    vector = RecordingVector(program)
-    source = render_module(vector, program, "kernel", prelude=("import numpy as _np",))
-    return source, scalar.decisions + vector.decisions
+    """The vectorised source and every decision the walker made under each printer.
+
+    The C harness's kernel body is the same walk into :class:`CPrinter`, so
+    its dropped guards are checked too.
+    """
+    scalar = RecordingLowering(program, PythonPrinter())
+    python_module(scalar, "kernel")
+    vector = RecordingLowering(program, NumpyPrinter())
+    source = python_module(vector, "kernel")
+    harness = RecordingLowering(program, CPrinter())
+    harness.lower(set(program.bound_params()), 1)
+    return source, scalar.decisions + vector.decisions + harness.decisions
 
 
 def _points(program: Program, loops: Sequence[LoopNode]) -> Iterator[Dict[str, int]]:

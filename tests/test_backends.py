@@ -489,6 +489,41 @@ class TestBackendCacheInteraction:
         assert fresh.fingerprint != stored.fingerprint and len(cache) == 2
         assert autotune(program, **request).from_cache
 
+    @requires_c_toolchain
+    def test_a_measure_c_report_measured_under_another_lowering_revision_is_not_served(
+        self, tmp_path, monkeypatch
+    ):
+        # the harness prints the same lowering, so a revision bump is a new
+        # speed class for measure-c too
+        from repro.autotune.backends import measured_c
+
+        program = matmul()
+        cache = TuningCache(tmp_path / "cache.json")
+        request = dict(
+            space_options=TINY_SPACE, cache=cache, backend="measure-c:warmup=0,repeat=1"
+        )
+        with monkeypatch.context() as earlier:
+            earlier.setattr(measured_c, "LOWERING_REVISION", measured_c.LOWERING_REVISION - 1)
+            stored = autotune(program, **request)
+        fresh = autotune(program, **request)
+        assert not stored.from_cache and not fresh.from_cache
+        assert fresh.fingerprint != stored.fingerprint and len(cache) == 2
+        assert autotune(program, **request).from_cache
+        assert "lowering" not in parse_backend_uri("measure-c:").uri()  # not a user option
+
+    def test_vectorize_on_and_auto_are_one_backend(self):
+        program = matmul()
+        spelled = {
+            uri: tuning_fingerprint(program, space_options=TINY_SPACE, backend=uri)
+            for uri in ("measure-py:", "measure-py:vectorize=on", "measure-py:vectorize=auto")
+        }
+        assert len(set(spelled.values())) == 1, spelled
+        assert parse_backend_uri("measure-py:vectorize=on").uri() == parse_backend_uri(
+            "measure-py:"
+        ).uri()
+        off = tuning_fingerprint(program, space_options=TINY_SPACE, backend="measure-py:vectorize=off")
+        assert off not in spelled.values()
+
     def test_warm_hit_restores_backend_and_provenance(self, tmp_path):
         program = matmul()
         cache_spec = str(tmp_path / "cache.json")

@@ -34,7 +34,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.codegen import emit_python_source, emit_python_source_vectorized
 from repro.codegen.compile_cache import (
     COMPILE_CACHE_TOTAL,
     CompileCache,
@@ -381,21 +380,6 @@ class TestVectorisedLowering:
             winners[mode] = min(candidates, key=lambda config: statistics.median(times[config]))
         assert winners["off"] == winners["on"] == candidates[0]
         assert seconds["off"] >= 3 * seconds["on"], seconds
-
-    def test_scalar_fallback_when_numpy_is_absent(self, monkeypatch):
-        import builtins
-
-        program = get_kernel("matmul").build(m=4, n=4, k=4)
-        real_import = builtins.__import__
-
-        def no_numpy(name, *args, **kwargs):
-            if name == "numpy":
-                raise ImportError("numpy removed for this test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_numpy)
-        fallback = emit_python_source_vectorized(program)
-        assert fallback == emit_python_source(program)
 
 
 # -- the artifact cache ------------------------------------------------------------

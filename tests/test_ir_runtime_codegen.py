@@ -4,7 +4,8 @@ reference interpreter, the Python emitter and the CLooG-substitute scanners."""
 import numpy as np
 import pytest
 
-from repro.codegen import compile_to_python, emit_c, scan_polyhedron, scan_union
+from repro.codegen import compile_to_python, scan_polyhedron, scan_union
+from repro.compiler import CompilationSession
 from repro.codegen.union_scan import make_disjoint, subtract
 from repro.ir import (
     Array,
@@ -234,7 +235,8 @@ class TestScanners:
         text = ast_to_c(block)
         assert text.count("for (") == 2
 
-    def test_emit_c_header(self):
-        prog = build_stencil(4)
-        text = emit_c(prog, header="kernel: stencil")
-        assert text.startswith("/* kernel: stencil */")
+    def test_render_c_heads_the_inspection_text_with_the_launch(self):
+        session = CompilationSession(build_stencil(4))
+        text = session.render_c()
+        assert text.startswith("/* kernel stencil_tiled */\n/* blocks=")
+        assert text.endswith(program_to_c(session.compile().program))

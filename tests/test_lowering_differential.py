@@ -1,4 +1,4 @@
-"""Interpreter ≡ ``lower-py`` ≡ ``lower-py-vec`` (≡ the C harness) on generated programs.
+"""Interpreter ≡ ``lower-py`` ≡ ``lower-py-vec`` ≡ the C harness on generated programs.
 
 The licence for emitting integer bounds, pruned guards and slices: on every
 small affine program ``lowering_oracle.programs`` can draw, unmapped or run
@@ -7,14 +7,23 @@ Python-side executors leave the same arrays behind.  The scalar lowering
 performs the interpreter's float operations in the interpreter's order, so it
 must match bit for bit; the vectorised one sums reductions pairwise, so it
 gets a tolerance.  Examples are derandomised: tier-1 runs the same cases (and
-takes the same time) every time.
+takes the same time) every time.  All three executable printers print one
+lowering, so the C harness tests exactly the guards ``lower-py`` keeps, and
+the printers themselves never touch the polyhedral layer.
 """
+
+import ast
+import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import lowering_oracle as oracle
+import repro.codegen
+from repro.codegen.lower import LOWERING_REVISION
 from repro.codegen.toolchain import c_toolchain_skip_reason, find_c_compiler
 from repro.ir.builder import ProgramBuilder
 from repro.ir.expressions import Call
@@ -87,18 +96,113 @@ def test_every_intrinsic_runs_through_both_lowerings(func):
     )
 
 
-@pytest.mark.skipif(c_toolchain_skip_reason() is not None, reason="no C toolchain")
+requires_c_toolchain = pytest.mark.skipif(
+    c_toolchain_skip_reason() is not None, reason="no C toolchain"
+)
+
+
+def assert_the_c_harness_agrees(mapped, workdir):
+    """The harness's checksum is the sum of every array ``lower-py-vec`` leaves."""
+    arrays = oracle.lcg_arrays(mapped, seed=5)
+    lowered = oracle.run_source(
+        oracle.emit_python_source_vectorized(mapped), mapped, arrays
+    )
+    checksum = oracle.c_checksum(mapped, find_c_compiler(), workdir, seed=5)
+    assert np.isclose(checksum, sum(float(v.sum()) for v in lowered.values()), rtol=1e-9)
+
+
+@requires_c_toolchain
 @settings(max_examples=10, **COMMON)
 @given(st.data())
 def test_the_c_harness_agrees(tmp_path_factory, data):
     program = data.draw(oracle.programs(mappable=True))
     mapped = oracle.mapped_program(program, data.draw(oracle.configurations(program)))
     assume(mapped is not None)
-    arrays = oracle.lcg_arrays(mapped, seed=5)
-    lowered = oracle.run_source(
-        oracle.emit_python_source_vectorized(mapped), mapped, arrays
+    assert_the_c_harness_agrees(mapped, tmp_path_factory.mktemp("harness"))
+
+
+@requires_c_toolchain
+@pytest.mark.parametrize("kernel_name", available_kernels())
+def test_the_c_harness_agrees_on_registered_kernels(tmp_path, kernel_name):
+    assert_the_c_harness_agrees(oracle.mapped_kernel(kernel_name, 3, True), tmp_path)
+
+
+def c_kernel_body(program):
+    harness = oracle.emit_c_harness(program)
+    return harness[harness.index("static void kernel(void)") : harness.index("int main(")]
+
+
+@pytest.mark.parametrize("tile, scratchpad", oracle.MAPPINGS)
+@pytest.mark.parametrize("kernel_name", available_kernels())
+def test_the_c_harness_tests_exactly_the_guards_lower_py_keeps(kernel_name, tile, scratchpad):
+    mapped = oracle.mapped_kernel(kernel_name, tile, scratchpad)
+    python_ifs = re.findall(r"(?m)^ *if ", oracle.emit_python_source(mapped))
+    assert c_kernel_body(mapped).count("if (") == len(python_ifs) == 0
+
+
+@settings(max_examples=40, **COMMON)
+@given(oracle.programs())
+def test_generated_programs_test_the_same_guards_in_c_and_python(program):
+    python_ifs = re.findall(r"(?m)^ *if ", oracle.emit_python_source(program))
+    assert c_kernel_body(program).count("if (") == len(python_ifs)
+
+
+@pytest.mark.parametrize("printer", ["emit_py", "emit_py_vec", "emit_c_exec"])
+def test_printers_import_nothing_from_the_polyhedral_layer(printer):
+    tree = ast.parse((Path(repro.codegen.__file__).parent / f"{printer}.py").read_text())
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ]
+    assert imported and not [name for name in imported if "polyhedral" in name], imported
+
+
+#: LOWERING_REVISION -> kernel -> sha256 of its (``lower-py``, ``lower-py-vec``) text
+#: under mapping (4, True): what a revision number certifies
+PINNED_TEXT = {
+    2: {
+        "conv2d": (
+            "4e18fdaeb2a91e8bedf43cd46c206ebd6fc17f43e23e88ed508fa0729d57939b",
+            "4e2341459702c7017de187d8fe3ed5dfd959b3b487a4b28da84df7a375b0cbe5",
+        ),
+        "distributed-gemm": (
+            "13d1fecb61c0acbf239c4c125a6e08dd1880e61e619ac3bcc88106477758f116",
+            "df461a333441c832f1afe56fa4c7543b43d8566461850ddc1809b35e295bc6d2",
+        ),
+        "jacobi1d": (
+            "7bda863f98e4f413314cf33bf082d57392c7867a9698ef25d0994e24ef1d6e5b",
+            "890e50786e52b8fcb3699adb3b251719e050970dbf855fceaf6728ed8228937a",
+        ),
+        "jacobi2d": (
+            "a7dcdd39e9329f13dadcfc3a6ca9a0bd349438a29a8ffd3271aaa3cc41a030ec",
+            "d8b0cdb9f51b80f1e0b7a015370f5ccf287ba83551652f8f8b88901660075c00",
+        ),
+        "matmul": (
+            "13d1fecb61c0acbf239c4c125a6e08dd1880e61e619ac3bcc88106477758f116",
+            "df461a333441c832f1afe56fa4c7543b43d8566461850ddc1809b35e295bc6d2",
+        ),
+        "mpeg4_me": (
+            "a97d4257c530d959d07f08dfe9c9529cab9a9c9626d3ee567b5962c00ac54634",
+            "f8362f37b83f933c75ee703e4c8f0cf723ad7af95beefce5fb1c7e78ea6dac59",
+        ),
+    },
+}
+
+
+def test_the_lowered_text_is_pinned_to_its_revision():
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    lowered = {
+        name: (
+            digest(oracle.emit_python_source(mapped)),
+            digest(oracle.emit_python_source_vectorized(mapped)),
+        )
+        for name in available_kernels()
+        for mapped in [oracle.mapped_kernel(name, 4, True)]
+    }
+    assert lowered == PINNED_TEXT.get(LOWERING_REVISION), (
+        "the lower-py / lower-py-vec text moved: if its speed class changed, bump "
+        "`LOWERING_REVISION` (measure-py and measure-c keys then move once) and pin "
+        "the new digests under the new revision; otherwise re-pin them under this one"
     )
-    checksum = oracle.c_checksum(
-        mapped, find_c_compiler(), tmp_path_factory.mktemp("harness"), seed=5
-    )
-    assert np.isclose(checksum, sum(float(v.sum()) for v in lowered.values()), rtol=1e-9)

@@ -1,9 +1,10 @@
 """Every guard the lowerings drop and every slice they prove, checked by enumeration.
 
-``lowering_oracle.recorded_decisions`` runs the production emitters and logs
-each pruning decision with the loops around it; ``verify_decisions`` runs
-those loops and evaluates the dropped conjunct (it must hold) or the sliced
-index (it must lie in ``[0, extent)``) at every integer point.  The negative
+``lowering_oracle.recorded_decisions`` runs the production lowering under
+each printer and logs each pruning decision with the loops around it;
+``verify_decisions`` runs those loops and evaluates the dropped conjunct (it
+must hold) or the sliced index (it must lie in ``[0, extent)``) at every
+integer point.  The negative
 cases pin what must *not* be pruned or sliced, and two seeded bugs show the
 checks can fail: a too-strong integer negation is caught by the enumeration,
 a too-weak one (conservative, never wrong) by the zero-residual pin.
@@ -147,7 +148,7 @@ def test_the_iterator_in_two_dimensions_of_one_load_keeps_the_gather():
 
 
 def test_a_min_lower_bound_contributes_no_fact():
-    from repro.codegen.emit_py import loop_facts
+    from repro.codegen.lower import loop_facts
     from repro.polyhedral.parametric import QuasiAffineBound
 
     backwards = LoopNode("i", QuasiAffineBound("min", (AffineExpr.var("a"), AffineExpr.const(0))), 7)
