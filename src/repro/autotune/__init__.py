@@ -27,6 +27,8 @@ machine.  This package supplies that empirical layer as a reusable service:
 * :mod:`repro.autotune.session` — the public :func:`autotune` /
   :func:`autotune_batch` API returning :class:`TuningReport`, over
   :func:`tune` of one :class:`TuningProblem` (the fingerprinted bundle);
+* :mod:`repro.autotune.request` — :class:`TuneRequest`, a tuning request by
+  kernel name, and the request flags both command lines parse into it;
 * :mod:`repro.autotune.cli` — ``python -m repro.autotune``.
 """
 

@@ -37,7 +37,7 @@ import argparse
 import json
 import sys
 import warnings
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.compiler import CompilationSession, DEFAULT_PASSES, counting_compiles
 from repro.kernels.registry import available_kernels, get_kernel
@@ -48,26 +48,11 @@ from repro.autotune.backends import (
     parse_backend_uri,
 )
 from repro.autotune.cache import TuningCache
+from repro.autotune.request import TuneRequest, add_request_arguments, request_from_args
 from repro.autotune.store import ordered_cache_stats
-from repro.autotune.search import EXECUTORS, STRATEGIES, ExecutorFallbackWarning
-from repro.autotune.session import autotune
-from repro.autotune.space import Configuration, SpaceOptions
-
-
-def parse_sizes(pairs: Sequence[str]) -> Dict[str, int]:
-    """Parse ``name=value`` problem-size pairs (shared with the service CLI)."""
-    sizes: Dict[str, int] = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise ValueError(f"size must look like name=value, got {pair!r}")
-        try:
-            sizes[name.strip()] = int(value)
-        except ValueError:
-            raise ValueError(
-                f"size value for {name!r} must be an integer, got {value!r}"
-            ) from None
-    return sizes
+from repro.autotune.search import EXECUTORS, ExecutorFallbackWarning
+from repro.autotune.session import tune
+from repro.autotune.space import Configuration
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,22 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         "'history {list,show,compare,check} FILE' inspects a --history "
         "store and gates CI on perf regressions.",
     )
-    parser.add_argument("kernel", nargs="?", help="registered kernel name")
+    add_request_arguments(parser, kernel_optional=True)
     parser.add_argument(
         "--list-kernels", action="store_true", help="list tunable kernels and exit"
-    )
-    parser.add_argument(
-        "--size",
-        nargs="*",
-        default=[],
-        metavar="NAME=VALUE",
-        help="problem-size overrides, e.g. --size m=256 n=256 k=256",
-    )
-    parser.add_argument(
-        "--strategy",
-        default="pruned",
-        choices=sorted(STRATEGIES),
-        help="search strategy (default: pruned)",
     )
     parser.add_argument(
         "--workers", type=int, default=1, help="parallel evaluation workers"
@@ -118,43 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent cache store: PATH.json, dir:DIR, or log:FILE",
     )
     parser.add_argument(
-        "--backend",
-        default="model:",
-        metavar="URI",
-        help="evaluation backend: model: (default analytical pricing), "
-        "measure-py:[warmup=..,repeat=..,trim=..] (execute the emitted Python, timed), "
-        "measure-c:[cc=..] (compile + time the emitted C), or "
-        "hybrid:model>measure-py?top=K (model prunes, measurement re-ranks); "
-        "see the 'backends' subcommand",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="search / input seed")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="spot-check each configuration through the interpreter "
-        "(at the kernel's small verification size)",
-    )
-    parser.add_argument(
         "--top", type=int, default=5, help="show this many best configurations"
     )
     parser.add_argument(
         "--allow-no-scratchpad",
         action="store_true",
         help="let the tuner also consider disabling scratchpad staging",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        nargs="*",
-        default=None,
-        help="thread-per-block counts to explore (default: 64 128 256)",
-    )
-    parser.add_argument(
-        "--blocks",
-        type=int,
-        nargs="*",
-        default=None,
-        help="thread-block counts to explore (default: 16 32 64)",
     )
     parser.add_argument(
         "--trace",
@@ -170,14 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="append one HistoryRecord for this request to a JSONL history "
         "file (inspect with 'python -m repro.autotune history list STORE')",
     )
-    parser.add_argument(
-        "--reuse-artifacts",
-        action="store_true",
-        help="share config-invariant compiler artifacts (affine analysis) "
-        "with other requests in this process for the same program, binding "
-        "and spec",
-    )
     return parser
+
+
+def tune_request(args: argparse.Namespace) -> TuneRequest:
+    """The request the tune form's flags name — the one ``python -m
+    repro.service submit`` sends for the same flags."""
+    space = {"scratchpad_choices": [True, False]} if args.allow_no_scratchpad else None
+    return request_from_args(args, space=space)
 
 
 def trace_main(argv: Sequence[str]) -> int:
@@ -486,22 +427,12 @@ def inspect_stages_main(argv: Sequence[str]) -> int:
         description="Show per-stage timings and artifact fingerprints of the "
         "staged compiler for one kernel (one cold compile + one replay).",
     )
-    parser.add_argument("kernel", help="registered kernel name")
-    parser.add_argument(
-        "--size",
-        nargs="*",
-        default=[],
-        metavar="NAME=VALUE",
-        help="problem-size overrides, e.g. --size m=256 n=256 k=256",
-    )
+    add_request_arguments(parser, sizes_only=True)
     args = parser.parse_args(argv)
     try:
-        kernel = get_kernel(args.kernel)
-        sizes = parse_sizes(args.size)
-        program = kernel.build(**sizes)
-    except (KeyError, ValueError) as error:
-        message = error.args[0] if error.args else str(error)
-        print(f"error: {message}", file=sys.stderr)
+        program = request_from_args(args).problem().program
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
 
     # The lower-py terminal pass rides along so its timing shows in the
@@ -564,29 +495,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("a kernel name is required (or --list-kernels)")
 
     try:
-        kernel = get_kernel(args.kernel)
-        sizes = parse_sizes(args.size)
-        program = kernel.build(**sizes)
-    except (KeyError, ValueError) as error:
-        message = error.args[0] if error.args else str(error)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-
-    defaults = SpaceOptions()
-    space_options = SpaceOptions(
-        thread_counts=tuple(args.threads) if args.threads else defaults.thread_counts,
-        block_counts=tuple(args.blocks) if args.blocks else defaults.block_counts,
-        scratchpad_choices=(True, False) if args.allow_no_scratchpad else (True,),
-    )
-    try:
+        problem = tune_request(args).problem()
         cache = TuningCache(args.cache) if args.cache else None
-        backend = parse_backend_uri(args.backend)  # typo → usage error early
-        if kernel.grid is not None and not backend.supports_distributed:
-            raise ValueError(
-                f"backend {args.backend!r} cannot price distributed (PE-grid) "
-                f"mappings; tune {args.kernel!r} under the model: backend"
-            )
-    except ValueError as error:  # e.g. an unknown store or backend scheme
+    except ValueError as error:  # unknown kernel, size, backend or store scheme
         print(f"error: {error}", file=sys.stderr)
         return 2
     collector = trace.start_trace() if args.trace else None
@@ -595,24 +506,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             warnings.simplefilter("always", RuntimeWarning)
             with counting_compiles() as compiles:
                 try:
-                    report = autotune(
-                        program,
-                        strategy=args.strategy,
+                    report = tune(
+                        problem,
                         max_workers=args.workers,
                         executor=args.executor,
                         cache=cache,
-                        seed=args.seed,
-                        space_options=space_options,
-                        check_correctness=args.check,
-                        check_program=kernel.build_check() if args.check else None,
-                        backend=args.backend,
                         history=args.history,
-                        artifact_cache=True if args.reuse_artifacts else None,
-                        grid=kernel.grid,
                     )
                 except BackendUnavailable as error:
                     print(f"error: {error}", file=sys.stderr)
                     return 3
+                except ValueError as error:  # e.g. a backend that cannot price a PE grid
+                    print(f"error: {error}", file=sys.stderr)
+                    return 2
     finally:
         if collector is not None:
             trace.stop_trace()

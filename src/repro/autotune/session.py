@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Union
 
-from repro.compiler import GLOBAL_ARTIFACT_CACHE, ArtifactCache, CompilationSession
+from repro.compiler import CompilationSession
 from repro.telemetry import trace
 from repro.telemetry.events import EVENTS, events_pass_hook
 from repro.telemetry.history import HistoryRecord, HistoryStore, open_history, spearman_rho
@@ -156,8 +156,8 @@ class TuningProblem:
 
     Everything that can change a request's answer is a field here and enters
     the cache key; the resources a request runs with (workers, executor,
-    cache, history, artifact cache — the other keywords of :func:`tune`)
-    never do.  The backend identity is an ingredient: the same kernel tuned
+    cache, history — the other keywords of :func:`tune`) never do.  The
+    backend identity is an ingredient: the same kernel tuned
     under ``model:`` and under ``measure-py:`` occupies two distinct cache
     keys (modelled and measured milliseconds are not comparable, so one must
     never answer for the other).  Wall-clock backends additionally
@@ -176,7 +176,7 @@ class TuningProblem:
     backend: Union[str, EvaluationBackend, None] = None
     grid: Optional[GridSpec] = None
 
-    def prepare(self, artifact_cache: Optional[ArtifactCache] = None) -> "PreparedTuning":
+    def prepare(self) -> "PreparedTuning":
         """Resolve the problem into its space, session and cache fingerprint.
 
         The one place a key is computed, so the key the tuning service
@@ -205,12 +205,6 @@ class TuningProblem:
         if EVENTS.enabled("debug"):
             # debug-level log narration of every compiler stage (stage.complete)
             session.manager.add_hook(events_pass_hook)
-        if artifact_cache is not None:
-            # must precede the space construction below: it triggers the analysis
-            # pass, and adoption after the fact would install nothing.  The cache
-            # never enters the request fingerprint — where an artifact came from
-            # cannot change what the request computes.
-            artifact_cache.adopt(session)
         space_kwargs = dict(
             spec=self.spec,
             param_values=self.param_values,
@@ -225,11 +219,6 @@ class TuningProblem:
             space: ConfigurationSpace = DistributedSpace(self.program, self.grid, **space_kwargs)
         else:
             space = ConfigurationSpace(self.program, **space_kwargs)
-        if artifact_cache is not None:
-            # the space construction just froze (or adopted) the analysis
-            # artifact — publish it so the *next* request with this identity
-            # runs analysis zero times (warm tuning-cache hits included)
-            artifact_cache.publish(session)
         check_signature: Dict[str, Any] = {"enabled": self.check_correctness}
         if self.check_correctness:
             # The spot-check program and input seed change every `correct` verdict.
@@ -302,7 +291,6 @@ def autotune(
     check_program: Optional[Program] = None,
     backend: Union[str, EvaluationBackend, None] = None,
     history: Union[HistoryStore, str, Path, None] = None,
-    artifact_cache: Union[ArtifactCache, bool, None] = None,
     grid: Optional[GridSpec] = None,
 ) -> TuningReport:
     """Empirically tune the mapping of ``program`` on ``spec``.
@@ -347,13 +335,6 @@ def autotune(
         The record is also attached to the returned report as
         ``report.history_record`` (even when no store is given), which is
         how the tuning service ships it back from worker processes.
-    artifact_cache:
-        Opt-in cross-request sharing of config-invariant artifacts: ``True``
-        selects the process-wide :data:`~repro.compiler.
-        GLOBAL_ARTIFACT_CACHE`, or pass an :class:`~repro.compiler.
-        ArtifactCache` instance.  A second request for the same (program,
-        binding, spec) then runs affine analysis **zero** times.  Never part
-        of the request fingerprint.
     grid:
         A :class:`~repro.machine.GridSpec` makes this a *distributed* tuning
         request: the space becomes a
@@ -382,7 +363,6 @@ def autotune(
         executor=executor,
         cache=cache,
         history=history,
-        artifact_cache=artifact_cache,
     )
 
 
@@ -392,12 +372,11 @@ def tune(
     executor: str = "thread",
     cache: Union[TuningCache, str, Path, None] = None,
     history: Union[HistoryStore, str, Path, None] = None,
-    artifact_cache: Union[ArtifactCache, bool, None] = None,
 ) -> TuningReport:
     """Tune one :class:`TuningProblem` with the given resources.
 
     What :func:`autotune` (its keyword adapter, which documents every
-    parameter) and the service worker both run.  None of the five resource
+    parameter) and the service worker both run.  None of the four resource
     keywords can change the report, so none enters the fingerprint.
     """
     if max_workers <= 0:
@@ -406,10 +385,6 @@ def tune(
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     if cache is not None and not isinstance(cache, TuningCache):
         cache = TuningCache(cache)
-    if artifact_cache is True:
-        artifact_cache = GLOBAL_ARTIFACT_CACHE
-    elif artifact_cache is False:
-        artifact_cache = None
     history = open_history(history)
     program, spec, seed, grid = problem.program, problem.spec, problem.seed, problem.grid
     started = time.perf_counter()
@@ -419,9 +394,7 @@ def tune(
         "request", kind="request", kernel=program.name, fallback=True
     ) as request_span:
         # inside the span, so analysis is the first pass span of a trace
-        _, options, strategy, backend, space, compile_session, key = problem.prepare(
-            artifact_cache
-        )
+        _, options, strategy, backend, space, compile_session, key = problem.prepare()
         request_span.annotate(
             strategy=strategy.name, backend=backend.uri(), fingerprint=key[:16]
         )

@@ -28,10 +28,6 @@ Quickstart::
     print(session.stage_report())           # per-stage timings + fingerprints
 """
 
-from repro.compiler.artifact_cache import (
-    GLOBAL_ARTIFACT_CACHE,
-    ArtifactCache,
-)
 from repro.compiler.artifacts import (
     AnalysisArtifact,
     MappedKernel,
@@ -70,12 +66,10 @@ from repro.compiler.session import CompilationSession
 __all__ = [
     "AnalysisArtifact",
     "AnalysisPass",
-    "ArtifactCache",
     "CompilationSession",
     "CompileCount",
     "DEFAULT_PASSES",
     "EmitCPass",
-    "GLOBAL_ARTIFACT_CACHE",
     "LowerPyPass",
     "LowerPyVecPass",
     "MappedKernel",

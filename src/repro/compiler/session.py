@@ -257,51 +257,6 @@ class CompilationSession:
                     f"from {stage!r} (or an earlier stage) instead"
                 )
 
-    # -- cross-session artifact sharing ------------------------------------------------
-    def _invariant_stages(self) -> set:
-        return {p.name for p in self.manager.passes if not p.config_dependent}
-
-    def config_invariant_artifacts(self) -> Dict[str, StageArtifact]:
-        """Already-frozen artifacts of config-invariant stages (``analysis``).
-
-        These depend only on the session identity (:attr:`base_fingerprint`),
-        so another session with the same identity may adopt them via
-        :meth:`install_artifacts` — the seam the cross-request
-        :class:`~repro.compiler.artifact_cache.ArtifactCache` plugs into.
-        Never triggers computation: returns only what this session has run.
-        """
-        invariant = self._invariant_stages()
-        with self._lock:
-            return {
-                name: artifact
-                for name, artifact in self._artifacts.items()
-                if name in invariant
-            }
-
-    def install_artifacts(self, artifacts: Mapping[str, StageArtifact]) -> List[str]:
-        """Adopt config-invariant artifacts frozen by an equivalent session.
-
-        Installation is validated, not trusted: each candidate's fingerprint
-        must equal what this session would compute for that stage under its
-        base options — a mismatched identity (different program, binding,
-        spec, or pass semantics) is silently skipped, as are stages already
-        frozen here.  Returns the names actually installed.
-        """
-        invariant = self._invariant_stages()
-        with self._lock:
-            expected = self.manager.expected_fingerprints(
-                self._context(self.options, {})
-            )
-            installed: List[str] = []
-            for name, artifact in artifacts.items():
-                if name not in invariant or name in self._artifacts:
-                    continue
-                if expected.get(name) != artifact.fingerprint:
-                    continue
-                self._artifacts[name] = artifact
-                installed.append(name)
-            return installed
-
     # -- artifact access ---------------------------------------------------------------
     def artifact(self, stage: str) -> StageArtifact:
         """The cached base-options artifact of ``stage`` (computed on demand)."""

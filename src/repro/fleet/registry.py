@@ -17,10 +17,7 @@ exactly what makes the fleet-wide exactly-once property auditable.
 
 from __future__ import annotations
 
-import json
-import urllib.error
-import urllib.request
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List
 
 from repro.fleet.ring import HashRing
 
@@ -75,16 +72,3 @@ class FleetRegistry:
             "members": self.members,
             "size": len(self.ring),
         }
-
-    def poll_members(
-        self, timeout: float = 5.0
-    ) -> List[Tuple[str, Optional[Dict[str, Any]]]]:
-        """Each member's ``/healthz`` payload (``None`` when unreachable)."""
-        results: List[Tuple[str, Optional[Dict[str, Any]]]] = []
-        for member in self.members:
-            try:
-                with urllib.request.urlopen(member + "/healthz", timeout=timeout) as resp:
-                    results.append((member, json.loads(resp.read().decode("utf-8"))))
-            except (urllib.error.URLError, OSError, ValueError):
-                results.append((member, None))
-        return results

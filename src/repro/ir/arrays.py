@@ -89,18 +89,6 @@ class Array:
             raise ValueError(f"array {self.name}: non-positive concrete extent {result}")
         return tuple(result)
 
-    def size_expr(self) -> Union[int, AffineExpr]:
-        """Total number of elements, symbolically if any extent is symbolic."""
-        total: Union[int, AffineExpr] = 1
-        for extent in self.shape:
-            if isinstance(extent, AffineExpr) or isinstance(total, AffineExpr):
-                raise ValueError(
-                    "symbolic total size of multi-dimensional symbolic arrays is "
-                    "not affine; evaluate concrete_shape instead"
-                )
-            total *= extent
-        return total
-
     def footprint_bytes(self, param_binding: Optional[Mapping[str, int]] = None) -> int:
         """Total size in bytes for concrete extents."""
         total = 1

@@ -46,10 +46,6 @@ def evaluate_bound(value: BoundValue, binding: Mapping[str, int], *, is_lower: b
     return value.ceil_at(binding) if is_lower else value.floor_at(binding)
 
 
-def bound_to_str(value: BoundValue) -> str:
-    return str(value)
-
-
 class Node:
     """Base class for AST nodes."""
 
@@ -164,10 +160,6 @@ class StatementNode(Node):
         if self.kind not in (COMPUTE, COPY_IN, COPY_OUT):
             raise ValueError(f"unknown statement kind {self.kind!r}")
 
-    @property
-    def is_copy(self) -> bool:
-        return self.kind in (COPY_IN, COPY_OUT)
-
 
 @dataclass
 class SyncNode(Node):
@@ -184,19 +176,6 @@ class SyncNode(Node):
     def __post_init__(self) -> None:
         if self.scope not in ("threads", "blocks"):
             raise ValueError(f"unknown sync scope {self.scope!r}")
-
-
-def find_loops(root: Node) -> List[LoopNode]:
-    """All loop nodes of the subtree in pre-order."""
-    return [node for node in root.walk() if isinstance(node, LoopNode)]
-
-
-def find_loop(root: Node, iterator: str) -> Optional[LoopNode]:
-    """The first loop with the given iterator name, or ``None``."""
-    for node in root.walk():
-        if isinstance(node, LoopNode) and node.iterator == iterator:
-            return node
-    return None
 
 
 def enclosing_loops(root: Node, target: Node) -> List[LoopNode]:

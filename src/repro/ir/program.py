@@ -77,12 +77,6 @@ class Program:
         except KeyError:
             raise KeyError(f"no array named {name!r} in program {self.name!r}") from None
 
-    def global_arrays(self) -> List[Array]:
-        return [a for a in self.arrays.values() if not a.is_local]
-
-    def local_arrays(self) -> List[Array]:
-        return [a for a in self.arrays.values() if a.is_local]
-
     def loops_around(self, statement: Statement) -> List[LoopNode]:
         """Loop nodes surrounding the statement's occurrence in the body."""
         for node in self.body.walk():

@@ -10,7 +10,7 @@ function for the analysis layers (data spaces, dependences).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.ir.arrays import Array
 from repro.ir.expressions import Expr, Load
@@ -131,13 +131,6 @@ class Statement:
             raise TypeError("the left-hand side of a statement must remain a Load")
         new_rhs = self.rhs.map_loads(transform)
         return replace(self, lhs=new_lhs, rhs=new_rhs)
-
-    def rename_iterators(self, mapping: Mapping[str, str]) -> "Statement":
-        """Rename surrounding loop iterators consistently in domain and accesses."""
-        new_domain = self.domain.rename_dims(dict(mapping))
-        new_lhs = self.lhs.rename_iters(mapping)
-        new_rhs = self.rhs.rename_iters(mapping)
-        return replace(self, domain=new_domain, lhs=new_lhs, rhs=new_rhs)
 
     def with_domain(self, domain: Polyhedron) -> "Statement":
         """Replace the iteration domain (e.g. after tiling introduces new bounds)."""

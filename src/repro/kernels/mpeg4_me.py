@@ -112,12 +112,6 @@ class MEWorkloadModel:
         frame_region = (ti + tk - 1) * (tj + tl - 1)
         return (2 * frame_region + ti * tj) * self.element_size
 
-    def subtile_volumes(self, tile: Tuple[int, int, int, int]) -> Tuple[int, int]:
-        """(copy-in, copy-out) elements per sub-tile execution."""
-        ti, tj, tk, tl = tile
-        frame_region = (ti + tk - 1) * (tj + tl - 1)
-        return 2 * frame_region + ti * tj, ti * tj
-
     def block_workload(
         self, tile: Tuple[int, int, int, int], use_scratchpad: bool = True
     ) -> BlockWorkload:

@@ -52,10 +52,6 @@ class GPUSpec:
     kernel_launch_overhead_us: float = 8.0
 
     @property
-    def total_shared_memory(self) -> int:
-        return self.shared_memory_per_multiprocessor * self.multiprocessors
-
-    @property
     def cycles_per_us(self) -> float:
         return self.clock_ghz * 1000.0
 
@@ -125,10 +121,6 @@ class GridSpec:
     #: fractional per-word slowdown added per *extra* concurrent sender on
     #: the device→host path (serialised host collection)
     host_contention_penalty: float = 0.13
-
-    @property
-    def num_pes(self) -> int:
-        return self.grid_p * self.grid_p
 
     @property
     def cycles_per_us(self) -> float:

@@ -141,9 +141,6 @@ class AffineExpr:
     def is_constant(self) -> bool:
         return not self._coeffs
 
-    def is_zero(self) -> bool:
-        return not self._coeffs and self._const == 0
-
     def depends_on(self, names: Iterable[str]) -> bool:
         """True if any of *names* appears with a non-zero coefficient."""
         return any(name in self._coeffs for name in names)
@@ -391,10 +388,6 @@ class AffineFunction:
 
     # -- inspection -------------------------------------------------------------
     @property
-    def input_dim(self) -> int:
-        return len(self.inputs)
-
-    @property
     def output_dim(self) -> int:
         return len(self.outputs)
 
@@ -425,10 +418,6 @@ class AffineFunction:
     def apply(self, binding: Mapping[str, Number]) -> Tuple[Fraction, ...]:
         """Apply the function to a fully bound point."""
         return tuple(expr.evaluate(binding) for expr in self.outputs)
-
-    def apply_exprs(self, exprs: Mapping[str, ExprLike]) -> Tuple[AffineExpr, ...]:
-        """Symbolically substitute expressions for the inputs."""
-        return tuple(expr.substitute(exprs) for expr in self.outputs)
 
     def compose(self, inner: "AffineFunction") -> "AffineFunction":
         """Return ``self ∘ inner`` (apply *inner* first)."""

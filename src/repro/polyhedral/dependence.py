@@ -84,10 +84,6 @@ class Dependence:
     common_loops: Tuple[str, ...]
 
     @property
-    def is_loop_independent(self) -> bool:
-        return self.level == 0
-
-    @property
     def carrying_loop(self) -> Optional[str]:
         if self.level == 0:
             return None

@@ -121,11 +121,6 @@ class QuasiAffineBound:
             self.kind, tuple(expr.substitute(binding) for expr in self.exprs)
         )
 
-    def merged_with(self, other: "QuasiAffineBound") -> "QuasiAffineBound":
-        if self.kind != other.kind:
-            raise ValueError("cannot merge bounds of different kinds")
-        return QuasiAffineBound(self.kind, self.exprs + other.exprs)
-
     def __str__(self) -> str:
         if self.is_single:
             return str(self.exprs[0])
@@ -144,10 +139,6 @@ class ParametricBound:
     def __post_init__(self) -> None:
         if self.lower.kind != "max" or self.upper.kind != "min":
             raise ValueError("lower bound must be a max, upper bound a min")
-
-    def extent_expr(self) -> AffineExpr:
-        """``ub - lb + 1`` when both bounds are single affine expressions."""
-        return self.upper.as_single_expr() - self.lower.as_single_expr() + 1
 
     def evaluate(self, binding: Mapping[str, Number]) -> Tuple[int, int]:
         return self.lower.evaluate_int(binding), self.upper.evaluate_int(binding)

@@ -136,10 +136,6 @@ class Polyhedron:
             self._parts = tuple(parts)
         return self._parts
 
-    @property
-    def dim_count(self) -> int:
-        return len(self._dims)
-
     def __repr__(self) -> str:
         dims = ", ".join(self._dims)
         params = ", ".join(self._params)
@@ -262,10 +258,6 @@ class Polyhedron:
             return True
 
     # -- bounds and sampling -------------------------------------------------
-    def dim_bound_constraints(self, name: str) -> "Polyhedron":
-        """Project onto a single dimension (keeping parameters)."""
-        return self.project_onto([name])
-
     def bounding_box(
         self, param_binding: Optional[Mapping[str, Number]] = None
     ) -> Dict[str, Tuple[int, int]]:

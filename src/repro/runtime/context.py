@@ -49,14 +49,6 @@ class AccessCounters:
             self.global_writes += 1
         self.per_array_writes[array.name] = self.per_array_writes.get(array.name, 0) + 1
 
-    @property
-    def total_global_accesses(self) -> int:
-        return self.global_reads + self.global_writes
-
-    @property
-    def total_local_accesses(self) -> int:
-        return self.local_reads + self.local_writes
-
     def summary(self) -> Dict[str, int]:
         """Flat dictionary view used by reports and tests."""
         return {
@@ -123,9 +115,6 @@ class ExecutionContext:
             return self._storage[name]
         except KeyError:
             raise KeyError(f"array {name!r} has no storage in this context") from None
-
-    def has_array(self, name: str) -> bool:
-        return name in self._storage
 
     # -- element access ------------------------------------------------------------
     def read(self, array: Array, indices: Tuple[int, ...]) -> float:

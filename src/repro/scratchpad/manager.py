@@ -111,9 +111,6 @@ class ScratchpadPlan:
         """Scratchpad bytes needed when all buffers are live simultaneously."""
         return sum(plan.spec.footprint_bytes() for plan in self.buffers)
 
-    def total_footprint_elements(self) -> int:
-        return sum(plan.spec.footprint_elements() for plan in self.buffers)
-
     def volume_in(self, param_binding: Optional[Mapping[str, int]] = None) -> int:
         return sum(plan.movement.volume_in(param_binding) for plan in self.buffers)
 

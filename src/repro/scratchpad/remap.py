@@ -10,7 +10,7 @@ paper's Fig. 1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.ir.expressions import Expr, Load
 from repro.ir.statements import Statement
@@ -78,11 +78,3 @@ def remap_statement(
         lambda load: transform_lhs(load) if load == statement.lhs else transform(load)
     )
     return remapped
-
-
-def remap_statements(
-    statements: Sequence[Statement], specs: Iterable[LocalBufferSpec]
-) -> List[Statement]:
-    """Remap a whole block of statements against a set of buffers."""
-    table = build_remap_table(specs)
-    return [remap_statement(statement, table) for statement in statements]

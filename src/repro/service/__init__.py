@@ -6,7 +6,7 @@ clients.  This package wraps :func:`repro.autotune.tune` in exactly that
 contract:
 
 * :mod:`repro.service.protocol` — the JSON wire format (:class:`TuneRequest`
-  resolved against the kernel registry, :class:`JobRecord` job state);
+  from :mod:`repro.autotune.request`, :class:`JobRecord` job state);
 * :mod:`repro.service.worker` — the picklable per-job entry point run on the
   worker pool;
 * :mod:`repro.service.jobs` — :class:`~repro.service.jobs.JobTable`, the

@@ -36,8 +36,8 @@ from typing import Dict, Optional, Sequence
 
 from repro.telemetry import iter_spans, parse_prometheus_text, save_trace
 from repro.telemetry.events import LEVELS, configure as configure_events, emit
-from repro.autotune.cli import parse_sizes
-from repro.autotune.search import EXECUTORS, STRATEGIES
+from repro.autotune.request import add_request_arguments, request_from_args
+from repro.autotune.search import EXECUTORS
 from repro.autotune.session import TuningReport
 from repro.service.client import ServiceError, TuningClient
 from repro.service.protocol import (
@@ -88,13 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         "works, but history is lost on restart)",
     )
     serve.add_argument(
-        "--reuse-artifacts",
-        action="store_true",
-        help="share config-invariant compiler artifacts (affine analysis) "
-        "across requests with the same program, binding and spec — repeat "
-        "requests run analysis zero times (per worker process)",
-    )
-    serve.add_argument(
         "--peers",
         nargs="*",
         default=[],
@@ -125,21 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     submit = commands.add_parser("submit", help="submit one tuning request")
-    submit.add_argument("kernel", help="registered kernel name")
+    add_request_arguments(submit)
     submit.add_argument("--url", default=DEFAULT_URL)
-    submit.add_argument(
-        "--size", nargs="*", default=[], metavar="NAME=VALUE",
-        help="problem-size overrides, e.g. --size m=256 n=256 k=256",
-    )
-    submit.add_argument("--strategy", default="pruned", choices=sorted(STRATEGIES))
-    submit.add_argument(
-        "--backend",
-        default="model:",
-        metavar="URI",
-        help="evaluation backend: model: (default), measure-py:[warmup=..,repeat=..], "
-        "measure-c:[cc=..], or hybrid:model>measure-py?top=K",
-    )
-    submit.add_argument("--seed", type=int, default=0)
     submit.add_argument(
         "--priority",
         default="normal",
@@ -150,18 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--eval-workers", type=int, default=1,
         help="parallel evaluation fan-out inside the worker",
-    )
-    submit.add_argument(
-        "--check", action="store_true",
-        help="spot-check configurations through the interpreter",
-    )
-    submit.add_argument(
-        "--threads", type=int, nargs="*", default=None,
-        help="thread-per-block counts to explore",
-    )
-    submit.add_argument(
-        "--blocks", type=int, nargs="*", default=None,
-        help="thread-block counts to explore",
     )
     submit.add_argument(
         "--wait", action="store_true", help="block until the report is ready"
@@ -222,7 +190,6 @@ def _serve(args: argparse.Namespace) -> int:
         executor=args.executor,
         max_workers=args.workers,
         history=args.history,
-        reuse_artifacts=args.reuse_artifacts,
         peers=args.peers,
         advertise_url=args.advertise_url,
     )
@@ -248,24 +215,19 @@ def _serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit(args: argparse.Namespace) -> int:
-    space: Dict[str, object] = {}
-    if args.threads:
-        space["thread_counts"] = list(args.threads)
-    if args.blocks:
-        space["block_counts"] = list(args.blocks)
-    request = TuneRequest(
-        kernel=args.kernel,
-        sizes=parse_sizes(args.size),
-        strategy=args.strategy,
-        seed=args.seed,
+def submitted_request(args: argparse.Namespace) -> TuneRequest:
+    """The request ``submit``'s flags name — the one ``python -m
+    repro.autotune`` tunes for the same request flags."""
+    return request_from_args(
+        args,
         eval_workers=args.eval_workers,
-        check_correctness=args.check,
-        space=space or None,
-        backend=args.backend,
         trace=args.trace is not None,
         priority=args.priority,
     )
+
+
+def _submit(args: argparse.Namespace) -> int:
+    request = submitted_request(args)
     client = TuningClient(args.url)
     pending = client.submit(request)
     print(f"job: {pending.job_id}")

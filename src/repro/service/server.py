@@ -110,7 +110,6 @@ class TuningService:
         spec: GPUSpec = GEFORCE_8800_GTX,
         max_finished_jobs: int = 1024,
         history: Union[HistoryStore, str, Path, None] = None,
-        reuse_artifacts: bool = False,
         fleet: Optional[FleetRegistry] = None,
     ) -> None:
         if executor not in EXECUTORS:
@@ -124,8 +123,6 @@ class TuningService:
         self.history = opened if opened is not None else HistoryStore()
         self.executor = executor
         self.spec = spec
-        #: opt-in cross-request analysis-artifact reuse in the workers
-        self.reuse_artifacts = reuse_artifacts
         if executor == "process":
             # Workers spawn lazily, at the first submit — i.e. from a process
             # whose HTTP handler threads are already running.  fork() from a
@@ -204,7 +201,6 @@ class TuningService:
                 cache_path=self.cache.uri,
                 spec=self.spec,
                 job_id=job.id,
-                reuse_artifacts=self.reuse_artifacts,
             )
             try:
                 future = self._pool.submit(task)
@@ -598,7 +594,6 @@ class TuningServer:
         max_workers: int = 2,
         spec: GPUSpec = GEFORCE_8800_GTX,
         history: Union[HistoryStore, str, Path, None] = None,
-        reuse_artifacts: bool = False,
         peers: Iterable[str] = (),
         advertise_url: Optional[str] = None,
     ) -> None:
@@ -608,7 +603,6 @@ class TuningServer:
             max_workers=max_workers,
             spec=spec,
             history=history,
-            reuse_artifacts=reuse_artifacts,
         )
         self._httpd = ThreadingHTTPServer((host, port), TuningRequestHandler)
         self._httpd.daemon_threads = True

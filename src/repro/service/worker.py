@@ -31,7 +31,6 @@ def execute_request(
     cache_path: Optional[str] = None,
     spec: Optional[GPUSpec] = None,
     job_id: Optional[str] = None,
-    reuse_artifacts: bool = False,
 ) -> Dict[str, Any]:
     """Run one tuning request to completion; returns the job-completion payload.
 
@@ -45,14 +44,6 @@ def execute_request(
     counters are process-global — an upper bound when several *thread*
     workers tune concurrently in one process (process workers are exact,
     having the process to themselves).
-
-    ``reuse_artifacts`` (the server's ``--reuse-artifacts``) opts into the
-    executing process's :data:`~repro.compiler.GLOBAL_ARTIFACT_CACHE`:
-    repeat requests for one (program, binding, spec) then run affine
-    analysis zero times — visible in the returned ``stages`` counts and in
-    ``repro_artifact_cache_total`` of the shipped metrics delta.  With
-    process workers each worker process keeps its own cache (long-lived pool
-    processes warm up once each).
     """
     request = TuneRequest.from_dict(payload)
     # Built against the server's machine spec (GPUSpec is a frozen dataclass
@@ -72,12 +63,7 @@ def execute_request(
         # TuningProblem.prepare attaches trace_pass_hook to the session it
         # builds because the collector installed above is already active.
         with counting_compiles() as compiles, counting_stage_runs() as stage_runs:
-            report = tune(
-                problem,
-                max_workers=request.eval_workers,
-                cache=cache,
-                artifact_cache=reuse_artifacts,
-            )
+            report = tune(problem, max_workers=request.eval_workers, cache=cache)
     finally:
         if collector is not None:
             trace.stop_trace()

@@ -403,16 +403,6 @@ class MetricsRegistry:
                         metric._samples[key] = metric._samples.get(key, 0.0) + diff
             # gauges never appear in deltas; ignore unknown types defensively
 
-    def reset(self) -> None:
-        """Zero every sample, keeping registrations (tests and benchmarks)."""
-        with self._lock:
-            metrics = list(self._metrics.values())
-        for metric in metrics:
-            with metric._lock:
-                metric._samples.clear()
-                if not metric.label_names:
-                    metric._samples[()] = metric._zero()
-
 
 #: the process-wide registry every repro subsystem publishes into
 METRICS = MetricsRegistry()

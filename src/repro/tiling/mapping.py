@@ -29,10 +29,6 @@ class LaunchGeometry:
         if self.shared_memory_per_block_bytes < 0:
             raise ValueError("shared memory per block cannot be negative")
 
-    @property
-    def total_threads(self) -> int:
-        return self.num_blocks * self.threads_per_block
-
     def concurrent_blocks(
         self,
         shared_memory_per_multiprocessor: int,

@@ -90,22 +90,11 @@ class TiledProgram:
     context: Polyhedron
     original: Program
 
-    def tile_iterator(self, level: int, loop: str) -> str:
-        return self.levels[level].iterators[loop][0]
-
     def block_loops(self) -> List[LoopNode]:
         """Tile loops enclosing the block boundary, outermost first."""
         result: List[LoopNode] = []
         for level in self.levels[: self.block_level + 1]:
             result.extend(level.loops)
-        return result
-
-    def inner_loops(self) -> List[LoopNode]:
-        """Loops inside the block boundary (deeper tile levels + point loops)."""
-        result: List[LoopNode] = []
-        for level in self.levels[self.block_level + 1 :]:
-            result.extend(level.loops)
-        result.extend(self.point_loops)
         return result
 
 

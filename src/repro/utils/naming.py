@@ -20,10 +20,6 @@ class NameGenerator:
         """Mark *name* as taken."""
         self._reserved.add(name)
 
-    def reserve_all(self, names: Iterable[str]) -> None:
-        for name in names:
-            self.reserve(name)
-
     def fresh(self, prefix: str) -> str:
         """Return an unused name starting with *prefix* and reserve it."""
         if prefix not in self._reserved:

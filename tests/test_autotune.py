@@ -371,7 +371,7 @@ class TestAutotuneSession:
         problem_fields = [f.name for f in dataclasses.fields(TuningProblem)]
         resources = list(inspect.signature(tune).parameters)[1:]
         keywords = list(inspect.signature(autotune).parameters)
-        assert len(problem_fields) == 11 and len(resources) == 5
+        assert len(problem_fields) == 11 and len(resources) == 4
         assert sorted(keywords) == sorted(problem_fields + resources)
 
     def test_invalid_inputs_rejected(self, matmul):

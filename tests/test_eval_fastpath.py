@@ -23,7 +23,6 @@ truncated compiler stderr.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -47,7 +46,6 @@ from repro.compiler import (
     CompilationSession,
     counting_stage_runs,
 )
-from repro.compiler.artifact_cache import ARTIFACT_CACHE_TOTAL, ArtifactCache
 from repro.kernels.registry import get_kernel
 from repro.machine.spec import GEFORCE_8800_GTX
 from repro.runtime.interpreter import run_program
@@ -382,70 +380,12 @@ class TestVectorisedLowering:
         assert seconds["off"] >= 3 * seconds["on"], seconds
 
 
-# -- the artifact cache ------------------------------------------------------------
-class TestArtifactCache:
-    def test_publish_then_adopt_skips_analysis(self):
-        cache = ArtifactCache(capacity=4)
-        donor = CompilationSession(matmul(8))
-        donor.analysis()
-        assert cache.publish(donor) == ["analysis"]
-
-        adopter = CompilationSession(matmul(8))
-        hits = ARTIFACT_CACHE_TOTAL.value(outcome="hit")
-        with counting_stage_runs() as runs:
-            installed = cache.adopt(adopter)
-            adopter.analysis()
-        assert installed == ["analysis"]
-        assert runs.counts.get("analysis", 0) == 0
-        assert ARTIFACT_CACHE_TOTAL.value(outcome="hit") == hits + 1
-
-    def test_different_identity_misses(self):
-        cache = ArtifactCache(capacity=4)
-        donor = CompilationSession(matmul(8))
-        donor.analysis()
-        cache.publish(donor)
-        misses = ARTIFACT_CACHE_TOTAL.value(outcome="miss")
-        stranger = CompilationSession(matmul(16))
-        assert cache.adopt(stranger) == []
-        assert ARTIFACT_CACHE_TOTAL.value(outcome="miss") == misses + 1
-
-    def test_install_rejects_tampered_fingerprints(self):
-        donor = CompilationSession(matmul(8))
-        donor.analysis()
-        artifact = donor.config_invariant_artifacts()["analysis"]
-        forged = dataclasses.replace(artifact, fingerprint="0" * 40)
-        adopter = CompilationSession(matmul(8))
-        assert adopter.install_artifacts({"analysis": forged}) == []
-        assert adopter.install_artifacts({"analysis": artifact}) == ["analysis"]
-
-    def test_lru_capacity_bounds_identities(self):
-        cache = ArtifactCache(capacity=1)
-        for n in (8, 16):
-            session = CompilationSession(matmul(n))
-            session.analysis()
-            cache.publish(session)
-        assert len(cache) == 1
-
-    def test_repeat_autotune_request_runs_analysis_zero_times(self):
-        cache = ArtifactCache()
-        hits = ARTIFACT_CACHE_TOTAL.value(outcome="hit")
-        with counting_stage_runs() as cold_runs:
-            cold = autotune(matmul(16), space_options=TINY_SPACE, artifact_cache=cache)
-        with counting_stage_runs() as runs:
-            warm = autotune(
-                matmul(16), space_options=TINY_SPACE, artifact_cache=cache
-            )
-        assert cold_runs.counts["analysis"] == 1
-        assert runs.counts.get("analysis", 0) == 0
-        assert ARTIFACT_CACHE_TOTAL.value(outcome="hit") >= hits + 1
-        assert warm.fingerprint == cold.fingerprint
-        assert warm.best.configuration == cold.best.configuration
-
-    def test_sharing_stays_opt_in(self):
+# -- analysis per request ------------------------------------------------------------
+def test_each_request_runs_analysis_once():
+    autotune(matmul(16), space_options=TINY_SPACE)
+    with counting_stage_runs() as runs:
         autotune(matmul(16), space_options=TINY_SPACE)
-        with counting_stage_runs() as runs:
-            autotune(matmul(16), space_options=TINY_SPACE)
-        assert runs.counts["analysis"] == 1  # the honest per-request default
+    assert runs.counts["analysis"] == 1  # nothing is shared across requests
 
 
 # -- measure-c fast path (needs a toolchain) ---------------------------------------
