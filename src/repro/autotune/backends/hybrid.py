@@ -136,7 +136,10 @@ class HybridBackend(EvaluationBackend):
         they were feasible, so the report's speedup compares measured against
         measured.  Everything else keeps its primary (model) measurement and
         stays in the result list for inspection — :meth:`select_best` never
-        lets an un-measured candidate win.
+        lets an un-measured candidate win.  A survivor whose spot-check
+        failed (``correct is False``) is never re-measured: finalizing again
+        after the evaluator rejects a winner promotes the next-ranked one,
+        and the measurement memo re-measures only that newcomer.
 
         Re-measurement is deliberately **serial**, whatever parallelism the
         surrounding search used: the secondary backend times wall-clock
@@ -161,8 +164,8 @@ class HybridBackend(EvaluationBackend):
             measurement = self.secondary.measure(result.configuration)
             measurement.metadata["model_time_ms"] = result.time_ms
             remeasured = result_from_measurement(result.configuration, measurement)
-            # preserved from the primary pass: the spot-check verdict, and the
-            # mapped geometry when the measurement carries none of its own
+            # preserved from the primary pass: a verdict, and the mapped
+            # geometry when the measurement carries none of its own
             remeasured.correct = result.correct
             if not remeasured.shared_bytes_per_block:
                 remeasured.shared_bytes_per_block = result.shared_bytes_per_block

@@ -17,16 +17,20 @@ Every :class:`EvaluationResult` carries its :class:`~repro.autotune.backends.
 Measurement` — ``measurement.kind`` records whether the time was modelled or
 measured, and travels into reports and the persistent cache.
 
-With ``check_correctness`` enabled the mapped program is additionally run
+With ``check_correctness`` enabled, :meth:`ConfigurationEvaluator.select`
+spot-checks the winner before crowning it: its mapped check program is run
 through the reference interpreter against the original program on small
 seeded random inputs — the same oracle the repo's transformation tests use.
+A wrong winner is marked ``correct=False`` and selection starts over, so
+only the candidates the backend would crown are ever interpreted; the rest
+keep ``correct=None``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,8 +40,15 @@ from repro.ir.program import Program
 from repro.machine.spec import GEFORCE_8800_GTX, GPUSpec, GridSpec
 from repro.runtime.interpreter import run_program
 from repro.telemetry import trace
+from repro.telemetry.metrics import METRICS
 from repro.autotune.backends import EvaluationBackend, Measurement, resolve_backend
 from repro.autotune.space import Configuration
+
+SPOT_CHECKS_TOTAL = METRICS.counter(
+    "repro_spot_checks_total",
+    "interpreted spot-checks of would-be winners by verdict",
+    labels=("verdict",),
+)
 
 
 @dataclass
@@ -51,7 +62,8 @@ class EvaluationResult:
     error: Optional[str] = None
     shared_bytes_per_block: int = 0
     breakdown: Dict[str, float] = field(default_factory=dict)
-    #: ``None`` when no spot-check ran, otherwise the verdict
+    #: ``None`` when no spot-check ran, otherwise the verdict — only a
+    #: result the backend picked as winner is ever spot-checked
     correct: Optional[bool] = None
     #: how ``time_ms`` was obtained (kind, per-run samples, ...)
     measurement: Optional[Measurement] = None
@@ -110,9 +122,9 @@ def result_from_measurement(
 class ConfigurationEvaluator:
     """Costs configurations of one (program, machine, params) instance.
 
-    A thin orchestrator: the shared compilation session and the correctness
-    spot-check live here; *how* a candidate gets a cost is the pluggable
-    ``backend``'s business (a URI string, an
+    A thin orchestrator: the shared compilation session and the winner's
+    correctness spot-check live here; *how* a candidate gets a cost is the
+    pluggable ``backend``'s business (a URI string, an
     :class:`~repro.autotune.backends.EvaluationBackend` instance, or ``None``
     for the analytical model).
     """
@@ -215,7 +227,7 @@ class ConfigurationEvaluator:
         self._prepared = True
 
     def evaluate(self, config: Configuration) -> EvaluationResult:
-        """Compile, cost, and optionally spot-check one configuration."""
+        """Compile and cost one configuration (the verdict waits for :meth:`select`)."""
         self._ensure_prepared()
         with trace.span(
             "candidate",
@@ -225,9 +237,6 @@ class ConfigurationEvaluator:
             scratchpad=config.use_scratchpad,
         ) as item:
             result = result_from_measurement(config, self.backend.measure(config))
-            if result.feasible and self.check_correctness:
-                with trace.span("spot-check", kind="check"):
-                    result.correct = self.spot_check(config)
             item.annotate(time_ms=result.time_ms, feasible=result.feasible)
         return result
 
@@ -236,9 +245,32 @@ class ConfigurationEvaluator:
         self._ensure_prepared()
         return self.backend.finalize(results, self, ensure=ensure)
 
-    def select_best(self, results: List[EvaluationResult]) -> EvaluationResult:
-        """The backend's winner among finalized results."""
-        return self.backend.select_best(results)
+    def select(
+        self, results: List[EvaluationResult], ensure: Sequence[Configuration] = ()
+    ) -> Tuple[List[EvaluationResult], EvaluationResult]:
+        """Finalize the search's ``results`` and crown the backend's winner.
+
+        Returns the finalized results and the winner among them.  With
+        ``check_correctness`` the winner is spot-checked first; a wrong one
+        is marked ``correct=False`` in ``results`` and selection starts over
+        from :meth:`finalize`, so the hybrid backend promotes the next
+        model-ranked candidate into its measured top-K (its measurement memo
+        re-measures only that one).  Raises :class:`ValueError` when every
+        feasible candidate is wrong.
+        """
+        while True:
+            finalized = self.finalize(results, ensure=ensure)
+            best = self.backend.select_best(finalized)
+            if not self.check_correctness:
+                return finalized, best
+            with trace.span("spot-check", kind="check"):
+                best.correct = self.spot_check(best.configuration)
+            SPOT_CHECKS_TOTAL.inc(verdict="pass" if best.correct else "fail")
+            if best.correct:
+                return finalized, best
+            for result in results:
+                if result.configuration == best.configuration:
+                    result.correct = False
 
     def spot_check(self, config: Configuration) -> bool:
         """Interpret the mapped small-size program against the reference."""

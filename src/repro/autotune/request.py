@@ -274,7 +274,8 @@ def add_request_arguments(
     parser.add_argument(
         "--check",
         action="store_true",
-        help="spot-check each configuration through the interpreter "
+        help="spot-check the winner through the interpreter before it is "
+        "crowned, falling back to the next candidate when it is wrong "
         "(at the kernel's small verification size)",
     )
     parser.add_argument(

@@ -316,9 +316,11 @@ def autotune(
         Drives every randomised search path (and the correctness spot-check
         and measured-backend inputs), making runs reproducible.
     check_correctness / check_program:
-        Also verify each configuration through the reference interpreter
-        (against ``check_program`` when the tuned problem is too large to
-        interpret).
+        Also verify the winner through the reference interpreter (against
+        ``check_program`` when the tuned problem is too large to interpret)
+        before it is crowned; a wrong winner is marked ``correct=False`` and
+        the next candidate in the backend's order is checked instead.  Only
+        checked results carry a verdict, the others keep ``correct=None``.
     backend:
         How candidates get a cost: a URI string (``"model:"`` — the default
         analytical pricing — ``"measure-py:"``, ``"measure-c:cc=gcc"``,
@@ -475,7 +477,9 @@ def tune(
         # The backend's post-search pass: the hybrid backend re-measures the
         # top-K survivors (and the baseline) here; winner selection is the
         # backend's too, so a model-priced survivor can never outrank a
-        # measured one on incomparable milliseconds.
+        # measured one on incomparable milliseconds.  With a spot-check, the
+        # winner is verified before it is crowned (a wrong one re-opens the
+        # selection).
         with trace.span("finalize", kind="finalize", backend=backend.uri()):
             EVENTS.emit(
                 "request.finalize",
@@ -484,7 +488,7 @@ def tune(
                 backend=backend.uri(),
                 survivors=len(results),
             )
-            results = evaluator.finalize(results, ensure=(seed_config,))
+            results, best = evaluator.select(results, ensure=(seed_config,))
         baseline = next(
             (r for r in results if r.configuration == seed_config), results[0]
         )
@@ -493,7 +497,7 @@ def tune(
             fingerprint=key,
             strategy=strategy.name,
             spec_name=spec.name,
-            best=evaluator.select_best(results),
+            best=best,
             baseline=baseline,
             results=results,
             seed=seed,

@@ -113,7 +113,8 @@ class TestEvaluator:
         evaluator = ConfigurationEvaluator(program, check_correctness=True, seed=3)
         result = evaluator.evaluate(Configuration.make(4, 16, {"i": 4, "j": 4, "k": 8}))
         assert result.feasible
-        assert result.correct is True
+        assert result.correct is None  # the search costs; only selection checks
+        assert evaluator.spot_check(result.configuration) is True
 
     def test_shared_reference_still_fails_a_corrupted_candidate(self, monkeypatch):
         """One reference interpretation per evaluator; every candidate compared in full."""
@@ -152,9 +153,9 @@ class TestEvaluator:
 
         program = get_kernel("matmul").build_check()
         evaluator = ConfigurationEvaluator(program, check_correctness=True, seed=3)
-        assert evaluator.evaluate(good).correct is True
-        assert evaluator.evaluate(bad).correct is False
-        assert evaluator.evaluate(good).correct is True  # the reference was not disturbed
+        assert evaluator.spot_check(good) is True
+        assert evaluator.spot_check(bad) is False
+        assert evaluator.spot_check(good) is True  # the reference was not disturbed
         # the reference once, each candidate's mapped program every time
         assert interpreted.count(program.name) == 1 and len(interpreted) == 4
         inputs, expected = evaluator._reference
@@ -165,8 +166,8 @@ class TestEvaluator:
         restored = pickle.loads(pickle.dumps(evaluator))
         assert restored._reference is None
         del interpreted[:]
-        assert restored.evaluate(bad).correct is False
-        assert restored.evaluate(good).correct is True
+        assert restored.spot_check(bad) is False
+        assert restored.spot_check(good) is True
         assert interpreted.count(program.name) == 1 and len(interpreted) == 3
 
     def test_best_result_breaks_ties_on_key(self):

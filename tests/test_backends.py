@@ -52,7 +52,7 @@ from repro.autotune.backends import (
     trimmed_median,
 )
 from repro.autotune.cli import cache_stats_main, main as cli_main
-from repro.autotune.evaluate import EvaluationResult
+from repro.autotune.evaluate import SPOT_CHECKS_TOTAL, EvaluationResult
 from repro.telemetry.history import spearman_rho
 
 requires_c_toolchain = pytest.mark.skipif(
@@ -349,14 +349,27 @@ class TestHybridBackend:
         kinds = {r.measurement_kind for r in report.results}
         assert kinds == {"model", "measured-py"}
 
-    def test_hybrid_maps_each_candidate_once_per_program(self):
+    def test_hybrid_maps_each_candidate_once_per_program(self, monkeypatch):
         """The benchmark's cold-hybrid matmul request: tiling → scratchpad →
         mapping run once per evaluation to price it (the seed's tiles come
-        from the §4.3 search alone, no compile) and once per evaluation on the
-        *check* program to spot-check it — the measuring backend replays what
+        from the §4.3 search alone, no compile) and once more on the *check*
+        program to spot-check the winner — the measuring backend replays what
         the model already mapped from the session's artifact memo and runs
-        only its lowering pass."""
+        only its lowering pass.  The interpreter runs twice: the reference
+        once, and the one winner's mapped program."""
+        from repro.autotune import evaluate as evaluate_module
+
+        interpreted = []
+        interpret = evaluate_module.run_program
+
+        def counting_interpret(program, **kwargs):
+            interpreted.append(program)
+            return interpret(program, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, "run_program", counting_interpret)
         kernel = get_kernel("matmul")
+        check_program = kernel.build_check()
+        verdicts = {v: SPOT_CHECKS_TOTAL.value(verdict=v) for v in ("pass", "fail")}
         with counting_stage_runs() as runs:
             report = autotune(
                 kernel.build(m=32, n=32, k=32),
@@ -364,15 +377,23 @@ class TestHybridBackend:
                 backend="hybrid:model>measure-py?top=4",
                 strategy="pruned",
                 check_correctness=True,
-                check_program=kernel.build_check(),
+                check_program=check_program,
             )
         evaluations = report.num_evaluations
         measured = sum(r.measurement_kind == "measured-py" for r in report.results)
         assert evaluations == 3 and 1 <= measured <= evaluations
         for stage in ("tiling", "scratchpad", "mapping"):
-            assert runs.counts[stage] == 2 * evaluations  # 6; 9 without the memo
+            # 4: each evaluation, plus the winner's check; more without the memo
+            assert runs.counts[stage] == evaluations + 1
         assert runs.counts["lower-py-vec"] == measured
         assert runs.counts["analysis"] == 2  # the program and its check twin
+        # exactly one verdict, on the winner; everything else was never checked
+        assert {
+            v: SPOT_CHECKS_TOTAL.value(verdict=v) - before for v, before in verdicts.items()
+        } == {"pass": 1, "fail": 0}
+        assert report.best.correct is True
+        assert [r.correct for r in report.results].count(None) == evaluations - 1
+        assert len(interpreted) == 2 and interpreted.count(check_program) == 1
 
     def test_hybrid_baseline_is_remeasured_for_comparable_speedups(self):
         report = autotune(
@@ -404,6 +425,101 @@ class TestHybridBackend:
         # 0.001 model-ms would "win" a naive comparison against 50 wall-ms
         best = backend.select_best([measured, model_priced])
         assert best is measured
+
+
+# -- the spot-check at selection time ------------------------------------------------
+class TestSpotCheckRejectsAMiscompiledWinner:
+    """A candidate whose *check-program* mapping is corrupted must never be
+    crowned: it is reported with ``correct is False`` and the next candidate
+    in the backend's order wins with ``correct is True``.  The measured times
+    are pinned to the model's order (each run still executes), so "the would-be
+    winner" is known before the request runs."""
+
+    HYBRID = "hybrid:model>measure-py:warmup=0,repeat=1?top={top}"
+
+    @pytest.fixture
+    def corrupted_tune(self, monkeypatch):
+        import dataclasses
+
+        from repro.ir.ast import COMPUTE, StatementNode
+
+        kernel = get_kernel("matmul")
+        program, check_program = kernel.build(m=16, n=16, k=16), kernel.build_check()
+        modelled = autotune(program, space_options=TINY_SPACE, cache=None)
+        ranked = [
+            r.configuration
+            for r in sorted(
+                (r for r in modelled.results if r.feasible),
+                key=lambda r: (r.time_ms, r.configuration.key()),
+            )
+        ]
+        assert len(ranked) >= 2
+        pinned_ms = {config: 10.0 + rank for rank, config in enumerate(ranked)}
+        measure = MeasuredPythonBackend._measure
+        monkeypatch.setattr(
+            MeasuredPythonBackend,
+            "_measure",
+            lambda self, config: dataclasses.replace(
+                measure(self, config), time_ms=pinned_ms[config]
+            ),
+        )
+        corrupted = set()
+        replay = CompilationSession.replay
+
+        def corrupting_replay(self, from_stage="tiling", config=None, options=None):
+            mapped = replay(self, from_stage=from_stage, config=config, options=options)
+            if self.program is check_program and config in corrupted:
+                node = next(
+                    n for n in mapped.program.body.walk()
+                    if isinstance(n, StatementNode) and n.kind == COMPUTE
+                )
+                node.statement = dataclasses.replace(
+                    node.statement, rhs=node.statement.rhs + 1.0
+                )
+            return mapped
+
+        monkeypatch.setattr(CompilationSession, "replay", corrupting_replay)
+
+        def run(backend, bad):
+            corrupted.clear()
+            corrupted.update(bad)
+            report = autotune(
+                program,
+                space_options=TINY_SPACE,
+                backend=backend,
+                cache=None,
+                check_correctness=True,
+                check_program=check_program,
+            )
+            verdicts = {}
+            for result in report.results:
+                verdicts.setdefault(result.configuration, set()).add(result.correct)
+            return report, verdicts
+
+        return ranked, run
+
+    @pytest.mark.parametrize(
+        "backend, kind",
+        [
+            (HYBRID.format(top=4), "measured-py"),
+            # the replacement is promoted into the top-1 and measured
+            (HYBRID.format(top=1), "measured-py"),
+            ("model:", "model"),
+        ],
+    )
+    def test_the_next_candidate_wins_checked(self, corrupted_tune, backend, kind):
+        ranked, run = corrupted_tune
+        report, verdicts = run(backend, {ranked[0]})
+        assert verdicts[ranked[0]] == {False}
+        assert report.best.configuration == ranked[1]
+        assert report.best.correct is True
+        assert report.best.measurement_kind == kind
+
+    @pytest.mark.parametrize("backend", ["model:", HYBRID.format(top=1)])
+    def test_every_candidate_wrong_fails_the_request(self, corrupted_tune, backend):
+        ranked, run = corrupted_tune
+        with pytest.raises(ValueError, match="no feasible \\(and correct\\) configuration"):
+            run(backend, set(ranked))
 
 
 # -- backend ↔ cache interaction ---------------------------------------------------
