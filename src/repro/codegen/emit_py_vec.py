@@ -6,12 +6,14 @@ Python interpreter dispatch per array access, which dominates the wall time
 the ``measure-py:`` backend exists to measure.  :class:`NumpyPrinter` is the
 scalar printer plus the spelling of the vector loops
 :class:`repro.codegen.lower.Lowering` proves safe (the rules are in that
-module): each eligible **innermost** loop becomes one numpy statement over
-the loop's whole range — a slice assignment
+module): each eligible **innermost** loop — the loop around a thread's one
+point counts, its point loops being substitutions — becomes one numpy
+statement over the loop's whole range: a slice assignment
 (``O[_lo:_hi + 1] = A[_lo:_hi + 1]`` under ``if _hi >= _lo:``), a reduction
-``lhs += float(_np.sum(...))`` (``prod``/``min``/``max`` likewise), or, when
-slices are not proven, the same over ``it = _np.arange(lo, hi + 1, step)``
-masked by the conjuncts left over the iterator.
+``lhs += float(_np.sum(...))`` (``prod``/``min``/``max`` likewise; a sum of
+products the walker marks is ``float(_np.dot(x, y))``), or, when slices
+are not proven, the same over ``it = _np.arange(lo, hi + 1, step)`` masked
+by the conjuncts left over the iterator.
 """
 
 from __future__ import annotations
@@ -57,14 +59,20 @@ class NumpyPrinter(PythonPrinter):
             self.emit(f"{iterator} = {iterator}[{conjuncts}]", depth)
         self.emit(f"if {iterator}.size:", depth)
 
+    def reduce(self, reduction: str, operand: str) -> str:
+        return f"_np.{_REDUCERS[reduction]}({operand})"
+
+    def dot(self, lhs: str, rhs: str) -> str:
+        return f"_np.dot({lhs}, {rhs})"
+
     def vector_assign(
         self, reduction: Optional[str], lhs: str, rhs: str, elementwise: bool, depth: int
     ) -> None:
+        """An elementwise ``rhs``, or the scalar a ``reduce``/``dot`` spelled."""
         if elementwise:
             self.assign(reduction, lhs, rhs, depth, _ELEMENTWISE)
         else:
-            reduced = f"float(_np.{_REDUCERS[reduction]}({rhs}))"
-            self.assign(reduction, lhs, reduced, depth)
+            self.assign(reduction, lhs, f"float({rhs})", depth)
 
 
 def emit_python_source_vectorized(

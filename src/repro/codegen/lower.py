@@ -22,35 +22,55 @@ and C harness (:mod:`~repro.codegen.emit_c_exec`) printers never see an
   them) and the conjuncts of enclosing guards — and drops a guard or domain
   conjunct ``c`` when ``facts ∧ ¬c`` has no rational solution
   (:meth:`Lowering.implied`): no rational point means no integer point, so the
-  test could never fail.  Equalities are never dropped.  When nothing remains
-  there is no ``if`` at all, in any printer.
+  test could never fail.  Equalities are never dropped (unless constant).
+  When nothing remains there is no ``if`` at all, in any printer.
+* **Bounds.**  A ``max`` lower bound loses a term ``l_k`` when the facts
+  imply ``l_j >= l_k`` for a term ``l_j`` it keeps, a ``min`` upper bound a
+  term ``u_k`` when they imply ``u_j <= u_k`` — the term never decides the
+  bound, as CLooG drops redundant bound terms.  The facts a loop contributes
+  still come from all of its terms, each one a valid fact.
+* **Point loops.**  When the pruned lower and upper bounds are one and the
+  same form with ``D == 1``, the loop runs exactly once, at that value: no
+  loop is printed, and the form is substituted for the iterator in every
+  index, affine value, guard and symbol definition below it.  A rational
+  form stays a loop (it runs zero times where the form is fractional), and
+  so does a loop right under whose header a derived symbol is defined.
 * **Symbol scoping.**  A derived symbol is defined right after the loop
   header that brings the last variable it reads into scope.
 * **Vector loops** (printers with ``vector = True``).  An eligible innermost
-  loop becomes one numpy statement over its whole range ``lo .. hi``.  What
-  the loop's bounds and the enclosing facts imply is dropped; the rest is a
-  scalar ``if`` (conjuncts without the iterator) and a boolean mask (those
-  with it).  An elementwise statement (some lhs index mentions the iterator,
-  with a nonzero integer coefficient, hence injectively) becomes one array
-  assignment; a reduction whose lhs does not mention it becomes one numpy
-  reduction.  The iterator becomes **basic slices** ``c*lo + r : c*hi + r +
-  1 : c*step`` only when no mask is left, every index ``c*it + r`` has
-  ``c > 0`` and sits alone in its load, the rhs does not read the iterator
-  as a value, and ``0 <= index <= extent - 1`` is *proven* for each — a numpy
-  slice silently clips (and a negative start counts from the end) where an
-  index array raises or wraps.  Otherwise the iterator is an ``arange``
-  index array.  A loop is eligible only when the rewrite is provably the
-  sequential loop: its body is one statement (under blocks and guards, sync
-  points aside), no derived symbol depends on the iterator, every index and
-  affine value over the iterator has integer coefficients, the rhs has no
-  calls, and the rhs reads the lhs array only at the lhs's own indices
-  (elementwise) or not at all (reduction).
+  loop — innermost once point loops are seen through, so the thread loop
+  around each thread's one point qualifies — becomes one numpy statement
+  over its whole range ``lo .. hi``.  What the loop's bounds and the
+  enclosing facts imply is dropped; the rest is a scalar ``if`` (conjuncts
+  without the iterator) and a boolean mask (those with it).  An elementwise
+  statement (some lhs index mentions the iterator, with a nonzero integer
+  coefficient, hence injectively) becomes one array assignment; a reduction
+  whose lhs does not mention it becomes one numpy reduction, and a ``+``
+  reduction of the product of two operands that both move with the
+  iterator a dot product.  The iterator becomes **basic slices** ``c*lo + r
+  : c*hi + r + 1 : c*step`` only when no mask is left, every index ``c*it +
+  r`` has ``c > 0`` and sits alone in its load, the rhs does not read the
+  iterator as a value, and ``0 <= index <= extent - 1`` is *proven* for each
+  — a numpy slice silently clips (and a negative start counts from the end)
+  where an index array raises or wraps.  Otherwise the iterator is an
+  ``arange`` index array.  A loop is eligible only when the rewrite is
+  provably the sequential loop: its body is one statement (under blocks,
+  guards and point loops, sync points aside), no derived symbol depends on
+  the iterator or a point loop's, every index and affine value over the
+  iterator has integer coefficients, the rhs has no calls, and the rhs reads
+  the lhs array only at the lhs's own indices (elementwise) or not at all
+  (reduction).
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import replace
+from fractions import Fraction
+from typing import (
+    ContextManager, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
+    Tuple, Union,
+)
 
 from repro.ir.ast import BlockNode, BoundValue, GuardNode, LoopNode, Node, StatementNode, SyncNode
 from repro.ir.expressions import AffineValue, BinOp, Call, Const, Expr, Iter, Load
@@ -65,8 +85,8 @@ from repro.polyhedral.parametric import QuasiAffineBound
 #: times measured on it are a different distribution, and ``measure-py:`` and
 #: ``measure-c:`` fold this into their cache identity so stored reports from
 #: another revision are never served.  2 = integer bounds, pruned guards,
-#: proven slices.
-LOWERING_REVISION = 2
+#: proven slices.  3 = pruned bounds, point loops substituted, dot reductions.
+LOWERING_REVISION = 3
 
 #: ``(D, ((name, c), ...), c0)``, all ints, ``D > 0``: ``(sum c*name + c0) / D``
 Form = Tuple[int, Tuple[Tuple[str, int], ...], int]
@@ -86,7 +106,7 @@ class Printer:
     append to ``lines`` at ``depth``; expression methods (``bound``,
     ``index``, ``value``, ``load``, ``call``, ...) return text.  A ``vector``
     printer also spells the walker's numpy loops (``slice``, ``vector_loop``,
-    ``vector_assign``).
+    ``reduce``, ``dot``, ``vector_assign``).
     """
 
     vector = False
@@ -148,11 +168,6 @@ def _bound_exprs(value: BoundValue) -> Tuple[AffineExpr, ...]:
     if isinstance(value, (int, AffineExpr)):
         return (AffineExpr.coerce(value),)
     raise TypeError(f"unsupported bound type {type(value).__name__}")
-
-
-def _bound(value: BoundValue) -> Bound:
-    kind = value.kind if isinstance(value, QuasiAffineBound) else ""
-    return kind, tuple(expr.int_form() for expr in _bound_exprs(value))
 
 
 def _conjuncts(constraints: Iterable[Constraint]) -> List[Conjunct]:
@@ -227,28 +242,216 @@ def _mentions(expr: Expr, iterator: str) -> bool:
     )
 
 
-def _unwrap_single_statement(node: Node) -> Optional[Tuple[StatementNode, List[Constraint]]]:
-    """The loop body as (one statement, accumulated guards), or ``None``."""
-    guards: List[Constraint] = []
-    current = node
-    while True:
-        if isinstance(current, BlockNode):
-            real = [c for c in current.body if not isinstance(c, SyncNode)]
-            if len(real) != 1:
-                return None
-            current = real[0]
-        elif isinstance(current, GuardNode):
-            guards.extend(current.constraints)
-            current = current.body
-        elif isinstance(current, StatementNode):
-            return current, guards
-        else:
-            return None
-
-
 #: a proven-safe innermost-loop rewrite: the statement, every guard and domain
 #: conjunct between it and the loop, and whether its lhs moves with the loop
 _VectorPlan = Tuple[Statement, List[Constraint], bool]
+
+
+#: pruned bound terms, with the kind of the bound they came from
+_Terms = Tuple[str, Tuple[AffineExpr, ...]]
+
+
+def _substitute(expr: Expr, values: Mapping[str, AffineExpr]) -> Expr:
+    """``expr`` with each collapsed iterator replaced by its one value."""
+    if isinstance(expr, Load):
+        return Load(expr.array, tuple(index.substitute(values) for index in expr.indices))
+    if isinstance(expr, AffineValue):
+        return AffineValue(expr.expr.substitute(values))
+    if isinstance(expr, Iter) and expr.name in values:
+        return AffineValue(values[expr.name])
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, _substitute(expr.lhs, values), _substitute(expr.rhs, values))
+    if isinstance(expr, Call):
+        return Call(expr.func, tuple(_substitute(arg, values) for arg in expr.args))
+    return expr
+
+
+#: an integer point: variable -> value
+_Point = Dict[str, int]
+#: an exact value, an int whenever it is whole
+_Rational = Union[int, Fraction]
+#: at most this many sample points per component
+_SAMPLES = 16
+#: a fact in force: the constraint, its variables, its number
+_Fact = Tuple[Constraint, FrozenSet[str], int]
+
+
+class _Component:
+    """Facts in force connected through shared variables, and what decides questions on them.
+
+    ``points`` (integer points of the facts: each loop's least and greatest
+    iterator value) refute a conjunct; ``shifts`` (a fact with the same terms)
+    and ``box`` (a rational box around the facts) prove one.  Each is made
+    the first time a question needs it.
+    """
+
+    __slots__ = ("facts", "numbers", "names", "_parts", "_pushed", "_points", "_shifts", "_box")
+
+    def __init__(self, parts: Sequence["_Component"], pushed: Sequence[_Fact]) -> None:
+        self.facts = (*(f for c in parts for f in c.facts), *(f for f, _, _ in pushed))
+        self.numbers = frozenset(
+            (*(n for c in parts for n in c.numbers), *(n for _, _, n in pushed))
+        )
+        self.names = frozenset().union(
+            *(c.names for c in parts), *(names for _, names, _ in pushed)
+        )
+        self._parts: Optional[Sequence[_Component]] = parts
+        self._pushed: Optional[Sequence[_Fact]] = pushed
+        self._points: Optional[Tuple[_Point, ...]] = None
+        self._shifts: Optional[Dict[FrozenSet[Tuple[str, int]], int]] = None
+        self._box: Optional[Dict[str, List[Optional[_Rational]]]] = None
+
+    @property
+    def points(self) -> Tuple[_Point, ...]:
+        if self._points is None:
+            self._points = _sampled(self._parts, [f for f, _, _ in self._pushed])
+            self._parts = self._pushed = None
+        return self._points
+
+    @property
+    def box(self) -> Dict[str, List[Optional[_Rational]]]:
+        """A rational ``[low, high]`` per variable (``None``: unbounded) holding the facts.
+
+        Each fact bounds each of its variables by the others' bounds so
+        far, in the order the loops brought the facts in: outer loops
+        first, so a chain ``i >= ip >= iT >= 0`` reaches ``i``.
+        """
+        if self._box is None:
+            self._box = {}
+            for fact in self.facts:
+                _one, terms, constant = fact.expr.int_form()
+                for sign in (1, -1) if fact.is_equality else (1,):
+                    for name, coeff in terms:
+                        # sign * (coeff*name + rest) >= 0, rest at its largest
+                        rest = _largest(self._box, terms, sign * constant, sign, skip=name)
+                        if rest is not None:
+                            bounds = self._box.setdefault(name, [None, None])
+                            value = _ratio(-rest, sign * coeff)
+                            if sign * coeff > 0:
+                                if bounds[0] is None or value > bounds[0]:
+                                    bounds[0] = value
+                            elif bounds[1] is None or value < bounds[1]:
+                                bounds[1] = value
+        return self._box
+
+    @property
+    def shifts(self) -> Dict[FrozenSet[Tuple[str, int]], int]:
+        """The inequalities' terms -> the least constant a fact has with them."""
+        if self._shifts is None:
+            self._shifts = {}
+            for fact in self.facts:
+                if not fact.is_equality:
+                    _one, terms, constant = fact.expr.int_form()
+                    key = frozenset(terms)
+                    self._shifts[key] = min(constant, self._shifts.get(key, constant))
+        return self._shifts
+
+
+def _largest(
+    box: Mapping[str, List[Optional[_Rational]]],
+    terms: Iterable[Tuple[str, int]],
+    constant: int,
+    sign: int,
+    skip: Optional[str] = None,
+) -> Optional[_Rational]:
+    """The largest value of ``sign * sum c*name + constant`` over ``box`` (``skip`` left out)."""
+    total: _Rational = constant
+    for name, coeff in terms:
+        if name != skip:
+            bound = box.get(name, (None, None))[0 if sign * coeff < 0 else 1]
+            if bound is None:
+                return None
+            total += sign * coeff * bound
+    return total
+
+
+def _ratio(numerator: _Rational, denominator: int) -> _Rational:
+    """``numerator / denominator`` exactly, an int when it divides."""
+    if isinstance(numerator, int) and numerator % denominator == 0:
+        return numerator // denominator
+    return Fraction(numerator) / denominator
+
+
+def _holds_over(box: Mapping[str, List[Optional[_Rational]]], terms, constant: int) -> bool:
+    """Whether ``sum c*name + constant >= 0`` everywhere in ``box``."""
+    negation = _largest(box, terms, -constant, -1)  # its negation at the largest
+    return negation is not None and negation <= 0
+
+
+def _endpoints(name: str, point: _Point, facts: Sequence[Constraint]) -> Tuple[int, ...]:
+    """The least and the greatest integer ``name`` the ``facts`` allow at ``point``."""
+    lows: List[int] = []
+    highs: List[int] = []
+    for fact in facts:
+        _one, terms, rest = fact.expr.int_form()  # a normalised constraint: integral
+        coeff = 0
+        for variable, c in terms:
+            if variable == name:
+                coeff = c
+            else:
+                rest += c * point[variable]
+        # coeff * name + rest >= 0 (== 0)
+        if fact.is_equality and coeff:
+            if rest % coeff:
+                return ()
+            lows.append(-rest // coeff)
+            highs.append(-rest // coeff)
+        elif coeff > 0:
+            lows.append(-(rest // coeff))
+        elif coeff < 0:
+            highs.append(rest // -coeff)
+    low = max(lows or highs)
+    high = min(highs or lows)
+    return () if low > high else (low,) if low == high else (low, high)
+
+
+def _sampled(parts: Iterable[_Component], facts: Sequence[Constraint]) -> Tuple[_Point, ...]:
+    """Points of ``parts`` (on disjoint variables) extended to satisfy ``facts`` too.
+
+    Each point of the product takes the least and the greatest value the
+    facts allow for the one variable they bring in; with two or more new
+    variables there are no samples (a question is then left to
+    Fourier–Motzkin).
+    """
+    points: List[_Point] = [{}]
+    for part in parts:
+        points = [{**p, **q} for p in points for q in part.points][:_SAMPLES]
+    if not points:
+        return ()
+    new = {name for fact in facts for name in fact.variables} - points[0].keys()
+    if len(new) > 1:
+        return ()
+    if new:
+        (name,) = new
+        # _endpoints meets every fact over the new variable; the others are tested
+        points = [{**p, name: v} for p in points for v in _endpoints(name, p, facts)]
+        facts = [fact for fact in facts if name not in fact.variables]
+    unique = {tuple(sorted(p.items())): p for p in points if all(f.satisfied_by(p) for f in facts)}
+    return tuple(unique.values())[:_SAMPLES]
+
+
+def _joined(components: Dict[str, _Component], facts: Sequence[_Fact]) -> Dict[str, _Component]:
+    """``components`` (variable -> its component) with ``facts`` added and merged in."""
+    groups: List[Tuple[Set[str], List[_Fact]]] = []
+    for fact in facts:
+        if not fact[1]:
+            continue  # a constant constrains no variable
+        reach, batch = set(fact[1]), [fact]
+        for name in fact[1]:
+            if name in components:
+                reach |= components[name].names
+        for group in [g for g in groups if not g[0].isdisjoint(reach)]:
+            groups.remove(group)
+            reach |= group[0]
+            batch[:0] = group[1]
+        groups.append((reach, batch))
+    joined = dict(components)
+    for reach, batch in groups:
+        parts = list({id(c): c for name in reach for c in [components.get(name)] if c}.values())
+        component = _Component(parts, batch)
+        for name in component.names:
+            joined[name] = component
+    return joined
 
 
 class Lowering:
@@ -259,6 +462,11 @@ class Lowering:
         self.printer = printer
         self.check_domains = check_domains
         self.symbol_definitions = dict(program.symbol_definitions or {})
+        #: derived symbol -> the variables its definition reads
+        self._symbol_reads = {
+            name: _free_variables(definition)
+            for name, definition in self.symbol_definitions.items()
+        }
         self._emitted_symbols: List[Set[str]] = [set()]
         #: what every integer point reaching the current node satisfies, each
         #: fact with its variables and its number in ``_numbering``
@@ -267,43 +475,102 @@ class Lowering:
         self._numbering: Dict[Constraint, int] = {}
         #: (conjunct, the facts it was tested against) -> implied?
         self._implications: Dict[Tuple[int, FrozenSet[int]], bool] = {}
+        #: the facts in force as a small int: (enclosing state, facts pushed) -> state
+        self._state = 0
+        self._states: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        #: state -> variable -> the facts in force connected to it through shared variables
+        self._components: Dict[int, Dict[str, _Component]] = {0: {}}
+        #: id(loop) -> its facts (a vector plan and the walk enter the same loops)
+        self._loop_facts: Dict[int, List[_Fact]] = {}
+        #: (state, bound, kind) -> its pruned terms (a vector plan and the walk ask alike)
+        self._prunings: Dict[Tuple[int, BoundValue, str], _Terms] = {}
         #: (iterator, step) while a sliced vector loop's statement is printed
         self._slicing: Optional[Tuple[str, int]] = None
+        #: a collapsed point loop's iterator -> its one value, over the variables in scope
+        self._values: Dict[str, AffineExpr] = {}
 
     def lower(self, names: Set[str], depth: int) -> None:
         """Print the derived symbols and the body at ``depth``, ``names`` in scope."""
         self._define_symbols(names, depth)
         self.walk(self.program.body, depth, names | self._emitted_symbols[-1])
 
+    # -- substitution --------------------------------------------------------------------
+    def _form(self, expr: AffineExpr) -> Form:
+        return (expr.substitute(self._values) if self._values else expr).int_form()
+
+    def _bound(self, terms: _Terms) -> Bound:
+        kind, exprs = terms
+        return kind, tuple(self._form(expr) for expr in exprs)
+
+    def _substituted(self, constraints: Iterable[Constraint]) -> List[Constraint]:
+        values = self._values
+        return [c.substitute(values) if c.involves(values) else c for c in constraints]
+
+    def _substituted_statement(self, statement: Statement) -> Statement:
+        if not self._values:
+            return statement
+        return replace(
+            statement,
+            lhs=_substitute(statement.lhs, self._values),
+            rhs=_substitute(statement.rhs, self._values),
+        )
+
     # -- symbols -------------------------------------------------------------------------
     def _define_symbols(self, bound: Set[str], depth: int) -> None:
         """Define derived symbols whose free variables are all in scope."""
         already = set().union(*self._emitted_symbols)
         for name, definition in self.symbol_definitions.items():
-            if name in already or not _free_variables(definition) <= bound:
+            if name in already or not self._symbol_reads[name] <= bound:
                 continue
             if isinstance(definition, QuasiAffineBound):
-                code = self.printer.bound(_bound(definition), definition.kind == "max")
+                terms = (definition.kind, definition.exprs)
+                code = self.printer.bound(self._bound(terms), definition.kind == "max")
             else:
-                code = self.printer.index(definition.int_form())
+                code = self.printer.index(self._form(definition))
             self.printer.define(name, code, depth)
             self._emitted_symbols[-1].add(name)
+
+    def _pending_symbols(self, iterators: Set[str]) -> List[Set[str]]:
+        """The free variables of each symbol not yet defined that reads one of ``iterators``."""
+        if not self._symbol_reads:
+            return []
+        emitted = set().union(*self._emitted_symbols)
+        return [
+            free
+            for name, free in self._symbol_reads.items()
+            if name not in emitted and not free.isdisjoint(iterators)
+        ]
 
     # -- pruning -------------------------------------------------------------------------
     def _number(self, constraint: Constraint) -> int:
         return self._numbering.setdefault(constraint, len(self._numbering))
 
+    def _entries(self, facts: Iterable[Constraint]) -> List[_Fact]:
+        return [(fact, frozenset(fact.variables), self._number(fact)) for fact in facts]
+
     @contextlib.contextmanager
-    def _assuming(self, facts: Iterable[Constraint]) -> Iterator[None]:
-        """Keep ``facts`` in force while the enclosed subtree is printed."""
-        outer = len(self._facts)
-        self._facts.extend(
-            (fact, frozenset(fact.variables), self._number(fact)) for fact in facts
-        )
+    def _assuming(self, entries: Sequence[_Fact]) -> Iterator[None]:
+        """Keep the facts ``entries`` in force while the enclosed subtree is printed."""
+        outer, outer_state = len(self._facts), self._state
+        key = (outer_state, tuple(number for _fact, _names, number in entries))
+        state = self._states.get(key)
+        if state is None:
+            state = self._states[key] = len(self._states) + 1
+            self._components[state] = _joined(self._components[outer_state], entries)
+        self._facts.extend(entries)
+        self._state = state
         try:
             yield
         finally:
             del self._facts[outer:]
+            self._state = outer_state
+
+    def _inside(self, node: LoopNode) -> ContextManager[None]:
+        """Keep the loop's facts in force while its body is printed."""
+        entries = self._loop_facts.get(id(node))
+        if entries is None:
+            entries = self._loop_facts[id(node)] = self._entries(loop_facts(node))
+        return self._assuming(entries)
 
     def implied(self, constraint: Constraint) -> bool:
         """Whether no integer point satisfying the facts in force violates ``constraint``.
@@ -313,42 +580,121 @@ class Lowering:
         which has no integer point either — counts.  Facts that share no
         variable with the conjunct, even transitively, cannot take part in a
         refutation and are left out; derived symbols are plain unconstrained
-        variables here.  A conjunct that literally is a fact needs no
-        elimination, and each distinct question is answered once per module
-        (the copy-in and copy-out nests ask the same ones).
+        variables here.  A constant conjunct is its own answer, and each
+        distinct question is answered once per module (the copy-in and
+        copy-out nests ask the same ones).  Two shortcuts give the answer
+        Fourier–Motzkin would: a conjunct that is a fact, or a fact with a
+        larger constant, is implied; one that an integer point of the facts
+        (:class:`_Component`'s samples) violates is not.
         """
+        if constraint.expr.is_constant():
+            return constraint.is_trivially_true()
         if constraint.is_equality:
             return False
         number = self._number(constraint)
-        variables = set(constraint.variables)
-        relevant: List[Constraint] = []
-        numbers: List[int] = []
-        pending, grew = self._facts, True
-        while grew:
-            unrelated = []
-            for entry in pending:
-                fact, names, fact_number = entry
-                if fact_number == number:
-                    return True
-                if variables.isdisjoint(names):
-                    unrelated.append(entry)
-                else:
-                    relevant.append(fact)
-                    numbers.append(fact_number)
-                    variables |= names
-            grew = len(unrelated) < len(pending)
-            pending = unrelated
-        key = (number, frozenset(numbers))
+        variables = constraint.variables
+        touched = self._touched(variables)
+        numbers = (
+            touched[0].numbers
+            if len(touched) == 1
+            else frozenset().union(*(c.numbers for c in touched))
+        )
+        if number in numbers:
+            return True
+        key = (number, numbers)
         answer = self._implications.get(key)
         if answer is None:
-            answer = self._implications[key] = is_rationally_infeasible(
-                [*relevant, constraint.negate()]
-            )
+            _one, terms, constant = constraint.expr.int_form()
+            shifted = touched[0].shifts.get(frozenset(terms)) if len(touched) == 1 else None
+            negation = constraint.negate()
+            if shifted is not None and shifted <= constant:
+                answer = True  # a fact with the same terms and a smaller constant
+            elif len(touched) == 1 and _holds_over(touched[0].box, terms, constant):
+                answer = True  # it holds over a box around the facts
+            elif any(map(negation.satisfied_by, self._points(touched, variables))):
+                answer = False  # a point of the facts violates it: a rational solution
+            else:
+                relevant = [fact for c in touched for fact in c.facts]
+                answer = is_rationally_infeasible([*relevant, negation])
+            self._implications[key] = answer
         return answer
+
+    def _touched(self, variables: Iterable[str]) -> List[_Component]:
+        """The components of the facts in force that mention one of ``variables``."""
+        components = self._components[self._state]
+        return list({id(c): c for name in variables for c in [components.get(name)] if c}.values())
+
+    @staticmethod
+    def _points(touched: Sequence[_Component], variables: Sequence[str]) -> Tuple[_Point, ...]:
+        """Integer points of the facts in force, when one component binds all ``variables``."""
+        if len(touched) == 1 and touched[0].names.issuperset(variables):
+            return touched[0].points
+        return ()
 
     def _residual(self, constraints: Iterable[Constraint]) -> List[Constraint]:
         """The conjuncts that still need a run-time test."""
         return [c for c in constraints if not self.implied(c)]
+
+    def _dominance(
+        self, term: AffineExpr, others: Sequence[AffineExpr], sign: int
+    ) -> Optional[Constraint]:
+        """An implied ``sign * (other - term) >= 0`` for one of ``others``, if any.
+
+        ``sign`` is 1 for a ``max`` and -1 for a ``min``: the claim is that
+        ``term`` never decides the bound, so dropping it changes no value.
+        """
+        for other in others:
+            difference = other - term if sign > 0 else term - other
+            variables = difference.variables
+            if not variables:
+                if difference.int_form()[2] >= 0:
+                    return Constraint(difference)
+                continue
+            points = self._points(self._touched(variables), variables)
+            if any(difference.evaluate_ratio(p)[0] < 0 for p in points):
+                continue  # the facts allow a point where ``term`` decides
+            claim = Constraint(difference)
+            if self.implied(claim):
+                return claim
+        return None
+
+    def _pruned(self, value: BoundValue, kind: str) -> _Terms:
+        """The bound's terms without those the facts in force show never decide it.
+
+        Only a ``kind`` bound (``max`` below, ``min`` above) is pruned; a term
+        is dropped when a term still kept provably dominates it, so of two
+        terms that are always equal the later one stays.
+        """
+        exprs = _bound_exprs(value)
+        bound_kind = value.kind if isinstance(value, QuasiAffineBound) else ""
+        if len(exprs) < 2 or bound_kind != kind:
+            return bound_kind, exprs
+        key = (self._state, value, kind)
+        known = self._prunings.get(key)
+        if known is None:
+            sign = 1 if kind == "max" else -1
+            kept = list(exprs)
+            for term in exprs:
+                # the innermost tile's term comes last and is the likeliest to decide
+                others = [e for e in reversed(kept) if e is not term]
+                if self._dominance(term, others, sign) is not None:
+                    kept.remove(term)
+            known = self._prunings[key] = (bound_kind, tuple(kept))
+        return known
+
+    def _one_value(self, node: LoopNode, lower: _Terms, upper: _Terms) -> Optional[AffineExpr]:
+        """The iterator's only value when both pruned bounds are one integral form.
+
+        ``range(f, f + 1, step)`` runs once for any step; a form with a
+        denominator would run zero times wherever it is not a whole number,
+        so it stays a loop.
+        """
+        if len(lower[1]) != 1 or lower[1] != upper[1]:
+            return None
+        (value,) = lower[1]
+        if not _is_integral(value) or node.iterator in value.variables:
+            return None
+        return value
 
     @contextlib.contextmanager
     def _if(self, conjuncts: Sequence[Constraint], depth: int) -> Iterator[int]:
@@ -369,27 +715,38 @@ class Lowering:
             for child in node.body:
                 self.walk(child, depth, bound)
         elif isinstance(node, LoopNode):
-            plan = self._vector_plan(node) if printer.vector else None
-            if plan is not None:
-                self._vector_loop(node, plan, depth)
-                return
-            printer.loop(node.iterator, _bound(node.lower), _bound(node.upper), node.step, depth)
+            lower, upper = self._pruned(node.lower, "max"), self._pruned(node.upper, "min")
             inner_bound = bound | {node.iterator}
-            self._emitted_symbols.append(set())
-            self._define_symbols(inner_bound, depth + 1)
-            new_bound = inner_bound | self._emitted_symbols[-1]
-            with self._assuming(loop_facts(node)):
-                self.walk(node.body, depth + 1, new_bound)
-            self._emitted_symbols.pop()
+            value = self._one_value(node, lower, upper)
+            # a symbol defined right under the header keeps its loop (and C block)
+            if value is not None and not any(
+                free <= inner_bound for free in self._pending_symbols({node.iterator})
+            ):
+                self._collapsed(node, value, depth, inner_bound)
+                return
+            with self._inside(node):
+                if printer.vector and self._vector_loop(node, lower, upper, depth):
+                    return
+                printer.loop(
+                    node.iterator, self._bound(lower), self._bound(upper), node.step, depth
+                )
+                self._emitted_symbols.append(set())
+                self._define_symbols(inner_bound, depth + 1)
+                self.walk(node.body, depth + 1, inner_bound | self._emitted_symbols[-1])
+                self._emitted_symbols.pop()
             printer.close(depth)
         elif isinstance(node, GuardNode):
-            residual = self._residual(node.constraints)
-            with self._if(residual, depth) as body_depth, self._assuming(node.constraints):
+            constraints = self._substituted(node.constraints)
+            residual = self._residual(constraints)
+            facts = self._entries(constraints)
+            with self._if(residual, depth) as body_depth, self._assuming(facts):
                 self.walk(node.body, body_depth, bound)
         elif isinstance(node, StatementNode):
-            statement = node.statement
+            statement = self._substituted_statement(node.statement)
             residual = (
-                self._residual(statement.domain.constraints) if self.check_domains else []
+                self._residual(self._substituted(statement.domain.constraints))
+                if self.check_domains
+                else []
             )
             with self._if(residual, depth) as body_depth:
                 printer.assign(
@@ -402,6 +759,15 @@ class Lowering:
             printer.emit(printer.SYNC.format(node.scope), depth)
         else:
             raise TypeError(f"cannot emit node of type {type(node).__name__}")
+
+    def _collapsed(self, node: LoopNode, value: AffineExpr, depth: int, bound: Set[str]) -> None:
+        """A point loop prints no header: its iterator's one value is substituted below."""
+        self._values[node.iterator] = value.substitute(self._values)
+        try:
+            with self._inside(node):
+                self.walk(node.body, depth, bound)
+        finally:
+            del self._values[node.iterator]
 
     def _expr(self, expr: Expr) -> str:
         printer = self.printer
@@ -432,23 +798,48 @@ class Lowering:
         return self.printer.slice(start, (denominator, terms, constant + denominator), stride)
 
     # -- vector loops --------------------------------------------------------------------
-    def _vector_plan(self, node: LoopNode) -> Optional[_VectorPlan]:
+    def _vector_plan(self, node: LoopNode, stack: contextlib.ExitStack) -> Optional[_VectorPlan]:
+        """The loop's one statement, substituted, if the numpy rewrite is proven.
+
+        Called with the loop's facts in force.  Guards and point loops between
+        the loop and the statement are seen through; each point loop's facts
+        and value stay in force on ``stack`` for the caller.
+        """
         iterator = node.iterator
-        unwrapped = _unwrap_single_statement(node.body)
-        if unwrapped is None:
-            return None
-        statement_node, constraints = unwrapped
-        statement = statement_node.statement
+        constraints: List[Constraint] = []
+        points: Set[str] = set()
+        current: Node = node.body
+        while not isinstance(current, StatementNode):
+            if isinstance(current, BlockNode):
+                real = [c for c in current.body if not isinstance(c, SyncNode)]
+                if len(real) != 1:
+                    return None
+                current = real[0]
+            elif isinstance(current, GuardNode):
+                constraints.extend(self._substituted(current.constraints))
+                current = current.body
+            elif isinstance(current, LoopNode):
+                value = self._one_value(
+                    current, self._pruned(current.lower, "max"), self._pruned(current.upper, "min")
+                )
+                if value is None:
+                    return None  # not innermost
+                self._values[current.iterator] = value.substitute(self._values)
+                stack.callback(self._values.pop, current.iterator)
+                stack.enter_context(self._inside(current))
+                points.add(current.iterator)
+                current = current.body
+            else:
+                return None
 
         # a derived symbol depending on the iterator would need per-element
         # values — the scalar loop defines it per iteration, so bail
-        emitted = set().union(*self._emitted_symbols)
-        for name, definition in self.symbol_definitions.items():
-            if name not in emitted and iterator in _free_variables(definition):
-                return None
+        if self._pending_symbols({iterator} | points):
+            return None
 
+        statement = self._substituted_statement(current.statement)
         if self.check_domains:
-            constraints.extend(statement.domain.constraints)
+            constraints.extend(self._substituted(statement.domain.constraints))
 
         # every iterator-involving affine must be exact in int arithmetic
         loads = [statement.lhs, *statement.rhs.loads()]
@@ -509,23 +900,44 @@ class Lowering:
                     return False
         return True
 
-    def _vector_loop(self, node: LoopNode, plan: _VectorPlan, depth: int) -> None:
+    def _vector_loop(self, node: LoopNode, lower: _Terms, upper: _Terms, depth: int) -> bool:
+        """Print the loop as one numpy statement if that is proven; ``False`` if not."""
         iterator = node.iterator
-        statement, constraints, elementwise = plan
-        with self._assuming(loop_facts(node)):
+        with contextlib.ExitStack() as stack:
+            plan = self._vector_plan(node, stack)
+            if plan is None:
+                return False
+            statement, constraints, elementwise = plan
             residual = self._residual(constraints)
             mask = [c for c in residual if iterator in c.variables]
             sliced = not mask and self._slices_proven(statement, iterator)
-        with self._if([c for c in residual if c not in mask], depth) as depth:
-            self.printer.vector_loop(
-                iterator,
-                _bound(node.lower),
-                _bound(node.upper),
-                node.step,
-                None if sliced else _conjuncts(mask),
-                depth,
-            )
-            self._slicing = (iterator, node.step) if sliced else None
-            lhs, rhs = self._load(statement.lhs), self._expr(statement.rhs)
-            self._slicing = None
-            self.printer.vector_assign(statement.reduction, lhs, rhs, elementwise, depth + 1)
+            with self._if([c for c in residual if c not in mask], depth) as depth:
+                self.printer.vector_loop(
+                    iterator,
+                    self._bound(lower),
+                    self._bound(upper),
+                    node.step,
+                    None if sliced else _conjuncts(mask),
+                    depth,
+                )
+                self._slicing = (iterator, node.step) if sliced else None
+                lhs = self._load(statement.lhs)
+                rhs = self._vector_rhs(statement, iterator, elementwise)
+                self._slicing = None
+                self.printer.vector_assign(statement.reduction, lhs, rhs, elementwise, depth + 1)
+        return True
+
+    def _vector_rhs(self, statement: Statement, iterator: str, elementwise: bool) -> str:
+        """The rhs over the whole range; a reduction's reduced, a ``+`` of a product as a dot."""
+        rhs, printer = statement.rhs, self.printer
+        if elementwise:
+            return self._expr(rhs)
+        if (
+            statement.reduction == "+"
+            and isinstance(rhs, BinOp)
+            and rhs.op == "*"
+            and _mentions(rhs.lhs, iterator)
+            and _mentions(rhs.rhs, iterator)
+        ):
+            return printer.dot(self._expr(rhs.lhs), self._expr(rhs.rhs))
+        return printer.reduce(statement.reduction, self._expr(rhs))

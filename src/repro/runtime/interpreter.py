@@ -10,7 +10,7 @@ programs must compute exactly the same array contents as the original.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,21 @@ from repro.ir.statements import Statement
 from repro.runtime.context import ExecutionContext
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.parametric import QuasiAffineBound
+
+
+#: the names a domain needs bound, and per conjunct ``(((name, coeff), ...), constant,
+#: is_equality)`` for ``sum coeff*name + constant >= 0`` (``== 0``)
+_DomainRows = Tuple[FrozenSet[str], Tuple[Tuple[Tuple[Tuple[str, int], ...], int, bool], ...]]
+
+
+def _domain_rows(statement: Statement) -> _DomainRows:
+    domain = statement.domain
+    conjuncts = []
+    for constraint in domain.constraints:
+        # the denominator is positive, so the numerator alone has the sign
+        _denominator, terms, constant = constraint.expr.int_form()
+        conjuncts.append((terms, constant, constraint.is_equality))
+    return frozenset(domain.dims + domain.params), tuple(conjuncts)
 
 
 _REDUCTIONS = {
@@ -54,6 +69,8 @@ class Interpreter(EvaluationEnv):
         self.context = context
         self.check_domains = check_domains
         self._symbol_definitions = dict(getattr(program, "symbol_definitions", {}) or {})
+        #: id(statement) -> its domain as plain integer rows, built on first use
+        self._domains: Dict[int, _DomainRows] = {}
 
     # -- EvaluationEnv protocol -------------------------------------------------
     def read(self, array: Array, indices) -> float:
@@ -110,11 +127,24 @@ class Interpreter(EvaluationEnv):
             counters.copy_out_elements += 1
 
     def _in_domain(self, statement: Statement, binding: Mapping[str, int]) -> bool:
-        domain = statement.domain
-        for name in domain.dims + domain.params:
-            if name not in binding:
+        """Whether every dimension and parameter is bound and every conjunct holds.
+
+        The same test as ``statement.domain.contains``, on integer rows
+        built once per statement: every conjunct is kept, none is pruned.
+        """
+        rows = self._domains.get(id(statement))
+        if rows is None:
+            rows = self._domains[id(statement)] = _domain_rows(statement)
+        required, conjuncts = rows
+        if not required <= binding.keys():
+            return False
+        for terms, constant, is_equality in conjuncts:
+            total = constant
+            for name, coeff in terms:
+                total += coeff * binding[name]
+            if total != 0 if is_equality else total < 0:
                 return False
-        return domain.contains(binding)
+        return True
 
     def _refresh_symbols(self, binding: Dict[str, int]) -> None:
         """Recompute derived symbols (scratchpad offsets) from the current binding.

@@ -15,18 +15,20 @@ and ``test_lowering_guards``:
   sizes that do and do not divide the extents, scratchpad on/off) for the
   rectangular ones;
 * **an enumeration check of every pruning decision** — the one production
-  lowering walker, subclassed only to *log* each conjunct it dropped and each
-  slice it proved together with the loops around it, once under each printer
-  (scalar Python, numpy, the C harness); :func:`verify_decisions`
-  then walks the integer points of those loops (no Fourier–Motzkin, no
-  polyhedra: it runs the loops) and evaluates the dropped conjunct / the
-  sliced index at each.
+  lowering walker, subclassed only to *log* each conjunct it dropped, each
+  bound term it dropped (as the dominance it proved), each loop it printed
+  as a substitution and each slice it proved, together with the loops around
+  it, once under each printer (scalar Python, numpy, the C harness);
+  :func:`verify_decisions` then walks the integer points of those loops (no
+  Fourier–Motzkin, no polyhedra: it runs the loops) and evaluates the dropped
+  conjunct / the point loop's trips / the sliced index at each.
 
 Not collected by pytest (no ``test_`` prefix); never import it from ``src/``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import re
 import subprocess
@@ -329,6 +331,8 @@ class Decision:
     must_hold: List[Constraint] = field(default_factory=list)
     #: ``(index, extent)`` pairs proven to satisfy ``0 <= index < extent``
     in_range: List[Tuple[AffineExpr, object]] = field(default_factory=list)
+    #: ``(loop, value)``: a loop printed as no loop, proven to run once, at ``value``
+    one_trip: List[Tuple[LoopNode, AffineExpr]] = field(default_factory=list)
 
 
 class RecordingLowering(Lowering):
@@ -344,12 +348,12 @@ class RecordingLowering(Lowering):
             Decision(list(self.loops), [fact for fact, _names, _number in self._facts], **what)
         )
 
-    def walk(self, node, depth, bound) -> None:
-        if not isinstance(node, LoopNode):
-            return super().walk(node, depth, bound)
+    @contextlib.contextmanager
+    def _inside(self, node):
         self.loops.append(node)
         try:
-            super().walk(node, depth, bound)
+            with super()._inside(node):
+                yield
         finally:
             self.loops.pop()
 
@@ -358,6 +362,18 @@ class RecordingLowering(Lowering):
         residual = super()._residual(constraints)
         self._decision(must_hold=[c for c in constraints if c not in residual])
         return residual
+
+    def _dominance(self, term, others, sign):
+        claim = super()._dominance(term, others, sign)
+        if claim is not None:
+            self._decision(must_hold=[claim])
+        return claim
+
+    def _one_value(self, node, lower, upper):
+        value = super()._one_value(node, lower, upper)
+        if value is not None:
+            self._decision(one_trip=[(node, value)])
+        return value
 
     def _slices_proven(self, statement, iterator) -> bool:
         proven = super()._slices_proven(statement, iterator)
@@ -420,7 +436,7 @@ def verify_decisions(program: Program, decisions: Sequence[Decision]) -> int:
     binding = program.bound_params()
     by_nest: Dict[Tuple[int, ...], List[Decision]] = {}
     for decision in decisions:
-        if decision.must_hold or decision.in_range:
+        if decision.must_hold or decision.in_range or decision.one_trip:
             by_nest.setdefault(tuple(map(id, decision.loops)), []).append(decision)
     for group in by_nest.values():  # one walk of a loop nest serves every decision under it
         loops = group[0].loops
@@ -440,5 +456,11 @@ def verify_decisions(program: Program, decisions: Sequence[Decision]) -> int:
                     value = index.truncate_at(point)
                     assert 0 <= value < size, (
                         f"sliced index {index} = {value} leaves [0, {size}) at {point}"
+                    )
+                for loop, value in decision.one_trip:
+                    numerator, denominator = value.evaluate_ratio(point)
+                    trips = list(loop.iterate(point))
+                    assert numerator % denominator == 0 and trips == [numerator // denominator], (
+                        f"point loop {loop.iterator} = {value} runs {trips} at {point}"
                     )
     return checked

@@ -331,12 +331,19 @@ class TestVectorisedLowering:
     def test_vectorised_source_actually_uses_numpy(self):
         program = get_kernel("matmul").build(m=8, n=8, k=8)
         session = CompilationSession(program, passes=(*DEFAULT_PASSES, "lower-py-vec"))
-        session.compile()
-        source = session.artifact("lower-py-vec").value
+        # k tiles of 4: the default 1x1x1 tiles make every loop one point,
+        # printed as a substitution, with no range left to vectorise
+        config = Configuration(
+            num_blocks=4,
+            threads_per_block=4,
+            tile_sizes=(("i", 4), ("j", 4), ("k", 4)),
+            use_scratchpad=True,
+        )
+        source = session.replay_artifacts(config=config)["lower-py-vec"].value
         body = source[source.index("def kernel") :]
-        # the k loop really became one numpy reduction — over proven slices,
-        # with nothing left to round, test or gather at run time
-        assert "+= float(_np.sum((l_A[" in body and ":_hi - " in body
+        # the k loop really became one numpy reduction — a dot over proven
+        # slices, with nothing left to round, test or gather at run time
+        assert "+= float(_np.dot(l_A[" in body and ":_hi - " in body
         for needle in ("Fraction(", "_ceil(", "_floor(", "_np.arange", ">= 0", "== 0"):
             assert needle not in body, needle
 

@@ -1,12 +1,13 @@
 """Interpreter ≡ ``lower-py`` ≡ ``lower-py-vec`` ≡ the C harness on generated programs.
 
-The licence for emitting integer bounds, pruned guards and slices: on every
-small affine program ``lowering_oracle.programs`` can draw, unmapped or run
-through tiling → scratchpad → mapping under a drawn configuration, the three
-Python-side executors leave the same arrays behind.  The scalar lowering
-performs the interpreter's float operations in the interpreter's order, so it
-must match bit for bit; the vectorised one sums reductions pairwise, so it
-gets a tolerance.  Examples are derandomised: tier-1 runs the same cases (and
+The licence for emitting integer bounds, pruned guards and bound terms,
+substituted point loops, slices and dot products: on every small affine
+program ``lowering_oracle.programs`` can draw, unmapped or run through tiling
+→ scratchpad → mapping under a drawn configuration, the three Python-side
+executors leave the same arrays behind.  The scalar lowering performs the
+interpreter's float operations in the interpreter's order, so it must match
+bit for bit; the vectorised one sums reductions pairwise (or as a dot), so
+it gets a tolerance.  Examples are derandomised: tier-1 runs the same cases (and
 takes the same time) every time.  All three executable printers print one
 lowering, so the C harness tests exactly the guards ``lower-py`` keeps, and
 the printers themselves never touch the polyhedral layer.
@@ -184,6 +185,32 @@ PINNED_TEXT = {
         "mpeg4_me": (
             "a97d4257c530d959d07f08dfe9c9529cab9a9c9626d3ee567b5962c00ac54634",
             "f8362f37b83f933c75ee703e4c8f0cf723ad7af95beefce5fb1c7e78ea6dac59",
+        ),
+    },
+    3: {
+        "conv2d": (
+            "f0a6a30f63494f51038e8dec72683b9da2c4b3c9d287c6a46aedc71e0ae5579c",
+            "36b4778bc95c18d9b70251220e8e82e37bb7ed0c335e2de61f90e4744ed67f32",
+        ),
+        "distributed-gemm": (
+            "b359d6835af1543aafbe9a6fc40de37245a2c1e111618aa1bf5bdb8e7b2fae2e",
+            "88fb41847c5fa43545781099eb0e0232b621a0ef9cc4960a1c8f3e61cf582ada",
+        ),
+        "jacobi1d": (
+            "551d067ea969191e94cdcf338e266a09ea6b2133e6216531a1ccd10298557a32",
+            "2ea4c695690d0b7d84e2e2a6b17d6ef1e5533b6c6dd363955f42ef17a5acd677",
+        ),
+        "jacobi2d": (
+            "c7a8fce188ccb76fd3ad740dd3949978dc971591d5f67c3e4699b417f1472a49",
+            "1b018ac7e975628872201439fe90be050a21639b0ade6fda7d880e93130f326e",
+        ),
+        "matmul": (
+            "b359d6835af1543aafbe9a6fc40de37245a2c1e111618aa1bf5bdb8e7b2fae2e",
+            "88fb41847c5fa43545781099eb0e0232b621a0ef9cc4960a1c8f3e61cf582ada",
+        ),
+        "mpeg4_me": (
+            "7a8eef4b74d30ce1fabd8d23b4e9bcecb7f8e7f0d244c8d052117d5d080364a6",
+            "6e5f7efb81599e3d8f3b73300755ffc3e285a07d3c127025f6c698b262c2b594",
         ),
     },
 }

@@ -1,22 +1,31 @@
-"""Every guard the lowerings drop and every slice they prove, checked by enumeration.
+"""Every conjunct, bound term and loop the lowerings drop, every slice they prove: by enumeration.
 
 ``lowering_oracle.recorded_decisions`` runs the production lowering under
 each printer and logs each pruning decision with the loops around it;
-``verify_decisions`` runs those loops and evaluates the dropped conjunct (it
-must hold) or the sliced index (it must lie in ``[0, extent)``) at every
-integer point.  The negative
-cases pin what must *not* be pruned or sliced, and two seeded bugs show the
-checks can fail: a too-strong integer negation is caught by the enumeration,
-a too-weak one (conservative, never wrong) by the zero-residual pin.
+``verify_decisions`` runs those loops and evaluates the dropped conjunct or
+bound-term dominance (it must hold), the substituted loop (it must run
+once, at its value) or the sliced index (it must lie in ``[0, extent)``) at
+every integer point.  The structural tests pin what the benchmark kernels
+lower to, the negative cases what must *not* be pruned or sliced, and four
+seeded bugs show the checks can fail: a too-strong integer negation, a bound
+term dropped without proof and a loop over a rational form collapsed are
+caught by the enumeration, a too-weak negation (conservative, never wrong)
+by the zero-residual pin.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import lowering_oracle as oracle
-from repro.codegen import emit_python_source, emit_python_source_vectorized
-from repro.ir.ast import LoopNode
+from repro.codegen import emit_python_source, emit_python_source_vectorized, lower
+from repro.codegen.emit_c_exec import CPrinter
+from repro.codegen.emit_py import PythonPrinter
+from repro.codegen.emit_py_vec import NumpyPrinter
+from repro.codegen.lower import Lowering
+from repro.ir.ast import THREAD_PARALLEL, LoopNode
 from repro.ir.builder import ProgramBuilder
 from repro.ir.expressions import Iter
 from repro.kernels import available_kernels
@@ -67,7 +76,77 @@ def test_dividing_tiles_leave_no_guard_mask_or_gather(name):
         assert needle not in source, needle
     assert "_hi + 1] = " in source  # a slice assignment was emitted
     if name == "matmul":
-        assert "+= float(_np.sum((l_A[" in source  # and a slice reduction
+        assert "+= float(_np.dot(l_A[" in source  # and a slice reduction, as a dot
+
+
+PRINTERS = (PythonPrinter, NumpyPrinter, CPrinter)
+
+
+def printed_loops(program, printer_class):
+    """``(iterator, lower, upper)`` of every loop (vector loops too) the printer writes."""
+    printed = []
+
+    class Recording(printer_class):
+        def loop(self, iterator, lower, upper, step, depth):
+            printed.append((iterator, lower, upper))
+            super().loop(iterator, lower, upper, step, depth)
+
+        def vector_loop(self, iterator, lower, upper, step, mask, depth):
+            printed.append((iterator, lower, upper))
+            super().vector_loop(iterator, lower, upper, step, mask, depth)
+
+    Lowering(program, Recording()).lower(set(program.bound_params()), 1)
+    return printed
+
+
+@pytest.mark.parametrize("printer_class", PRINTERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("tile, scratchpad", oracle.MAPPINGS)
+@pytest.mark.parametrize("name", available_kernels())
+def test_no_printed_loop_runs_once_at_one_integral_value(name, tile, scratchpad, printer_class):
+    loops = printed_loops(mapped_kernel(name, tile, scratchpad), printer_class)
+    assert loops
+    for iterator, (_low_kind, low), (_high_kind, high) in loops:
+        assert not (len(low) == 1 and low == high and low[0][0] == 1), iterator
+
+
+@pytest.mark.parametrize("tile", [4, 3])  # each of the 4 threads owns one point of a tile
+def test_jacobi1d_has_no_python_loop_over_the_thread_iterator(tile):
+    program = mapped_kernel("jacobi1d", tile, True)
+    (thread,) = [
+        node.iterator
+        for node in program.body.walk()
+        if isinstance(node, LoopNode) and node.parallel == THREAD_PARALLEL
+    ]
+    source = body_of(emit_python_source_vectorized(program))
+    assert f"for {thread} in" not in source
+    assert "B[_lo:_hi + 1] = " in source
+
+
+@pytest.mark.parametrize("tile, scratchpad", oracle.MAPPINGS)
+def test_matmul_reduces_k_as_a_dot(tile, scratchpad):
+    source = body_of(emit_python_source_vectorized(mapped_kernel("matmul", tile, scratchpad)))
+    assert "+= float(_np.dot(" in source and "_np.sum(" not in source
+
+
+def test_a_point_loop_is_a_substitution_in_every_printer():
+    # for j: for i in j..j: O[j] = A[i] + i -- the i loop runs once, at i = j
+    builder = ProgramBuilder("point")
+    a = builder.array("A", (8,), dtype="float64")
+    out = builder.array("O", (8,), dtype="float64")
+    with builder.loop("j", 0, 7) as j:
+        with builder.loop("i", j, j) as i:
+            builder.assign(out[j], a[i] + Iter("i"))
+    program = builder.build()
+    assert "for i in" not in emit_python_source(program)
+    assert "O[j] = (A[j] + (j))" in emit_python_source(program)
+    assert "long i" not in oracle.emit_c_harness(program)
+    assert "O[_lo:_hi + 1]" not in emit_python_source_vectorized(program)  # the value is read
+    reference, scalar, vector = oracle.run_all_python(program)
+    assert np.array_equal(reference["O"], scalar["O"])
+    assert np.array_equal(reference["O"], vector["O"])
+    _source, decisions = oracle.recorded_decisions(program)
+    assert any(decision.one_trip for decision in decisions)
+    assert oracle.verify_decisions(program, decisions) > 0
 
 
 # -- negative cases: what must not be pruned or sliced ------------------------------------------
@@ -104,9 +183,12 @@ def test_a_guard_the_bounds_imply_is_dropped():
 
 
 def test_an_equality_is_never_dropped_even_when_implied():
-    program = one_loop(lambda a, i: a[i], extent=4, guard=Constraint(I - 3, is_equality=True), lower=3)
+    # the outer guard pins i to 3; a loop over 3..3 would not be a loop at all
+    program = one_loop(lambda a, i: a[i])
+    oracle.guard_the_statement(program, [Constraint(I - 3), Constraint(3 - I)], as_domain=False)
+    oracle.guard_the_statement(program, [Constraint(I - 3, is_equality=True)], as_domain=False)
     assert "if i - 3 == 0:" in emit_python_source(program)
-    assert "i = i[(i - 3 == 0)]" in emit_python_source_vectorized(program)
+    assert "(i - 3 == 0)]" in emit_python_source_vectorized(program)
 
 
 def test_a_negative_coefficient_index_keeps_the_gather():
@@ -168,6 +250,44 @@ def test_an_off_by_one_too_strong_negation_is_caught_by_the_enumeration(monkeypa
     program = boundary_program()
     _source, decisions = oracle.recorded_decisions(program)
     with pytest.raises(AssertionError, match="dropped i - 1 >= 0 fails at"):
+        oracle.verify_decisions(program, decisions)
+
+
+def test_a_bound_term_dropped_without_proof_is_caught_by_the_enumeration(monkeypatch):
+    program = mapped_kernel("matmul", 3, True)
+    oracle.verify_decisions(program, oracle.recorded_decisions(program)[1])
+    # "the first other term always dominates": true for some loops, not all
+    monkeypatch.setattr(
+        Lowering,
+        "_dominance",
+        lambda self, term, others, sign: Constraint((others[0] - term) * sign) if others else None,
+    )
+    _source, decisions = oracle.recorded_decisions(program)
+    with pytest.raises(AssertionError, match="dropped .* fails at"):
+        oracle.verify_decisions(program, decisions)
+
+
+def half_step_program():
+    """``for j in 0..7: for i in j/2 .. j/2: O[j] = A[j]``: one trip at even ``j``, none at odd."""
+    builder = ProgramBuilder("half")
+    a = builder.array("A", (8,), dtype="float64")
+    out = builder.array("O", (8,), dtype="float64")
+    half = AffineExpr({"j": Fraction(1, 2)})
+    with builder.loop("j", 0, 7) as j:
+        with builder.loop("i", half, half):
+            builder.assign(out[j], a[j])
+    return builder.build()
+
+
+def test_collapsing_a_loop_over_a_rational_form_is_caught_by_the_enumeration(monkeypatch):
+    program = half_step_program()
+    assert "for i in range(-(-(j) // 2), (j + 2) // 2):" in emit_python_source(program)
+    reference, scalar, vector = oracle.run_all_python(program)
+    assert np.array_equal(reference["O"], scalar["O"])
+    assert np.array_equal(reference["O"], vector["O"])
+    monkeypatch.setattr(lower, "_is_integral", lambda expr: True)
+    _source, decisions = oracle.recorded_decisions(program)
+    with pytest.raises(AssertionError, match=r"point loop i = 1/2\*j runs \[\] at"):
         oracle.verify_decisions(program, decisions)
 
 
