@@ -19,16 +19,21 @@ and C harness (:mod:`~repro.codegen.emit_c_exec`) printers never see an
 * **No test the enclosing loops already decide.**  While descending the AST
   the walker keeps the constraints in force — ``it >= e`` / ``it <= e`` for
   every expression of each enclosing loop's bounds (rounding only tightens
-  them) and the conjuncts of enclosing guards — and drops a guard or domain
-  conjunct ``c`` when ``facts ∧ ¬c`` has no rational solution
-  (:meth:`Lowering.implied`): no rational point means no integer point, so the
-  test could never fail.  Equalities are never dropped (unless constant).
-  When nothing remains there is no ``if`` at all, in any printer.
+  them) and the conjuncts of enclosing guards — in a facts context
+  (:class:`~repro.polyhedral.facts.Facts`, pushed and popped as the walk
+  descends), and drops a guard or domain conjunct ``c`` when ``facts ∧ ¬c``
+  has no rational solution (:meth:`Facts.implied
+  <repro.polyhedral.facts.Facts.implied>`): no rational point means no
+  integer point, so the test could never fail.  Equalities are never dropped
+  (unless constant).  When nothing remains there is no ``if`` at all, in any
+  printer.
 * **Bounds.**  A ``max`` lower bound loses a term ``l_k`` when the facts
   imply ``l_j >= l_k`` for a term ``l_j`` it keeps, a ``min`` upper bound a
-  term ``u_k`` when they imply ``u_j <= u_k`` — the term never decides the
-  bound, as CLooG drops redundant bound terms.  The facts a loop contributes
-  still come from all of its terms, each one a valid fact.
+  term ``u_k`` when they imply ``u_j <= u_k`` (:meth:`Facts.never_loses
+  <repro.polyhedral.facts.Facts.never_loses>`, the question the planner asks
+  of its candidates too) — the term never decides the bound, as CLooG drops
+  redundant bound terms.  The facts a loop contributes still come from all
+  of its terms, each one a valid fact.
 * **Point loops.**  When the pruned lower and upper bounds are one and the
   same form with ``D == 1``, the loop runs exactly once, at that value: no
   loop is printed, and the form is substituted for the iterator in every
@@ -66,10 +71,8 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import replace
-from fractions import Fraction
 from typing import (
-    ContextManager, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
-    Tuple, Union,
+    ContextManager, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.ir.ast import BlockNode, BoundValue, GuardNode, LoopNode, Node, StatementNode, SyncNode
@@ -78,7 +81,7 @@ from repro.ir.program import Program
 from repro.ir.statements import Statement
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.constraints import Constraint
-from repro.polyhedral.fourier_motzkin import is_rationally_infeasible
+from repro.polyhedral.facts import Fact, Facts
 from repro.polyhedral.parametric import QuasiAffineBound
 
 #: Bumped when the emitted code changes speed class, not merely text: wall
@@ -266,196 +269,8 @@ def _substitute(expr: Expr, values: Mapping[str, AffineExpr]) -> Expr:
     return expr
 
 
-#: an integer point: variable -> value
-_Point = Dict[str, int]
-#: an exact value, an int whenever it is whole
-_Rational = Union[int, Fraction]
-#: at most this many sample points per component
-_SAMPLES = 16
-#: a fact in force: the constraint, its variables, its number
-_Fact = Tuple[Constraint, FrozenSet[str], int]
-
-
-class _Component:
-    """Facts in force connected through shared variables, and what decides questions on them.
-
-    ``points`` (integer points of the facts: each loop's least and greatest
-    iterator value) refute a conjunct; ``shifts`` (a fact with the same terms)
-    and ``box`` (a rational box around the facts) prove one.  Each is made
-    the first time a question needs it.
-    """
-
-    __slots__ = ("facts", "numbers", "names", "_parts", "_pushed", "_points", "_shifts", "_box")
-
-    def __init__(self, parts: Sequence["_Component"], pushed: Sequence[_Fact]) -> None:
-        self.facts = (*(f for c in parts for f in c.facts), *(f for f, _, _ in pushed))
-        self.numbers = frozenset(
-            (*(n for c in parts for n in c.numbers), *(n for _, _, n in pushed))
-        )
-        self.names = frozenset().union(
-            *(c.names for c in parts), *(names for _, names, _ in pushed)
-        )
-        self._parts: Optional[Sequence[_Component]] = parts
-        self._pushed: Optional[Sequence[_Fact]] = pushed
-        self._points: Optional[Tuple[_Point, ...]] = None
-        self._shifts: Optional[Dict[FrozenSet[Tuple[str, int]], int]] = None
-        self._box: Optional[Dict[str, List[Optional[_Rational]]]] = None
-
-    @property
-    def points(self) -> Tuple[_Point, ...]:
-        if self._points is None:
-            self._points = _sampled(self._parts, [f for f, _, _ in self._pushed])
-            self._parts = self._pushed = None
-        return self._points
-
-    @property
-    def box(self) -> Dict[str, List[Optional[_Rational]]]:
-        """A rational ``[low, high]`` per variable (``None``: unbounded) holding the facts.
-
-        Each fact bounds each of its variables by the others' bounds so
-        far, in the order the loops brought the facts in: outer loops
-        first, so a chain ``i >= ip >= iT >= 0`` reaches ``i``.
-        """
-        if self._box is None:
-            self._box = {}
-            for fact in self.facts:
-                _one, terms, constant = fact.expr.int_form()
-                for sign in (1, -1) if fact.is_equality else (1,):
-                    for name, coeff in terms:
-                        # sign * (coeff*name + rest) >= 0, rest at its largest
-                        rest = _largest(self._box, terms, sign * constant, sign, skip=name)
-                        if rest is not None:
-                            bounds = self._box.setdefault(name, [None, None])
-                            value = _ratio(-rest, sign * coeff)
-                            if sign * coeff > 0:
-                                if bounds[0] is None or value > bounds[0]:
-                                    bounds[0] = value
-                            elif bounds[1] is None or value < bounds[1]:
-                                bounds[1] = value
-        return self._box
-
-    @property
-    def shifts(self) -> Dict[FrozenSet[Tuple[str, int]], int]:
-        """The inequalities' terms -> the least constant a fact has with them."""
-        if self._shifts is None:
-            self._shifts = {}
-            for fact in self.facts:
-                if not fact.is_equality:
-                    _one, terms, constant = fact.expr.int_form()
-                    key = frozenset(terms)
-                    self._shifts[key] = min(constant, self._shifts.get(key, constant))
-        return self._shifts
-
-
-def _largest(
-    box: Mapping[str, List[Optional[_Rational]]],
-    terms: Iterable[Tuple[str, int]],
-    constant: int,
-    sign: int,
-    skip: Optional[str] = None,
-) -> Optional[_Rational]:
-    """The largest value of ``sign * sum c*name + constant`` over ``box`` (``skip`` left out)."""
-    total: _Rational = constant
-    for name, coeff in terms:
-        if name != skip:
-            bound = box.get(name, (None, None))[0 if sign * coeff < 0 else 1]
-            if bound is None:
-                return None
-            total += sign * coeff * bound
-    return total
-
-
-def _ratio(numerator: _Rational, denominator: int) -> _Rational:
-    """``numerator / denominator`` exactly, an int when it divides."""
-    if isinstance(numerator, int) and numerator % denominator == 0:
-        return numerator // denominator
-    return Fraction(numerator) / denominator
-
-
-def _holds_over(box: Mapping[str, List[Optional[_Rational]]], terms, constant: int) -> bool:
-    """Whether ``sum c*name + constant >= 0`` everywhere in ``box``."""
-    negation = _largest(box, terms, -constant, -1)  # its negation at the largest
-    return negation is not None and negation <= 0
-
-
-def _endpoints(name: str, point: _Point, facts: Sequence[Constraint]) -> Tuple[int, ...]:
-    """The least and the greatest integer ``name`` the ``facts`` allow at ``point``."""
-    lows: List[int] = []
-    highs: List[int] = []
-    for fact in facts:
-        _one, terms, rest = fact.expr.int_form()  # a normalised constraint: integral
-        coeff = 0
-        for variable, c in terms:
-            if variable == name:
-                coeff = c
-            else:
-                rest += c * point[variable]
-        # coeff * name + rest >= 0 (== 0)
-        if fact.is_equality and coeff:
-            if rest % coeff:
-                return ()
-            lows.append(-rest // coeff)
-            highs.append(-rest // coeff)
-        elif coeff > 0:
-            lows.append(-(rest // coeff))
-        elif coeff < 0:
-            highs.append(rest // -coeff)
-    low = max(lows or highs)
-    high = min(highs or lows)
-    return () if low > high else (low,) if low == high else (low, high)
-
-
-def _sampled(parts: Iterable[_Component], facts: Sequence[Constraint]) -> Tuple[_Point, ...]:
-    """Points of ``parts`` (on disjoint variables) extended to satisfy ``facts`` too.
-
-    Each point of the product takes the least and the greatest value the
-    facts allow for the one variable they bring in; with two or more new
-    variables there are no samples (a question is then left to
-    Fourier–Motzkin).
-    """
-    points: List[_Point] = [{}]
-    for part in parts:
-        points = [{**p, **q} for p in points for q in part.points][:_SAMPLES]
-    if not points:
-        return ()
-    new = {name for fact in facts for name in fact.variables} - points[0].keys()
-    if len(new) > 1:
-        return ()
-    if new:
-        (name,) = new
-        # _endpoints meets every fact over the new variable; the others are tested
-        points = [{**p, name: v} for p in points for v in _endpoints(name, p, facts)]
-        facts = [fact for fact in facts if name not in fact.variables]
-    unique = {tuple(sorted(p.items())): p for p in points if all(f.satisfied_by(p) for f in facts)}
-    return tuple(unique.values())[:_SAMPLES]
-
-
-def _joined(components: Dict[str, _Component], facts: Sequence[_Fact]) -> Dict[str, _Component]:
-    """``components`` (variable -> its component) with ``facts`` added and merged in."""
-    groups: List[Tuple[Set[str], List[_Fact]]] = []
-    for fact in facts:
-        if not fact[1]:
-            continue  # a constant constrains no variable
-        reach, batch = set(fact[1]), [fact]
-        for name in fact[1]:
-            if name in components:
-                reach |= components[name].names
-        for group in [g for g in groups if not g[0].isdisjoint(reach)]:
-            groups.remove(group)
-            reach |= group[0]
-            batch[:0] = group[1]
-        groups.append((reach, batch))
-    joined = dict(components)
-    for reach, batch in groups:
-        parts = list({id(c): c for name in reach for c in [components.get(name)] if c}.values())
-        component = _Component(parts, batch)
-        for name in component.names:
-            joined[name] = component
-    return joined
-
-
 class Lowering:
-    """One walk of ``program`` into ``printer``; one FM memo per walk (per module)."""
+    """One walk of ``program`` into ``printer``, with one facts context per walk (per module)."""
 
     def __init__(self, program: Program, printer: Printer, check_domains: bool = True) -> None:
         self.program = program
@@ -468,20 +283,10 @@ class Lowering:
             for name, definition in self.symbol_definitions.items()
         }
         self._emitted_symbols: List[Set[str]] = [set()]
-        #: what every integer point reaching the current node satisfies, each
-        #: fact with its variables and its number in ``_numbering``
-        self._facts: List[Tuple[Constraint, FrozenSet[str], int]] = []
-        #: constraint -> small int, so implication questions hash ints, not fractions
-        self._numbering: Dict[Constraint, int] = {}
-        #: (conjunct, the facts it was tested against) -> implied?
-        self._implications: Dict[Tuple[int, FrozenSet[int]], bool] = {}
-        #: the facts in force as a small int: (enclosing state, facts pushed) -> state
-        self._state = 0
-        self._states: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        #: state -> variable -> the facts in force connected to it through shared variables
-        self._components: Dict[int, Dict[str, _Component]] = {0: {}}
+        #: what every integer point reaching the current node satisfies
+        self.facts = Facts()
         #: id(loop) -> its facts (a vector plan and the walk enter the same loops)
-        self._loop_facts: Dict[int, List[_Fact]] = {}
+        self._loop_facts: Dict[int, List[Fact]] = {}
         #: (state, bound, kind) -> its pruned terms (a vector plan and the walk ask alike)
         self._prunings: Dict[Tuple[int, BoundValue, str], _Terms] = {}
         #: (iterator, step) while a sliced vector loop's statement is printed
@@ -542,121 +347,16 @@ class Lowering:
         ]
 
     # -- pruning -------------------------------------------------------------------------
-    def _number(self, constraint: Constraint) -> int:
-        return self._numbering.setdefault(constraint, len(self._numbering))
-
-    def _entries(self, facts: Iterable[Constraint]) -> List[_Fact]:
-        return [(fact, frozenset(fact.variables), self._number(fact)) for fact in facts]
-
-    @contextlib.contextmanager
-    def _assuming(self, entries: Sequence[_Fact]) -> Iterator[None]:
-        """Keep the facts ``entries`` in force while the enclosed subtree is printed."""
-        outer, outer_state = len(self._facts), self._state
-        key = (outer_state, tuple(number for _fact, _names, number in entries))
-        state = self._states.get(key)
-        if state is None:
-            state = self._states[key] = len(self._states) + 1
-            self._components[state] = _joined(self._components[outer_state], entries)
-        self._facts.extend(entries)
-        self._state = state
-        try:
-            yield
-        finally:
-            del self._facts[outer:]
-            self._state = outer_state
-
     def _inside(self, node: LoopNode) -> ContextManager[None]:
         """Keep the loop's facts in force while its body is printed."""
         entries = self._loop_facts.get(id(node))
         if entries is None:
-            entries = self._loop_facts[id(node)] = self._entries(loop_facts(node))
-        return self._assuming(entries)
-
-    def implied(self, constraint: Constraint) -> bool:
-        """Whether no integer point satisfying the facts in force violates ``constraint``.
-
-        Exact: the integer negation ``-e - 1 >= 0`` joined to the facts is
-        handed to Fourier–Motzkin, and only a rationally infeasible system —
-        which has no integer point either — counts.  Facts that share no
-        variable with the conjunct, even transitively, cannot take part in a
-        refutation and are left out; derived symbols are plain unconstrained
-        variables here.  A constant conjunct is its own answer, and each
-        distinct question is answered once per module (the copy-in and
-        copy-out nests ask the same ones).  Two shortcuts give the answer
-        Fourier–Motzkin would: a conjunct that is a fact, or a fact with a
-        larger constant, is implied; one that an integer point of the facts
-        (:class:`_Component`'s samples) violates is not.
-        """
-        if constraint.expr.is_constant():
-            return constraint.is_trivially_true()
-        if constraint.is_equality:
-            return False
-        number = self._number(constraint)
-        variables = constraint.variables
-        touched = self._touched(variables)
-        numbers = (
-            touched[0].numbers
-            if len(touched) == 1
-            else frozenset().union(*(c.numbers for c in touched))
-        )
-        if number in numbers:
-            return True
-        key = (number, numbers)
-        answer = self._implications.get(key)
-        if answer is None:
-            _one, terms, constant = constraint.expr.int_form()
-            shifted = touched[0].shifts.get(frozenset(terms)) if len(touched) == 1 else None
-            negation = constraint.negate()
-            if shifted is not None and shifted <= constant:
-                answer = True  # a fact with the same terms and a smaller constant
-            elif len(touched) == 1 and _holds_over(touched[0].box, terms, constant):
-                answer = True  # it holds over a box around the facts
-            elif any(map(negation.satisfied_by, self._points(touched, variables))):
-                answer = False  # a point of the facts violates it: a rational solution
-            else:
-                relevant = [fact for c in touched for fact in c.facts]
-                answer = is_rationally_infeasible([*relevant, negation])
-            self._implications[key] = answer
-        return answer
-
-    def _touched(self, variables: Iterable[str]) -> List[_Component]:
-        """The components of the facts in force that mention one of ``variables``."""
-        components = self._components[self._state]
-        return list({id(c): c for name in variables for c in [components.get(name)] if c}.values())
-
-    @staticmethod
-    def _points(touched: Sequence[_Component], variables: Sequence[str]) -> Tuple[_Point, ...]:
-        """Integer points of the facts in force, when one component binds all ``variables``."""
-        if len(touched) == 1 and touched[0].names.issuperset(variables):
-            return touched[0].points
-        return ()
+            entries = self._loop_facts[id(node)] = self.facts.entries(loop_facts(node))
+        return self.facts.assuming(entries)
 
     def _residual(self, constraints: Iterable[Constraint]) -> List[Constraint]:
         """The conjuncts that still need a run-time test."""
-        return [c for c in constraints if not self.implied(c)]
-
-    def _dominance(
-        self, term: AffineExpr, others: Sequence[AffineExpr], sign: int
-    ) -> Optional[Constraint]:
-        """An implied ``sign * (other - term) >= 0`` for one of ``others``, if any.
-
-        ``sign`` is 1 for a ``max`` and -1 for a ``min``: the claim is that
-        ``term`` never decides the bound, so dropping it changes no value.
-        """
-        for other in others:
-            difference = other - term if sign > 0 else term - other
-            variables = difference.variables
-            if not variables:
-                if difference.int_form()[2] >= 0:
-                    return Constraint(difference)
-                continue
-            points = self._points(self._touched(variables), variables)
-            if any(difference.evaluate_ratio(p)[0] < 0 for p in points):
-                continue  # the facts allow a point where ``term`` decides
-            claim = Constraint(difference)
-            if self.implied(claim):
-                return claim
-        return None
+        return [c for c in constraints if not self.facts.implied(c)]
 
     def _pruned(self, value: BoundValue, kind: str) -> _Terms:
         """The bound's terms without those the facts in force show never decide it.
@@ -669,15 +369,14 @@ class Lowering:
         bound_kind = value.kind if isinstance(value, QuasiAffineBound) else ""
         if len(exprs) < 2 or bound_kind != kind:
             return bound_kind, exprs
-        key = (self._state, value, kind)
+        key = (self.facts.state, value, kind)
         known = self._prunings.get(key)
         if known is None:
-            sign = 1 if kind == "max" else -1
             kept = list(exprs)
             for term in exprs:
                 # the innermost tile's term comes last and is the likeliest to decide
                 others = [e for e in reversed(kept) if e is not term]
-                if self._dominance(term, others, sign) is not None:
+                if any(self.facts.never_loses(other, term, kind) for other in others):
                     kept.remove(term)
             known = self._prunings[key] = (bound_kind, tuple(kept))
         return known
@@ -738,8 +437,8 @@ class Lowering:
         elif isinstance(node, GuardNode):
             constraints = self._substituted(node.constraints)
             residual = self._residual(constraints)
-            facts = self._entries(constraints)
-            with self._if(residual, depth) as body_depth, self._assuming(facts):
+            facts = self.facts.entries(constraints)
+            with self._if(residual, depth) as body_depth, self.facts.assuming(facts):
                 self.walk(node.body, body_depth, bound)
         elif isinstance(node, StatementNode):
             statement = self._substituted_statement(node.statement)
@@ -896,7 +595,7 @@ class Lowering:
                 if index.coefficient(iterator) < 0:
                     return False
                 in_bounds = (Constraint(index), Constraint(extent - 1 - index))
-                if not all(self.implied(c) for c in in_bounds):
+                if not all(self.facts.implied(c) for c in in_bounds):
                     return False
         return True
 

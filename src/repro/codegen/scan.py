@@ -9,47 +9,11 @@ loop nests CLooG generates for a single domain.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.ir.ast import BlockNode, LoopNode, Node
-from repro.polyhedral import fourier_motzkin as fm
-from repro.polyhedral.parametric import QuasiAffineBound
+from repro.polyhedral.parametric import parametric_bounds, resolve_quasi_affine
 from repro.polyhedral.polyhedron import Polyhedron
-
-
-def loop_bounds_for(
-    polyhedron: Polyhedron, dim: str, outer: Sequence[str]
-) -> tuple:
-    """Bounds of *dim* as quasi-affine expressions of params and *outer* dims."""
-    keep = list(polyhedron.params) + [d for d in outer if d != dim]
-    lowers, uppers = fm.bounds_for_variable(polyhedron.constraints, dim, keep)
-    if not lowers or not uppers:
-        raise ValueError(
-            f"dimension {dim!r} of {polyhedron!r} is unbounded; cannot generate a loop"
-        )
-    lower = QuasiAffineBound("max", tuple(expr / coeff for expr, coeff in lowers))
-    upper = QuasiAffineBound("min", tuple(expr / coeff for expr, coeff in uppers))
-    return _simplify(lower), _simplify(upper)
-
-
-def _simplify(bound: QuasiAffineBound):
-    """Collapse single-candidate bounds to a plain affine expression."""
-    if bound.is_single:
-        return bound.as_single_expr()
-    # When all candidates differ by constants the min/max is decidable
-    # statically; pick the right representative.
-    exprs = list(bound.exprs)
-    reference = exprs[0]
-    best = reference
-    for expr in exprs[1:]:
-        difference = expr - best
-        if not difference.is_constant():
-            return bound
-        if bound.kind == "min" and difference.constant < 0:
-            best = expr
-        elif bound.kind == "max" and difference.constant > 0:
-            best = expr
-    return best
 
 
 def scan_polyhedron(
@@ -72,8 +36,9 @@ def scan_polyhedron(
     # Build loops inside-out.
     for depth in range(len(order) - 1, -1, -1):
         dim = order[depth]
-        outer = order[:depth]
-        lower, upper = loop_bounds_for(polyhedron, dim, outer)
+        bound = parametric_bounds(polyhedron, dim, outer=order[:depth])
+        # a single candidate, or candidates apart by constants, is one expression
+        lower, upper = resolve_quasi_affine(bound.lower), resolve_quasi_affine(bound.upper)
         inner = body if isinstance(body, BlockNode) else BlockNode([body])
         body = LoopNode(iterator=dim, lower=lower, upper=upper, body=inner)
     return body

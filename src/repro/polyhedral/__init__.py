@@ -7,6 +7,8 @@ the polyhedral operations the paper's framework relies on:
 * polyhedra/polytopes defined by affine constraints
   (:mod:`repro.polyhedral.polyhedron`),
 * Fourier--Motzkin projection (:mod:`repro.polyhedral.fourier_motzkin`),
+* the facts-in-force context implication and dominance questions are asked
+  of (:mod:`repro.polyhedral.facts`),
 * images of polyhedra under affine functions (:mod:`repro.polyhedral.image`),
 * rectangular unions of data spaces (:mod:`repro.polyhedral.hull`),
 * integer-point enumeration and counting (:mod:`repro.polyhedral.counting`),

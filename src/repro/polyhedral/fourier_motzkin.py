@@ -1,7 +1,8 @@
 """Fourier–Motzkin elimination over exact rational constraints.
 
 This is the workhorse behind projection, emptiness testing, parametric bound
-extraction and code generation.  Constraint systems in this project are small
+extraction and code generation, and the exact answer behind the facts
+context (:mod:`repro.polyhedral.facts`).  Constraint systems in this project are small
 (loop depths of at most 6–8 plus a few parameters), so the classical
 double-description blowup is not a concern, but we still normalise and
 deduplicate aggressively after each elimination step to keep intermediate
@@ -11,16 +12,15 @@ Exact arithmetic on *integer rows*: a system is a sorted tuple of variable
 names plus rows ``(is_equality, coefficients, constant)`` over them, each row
 in the normal form a :class:`Constraint` already has (coprime integers, an
 equality with a positive first non-zero coefficient).  That is what a
-:class:`~repro.polyhedral.polyhedron.Polyhedron` stores, so the row-level
-functions (:func:`reduce_rows`, :func:`eliminate_rows`, :func:`rows_infeasible`,
-:func:`row_bounds`, …) take and return rows, nothing is converted on the way,
-and all elimination work is on Python ints (cross-multiplication instead of
-division, ``math.gcd`` to re-normalise).  The constraint-level public API
-reads the rows off its constraints (:func:`rows_of`), asks the same question
-and wraps the answer; ``Fraction`` appears only there.  Rows keep the order
-the constraint-level rules would produce (equalities in encounter order, then
-inequalities in first-insertion order of their coefficient vector), because
-loop bounds, hulls and emitted code are read off that order.
+:class:`~repro.polyhedral.polyhedron.Polyhedron` stores, so every function
+here (:func:`reduce_rows`, :func:`eliminate_rows`, :func:`rows_infeasible`,
+:func:`row_bounds`, …) takes and returns rows, nothing is converted on the
+way, and all elimination work is on Python ints (cross-multiplication instead
+of division, ``math.gcd`` to re-normalise); :func:`rows_of` and
+:func:`constraints_of` convert at the boundary.  Rows keep a fixed order
+(equalities in encounter order, then inequalities in first-insertion order
+of their coefficient vector), because loop bounds, hulls and emitted code are
+read off that order.
 
 Eliminating a column only combines rows that use it, so rows that share no
 column — directly or through other rows — never meet.  :func:`rows_infeasible`
@@ -32,7 +32,6 @@ order is read.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -110,7 +109,9 @@ def is_false_row(row: Row) -> bool:
 
 
 def reduce_rows(rows: Iterable[Row]) -> List[Row]:
-    """The syntactic redundancy rules of :func:`remove_redundant` on rows."""
+    """Cheap syntactic redundancy removal: drop trivially true rows and duplicates,
+    keep the tightest inequality per coefficient vector, and a single trivially
+    false row if there is one (so emptiness stays detectable)."""
     equalities: List[Row] = []
     seen = set()
     tightest: Dict[Tuple[int, ...], int] = {}
@@ -304,76 +305,11 @@ def _read_bounds(names: Sequence[str], rows: Iterable[Row], col: int) -> IntBoun
 def row_bounds(
     names: Sequence[str], rows: Sequence[Row], name: str, keep: Iterable[str]
 ) -> IntBounds:
-    """:func:`bounds_for_variable` of a reduced row system, the coefficients as ints."""
+    """Lower and upper bounds of *name* over the *keep* variables, every other
+    variable of the reduced system eliminated first: pairs ``(expr, coeff)``
+    meaning ``name >= expr / coeff`` (lowers) or ``name <= expr / coeff``
+    (uppers), ``coeff > 0``."""
     if name not in names:
         return [], []
     drop = _first_appearance(names, rows, skip=(*keep, name))
     return _read_bounds(names, eliminate_rows(names, rows, drop), names.index(name))
-
-
-# -- public API: the same questions asked of constraints ------------------------------
-def remove_redundant(constraints: Iterable[Constraint]) -> List[Constraint]:
-    """Cheap syntactic redundancy removal.
-
-    * drops constraints that are trivially true,
-    * deduplicates normalised constraints,
-    * among inequalities sharing the same coefficient vector keeps only the
-      tightest one (smallest constant), and
-    * keeps a single trivially false constraint if one exists (so emptiness
-      remains detectable).
-    """
-    constraints = list(constraints)
-    _, rows = rows_of(constraints)
-    # every surviving row is an input row, so hand back the caller's objects
-    original: Dict[Row, Constraint] = {}
-    for row, constraint in zip(rows, constraints):
-        original.setdefault(row, constraint)
-    return [original[row] for row in reduce_rows(rows)]
-
-
-def eliminate_variable(constraints: Sequence[Constraint], name: str) -> List[Constraint]:
-    """Project the constraint system onto the variables other than *name*."""
-    names, rows = rows_of(constraints)
-    if name not in names:
-        return constraints_of(names, reduce_rows(rows))
-    return constraints_of(names, _eliminate_column(rows, names.index(name)))
-
-
-def eliminate(constraints: Sequence[Constraint], names: Iterable[str]) -> List[Constraint]:
-    """Eliminate every variable in *names* from the system.
-
-    Variables are eliminated cheapest-first (fewest lower×upper combinations)
-    which in practice keeps intermediate systems near-minimal.
-    """
-    order, rows = rows_of(constraints)
-    return constraints_of(order, eliminate_rows(order, reduce_rows(rows), names))
-
-
-def is_rationally_infeasible(constraints: Sequence[Constraint]) -> bool:
-    """True if the system has no rational solution."""
-    order, rows = rows_of(constraints)
-    return rows_infeasible(order, reduce_rows(rows))
-
-
-def bounds_for_variable(
-    constraints: Sequence[Constraint], name: str, keep: Iterable[str]
-) -> Tuple[List[Tuple[AffineExpr, Fraction]], List[Tuple[AffineExpr, Fraction]]]:
-    """Lower/upper bound expressions for *name* in terms of the *keep* variables.
-
-    All variables other than *name* and those in *keep* are eliminated first.
-    Each returned entry is a pair ``(expr, coeff)`` meaning
-    ``name >= expr / coeff`` (lower bounds) or ``name <= expr / coeff`` (upper
-    bounds) with ``coeff > 0`` — a ``Fraction``, so ``expr.constant / coeff``
-    is exact.
-    """
-    order, rows = rows_of(constraints)
-    if name not in order:
-        return [], []
-    drop = _first_appearance(order, rows, skip=(*keep, name))
-    lowers, uppers = _read_bounds(
-        order, eliminate_rows(order, reduce_rows(rows), drop), order.index(name)
-    )
-    return (
-        [(expr, Fraction(coeff)) for expr, coeff in lowers],
-        [(expr, Fraction(coeff)) for expr, coeff in uppers],
-    )

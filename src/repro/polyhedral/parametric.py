@@ -7,7 +7,9 @@ convex data-space union *as an affine function of the block parameters*
 bounds: after projecting everything else away, the constraints on a dimension
 read ``dim >= affine(params)`` and ``dim <= affine(params)``; when several
 candidates remain the true bound is their max (lower) or min (upper), which we
-represent with :class:`QuasiAffineBound`.
+represent with :class:`QuasiAffineBound`.  Such a bound is resolved against a
+context by asking the context's facts (:class:`~repro.polyhedral.facts.Facts`,
+the lowering's context too) which candidate never loses to the others.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.polyhedral import fourier_motzkin as fm
 from repro.polyhedral.affine import AffineExpr
@@ -92,12 +94,6 @@ class QuasiAffineBound:
     def is_single(self) -> bool:
         return len(self.exprs) == 1
 
-    def as_single_expr(self) -> AffineExpr:
-        """Return the unique expression; raises when the bound is a true min/max."""
-        if not self.is_single:
-            raise ValueError(f"bound {self} is not a single affine expression")
-        return self.exprs[0]
-
     def evaluate(self, binding: Mapping[str, Number]) -> Fraction:
         values = [expr.evaluate(binding) for expr in self.exprs]
         return min(values) if self.kind == "min" else max(values)
@@ -152,17 +148,17 @@ class ParametricBound:
 
 
 def parametric_bounds(
-    polyhedron: Polyhedron, dim: Optional[str] = None
+    polyhedron: Polyhedron, dim: Optional[str] = None, outer: Sequence[str] = ()
 ) -> Union[ParametricBound, Dict[str, ParametricBound]]:
     """Parametric bounds of one dimension (or of all dimensions) of a polyhedron.
 
-    Bounds are expressed over the polyhedron's parameters only; all other set
-    dimensions are projected away first.  Raises ``ValueError`` when a
-    dimension is unbounded.
+    Bounds are expressed over the polyhedron's parameters and the *outer*
+    dimensions; all other set dimensions are projected away first.  Raises
+    ``ValueError`` when a dimension is unbounded.
     """
     if dim is not None:
-        return _bounds_for(polyhedron, dim)
-    return {name: _bounds_for(polyhedron, name) for name in polyhedron.dims}
+        return _bounds_for(polyhedron, dim, outer)
+    return {name: _bounds_for(polyhedron, name, outer) for name in polyhedron.dims}
 
 
 def resolve_quasi_affine(
@@ -208,26 +204,23 @@ def resolve_quasi_affine(
 def _dominant_candidate(
     bound: QuasiAffineBound, context: Polyhedron
 ) -> Union[AffineExpr, QuasiAffineBound]:
-    """The candidate that dominates every other over *context*, else *bound*."""
+    """The first candidate that never loses to any other over *context*, else *bound*.
+
+    Over an empty context every candidate dominates vacuously, even when the
+    components a question touches are feasible.
+    """
     known = set(context.dims) | set(context.params)
+    facts = context.facts
     for candidate in bound.exprs:
-        dominates = True
-        for other in bound.exprs:
-            if other is candidate:
-                continue
-            free = set(candidate.variables) | set(other.variables)
-            if not free <= known:
-                dominates = False
-                break
-            if bound.kind == "max":
-                # candidate is the max unless it can be strictly below `other`.
-                violation = Constraint.less_equal(candidate - other, -1)
-            else:
-                violation = Constraint.greater_equal(candidate - other, 1)
-            if not fm.rows_infeasible(*_touched(context, violation)):
-                dominates = False
-                break
-        if dominates:
+        if all(
+            other is candidate
+            or (
+                known.issuperset(candidate.variables)
+                and known.issuperset(other.variables)
+                and (facts.empty() or facts.never_loses(candidate, other, bound.kind))
+            )
+            for other in bound.exprs
+        ):
             return candidate
     return bound
 
@@ -244,7 +237,7 @@ def _projected_maximum(expr: AffineExpr, context: Polyhedron) -> Optional[int]:
     # Introduce a fresh dimension equal to the expression, project the
     # context's dims away and bound it.
     value_dim = "__value"
-    names, rows = _touched(context, Constraint.equals(AffineExpr.var(value_dim), expr))
+    names, rows = context.facts.rows_with(Constraint.equals(AffineExpr.var(value_dim), expr))
     rows = fm.eliminate_rows(names, rows, context.dims)
     lowers, uppers = fm.row_bounds(names, rows, value_dim, context.params)
     if not lowers or not uppers or not all(bound.is_constant() for bound, _ in uppers):
@@ -252,31 +245,11 @@ def _projected_maximum(expr: AffineExpr, context: Polyhedron) -> Optional[int]:
     return min(bound._const // coeff for bound, coeff in uppers)
 
 
-def _touched(context: Polyhedron, extra: Constraint) -> Tuple[List[str], List[fm.Row]]:
-    """*extra* with the components of *context* that share a name with it, as a
-    reduced row system: a question about *extra* has the same answer over it as
-    over all of *context* while every other component is feasible.  When one
-    is not, all of *context* is taken."""
-    extra_names, extra_rows = fm.rows_of([extra])
-    wanted = set(extra_names)
-    parts = context.components()
-    touched = [(names, rows) for names, rows, _ in parts if not wanted.isdisjoint(names)]
-    if len(touched) == len(parts) or any(
-        infeasible for names, _, infeasible in parts if wanted.isdisjoint(names)
-    ):
-        touched = [(context._names, context._rows)]
-    union = sorted(wanted.union(*(names for names, _ in touched)))
-    combined = [row for names, rows in touched for row in fm.reindex_rows(names, rows, union)]
-    combined += fm.reindex_rows(extra_names, extra_rows, union)
-    return union, fm.reduce_rows(combined)
-
-
-def _bounds_for(polyhedron: Polyhedron, dim: str) -> ParametricBound:
+def _bounds_for(polyhedron: Polyhedron, dim: str, outer: Sequence[str]) -> ParametricBound:
     if dim not in polyhedron.dims:
         raise ValueError(f"'{dim}' is not a dimension of {polyhedron!r}")
-    lowers, uppers = fm.row_bounds(
-        polyhedron._names, polyhedron._rows, dim, polyhedron.params
-    )
+    keep = (*polyhedron.params, *outer)
+    lowers, uppers = fm.row_bounds(polyhedron._names, polyhedron._rows, dim, keep)
     if not lowers:
         raise ValueError(f"dimension '{dim}' has no lower bound in {polyhedron!r}")
     if not uppers:

@@ -21,16 +21,15 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from repro.polyhedral import fourier_motzkin as fm
 from repro.polyhedral.affine import AffineExpr, ExprLike, scaled_binding
 from repro.polyhedral.constraints import Constraint
+from repro.polyhedral.facts import Facts
 
 Number = Union[int, Fraction]
-#: a :meth:`Polyhedron.components` part: its names, its rows over them, whether it is infeasible
-Component = Tuple[Tuple[str, ...], Tuple[fm.Row, ...], bool]
 
 
 class Polyhedron:
     """An intersection of affine constraints over dims and parameters."""
 
-    __slots__ = ("_dims", "_params", "_names", "_rows", "_constraints", "_hash", "_parts")
+    __slots__ = ("_dims", "_params", "_names", "_rows", "_constraints", "_hash", "_facts")
 
     def __init__(
         self,
@@ -81,7 +80,7 @@ class Polyhedron:
         self._names, self._rows = used, tuple(fm.reindex_rows(names, rows, used))
         self._constraints: Optional[Tuple[Constraint, ...]] = None  # until read
         self._hash: Optional[int] = None
-        self._parts: Optional[Tuple[Component, ...]] = None  # until split
+        self._facts: Optional[Facts] = None  # until asked
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -124,17 +123,13 @@ class Polyhedron:
             self._constraints = tuple(fm.constraints_of(self._names, self._rows))
         return self._constraints
 
-    def components(self) -> Tuple[Component, ...]:
-        """The rows split into :func:`~fm.row_components`: per part, the sorted
-        names it uses, its rows over them and whether they alone are infeasible."""
-        if self._parts is None:  # immutable, so split once
-            parts = []
-            for rows in fm.row_components(self._rows):
-                names = [n for idx, n in enumerate(self._names) if any(r[1][idx] for r in rows)]
-                rows = fm.reindex_rows(self._names, rows, names)
-                parts.append((tuple(names), tuple(rows), fm.rows_infeasible(names, rows)))
-            self._parts = tuple(parts)
-        return self._parts
+    @property
+    def facts(self) -> Facts:
+        """The constraints as a facts context, brought in parameters first, then
+        dims in order, as a loop nest over them would (made once, on first use)."""
+        if self._facts is None:
+            self._facts = Facts.scanning(self.constraints, (*self._params, *self._dims))
+        return self._facts
 
     def __repr__(self) -> str:
         dims = ", ".join(self._dims)
@@ -349,7 +344,7 @@ class Polyhedron:
 
     def __setstate__(self, state) -> None:
         self._dims, self._params, self._names, self._rows = state
-        self._constraints = self._hash = self._parts = None
+        self._constraints = self._hash = self._facts = None
 
 
 def _integer_range(

@@ -342,11 +342,18 @@ class RecordingLowering(Lowering):
         super().__init__(program, printer, check_domains)
         self.loops: List[LoopNode] = []
         self.decisions: List[Decision] = []
+        never_loses = self.facts.never_loses
+
+        def logged(term, other, kind):
+            proven = never_loses(term, other, kind)
+            if proven:  # ``other`` is dropped: the claim is that it never decides
+                self._decision(must_hold=[Constraint(term - other if kind == "max" else other - term)])
+            return proven
+
+        self.facts.never_loses = logged
 
     def _decision(self, **what) -> None:
-        self.decisions.append(
-            Decision(list(self.loops), [fact for fact, _names, _number in self._facts], **what)
-        )
+        self.decisions.append(Decision(list(self.loops), self.facts.in_force, **what))
 
     @contextlib.contextmanager
     def _inside(self, node):
@@ -362,12 +369,6 @@ class RecordingLowering(Lowering):
         residual = super()._residual(constraints)
         self._decision(must_hold=[c for c in constraints if c not in residual])
         return residual
-
-    def _dominance(self, term, others, sign):
-        claim = super()._dominance(term, others, sign)
-        if claim is not None:
-            self._decision(must_hold=[claim])
-        return claim
 
     def _one_value(self, node, lower, upper):
         value = super()._one_value(node, lower, upper)

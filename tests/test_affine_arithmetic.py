@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import affine_oracle as oracle
 from affine_oracle import OracleExpr
+import fm_rows
 from repro.autotune.space import ConfigurationSpace
 from repro.compiler import CompilationSession
 from repro.ir.ast import GuardNode, LoopNode
@@ -160,7 +161,7 @@ class TestTheBoundaryIsFraction:
     def test_bound_coefficients_are_fractions(self):
         i, n = AffineExpr.var("i"), AffineExpr.var("N")
         system = [Constraint.greater_equal(2 * i, 1), Constraint.less_equal(3 * i, n + 7)]
-        lowers, uppers = fm.bounds_for_variable(system, "i", ["N"])
+        lowers, uppers = fm_rows.bounds_for_variable(system, "i", ["N"])
         for expr, coeff in lowers + uppers:
             assert type(coeff) is Fraction and type(expr.constant / coeff) is Fraction
         assert [expr.constant / coeff for expr, coeff in lowers] == [Fraction(1, 2)]
@@ -176,7 +177,7 @@ def _expressions_of(mapped):
         for load in statement.read_loads() + [statement.write_load()]:
             bounds.extend(load.indices)
         for dim in statement.domain.dims:
-            lowers, uppers = fm.bounds_for_variable(
+            lowers, uppers = fm_rows.bounds_for_variable(
                 statement.domain.constraints, dim, statement.domain.params
             )
             for expr, coeff in lowers + uppers:

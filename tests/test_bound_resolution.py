@@ -23,6 +23,7 @@ from repro.polyhedral import fourier_motzkin as fm
 from repro.polyhedral import parametric
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.constraints import Constraint
+from repro.polyhedral.facts import Facts
 from repro.polyhedral.hull import rectangular_hull
 from repro.polyhedral.parametric import (
     QuasiAffineBound,
@@ -75,9 +76,9 @@ def resolution_queries(draw):
     return QuasiAffineBound(kind, tuple(exprs)), context
 
 
-def _one_component(polyhedron):
-    """:meth:`Polyhedron.components` without the split: every question sees the whole context."""
-    return ((polyhedron._names, polyhedron._rows, polyhedron.is_empty()),)
+def _every_component(facts, variables):
+    """:meth:`Facts._touched` without the split: every question sees the whole context."""
+    return list({id(c): c for c in facts._components[facts.state].values()}.values())
 
 
 class TestResolutionAgainstEnumeration:
@@ -110,13 +111,13 @@ class TestResolutionAgainstEnumeration:
         context = Polyhedron(
             ["p", "q"], [*Constraint.bounds("p", 0, 3), *Constraint.bounds("q", 2, 1)]
         )
-        assert context.is_empty() and len(context.components()) == 2
+        assert context.is_empty() and len(context.facts._touched(["p", "q"])) == 2
         bound = QuasiAffineBound("max", (p, 2 - p))
         asked = resolve_quasi_affine(bound, context), _max_over_context(p, context)
         # vacuously dominant: the first candidate; no upper bound survives the projection
         assert asked == (p, None)
         # and exactly what asking over the whole context gives
-        monkeypatch.setattr(Polyhedron, "components", _one_component)
+        monkeypatch.setattr(Facts, "_touched", _every_component)
         assert (resolve_quasi_affine(bound, context), _max_over_context(p, context)) == asked
         # whereas over {p} alone neither candidate dominates and p reaches 3
         alone = Polyhedron(["p"], Constraint.bounds("p", 0, 3))
@@ -134,7 +135,7 @@ class TestResolutionAgainstEnumeration:
         expr = data.draw(expressions(context.dims))
         asked = resolve_quasi_affine(bound, widened), _max_over_context(expr, widened)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Polyhedron, "components", _one_component)
+            patch.setattr(Facts, "_touched", _every_component)
             assert (resolve_quasi_affine(bound, widened), _max_over_context(expr, widened)) == asked
         if not other.is_empty():
             assert asked == (resolve_quasi_affine(bound, context), _max_over_context(expr, context))
@@ -150,17 +151,9 @@ class TestResolutionAgainstEnumeration:
 # -- the once-per-request memo ---------------------------------------------------------------
 @pytest.fixture
 def fm_calls(monkeypatch):
-    """Counts every elimination the Fourier–Motzkin module is asked for, rows or constraints."""
+    """Counts every elimination the Fourier–Motzkin module is asked for."""
     calls = []
-    for name in (
-        "eliminate_rows",
-        "rows_infeasible",
-        "row_bounds",
-        "eliminate",
-        "eliminate_variable",
-        "is_rationally_infeasible",
-        "bounds_for_variable",
-    ):
+    for name in ("eliminate_rows", "rows_infeasible", "row_bounds"):
         original = getattr(fm, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):

@@ -13,6 +13,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 import fm_oracle as oracle
+import fm_rows
 from repro.polyhedral import fourier_motzkin as fm
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.constraints import Constraint
@@ -61,30 +62,30 @@ eliminated = st.lists(st.sampled_from(NAMES + ["zz"]), max_size=5)
 class TestEqualToTheFractionOracle:
     @given(systems())
     def test_remove_redundant(self, system):
-        assert fm.remove_redundant(system) == oracle.remove_redundant(system)
+        assert fm_rows.remove_redundant(system) == oracle.remove_redundant(system)
 
     @given(systems(), st.sampled_from(NAMES + ["zz"]))
     def test_eliminate_variable(self, system, name):
-        assert fm.eliminate_variable(system, name) == oracle.eliminate_variable(system, name)
+        assert fm_rows.eliminate_variable(system, name) == oracle.eliminate_variable(system, name)
 
     @settings(max_examples=300)
     @given(systems(), eliminated)
     def test_eliminate(self, system, names):
-        assert fm.eliminate(system, names) == oracle.eliminate(system, names)
+        assert fm_rows.eliminate(system, names) == oracle.eliminate(system, names)
 
     @given(systems(), st.sampled_from(NAMES + ["zz"]), st.lists(st.sampled_from(NAMES), max_size=3))
     def test_bounds_for_variable(self, system, name, keep):
-        assert fm.bounds_for_variable(system, name, keep) == oracle.bounds_for_variable(
+        assert fm_rows.bounds_for_variable(system, name, keep) == oracle.bounds_for_variable(
             system, name, keep
         )
 
     @given(systems())
     def test_is_rationally_infeasible(self, system):
-        assert fm.is_rationally_infeasible(system) == oracle.is_rationally_infeasible(system)
+        assert fm_rows.is_rationally_infeasible(system) == oracle.is_rationally_infeasible(system)
 
     @given(block_systems())
     def test_is_rationally_infeasible_one_component_at_a_time(self, system):
-        assert fm.is_rationally_infeasible(system) == oracle.is_rationally_infeasible(system)
+        assert fm_rows.is_rationally_infeasible(system) == oracle.is_rationally_infeasible(system)
 
     @settings(max_examples=50)
     @given(
@@ -93,7 +94,7 @@ class TestEqualToTheFractionOracle:
         st.lists(st.sampled_from(GROUP_NAMES), max_size=4),
     )
     def test_bounds_for_variable_of_a_block_system(self, system, name, keep):
-        assert fm.bounds_for_variable(system, name, keep) == oracle.bounds_for_variable(
+        assert fm_rows.bounds_for_variable(system, name, keep) == oracle.bounds_for_variable(
             system, name, keep
         )
 
@@ -113,12 +114,11 @@ class TestEqualToTheFractionOracle:
         for first, second in itertools.combinations(used, 2):
             assert not first & second  # no column is shared across parts
         polyhedron = Polyhedron(GROUP_NAMES, system)
-        flags = [infeasible for _, _, infeasible in polyhedron.components()]
-        assert any(flags) == polyhedron.is_empty()
+        assert polyhedron.facts.empty() == polyhedron.is_empty()
 
     def test_returns_the_callers_objects_when_nothing_is_derived(self):
         low, high = Constraint.bounds("a", 0, 5)
-        kept = fm.remove_redundant([low, high, Constraint.less_equal(AffineExpr.var("a"), 9)])
+        kept = fm_rows.remove_redundant([low, high, Constraint.less_equal(AffineExpr.var("a"), 9)])
         assert kept[0] is low and kept[1] is high
 
 
@@ -159,7 +159,7 @@ class TestAgainstIntegerEnumeration:
     @given(difference_systems())
     def test_emptiness(self, case):
         dims, system = case
-        assert fm.is_rationally_infeasible(system) == (not integer_points(dims, system))
+        assert fm_rows.is_rationally_infeasible(system) == (not integer_points(dims, system))
         assert Polyhedron(dims, system).is_empty() == (not integer_points(dims, system))
 
     @given(difference_systems(), st.data())
@@ -171,7 +171,7 @@ class TestAgainstIntegerEnumeration:
             tuple(value for d, value in zip(dims, point) if d in kept)
             for point in integer_points(dims, system)
         }
-        projected = fm.eliminate(system, dropped)
+        projected = fm_rows.eliminate(system, dropped)
         assert all(set(c.variables) <= set(kept) for c in projected)
         assert integer_points(kept, projected) == shadow
 
@@ -182,7 +182,7 @@ class TestAgainstIntegerEnumeration:
         if not points:
             return
         for position, dim in enumerate(dims):
-            lowers, uppers = fm.bounds_for_variable(system, dim, [])
+            lowers, uppers = fm_rows.bounds_for_variable(system, dim, [])
             values = [point[position] for point in points]
             assert max(expr.constant / coeff for expr, coeff in lowers) == min(values)
             assert min(expr.constant / coeff for expr, coeff in uppers) == max(values)

@@ -1,12 +1,13 @@
 """Hot-path gate: a replay builds ``Fraction`` objects at the API boundary only.
 
 The polyhedral layer computes on integer rows; ``Fraction`` is what the typed
-accessors (``coefficient()``, ``constant``, the public
-``bounds_for_variable``) hand to the layers above.  This test counts the
-``Fraction`` objects the program itself constructs during one
+accessors (``coefficient()``, ``constant``) hand to the layers above.  This
+test counts the ``Fraction`` objects the program itself constructs during one
 ``session.replay(config=…)`` of each registered kernel and pins the count: the
 handful of accessor reads the passes really make (rank tests, hoisting
-placement, loop-bound extraction in the scanner).  The commit before
+placement).  The scanner's loop bounds came as ``Fraction`` coefficients
+until it read them off the rows (``fm.row_bounds``): conv2d 128, matmul and
+distributed-gemm 97, mpeg4_me 143 before that.  The commit before
 expressions were stored as ints constructed 375 – 2 436 per replay itself and
 700 – 5 300 counting the results of ``Fraction`` arithmetic.  Those —
 constructions ``fractions.py`` makes for its own arithmetic — are not counted
@@ -31,12 +32,12 @@ from test_decisions_unchanged import SIZES, SPACE
 
 #: ``Fraction`` objects the program constructs in one cold replay
 BOUNDARY_CONSTRUCTIONS = {
-    "conv2d": 128,
-    "distributed-gemm": 97,
+    "conv2d": 72,
+    "distributed-gemm": 53,
     "jacobi1d": 4,
     "jacobi2d": 24,
-    "matmul": 97,
-    "mpeg4_me": 143,
+    "matmul": 53,
+    "mpeg4_me": 71,
 }
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.polyhedral import fourier_motzkin as fm
+import fm_rows
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.constraints import Constraint
 from repro.polyhedral.polyhedron import Polyhedron
@@ -46,31 +46,31 @@ class TestConstraint:
 class TestFourierMotzkin:
     def test_eliminate_variable_simple(self):
         system = [Constraint.greater_equal(i, 1), Constraint.less_equal(i, j)]
-        result = fm.eliminate(system, ["i"])
+        result = fm_rows.eliminate(system, ["i"])
         # 1 <= i <= j implies j >= 1
         assert any(c.satisfied_by({"j": 1}) and not c.satisfied_by({"j": 0}) for c in result)
 
     def test_eliminate_through_equality(self):
         system = [Constraint.equals(i, j + 2), Constraint.less_equal(i, 5)]
-        result = fm.eliminate(system, ["i"])
+        result = fm_rows.eliminate(system, ["i"])
         assert any(not c.satisfied_by({"j": 4}) for c in result)  # j <= 3
 
     def test_infeasible_detected(self):
         system = [Constraint.greater_equal(i, 5), Constraint.less_equal(i, 3)]
-        assert fm.is_rationally_infeasible(system)
+        assert fm_rows.is_rationally_infeasible(system)
 
     def test_feasible(self):
-        assert not fm.is_rationally_infeasible([Constraint.greater_equal(i, 5)])
+        assert not fm_rows.is_rationally_infeasible([Constraint.greater_equal(i, 5)])
 
     def test_remove_redundant_keeps_tightest(self):
         loose = Constraint.less_equal(i, 10)
         tight = Constraint.less_equal(i, 5)
-        kept = fm.remove_redundant([loose, tight])
+        kept = fm_rows.remove_redundant([loose, tight])
         assert kept == [tight]
 
     def test_bounds_for_variable(self):
         system = [Constraint.greater_equal(i, 2), Constraint.less_equal(i, N)]
-        lowers, uppers = fm.bounds_for_variable(system, "i", ["N"])
+        lowers, uppers = fm_rows.bounds_for_variable(system, "i", ["N"])
         assert lowers and uppers
 
 
