@@ -19,41 +19,53 @@ from __future__ import annotations
 
 import contextlib
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.polyhedral import fourier_motzkin as fm
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.constraints import Constraint
 
-#: a fact in force: the constraint, its variables, its number
-Fact = Tuple[Constraint, FrozenSet[str], int]
 #: an integer point: variable -> value
 _Point = Dict[str, int]
-#: a rational ``[low, high]`` per variable, ``None`` where unbounded
-_Box = Dict[str, List[Optional[Union[int, Fraction]]]]
+#: an exact value, an int whenever it is whole
+_Rational = Union[int, Fraction]
 #: at most this many sample points per component
 _SAMPLES = 16
+#: a fact in force: the constraint, its variables, its number
+Fact = Tuple[Constraint, FrozenSet[str], int]
 
 
 class _Component:
     """Facts in force connected through shared variables, and what decides questions on them.
 
-    ``points`` refute a conjunct, ``shifts`` (the least constant per terms)
-    and ``box`` prove one, ``rows`` answer exactly; each is made on first use.
+    ``points`` (integer points of the facts: each loop's least and greatest
+    iterator value) refute a conjunct; ``shifts`` (a fact with the same terms)
+    and ``box`` (a rational box around the facts) prove one; ``rows`` answer
+    exactly.  Each is made the first time a question needs it.
     """
 
-    __slots__ = ("facts", "order", "numbers", "names", "_parts", "_pushed", "_points",
-                 "_shifts", "_box", "_rows", "_infeasible")
+    __slots__ = (
+        "facts", "order", "numbers", "names", "_parts", "_pushed", "_points", "_shifts", "_box",
+        "_rows", "_infeasible",
+    )
 
     def __init__(self, parts: Sequence["_Component"], pushed: Sequence[Fact]) -> None:
         self.facts = (*(f for c in parts for f in c.facts), *(f for f, _, _ in pushed))
         #: each fact's number, in the order of ``facts``
         self.order = (*(n for c in parts for n in c.order), *(n for _, _, n in pushed))
         self.numbers = frozenset(self.order)
-        self.names = frozenset().union(*(c.names for c in parts), *(n for _, n, _ in pushed))
+        self.names = frozenset().union(
+            *(c.names for c in parts), *(names for _, names, _ in pushed)
+        )
         self._parts: Optional[Sequence[_Component]] = parts
         self._pushed: Optional[Sequence[Fact]] = pushed
-        self._points = self._shifts = self._box = self._rows = self._infeasible = None
+        self._points: Optional[Tuple[_Point, ...]] = None
+        self._shifts: Optional[Dict[FrozenSet[Tuple[str, int]], int]] = None
+        self._box: Optional[Dict[str, List[Optional[_Rational]]]] = None
+        self._rows: Optional[Tuple[List[str], List[fm.Row]]] = None
+        self._infeasible: Optional[bool] = None
 
     @property
     def points(self) -> Tuple[_Point, ...]:
@@ -63,10 +75,13 @@ class _Component:
         return self._points
 
     @property
-    def box(self) -> _Box:
-        """Each fact bounds each of its variables by the others' bounds so far, in
-        the order the facts came in: outer loops first, so ``i >= ip >= iT >= 0``
-        reaches ``i``."""
+    def box(self) -> Dict[str, List[Optional[_Rational]]]:
+        """A rational ``[low, high]`` per variable (``None``: unbounded) holding the facts.
+
+        Each fact bounds each of its variables by the others' bounds so
+        far, in the order the loops brought the facts in: outer loops
+        first, so a chain ``i >= ip >= iT >= 0`` reaches ``i``.
+        """
         if self._box is None:
             self._box = {}
             for fact in self.facts:
@@ -87,18 +102,19 @@ class _Component:
 
     @property
     def shifts(self) -> Dict[FrozenSet[Tuple[str, int]], int]:
+        """The inequalities' terms -> the least constant a fact has with them."""
         if self._shifts is None:
             self._shifts = {}
             for fact in self.facts:
-                _one, terms, constant = fact.expr.int_form()
                 if not fact.is_equality:
+                    _one, terms, constant = fact.expr.int_form()
                     key = frozenset(terms)
                     self._shifts[key] = min(constant, self._shifts.get(key, constant))
         return self._shifts
 
     @property
     def rows(self) -> Tuple[List[str], List[fm.Row]]:
-        """The facts as integer rows, in the order they were numbered."""
+        """The facts as integer rows over their sorted names, in the order they were numbered."""
         if self._rows is None:
             ordered = sorted(zip(self.order, self.facts), key=lambda pair: pair[0])
             self._rows = fm.rows_of([fact for _, fact in ordered])
@@ -106,15 +122,21 @@ class _Component:
 
     @property
     def infeasible(self) -> bool:
-        if self._infeasible is None:  # a sampled point is a solution
+        """Whether the facts have no rational point (a sampled point is one)."""
+        if self._infeasible is None:
             self._infeasible = not self.points and fm.rows_infeasible(*_with([self], None))
         return self._infeasible
 
 
-def _largest(box: _Box, terms, constant: int, sign: int, skip: Optional[str] = None):
-    """The largest value of ``sign * sum c*name + constant`` over ``box`` (``skip`` left
-    out), ``None`` if unbounded."""
-    total = constant
+def _largest(
+    box: Mapping[str, List[Optional[_Rational]]],
+    terms: Iterable[Tuple[str, int]],
+    constant: int,
+    sign: int,
+    skip: Optional[str] = None,
+) -> Optional[_Rational]:
+    """The largest value of ``sign * sum c*name + constant`` over ``box`` (``skip`` left out)."""
+    total: _Rational = constant
     for name, coeff in terms:
         if name != skip:
             bound = box.get(name, (None, None))[0 if sign * coeff < 0 else 1]
@@ -124,17 +146,17 @@ def _largest(box: _Box, terms, constant: int, sign: int, skip: Optional[str] = N
     return total
 
 
-def _holds_over(box: _Box, terms, constant: int) -> bool:
-    """Whether ``sum c*name + constant >= 0`` everywhere in ``box``."""
-    negation = _largest(box, terms, -constant, -1)  # its negation at the largest
-    return negation is not None and negation <= 0
-
-
-def _ratio(numerator, denominator: int):
+def _ratio(numerator: _Rational, denominator: int) -> _Rational:
     """``numerator / denominator`` exactly, an int when it divides."""
     if isinstance(numerator, int) and numerator % denominator == 0:
         return numerator // denominator
     return Fraction(numerator) / denominator
+
+
+def _holds_over(box: Mapping[str, List[Optional[_Rational]]], terms, constant: int) -> bool:
+    """Whether ``sum c*name + constant >= 0`` everywhere in ``box``."""
+    negation = _largest(box, terms, -constant, -1)  # its negation at the largest
+    return negation is not None and negation <= 0
 
 
 def _endpoints(name: str, point: _Point, facts: Sequence[Constraint]) -> Tuple[int, ...]:
@@ -165,9 +187,13 @@ def _endpoints(name: str, point: _Point, facts: Sequence[Constraint]) -> Tuple[i
 
 
 def _sampled(parts: Iterable[_Component], facts: Sequence[Constraint]) -> Tuple[_Point, ...]:
-    """Points of ``parts`` (on disjoint variables) extended to satisfy ``facts`` too:
-    each takes the least and the greatest value of the one variable the facts
-    bring in (two or more new variables: no samples)."""
+    """Points of ``parts`` (on disjoint variables) extended to satisfy ``facts`` too.
+
+    Each point of the product takes the least and the greatest value the
+    facts allow for the one variable they bring in; with two or more new
+    variables there are no samples (a question is then left to the exact
+    answer).
+    """
     points: List[_Point] = [{}]
     for part in parts:
         points = [{**p, **q} for p in points for q in part.points][:_SAMPLES]
@@ -209,7 +235,9 @@ def _joined(components: Dict[str, _Component], facts: Sequence[Fact]) -> Dict[st
     return joined
 
 
-def _with(parts: Sequence[_Component], extra: Optional[Constraint]) -> Tuple[List[str], List[fm.Row]]:
+def _with(
+    parts: Sequence[_Component], extra: Optional[Constraint]
+) -> Tuple[List[str], List[fm.Row]]:
     """The rows of ``parts`` then of ``extra``, over the union of their names, reduced."""
     systems = [part.rows for part in parts] + ([fm.rows_of([extra])] if extra else [])
     union = sorted(set().union(*(names for names, _ in systems)))
@@ -236,6 +264,8 @@ class Facts:
         self._states: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         #: state -> variable -> the facts in force connected to it through shared variables
         self._components: Dict[int, Dict[str, _Component]] = {0: {}}
+        #: state -> whether its facts have no rational point
+        self._emptiness: Dict[int, bool] = {}
 
     @classmethod
     def scanning(cls, constraints: Sequence[Constraint], order: Sequence[str]) -> "Facts":
@@ -286,33 +316,51 @@ class Facts:
         components = self._components[self.state]
         return list({id(c): c for name in variables for c in [components.get(name)] if c}.values())
 
-    def _points(self, variables: Sequence[str]) -> Tuple[_Point, ...]:
+    @staticmethod
+    def _points(touched: Sequence[_Component], variables: Sequence[str]) -> Tuple[_Point, ...]:
         """Integer points of the facts in force, when one component binds all ``variables``."""
-        touched = self._touched(variables)
         if len(touched) == 1 and touched[0].names.issuperset(variables):
             return touched[0].points
         return ()
 
     def implied(self, constraint: Constraint) -> bool:
-        """Whether no integer point of the facts in force violates ``constraint``: the
-        integer negation ``-e - 1 >= 0`` joined to the facts has no rational
-        solution.  An equality never is (unless constant)."""
+        """Whether no integer point satisfying the facts in force violates ``constraint``.
+
+        Exact: only a rationally infeasible system — the integer negation
+        ``-e - 1 >= 0`` joined to the facts, which then has no integer point
+        either — counts.  Facts that share no variable with the conjunct,
+        even transitively, cannot take part in a refutation and are left
+        out.  A constant conjunct is its own answer, an equality is never
+        implied, and each distinct question is answered once.  Shortcuts
+        give the answer the exact test would: a conjunct that is a fact, or
+        a fact with a larger constant, or that holds over the box, is
+        implied; one that an integer point of the facts violates is not.
+        """
         if constraint.expr.is_constant():
             return constraint.is_trivially_true()
         if constraint.is_equality:
             return False
+        number = self._number(constraint)
         variables = constraint.variables
         touched = self._touched(variables)
-        key = (self._number(constraint), frozenset().union(*(c.numbers for c in touched)))
+        numbers = (
+            touched[0].numbers
+            if len(touched) == 1
+            else frozenset().union(*(c.numbers for c in touched))
+        )
+        if number in numbers:
+            return True
+        key = (number, numbers)
         answer = self._implications.get(key)
         if answer is None:
             _one, terms, constant = constraint.expr.int_form()
+            shifted = touched[0].shifts.get(frozenset(terms)) if len(touched) == 1 else None
             negation = constraint.negate()
-            if len(touched) == 1 and touched[0].shifts.get(frozenset(terms), constant + 1) <= constant:
-                answer = True  # a fact with the same terms and a constant no larger
+            if shifted is not None and shifted <= constant:
+                answer = True  # a fact with the same terms and a smaller constant
             elif len(touched) == 1 and _holds_over(touched[0].box, terms, constant):
                 answer = True  # it holds over a box around the facts
-            elif any(map(negation.satisfied_by, self._points(variables))):
+            elif any(map(negation.satisfied_by, self._points(touched, variables))):
                 answer = False  # a point of the facts violates it: a rational solution
             else:
                 answer = fm.rows_infeasible(*_with(touched, negation))
@@ -323,18 +371,23 @@ class Facts:
         """Whether the facts imply ``term >= other`` (``kind`` ``max``) or ``term <= other``
         (``min``): ``other`` never decides the bound."""
         difference = term - other if kind == "max" else other - term
-        if not difference.variables:
+        variables = difference.variables
+        if not variables:
             return difference.int_form()[2] >= 0
-        if any(difference.evaluate_ratio(p)[0] < 0 for p in self._points(difference.variables)):
+        points = self._points(self._touched(variables), variables)
+        if any(difference.evaluate_ratio(p)[0] < 0 for p in points):
             return False  # the facts allow a point where ``other`` decides
         return self.implied(Constraint(difference))
 
     def empty(self) -> bool:
         """Whether the facts in force have no rational point."""
-        components = {id(c): c for c in self._components[self.state].values()}.values()
-        return any(f.is_trivially_false() for f, names, _ in self._in_force if not names) or any(
-            c.infeasible for c in components
-        )
+        answer = self._emptiness.get(self.state)
+        if answer is None:
+            components = {id(c): c for c in self._components[self.state].values()}.values()
+            answer = self._emptiness[self.state] = any(
+                f.is_trivially_false() for f, names, _ in self._in_force if not names
+            ) or any(c.infeasible for c in components)
+        return answer
 
     def rows_with(self, extra: Constraint) -> Tuple[List[str], List[fm.Row]]:
         """``extra`` and the facts a question about it must see, as a reduced row system:
@@ -342,7 +395,8 @@ class Facts:
         fact in numbered order when it touches all or when the facts are empty
         (an infeasible component it does not touch then decides the answer)."""
         touched = self._touched(extra.variables)
-        if self.empty() or len(touched) == len({id(c) for c in self._components[self.state].values()}):
+        everything = {id(c) for c in self._components[self.state].values()}
+        if self.empty() or len(touched) == len(everything):
             whole = _Component((), sorted(self._in_force, key=lambda entry: entry[2]))
             return _with([whole], extra)
         return _with(sorted(touched, key=lambda component: min(component.numbers)), extra)

@@ -211,7 +211,10 @@ def dumps(corpus: Dict) -> str:
     """The corpus as JSON, one row a line, keys sorted: a moved row is a one-line diff."""
 
     def table(rows: Dict, indent: str) -> str:
-        lines = [f"{indent}{json.dumps(key)}: {json.dumps(rows[key], sort_keys=True)}" for key in sorted(rows)]
+        lines = [
+            f"{indent}{json.dumps(key)}: {json.dumps(rows[key], sort_keys=True)}"
+            for key in sorted(rows)
+        ]
         return "{\n" + ",\n".join(lines) + "\n" + indent[:-1] + "}"
 
     lowerings = ",\n".join(

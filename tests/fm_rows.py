@@ -16,7 +16,7 @@ from repro.polyhedral.constraints import Constraint
 
 
 def remove_redundant(constraints: Iterable[Constraint]) -> List[Constraint]:
-    """:func:`fm.reduce_rows`, handing back the caller's objects (every kept row is an input row)."""
+    """:func:`fm.reduce_rows`, handing back the caller's objects (each kept row is an input row)."""
     constraints = list(constraints)
     _, rows = fm.rows_of(constraints)
     original = {}

@@ -347,7 +347,8 @@ class RecordingLowering(Lowering):
         def logged(term, other, kind):
             proven = never_loses(term, other, kind)
             if proven:  # ``other`` is dropped: the claim is that it never decides
-                self._decision(must_hold=[Constraint(term - other if kind == "max" else other - term)])
+                claim = term - other if kind == "max" else other - term
+                self._decision(must_hold=[Constraint(claim)])
             return proven
 
         self.facts.never_loses = logged

@@ -93,7 +93,8 @@ def test_never_loses_is_the_oracles_implication(groups, term, other, kind):
         if facts.empty():
             return
         difference = term - other if kind == "max" else other - term
-        assert facts.never_loses(term, other, kind) == oracle_implies(system, Constraint(difference))
+        expected = oracle_implies(system, Constraint(difference))
+        assert facts.never_loses(term, other, kind) == expected
 
 
 @st.composite
