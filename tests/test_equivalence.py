@@ -1,5 +1,5 @@
 """A stratified subset of the equivalence corpus (``tests/equivalence.py``), and
-two seeded bugs it must catch.
+four seeded bugs it must catch.
 
 The subset has every kernel under both targets, each tile choice twice and
 every block and thread count, in 12 configurations, plus the lowering text
@@ -79,3 +79,31 @@ def test_a_min_swapped_for_a_max_in_a_resolved_hull_bound_moves_the_plan(recorde
     monkeypatch.setattr(parametric, "resolve_quasi_affine", swapped)
     moved = equivalence.mismatches(recorded, subset(), [], c_text=c_text)
     assert any("offsets" in line for line in moved), moved
+
+
+def test_hoisting_one_level_too_deep_moves_the_workload(recorded, monkeypatch):
+    from repro.tiling import placement
+
+    hoisted = placement.hoist_level_for_buffer
+    monkeypatch.setattr(
+        placement,
+        "hoist_level_for_buffer",
+        lambda spec, loops: min(hoisted(spec, loops) + 1, len(loops)),
+    )
+    moved = equivalence.mismatches(recorded, subset(), [], c_text=c_text)
+    assert any("workload" in line for line in moved), moved
+
+
+def test_a_missing_copy_out_moves_the_c_text(recorded, monkeypatch):
+    from repro.scratchpad import manager
+
+    movement = manager.generate_data_movement
+    monkeypatch.setattr(
+        manager,
+        "generate_data_movement",
+        lambda spec, generate_copy_in=True, generate_copy_out=True: movement(
+            spec, generate_copy_in, False
+        ),
+    )
+    moved = equivalence.mismatches(recorded, subset(), [], c_text=c_text)
+    assert any(": c," in line or line.endswith(": c") for line in moved), moved
