@@ -8,10 +8,11 @@ machine.  This package supplies that empirical layer as a reusable service:
   launch geometry, scratchpad staging) seeded by the relaxed §4.3 optimum
   and pruned by the cost model and scratchpad capacity;
 * :mod:`repro.autotune.backends` — pluggable, URI-selected evaluation
-  backends (``model:`` analytical pricing, ``measure-py:`` /
-  ``measure-c:`` wall-clock measurement of the emitted program,
-  ``hybrid:model>measure-py?top=K`` — the paper's model-prunes-measurement-
-  decides loop) behind one ``prepare``/``measure`` interface;
+  backends (``model:`` analytical pricing, ``measure-py:`` one counted run
+  of the emitted program priced on the model, ``measure-c:`` wall-clock
+  measurement of the compiled C, ``hybrid:model>measure-py?top=K`` — the
+  paper's model-prunes-measurement-decides loop) behind one
+  ``prepare``/``measure`` interface;
 * :mod:`repro.autotune.evaluate` — costs a configuration by replaying it
   through a shared :class:`repro.compiler.CompilationSession` (affine
   analysis runs once per request, candidates replay from the tiling stage)

@@ -5,14 +5,14 @@ request, ``measure`` per candidate) with four implementations:
 
 ========================  ===========================================================
 ``model:``                analytical GPU-model pricing (default; Section 4.3)
-``measure-py:``           execute the ``lower-py`` stage artifact, timed
+``measure-py:``           run ``lower-py-vec`` once, price each block's counted work
 ``measure-c:``            compile + time the emitted C harness (needs a toolchain)
 ``hybrid:A>B?top=K``      A prunes the search, B re-ranks the top-K survivors
 ========================  ===========================================================
 
 Every :class:`Measurement` carries its ``kind`` (``model`` / ``measured-py``
 / ``measured-c``) into reports and the persistent cache, and the backend
-identity is part of the tuning fingerprint — model-priced and measured
+identity is part of the tuning fingerprint — model-priced, counted and timed
 results never collide under one cache key.
 """
 
@@ -29,7 +29,7 @@ from repro.autotune.backends.base import (
 )
 from repro.autotune.backends.hybrid import HybridBackend
 from repro.autotune.backends.measured_c import MeasuredCBackend
-from repro.autotune.backends.measured_py import MeasuredPythonBackend, trimmed_median
+from repro.autotune.backends.measured_py import MeasuredPythonBackend
 from repro.autotune.backends.model import ModelBackend
 
 __all__ = [
@@ -46,5 +46,4 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "split_options",
-    "trimmed_median",
 ]

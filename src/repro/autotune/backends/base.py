@@ -2,8 +2,9 @@
 
 "How does a candidate configuration get a cost?" is a pluggable decision: the
 analytical GPU model (fast, the pruning device of the paper's Section 4.3),
-actually *executing* the mapped program (the paper's empirical loop), or a
-hybrid of the two.  Every answer implements :class:`EvaluationBackend`:
+actually *executing* the mapped program (the paper's empirical loop: counted
+and priced on the model, or compiled to C and timed), or a hybrid of the
+two.  Every answer implements :class:`EvaluationBackend`:
 
 * :meth:`~EvaluationBackend.prepare` — called **once per tuning request**
   with the request's shared :class:`~repro.compiler.CompilationSession` and
@@ -18,7 +19,7 @@ hybrid of the two.  Every answer implements :class:`EvaluationBackend`:
 Backends are selected by URI (see :func:`parse_backend_uri`)::
 
     model:                              the analytical model (default)
-    measure-py:warmup=1,repeat=5        execute the lower-py artifact, timed
+    measure-py:                         run the lower-py-vec artifact, count, price
     measure-c:cc=gcc,repeat=7           compile + time the emitted C harness
     hybrid:model>measure-py?top=8       model prunes, measurement re-ranks
 
@@ -52,14 +53,6 @@ MEASURE_MEMO_TOTAL = METRICS.counter(
     labels=("outcome",),
 )
 
-#: serializes the *timed* section of concurrent wall-clock measurements:
-#: warmups may overlap freely, but two timed runs racing for the cores would
-#: skew each other's numbers, so every backend that reports wall time takes
-#: this lock around its timing loop (process-wide — parallel measurement
-#: therefore requires a thread pool, which the autotuner enforces)
-TIMED_SECTION_LOCK = threading.Lock()
-
-
 class BackendUnavailable(RuntimeError):
     """The backend cannot run on this host (e.g. no C toolchain).
 
@@ -74,9 +67,10 @@ class Measurement:
     """One backend's verdict on one candidate configuration.
 
     ``kind`` records provenance — ``"model"`` for analytically priced times,
-    ``"measured-py"`` / ``"measured-c"`` for wall-clock measurements — and
-    travels into the tuning report and the persistent cache, so a cached
-    entry always says *how* its times were obtained.
+    ``"measured-py"`` for a counted run priced on the model, ``"measured-c"``
+    for wall-clock measurements — and travels into the tuning report and the
+    persistent cache, so a cached entry always says *how* its times were
+    obtained.
     """
 
     time_ms: float
@@ -120,8 +114,8 @@ class EvaluationBackend:
     #: for wall-clock backends, whose fingerprints then include the input seed
     deterministic: bool = True
     #: whether :meth:`measure` times real executions — concurrent timed runs
-    #: contend for the cores and skew each other, so parallel candidate
-    #: evaluation is serialized (with a warning) for such backends
+    #: contend for the cores and skew each other, so candidate evaluation is
+    #: serialized (with a warning) for such backends
     measures_wall_clock: bool = False
     #: whether this backend can price *distributed* configurations (those
     #: carrying grid extras); wall-clock backends cannot execute a multi-PE
@@ -270,17 +264,6 @@ class EvaluationBackend:
     def _measure(self, configuration: Any) -> Measurement:
         raise NotImplementedError
 
-    @property
-    def measurement_workers(self) -> int:
-        """How many candidates this backend can measure concurrently.
-
-        Wall-clock backends default to 1 (timed runs contend for the cores);
-        a backend that serializes its *timed* section under
-        :data:`TIMED_SECTION_LOCK` may report more, and the autotuner then
-        runs that many measurement threads with only warmups overlapping.
-        """
-        return 1
-
     # -- batch hooks (the hybrid backend's seam) ----------------------------------
     def finalize(
         self, results: List[Any], evaluator: Any, ensure: Sequence[Any] = ()
@@ -371,47 +354,6 @@ def register_backend(factory: Type[EvaluationBackend]) -> Type[EvaluationBackend
 def available_backends() -> List[str]:
     """Sorted registered backend schemes."""
     return sorted(BACKEND_SCHEMES)
-
-
-#: shared defaults of the wall-clock (measured) backends' timing knobs
-TIMING_DEFAULTS = {"warmup": 1, "repeat": 5, "trim": 0.2}
-
-
-def validate_timing_knobs(warmup: int, repeat: int, trim: float) -> None:
-    """Range-check the measured backends' warmup/repeat/trim knobs."""
-    if warmup < 0:
-        raise ValueError(f"warmup cannot be negative, got {warmup}")
-    if repeat < 1:
-        raise ValueError(f"repeat must be positive, got {repeat}")
-    if not (0.0 <= trim < 0.5):
-        raise ValueError(f"trim must be in [0, 0.5), got {trim}")
-
-
-def parse_timing_options(
-    scheme: str, options: Mapping[str, str], extra: Tuple[str, ...] = ()
-) -> Dict[str, Any]:
-    """Parse the shared warmup/repeat/trim URI options (plus ``extra`` keys).
-
-    Shared by every wall-clock backend so their URI option behaviour cannot
-    drift apart; range validation happens in the constructors (via
-    :func:`validate_timing_knobs`), type coercion and unknown-key rejection
-    here.
-    """
-    known = {"warmup", "repeat", "trim", *extra}
-    unknown = set(options) - known
-    if unknown:
-        raise ValueError(
-            f"backend {scheme!r} got unknown options {sorted(unknown)}; "
-            f"available: {sorted(known)}"
-        )
-    try:
-        return {
-            "warmup": int(options.get("warmup", TIMING_DEFAULTS["warmup"])),
-            "repeat": int(options.get("repeat", TIMING_DEFAULTS["repeat"])),
-            "trim": float(options.get("trim", TIMING_DEFAULTS["trim"])),
-        }
-    except ValueError as error:
-        raise ValueError(f"backend {scheme!r}: {error}") from None
 
 
 def split_options(rest: str) -> Dict[str, str]:

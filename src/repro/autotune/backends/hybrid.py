@@ -3,16 +3,18 @@
 This is the paper's actual empirical loop.  Section 4.3's analytical model is
 explicitly a *pruning device*: it ranks the mapping space cheaply, and the
 final configuration is chosen by running the best few candidates on the
-machine.  ``hybrid:model>measure-py?top=K`` reproduces exactly that division
-of labour:
+machine.  ``hybrid:model>measure-c?top=K`` reproduces exactly that division
+of labour on the host's timed C; ``hybrid:model>measure-py?top=K`` re-ranks
+by one counted run of each, priced on the model (every block's work instead
+of a representative tile's):
 
 * during the search, every candidate is priced by the **primary** backend
   (the model) — cheap, so strategies can explore broadly;
 * after the search, the **secondary** (measured) backend re-measures the
   top-``K`` surviving candidates (plus the baseline, so reported speedups
   compare measured-to-measured), and the winner is picked **only among the
-  measured results** — model milliseconds and wall-clock milliseconds live on
-  different scales and must never be compared directly.
+  measured results** — model milliseconds and measured milliseconds are
+  different prices and must never be compared directly.
 
 The winning entry's ``measurement.kind`` is therefore the secondary's
 (``"measured-py"`` / ``"measured-c"``): a hybrid-tuned cache entry always
@@ -74,8 +76,8 @@ class HybridBackend(EvaluationBackend):
     def measures_wall_clock(self) -> bool:  # type: ignore[override]
         """Only the *search-phase* (primary) measurement gates parallelism.
 
-        The secondary measures wall clock, but :meth:`finalize` already
-        serializes it — so a model-primary hybrid keeps parallel search.
+        :meth:`finalize` runs the secondary serially whatever it measures —
+        so a model-primary hybrid keeps parallel search.
         """
         return getattr(self.primary, "measures_wall_clock", False)
 
@@ -142,8 +144,8 @@ class HybridBackend(EvaluationBackend):
         and the measurement memo re-measures only that newcomer.
 
         Re-measurement is deliberately **serial**, whatever parallelism the
-        surrounding search used: the secondary backend times wall-clock
-        executions, and K concurrent timed runs contend for the same cores,
+        surrounding search used: a wall-clock secondary (``measure-c:``)
+        would see K concurrent timed runs contend for the same cores,
         skewing exactly the medians the re-ranking exists to trust.  The
         cost is bounded by ``top`` (+1 baseline), not by the space.
         """

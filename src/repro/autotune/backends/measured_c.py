@@ -29,6 +29,7 @@ time.  Discovery is :func:`repro.codegen.toolchain.find_c_compiler`
 
 from __future__ import annotations
 
+import statistics
 import subprocess
 import tempfile
 import time
@@ -52,11 +53,8 @@ from repro.autotune.backends.base import (
     BackendUnavailable,
     EvaluationBackend,
     Measurement,
-    parse_timing_options,
     register_backend,
-    validate_timing_knobs,
 )
-from repro.autotune.backends.measured_py import trimmed_median
 
 #: ceiling on one candidate's compile or run, so a pathological mapping
 #: cannot wedge a tuning worker forever
@@ -68,6 +66,20 @@ CFLAGS = ("-O2", "-lm")
 #: how much compiler stderr an infeasible measurement carries (the tail —
 #: that is where cc puts the actual error)
 STDERR_LIMIT = 2000
+
+
+#: the URI options this backend accepts
+OPTIONS = ("cc", "warmup", "repeat", "trim", "cache", "cache_limit")
+
+
+def trimmed_median(samples: List[float], trim: float) -> float:
+    """Median after dropping ``trim`` (fraction) from each end of the sorted samples."""
+    if not samples:
+        raise ValueError("cannot take the median of zero samples")
+    ordered = sorted(samples)
+    drop = int(len(ordered) * trim)
+    kept = ordered[drop : len(ordered) - drop] or ordered
+    return statistics.median(kept)
 
 
 class CompilationFailed(RuntimeError):
@@ -99,7 +111,12 @@ class MeasuredCBackend(EvaluationBackend):
         cache_limit: int = DEFAULT_CAPACITY,
     ) -> None:
         super().__init__()
-        validate_timing_knobs(warmup, repeat, trim)
+        if warmup < 0:
+            raise ValueError(f"warmup cannot be negative, got {warmup}")
+        if repeat < 1:
+            raise ValueError(f"repeat must be positive, got {repeat}")
+        if not (0.0 <= trim < 0.5):
+            raise ValueError(f"trim must be in [0, 0.5), got {trim}")
         self.cc = cc
         self.warmup = warmup
         self.repeat = repeat
@@ -111,19 +128,22 @@ class MeasuredCBackend(EvaluationBackend):
 
     @classmethod
     def from_options(cls, options: Mapping[str, str]) -> "MeasuredCBackend":
-        timing = parse_timing_options(
-            cls.scheme, options, extra=("cc", "cache", "cache_limit")
-        )
+        unknown = set(options) - set(OPTIONS)
+        if unknown:
+            raise ValueError(
+                f"backend {cls.scheme!r} got unknown options {sorted(unknown)}; "
+                f"available: {sorted(OPTIONS)}"
+            )
         try:
-            cache_limit = int(options.get("cache_limit", DEFAULT_CAPACITY))
+            knobs = {
+                "warmup": int(options.get("warmup", 1)),
+                "repeat": int(options.get("repeat", 5)),
+                "trim": float(options.get("trim", 0.2)),
+                "cache_limit": int(options.get("cache_limit", DEFAULT_CAPACITY)),
+            }
         except ValueError as error:
             raise ValueError(f"backend {cls.scheme!r}: {error}") from None
-        return cls(
-            cc=options.get("cc"),
-            cache=options.get("cache"),
-            cache_limit=cache_limit,
-            **timing,
-        )
+        return cls(cc=options.get("cc"), cache=options.get("cache"), **knobs)
 
     # -- lifecycle ---------------------------------------------------------------
     def availability(self) -> Optional[str]:

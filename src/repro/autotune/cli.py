@@ -369,7 +369,7 @@ def backends_main(argv: Sequence[str]) -> int:
     parser.parse_args(argv)
     examples = {
         "model": "model:",
-        "measure-py": "measure-py:warmup=1,repeat=5,trim=0.2",
+        "measure-py": "measure-py:",
         "measure-c": "measure-c:cc=gcc,repeat=5",
         "hybrid": "hybrid:model>measure-py?top=8",
     }

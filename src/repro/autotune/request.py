@@ -265,7 +265,7 @@ def add_request_arguments(
         default="model:",
         metavar="URI",
         help="evaluation backend: model: (default analytical pricing), "
-        "measure-py:[warmup=..,repeat=..,trim=..] (execute the emitted Python, timed), "
+        "measure-py: (run the emitted Python once, price each block's counted work), "
         "measure-c:[cc=..] (compile + time the emitted C), or "
         "hybrid:model>measure-py?top=K (model prunes, measurement re-ranks); "
         "see 'python -m repro.autotune backends'",

@@ -48,10 +48,6 @@ TUNING_REQUESTS_TOTAL = METRICS.counter(
 REQUEST_SECONDS = METRICS.histogram(
     "repro_request_seconds", "end-to-end autotune() wall time in seconds"
 )
-MEASURE_PARALLELISM = METRICS.gauge(
-    "repro_measure_parallelism",
-    "concurrent measurement workers of the most recent wall-clock request",
-)
 
 
 @dataclass
@@ -160,8 +156,9 @@ class TuningProblem:
     backend identity is an ingredient: the same kernel tuned
     under ``model:`` and under ``measure-py:`` occupies two distinct cache
     keys (modelled and measured milliseconds are not comparable, so one must
-    never answer for the other).  Wall-clock backends additionally
-    fingerprint the input ``seed``.  :func:`autotune` documents each field.
+    never answer for the other).  Wall-clock backends (``measure-c:``)
+    additionally fingerprint the input ``seed``.  :func:`autotune` documents
+    each field.
     """
 
     program: Program
@@ -427,29 +424,17 @@ def tune(
         if max_workers > 1 and backend.measures_wall_clock:
             # K concurrent timed runs contend for the same cores and inflate
             # each other's perf_counter windows — the times the search trusts
-            # would be run-order noise.  A backend that serializes its timed
-            # section under TIMED_SECTION_LOCK advertises measurement_workers
-            # > 1: replay/exec/warmup then overlap on threads (the lock is
-            # per-process, so a process pool would not serialize anything)
-            # while recorded numbers stay contention-free.  (A hybrid with a
-            # model primary keeps its parallel search; its measured re-rank
-            # delegates to the leaf.  After the cache check: a warm hit
-            # evaluates nothing to serialize.)
-            backend_workers = getattr(backend, "measurement_workers", 1)
-            if backend_workers > 1:
-                max_workers = min(max_workers, backend_workers)
-                executor = "thread"
-            else:
-                warnings.warn(
-                    f"backend {backend.uri()!r} times real executions; serializing "
-                    f"evaluation (max_workers {max_workers} -> 1) so concurrent "
-                    "candidates cannot skew each other's measurements",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                max_workers = 1
-        if backend.measures_wall_clock:
-            MEASURE_PARALLELISM.set(max_workers)
+            # would be run-order noise.  (A hybrid with a model primary keeps
+            # its parallel search; its measured re-rank delegates to the leaf.
+            # After the cache check: a warm hit evaluates nothing to serialize.)
+            warnings.warn(
+                f"backend {backend.uri()!r} times real executions; serializing "
+                f"evaluation (max_workers {max_workers} -> 1) so concurrent "
+                "candidates cannot skew each other's measurements",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            max_workers = 1
 
         evaluator = ConfigurationEvaluator(
             program,

@@ -2,12 +2,13 @@
 
 While the reference interpreter (:mod:`repro.runtime.interpreter`) is the
 semantic oracle, it pays dispatch overhead per array access.  For larger
-functional checks — and for the ``measure-py:`` backend, which *times* the
-result — the code generator emits plain Python source instead: nested ``for``
-loops indexing numpy arrays, compiled with ``exec``.  The emitted function has
-the signature ``fn(arrays, params)`` where ``arrays`` maps array names to
-numpy ndarrays and ``params`` maps parameter names to ints; it mutates the
-arrays in place, exactly like the interpreter.
+functional checks — and for the ``measure-py:`` backend, which runs it once
+and prices what it counted — the code generator emits plain Python source
+instead: nested ``for`` loops indexing numpy arrays, compiled with ``exec``.
+The emitted function has the signature ``fn(arrays, params)`` where
+``arrays`` maps array names to numpy ndarrays and ``params`` maps parameter
+names to ints; it mutates the arrays in place, exactly like the interpreter,
+and returns the work each thread block did (see :func:`python_module`).
 
 :class:`PythonPrinter` only spells what :class:`repro.codegen.lower.Lowering`
 decided (integer bounds, the guards left after pruning, symbol scoping): an
@@ -81,6 +82,13 @@ class PythonPrinter(Printer):
     def define(self, name: str, code: str, depth: int) -> None:
         self.emit(f"{name} = {code}", depth)
 
+    def count(self, slot: int, amount: str, depth: int) -> None:
+        self.emit(f"_count[{slot}] += {amount}", depth)
+
+    def block(self, key: Sequence[str], depth: int) -> None:
+        text = f"({key[0]},)" if len(key) == 1 else f"({', '.join(key)})"
+        self.emit(f"_count = _blocks.setdefault({text}, [0] * len(COUNTERS))", depth)
+
     def assign(
         self, reduction: Optional[str], lhs: str, rhs: str, depth: int, combiners=_COMBINERS
     ) -> None:
@@ -97,7 +105,9 @@ def python_module(lowering: Lowering, func_name: str) -> str:
     """Print ``lowering`` into a complete module defining ``func_name(arrays, params)``.
 
     Shared by the scalar and the numpy printers so the module shape (helpers,
-    parameter/array unpacking) cannot drift apart.
+    parameter/array unpacking, counters) cannot drift apart.  The function
+    returns the counted run: block key -> one count per slot of the module's
+    ``COUNTERS`` (each slot's weights over :data:`~repro.codegen.lower.TERMS`).
     """
     program, printer = lowering.program, lowering.printer
     printer.emit(f"def {func_name}(arrays, params):", 0)
@@ -105,14 +115,16 @@ def python_module(lowering: Lowering, func_name: str) -> str:
         printer.emit(f"{param} = params[{param!r}]", 1)
     for array in program.arrays.values():
         printer.emit(f"{array.name} = arrays[{array.name!r}]", 1)
+    printer.emit("_blocks = {}", 1)
+    printer.block((), 1)
     lowering.lower(set(program.params), 1)
+    printer.emit("return _blocks", 1)
     body = "\n".join(printer.lines)
     header = list(printer.prelude)
     for call, definition in _HELPERS.items():
         if call in body:
             header.extend(definition)
-    if header:
-        header.append("")
+    header.extend(("", f"COUNTERS = {tuple(lowering.counters)!r}", ""))
     return "\n".join([*header, body]) + "\n"
 
 

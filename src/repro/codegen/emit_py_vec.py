@@ -2,8 +2,8 @@
 
 :func:`repro.codegen.emit_py.emit_python_source` lowers a mapped program to
 scalar nested loops — semantically exact, but every innermost iteration pays
-Python interpreter dispatch per array access, which dominates the wall time
-the ``measure-py:`` backend exists to measure.  :class:`NumpyPrinter` is the
+Python interpreter dispatch per array access, which dominates the time the
+``measure-py:`` backend's counted run takes.  :class:`NumpyPrinter` is the
 scalar printer plus the spelling of the vector loops
 :class:`repro.codegen.lower.Lowering` proves safe (the rules are in that
 module): each eligible **innermost** loop — the loop around a thread's one
@@ -58,6 +58,12 @@ class NumpyPrinter(PythonPrinter):
             conjuncts = " & ".join(f"({self.conjunct(c)})" for c in mask)
             self.emit(f"{iterator} = {iterator}[{conjuncts}]", depth)
         self.emit(f"if {iterator}.size:", depth)
+
+    def vector_size(self, iterator: str, step: int, sliced: bool) -> str:
+        """How many iterations the statement just printed stands for."""
+        if not sliced:
+            return f"{iterator}.size"
+        return "_hi - _lo + 1" if step == 1 else f"(_hi - _lo) // {step} + 1"
 
     def reduce(self, reduction: str, operand: str) -> str:
         return f"_np.{_REDUCERS[reduction]}({operand})"

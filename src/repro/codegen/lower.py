@@ -64,7 +64,19 @@ and C harness (:mod:`~repro.codegen.emit_c_exec`) printers never see an
   the iterator or a point loop's, every index and affine value over the
   iterator has integer coefficients, the rhs has no calls, and the rhs reads
   the lhs array only at the lhs's own indices (elementwise) or not at all
-  (reduction).
+  (reduction).  A block-parallel loop is never one, nor is a loop whose body
+  holds a sync point: each block and each sync is counted.
+* **Counters.**  Every executable module counts what each thread block
+  does, as the terms of :data:`TERMS`.  The walker gives each distinct
+  per-execution weight vector a slot (:attr:`Lowering.counters`): a compute
+  statement adds one instance and its global and scratchpad accesses, a copy
+  statement one element, the start of a copy occurrence
+  (:func:`~repro.ir.ast.copy_waves`) and a sync point one each.  The printer
+  adds the executions to ``_count[slot]``: one for a scalar statement, the
+  range length or the mask's sum for a vector one.  ``_count`` is the list of
+  the block whose block-parallel iterators are in scope (``()`` outside
+  them); the module returns every block's list, and :func:`block_terms`
+  weighs them into terms.  The C printer spells no counters.
 """
 
 from __future__ import annotations
@@ -75,7 +87,10 @@ from typing import (
     ContextManager, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
-from repro.ir.ast import BlockNode, BoundValue, GuardNode, LoopNode, Node, StatementNode, SyncNode
+from repro.ir.ast import (
+    BLOCK_PARALLEL, COPY_IN, COPY_OUT, BlockNode, BoundValue, GuardNode, LoopNode, Node,
+    StatementNode, SyncNode, copy_waves,
+)
 from repro.ir.expressions import AffineValue, BinOp, Call, Const, Expr, Iter, Load
 from repro.ir.program import Program
 from repro.ir.statements import Statement
@@ -89,7 +104,21 @@ from repro.polyhedral.parametric import QuasiAffineBound
 #: ``measure-c:`` fold this into their cache identity so stored reports from
 #: another revision are never served.  2 = integer bounds, pruned guards,
 #: proven slices.  3 = pruned bounds, point loops substituted, dot reductions.
-LOWERING_REVISION = 3
+#: 4 = per-block counters (``measure-py:`` prices the counts, not the time).
+LOWERING_REVISION = 4
+
+#: what a counted run reports per block, in this order
+TERMS = (
+    "compute_instances",
+    "global_accesses",
+    "shared_accesses",
+    "copy_in_elements",
+    "copy_out_elements",
+    "copy_occurrences",
+    "syncs",
+)
+_OCCURRENCE = (0, 0, 0, 0, 0, 1, 0)
+_SYNC = (0, 0, 0, 0, 0, 0, 1)
 
 #: ``(D, ((name, c), ...), c0)``, all ints, ``D > 0``: ``(sum c*name + c0) / D``
 Form = Tuple[int, Tuple[Tuple[str, int], ...], int]
@@ -126,6 +155,12 @@ class Printer:
 
     def emit(self, line: str, depth: int) -> None:
         self.lines.append(f"{'    ' * depth}{line}")
+
+    def count(self, slot: int, amount: str, depth: int) -> None:
+        """Add ``amount`` executions to counter ``slot`` of the current block (no-op here)."""
+
+    def block(self, key: Sequence[str], depth: int) -> None:
+        """Make the block ``key`` (its block iterators' values) the one counted (no-op here)."""
 
     def close(self, depth: int) -> None:
         """End the block a ``loop`` or ``guard`` opened (indentation alone in Python)."""
@@ -245,13 +280,42 @@ def _mentions(expr: Expr, iterator: str) -> bool:
     )
 
 
-#: a proven-safe innermost-loop rewrite: the statement, every guard and domain
-#: conjunct between it and the loop, and whether its lhs moves with the loop
-_VectorPlan = Tuple[Statement, List[Constraint], bool]
+#: a proven-safe innermost-loop rewrite: the statement, its role, every guard and
+#: domain conjunct between it and the loop, and whether its lhs moves with the loop
+_VectorPlan = Tuple[Statement, str, List[Constraint], bool]
 
 
 #: pruned bound terms, with the kind of the bound they came from
 _Terms = Tuple[str, Tuple[AffineExpr, ...]]
+
+
+def _weights(statement: Statement, kind: str) -> Tuple[int, ...]:
+    """What one execution of the statement adds to each of :data:`TERMS`."""
+    if kind == COPY_IN:
+        return (0, 0, 0, 1, 0, 0, 0)
+    if kind == COPY_OUT:
+        return (0, 0, 0, 0, 1, 0, 0)
+    loads = [*statement.read_loads(), statement.write_load()]
+    shared = sum(load.array.is_local for load in loads)
+    return (1, len(loads) - shared, shared, 0, 0, 0, 0)
+
+
+def block_terms(
+    blocks: Mapping[Tuple[int, ...], Sequence[int]], counters: Sequence[Tuple[int, ...]]
+) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """Each block's :data:`TERMS`, from a counted run's per-slot counts and the slot weights.
+
+    A key that counted nothing (the code outside every block, or an outer
+    block iterator's key between its inner blocks) is no block.
+    """
+    return {
+        key: tuple(
+            sum(count * weights[term] for count, weights in zip(counts, counters))
+            for term in range(len(TERMS))
+        )
+        for key, counts in blocks.items()
+        if any(counts)
+    }
 
 
 def _substitute(expr: Expr, values: Mapping[str, AffineExpr]) -> Expr:
@@ -293,6 +357,14 @@ class Lowering:
         self._slicing: Optional[Tuple[str, int]] = None
         #: a collapsed point loop's iterator -> its one value, over the variables in scope
         self._values: Dict[str, AffineExpr] = {}
+        #: per-execution weights of each counter slot, in slot order
+        self.counters: Dict[Tuple[int, ...], int] = {}
+        #: the enclosing block-parallel iterators' values, as printed
+        self._block_key: List[str] = []
+        #: where copy occurrences start, and whether the walk is inside a copy
+        #: nest, where none starts
+        self._waves = copy_waves(program.body)
+        self._copying = False
 
     def lower(self, names: Set[str], depth: int) -> None:
         """Print the derived symbols and the body at ``depth``, ``names`` in scope."""
@@ -405,14 +477,56 @@ class Lowering:
         yield depth + 1
         self.printer.close(depth)
 
+    # -- counters ------------------------------------------------------------------------
+    def _count(self, weights: Tuple[int, ...], amount: str, depth: int) -> None:
+        slot = self.counters.setdefault(weights, len(self.counters))
+        self.printer.count(slot, amount, depth)
+
+    @contextlib.contextmanager
+    def _block(self, node: LoopNode, depth: int) -> Iterator[None]:
+        """Count a block-parallel loop's body, printed at ``depth``, as the block
+        its iterators' values name (a point loop's value is substituted)."""
+        if node.parallel != BLOCK_PARALLEL:
+            yield
+            return
+        value = self._values.get(node.iterator)
+        key = node.iterator if value is None else self.printer.index(value.int_form())
+        self._block_key.append(key)
+        self.printer.block(self._block_key, depth)
+        try:
+            yield
+        finally:
+            self._block_key.pop()
+
+    def _copies(
+        self, node: BlockNode, waves: Sequence[Tuple[Optional[str], bool]], depth: int,
+        bound: Set[str],
+    ) -> None:
+        """The children, each copy occurrence counted where it starts."""
+        for child, (kind, starts) in zip(node.body, waves):
+            if kind is None:
+                self.walk(child, depth, bound)
+                continue
+            if starts:
+                self._count(_OCCURRENCE, "1", depth)
+            self._copying = True
+            try:
+                self.walk(child, depth, bound)
+            finally:
+                self._copying = False
+
     # -- the walk ------------------------------------------------------------------------
     def walk(self, node: Node, depth: int, bound: Set[str]) -> None:
         printer = self.printer
         if isinstance(node, BlockNode):
             if not node.body:
                 printer.emit(printer.EMPTY, depth)
-            for child in node.body:
-                self.walk(child, depth, bound)
+            waves = self._waves.get(id(node))
+            if waves is None or self._copying:
+                for child in node.body:
+                    self.walk(child, depth, bound)
+            else:
+                self._copies(node, waves, depth, bound)
         elif isinstance(node, LoopNode):
             lower, upper = self._pruned(node.lower, "max"), self._pruned(node.upper, "min")
             inner_bound = bound | {node.iterator}
@@ -422,18 +536,10 @@ class Lowering:
                 free <= inner_bound for free in self._pending_symbols({node.iterator})
             ):
                 self._collapsed(node, value, depth, inner_bound)
-                return
-            with self._inside(node):
-                if printer.vector and self._vector_loop(node, lower, upper, depth):
-                    return
-                printer.loop(
-                    node.iterator, self._bound(lower), self._bound(upper), node.step, depth
-                )
-                self._emitted_symbols.append(set())
-                self._define_symbols(inner_bound, depth + 1)
-                self.walk(node.body, depth + 1, inner_bound | self._emitted_symbols[-1])
-                self._emitted_symbols.pop()
-            printer.close(depth)
+            else:
+                self._loop(node, lower, upper, depth, inner_bound)
+            if node.parallel == BLOCK_PARALLEL:
+                printer.block(self._block_key, depth)
         elif isinstance(node, GuardNode):
             constraints = self._substituted(node.constraints)
             residual = self._residual(constraints)
@@ -454,16 +560,37 @@ class Lowering:
                     self._expr(statement.rhs),
                     body_depth,
                 )
+                self._count(_weights(statement, node.kind), "1", body_depth)
         elif isinstance(node, SyncNode):
             printer.emit(printer.SYNC.format(node.scope), depth)
+            self._count(_SYNC, "1", depth)
         else:
             raise TypeError(f"cannot emit node of type {type(node).__name__}")
+
+    def _loop(
+        self, node: LoopNode, lower: _Terms, upper: _Terms, depth: int, bound: Set[str]
+    ) -> None:
+        printer = self.printer
+        with self._inside(node):
+            if (
+                printer.vector
+                and node.parallel != BLOCK_PARALLEL
+                and self._vector_loop(node, lower, upper, depth)
+            ):
+                return
+            printer.loop(node.iterator, self._bound(lower), self._bound(upper), node.step, depth)
+            self._emitted_symbols.append(set())
+            self._define_symbols(bound, depth + 1)
+            with self._block(node, depth + 1):
+                self.walk(node.body, depth + 1, bound | self._emitted_symbols[-1])
+            self._emitted_symbols.pop()
+        printer.close(depth)
 
     def _collapsed(self, node: LoopNode, value: AffineExpr, depth: int, bound: Set[str]) -> None:
         """A point loop prints no header: its iterator's one value is substituted below."""
         self._values[node.iterator] = value.substitute(self._values)
         try:
-            with self._inside(node):
+            with self._inside(node), self._block(node, depth):
                 self.walk(node.body, depth, bound)
         finally:
             del self._values[node.iterator]
@@ -510,14 +637,13 @@ class Lowering:
         current: Node = node.body
         while not isinstance(current, StatementNode):
             if isinstance(current, BlockNode):
-                real = [c for c in current.body if not isinstance(c, SyncNode)]
-                if len(real) != 1:
-                    return None
-                current = real[0]
+                if len(current.body) != 1:
+                    return None  # a sync point beside the statement runs per iteration
+                current = current.body[0]
             elif isinstance(current, GuardNode):
                 constraints.extend(self._substituted(current.constraints))
                 current = current.body
-            elif isinstance(current, LoopNode):
+            elif isinstance(current, LoopNode) and current.parallel != BLOCK_PARALLEL:
                 value = self._one_value(
                     current, self._pruned(current.lower, "max"), self._pruned(current.upper, "min")
                 )
@@ -536,6 +662,7 @@ class Lowering:
         if self._pending_symbols({iterator} | points):
             return None
 
+        kind = current.kind
         statement = self._substituted_statement(current.statement)
         if self.check_domains:
             constraints.extend(self._substituted(statement.domain.constraints))
@@ -571,7 +698,7 @@ class Lowering:
                 load.array.name == lhs.array.name for load in statement.rhs.loads()
             ):
                 return None
-        return statement, constraints, elementwise
+        return statement, kind, constraints, elementwise
 
     def _slices_proven(self, statement: Statement, iterator: str) -> bool:
         """Whether basic slices may stand in for the iterator.
@@ -606,12 +733,13 @@ class Lowering:
             plan = self._vector_plan(node, stack)
             if plan is None:
                 return False
-            statement, constraints, elementwise = plan
+            statement, kind, constraints, elementwise = plan
             residual = self._residual(constraints)
             mask = [c for c in residual if iterator in c.variables]
             sliced = not mask and self._slices_proven(statement, iterator)
+            printer = self.printer
             with self._if([c for c in residual if c not in mask], depth) as depth:
-                self.printer.vector_loop(
+                printer.vector_loop(
                     iterator,
                     self._bound(lower),
                     self._bound(upper),
@@ -623,7 +751,9 @@ class Lowering:
                 lhs = self._load(statement.lhs)
                 rhs = self._vector_rhs(statement, iterator, elementwise)
                 self._slicing = None
-                self.printer.vector_assign(statement.reduction, lhs, rhs, elementwise, depth + 1)
+                printer.vector_assign(statement.reduction, lhs, rhs, elementwise, depth + 1)
+                amount = printer.vector_size(iterator, node.step, sliced)
+                self._count(_weights(statement, kind), amount, depth + 1)
         return True
 
     def _vector_rhs(self, statement: Statement, iterator: str, elementwise: bool) -> str:

@@ -19,8 +19,8 @@ The paper's toolchain is explicitly staged, and the pass list mirrors it:
    mapped program as C-like text via :func:`repro.ir.printer.program_to_c`.
 6. ``lower-py`` *(optional terminal pass)* — lowers the mapped program to
    executable Python source via :func:`repro.codegen.emit_py.
-   emit_python_source`; the ``measure-py:`` evaluation backend executes and
-   times this artifact instead of pricing the model.
+   emit_python_source`; the ``measure-py:`` evaluation backend runs its
+   numpy twin (``lower-py-vec``) once and prices what each block counted.
 
 Each :class:`Pass` declares which upstream stages it consumes (``inputs``)
 and which :class:`~repro.core.options.MappingOptions` fields it reads
@@ -535,10 +535,9 @@ class LowerPyPass(Pass):
 
     The artifact value is plain Python source defining
     ``kernel(arrays, params)`` (see :func:`repro.codegen.emit_py.
-    emit_python_source`), which the ``measure-py:`` evaluation backend
-    compiles with ``exec`` and *times* on seeded inputs — evaluation by
-    executing the emitted artifact, the paper's empirical loop, instead of
-    pricing the analytical model.
+    emit_python_source`), which returns the work each thread block did when
+    run — evaluation by executing the emitted artifact, the paper's empirical
+    loop, instead of pricing a representative tile.
     """
 
     name = "lower-py"
@@ -557,9 +556,9 @@ class LowerPyVecPass(LowerPyPass):
 
     Same artifact contract as :class:`LowerPyPass` (Python source defining
     ``kernel(arrays, params)``), produced by :func:`repro.codegen.
-    emit_py_vec.emit_python_source_vectorized` — behaviourally identical but
-    several times faster to execute, which is what makes rank-ordering many
-    candidates with ``measure-py:`` affordable.
+    emit_py_vec.emit_python_source_vectorized` — behaviourally identical,
+    counting the same work, but several times faster to execute: the artifact
+    ``measure-py:`` runs.
     """
 
     name = "lower-py-vec"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.ir.statements import Statement
 from repro.polyhedral.affine import AffineExpr
@@ -176,6 +176,49 @@ class SyncNode(Node):
     def __post_init__(self) -> None:
         if self.scope not in ("threads", "blocks"):
             raise ValueError(f"unknown sync scope {self.scope!r}")
+
+
+#: the copy a subtree performs when its statements disagree
+_MIXED = ("mixed",)
+
+
+def copy_waves(root: Node) -> Dict[int, Tuple[Tuple[Optional[str], bool], ...]]:
+    """Where copy occurrences start, for every block under ``root`` that holds a copy nest.
+
+    ``id(block)`` -> per child: its copy kind (``None`` unless every statement
+    under it copies into, or out of, one and the same buffer) and whether it
+    starts an occurrence.  One occurrence is one execution of a buffer's
+    copy-in (or copy-out) code, the paper's ``N_k``: a run of consecutive
+    children copying the same way, as a union scan splits one buffer's copy
+    into several nests.  A block inside a copy nest starts none, so the same
+    rule gives the same total wherever it is asked: the interpreter counts
+    occurrences, the lowering prints their count.
+    """
+    waves: Dict[int, Tuple[Tuple[Optional[str], bool], ...]] = {}
+
+    def target(node: Node) -> Optional[Tuple]:
+        """``(kind, lhs array, rhs arrays)`` all statements under ``node`` share, if any."""
+        if isinstance(node, StatementNode):
+            statement = node.statement
+            loads = tuple(load.array.name for load in statement.rhs.loads())
+            return (node.kind, statement.lhs.array.name, loads)
+        found = None
+        inners = [target(child) for child in node.children()]
+        for inner in inners:
+            if inner is not None:
+                found = inner if found in (None, inner) else _MIXED
+        if isinstance(node, BlockNode):
+            row, previous = [], None
+            for inner in inners:
+                copy = inner if inner not in (None, _MIXED) and inner[0] != COMPUTE else None
+                row.append((None, False) if copy is None else (copy[0], copy != previous))
+                previous = copy
+            if any(kind for kind, _starts in row):
+                waves[id(node)] = tuple(row)
+        return found
+
+    target(root)
+    return waves
 
 
 def enclosing_loops(root: Node, target: Node) -> List[LoopNode]:

@@ -24,6 +24,7 @@ from repro.ir.ast import (
     Node,
     StatementNode,
     SyncNode,
+    copy_waves,
 )
 from repro.ir.expressions import EvaluationEnv
 from repro.ir.program import Program
@@ -71,6 +72,10 @@ class Interpreter(EvaluationEnv):
         self._symbol_definitions = dict(getattr(program, "symbol_definitions", {}) or {})
         #: id(statement) -> its domain as plain integer rows, built on first use
         self._domains: Dict[int, _DomainRows] = {}
+        #: where copy occurrences start (``copy_waves``), and whether the node
+        #: executing sits inside a copy nest, where none starts
+        self._waves = copy_waves(program.body)
+        self._copying = False
 
     # -- EvaluationEnv protocol -------------------------------------------------
     def read(self, array: Array, indices) -> float:
@@ -86,8 +91,25 @@ class Interpreter(EvaluationEnv):
 
     def _exec(self, node: Node, binding: Dict[str, int]) -> None:
         if isinstance(node, BlockNode):
-            for child in node.body:
-                self._exec(child, binding)
+            waves = self._waves.get(id(node))
+            if waves is None or self._copying:
+                for child in node.body:
+                    self._exec(child, binding)
+                return
+            counters = self.context.counters
+            for child, (kind, starts) in zip(node.body, waves):
+                if kind is None:
+                    self._exec(child, binding)
+                    continue
+                if starts and kind == COPY_IN:
+                    counters.copy_in_occurrences += 1
+                elif starts:
+                    counters.copy_out_occurrences += 1
+                self._copying = True
+                try:
+                    self._exec(child, binding)
+                finally:
+                    self._copying = False
         elif isinstance(node, LoopNode):
             low, high = node.bounds_at(binding)
             for value in range(low, high + 1, node.step):

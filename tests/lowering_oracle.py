@@ -5,7 +5,9 @@ and ``test_lowering_guards``:
 
 * **executors** — one program run through the reference interpreter, the
   ``lower-py`` source, the ``lower-py-vec`` source and (optionally) the compiled
-  C harness, on the same seeded inputs;
+  C harness, on the same seeded inputs; each Python run also returns what it
+  counted (the interpreter its ``AccessCounters``, a lowering its per-block
+  terms), in one vocabulary (:func:`interpreter_totals`, :func:`lowered_totals`);
 * **a hypothesis strategy over small affine programs** — 1–3 nested loops,
   extents 1–9, affine indices with coefficients in {-1, 0, 1, 2} whose offsets
   and array extents are sized by interval arithmetic so every access is in
@@ -43,7 +45,7 @@ from repro.codegen import emit_c_harness, emit_python_source, emit_python_source
 from repro.codegen.emit_c_exec import CPrinter
 from repro.codegen.emit_py import PythonPrinter, python_module
 from repro.codegen.emit_py_vec import NumpyPrinter
-from repro.codegen.lower import Lowering, loop_facts
+from repro.codegen.lower import TERMS, Lowering, block_terms, loop_facts
 from repro.compiler import CompilationSession
 from repro.ir.ast import BlockNode, GuardNode, LoopNode, StatementNode
 from repro.ir.builder import ProgramBuilder
@@ -70,21 +72,58 @@ def seeded_arrays(program: Program, seed: int = 0) -> Dict[str, np.ndarray]:
     }
 
 
-def run_interpreter(program: Program, arrays: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    context = run_program(program, inputs=arrays, count_accesses=False)
-    return {name: context.data(name) for name in arrays}
+#: a counted run's totals: statement instances, global accesses, scratchpad
+#: accesses, copy-in and copy-out elements, copy occurrences, syncs (copies included)
+Totals = Tuple[int, ...]
+#: a counted run: block key -> its ``TERMS``
+Blocks = Dict[Tuple[int, ...], Tuple[int, ...]]
 
 
-def run_source(source: str, program: Program, arrays: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+def interpreter_totals(counters) -> Totals:
+    return (
+        counters.statement_instances,
+        counters.global_reads + counters.global_writes,
+        counters.local_reads + counters.local_writes,
+        counters.copy_in_elements,
+        counters.copy_out_elements,
+        counters.copy_in_occurrences + counters.copy_out_occurrences,
+        counters.thread_syncs + counters.block_syncs,
+    )
+
+
+def lowered_totals(blocks: Blocks) -> Totals:
+    """The blocks' ``TERMS`` summed, with each copied element's one global and
+    one scratchpad access added back: the lowering counts accesses of compute
+    statements only, the interpreter of every statement."""
+    instances, global_accesses, shared, copy_in, copy_out, occurrences, syncs = (
+        sum(terms[index] for terms in blocks.values()) for index in range(len(TERMS))
+    )
+    copies = copy_in + copy_out
+    return (
+        instances + copies, global_accesses + copies, shared + copies,
+        copy_in, copy_out, occurrences, syncs,
+    )
+
+
+def run_interpreter(
+    program: Program, arrays: Mapping[str, np.ndarray]
+) -> Tuple[Dict[str, np.ndarray], Totals]:
+    context = run_program(program, inputs=arrays)
+    return {name: context.data(name) for name in arrays}, interpreter_totals(context.counters)
+
+
+def run_source(
+    source: str, program: Program, arrays: Mapping[str, np.ndarray]
+) -> Tuple[Dict[str, np.ndarray], Blocks]:
     namespace: Dict[str, object] = {}
     exec(compile(source, f"<lowered:{program.name}>", "exec"), namespace)
     copies = {name: value.copy() for name, value in arrays.items()}
-    namespace["kernel"](copies, program.bound_params())
-    return copies
+    blocks = namespace["kernel"](copies, program.bound_params())
+    return copies, block_terms(blocks, namespace["COUNTERS"])
 
 
-def run_all_python(program: Program, seed: int = 0) -> Tuple[Dict[str, np.ndarray], ...]:
-    """``(interpreter, lower-py, lower-py-vec)`` arrays after one run each."""
+def run_all_python(program: Program, seed: int = 0) -> Tuple[Tuple[Dict, object], ...]:
+    """``(interpreter, lower-py, lower-py-vec)`` runs: each its arrays and its count."""
     arrays = seeded_arrays(program, seed)
     with np.errstate(over="ignore", invalid="ignore"):  # a long product may overflow
         return (

@@ -246,14 +246,15 @@ class TestAutotuneSession:
         """Pool workers receive pickled sessions whose copy loops are not yet
         scanned; the spot-checks they run and the lowerings the re-rank
         measures splice them on demand, so the report is the thread
-        executor's in everything but wall-clock times."""
+        executor's, every counted time included: the crown (and so the one
+        spot-checked verdict) cannot depend on which run was faster."""
         kernel = get_kernel("matmul")
 
         def tuned(executor):
             report = autotune(
                 kernel.build(m=16, n=16, k=16),
                 space_options=SMALL_SPACE,
-                backend="hybrid:model>measure-py:warmup=0,repeat=1?top=2",
+                backend="hybrid:model>measure-py?top=2",
                 check_correctness=True,
                 check_program=kernel.build_check(),
                 max_workers=2,
@@ -263,7 +264,8 @@ class TestAutotuneSession:
             return [
                 (
                     r.configuration, r.feasible, r.correct, r.shared_bytes_per_block,
-                    r.measurement.kind, r.measurement.metadata.get("model_time_ms", r.time_ms),
+                    r.measurement.kind, r.time_ms,
+                    r.measurement.metadata.get("model_time_ms", r.time_ms),
                 )
                 for r in (report.baseline, *report.results)
             ]
@@ -404,6 +406,37 @@ class TestTuningCache:
         # and stable across calls
         assert fingerprint(matmul, GEFORCE_8800_GTX, None, MappingOptions(),
                            {"name": "pruned"}, {"space": 1}) == base
+
+    def test_a_statement_domain_the_printed_program_hides_still_splits_the_key(self):
+        """``program_to_c`` prints no statement domain: jacobi1d with ``i <= 100``
+        added to its statement's domain prints the same text and computes
+        other values.  Their tuning keys must differ all the same.  Today the
+        analysed loop extents in the space signature are what tell them apart,
+        so a key derived before analysis must read the domains."""
+        import lowering_oracle as oracle
+
+        from repro.autotune import tuning_fingerprint
+        from repro.ir.printer import program_to_c
+        from repro.polyhedral.affine import AffineExpr
+        from repro.polyhedral.constraints import Constraint
+
+        kernel = get_kernel("jacobi1d")
+        plain, guarded = kernel.build(size=256), kernel.build(size=256)
+        oracle.guard_the_statement(
+            guarded, [Constraint(100 - AffineExpr.var("i"))], as_domain=True
+        )
+        assert program_to_c(guarded) == program_to_c(plain)
+        computed = [
+            oracle.run_interpreter(program, oracle.seeded_arrays(program))[0]["B"]
+            for program in (plain, guarded)
+        ]
+        assert not np.array_equal(*computed)
+        for backend in ("model:", "hybrid:model>measure-py?top=4"):
+            keys = {
+                tuning_fingerprint(program, space_options=SMALL_SPACE, backend=backend)
+                for program in (plain, guarded)
+            }
+            assert len(keys) == 2, backend
 
     def test_persistence_across_instances(self, tmp_path):
         path = tmp_path / "cache.json"

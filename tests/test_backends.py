@@ -49,8 +49,9 @@ from repro.autotune.backends import (
     available_backends,
     parse_backend_uri,
     resolve_backend,
-    trimmed_median,
 )
+from repro.autotune.backends.measured_c import trimmed_median
+from repro.codegen.lower import TERMS
 from repro.autotune.cli import cache_stats_main, main as cli_main
 from repro.autotune.evaluate import SPOT_CHECKS_TOTAL, EvaluationResult
 from repro.telemetry.history import spearman_rho
@@ -68,7 +69,7 @@ TINY_SPACE = SpaceOptions(
 WIDE_SPACE = SpaceOptions(
     thread_counts=(16, 32), block_counts=(4, 8), tile_candidates_per_geometry=3
 )
-FAST_PY = "measure-py:warmup=0,repeat=2"
+FAST_PY = "measure-py:"
 
 
 def matmul(n: int = 8):
@@ -94,7 +95,7 @@ class TestBackendUris:
         assert isinstance(resolve_backend(None), ModelBackend)
 
     def test_instances_pass_through_resolve(self):
-        backend = MeasuredPythonBackend(repeat=3)
+        backend = MeasuredPythonBackend()
         assert resolve_backend(backend) is backend
 
     def test_resolve_rejects_other_types(self):
@@ -105,19 +106,19 @@ class TestBackendUris:
         with pytest.raises(ValueError, match="available: hybrid, measure-c"):
             parse_backend_uri("cuda:")
 
-    def test_measure_py_options(self):
-        backend = parse_backend_uri("measure-py:warmup=2,repeat=9,trim=0.1")
-        assert (backend.warmup, backend.repeat, backend.trim) == (2, 9, 0.1)
+    def test_measure_py_accepts_no_options(self):
+        # one counted run: the timing knobs and the scalar lowering are gone
+        for options in ("warmup=1", "repeat=5", "trim=0.2", "workers=2", "vectorize=off"):
+            with pytest.raises(ValueError, match="accepts no options"):
+                parse_backend_uri(f"measure-py:{options}")
 
-    def test_measure_py_rejects_unknown_options(self):
+    def test_measure_c_rejects_unknown_options_and_bad_values(self):
         with pytest.raises(ValueError, match="unknown options \\['repeats'\\]"):
-            parse_backend_uri("measure-py:repeats=3")
-
-    def test_measure_py_rejects_bad_values(self):
+            parse_backend_uri("measure-c:repeats=3")
         with pytest.raises(ValueError, match="repeat must be positive"):
-            parse_backend_uri("measure-py:repeat=0")
+            parse_backend_uri("measure-c:repeat=0")
         with pytest.raises(ValueError, match="trim must be in"):
-            parse_backend_uri("measure-py:trim=0.5")
+            parse_backend_uri("measure-c:trim=0.5")
 
     def test_model_accepts_no_options(self):
         with pytest.raises(ValueError, match="accepts no options"):
@@ -141,7 +142,7 @@ class TestBackendUris:
         assert backend.kind == "measured-py"
 
     def test_hybrid_secondary_options_thread_through(self):
-        backend = parse_backend_uri("hybrid:model>measure-py:warmup=0,repeat=2?top=3")
+        backend = parse_backend_uri("hybrid:model>measure-c:warmup=0,repeat=2?top=3")
         assert backend.secondary.repeat == 2
 
     def test_hybrid_defaults_top_to_8(self):
@@ -168,7 +169,7 @@ class TestBackendUris:
     def test_hybrid_uri_preserves_secondary_options(self):
         # the recorded provenance URI must name the *actual* measurement
         # parameters, not the defaults — and re-parse to the same signature
-        backend = parse_backend_uri("hybrid:model>measure-py:warmup=0,repeat=2?top=4")
+        backend = parse_backend_uri("hybrid:model>measure-c:warmup=0,repeat=2?top=4")
         assert "warmup=0" in backend.uri() and "repeat=2" in backend.uri()
         assert parse_backend_uri(backend.uri()).signature() == backend.signature()
 
@@ -238,20 +239,32 @@ class TestModelBackend:
 
 # -- the measured-python backend ---------------------------------------------------
 class TestMeasuredPythonBackend:
-    def test_measures_wall_clock_with_provenance(self):
+    def test_prices_the_counted_worst_block_with_provenance(self):
         report = autotune(matmul(), space_options=TINY_SPACE, backend=FAST_PY)
         best = report.best
+        metadata = best.measurement.metadata
         assert best.measurement.kind == "measured-py"
-        assert best.time_ms > 0
-        assert len(best.measurement.metadata["times_ms"]) == 2
-        assert report.backend.startswith("measure-py:")
+        assert best.time_ms > 0 and best.breakdown
+        assert list(metadata["worst_block"]) == list(TERMS) == list(metadata["mean_block"])
+        assert metadata["blocks"] >= 1 and metadata["lowering"] == "lower-py-vec"
+        assert report.backend == "measure-py:"
+        # the time is the GPU model's price of the worst block's counts
+        from repro.autotune.backends.measured_py import counted_workload
+        from repro.machine.gpu import GPUPerformanceModel, KernelLaunch
+
+        mapped = CompilationSession(matmul()).replay(config=best.configuration)
+        launch = KernelLaunch(
+            counted_workload(tuple(metadata["worst_block"].values())),
+            mapped.geometry,
+            mapped.global_sync_rounds,
+        )
+        assert best.time_ms == GPUPerformanceModel().execution_time_ms(launch)
 
     def test_analysis_runs_once_and_lowering_once_per_candidate(self):
         program = matmul(16)
         with counting_stage_runs() as runs:
             report = autotune(program, space_options=WIDE_SPACE, backend=FAST_PY)
         assert runs.counts["analysis"] == 1
-        # vectorize=auto (the default) lowers through the vectorised terminal
         assert runs.counts["lower-py-vec"] == len(report.results)
         # every candidate was measured, so every result is provenance-stamped
         assert all(
@@ -261,17 +274,20 @@ class TestMeasuredPythonBackend:
     def test_evaluator_with_backend_pickles_for_process_executors(self):
         evaluator = ConfigurationEvaluator(matmul(), backend=FAST_PY)
         clone = pickle.loads(pickle.dumps(evaluator))
-        config = clone.session.compile()
-        assert clone.backend.repeat == 2
+        clone.session.compile()
+        assert clone.backend.signature() == evaluator.backend.signature()
 
-    def test_parallel_evaluation_is_serialized_with_a_warning(self):
-        # concurrent timed runs would inflate each other's perf_counter
-        # windows; the request must degrade to serial, loudly
-        with pytest.warns(RuntimeWarning, match="serializing"):
-            report = autotune(
+    def test_counted_candidates_are_measured_in_parallel_to_the_serial_report(self):
+        # a count does not depend on what else runs: no serialization, no warning
+        import warnings as warnings_module
+
+        serial = autotune(matmul(), space_options=TINY_SPACE, backend=FAST_PY)
+        with warnings_module.catch_warnings():
+            warnings_module.simplefilter("error", RuntimeWarning)
+            parallel = autotune(
                 matmul(), space_options=TINY_SPACE, backend=FAST_PY, max_workers=4
             )
-        assert report.best.measurement.kind == "measured-py"
+        assert parallel.to_dict() == serial.to_dict()
 
     def test_hybrid_with_model_primary_keeps_parallel_search(self):
         import warnings as warnings_module
@@ -281,23 +297,19 @@ class TestMeasuredPythonBackend:
             autotune(
                 matmul(),
                 space_options=TINY_SPACE,
-                backend="hybrid:model>measure-py:warmup=0,repeat=2?top=2",
+                backend="hybrid:model>measure-py?top=2",
                 max_workers=4,
             )
 
     def test_runtime_failures_surface_instead_of_reading_as_infeasible(self, monkeypatch):
         # a codegen/runtime bug (here: corrupted input shapes) must never be
         # silently recorded as "infeasible mapping"
-        import numpy as np
+        from types import SimpleNamespace
 
-        backend = MeasuredPythonBackend(warmup=0, repeat=1)
-        monkeypatch.setattr(
-            MeasuredPythonBackend,
-            "_seeded_arrays",
-            lambda self, program: {
-                a.name: np.zeros((1,)) for a in program.arrays.values()
-            },
-        )
+        from repro.autotune.backends import measured_py
+
+        backend = MeasuredPythonBackend()
+        monkeypatch.setattr(measured_py, "np", SimpleNamespace(zeros=lambda shape: np.zeros((1,))))
         evaluator = ConfigurationEvaluator(matmul(), backend=backend)
         mapped = evaluator.session.compile()
         from repro.autotune.space import Configuration
@@ -311,8 +323,9 @@ class TestMeasuredPythonBackend:
 class TestHybridBackend:
     def test_model_and_measured_prices_of_one_candidate_set_rank_correlate(self):
         """The hybrid's premise, as a number: Spearman's rho between ``model:``
-        and ``measure-py:`` prices of one shared candidate set (its value at a
-        toy size is interpreter noise, so only its range is pinned)."""
+        and ``measure-py:`` prices of one shared candidate set.  Both price
+        on one model, one from a representative tile, one from every counted
+        block, so they agree on the order more often than not."""
         program = matmul(16)
         session = CompilationSession(program)
         space = ConfigurationSpace(program, space_options=WIDE_SPACE, session=session)
@@ -325,7 +338,7 @@ class TestHybridBackend:
             if priced.feasible and timed.feasible
         ]
         assert len(pairs) >= 4
-        assert -1.0 <= spearman_rho(*zip(*pairs)) <= 1.0
+        assert 0.0 < spearman_rho(*zip(*pairs)) <= 1.0
 
     def test_hybrid_best_is_measured_and_cached_with_provenance(self):
         program = matmul(16)
@@ -334,7 +347,7 @@ class TestHybridBackend:
             report = autotune(
                 program,
                 space_options=WIDE_SPACE,
-                backend="hybrid:model>measure-py:warmup=0,repeat=2?top=8",
+                backend="hybrid:model>measure-py?top=8",
                 cache=cache,
             )
         # the winner was decided by measurement, and the cache records it
@@ -399,7 +412,7 @@ class TestHybridBackend:
         report = autotune(
             matmul(16),
             space_options=WIDE_SPACE,
-            backend="hybrid:model>measure-py:warmup=0,repeat=2?top=2",
+            backend="hybrid:model>measure-py?top=2",
         )
         assert report.baseline.measurement_kind == "measured-py"
         assert report.speedup_over_baseline >= 1.0
@@ -422,7 +435,7 @@ class TestHybridBackend:
                 "measurement": {"time_ms": 0.001, "kind": "model"},
             }
         )
-        # 0.001 model-ms would "win" a naive comparison against 50 wall-ms
+        # 0.001 model-ms would "win" a naive comparison against 50 measured ms
         best = backend.select_best([measured, model_priced])
         assert best is measured
 
@@ -435,7 +448,7 @@ class TestSpotCheckRejectsAMiscompiledWinner:
     are pinned to the model's order (each run still executes), so "the would-be
     winner" is known before the request runs."""
 
-    HYBRID = "hybrid:model>measure-py:warmup=0,repeat=1?top={top}"
+    HYBRID = "hybrid:model>measure-py?top={top}"
 
     @pytest.fixture
     def corrupted_tune(self, monkeypatch):
@@ -538,55 +551,47 @@ class TestBackendCacheInteraction:
 
     def test_fingerprints_distinguish_backend_knobs_and_seed(self):
         program = matmul()
-        base = tuning_fingerprint(program, space_options=TINY_SPACE, backend=FAST_PY)
+        base = tuning_fingerprint(program, space_options=TINY_SPACE, backend="measure-c:")
         other_repeat = tuning_fingerprint(
-            program, space_options=TINY_SPACE, backend="measure-py:warmup=0,repeat=3"
+            program, space_options=TINY_SPACE, backend="measure-c:repeat=3"
         )
         other_seed = tuning_fingerprint(
-            program, space_options=TINY_SPACE, backend=FAST_PY, seed=1
+            program, space_options=TINY_SPACE, backend="measure-c:", seed=1
         )
         assert len({base, other_repeat, other_seed}) == 3
-        # the model ignores the seed (deterministic pricing, pruned strategy)
-        assert tuning_fingerprint(program, space_options=TINY_SPACE) == (
-            tuning_fingerprint(program, space_options=TINY_SPACE, seed=1)
-        )
+        # the model and the count ignore the seed (deterministic, pruned strategy)
+        for backend in (None, FAST_PY):
+            assert tuning_fingerprint(program, space_options=TINY_SPACE, backend=backend) == (
+                tuning_fingerprint(program, space_options=TINY_SPACE, backend=backend, seed=1)
+            )
 
     #: jacobi1d-64 / TINY_SPACE / seed 3 at the last commit whose ``measure-py``
-    #: signature carried no lowering revision
-    BEFORE_THE_REVISION = {
+    #: timed its runs (lowering revision 3)
+    WHILE_TIMED = {
         None: "fb236c255c11b0bc13b57d7323b66e630ab6ec06a450a45e6d97f3108375da2f",
-        FAST_PY: "039ff3cfc01d8a104aab6e7a9ec8989842c4d1811b869e7f9a3e87678ebce5f3",
+        FAST_PY: "66bf43c90345b10d18fdfa68fbcae88f1bf199db0129a1638bac2b7d2392cd21",
         "hybrid:model>measure-py?top=4": (
-            "ef256fa7bf4923fb073b8eeef8be11ec17217b3b7014bb28dec408bf9db0d7ee"
+            "6b1d19bf6c78b13d586f32437d1bc3dcd4c20ef3c6ae01d107780ab47489c46f"
         ),
-        "measure-py:vectorize=off": (
-            "5b578ab60949b54e2016886256dd35764a0883f45c1e094f18aff5e48a476486"
+    }
+    #: ... and since it counts
+    COUNTED = {
+        None: "fb236c255c11b0bc13b57d7323b66e630ab6ec06a450a45e6d97f3108375da2f",
+        FAST_PY: "12b2a27e27c7dd4be5dc3da23376487bfa05d811792631130be2470c27660362",
+        "hybrid:model>measure-py?top=4": (
+            "6e65e08319f50b6be3517d6589c71207bde410a314448ae32612110ac1f2b5c2"
         ),
     }
 
-    def test_the_lowering_revision_moves_exactly_the_measured_fingerprints(self, monkeypatch):
+    def test_counting_moved_exactly_the_measured_fingerprints_once(self):
         program = get_kernel("jacobi1d").build(size=64)
-
-        def keys():
-            return {
-                backend: tuning_fingerprint(
-                    program, space_options=TINY_SPACE, backend=backend, seed=3
-                )
-                for backend in self.BEFORE_THE_REVISION
-            }
-
-        now = keys()
-        assert now[None] == self.BEFORE_THE_REVISION[None]  # model: entries stay warm
-        for backend in list(self.BEFORE_THE_REVISION)[1:]:
-            assert now[backend] != self.BEFORE_THE_REVISION[backend]
-        # ... and by nothing but the revision: without it the old keys come back
-        signature = MeasuredPythonBackend.signature
-        monkeypatch.setattr(
-            MeasuredPythonBackend,
-            "signature",
-            lambda self: {k: v for k, v in signature(self).items() if k != "lowering"},
-        )
-        assert keys() == self.BEFORE_THE_REVISION
+        now = {
+            backend: tuning_fingerprint(program, space_options=TINY_SPACE, backend=backend, seed=3)
+            for backend in self.COUNTED
+        }
+        assert now == self.COUNTED
+        assert now[None] == self.WHILE_TIMED[None]  # model: entries stay warm
+        assert all(now[backend] != self.WHILE_TIMED[backend] for backend in list(now)[1:])
         assert "lowering" not in parse_backend_uri(FAST_PY).uri()  # not a user option
 
     def test_a_report_measured_under_another_lowering_revision_is_not_served(
@@ -627,19 +632,6 @@ class TestBackendCacheInteraction:
         assert autotune(program, **request).from_cache
         assert "lowering" not in parse_backend_uri("measure-c:").uri()  # not a user option
 
-    def test_vectorize_on_and_auto_are_one_backend(self):
-        program = matmul()
-        spelled = {
-            uri: tuning_fingerprint(program, space_options=TINY_SPACE, backend=uri)
-            for uri in ("measure-py:", "measure-py:vectorize=on", "measure-py:vectorize=auto")
-        }
-        assert len(set(spelled.values())) == 1, spelled
-        assert parse_backend_uri("measure-py:vectorize=on").uri() == parse_backend_uri(
-            "measure-py:"
-        ).uri()
-        off = tuning_fingerprint(program, space_options=TINY_SPACE, backend="measure-py:vectorize=off")
-        assert off not in spelled.values()
-
     def test_warm_hit_restores_backend_and_provenance(self, tmp_path):
         program = matmul()
         cache_spec = str(tmp_path / "cache.json")
@@ -673,6 +665,19 @@ class TestMeasuredCBackend:
                 space_options=TINY_SPACE,
                 backend="measure-c:cc=definitely-not-a-compiler-xyz",
             )
+
+    @requires_c_toolchain
+    def test_parallel_evaluation_is_serialized_with_a_warning(self):
+        # concurrent timed runs would inflate each other's perf_counter
+        # windows; the request must degrade to serial, loudly
+        with pytest.warns(RuntimeWarning, match="serializing"):
+            report = autotune(
+                matmul(),
+                space_options=TINY_SPACE,
+                backend="measure-c:warmup=0,repeat=1",
+                max_workers=4,
+            )
+        assert report.best.measurement.kind == "measured-c"
 
     @requires_c_toolchain
     def test_compiles_and_times_the_emitted_c(self):

@@ -8,12 +8,10 @@ Four layers, each pinned here:
 * the cross-request **artifact cache** (validated adoption keyed on
   ``base_fingerprint``; a repeat ``autotune`` request runs analysis zero
   times);
-* the per-request **measurement memo** plus the ``workers=`` parallel
-  measurement mode (timed sections serialize under ``TIMED_SECTION_LOCK``,
-  so ``workers`` never fingerprints);
+* the per-request **measurement memo**;
 * the **vectorised lower-py** terminal pass (numpy-backed source that is
-  behaviourally identical to the scalar artifact, with a scalar fallback
-  when numpy is absent).
+  behaviourally identical to the scalar artifact and counts the same work,
+  only faster).
 
 Plus the satellite fixes: the hybrid's finalize re-measuring an
 already-measured config memo-hits instead of paying another run, and a
@@ -26,9 +24,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import statistics
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -56,7 +52,6 @@ from repro.autotune.backends import (
     parse_backend_uri,
 )
 from repro.autotune.backends.base import MEASURE_MEMO_TOTAL
-from repro.autotune.session import MEASURE_PARALLELISM
 from repro.autotune.space import Configuration
 
 requires_c_toolchain = pytest.mark.skipif(
@@ -74,7 +69,7 @@ ONE_SPACE = SpaceOptions(
     scratchpad_choices=(False,),
     tile_candidates_per_geometry=1,
 )
-FAST_PY = "measure-py:warmup=0,repeat=2"
+FAST_PY = "measure-py:"
 
 
 def matmul(n: int = 8):
@@ -163,7 +158,7 @@ class TestCompileCache:
 # -- the measurement memo ----------------------------------------------------------
 class TestMeasurementMemo:
     def test_identical_configs_within_a_request_measure_once(self):
-        backend = MeasuredPythonBackend(warmup=0, repeat=2)
+        backend = MeasuredPythonBackend()
         _, config = prepared_backend(backend, matmul(8))
         hits = MEASURE_MEMO_TOTAL.value(outcome="hit")
         misses = MEASURE_MEMO_TOTAL.value(outcome="miss")
@@ -180,7 +175,7 @@ class TestMeasurementMemo:
         assert "model_time_ms" not in third.metadata
 
     def test_prepare_resets_the_memo(self):
-        backend = MeasuredPythonBackend(warmup=0, repeat=2)
+        backend = MeasuredPythonBackend()
         session, config = prepared_backend(backend, matmul(8))
         backend.measure(config)
         backend.prepare(session, GEFORCE_8800_GTX)  # a new request
@@ -189,7 +184,7 @@ class TestMeasurementMemo:
         assert MEASURE_MEMO_TOTAL.value(outcome="miss") == misses + 1
 
     def test_memo_does_not_travel_through_pickling(self):
-        backend = MeasuredPythonBackend(warmup=0, repeat=2)
+        backend = MeasuredPythonBackend()
         _, config = prepared_backend(backend, matmul(8))
         backend.measure(config)
         clone = pickle.loads(pickle.dumps(backend))
@@ -197,10 +192,10 @@ class TestMeasurementMemo:
 
     def test_hybrid_finalize_remeasures_a_revisited_baseline_once(self):
         """The satellite pin: hill-climb style revisits plus the ``ensure``
-        baseline used to cost one wall-clock run *each*; now every duplicate
-        after the first is a memo hit."""
+        baseline used to cost one run *each*; now every duplicate after the
+        first is a memo hit."""
         program = matmul(8)
-        backend = parse_backend_uri("hybrid:model>measure-py:warmup=0,repeat=2?top=4")
+        backend = parse_backend_uri("hybrid:model>measure-py?top=4")
         evaluator = ConfigurationEvaluator(program, backend=backend)
         mapped = evaluator.session.compile()
         config = Configuration.from_options(evaluator.session.options, mapped.tile_sizes)
@@ -222,59 +217,6 @@ class TestMeasurementMemo:
             finalized[0].measurement.metadata
             is not finalized[1].measurement.metadata
         )
-
-
-# -- parallel measurement ----------------------------------------------------------
-class TestParallelMeasurement:
-    def test_workers_and_vectorize_options_parse_and_round_trip(self):
-        backend = parse_backend_uri("measure-py:warmup=0,repeat=2,workers=4")
-        assert backend.workers == 4
-        assert backend.measurement_workers == 4
-        assert "workers=4" in backend.uri()
-        again = parse_backend_uri(backend.uri())
-        assert again.workers == 4 and again.signature() == backend.signature()
-
-    def test_workers_never_fingerprint_but_vectorize_does(self):
-        serial = parse_backend_uri(FAST_PY)
-        parallel = parse_backend_uri(FAST_PY + ",workers=4")
-        scalar = parse_backend_uri(FAST_PY + ",vectorize=off")
-        assert parallel.signature() == serial.signature()
-        assert scalar.signature() != serial.signature()
-        assert "vectorize=off" in scalar.uri()
-
-    def test_rejects_bad_workers_and_vectorize(self):
-        with pytest.raises(ValueError, match="workers must be positive"):
-            parse_backend_uri("measure-py:workers=0")
-        with pytest.raises(ValueError, match="vectorize must be one of"):
-            parse_backend_uri("measure-py:vectorize=maybe")
-
-    def test_vectorize_choice_selects_the_lowering_stage(self):
-        assert MeasuredPythonBackend(vectorize="auto")._stage == "lower-py-vec"
-        assert MeasuredPythonBackend(vectorize="on")._stage == "lower-py-vec"
-        assert MeasuredPythonBackend(vectorize="off")._stage == "lower-py"
-
-    def test_parallel_request_is_not_serialized_and_sets_the_gauge(self):
-        program = matmul(8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            report = autotune(
-                program,
-                space_options=TINY_SPACE,
-                backend=FAST_PY + ",workers=3",
-                max_workers=8,
-            )
-        assert MEASURE_PARALLELISM.value() == 3  # min(max_workers, workers)
-        assert report.best.measurement.kind == "measured-py"
-        # the parallel request answers under the same fingerprint as serial
-        serial = autotune(program, space_options=TINY_SPACE, backend=FAST_PY)
-        assert report.fingerprint == serial.fingerprint
-        assert len(report.results) == len(serial.results)
-
-    def test_scalar_lowering_still_works_under_vectorize_off(self):
-        report = autotune(
-            matmul(8), space_options=TINY_SPACE, backend=FAST_PY + ",vectorize=off"
-        )
-        assert report.best.measurement.metadata["lowering"] == "lower-py"
 
 
 # -- the vectorised lowering -------------------------------------------------------
@@ -359,12 +301,13 @@ class TestVectorisedLowering:
             for needle in ("Fraction(", "_ceil(", "_floor(", "_np.arange("):
                 assert needle not in body, (result.configuration.key(), needle)
 
-    def test_vectorised_rank_order_keeps_the_winner_and_is_3x_faster(self):
-        """Long innermost k loops, where numpy pays.  The winner skips the
-        scratchpad copies and has the largest tiles; the others re-stage
-        k = 128 panels for 8x4 and 4x4 tiles, slower under either lowering.
-        Three interleaved rounds of one run per candidate, ranked by median,
-        so a burst of load on a shared machine cannot pick the winner."""
+    def test_scalar_and_vectorised_lowering_give_one_report_3x_apart(self, monkeypatch):
+        """Long innermost k loops, where numpy pays.  Both lowerings count the
+        same work, so ``measure-py:`` prices every candidate the same under
+        either; only the time it takes differs.  Three rounds of one run per
+        candidate, so a burst of load on a shared machine cannot decide."""
+        from repro.autotune.backends import measured_py
+
         k = 128
         program = get_kernel("matmul").build(m=32, n=32, k=k)
         candidates = [
@@ -372,19 +315,19 @@ class TestVectorisedLowering:
             Configuration.make(8, 32, {"i": 8, "j": 4, "k": k}, True),
             Configuration.make(8, 32, {"i": 4, "j": 4, "k": k}, True),
         ]
-        winners, seconds = {}, {}
-        for mode in ("off", "on"):
-            session, times = CompilationSession(program), {config: [] for config in candidates}
-            start = time.perf_counter()
+        reports, seconds = {}, {}
+        for stage in ("lower-py", "lower-py-vec"):
+            monkeypatch.setattr(measured_py, "STAGE", stage)
+            session, start = CompilationSession(program), time.perf_counter()
             for _ in range(3):
-                backend = f"measure-py:warmup=0,repeat=1,vectorize={mode}"
-                evaluator = ConfigurationEvaluator(program, session=session, backend=backend)
-                for config in candidates:
-                    times[config].append(evaluator.evaluate(config).time_ms)
-            seconds[mode] = time.perf_counter() - start
-            winners[mode] = min(candidates, key=lambda config: statistics.median(times[config]))
-        assert winners["off"] == winners["on"] == candidates[0]
-        assert seconds["off"] >= 3 * seconds["on"], seconds
+                evaluator = ConfigurationEvaluator(program, session=session, backend=FAST_PY)
+                results = [evaluator.evaluate(config) for config in candidates]
+            seconds[stage] = time.perf_counter() - start
+            reports[stage] = [
+                (r.time_ms, {**r.measurement.metadata, "lowering": None}) for r in results
+            ]
+        assert reports["lower-py"] == reports["lower-py-vec"]
+        assert seconds["lower-py"] >= 3 * seconds["lower-py-vec"], seconds
 
 
 # -- analysis per request ------------------------------------------------------------

@@ -42,7 +42,7 @@ SMALL_SPACE = SpaceOptions(
 WIDE_SPACE = SpaceOptions(
     thread_counts=(64, 128), block_counts=(16, 32), tile_candidates_per_geometry=2
 )
-HYBRID = "hybrid:model>measure-py:warmup=0,repeat=2?top=4"
+HYBRID = "hybrid:model>measure-py?top=4"
 
 
 def record(ts: float, winner_ms: float = 1.0, **overrides) -> HistoryRecord:

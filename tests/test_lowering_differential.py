@@ -4,7 +4,9 @@ The licence for emitting integer bounds, pruned guards and bound terms,
 substituted point loops, slices and dot products: on every small affine
 program ``lowering_oracle.programs`` can draw, unmapped or run through tiling
 → scratchpad → mapping under a drawn configuration, the three Python-side
-executors leave the same arrays behind.  The scalar lowering performs the
+executors leave the same arrays behind, and count the same work: the two
+lowerings' per-block counts are equal, and their totals are the
+interpreter's ``AccessCounters``.  The scalar lowering performs the
 interpreter's float operations in the interpreter's order, so it must match
 bit for bit; the vectorised one sums reductions pairwise (or as a dot), so
 it gets a tolerance.  Examples are derandomised: tier-1 runs the same cases (and
@@ -34,8 +36,15 @@ COMMON = dict(deadline=None, derandomize=True, suppress_health_check=list(Health
 
 
 def assert_all_agree(program, seed, rtol=1e-9):
-    """``rtol=None``: float64 arrays, so the scalar lowering must match bit for bit."""
-    reference, scalar, vector = oracle.run_all_python(program, seed)
+    """``rtol=None``: float64 arrays, so the scalar lowering must match bit for bit.
+
+    The counts agree exactly: both lowerings count the same work per block,
+    and their totals are the interpreter's ``AccessCounters``."""
+    (reference, counted), (scalar, scalar_blocks), (vector, vector_blocks) = (
+        oracle.run_all_python(program, seed)
+    )
+    assert scalar_blocks == vector_blocks
+    assert oracle.lowered_totals(vector_blocks) == counted
     for name, expected in reference.items():
         if rtol is None:
             assert np.array_equal(expected, scalar[name], equal_nan=True), (
@@ -93,7 +102,7 @@ def test_every_intrinsic_runs_through_both_lowerings(func):
     assert_all_agree(program, seed=1, rtol=None)
     arrays = oracle.seeded_arrays(program, 1)
     assert np.array_equal(
-        oracle.run_all_python(program, 1)[2]["O"], expected(*operands(arrays["A"], arrays["B"]))
+        oracle.run_all_python(program, 1)[2][0]["O"], expected(*operands(arrays["A"], arrays["B"]))
     )
 
 
@@ -105,7 +114,7 @@ requires_c_toolchain = pytest.mark.skipif(
 def assert_the_c_harness_agrees(mapped, workdir):
     """The harness's checksum is the sum of every array ``lower-py-vec`` leaves."""
     arrays = oracle.lcg_arrays(mapped, seed=5)
-    lowered = oracle.run_source(
+    lowered, _blocks = oracle.run_source(
         oracle.emit_python_source_vectorized(mapped), mapped, arrays
     )
     checksum = oracle.c_checksum(mapped, find_c_compiler(), workdir, seed=5)
@@ -211,6 +220,32 @@ PINNED_TEXT = {
         "mpeg4_me": (
             "7a8eef4b74d30ce1fabd8d23b4e9bcecb7f8e7f0d244c8d052117d5d080364a6",
             "6e5f7efb81599e3d8f3b73300755ffc3e285a07d3c127025f6c698b262c2b594",
+        ),
+    },
+    4: {
+        "conv2d": (
+            "c5b11b340da649eb3a41dbee1e4f23c18b110d93dd544c1944938446f3426bda",
+            "ef3925766dd05e46fdd102408a14d49542bd2dabbdee805575f9f88b010d03ae",
+        ),
+        "distributed-gemm": (
+            "bf324e124dac5c41d2598ad0c1dc36dc575ebab82c8422ee7658e902335c5f45",
+            "c606acbeb1fe7780d749a16c661a60aa98b8c8ec6d6d6d97fb5169cadd60fbc7",
+        ),
+        "jacobi1d": (
+            "1607b019343cb5a6341974de5cbd6f60aaa8f305a5fad62d413ccc3401ddb8cc",
+            "3c06e07fa84bd90ed31968cdc0835a1d94fd1b71e195bee056b1f30951127203",
+        ),
+        "jacobi2d": (
+            "2dc2bc836426750376643174dfa9889cb78d0daff55ce65f85ba5646bc4d0d07",
+            "fe28804d6bf339cb54c18b250a5d47b965b4cdf1f4a87385fcd6b606233e04b9",
+        ),
+        "matmul": (
+            "bf324e124dac5c41d2598ad0c1dc36dc575ebab82c8422ee7658e902335c5f45",
+            "c606acbeb1fe7780d749a16c661a60aa98b8c8ec6d6d6d97fb5169cadd60fbc7",
+        ),
+        "mpeg4_me": (
+            "263201fa82741065876ac3350ec39963d14631072ae06eb6cab43b957dd7a59a",
+            "344f42afef3cc8bd1e9886bde10634f47791b6e005f4c2441c6b48bb24678a9b",
         ),
     },
 }

@@ -142,7 +142,7 @@ def test_a_point_loop_is_a_substitution_in_every_printer():
     assert "O[j] = (A[j] + (j))" in emit_python_source(program)
     assert "long i" not in oracle.emit_c_harness(program)
     assert "O[_lo:_hi + 1]" not in emit_python_source_vectorized(program)  # the value is read
-    reference, scalar, vector = oracle.run_all_python(program)
+    (reference, _), (scalar, _), (vector, _) = oracle.run_all_python(program)
     assert np.array_equal(reference["O"], scalar["O"])
     assert np.array_equal(reference["O"], vector["O"])
     _source, decisions = oracle.recorded_decisions(program)
@@ -171,7 +171,7 @@ def test_a_guard_the_bounds_do_not_imply_is_kept():
     program = one_loop(lambda a, i: a[i], guard=Constraint(I - 3))
     assert "if i - 3 >= 0:" in emit_python_source(program)
     assert "i = i[(i - 3 >= 0)]" in emit_python_source_vectorized(program)
-    reference, scalar, vector = oracle.run_all_python(program)
+    (reference, _), (scalar, _), (vector, _) = oracle.run_all_python(program)
     assert np.array_equal(reference["O"], scalar["O"])
     assert np.array_equal(reference["O"], vector["O"])
     assert not np.array_equal(reference["O"][3:], oracle.seeded_arrays(program)["O"][3:])
@@ -279,7 +279,7 @@ def half_step_program():
 def test_collapsing_a_loop_over_a_rational_form_is_caught_by_the_enumeration(monkeypatch):
     program = half_step_program()
     assert "for i in range(-(-(j) // 2), (j + 2) // 2):" in emit_python_source(program)
-    reference, scalar, vector = oracle.run_all_python(program)
+    (reference, _), (scalar, _), (vector, _) = oracle.run_all_python(program)
     assert np.array_equal(reference["O"], scalar["O"])
     assert np.array_equal(reference["O"], vector["O"])
     monkeypatch.setattr(lower, "_is_integral", lambda expr: True)

@@ -38,7 +38,7 @@ MATMUL = ["matmul", "--size", "m=16", "n=16", "k=16", "--threads", "64", "--bloc
         ["matmul"],
         MATMUL,
         ["jacobi1d", "--size", "size=64", "--strategy", "exhaustive", "--seed", "3",
-         "--check", "--backend", "measure-py:warmup=0,repeat=1", "--threads", "64", "128"],
+         "--check", "--backend", "measure-py:", "--threads", "64", "128"],
         ["distributed-gemm", "--blocks", "16", "32"],
     ],
 )

@@ -131,7 +131,7 @@ class TestTuneRequest:
 
     def test_backend_travels_and_splits_the_fingerprint(self):
         base = matmul_request()
-        measured = matmul_request(backend="measure-py:warmup=0,repeat=2")
+        measured = matmul_request(backend="measure-py:")
         assert TuneRequest.from_dict(measured.to_dict()) == measured
         assert TuneRequest.from_dict(base.to_dict()).backend == "model:"
         # model-priced and measured requests must never dedup to one job
@@ -381,7 +381,7 @@ class TestHTTPServer:
         client = TuningClient(thread_server.url)
         request = matmul_request(
             m=16,
-            backend="hybrid:model>measure-py:warmup=0,repeat=2?top=4",
+            backend="hybrid:model>measure-py?top=4",
             space=WIDE_SPACE,
         )
         model_request = matmul_request(m=16, space=WIDE_SPACE)
@@ -665,7 +665,7 @@ class TestServiceHistory:
             client = TuningClient(server.url)
             request = matmul_request(
                 m=16,
-                backend="hybrid:model>measure-py:warmup=0,repeat=2?top=4",
+                backend="hybrid:model>measure-py?top=4",
                 space=WIDE_SPACE,
                 trace=True,
             )
@@ -901,7 +901,7 @@ class TestServiceCli:
         trace_path, chrome = tmp_path / "t.json", tmp_path / "chrome.json"
         submit = [
             *MATMUL_16, "--threads", "16", "32", "--blocks", "4", "8",
-            "--backend", "hybrid:model>measure-py:warmup=0,repeat=2?top=4",
+            "--backend", "hybrid:model>measure-py?top=4",
             "--url", thread_server.url,
         ]
         assert service_cli([*submit, "--trace", str(trace_path)]) == 0
