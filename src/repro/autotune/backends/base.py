@@ -118,7 +118,7 @@ class EvaluationBackend:
     #: serialized (with a warning) for such backends
     measures_wall_clock: bool = False
     #: whether this backend can price *distributed* configurations (those
-    #: carrying grid extras); wall-clock backends cannot execute a multi-PE
+    #: carrying grid extras); the executing backends cannot run a multi-PE
     #: mapping on the host, so such candidates become infeasible results
     supports_distributed: bool = False
 
