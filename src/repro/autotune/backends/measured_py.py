@@ -15,8 +15,9 @@ launch geometry and sync rounds.
 
 The model's own workload (``compiler/passes.py::_build_workload``) is one
 representative tile spread evenly over the blocks; the count sees every
-block, boundary and partial tiles included, and every copy where hoisting
-put it.  The reported milliseconds are therefore modelled GPU time, on the
+block, boundary and partial tiles included, and every copy where the
+spliced code puts it: in the tile body, since the splice does not hoist
+copies (only the model prices hoisting; see ``tests/counted_terms.py``).  The reported milliseconds are therefore modelled GPU time, on the
 ``model:`` scale, and the count depends on the mapping only — not on the
 input values, the host or the load on it — so a measurement is
 deterministic: the seed does not fingerprint, and candidates may be measured
@@ -27,7 +28,6 @@ counting does.
 
 from __future__ import annotations
 
-import statistics
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -113,7 +113,8 @@ class MeasuredPythonBackend(EvaluationBackend):
             ) from error
         counted = list(block_terms(blocks, namespace["COUNTERS"]).values())
         if not counted:
-            raise ValueError(f"{program.name!r} counted no work in any block")
+            # every mapping counts work: a silent run is a lowering bug too
+            raise RuntimeError(f"emitted Python kernel for {program.name!r} counted no work")
 
         model = GPUPerformanceModel(spec)
         element_size = mapped.workload.element_size
@@ -132,12 +133,7 @@ class MeasuredPythonBackend(EvaluationBackend):
             "cycles": time_us * spec.cycles_per_us,
             "breakdown": model.breakdown(launch),
             "shared_bytes_per_block": mapped.geometry.shared_memory_per_block_bytes,
-            "blocks": len(counted),
             "worst_block": dict(zip(TERMS, worst)),
-            "mean_block": {
-                term: statistics.fmean(terms[index] for terms in counted)
-                for index, term in enumerate(TERMS)
-            },
             "lowering": STAGE,
         }
         return Measurement(time_ms=time_us / 1000.0, kind=self.kind, metadata=metadata)

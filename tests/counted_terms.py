@@ -36,6 +36,7 @@ with ``PYTHONPATH=src python tests/counted_terms.py --write``.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -44,12 +45,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.autotune import SpaceOptions, autotune  # noqa: E402
 from repro.autotune.backends import MeasuredPythonBackend  # noqa: E402
+from repro.autotune.backends.measured_py import STAGE  # noqa: E402
 from repro.autotune.space import Configuration  # noqa: E402
 from repro.codegen.lower import TERMS  # noqa: E402
 from repro.compiler import CompilationSession  # noqa: E402
 from repro.kernels import get_kernel  # noqa: E402
 from repro.machine.gpu import BlockWorkload  # noqa: E402
 from repro.machine.spec import GEFORCE_8800_GTX  # noqa: E402
+from lowering_oracle import run_source, seeded_arrays  # noqa: E402
 
 TABLE = Path(__file__).resolve().parent / "fixtures" / "counted_terms.md"
 
@@ -87,9 +90,19 @@ def rows(label: str, program, configuration: Configuration) -> List[Tuple]:
     session = CompilationSession(program)
     backend = MeasuredPythonBackend()
     backend.prepare(session, GEFORCE_8800_GTX)
-    measurement = backend.measure(configuration)
-    worst, mean = measurement.metadata["worst_block"], measurement.metadata["mean_block"]
-    mapped = session.replay(config=configuration)
+    worst = backend.measure(configuration).metadata["worst_block"]
+    # the mean is over one run of the same replayed source the backend ran
+    artifacts = session.with_passes((*session.stage_names, STAGE)).replay_artifacts(
+        config=configuration, upto=STAGE
+    )
+    mapped = artifacts["mapping"].value
+    _arrays, blocks = run_source(
+        artifacts[STAGE].value, mapped.program, seeded_arrays(mapped.program)
+    )
+    mean = {
+        term: statistics.fmean(terms[index] for terms in blocks.values())
+        for index, term in enumerate(TERMS)
+    }
     unhoisted = session.replay(
         options=configuration.to_options(session.options).with_overrides(hoisting=False)
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pickle
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -245,8 +246,8 @@ class TestMeasuredPythonBackend:
         metadata = best.measurement.metadata
         assert best.measurement.kind == "measured-py"
         assert best.time_ms > 0 and best.breakdown
-        assert list(metadata["worst_block"]) == list(TERMS) == list(metadata["mean_block"])
-        assert metadata["blocks"] >= 1 and metadata["lowering"] == "lower-py-vec"
+        assert list(metadata["worst_block"]) == list(TERMS)
+        assert metadata["lowering"] == "lower-py-vec"
         assert report.backend == "measure-py:"
         # the time is the GPU model's price of the worst block's counts
         from repro.autotune.backends.measured_py import counted_workload
@@ -667,7 +668,7 @@ class TestMeasuredCBackend:
             )
 
     @requires_c_toolchain
-    def test_parallel_evaluation_is_serialized_with_a_warning(self):
+    def test_parallel_measure_c_is_serialized_with_a_warning(self):
         # concurrent timed runs would inflate each other's perf_counter
         # windows; the request must degrade to serial, loudly
         with pytest.warns(RuntimeWarning, match="serializing"):
@@ -798,3 +799,32 @@ class TestCustomBackends:
         )
         assert report.best.time_ms == 1.0
         assert report.backend == "constant-test:"
+
+    def test_parallel_evaluation_is_serialized_with_a_warning(self):
+        # concurrent timed runs would inflate each other's perf_counter
+        # windows; a wall-clock backend's request must degrade to serial,
+        # loudly.  Priced like model: so it runs without a C toolchain.
+        class WallClockBackend(ModelBackend):
+            scheme = "wall-clock-test"
+            measures_wall_clock = True
+
+            def __init__(self):
+                super().__init__()
+                self.threads = set()
+
+            def _measure(self, configuration):
+                self.threads.add(threading.get_ident())
+                return super()._measure(configuration)
+
+            def uri(self):
+                return f"{self.scheme}:"
+
+        backend = WallClockBackend()
+        with pytest.warns(RuntimeWarning, match=r"serializing .*max_workers 4 -> 1"):
+            report = autotune(
+                matmul(), space_options=WIDE_SPACE, backend=backend, max_workers=4
+            )
+        assert report.backend == "wall-clock-test:"
+        assert len(report.results) > 1
+        # serial evaluation runs every candidate on the calling thread
+        assert backend.threads == {threading.get_ident()}
