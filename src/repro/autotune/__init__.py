@@ -57,7 +57,6 @@ from repro.autotune.store import (
 )
 from repro.autotune.evaluate import ConfigurationEvaluator, EvaluationResult, best_result
 from repro.autotune.search import (
-    EXECUTORS,
     ExecutorFallbackWarning,
     ExhaustiveSearch,
     PooledBatchEvaluator,
@@ -65,7 +64,6 @@ from repro.autotune.search import (
     RandomHillClimbSearch,
     SearchStrategy,
     STRATEGIES,
-    make_batch_evaluator,
     resolve_strategy,
 )
 from repro.autotune.session import (
@@ -100,7 +98,6 @@ __all__ = [
     "parse_backend_uri",
     "register_backend",
     "resolve_backend",
-    "EXECUTORS",
     "ExecutorFallbackWarning",
     "ExhaustiveSearch",
     "PooledBatchEvaluator",
@@ -118,7 +115,6 @@ __all__ = [
     "autotune_batch",
     "best_result",
     "fingerprint",
-    "make_batch_evaluator",
     "open_store",
     "parse_store_uri",
     "resolve_strategy",

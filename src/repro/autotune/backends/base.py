@@ -24,8 +24,8 @@ Backends are selected by URI (see :func:`parse_backend_uri`)::
     hybrid:model>measure-py?top=8       model prunes, measurement re-ranks
 
 Backends pickle (minus any transient prepared state) so the parallel search
-executors can ship them to worker processes; re-:meth:`prepare` is cheap and
-lazy there.
+can ship them to worker processes; re-:meth:`prepare` is cheap and lazy
+there.
 """
 
 from __future__ import annotations

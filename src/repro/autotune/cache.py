@@ -214,11 +214,6 @@ class TuningCache:
             counts[kind] = counts.get(kind, 0) + 1
         return counts
 
-    def compact(self) -> Dict[str, Any]:
-        """Reclaim the log's dead space (overwritten and deleted records)."""
-        with self._mutex:
-            return self.store.compact()
-
     def stats(self) -> Dict[str, Any]:
         """Backend identity and gauges, plus this instance's hit/miss counters.
 

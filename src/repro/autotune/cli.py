@@ -50,7 +50,6 @@ from repro.autotune.backends import (
 from repro.autotune.cache import TuningCache
 from repro.autotune.request import TuneRequest, add_request_arguments, request_from_args
 from repro.autotune.store import ordered_cache_stats
-from repro.autotune.search import EXECUTORS, ExecutorFallbackWarning
 from repro.autotune.session import tune
 from repro.autotune.space import Configuration
 
@@ -75,13 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-kernels", action="store_true", help="list tunable kernels and exit"
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="parallel evaluation workers"
-    )
-    parser.add_argument(
-        "--executor",
-        default="thread",
-        choices=EXECUTORS,
-        help="worker kind for parallel evaluation (process escapes the GIL)",
+        "--workers", type=int, default=1, help="evaluation worker processes (1: serial)"
     )
     parser.add_argument(
         "--cache",
@@ -509,7 +502,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     report = tune(
                         problem,
                         max_workers=args.workers,
-                        executor=args.executor,
                         cache=cache,
                         history=args.history,
                     )
@@ -528,25 +520,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         total = sum(1 for _ in trace.iter_spans(collector.roots))
         print(f"trace: {total} spans -> {args.trace}")
-    for warning in caught:  # surface e.g. the process→thread pickle fallback
+    for warning in caught:  # surface e.g. the serial fallback of an unpicklable program
         print(f"warning: {warning.message}", file=sys.stderr)
-    fell_back_to_threads = any(
-        issubclass(w.category, ExecutorFallbackWarning) for w in caught
-    )
 
     print(report.summary())
-    # With the process executor, evaluation compiles happen in worker
-    # processes and never touch this process's counter — flag that so a cold
-    # run is not mistaken for a warm cache hit.
-    suffix = ""
-    if (
-        args.executor == "process"
-        and args.workers > 1
-        and not report.from_cache
-        and not fell_back_to_threads
-    ):
-        suffix = " (+ evaluation compiles in worker processes)"
-    print(f"pipeline compiles this call: {compiles.count}{suffix}")
+    # worker processes send their compile counts home, so this is the total
+    print(f"pipeline compiles this call: {compiles.count}")
     if cache is not None:
         print(f"cache: {cache.stats()} at {cache.uri}")
     # Rank results of the winning provenance first: under a hybrid backend,

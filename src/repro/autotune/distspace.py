@@ -4,7 +4,7 @@ A :class:`DistributedSpace` enumerates :class:`~repro.distmodel.SummaMapping`
 points — sub-grid size, Mt/Nt/Kt tiles, blocking-vs-pipelined broadcast
 schedule and pipeline depth — as ordinary
 :class:`~repro.autotune.space.Configuration` objects so every existing
-search strategy, executor pool, cache and report works unchanged:
+search strategy, worker pool, cache and report works unchanged:
 
 * ``num_blocks`` carries the PE count (``grid_p²``), ``threads_per_block``
   is 1 (one PE runs one tile serially), the three tile sizes ride on the

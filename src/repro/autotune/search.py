@@ -8,117 +8,139 @@ Three strategies, in increasing reliance on the analytical model:
 * :class:`RandomHillClimbSearch` — seeded random restarts refined by one-knob
   hill climbing (for spaces too big to grid).
 
-All strategies funnel candidate batches through an *evaluate-many* callable;
-:func:`make_batch_evaluator` builds one that fans a batch out over a
-``concurrent.futures`` pool — threads by default, or worker *processes*
-(``executor="process"``) to escape the GIL for pure-Python pipeline compiles.
-Results always come back in candidate order and winners are tie-broken on the
-configuration key, so a parallel run is bit-for-bit identical to a serial one
-under either executor.
+All strategies funnel candidate batches through an *evaluate-many* callable,
+a :class:`PooledBatchEvaluator`: serial at one worker, a process pool above
+that (candidates are priced independently, and processes escape the GIL for
+pure-Python pipeline compiles).  Results always come back in candidate order
+and winners are tie-broken on the configuration key, so a parallel run is
+bit-for-bit identical to a serial one.
 
-The evaluator ships whole to process workers — its compilation session
-(frozen analysis artifacts included) *and* its evaluation backend.  Backends
-keep their picklable spec (scheme + knobs + derived session) and drop any
+The evaluator ships whole to the workers — its compilation session (frozen
+analysis artifacts included) *and* its evaluation backend.  Backends keep
+their picklable spec (scheme + knobs + derived session) and drop any
 transient prepared state (performance models, toolchain paths), lazily
-re-preparing in the worker; an evaluator whose program or backend cannot
-pickle falls back to threads with :class:`ExecutorFallbackWarning`.
+re-preparing in the worker.  Each worker sends back, with its results, the
+metrics delta and the spans its chunk produced, so compile counts, stage
+counts and traces read as they would serially.  An evaluator whose program
+or backend cannot pickle is evaluated serially with
+:class:`ExecutorFallbackWarning`.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import pickle
 import random
 import threading
 import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.autotune.evaluate import ConfigurationEvaluator, EvaluationResult, best_result
 from repro.autotune.space import Configuration, ConfigurationSpace
+from repro.telemetry import METRICS, trace
 from repro.telemetry.events import emit
 
 #: evaluates a batch of configurations, preserving order
 BatchEvaluator = Callable[[Sequence[Configuration]], List[EvaluationResult]]
 
-#: executors accepted by :func:`make_batch_evaluator` / :func:`autotune`
-EXECUTORS = ("thread", "process")
-
 
 class ExecutorFallbackWarning(RuntimeWarning):
-    """Process-based evaluation was requested but fell back to threads."""
+    """Parallel evaluation was requested but the evaluator runs serially."""
+
+
+def _evaluate_chunk(
+    evaluator: bytes, configs: Sequence[Configuration], traced: bool
+) -> Tuple[List[EvaluationResult], Dict[str, Any], List[Dict[str, Any]], int]:
+    """Evaluate one chunk in a pool worker: its results, the worker's metrics
+    delta, its span trees (``[]`` unless the caller is tracing) and its pid."""
+    baseline = METRICS.snapshot()
+    # A fresh collector (replacing the copy a worker forked while tracing
+    # inherits), started before unpickling so the evaluator re-attaches its
+    # pass hook to it.
+    collector = trace.start_trace() if traced else None
+    try:
+        copy: ConfigurationEvaluator = pickle.loads(evaluator)
+        results = [copy.evaluate(config) for config in configs]
+    finally:
+        if collector is not None:
+            trace.stop_trace()
+    spans = collector.to_dicts() if collector is not None else []
+    return results, METRICS.delta_since(baseline), spans, os.getpid()
 
 
 class PooledBatchEvaluator:
-    """Order-preserving batch map over a reusable worker pool.
+    """Order-preserving batch map: serial, or over a reusable process pool.
 
     Serial when ``max_workers <= 1``; otherwise a lazily-created
-    ``ThreadPoolExecutor`` or ``ProcessPoolExecutor`` that is kept open across
-    batches (hill climbing evaluates one batch per generation, and forking a
-    fresh process pool per generation would dominate the runtime).  Evaluation
-    is pure and ``Executor.map`` yields in submission order, so the produced
-    report is identical under any worker count and executor kind.  Call
-    :meth:`close` (or use as a context manager) when done.
+    ``ProcessPoolExecutor`` that is kept open across batches (hill climbing
+    evaluates one batch per generation, and forking a fresh pool per
+    generation would dominate the runtime).  Each worker's metrics delta is
+    absorbed into this process's registry and its spans are grafted under
+    the span open here (the ``search`` span of :func:`repro.autotune.tune`).
+    Evaluation is pure and chunks come back in submission order, so the
+    report is identical under any worker count.  Call :meth:`close` (or use
+    as a context manager) when done.
     """
 
-    def __init__(
-        self,
-        evaluator: ConfigurationEvaluator,
-        max_workers: int = 1,
-        executor: str = "thread",
-    ) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if executor == "process" and max_workers > 1:
-            try:
-                pickle.dumps(evaluator)
-            except Exception as error:  # pickling raises a menagerie of types
-                warnings.warn(
-                    "process-based evaluation needs a picklable program/evaluator "
-                    f"({type(error).__name__}: {error}); falling back to threads",
-                    ExecutorFallbackWarning,
-                    stacklevel=3,
-                )
-                emit("executor.fallback", level="warning", error=type(error).__name__)
-                executor = "thread"
+    def __init__(self, evaluator: ConfigurationEvaluator, max_workers: int = 1) -> None:
         self.evaluator = evaluator
         self.max_workers = max_workers
-        self.executor = executor
-        self._pool: Optional[Executor] = None
-
-    def _ensure_pool(self) -> Executor:
-        if self._pool is None:
-            if self.executor == "process":
-                # fork is the fast path from the typical single-threaded
-                # caller (CLI, scripts); a caller that already runs other
-                # threads gets spawn instead — fork() from a multi-threaded
-                # process can clone a mid-acquire lock into the worker and
-                # deadlock it (spawn carries the standard caveat that the
-                # embedding program's main module must be importable).
-                method = "fork" if threading.active_count() == 1 else "spawn"
-                if method not in multiprocessing.get_all_start_methods():
-                    method = "spawn"
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=multiprocessing.get_context(method),
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pickled: Optional[bytes] = None
+        if max_workers > 1:
+            try:
+                self._pickled = pickle.dumps(evaluator)
+            except Exception as error:  # pickling raises a menagerie of types
+                warnings.warn(
+                    "parallel evaluation needs a picklable program/evaluator "
+                    f"({type(error).__name__}: {error}); evaluating serially",
+                    ExecutorFallbackWarning,
+                    stacklevel=2,
                 )
-            else:
-                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
+                emit("executor.fallback", level="warning", error=type(error).__name__)
+                self.max_workers = 1
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            # fork is the fast path from the typical single-threaded caller
+            # (CLI, scripts); a caller that already runs other threads gets
+            # spawn instead — fork() from a multi-threaded process can clone a
+            # mid-acquire lock into the worker and deadlock it (spawn carries
+            # the standard caveat that the embedding program's main module
+            # must be importable).
+            method = "fork" if threading.active_count() == 1 else "spawn"
+            if method not in multiprocessing.get_all_start_methods():
+                method = "spawn"
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                mp_context=multiprocessing.get_context(method),
+            )
         return self._pool
 
     def __call__(self, configs: Sequence[Configuration]) -> List[EvaluationResult]:
         configs = list(configs)
-        if not configs:
-            return []
-        if self.max_workers <= 1:
+        if self.max_workers <= 1 or not configs:
             return [self.evaluator.evaluate(c) for c in configs]
+        # One pickled (evaluator, chunk) round-trip per chunk, not per config.
+        size = max(1, math.ceil(len(configs) / (self.max_workers * 4)))
+        chunks = [configs[start : start + size] for start in range(0, len(configs), size)]
+        collector = trace.active_trace()
         pool = self._ensure_pool()
-        if self.executor == "process":
-            # One pickled (evaluator, chunk) round-trip per chunk, not per config.
-            chunksize = max(1, math.ceil(len(configs) / (self.max_workers * 4)))
-            return list(pool.map(self.evaluator.evaluate, configs, chunksize=chunksize))
-        return list(pool.map(self.evaluator.evaluate, configs))
+        futures = [
+            pool.submit(_evaluate_chunk, self._pickled, chunk, collector is not None)
+            for chunk in chunks
+        ]
+        results: List[EvaluationResult] = []
+        for future in futures:
+            chunk_results, delta, spans, pid = future.result()
+            results.extend(chunk_results)
+            METRICS.absorb(delta)
+            if collector is not None:
+                collector.graft(spans, source=pid)
+        return results
 
     def close(self) -> None:
         if self._pool is not None:
@@ -130,21 +152,6 @@ class PooledBatchEvaluator:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def make_batch_evaluator(
-    evaluator: ConfigurationEvaluator,
-    max_workers: int = 1,
-    executor: str = "thread",
-) -> PooledBatchEvaluator:
-    """Wrap an evaluator into an order-preserving (optionally parallel) batch map.
-
-    ``max_workers > 1`` fans batches out over a pool: ``executor="thread"``
-    (default) or ``"process"`` — the latter escapes the GIL for cold tuning
-    runs, falling back to threads with a ``RuntimeWarning`` when the evaluator
-    (typically its program) is not picklable.
-    """
-    return PooledBatchEvaluator(evaluator, max_workers=max_workers, executor=executor)
 
 
 class SearchStrategy:

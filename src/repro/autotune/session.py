@@ -1,11 +1,11 @@
 """The public autotuning API: :func:`autotune` and :func:`autotune_batch`.
 
 One call turns the staged compiler into an empirical tuning service: build
-the model-pruned configuration space, evaluate candidates (optionally in
-parallel) by replaying them through one shared
-:class:`repro.compiler.CompilationSession` (affine analysis runs once per
-request, not once per candidate), and return a :class:`TuningReport` whose
-best configuration can be replayed directly via
+the model-pruned configuration space, evaluate candidates (serially, or on
+a process pool whose workers send their metrics and spans back) by replaying
+them through one shared :class:`repro.compiler.CompilationSession` (affine
+analysis runs once per request, not once per candidate), and return a
+:class:`TuningReport` whose best configuration can be replayed directly via
 :meth:`CompilationSession.replay`.  With a :class:`TuningCache`,
 repeated requests are answered from disk with **zero** pipeline compiles
 (verifiable with :func:`repro.compiler.counting_compiles`).
@@ -32,12 +32,7 @@ from repro.autotune.backends import EvaluationBackend, resolve_backend
 from repro.autotune.cache import TuningCache, fingerprint
 from repro.autotune.distspace import DistributedSpace
 from repro.autotune.evaluate import ConfigurationEvaluator, EvaluationResult
-from repro.autotune.search import (
-    EXECUTORS,
-    SearchStrategy,
-    make_batch_evaluator,
-    resolve_strategy,
-)
+from repro.autotune.search import PooledBatchEvaluator, SearchStrategy, resolve_strategy
 from repro.autotune.space import ConfigurationSpace, SpaceOptions
 
 TUNING_REQUESTS_TOTAL = METRICS.counter(
@@ -141,18 +136,14 @@ class TuningJob:
     param_values: Optional[Mapping[str, int]] = None
     label: Optional[str] = None
 
-    @property
-    def name(self) -> str:
-        return self.label or self.program.name
-
 
 @dataclass(frozen=True)
 class TuningProblem:
     """*What* to tune: exactly the eleven ingredients of the request fingerprint.
 
     Everything that can change a request's answer is a field here and enters
-    the cache key; the resources a request runs with (workers, executor,
-    cache, history — the other keywords of :func:`tune`) never do.  The
+    the cache key; the resources a request runs with (workers, cache,
+    history — the other keywords of :func:`tune`) never do.  The
     backend identity is an ingredient: the same kernel tuned
     under ``model:`` and under ``measure-py:`` occupies two distinct cache
     keys (modelled and measured milliseconds are not comparable, so one must
@@ -280,7 +271,6 @@ def autotune(
     options: Optional[MappingOptions] = None,
     strategy: Union[str, SearchStrategy] = "pruned",
     max_workers: int = 1,
-    executor: str = "thread",
     cache: Union[TuningCache, str, Path, None] = None,
     seed: int = 0,
     space_options: Optional[SpaceOptions] = None,
@@ -298,12 +288,9 @@ def autotune(
         ``"exhaustive"``, ``"pruned"`` (default), ``"hillclimb"``, or a
         :class:`SearchStrategy` instance.
     max_workers:
-        Evaluate candidates on a pool of this size; the report is identical
-        for any worker count.
-    executor:
-        ``"thread"`` (default) or ``"process"`` — worker processes escape the
-        GIL for cold tuning runs (falling back to threads with a warning when
-        the program is not picklable).
+        Evaluate candidates on a process pool of this size (serially at 1,
+        the default, or with a warning when the program is not picklable);
+        the report is identical for any worker count.
     cache:
         A :class:`TuningCache`, or a store spec it accepts (a ``.json``
         path, ``dir:DIR`` or ``log:FILE``, each naming where the append log
@@ -359,7 +346,6 @@ def autotune(
             grid=grid,
         ),
         max_workers=max_workers,
-        executor=executor,
         cache=cache,
         history=history,
     )
@@ -368,30 +354,23 @@ def autotune(
 def tune(
     problem: TuningProblem,
     max_workers: int = 1,
-    executor: str = "thread",
     cache: Union[TuningCache, str, Path, None] = None,
     history: Union[HistoryStore, str, Path, None] = None,
 ) -> TuningReport:
     """Tune one :class:`TuningProblem` with the given resources.
 
     What :func:`autotune` (its keyword adapter, which documents every
-    parameter) and the service worker both run.  None of the four resource
+    parameter) and the service worker both run.  None of the three resource
     keywords can change the report, so none enters the fingerprint.
     """
     if max_workers <= 0:
         raise ValueError("max_workers must be positive")
-    if executor not in EXECUTORS:
-        raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     if cache is not None and not isinstance(cache, TuningCache):
         cache = TuningCache(cache)
     history = open_history(history)
     program, spec, seed, grid = problem.program, problem.spec, problem.seed, problem.grid
     started = time.perf_counter()
-    # fallback=True: candidate spans opened on evaluator pool threads adopt
-    # this span as their parent (see repro.telemetry.trace).
-    with trace.span(
-        "request", kind="request", kernel=program.name, fallback=True
-    ) as request_span:
+    with trace.span("request", kind="request", kernel=program.name) as request_span:
         # inside the span, so analysis is the first pass span of a trace
         _, options, strategy, backend, space, compile_session, key = problem.prepare()
         request_span.annotate(
@@ -448,12 +427,8 @@ def tune(
             backend=backend,
             grid=grid,
         )
-        with make_batch_evaluator(
-            evaluator, max_workers=max_workers, executor=executor
-        ) as evaluate_many:
-            with trace.span(
-                "search", kind="search", strategy=strategy.name, fallback=True
-            ):
+        with PooledBatchEvaluator(evaluator, max_workers=max_workers) as evaluate_many:
+            with trace.span("search", kind="search", strategy=strategy.name):
                 results = strategy.run(space, evaluate_many)
         if not results:
             raise ValueError("search strategy produced no evaluations")

@@ -72,19 +72,6 @@ class Phase:
     def hidden_comm_cycles(self) -> float:
         return max(0.0, self.comm_cycles - self.exposed_comm_cycles)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "compute_cycles": self.compute_cycles,
-            "comm_cycles": self.comm_cycles,
-            "exposed_comm_cycles": self.exposed_comm_cycles,
-            "hidden_comm_cycles": self.hidden_comm_cycles,
-            "elapsed_cycles": self.elapsed_cycles,
-            "overlapped": self.overlapped,
-            "steps": self.steps,
-            "meta": dict(self.meta),
-        }
-
 
 @dataclass(frozen=True)
 class PhaseSchedule:
@@ -95,10 +82,6 @@ class PhaseSchedule:
     @property
     def total_cycles(self) -> float:
         return sum(p.elapsed_cycles for p in self.phases)
-
-    @property
-    def compute_cycles(self) -> float:
-        return sum(p.compute_cycles for p in self.phases)
 
     @property
     def comm_cycles(self) -> float:
@@ -144,14 +127,3 @@ class PhaseSchedule:
         for name, value in seconds.items():
             DIST_PHASE_SECONDS.observe(value, phase=name)
         trace.annotate(dist_phases=seconds)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "phases": [p.to_dict() for p in self.phases],
-            "total_cycles": self.total_cycles,
-            "compute_cycles": self.compute_cycles,
-            "comm_cycles": self.comm_cycles,
-            "exposed_comm_cycles": self.exposed_comm_cycles,
-            "hidden_comm_cycles": self.hidden_comm_cycles,
-            "hidden_fraction": self.hidden_fraction,
-        }

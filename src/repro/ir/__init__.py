@@ -17,8 +17,6 @@ from repro.ir.expressions import (
     BinOp,
     Call,
     absolute,
-    maximum,
-    minimum,
 )
 from repro.ir.statements import Reference, Statement
 from repro.ir.ast import (
@@ -42,8 +40,6 @@ __all__ = [
     "BinOp",
     "Call",
     "absolute",
-    "maximum",
-    "minimum",
     "Reference",
     "Statement",
     "Node",

@@ -120,15 +120,6 @@ class ProgramBuilder:
         self._block_stack[-1].append(StatementNode(statement))
         return statement
 
-    def accumulate(
-        self,
-        lhs: Load,
-        rhs: Union[Expr, int, float, AffineExpr],
-        name: Optional[str] = None,
-    ) -> Statement:
-        """Shorthand for ``lhs += rhs``."""
-        return self.assign(lhs, rhs, reduction="+", name=name)
-
     # -- finalisation ---------------------------------------------------------------
     def build(self, validate: bool = True) -> Program:
         """Return the built program (validated by default)."""

@@ -281,13 +281,3 @@ class Call(Expr):
 def absolute(value) -> Call:
     """``abs(value)`` as an expression node."""
     return Call("abs", (as_expr(value),))
-
-
-def minimum(*values) -> Call:
-    """``min(values...)`` as an expression node."""
-    return Call("min", tuple(as_expr(v) for v in values))
-
-
-def maximum(*values) -> Call:
-    """``max(values...)`` as an expression node."""
-    return Call("max", tuple(as_expr(v) for v in values))

@@ -10,7 +10,7 @@ function for the analysis layers (data spaces, dependences).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.ir.arrays import Array
 from repro.ir.expressions import Expr, Load
@@ -33,12 +33,6 @@ class Reference:
     def rank(self) -> int:
         """Rank of the iterator part of the access function (paper's rank(F))."""
         return self.function.rank()
-
-    def data_space(self, domain: Polyhedron, output_dims: Optional[Sequence[str]] = None) -> Polyhedron:
-        """The data space touched by this reference over *domain* (``F · I``)."""
-        from repro.polyhedral.image import image_of_polyhedron
-
-        return image_of_polyhedron(domain, self.function, output_dims)
 
     def __str__(self) -> str:
         kind = "write" if self.is_write else "read"
@@ -108,9 +102,6 @@ class Statement:
 
     def write_reference(self) -> Reference:
         return Reference(self.lhs.array, self._function_for(self.lhs), is_write=True)
-
-    def references(self) -> List[Reference]:
-        return self.read_references() + [self.write_reference()]
 
     def arrays(self) -> List[Array]:
         """Distinct arrays accessed by this statement."""

@@ -50,19 +50,6 @@ class BlockWorkload:
     extra_block_syncs: float = 0.0
     element_size: int = 4
 
-    def scale(self, factor: float) -> "BlockWorkload":
-        """A workload with all totals multiplied by *factor* (per-instance rates kept)."""
-        return BlockWorkload(
-            compute_instances=self.compute_instances * factor,
-            global_accesses_per_instance=self.global_accesses_per_instance,
-            shared_accesses_per_instance=self.shared_accesses_per_instance,
-            copy_in_elements=self.copy_in_elements * factor,
-            copy_out_elements=self.copy_out_elements * factor,
-            copy_occurrences=self.copy_occurrences * factor,
-            extra_block_syncs=self.extra_block_syncs * factor,
-            element_size=self.element_size,
-        )
-
 
 @dataclass
 class KernelLaunch:

@@ -52,9 +52,6 @@ class RectangularHull:
                 )
         self._members = tuple(members)
         self._dims = dims
-        self._params = tuple(
-            dict.fromkeys(name for poly in members for name in poly.params)
-        )
         self._member_bounds: Tuple[Mapping[str, ParametricBound], ...] = tuple(
             _bounds or (MappingProxyType(parametric_bounds(poly)) for poly in members)
         )
@@ -83,29 +80,7 @@ class RectangularHull:
     def dims(self) -> Tuple[str, ...]:
         return self._dims
 
-    @property
-    def params(self) -> Tuple[str, ...]:
-        return self._params
-
-    @property
-    def members(self) -> Tuple[Polyhedron, ...]:
-        return self._members
-
     # -- symbolic bounds ----------------------------------------------------------
-    def lower_bound(self, dim: str) -> QuasiAffineBound:
-        """Conservative lower bound of the union along *dim* (a ``min`` of affines)."""
-        exprs = []
-        for bounds in self._member_bounds:
-            exprs.extend(bounds[dim].lower.exprs)
-        return QuasiAffineBound("min", tuple(exprs))
-
-    def upper_bound(self, dim: str) -> QuasiAffineBound:
-        """Conservative upper bound of the union along *dim* (a ``max`` of affines)."""
-        exprs = []
-        for bounds in self._member_bounds:
-            exprs.extend(bounds[dim].upper.exprs)
-        return QuasiAffineBound("max", tuple(exprs))
-
     @property
     def member_bounds(self) -> Tuple[Mapping[str, ParametricBound], ...]:
         """Per-member parametric bounds (one read-only mapping per member polyhedron)."""

@@ -37,7 +37,6 @@ from typing import Dict, Optional, Sequence
 from repro.telemetry import iter_spans, parse_prometheus_text, save_trace
 from repro.telemetry.events import LEVELS, configure as configure_events, emit
 from repro.autotune.request import add_request_arguments, request_from_args
-from repro.autotune.search import EXECUTORS
 from repro.autotune.session import TuningReport
 from repro.service.client import ServiceError, TuningClient
 from repro.service.protocol import (
@@ -46,7 +45,7 @@ from repro.service.protocol import (
     format_stage_counts,
     ordered_cache_stats,
 )
-from repro.service.server import TuningServer
+from repro.service.server import EXECUTORS, TuningServer
 
 DEFAULT_URL = "http://127.0.0.1:8037"
 

@@ -94,10 +94,6 @@ class PendingTuning:
         self._request = dict(request) if request else None
 
     @property
-    def deduplicated(self) -> bool:
-        return self.outcome == "deduplicated"
-
-    @property
     def cached(self) -> bool:
         return self.outcome == "cached"
 
@@ -130,9 +126,6 @@ class PendingTuning:
                 raise
             self._recover_evicted()
             return self.status()
-
-    def done(self) -> bool:
-        return self.status()["status"] in FINISHED_STATES
 
     def job(self, timeout: float = DEFAULT_JOB_TIMEOUT) -> Dict[str, Any]:
         """Block until finished; the raw job payload (report, compiles, …).

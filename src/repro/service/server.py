@@ -56,7 +56,6 @@ from repro.telemetry import METRICS
 from repro.telemetry.events import emit
 from repro.telemetry.history import HistoryRecord, HistoryStore, open_history, rollup
 from repro.autotune.cache import TuningCache
-from repro.autotune.search import EXECUTORS
 from repro.fleet.registry import FleetRegistry
 from repro.service.dashboard import render_dashboard
 from repro.service.jobs import JobTable, space_cost_estimate
@@ -75,6 +74,10 @@ FLEET_REDIRECTS_TOTAL = METRICS.counter(
     "Requests routed to their home server, by how the client was told.",
     labels=("mode",),  # redirect (a 307) | batch-redirect (a /tune/batch slot)
 )
+
+#: worker kinds of the job pool (a job's candidates evaluate serially or on
+#: its own process pool, see repro.autotune.search)
+EXECUTORS = ("thread", "process")
 
 #: ceiling on one long-poll /status wait — clients loop for longer waits, so
 #: a handler thread is never parked longer than this

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.telemetry.metrics import METRICS
 from repro.utils.durable import append_jsonl, file_lock, scan_jsonl
 
@@ -65,14 +63,29 @@ def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> float:
     """
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need two equal-length samples of at least 2 points")
-    ranks = []
-    for sample in (np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)):
-        _, inverse, counts = np.unique(sample, return_inverse=True, return_counts=True)
-        ranks.append((np.cumsum(counts) - (counts - 1) / 2.0)[inverse])  # ties share a mean rank
-    x, y = (rank - rank.mean() for rank in ranks)
-    if not x.any() or not y.any():
+    x, y = _average_ranks(xs), _average_ranks(ys)
+    mean = (len(x) + 1) / 2.0  # of any ranking of n points, ties or not
+    x, y = [r - mean for r in x], [r - mean for r in y]
+    xx, yy = sum(a * a for a in x), sum(b * b for b in y)
+    if not xx or not yy:
         return 1.0 if list(xs) == list(ys) else 0.0
-    return float(np.clip((x @ y) / math.sqrt((x @ x) * (y @ y)), -1.0, 1.0))
+    rho = sum(a * b for a, b in zip(x, y)) / math.sqrt(xx * yy)
+    return max(-1.0, min(1.0, rho))
+
+
+def _average_ranks(sample: Sequence[float]) -> List[float]:
+    """1-based ranks of ``sample``; tied values share their mean rank."""
+    order = sorted(range(len(sample)), key=lambda index: sample[index])
+    ranks = [0.0] * len(sample)
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and sample[order[end]] == sample[order[start]]:
+            end += 1
+        for index in order[start:end]:
+            ranks[index] = (start + end + 1) / 2.0  # mean of ranks start+1 .. end
+        start = end
+    return ranks
 
 
 @dataclass

@@ -173,11 +173,6 @@ class Gauge(_Metric):
         with self._lock:
             self._samples[key] = self._samples.get(key, 0.0) + amount
 
-    def value(self, **labels: Any) -> float:
-        key = self._labelset(labels)
-        with self._lock:
-            return float(self._samples.get(key, 0.0))
-
     def _render(self) -> List[str]:
         with self._lock:
             items = sorted(self._samples.items())
@@ -302,10 +297,6 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[_Metric]:
         with self._lock:
             return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
 
     # -- exposition --------------------------------------------------------------------
     def render(self) -> str:

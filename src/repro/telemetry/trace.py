@@ -14,11 +14,10 @@ shared no-op context manager, so the instrumentation points cost one
 attribute read and one ``is None`` test each (see the overhead guard in
 ``tests/test_telemetry.py``).
 
-The span stack is per-thread.  Spans opened on a thread with an empty stack
-(the parallel evaluator's pool workers) attach to the innermost open span
-that declared itself an *adoption point* (``fallback=True`` — the request
-and search spans do), so pool-evaluated candidates still nest under the
-request that spawned them.
+The span stack is per-thread.  Spans recorded in another process (the
+parallel evaluator's pool workers) come back as dicts and are grafted under
+the span open where they were awaited (:meth:`TraceCollector.graft`), so
+pool-evaluated candidates still nest under the search that spawned them.
 
 Completed trees export as nested JSON (:func:`save_trace` — the ``--trace
 FILE`` format), JSONL (:func:`to_jsonl`), and Chrome ``trace_event`` JSON
@@ -60,9 +59,8 @@ __all__ = [
 ]
 
 
-# eq=False keeps identity comparison: the collector removes spans from its
-# adoption-point list by identity, and field-wise comparison of trees would
-# be both wrong and expensive there.
+# eq=False keeps identity comparison: field-wise comparison of span trees
+# would be both wrong and expensive.
 @dataclass(eq=False)
 class Span:
     """One timed operation: name, kind, wall time, attributes, children."""
@@ -73,7 +71,8 @@ class Span:
     end_s: Optional[float] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
     children: List["Span"] = field(default_factory=list)
-    #: small per-collector thread ordinal (0 = the thread that started tracing)
+    #: small per-collector thread ordinal (0 = the thread that started tracing;
+    #: each grafted worker process gets one of its own)
     tid: int = 0
 
     @property
@@ -142,9 +141,7 @@ class TraceCollector:
         self.trace_id: str = uuid.uuid4().hex[:16]
         self._local = threading.local()
         self._lock = threading.Lock()
-        #: open spans that adopt orphan (cross-thread) spans, innermost last
-        self._adoption_points: List[Span] = []
-        self._thread_ids: Dict[int, int] = {}
+        self._thread_ids: Dict[Any, int] = {}
 
     # -- span stack --------------------------------------------------------------------
     def _stack(self) -> List[Span]:
@@ -153,8 +150,9 @@ class TraceCollector:
             stack = self._local.stack = []
         return stack
 
-    def _tid(self) -> int:
-        ident = threading.get_ident()
+    def _tid(self, ident: Any = None) -> int:
+        if ident is None:
+            ident = threading.get_ident()
         with self._lock:
             if ident not in self._thread_ids:
                 self._thread_ids[ident] = len(self._thread_ids)
@@ -164,22 +162,13 @@ class TraceCollector:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def _parent_for_new_span(self) -> Optional[Span]:
-        parent = self.current()
-        if parent is not None:
-            return parent
-        with self._lock:
-            return self._adoption_points[-1] if self._adoption_points else None
-
     def _attach(self, parent: Optional[Span], child: Span) -> None:
         with self._lock:
             (self.roots if parent is None else parent.children).append(child)
 
     @contextlib.contextmanager
-    def span(
-        self, name: str, kind: str = "span", fallback: bool = False, **attrs: Any
-    ) -> Iterator[Span]:
-        parent = self._parent_for_new_span()
+    def span(self, name: str, kind: str = "span", **attrs: Any) -> Iterator[Span]:
+        parent = self.current()
         item = Span(
             name=name,
             kind=kind,
@@ -190,19 +179,12 @@ class TraceCollector:
         self._attach(parent, item)
         stack = self._stack()
         stack.append(item)
-        if fallback:
-            with self._lock:
-                self._adoption_points.append(item)
         try:
             yield item
         finally:
             item.end_s = time.perf_counter()
             if stack and stack[-1] is item:
                 stack.pop()
-            if fallback:
-                with self._lock:
-                    if item in self._adoption_points:
-                        self._adoption_points.remove(item)
 
     def record(
         self, name: str, kind: str, duration_s: float, **attrs: Any
@@ -217,8 +199,20 @@ class TraceCollector:
             attrs=dict(attrs),
             tid=self._tid(),
         )
-        self._attach(self._parent_for_new_span(), item)
+        self._attach(self.current(), item)
         return item
+
+    def graft(self, payloads: Sequence[Mapping[str, Any]], source: Any) -> None:
+        """Attach span trees another process shipped as dicts (``source``
+        names it) under this thread's current span, on a thread ordinal of
+        their own."""
+        tid = self._tid(("process", source))
+        parent = self.current()
+        for payload in payloads:
+            item = Span.from_dict(payload)
+            for grafted, _depth in iter_spans([item]):
+                grafted.tid = tid
+            self._attach(parent, item)
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         with self._lock:
@@ -269,12 +263,12 @@ def capture_trace() -> Iterator[TraceCollector]:
                 _ACTIVE = None
 
 
-def span(name: str, kind: str = "span", fallback: bool = False, **attrs: Any):
+def span(name: str, kind: str = "span", **attrs: Any):
     """Open a child span of the current one (a shared no-op when not tracing)."""
     collector = _ACTIVE
     if collector is None:
         return _NULL_CM
-    return collector.span(name, kind=kind, fallback=fallback, **attrs)
+    return collector.span(name, kind=kind, **attrs)
 
 
 def current_span():

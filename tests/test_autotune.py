@@ -236,29 +236,51 @@ class TestAutotuneSession:
         assert parallel.to_dict() == serial.to_dict()
 
     def test_process_pool_report_identical_to_serial(self, matmul):
-        serial = autotune(matmul, space_options=SMALL_SPACE, max_workers=1)
-        processes = autotune(
-            matmul, space_options=SMALL_SPACE, max_workers=2, executor="process"
-        )
-        assert processes.to_dict() == serial.to_dict()
+        """Workers send their metrics and spans home: the pool's report,
+        compile count, stage counts and traced (kind, name) multiset are the
+        serial run's, every candidate nested under the search span."""
+        from collections import Counter
 
-    def test_process_pool_hybrid_report_matches_threads(self):
-        """Pool workers receive pickled sessions whose copy loops are not yet
-        scanned; the spot-checks they run and the lowerings the re-rank
-        measures splice them on demand, so the report is the thread
-        executor's, every counted time included: the crown (and so the one
-        spot-checked verdict) cannot depend on which run was faster."""
+        from repro.compiler import counting_stage_runs
+        from repro.telemetry import trace
+
         kernel = get_kernel("matmul")
 
-        def tuned(executor):
+        def tuned(workers):
+            with trace.capture_trace() as collector, counting_compiles() as compiles, \
+                    counting_stage_runs() as stages:
+                report = autotune(
+                    matmul, space_options=SMALL_SPACE, max_workers=workers,
+                    check_correctness=True, check_program=kernel.build_check(),
+                )
+            (request,) = collector.roots
+            (search,) = [s for s in request.children if s.kind == "search"]
+            spans = Counter((s.kind, s.name) for s, _ in trace.iter_spans(collector.roots))
+            under_search = Counter((s.kind, s.name) for s, _ in trace.iter_spans([search]))
+            assert spans[("candidate", "candidate")] == report.num_evaluations
+            assert under_search[("candidate", "candidate")] == report.num_evaluations
+            return report.to_dict(), compiles.count, stages.counts, spans, under_search
+
+        serial, parallel = tuned(1), tuned(2)
+        assert serial[1] > 0
+        assert parallel == serial
+
+    def test_process_pool_hybrid_report_matches_serial(self):
+        """Pool workers receive pickled sessions whose copy loops are not yet
+        scanned; the spot-checks they run and the lowerings the re-rank
+        measures splice them on demand, so the report is the serial one,
+        every counted time included: the crown (and so the one spot-checked
+        verdict) cannot depend on which run was faster."""
+        kernel = get_kernel("matmul")
+
+        def tuned(workers):
             report = autotune(
                 kernel.build(m=16, n=16, k=16),
                 space_options=SMALL_SPACE,
                 backend="hybrid:model>measure-py?top=2",
                 check_correctness=True,
                 check_program=kernel.build_check(),
-                max_workers=2,
-                executor=executor,
+                max_workers=workers,
             )
             assert not report.from_cache
             return [
@@ -270,12 +292,13 @@ class TestAutotuneSession:
                 for r in (report.baseline, *report.results)
             ]
 
-        assert tuned("process") == tuned("thread")
+        assert tuned(2) == tuned(1)
 
-    def test_unpicklable_evaluator_falls_back_to_threads(self, matmul, monkeypatch):
+    def test_unpicklable_evaluator_is_evaluated_serially(self, matmul, monkeypatch):
         import io
+        import threading
 
-        from repro.autotune import make_batch_evaluator
+        from repro.autotune import PooledBatchEvaluator
         from repro.autotune.space import ConfigurationSpace
         from repro.telemetry import events
 
@@ -283,17 +306,22 @@ class TestAutotuneSession:
         monkeypatch.setattr(events, "EVENTS", events.EventLog(json_mode=True, stream=stream))
         evaluator = ConfigurationEvaluator(matmul)
         evaluator.poison = lambda: None  # lambdas cannot pickle
-        with pytest.warns(RuntimeWarning, match="falling back to threads"):
-            batch = make_batch_evaluator(evaluator, max_workers=2, executor="process")
-        assert batch.executor == "thread"
+        with pytest.warns(RuntimeWarning, match="evaluating serially"):
+            batch = PooledBatchEvaluator(evaluator, max_workers=2)
+        assert batch.max_workers == 1
         # the fallback also speaks through the event log, at the default threshold
         (record,) = [json.loads(line) for line in stream.getvalue().splitlines()]
         assert record["event"] == "executor.fallback" and record["level"] == "warning"
         assert record["error"] in ("PicklingError", "AttributeError", "TypeError")
         space = ConfigurationSpace(matmul, space_options=SMALL_SPACE)
+        evaluated_on = []
+        evaluate = evaluator.evaluate
+        evaluator.evaluate = lambda config: evaluated_on.append(threading.get_ident()) or evaluate(config)
         with batch:
-            results = batch([space.seed_configuration()])
-        assert len(results) == 1 and results[0].feasible
+            results = batch(space.enumerate()[:3])
+        assert batch._pool is None  # no pool was ever started
+        assert evaluated_on == [threading.get_ident()] * 3
+        assert len(results) == 3 and all(r.feasible for r in results)
 
     def test_hillclimb_is_seeded_and_parallel_safe(self, matmul):
         strategy = RandomHillClimbSearch(seed=11, restarts=1, max_steps=1)
@@ -374,14 +402,14 @@ class TestAutotuneSession:
         problem_fields = [f.name for f in dataclasses.fields(TuningProblem)]
         resources = list(inspect.signature(tune).parameters)[1:]
         keywords = list(inspect.signature(autotune).parameters)
-        assert len(problem_fields) == 11 and len(resources) == 4
+        assert len(problem_fields) == 11 and len(resources) == 3
         assert sorted(keywords) == sorted(problem_fields + resources)
 
     def test_invalid_inputs_rejected(self, matmul):
         with pytest.raises(ValueError):
             autotune(matmul, max_workers=0)
-        with pytest.raises(ValueError, match="executor"):
-            autotune(matmul, executor="mpi")
+        with pytest.raises(TypeError, match="executor"):
+            autotune(matmul, executor="process")  # resources are workers, cache, history
         with pytest.raises(ValueError):
             resolve_strategy("simulated-annealing")
         with pytest.raises(TypeError):

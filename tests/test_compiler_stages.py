@@ -22,10 +22,10 @@ from repro.autotune import (
     ConfigurationEvaluator,
     ConfigurationSpace,
     ModelBackend,
+    PooledBatchEvaluator,
     RandomHillClimbSearch,
     SpaceOptions,
     TuningCache,
-    make_batch_evaluator,
 )
 from repro.autotune.space import Configuration
 from repro.ir.printer import program_to_c
@@ -328,7 +328,7 @@ def _hillclimb(reuse_analysis: bool):
             program, session=session, backend=None if reuse_analysis else MonolithicModelBackend()
         )
         strategy = RandomHillClimbSearch(seed=2008, restarts=6, max_steps=8)
-        results = strategy.run(space, make_batch_evaluator(evaluator))
+        results = strategy.run(space, PooledBatchEvaluator(evaluator))
         seconds = time.perf_counter() - start
     return results, dict(runs.counts), seconds
 

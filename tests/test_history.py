@@ -238,6 +238,29 @@ class TestAnalysis:
         if len(set(xs)) > 1 and len(set(ys)) > 1:
             assert spearman_rho(xs, ys) == pytest.approx(stats.spearmanr(xs, ys).statistic, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            ),
+            min_size=2,
+            max_size=40,
+            unique_by=(lambda pair: pair[0], lambda pair: pair[1]),
+        )
+    )
+    def test_spearman_matches_scipy_without_ties(self, pairs):
+        from scipy import stats
+
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        assert spearman_rho(xs, ys) == pytest.approx(stats.spearmanr(xs, ys).statistic, abs=1e-12)
+
+    def test_spearman_needs_no_numpy(self):
+        import repro.telemetry.history as history_module
+
+        assert "numpy" not in history_module.__dict__ and "np" not in history_module.__dict__
+
 
 # -- autotune integration ----------------------------------------------------------
 class TestAutotuneHistory:
