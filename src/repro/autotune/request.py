@@ -60,6 +60,7 @@ class TuneRequest:
     strategy: str = "pruned"
     seed: int = 0
     #: parallel-evaluation fan-out *inside* the worker executing this job
+    #: (a process worker forks it; a thread worker evaluates serially)
     eval_workers: int = 1
     check_correctness: bool = False
     #: optional :meth:`MappingOptions.to_dict` payload

@@ -21,9 +21,11 @@ their picklable spec (scheme + knobs + derived session) and drop any
 transient prepared state (performance models, toolchain paths), lazily
 re-preparing in the worker.  Each worker sends back, with its results, the
 metrics delta and the spans its chunk produced, so compile counts, stage
-counts and traces read as they would serially.  An evaluator whose program
-or backend cannot pickle is evaluated serially with
-:class:`ExecutorFallbackWarning`.
+counts and traces read as they would serially.  The pool forks, so it serves
+a single-threaded caller (the CLI, a script, a service job worker process);
+an evaluator whose program or backend cannot pickle, or a caller that runs
+other threads (a ``TuningService(executor="thread")`` job), is evaluated
+serially with :class:`ExecutorFallbackWarning`.
 """
 
 from __future__ import annotations
@@ -74,10 +76,10 @@ def _evaluate_chunk(
 class PooledBatchEvaluator:
     """Order-preserving batch map: serial, or over a reusable process pool.
 
-    Serial when ``max_workers <= 1``; otherwise a lazily-created
-    ``ProcessPoolExecutor`` that is kept open across batches (hill climbing
-    evaluates one batch per generation, and forking a fresh pool per
-    generation would dominate the runtime).  Each worker's metrics delta is
+    Serial when ``max_workers <= 1``; otherwise a lazily-created, forked
+    ``ProcessPoolExecutor`` kept open across batches (hill climbing evaluates
+    one batch per generation, and forking a fresh pool per generation would
+    dominate the runtime).  Each worker's metrics delta is
     absorbed into this process's registry and its spans are grafted under
     the span open here (the ``search`` span of :func:`repro.autotune.tune`).
     Evaluation is pure and chunks come back in submission order, so the
@@ -90,33 +92,41 @@ class PooledBatchEvaluator:
         self.max_workers = max_workers
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pickled: Optional[bytes] = None
-        if max_workers > 1:
+        if max_workers <= 1:
+            return
+        # fork() from a multi-threaded process can clone a mid-acquire lock
+        # into the worker and deadlock it, and a spawned pool re-imports the
+        # package in every worker: called from a worker thread on a 2-core
+        # machine, a 36-candidate matmul 64³ tune on two spawned workers took
+        # 0.92–1.15 s, serially 0.21–0.34 s.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            self._fall_back("this platform cannot fork worker processes", reason="no-fork")
+        elif threading.active_count() > 1:
+            self._fall_back(
+                f"the caller runs {threading.active_count()} threads and cannot "
+                "safely fork worker processes",
+                reason="threads",
+            )
+        else:
             try:
                 self._pickled = pickle.dumps(evaluator)
             except Exception as error:  # pickling raises a menagerie of types
-                warnings.warn(
+                self._fall_back(
                     "parallel evaluation needs a picklable program/evaluator "
-                    f"({type(error).__name__}: {error}); evaluating serially",
-                    ExecutorFallbackWarning,
-                    stacklevel=2,
+                    f"({type(error).__name__}: {error})",
+                    reason="unpicklable",
+                    error=type(error).__name__,
                 )
-                emit("executor.fallback", level="warning", error=type(error).__name__)
-                self.max_workers = 1
+
+    def _fall_back(self, why: str, **fields: Any) -> None:
+        warnings.warn(f"{why}; evaluating serially", ExecutorFallbackWarning, stacklevel=3)
+        emit("executor.fallback", level="warning", **fields)
+        self.max_workers = 1
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # fork is the fast path from the typical single-threaded caller
-            # (CLI, scripts); a caller that already runs other threads gets
-            # spawn instead — fork() from a multi-threaded process can clone a
-            # mid-acquire lock into the worker and deadlock it (spawn carries
-            # the standard caveat that the embedding program's main module
-            # must be importable).
-            method = "fork" if threading.active_count() == 1 else "spawn"
-            if method not in multiprocessing.get_all_start_methods():
-                method = "spawn"
             self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=multiprocessing.get_context(method),
+                max_workers=self.max_workers, mp_context=multiprocessing.get_context("fork")
             )
         return self._pool
 

@@ -288,9 +288,10 @@ def autotune(
         ``"exhaustive"``, ``"pruned"`` (default), ``"hillclimb"``, or a
         :class:`SearchStrategy` instance.
     max_workers:
-        Evaluate candidates on a process pool of this size (serially at 1,
-        the default, or with a warning when the program is not picklable);
-        the report is identical for any worker count.
+        Evaluate candidates on a forked process pool of this size (serially
+        at 1, the default, or with a warning when the program is not
+        picklable or the caller runs other threads); the report is
+        identical for any worker count.
     cache:
         A :class:`TuningCache`, or a store spec it accepts (a ``.json``
         path, ``dir:DIR`` or ``log:FILE``, each naming where the append log

@@ -46,6 +46,10 @@ def execute_request(
     having the process to themselves).
     """
     request = TuneRequest.from_dict(payload)
+    # ``eval_workers > 1`` forks an evaluation pool from a process worker; a
+    # thread worker shares the server's threads, so tune() evaluates its
+    # candidates serially (with ExecutorFallbackWarning) and the report is
+    # the same.
     # Built against the server's machine spec (GPUSpec is a frozen dataclass
     # and pickles to process workers) so the report and its fingerprint match
     # the key the server deduplicated and will answer under.  No analysis

@@ -17,6 +17,7 @@ from repro.autotune import (
     ConfigurationEvaluator,
     ConfigurationSpace,
     EvaluationResult,
+    ExecutorFallbackWarning,
     ExhaustiveSearch,
     PrunedGridSearch,
     RandomHillClimbSearch,
@@ -248,7 +249,8 @@ class TestAutotuneSession:
 
         def tuned(workers):
             with trace.capture_trace() as collector, counting_compiles() as compiles, \
-                    counting_stage_runs() as stages:
+                    counting_stage_runs() as stages, warnings.catch_warnings():
+                warnings.simplefilter("error", ExecutorFallbackWarning)  # the pool really runs
                 report = autotune(
                     matmul, space_options=SMALL_SPACE, max_workers=workers,
                     check_correctness=True, check_program=kernel.build_check(),
@@ -270,18 +272,28 @@ class TestAutotuneSession:
         scanned; the spot-checks they run and the lowerings the re-rank
         measures splice them on demand, so the report is the serial one,
         every counted time included: the crown (and so the one spot-checked
-        verdict) cannot depend on which run was faster."""
+        verdict) cannot depend on which run was faster.
+
+        The stage counts differ, and this pins by how much: the re-rank runs
+        in the parent after the search, and the mapped artifacts of its
+        K + 1 re-measured candidates stayed in the workers, so the parent
+        runs tiling, scratchpad and mapping once more for each of them."""
+        from repro.compiler import counting_stage_runs
+
         kernel = get_kernel("matmul")
+        top = 2
 
         def tuned(workers):
-            report = autotune(
-                kernel.build(m=16, n=16, k=16),
-                space_options=SMALL_SPACE,
-                backend="hybrid:model>measure-py?top=2",
-                check_correctness=True,
-                check_program=kernel.build_check(),
-                max_workers=workers,
-            )
+            with warnings.catch_warnings(), counting_stage_runs() as stages:
+                warnings.simplefilter("error", ExecutorFallbackWarning)
+                report = autotune(
+                    kernel.build(m=16, n=16, k=16),
+                    space_options=SMALL_SPACE,
+                    backend=f"hybrid:model>measure-py?top={top}",
+                    check_correctness=True,
+                    check_program=kernel.build_check(),
+                    max_workers=workers,
+                )
             assert not report.from_cache
             return [
                 (
@@ -290,9 +302,12 @@ class TestAutotuneSession:
                     r.measurement.metadata.get("model_time_ms", r.time_ms),
                 )
                 for r in (report.baseline, *report.results)
-            ]
+            ], dict(stages.counts)
 
-        assert tuned(2) == tuned(1)
+        (parallel, parallel_stages), (serial, serial_stages) = tuned(2), tuned(1)
+        assert parallel == serial
+        rederived = {stage: serial_stages[stage] + top + 1 for stage in ("tiling", "scratchpad", "mapping")}
+        assert parallel_stages == {**serial_stages, **rederived}
 
     def test_unpicklable_evaluator_is_evaluated_serially(self, matmul, monkeypatch):
         import io

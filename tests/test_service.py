@@ -618,6 +618,72 @@ class TestProcessPool:
             server.stop()
 
 
+# -- evaluation workers inside a job ------------------------------------------------
+def _spans(roots):
+    from repro.telemetry.trace import Span, iter_spans
+
+    return [span for span, _ in iter_spans([Span.from_dict(root) for root in roots])]
+
+
+def _kinds(spans):
+    from collections import Counter
+
+    return Counter((span.kind, span.name) for span in spans)
+
+
+class TestEvaluationWorkers:
+    """``eval_workers > 1`` fans a job's candidates out inside the worker that
+    runs it.  Either way the job reads as its serial twin: same report,
+    compiles and stage counts, and (traced) the same spans under ``search``."""
+
+    def test_thread_job_evaluates_serially_with_a_warning(self, monkeypatch):
+        from repro.autotune import ExecutorFallbackWarning
+
+        stream = io.StringIO()
+        monkeypatch.setattr(events, "EVENTS", events.EventLog(json_mode=True, stream=stream))
+
+        def run(workers):
+            service = TuningService(executor="thread", max_workers=1)
+            request = matmul_request(m=16, space=WIDE_SPACE, eval_workers=workers, check_correctness=True)
+            job, _outcome = service.submit(request.to_dict())
+            service.drain()
+            job = service.job(job.id)
+            assert job.status == "done"
+            return job.report, job.compiles, job.stages
+
+        # the job thread shares this process with the server's threads: no fork
+        with pytest.warns(ExecutorFallbackWarning, match="threads"):
+            parallel = run(2)
+        serial = run(1)
+        assert serial[1] > 0 and parallel == serial
+        fallbacks = [
+            record for record in map(json.loads, stream.getvalue().splitlines())
+            if record["event"] == "executor.fallback"
+        ]
+        assert [record["reason"] for record in fallbacks] == ["threads"]
+
+    def test_process_job_forks_its_pool_and_ships_everything_home(self, tmp_path):
+        request = matmul_request(m=16, space=WIDE_SPACE, check_correctness=True, trace=True)
+        serial = execute_request(request.to_dict())  # eval_workers=1, in this process
+        server = TuningServer(port=0, executor="process", max_workers=1).start()
+        try:
+            client = TuningClient(server.url)
+            job = client.submit(TuneRequest(**{**request.to_dict(), "eval_workers": 2})).job(timeout=300)
+        finally:
+            server.stop()
+        assert job["status"] == "done"
+        assert (job["report"], job["compiles"], job["stages"]) == (
+            serial["report"], serial["compiles"], serial["stages"]
+        )
+        spans = _spans(job["trace"])
+        assert _kinds(spans) == _kinds(_spans(serial["trace"]))
+        (search,) = [span for span in spans if span.kind == "search"]
+        candidates = [span for span in _spans([search.to_dict()]) if span.kind == "candidate"]
+        assert len(candidates) == len(job["report"]["results"]) > 1
+        # grafted from the job's own pool workers, not evaluated on its thread
+        assert search.tid not in {candidate.tid for candidate in candidates}
+
+
 # -- tuning history and the fleet dashboard ----------------------------------------
 class TestServiceHistory:
     def test_thread_server_appends_exactly_one_record_per_job(self, tmp_path):
