@@ -16,8 +16,8 @@ machine.  This package supplies that empirical layer as a reusable service:
 * :mod:`repro.autotune.evaluate` — costs a configuration by replaying it
   through a shared :class:`repro.compiler.CompilationSession` (affine
   analysis runs once per request, candidates replay from the tiling stage)
-  and the selected backend, and spot-checks the crowned winner through the
-  interpreter on request;
+  and the selected backend, and spot-checks the crowned winner on request
+  (``measure-py`` runs it, the other backends interpret it);
 * :mod:`repro.autotune.search` — exhaustive / pruned-grid / random-restart
   hill-climb strategies with order-preserving parallel evaluation;
 * :mod:`repro.autotune.cache` — persistent fingerprint-keyed cache facade, so

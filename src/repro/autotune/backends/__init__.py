@@ -25,6 +25,7 @@ from repro.autotune.backends.base import (
     parse_backend_uri,
     register_backend,
     resolve_backend,
+    seeded_inputs,
     split_options,
 )
 from repro.autotune.backends.hybrid import HybridBackend
@@ -45,5 +46,6 @@ __all__ = [
     "parse_backend_uri",
     "register_backend",
     "resolve_backend",
+    "seeded_inputs",
     "split_options",
 ]

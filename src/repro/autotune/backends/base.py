@@ -15,6 +15,9 @@ two.  Every answer implements :class:`EvaluationBackend`:
   :class:`~repro.autotune.space.Configuration`; returns a
   :class:`Measurement` (never raises for an infeasible mapping — feasibility
   is part of the result, so search strategies can treat evaluation as total).
+* :meth:`~EvaluationBackend.check` — called on a spot-checked request's
+  would-be winner; a backend that ran the winner decides its ``correct``
+  from that run, the others answer ``None`` and the evaluator interprets.
 
 Backends are selected by URI (see :func:`parse_backend_uri`)::
 
@@ -35,7 +38,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
+import numpy as np
+
 from repro.compiler import CompilationSession
+from repro.ir.program import Program
 from repro.machine.spec import GPUSpec, GridSpec
 from repro.telemetry import trace
 from repro.telemetry.events import EVENTS
@@ -52,6 +58,17 @@ MEASURE_MEMO_TOTAL = METRICS.counter(
     "per-request measurement-memo lookups by outcome",
     labels=("outcome",),
 )
+
+
+def seeded_inputs(program: Program, seed: int) -> Dict[str, np.ndarray]:
+    """Seeded random values for every global array of ``program`` (a spot-check's inputs)."""
+    rng = np.random.default_rng(seed)
+    return {
+        array.name: rng.random(tuple(array.shape))
+        for array in program.arrays.values()
+        if not array.is_local
+    }
+
 
 class BackendUnavailable(RuntimeError):
     """The backend cannot run on this host (e.g. no C toolchain).
@@ -284,6 +301,12 @@ class EvaluationBackend:
         from repro.autotune.evaluate import best_result
 
         return best_result(results)
+
+    def check(self, configuration: Any) -> Optional[bool]:
+        """Whether the would-be winner ``configuration`` computes what the
+        program does, or ``None`` when this backend cannot tell — the
+        evaluator then interprets its check program (the default)."""
+        return None
 
     # -- identity ----------------------------------------------------------------
     def signature(self) -> Dict[str, Any]:

@@ -185,6 +185,10 @@ class HybridBackend(EvaluationBackend):
         ]
         return best_result(measured if measured else results)
 
+    def check(self, configuration: Any) -> Optional[bool]:
+        """The measuring backend ran the winner, so it is the one to check it."""
+        return self.secondary.check(configuration)
+
     # -- identity ----------------------------------------------------------------
     def signature(self) -> Dict[str, Any]:
         return {

@@ -18,12 +18,13 @@ Measurement` — ``measurement.kind`` records whether the time was modelled or
 measured, and travels into reports and the persistent cache.
 
 With ``check_correctness`` enabled, :meth:`ConfigurationEvaluator.select`
-spot-checks the winner before crowning it: its mapped check program is run
-through the reference interpreter against the original program on small
-seeded random inputs — the same oracle the repo's transformation tests use.
-A wrong winner is marked ``correct=False`` and selection starts over, so
-only the candidates the backend would crown are ever interpreted; the rest
-keep ``correct=None``.
+spot-checks the winner before crowning it.  A backend that ran it decides:
+``measure-py:`` (alone or as a hybrid's secondary) runs the winner's lowering
+once on seeded inputs at the tuned size against the unmapped program's.  For
+the others the mapped check program is interpreted against the original on
+small seeded inputs — the oracle the repo's transformation tests use.  A
+wrong winner is marked ``correct=False`` and selection starts over, so only
+candidates the backend would crown are checked; the rest keep ``correct=None``.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from repro.machine.spec import GEFORCE_8800_GTX, GPUSpec, GridSpec
 from repro.runtime.interpreter import run_program
 from repro.telemetry import trace
 from repro.telemetry.metrics import METRICS
-from repro.autotune.backends import EvaluationBackend, Measurement, resolve_backend
+from repro.autotune.backends import EvaluationBackend, Measurement, resolve_backend, seeded_inputs
 from repro.autotune.space import Configuration
 
 SPOT_CHECKS_TOTAL = METRICS.counter(
     "repro_spot_checks_total",
-    "interpreted spot-checks of would-be winners by verdict",
+    "spot-checks of would-be winners by verdict",
     labels=("verdict",),
 )
 
@@ -263,8 +264,7 @@ class ConfigurationEvaluator:
             best = self.backend.select_best(finalized)
             if not self.check_correctness:
                 return finalized, best
-            with trace.span("spot-check", kind="check"):
-                best.correct = self.spot_check(best.configuration)
+            best.correct = self.spot_check(best.configuration)
             SPOT_CHECKS_TOTAL.inc(verdict="pass" if best.correct else "fail")
             if best.correct:
                 return finalized, best
@@ -273,6 +273,14 @@ class ConfigurationEvaluator:
                     result.correct = False
 
     def spot_check(self, config: Configuration) -> bool:
+        """The backend's verdict on ``config`` or, when it has none, the interpreter's."""
+        self._ensure_prepared()
+        with trace.span("spot-check", kind="check") as item:
+            verdict = self.backend.check(config)
+            item.annotate(method="interpreted" if verdict is None else "run")
+            return self._interpreted_check(config) if verdict is None else verdict
+
+    def _interpreted_check(self, config: Configuration) -> bool:
         """Interpret the mapped small-size program against the reference."""
         program = self.check_program
         with self._lock:
@@ -284,7 +292,7 @@ class ConfigurationEvaluator:
                 # The reference program and its seeded inputs are the same for
                 # every candidate: interpret it once and keep the arrays
                 # read-only (run_program copies its inputs before writing).
-                inputs = self._random_inputs(program)
+                inputs = seeded_inputs(program, self.seed)
                 outputs = run_program(program, inputs=inputs)
                 expected = {name: outputs.data(name) for name in inputs}
                 for array in (*inputs.values(), *expected.values()):
@@ -298,14 +306,6 @@ class ConfigurationEvaluator:
             np.allclose(reference, transformed.data(name))
             for name, reference in expected.items()
         )
-
-    def _random_inputs(self, program: Program) -> Dict[str, np.ndarray]:
-        rng = np.random.default_rng(self.seed)
-        return {
-            array.name: rng.random(tuple(array.shape))
-            for array in program.arrays.values()
-            if not array.is_local
-        }
 
 
 def best_result(results: List[EvaluationResult]) -> EvaluationResult:

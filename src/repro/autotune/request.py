@@ -275,9 +275,10 @@ def add_request_arguments(
     parser.add_argument(
         "--check",
         action="store_true",
-        help="spot-check the winner through the interpreter before it is "
-        "crowned, falling back to the next candidate when it is wrong "
-        "(at the kernel's small verification size)",
+        help="spot-check the winner before it is crowned, falling back to "
+        "the next candidate when it is wrong: a measure-py backend runs the "
+        "winner's lowering at the tuned size against the unmapped program's, "
+        "the others interpret it at the kernel's small verification size",
     )
     parser.add_argument(
         "--threads",

@@ -301,11 +301,13 @@ def autotune(
         Drives every randomised search path (and the correctness spot-check
         and measured-backend inputs), making runs reproducible.
     check_correctness / check_program:
-        Also verify the winner through the reference interpreter (against
-        ``check_program`` when the tuned problem is too large to interpret)
-        before it is crowned; a wrong winner is marked ``correct=False`` and
-        the next candidate in the backend's order is checked instead.  Only
-        checked results carry a verdict, the others keep ``correct=None``.
+        Also verify the winner before it is crowned: a ``measure-py``
+        backend runs its lowering at the tuned size against the unmapped
+        program's, the others interpret it (against ``check_program`` when
+        the tuned problem is too large to interpret); a wrong winner is
+        marked ``correct=False`` and the next candidate in the backend's
+        order is checked instead.  Only checked results carry a verdict, the
+        others keep ``correct=None``.
     backend:
         How candidates get a cost: a URI string (``"model:"`` — the default
         analytical pricing — ``"measure-py:"``, ``"measure-c:cc=gcc"``,

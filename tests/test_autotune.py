@@ -269,9 +269,10 @@ class TestAutotuneSession:
 
     def test_process_pool_hybrid_report_matches_serial(self):
         """Pool workers receive pickled sessions whose copy loops are not yet
-        scanned; the spot-checks they run and the lowerings the re-rank
-        measures splice them on demand, so the report is the serial one,
-        every counted time included: the crown (and so the one spot-checked
+        scanned; the mappings they price, and the lowerings the re-rank
+        measures and the spot-check runs, splice them on demand, so the
+        report is the serial one, every counted time included: the crown
+        (and so the one spot-checked
         verdict) cannot depend on which run was faster.
 
         The stage counts differ, and this pins by how much: the re-rank runs

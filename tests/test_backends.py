@@ -366,11 +366,11 @@ class TestHybridBackend:
     def test_hybrid_maps_each_candidate_once_per_program(self, monkeypatch):
         """The benchmark's cold-hybrid matmul request: tiling → scratchpad →
         mapping run once per evaluation to price it (the seed's tiles come
-        from the §4.3 search alone, no compile) and once more on the *check*
-        program to spot-check the winner — the measuring backend replays what
-        the model already mapped from the session's artifact memo and runs
-        only its lowering pass.  The interpreter runs twice: the reference
-        once, and the one winner's mapped program."""
+        from the §4.3 search alone, no compile) — the measuring backend
+        replays what the model already mapped from the session's artifact
+        memo and runs only its lowering pass, and the spot-check runs the
+        winner's lowering from that memo: no check program is analysed or
+        mapped, and the interpreter never runs."""
         from repro.autotune import evaluate as evaluate_module
 
         interpreted = []
@@ -382,7 +382,6 @@ class TestHybridBackend:
 
         monkeypatch.setattr(evaluate_module, "run_program", counting_interpret)
         kernel = get_kernel("matmul")
-        check_program = kernel.build_check()
         verdicts = {v: SPOT_CHECKS_TOTAL.value(verdict=v) for v in ("pass", "fail")}
         with counting_stage_runs() as runs:
             report = autotune(
@@ -391,23 +390,23 @@ class TestHybridBackend:
                 backend="hybrid:model>measure-py?top=4",
                 strategy="pruned",
                 check_correctness=True,
-                check_program=check_program,
+                check_program=kernel.build_check(),
             )
         evaluations = report.num_evaluations
         measured = sum(r.measurement_kind == "measured-py" for r in report.results)
         assert evaluations == 3 and 1 <= measured <= evaluations
         for stage in ("tiling", "scratchpad", "mapping"):
-            # 4: each evaluation, plus the winner's check; more without the memo
-            assert runs.counts[stage] == evaluations + 1
+            # 3: each evaluation once; more without the memo or with a check session
+            assert runs.counts[stage] == evaluations
         assert runs.counts["lower-py-vec"] == measured
-        assert runs.counts["analysis"] == 2  # the program and its check twin
+        assert runs.counts["analysis"] == 1  # the tuned program only
         # exactly one verdict, on the winner; everything else was never checked
         assert {
             v: SPOT_CHECKS_TOTAL.value(verdict=v) - before for v, before in verdicts.items()
         } == {"pass": 1, "fail": 0}
         assert report.best.correct is True
         assert [r.correct for r in report.results].count(None) == evaluations - 1
-        assert len(interpreted) == 2 and interpreted.count(check_program) == 1
+        assert interpreted == []
 
     def test_hybrid_baseline_is_remeasured_for_comparable_speedups(self):
         report = autotune(
@@ -443,11 +442,15 @@ class TestHybridBackend:
 
 # -- the spot-check at selection time ------------------------------------------------
 class TestSpotCheckRejectsAMiscompiledWinner:
-    """A candidate whose *check-program* mapping is corrupted must never be
-    crowned: it is reported with ``correct is False`` and the next candidate
-    in the backend's order wins with ``correct is True``.  The measured times
-    are pinned to the model's order (each run still executes), so "the would-be
-    winner" is known before the request runs."""
+    """A candidate whose mapping is corrupted must never be crowned: it is
+    reported with ``correct is False`` and the next candidate in the
+    backend's order wins with ``correct is True``.  The measured times are
+    pinned to the model's order (each run still executes), so "the would-be
+    winner" is known before the request runs.  A hybrid request checks the
+    winner by running its lowering, so there the *tuned* program's mapping is
+    corrupted (the model maps it, the count and the check lower that
+    artifact); the ``model:`` request interprets, so there the *check*
+    program's is."""
 
     HYBRID = "hybrid:model>measure-py?top={top}"
 
@@ -477,12 +480,12 @@ class TestSpotCheckRejectsAMiscompiledWinner:
                 measure(self, config), time_ms=pinned_ms[config]
             ),
         )
-        corrupted = set()
+        corrupted, target = set(), [check_program]
         replay = CompilationSession.replay
 
         def corrupting_replay(self, from_stage="tiling", config=None, options=None):
             mapped = replay(self, from_stage=from_stage, config=config, options=options)
-            if self.program is check_program and config in corrupted:
+            if self.program is target[0] and config in corrupted:
                 node = next(
                     n for n in mapped.program.body.walk()
                     if isinstance(n, StatementNode) and n.kind == COMPUTE
@@ -497,6 +500,7 @@ class TestSpotCheckRejectsAMiscompiledWinner:
         def run(backend, bad):
             corrupted.clear()
             corrupted.update(bad)
+            target[0] = check_program if backend == "model:" else program
             report = autotune(
                 program,
                 space_options=TINY_SPACE,
@@ -521,9 +525,20 @@ class TestSpotCheckRejectsAMiscompiledWinner:
             ("model:", "model"),
         ],
     )
-    def test_the_next_candidate_wins_checked(self, corrupted_tune, backend, kind):
+    def test_the_next_candidate_wins_checked(self, corrupted_tune, backend, kind, monkeypatch):
+        from repro.autotune import evaluate as evaluate_module
+
+        interpreted = []
+        interpret = evaluate_module.run_program
+        monkeypatch.setattr(
+            evaluate_module,
+            "run_program",
+            lambda program, **kwargs: interpreted.append(program) or interpret(program, **kwargs),
+        )
         ranked, run = corrupted_tune
         report, verdicts = run(backend, {ranked[0]})
+        # a hybrid request checks by running lowerings, the model by interpreting
+        assert bool(interpreted) == (kind == "model")
         assert verdicts[ranked[0]] == {False}
         assert report.best.configuration == ranked[1]
         assert report.best.correct is True
