@@ -281,7 +281,11 @@ class ConfigurationEvaluator:
             return self._interpreted_check(config) if verdict is None else verdict
 
     def _interpreted_check(self, config: Configuration) -> bool:
-        """Interpret the mapped small-size program against the reference."""
+        """Interpret the mapped small-size program against the reference.
+
+        A mapped program that indexes out of bounds is wrong, not an error:
+        the verdict is ``False`` and the ``spot-check`` span names the error.
+        """
         program = self.check_program
         with self._lock:
             if self._check_session is None:
@@ -301,7 +305,11 @@ class ConfigurationEvaluator:
             session = self._check_session
             inputs, expected = self._reference
         mapped = session.replay(from_stage="tiling", config=config)
-        transformed = run_program(mapped.program, inputs=inputs)
+        try:
+            transformed = run_program(mapped.program, inputs=inputs)
+        except IndexError as error:  # an out-of-bounds access: a wrong mapping
+            trace.annotate(error=f"{type(error).__name__}: {error}")
+            return False
         return all(
             np.allclose(reference, transformed.data(name))
             for name, reference in expected.items()

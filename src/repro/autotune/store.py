@@ -2,10 +2,9 @@
 
 :class:`repro.autotune.cache.TuningCache` delegates persistence to a
 :class:`CacheStore`.  There are two: :class:`MemoryStore` for ``cache=None``
-sessions, and :class:`AppendLogStore` — append-only JSONL with an in-memory
-offset index, crash-truncated-tail recovery, and size-triggered *rotation*
-into immutable sealed segments that a background merge folds without ever
-blocking appends.
+sessions, and :class:`AppendLogStore` — one append-only JSONL file with an
+in-memory offset index, crash-truncated-tail recovery, and an in-place
+rewrite once superseded lines dominate it.
 
 Every cache spec names a *location* of that log (see :func:`parse_store_uri`):
 
@@ -16,13 +15,15 @@ Every cache spec names a *location* of that log (see :func:`parse_store_uri`):
 ``json:FILE`` or any other plain path (``FILE.json``)
     the log is ``FILE`` itself.
 
-Earlier versions wrote two other formats at those locations: a version-2
-JSON document (``{"version", "entries", "tombstones"}``) at a plain path, and
-one ``{"key", "seq", "value"}`` file per entry under ``DIR/XX/``.
-:func:`open_store` imports either once, under the log's append lock and in
-insertion order: a JSON document is rewritten in place as put lines, and
-entry files are folded into ``DIR/cache.log`` while that log does not exist
-yet (the entry files stay untouched).  Version-1 documents read cold.
+Earlier versions wrote three other layouts at those locations: a version-2
+JSON document (``{"version", "entries", "tombstones"}``) at a plain path,
+one ``{"key", "seq", "value"}`` file per entry under ``DIR/XX/``, and a log
+split into sealed ``LOG.NNNNNN.seg`` segments beside it.
+:func:`open_store` imports each once, under the log's append lock and in
+insertion order: a JSON document is rewritten in place as put lines, entry
+files are folded into ``DIR/cache.log`` while that log does not exist yet
+(the entry files stay untouched), and sealed segments are folded with the
+log into its put lines, then unlinked.  Version-1 documents read cold.
 Writers of those older versions and of this one must not share a location.
 
 Stores are safe against concurrent *processes* via ``fcntl`` advisory locks
@@ -32,11 +33,13 @@ is provided one level up by the :class:`TuningCache` facade's mutex.
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.utils.durable import (
     append_jsonl,
@@ -68,9 +71,8 @@ def ordered_cache_stats(stats: Mapping[str, Any]) -> Iterator[Tuple[str, Any]]:
     """A cache-stats payload as (field, value) pairs in render order.
 
     Common fields first (in their documented order), then the backend's own
-    gauges sorted by name — so the log's ``segments``/``compactions`` show
-    without the consumer hard-coding them.  Shared by both CLIs and the
-    service wire docs.
+    gauges sorted by name, so no consumer hard-codes them.  Shared by both
+    CLIs and the service wire docs.
     """
     for name in CACHE_STATS_COMMON_FIELDS:
         if name in stats:
@@ -80,24 +82,12 @@ def ordered_cache_stats(stats: Mapping[str, Any]) -> Iterator[Tuple[str, Any]]:
             yield name, stats[name]
 
 
-def _bytes_of(*paths: Path) -> int:
-    """Total size of the files among ``paths`` that exist."""
-    total = 0
-    for path in paths:
-        try:
-            total += path.stat().st_size
-        except OSError:
-            pass
-    return total
-
-
-def _unlink_quietly(path: Path) -> bool:
-    """Remove ``path``; ``False`` when it could not be (already gone, not ours)."""
+def _size_of(path: Path) -> int:
+    """The size of ``path``; 0 when it does not exist."""
     try:
-        path.unlink()
-        return True
+        return path.stat().st_size
     except OSError:
-        return False
+        return 0
 
 
 class CacheStore:
@@ -231,28 +221,21 @@ def _put_lines(entries: Mapping[str, Dict[str, Any]]) -> str:
 
 
 class AppendLogStore(CacheStore):
-    """Append-only JSONL log with sealed segments and an in-memory index.
+    """Append-only JSONL log with an in-memory index.
 
-    Every mutation is one appended line — ``{"op": "put", ...}`` or
-    ``{"op": "del", ...}`` — written to the *active* file under the
-    exclusive append lock, so a put costs O(1) regardless of how many
-    entries the log holds.  Readers replay only the *tail* they have not
-    seen (tracked by byte offset and inode); a change to the sealed
-    segment set or a new active inode triggers a clean full re-replay.
+    Every mutation is one appended line — ``{"op": "put", ...}`` — written
+    under the exclusive append lock, so a put costs O(1) regardless of how
+    many entries the log holds.  Readers replay only the *tail* they have
+    not seen (tracked by byte offset and inode); a new inode or a shorter
+    file means another process rewrote the log, and triggers a clean full
+    re-replay.
 
-    Growth control is split into a cheap half and an expensive half so the
-    expensive half never blocks writers:
-
-    * **rotation** (cheap, under the append lock): once the active file
-      outgrows ``auto_compact_bytes`` with enough dead records, it is
-      *renamed* to an immutable sealed segment ``NAME.NNNNNN.seg`` and a
-      fresh active file starts.  The rename is the entire cost.
-    * **sealed merge** (expensive, under the *segment* lock only): sealed
-      segments are folded into one.  Replaying the merged segment yields
-      exactly the same state as replaying the originals in order, so a
-      reader holding a stale segment list simply re-replays and converges.
-      Appends keep flowing while the merge runs — :meth:`compact_sealed`
-      never touches the active file.  Lock order is append → segment.
+    Growth control: once the file reaches :attr:`COMPACT_BYTES` and its dead
+    records (lines a later line superseded) reach :attr:`COMPACT_RATIO`
+    times the live entries, the appender rewrites it in place as one put
+    line per live entry, under the same lock — the rewrite ``compact``,
+    ``prune`` and ``clear`` use.  A put of a new key makes no dead record,
+    so traffic of distinct keys never triggers it.
 
     Recovery rules make a crash-truncated tail harmless: a final chunk
     without a newline is left pending (re-examined on the next replay, and
@@ -262,27 +245,16 @@ class AppendLogStore(CacheStore):
 
     backend = "log"
 
-    #: sealed segments accumulated before an automatic merge folds them;
-    #: 2 keeps total sealed bytes within ~1 rotation of the fold size
-    AUTO_MERGE_SEGMENTS = 2
+    #: bytes a log must reach before an append may compact it
+    COMPACT_BYTES = 1 << 20
+    #: dead records per live entry that make an oversized log worth rewriting
+    COMPACT_RATIO = 4
 
-    def __init__(
-        self,
-        path: StorePath,
-        auto_compact_bytes: int = 1 << 20,
-        auto_compact_ratio: int = 4,
-    ) -> None:
+    def __init__(self, path: StorePath) -> None:
         self.path = Path(path)
-        self.auto_compact_bytes = auto_compact_bytes
-        self.auto_compact_ratio = auto_compact_ratio
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._offset = 0
         self._ino: Optional[int] = None
-        self._sealed_seen: Tuple[str, ...] = ()
-        self._dead_records = 0
-        self._corrupt_lines = 0
         self._compactions = 0
-        self._rotations = 0
+        self._reset()
         self._replay()
 
     @property
@@ -292,15 +264,8 @@ class AppendLogStore(CacheStore):
     def _lock_path(self) -> Path:
         return self.path.with_name(self.path.name + ".lock")
 
-    def _seg_lock_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".seglock")
-
-    def _sealed_paths(self) -> List[Path]:
-        """The sealed segment files, in replay (name) order."""
-        return sorted(self.path.parent.glob(f"{self.path.name}.*.seg"))
-
     def _reset(self) -> None:
-        self._entries = {}
+        self._entries: Dict[str, Dict[str, Any]] = {}
         self._offset = 0
         self._dead_records = 0
         self._corrupt_lines = 0
@@ -312,161 +277,45 @@ class AppendLogStore(CacheStore):
         else:
             self._dead_records += dead
 
-    def _consume_lines(self, chunk: bytes) -> int:
-        """Apply every complete line in ``chunk``; returns bytes consumed."""
-        records, corrupt, consumed = scan_jsonl(chunk)
-        self._corrupt_lines += corrupt
-        for record in records:
-            self._apply(record)
-        return consumed
-
     def _replay(self) -> None:
-        """Catch the in-memory index up with the segments + active tail."""
-        sealed = tuple(path.name for path in self._sealed_paths())
+        """Catch the in-memory index up with the log's tail."""
         try:
             stat = self.path.stat()
         except OSError:
-            stat = None
-        active_replaced = stat is not None and (
-            stat.st_ino != self._ino or stat.st_size < self._offset
-        )
-        active_vanished = stat is None and (
-            self._ino is not None or self._offset > 0
-        )
-        if sealed != self._sealed_seen or active_replaced or active_vanished:
-            # Rotated/merged/compacted by someone else (or first sight of
-            # the log): start over — sealed segments fully, then the active
-            # file from byte 0.  If a concurrent merge deletes a segment
-            # mid-replay we may apply a stale mix, but the merged segment is
-            # exactly the fold of the originals, so the *next* replay (which
-            # will see a changed sealed set again) converges.
+            if self._ino is not None or self._offset > 0:  # removed under us
+                self._reset()
+                self._ino = None
+            return
+        if stat.st_ino != self._ino or stat.st_size < self._offset:
+            # first sight of the log, or rewritten by another process
             self._reset()
-            self._sealed_seen = sealed
-            for segment in self._sealed_paths():
-                try:
-                    data = segment.read_bytes()
-                except OSError:
-                    continue
-                self._consume_lines(data + b"\n")  # sealed mid-crash: last line counts
-            self._ino = stat.st_ino if stat is not None else None
-        if stat is None or stat.st_size == self._offset:
+            self._ino = stat.st_ino
+        if stat.st_size == self._offset:
             return
         with open(self.path, "rb") as handle:
             handle.seek(self._offset)
             chunk = handle.read()
-        self._offset += self._consume_lines(chunk)
-
-    def _write_locked(self, records: Sequence[Dict[str, Any]]) -> int:
-        """Append records to the active file and apply them to the index.
-
-        Caller holds the append lock.  Returns the active file size afterwards.
-        """
-        size = append_jsonl(self.path, records)
+        records, corrupt, consumed = scan_jsonl(chunk)
+        self._corrupt_lines += corrupt
         for record in records:
             self._apply(record)
-        # Our records are the last consumed lines; the whole file is now
-        # processed, so the replay offset can jump straight to the end.
-        self._offset = size
-        if self._ino is None:
-            self._ino = self.path.stat().st_ino
-        return size
+        self._offset += consumed
 
     def _append(self, record: Dict[str, Any]) -> None:
-        """One record line under the append lock; rotation when oversized."""
+        """One record line under the append lock; a rewrite when it is due."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        merge_due = False
         with file_lock(self._lock_path()):
             self._replay()
-            size = self._write_locked([record])
-            if (
-                size >= self.auto_compact_bytes
-                and self._dead_records
-                >= self.auto_compact_ratio * max(1, len(self._entries))
+            size = append_jsonl(self.path, [record])
+            self._apply(record)
+            # our record is the last line: the whole file is now consumed
+            self._offset = size
+            if self._ino is None:
+                self._ino = self.path.stat().st_ino
+            if size >= self.COMPACT_BYTES and self._dead_records >= (
+                self.COMPACT_RATIO * max(1, len(self._entries))
             ):
-                self._rotate_locked()
-                merge_due = len(self._sealed_seen) >= self.AUTO_MERGE_SEGMENTS
-        if merge_due:
-            # Outside the append lock on purpose: the merge is the expensive
-            # half and must not serialise against other writers.
-            self.compact_sealed()
-
-    def _rotate_locked(self) -> Optional[Path]:
-        """Seal the active file as a new segment; caller holds append lock."""
-        try:
-            if self.path.stat().st_size == 0:
-                return None
-        except OSError:
-            return None
-        numbers = [0]
-        for segment in self._sealed_paths():
-            part = segment.name[len(self.path.name) + 1 : -len(".seg")]
-            if part.isdigit():
-                numbers.append(int(part))
-        target = self.path.with_name(
-            f"{self.path.name}.{max(numbers) + 1:06d}.seg"
-        )
-        os.replace(self.path, target)
-        self._sealed_seen = tuple(path.name for path in self._sealed_paths())
-        self._offset = 0
-        self._ino = None
-        self._rotations += 1
-        return target
-
-    def rotate(self) -> Optional[Path]:
-        """Seal the current active file; returns the new segment's path.
-
-        ``None`` when there is nothing to seal.  The rename is the entire
-        cost — no data is rewritten, so writers are blocked only for the
-        duration of one directory operation.
-        """
-        with file_lock(self._lock_path()):
-            self._replay()
-            return self._rotate_locked()
-
-    @staticmethod
-    def _fold_segment(segment: Path, folded: Dict[str, Dict[str, Any]]) -> None:
-        """Apply one segment file's records onto ``folded``, last line included."""
-        for record in scan_jsonl(segment.read_bytes() + b"\n")[0]:
-            _fold_record(folded, record)
-
-    def compact_sealed(self) -> Dict[str, Any]:
-        """Fold every sealed segment into one; never touches the active file.
-
-        Holds only the segment lock, so appends (append lock) proceed
-        concurrently — this is the "compaction never blocks appends" half of
-        the growth story.  The merged segment atomically replaces the
-        lowest-numbered one; higher segments are then unlinked.  Replaying
-        the merged segment yields exactly the fold of the originals, so any
-        reader observes either the old set, the new set, or a stale mix that
-        its next replay converges away.
-        """
-        with file_lock(self._seg_lock_path()):
-            segments = self._sealed_paths()
-            before = _bytes_of(*segments)
-            if len(segments) < 2:
-                return {
-                    "segments_merged": 0,
-                    "bytes_before": before,
-                    "bytes_after": before,
-                }
-            folded: Dict[str, Dict[str, Any]] = {}
-            for segment in segments:
-                try:
-                    self._fold_segment(segment, folded)
-                except OSError:
-                    continue
-            atomic_write_text(segments[0], _put_lines(folded))
-            for segment in segments[1:]:
-                _unlink_quietly(segment)
-            self._compactions += 1
-            after = _bytes_of(segments[0])
-        # _sealed_seen is now stale on purpose: the next _replay notices the
-        # changed sealed set and re-replays, refreshing dead-record counts.
-        return {
-            "segments_merged": len(segments),
-            "bytes_before": before,
-            "bytes_after": after,
-        }
+                self._compact_locked()
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         value = self._entries.get(key)
@@ -496,44 +345,31 @@ class AppendLogStore(CacheStore):
             return drop
 
     def _compact_locked(self) -> None:
-        """Fold everything — sealed + active — into a fresh active file.
+        """Rewrite the log as one put line per live entry; caller holds the lock.
 
-        Caller holds the append lock; the segment lock is taken inside
-        (append → segment is the global lock order).  This is the one
-        stop-the-world operation, reserved for explicit ``compact``,
-        ``prune`` and ``clear``; routine growth control goes through
-        rotation plus :meth:`compact_sealed` instead.
+        Other processes see the new inode on their next replay and start over.
         """
-        with file_lock(self._seg_lock_path()):
-            text = _put_lines(self._entries)
-            atomic_write_text(self.path, text)
-            for segment in self._sealed_paths():
-                _unlink_quietly(segment)
-            self._sealed_seen = ()
-            self._offset = len(text.encode("utf-8"))
-            self._ino = self.path.stat().st_ino
-            self._dead_records = 0
-            self._corrupt_lines = 0
-            self._compactions += 1
+        text = _put_lines(self._entries)
+        atomic_write_text(self.path, text)
+        self._offset = len(text.encode("utf-8"))
+        self._ino = self.path.stat().st_ino
+        self._dead_records = 0
+        self._corrupt_lines = 0
+        self._compactions += 1
 
     def compact(self) -> Dict[str, Any]:
         with file_lock(self._lock_path()):
             self._replay()
-            before = _bytes_of(self.path, *self._sealed_paths())
+            before = _size_of(self.path)
             self._compact_locked()
-            after = self.path.stat().st_size
-        return {"bytes_before": before, "bytes_after": after}
+            return {"bytes_before": before, "bytes_after": self._offset}
 
     def stats(self) -> Dict[str, Any]:
         self._replay()  # count appends by other processes, not a stale index
-        sealed_bytes = _bytes_of(*self._sealed_paths())
         return {
             "backend": self.backend,
             "entries": len(self._entries),
-            "bytes": _bytes_of(self.path) + sealed_bytes,
-            "segments": 1 + len(self._sealed_seen),
-            "sealed_bytes": sealed_bytes,
-            "rotations": self._rotations,
+            "bytes": _size_of(self.path),
             "dead_records": self._dead_records,
             "corrupt_lines": self._corrupt_lines,
             "compactions": self._compactions,
@@ -569,8 +405,7 @@ def parse_store_uri(spec: Optional[StorePath]) -> Tuple[str, Optional[str]]:
     """
     if spec is None:
         return "memory", None
-    text = os.fspath(spec) if not isinstance(spec, str) else spec
-    text = str(text)
+    text = str(os.fspath(spec))
     scheme, sep, rest = text.partition(":")
     if sep:
         lowered = scheme.lower()
@@ -645,6 +480,30 @@ def _shard_entries(root: Path) -> Optional[Dict[str, Dict[str, Any]]]:
     return {key: dict(value) for _seq, key, value in sorted(records, key=lambda r: r[:2])}
 
 
+def _segment_paths(log: Path) -> List[Path]:
+    """The ``LOG.NNNNNN.seg`` segments an older version sealed, oldest first."""
+    return sorted(log.parent.glob(f"{glob.escape(log.name)}.*.seg"))
+
+
+def _segment_entries(log: Path) -> Optional[Dict[str, Dict[str, Any]]]:
+    """The entries of a segmented log: its sealed segments, then ``log`` itself.
+
+    ``None`` when ``log`` has no sealed segments.  A last line counts if it parses.
+    """
+    segments = _segment_paths(log)
+    if not segments:
+        return None
+    entries: Dict[str, Dict[str, Any]] = {}
+    for path in (*segments, log):
+        try:
+            data = path.read_bytes()
+        except OSError:
+            continue
+        for record in scan_jsonl(data + b"\n")[0]:
+            _fold_record(entries, record)
+    return entries
+
+
 def _import_legacy(
     log: Path, legacy: Callable[[], Optional[Dict[str, Dict[str, Any]]]]
 ) -> None:
@@ -652,7 +511,10 @@ def _import_legacy(
 
     ``legacy`` is asked again under the append lock: of several processes
     opening one legacy location, the first converts it and the rest find
-    the log in place and import nothing.
+    the log in place and import nothing.  Sealed segments go only once the
+    log holds their entries; a crash in between re-folds them, and the log
+    re-puts every key they hold unless a ``del``/``clear`` line (which no
+    version wrote) removed it.
     """
     if legacy() is None:
         return
@@ -660,6 +522,9 @@ def _import_legacy(
         entries = legacy()
         if entries is not None:
             atomic_write_text(log, _put_lines(entries))
+            for segment in _segment_paths(log):
+                with contextlib.suppress(OSError):
+                    segment.unlink()
 
 
 def open_store(spec: Optional[StorePath]) -> CacheStore:
@@ -675,4 +540,5 @@ def open_store(spec: Optional[StorePath]) -> CacheStore:
         _import_legacy(path, lambda: _shard_entries(root))
     elif spelling == "json":
         _import_legacy(path, lambda: _document_entries(path))
+    _import_legacy(path, lambda: _segment_entries(path))
     return AppendLogStore(path)

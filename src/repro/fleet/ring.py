@@ -92,22 +92,6 @@ class HashRing:
         index = bisect.bisect(self._positions, _point(key)) % len(self._points)
         return self._points[index][1]
 
-    def preference(self, key: str, count: int = 2) -> List[str]:
-        """The first ``count`` *distinct* nodes clockwise of ``key``.
-
-        Entry 0 is the home; the rest are the natural replica targets for
-        shipping sealed store segments.
-        """
-        start = bisect.bisect(self._positions, _point(key))
-        chosen: List[str] = []
-        for offset in range(len(self._points)):
-            node = self._points[(start + offset) % len(self._points)][1]
-            if node not in chosen:
-                chosen.append(node)
-                if len(chosen) >= min(count, len(self._nodes)):
-                    break
-        return chosen
-
     def shares(self, sample: Sequence[str]) -> Dict[str, float]:
         """Fraction of ``sample`` keys homed on each node (balance probe)."""
         counts: Dict[str, int] = {node: 0 for node in self._nodes}

@@ -291,8 +291,8 @@ def _status(args: argparse.Namespace) -> int:
 def _stats(args: argparse.Namespace) -> int:
     stats = TuningClient(args.url).cache_stats()
     print("cache:")
-    # common fields first, then the backend's own gauges (segments,
-    # compactions, dead_records, ...) in a stable order
+    # common fields first, then the backend's own gauges (dead_records,
+    # compactions, corrupt_lines, ...) in a stable order
     for key, value in ordered_cache_stats(stats["cache"]):
         print(f"  {key}: {value}")
     for section in ("server", "jobs"):

@@ -13,7 +13,7 @@ by ``GET /status/<job>``.
 
 The ``cache`` section of ``GET /cache/stats`` always carries
 :data:`CACHE_STATS_COMMON_FIELDS`; everything else is a backend-specific
-gauge (``segments``/``compactions``/``dead_records`` for the append log).
+gauge (``compactions``/``dead_records``/``corrupt_lines`` for the append log).
 :func:`ordered_cache_stats` gives clients and CLIs a stable render order
 without having to know every gauge.
 """

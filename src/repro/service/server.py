@@ -287,7 +287,7 @@ class TuningService:
 
         The ``cache`` section carries the persistence backend's identity and
         gauges (``backend``, ``entries``, ``bytes``, plus e.g.
-        ``segments``/``compactions`` for the append log) alongside this
+        ``compactions``/``dead_records`` for the append log) alongside this
         instance's hit/miss counters — see :data:`repro.service.protocol.CACHE_STATS_COMMON_FIELDS`.
         The job sections are one consistent snapshot of the table.
         """

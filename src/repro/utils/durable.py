@@ -1,6 +1,6 @@
 """Crash-safe file primitives: the one place the stack's durability lives.
 
-Every persistent file of the tuning stack — the four cache-store backends
+Every persistent file of the tuning stack — the tuning-cache append log
 (:mod:`repro.autotune.store`), the tuning history
 (:mod:`repro.telemetry.history`) and the compiled-binary cache
 (:mod:`repro.codegen.compile_cache`) — is written through the operations

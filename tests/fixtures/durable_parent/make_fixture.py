@@ -9,6 +9,10 @@ the last one before ``repro.utils.durable`` existed::
 Everything goes through the stores' public API except the ``del``/``clear``
 log lines (the format defines them, no public call writes them) and the
 deliberately corrupt and crash-torn bytes.
+
+Like ``cache.json`` and ``cache.dir``, the sealed segment ``cache.log.000001.seg``
+is now import-only: the current store writes neither segments nor rotates,
+and ``open_store`` folds a rotated log into the one log file on first open.
 """
 
 import json

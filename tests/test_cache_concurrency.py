@@ -17,6 +17,7 @@ import pytest
 
 from repro.autotune import TuningCache
 from repro.autotune.store import AppendLogStore
+from test_cache_store import SmallThresholdLog
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="fork start method and fcntl are POSIX-only"
@@ -65,7 +66,7 @@ def _open_then_put_after_prune(spec: str, opened, pruned) -> None:
 
 def _log_churn(spec: str, writer: int, count: int, barrier) -> None:
     # hammer a small key set so dead records pile up and compaction triggers
-    store = AppendLogStore(spec, auto_compact_bytes=512, auto_compact_ratio=2)
+    store = SmallThresholdLog(spec)
     barrier.wait(timeout=30)
     for i in range(count):
         store.put(f"churn-{i % 4}", {"writer": writer, "i": i})

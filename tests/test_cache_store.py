@@ -2,9 +2,9 @@
 
 Store behaviour (round-trip, insertion-order scan, prune, stats identity)
 runs parametrized over every spelling of a location (``.json`` path,
-``dir:``, ``log:``) — all of them the one append log; the log's compaction,
-crash recovery and sealed segments, and the one-shot import of caches
-written in the older formats each get their own sections.
+``dir:``, ``log:``) — all of them the one append log; the log's compaction
+and crash recovery, and the one-shot import of caches written in the older
+layouts each get their own sections.
 """
 
 from __future__ import annotations
@@ -151,7 +151,6 @@ class TestEveryBackend:
         assert stats["entries"] == 1
         assert stats["bytes"] > 0
         assert stats["hits"] == 0 and stats["misses"] == 0
-        assert stats["segments"] == 1
         assert stats["compactions"] == 0
 
     def test_autotune_warm_hit_through_backend(self, backend, tmp_path):
@@ -184,11 +183,16 @@ class TestEveryBackend:
 
 
 # -- append log: compaction + recovery ---------------------------------------------
+class SmallThresholdLog(AppendLogStore):
+    """The append log with a growth trigger a few hundred puts reach."""
+
+    COMPACT_BYTES = 512
+    COMPACT_RATIO = 2
+
+
 class TestAppendLogStore:
     def test_high_churn_triggers_auto_compaction(self, tmp_path):
-        store = AppendLogStore(
-            tmp_path / "churn.log", auto_compact_bytes=512, auto_compact_ratio=2
-        )
+        store = SmallThresholdLog(tmp_path / "churn.log")
         for i in range(300):
             store.put(f"k{i % 4}", {"v": i})
         stats = store.stats()
@@ -197,6 +201,24 @@ class TestAppendLogStore:
         # the log stays bounded instead of growing by one line per put
         assert stats["bytes"] < 2048
         assert dict(store.scan())["k3"] == {"v": 299}
+        # compaction rewrites the one file in place: nothing else is left
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["churn.log", "churn.log.lock"]
+
+    def test_distinct_keys_past_the_threshold_never_rewrite(self, tmp_path):
+        """Tuning traffic puts each fingerprint once: no put makes a dead
+        record, so a log past ``COMPACT_BYTES`` keeps appending in O(1)."""
+        path = tmp_path / "unique.log"
+        store = AppendLogStore(path)
+        store.put("k0", {"v": 0})
+        inode = path.stat().st_ino
+        padding = "x" * (AppendLogStore.COMPACT_BYTES // 8)
+        for i in range(1, 10):
+            store.put(f"k{i}", {"pad": padding})
+        stats = store.stats()
+        assert stats["bytes"] > AppendLogStore.COMPACT_BYTES
+        assert stats["compactions"] == stats["dead_records"] == 0
+        assert path.stat().st_ino == inode
+        assert len(AppendLogStore(path)) == 10
 
     def test_crash_truncated_tail_recovers(self, tmp_path):
         path = tmp_path / "crash.log"
@@ -249,102 +271,6 @@ class TestAppendLogStore:
         assert dict(store.scan()) == {"same-key": {"v": 19}}
 
 
-# -- append log: sealed segments ---------------------------------------------------
-class TestAppendLogSegments:
-    def test_rotate_seals_the_active_file(self, tmp_path):
-        path = tmp_path / "seg.log"
-        store = AppendLogStore(path)
-        for i in range(5):
-            store.put(f"k{i}", {"v": i})
-        segment = store.rotate()
-        assert segment is not None and segment.exists()
-        assert segment.name.endswith(".seg")
-        # sealing moved bytes, not state: the store still serves everything
-        assert store.get("k3") == {"v": 3}
-        store.put("k5", {"v": 5})  # a fresh active file starts transparently
-        stats = store.stats()
-        assert stats["segments"] == 2
-        assert stats["rotations"] == 1
-        assert stats["entries"] == 6
-        # a cold reader replays sealed segments then the active tail
-        assert dict(AppendLogStore(path).scan()) == {
-            f"k{i}": {"v": i} for i in range(6)
-        }
-
-    def test_rotate_with_nothing_to_seal_is_a_noop(self, tmp_path):
-        store = AppendLogStore(tmp_path / "empty.log")
-        assert store.rotate() is None
-        assert store.stats()["rotations"] == 0
-
-    def test_compact_sealed_folds_segments_without_touching_active(self, tmp_path):
-        path = tmp_path / "fold.log"
-        store = AppendLogStore(path)
-        for round_no in range(3):
-            for i in range(4):
-                store.put(f"k{i}", {"v": round_no})
-            store.rotate()
-        store.put("active-only", {"v": 99})
-        active_bytes_before = path.stat().st_size
-        outcome = store.compact_sealed()
-        assert outcome["segments_merged"] == 3
-        assert outcome["bytes_after"] < outcome["bytes_before"]
-        assert path.stat().st_size == active_bytes_before  # active untouched
-        assert len(store._sealed_paths()) == 1
-        # the fold is exact: replaying merged + active gives the same state
-        assert dict(AppendLogStore(path).scan()) == {
-            "k0": {"v": 2},
-            "k1": {"v": 2},
-            "k2": {"v": 2},
-            "k3": {"v": 2},
-            "active-only": {"v": 99},
-        }
-
-    def test_appends_proceed_while_sealed_compaction_holds_its_lock(self, tmp_path):
-        """The ISSUE's liveness claim: compaction never blocks appends.
-
-        A sealed-segment merge holds only the segment lock; here a simulated
-        in-progress merge holds that lock for the whole test while a put on
-        another thread must still complete.
-        """
-        import threading
-
-        fcntl = pytest.importorskip("fcntl")
-        path = tmp_path / "live.log"
-        store = AppendLogStore(path)
-        store.put("seed", {"v": 0})
-        seg_lock = open(store._seg_lock_path(), "w")
-        fcntl.flock(seg_lock, fcntl.LOCK_EX)  # a merge is "in progress"
-        try:
-            done = threading.Event()
-
-            def writer():
-                store.put("during-merge", {"v": 1})
-                done.set()
-
-            thread = threading.Thread(target=writer, daemon=True)
-            thread.start()
-            assert done.wait(timeout=10), "append blocked behind segment lock"
-            thread.join(timeout=10)
-        finally:
-            fcntl.flock(seg_lock, fcntl.LOCK_UN)
-            seg_lock.close()
-        assert store.get("during-merge") == {"v": 1}
-
-    def test_full_compact_folds_sealed_segments_away(self, tmp_path):
-        path = tmp_path / "full.log"
-        store = AppendLogStore(path)
-        for i in range(4):
-            store.put(f"k{i}", {"v": i})
-        store.rotate()
-        store.put("k4", {"v": 4})
-        store.compact()
-        assert store._sealed_paths() == []
-        assert store.stats()["segments"] == 1
-        assert dict(AppendLogStore(path).scan()) == {
-            f"k{i}": {"v": i} for i in range(5)
-        }
-
-
 # -- legacy import -----------------------------------------------------------------
 LEGACY = [
     ("zz-first", {"report": {"best": 1.5}, "seed": 0}),
@@ -373,6 +299,19 @@ def write_entry_files(root, entries):
         (root / digest[:2] / f"{digest}.json").write_text(
             json.dumps({"key": key, "seq": seq, "value": value})
         )
+
+
+def write_rotated_log(path, entries):
+    """Three ``entries`` as a log that earlier versions rotated: the first
+    (put twice) and the second in sealed segments, the third active."""
+    (first, one), (second, two), (third, three) = entries
+    lines = [
+        json.dumps({"op": "put", "key": key, "value": value})
+        for key, value in [(first, {"stale": True}), (first, one), (second, two), (third, three)]
+    ]
+    path.with_name(path.name + ".000001.seg").write_text(lines[0] + "\n" + lines[1] + "\n")
+    path.with_name(path.name + ".000002.seg").write_text(lines[2])  # sealed unterminated
+    path.write_text(lines[3] + "\n")
 
 
 def log_keys(path):
@@ -448,15 +387,13 @@ class TestLegacyImport:
         TuningCache(f"dir:{root}").clear()
         assert len(TuningCache(f"dir:{root}")) == 0  # the entry files stay history
 
-    @pytest.mark.skipif(sys.platform == "win32", reason="fork start method is POSIX-only")
-    def test_processes_racing_to_open_a_document_convert_it_once(self, tmp_path):
-        path = tmp_path / "cache.json"
-        write_document(path, LEGACY)
+    @staticmethod
+    def race_four_openers(spec, path):
+        """Four processes open ``spec`` at once and put one key each; the
+        log at ``path`` holds the converted entries once, first, then every put."""
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(4)
-        procs = [
-            ctx.Process(target=_open_and_put, args=(str(path), i, barrier)) for i in range(4)
-        ]
+        procs = [ctx.Process(target=_open_and_put, args=(spec, i, barrier)) for i in range(4)]
         for proc in procs:
             proc.start()
         for proc in procs:
@@ -465,9 +402,23 @@ class TestLegacyImport:
         keys = log_keys(path)
         assert keys[:3] == [key for key, _ in LEGACY]  # converted once, first
         assert sorted(keys[3:]) == [f"proc-{i}" for i in range(4)]  # no put lost
-        assert dict(TuningCache(str(path)).scan()) == {
+        assert dict(TuningCache(spec).scan()) == {
             **dict(LEGACY), **{f"proc-{i}": {"v": i} for i in range(4)}
         }
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="fork start method is POSIX-only")
+    def test_processes_racing_to_open_a_document_convert_it_once(self, tmp_path):
+        path = tmp_path / "cache.json"
+        write_document(path, LEGACY)
+        self.race_four_openers(str(path), path)
+
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="fork start method is POSIX-only")
+    def test_processes_racing_to_open_a_rotated_log_convert_it_once(self, tmp_path):
+        path = tmp_path / "cache.log"
+        write_rotated_log(path, LEGACY)
+        self.race_four_openers(f"log:{path}", path)
+        assert not list(tmp_path.glob("*.seg"))
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -483,7 +434,7 @@ class TestCacheTools:
         out = capsys.readouterr().out
         assert "backend: log" in out
         assert "entries: 3" in out
-        assert "segments:" in out
+        assert "compactions:" in out
         assert cli_main(["cache-prune", "--cache", spec, "--max-entries", "1"]) == 0
         assert "pruned 2 entries" in capsys.readouterr().out
         assert cli_main(["cache-stats", "--cache", "bogus:x"]) == 2

@@ -2,7 +2,7 @@
 
 Only what no client-level suite already covers (``test_cache_store.py``,
 ``test_cache_concurrency.py`` and ``test_history.py`` exercise locking,
-rotation and recovery *through* the stores): the scanner's and appender's
+compaction, rotation of the history file and recovery *through* the stores): the scanner's and appender's
 own contracts, temp-file cleanup, stale-lock takeover, the on-disk
 compatibility of every client with files written before the primitive
 existed, and the layering that keeps the primitive at the bottom of the
@@ -93,10 +93,25 @@ class TestFilesWrittenBeforeThePrimitive:
         return [list(item) for item in store.scan()], stats
 
     def test_log_reads_to_the_same_entries_and_stats(self, frozen):
+        """The rotated log (active file plus one sealed segment) imports into
+        the one log file: same keys, values and order — and again on a
+        re-open."""
         root, expected = frozen
-        scan, stats = self.observed(AppendLogStore(root / "cache.log"))
-        assert scan == expected["log"]["scan"]
-        assert {k: stats[k] for k in expected["log"]["stats"]} == expected["log"]["stats"]
+        for _ in range(2):
+            scan, stats = self.observed(open_store(f"log:{root / 'cache.log'}"))
+            assert scan == expected["log"]["scan"]
+            assert stats["entries"] == expected["log"]["stats"]["entries"]
+            assert stats["dead_records"] == stats["corrupt_lines"] == 0
+
+    def test_a_rotated_log_imports_once_and_leaves_no_segment(self, frozen):
+        root, _expected = frozen
+        log = root / "cache.log"
+        assert (root / "cache.log.000001.seg").exists()
+        open_store(str(log))
+        assert not list(root.glob("*.seg"))
+        inode, data = log.stat().st_ino, log.read_bytes()
+        open_store(str(log))
+        assert (log.stat().st_ino, log.read_bytes()) == (inode, data)
 
     @pytest.mark.parametrize(
         "name, spec",

@@ -76,13 +76,6 @@ class TestHashRing:
             # 128 virtual points per node keeps skew well inside 2x of fair
             assert 1 / 6 < share < 2 / 3
 
-    def test_preference_lists_distinct_members_home_first(self):
-        ring = HashRing(["http://a:1", "http://b:1", "http://c:1"])
-        preferred = ring.preference("some-fingerprint", count=2)
-        assert len(preferred) == 2
-        assert len(set(preferred)) == 2
-        assert preferred[0] == ring.home("some-fingerprint")
-
     def test_rejects_degenerate_configurations(self):
         with pytest.raises(ValueError, match="at least one node"):
             HashRing([])

@@ -83,21 +83,14 @@ def winners():
 
 
 def verdicts(name, config):
-    """``(run, interpreted)`` verdicts of fresh evaluators on ``config``.
-
-    An interpreter that refuses the mapped program (an out-of-bounds write)
-    rejects it, so that counts as ``False``."""
+    """``(run, interpreted)`` verdicts of fresh evaluators on ``config``."""
     kernel = get_kernel(name)
     program = kernel.build(**SIZES[name])
     run = ConfigurationEvaluator(program, backend=HYBRID, check_correctness=True)
     model = ConfigurationEvaluator(
         program, check_correctness=True, check_program=kernel.build_check()
     )
-    try:
-        interpreted_verdict = model.spot_check(config)
-    except IndexError:
-        interpreted_verdict = False
-    return run.spot_check(config), interpreted_verdict
+    return run.spot_check(config), model.spot_check(config)
 
 
 # -- the four seeded bugs of test_equivalence.py --------------------------------------------
@@ -266,3 +259,23 @@ def test_the_model_backend_still_interprets_its_check_program(interpreted):
     ]
     assert methods == ["interpreted"]
     assert len(interpreted) == 2  # the reference, and the winner's mapped check program
+
+
+def test_an_out_of_bounds_mapped_check_program_is_a_wrong_winner(monkeypatch):
+    """Under the ``min``↔``max`` bug, jacobi1d's would-be winner maps a check
+    program that writes ``l_A[-2]``: the interpreter refuses it, and a
+    ``model:`` tune marks that winner wrong and crowns the next one instead
+    of failing the request."""
+    swap_min_for_max(monkeypatch)
+    with trace.capture_trace() as collector:
+        report = tune("jacobi1d", backend="model:")
+    rejected = [result for result in report.results if result.correct is False]
+    assert [result.configuration.key() for result in rejected] == ["b16.t64.i64.spm"]
+    assert report.best.correct is True
+    errors = [
+        span.attrs.get("error")
+        for span, _depth in trace.iter_spans(collector.roots)
+        if span.name == "spot-check"
+    ]
+    assert errors[0].startswith("IndexError") and "l_A[-2]" in errors[0]
+    assert errors[1:] == [None]

@@ -463,11 +463,11 @@ class TestHTTPServer:
             cache_stats = client.cache_stats()["cache"]
             assert cache_stats["backend"] == "log"
             assert cache_stats["entries"] == 1
-            assert cache_stats["segments"] == 1
+            assert cache_stats["compactions"] == 0
             # the render helper puts common fields first, gauges after
             rendered = [name for name, _ in ordered_cache_stats(cache_stats)]
             assert rendered[:3] == ["backend", "entries", "bytes"]
-            assert "segments" in rendered[3:]
+            assert "compactions" in rendered[3:]
             # the worker persisted through the log: a fresh cache instance
             # (different process in production) starts warm
             assert request.resolve().fingerprint in TuningCache(spec)
@@ -490,7 +490,7 @@ class TestHTTPServer:
             stats = client.cache_stats()["cache"]
             assert stats["backend"] == "log"
             assert stats["entries"] == 1
-            assert stats["segments"] == 1
+            assert stats["compactions"] == 0
         finally:
             server.stop()
 
