@@ -220,6 +220,40 @@ class TestAppendLogStore:
         assert path.stat().st_ino == inode
         assert len(AppendLogStore(path)) == 10
 
+    def test_rewrite_waits_for_the_dead_record_ratio(self, tmp_path):
+        """Past ``COMPACT_BYTES``, the put that brings dead records to
+        ``COMPACT_RATIO`` times the live entries rewrites; none before it."""
+        path = tmp_path / "ratio.log"
+        store = SmallThresholdLog(path)
+        padding = "x" * SmallThresholdLog.COMPACT_BYTES
+        for i in range(4):
+            store.put(f"k{i}", {"pad": padding})
+        due = SmallThresholdLog.COMPACT_RATIO * 4
+        for i in range(due - 1):
+            store.put("k0", {"v": i})
+        stats = store.stats()
+        assert stats["compactions"] == 0
+        assert stats["dead_records"] == due - 1
+        store.put("k0", {"v": "due"})
+        stats = store.stats()
+        assert stats["compactions"] == 1
+        assert stats["dead_records"] == 0
+        assert log_keys(path) == ["k0", "k1", "k2", "k3"]
+        assert dict(SmallThresholdLog(path).scan())["k0"] == {"v": "due"}
+
+    def test_a_log_under_the_size_gate_is_not_rewritten(self, tmp_path):
+        """However many dead records it holds, a log smaller than
+        ``COMPACT_BYTES`` keeps appending: rewriting it would save little."""
+        path = tmp_path / "small.log"
+        store = SmallThresholdLog(path)
+        for i in range(8):
+            store.put("k", {"v": i})
+        stats = store.stats()
+        assert stats["bytes"] < SmallThresholdLog.COMPACT_BYTES
+        assert stats["dead_records"] == 7
+        assert stats["compactions"] == 0
+        assert log_keys(path) == ["k"] * 8
+
     def test_crash_truncated_tail_recovers(self, tmp_path):
         path = tmp_path / "crash.log"
         store = AppendLogStore(path)
@@ -412,13 +446,47 @@ class TestLegacyImport:
         write_document(path, LEGACY)
         self.race_four_openers(str(path), path)
 
-
     @pytest.mark.skipif(sys.platform == "win32", reason="fork start method is POSIX-only")
     def test_processes_racing_to_open_a_rotated_log_convert_it_once(self, tmp_path):
         path = tmp_path / "cache.log"
         write_rotated_log(path, LEGACY)
         self.race_four_openers(f"log:{path}", path)
         assert not list(tmp_path.glob("*.seg"))
+
+    def test_segments_fold_in_name_order_then_the_log(self, tmp_path):
+        path = tmp_path / "cache.log"
+
+        def write(suffix, puts):
+            target = path.with_name(path.name + suffix) if suffix else path
+            target.write_text("".join(
+                json.dumps({"op": "put", "key": key, "value": {"v": v}}) + "\n"
+                for key, v in puts
+            ))
+
+        write(".000010.seg", [("b", 10), ("c", 10)])  # written first, named last
+        write(".000001.seg", [("a", 1), ("b", 1)])
+        write(".000002.seg", [("a", 2)])
+        write("", [("c", "active")])
+        store = open_store(f"log:{path}")
+        assert list(store.scan()) == [("a", {"v": 2}), ("b", {"v": 10}), ("c", {"v": "active"})]
+        assert log_keys(path) == ["a", "b", "c"]
+        assert not list(tmp_path.glob("*.seg"))
+
+    def test_segments_left_by_a_crash_refold_under_later_puts(self, tmp_path):
+        """A crash after the import's rewrite but before its unlinks leaves
+        the segments: the next open folds them again, and every put made to
+        the imported log still wins over them."""
+        path = tmp_path / "cache.log"
+        write_rotated_log(path, LEGACY)
+        segments = {p: p.read_bytes() for p in tmp_path.glob("*.seg")}
+        first = LEGACY[0][0]
+        open_store(f"log:{path}").put(first, {"v": "later"})
+        for segment, data in segments.items():
+            segment.write_bytes(data)
+        reopened = open_store(f"log:{path}")
+        assert dict(reopened.scan()) == {**dict(LEGACY), first: {"v": "later"}}
+        assert not list(tmp_path.glob("*.seg"))
+        assert reopened.stats()["dead_records"] == 0
 
 
 # -- CLI -------------------------------------------------------------------------
